@@ -8,6 +8,7 @@ convolution path exists for equivalence checks against the CP/FFT chain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,21 +105,35 @@ def realize(profile: ChannelProfile, cfg: OfdmConfig, n_symbols: int, seed: int)
     rho = symbol_correlation(profile, cfg)
     innov_scale = np.sqrt(max(0.0, 1.0 - rho * rho))
 
-    def draw(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
+    # symbol j draws the real then the imaginary parts of its m innovations
+    g = rng.standard_normal((n_symbols, 2, m))
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    innov_amp = innov_scale * np.sqrt(p)
     taps = np.empty((n_symbols, m), dtype=np.complex128)
-    taps[0] = np.sqrt(p) * draw(m)
+    taps[0] = np.sqrt(p) * z[0]
     for j in range(1, n_symbols):
-        taps[j] = rho * taps[j - 1] + innov_scale * np.sqrt(p) * draw(m)
+        taps[j] = rho * taps[j - 1] + innov_amp * z[j]
     return ChannelRealization(taps, np.asarray(profile.delays))
+
+
+@functools.lru_cache(maxsize=16)
+def _phases(l_fft: int, subcarrier_spacing: float, delays: tuple[float, ...]) -> np.ndarray:
+    """Read-only tap-to-subcarrier phase matrix exp(-2i pi k df tau_m), (l_fft, n_taps)."""
+    k = np.arange(l_fft)
+    phases = np.exp(-2j * np.pi * subcarrier_spacing * np.outer(k, np.asarray(delays)))
+    phases.setflags(write=False)
+    return phases
+
+
+def _response_rows(real: ChannelRealization, cfg: OfdmConfig, rows) -> np.ndarray:
+    """freq_response restricted to the symbol rows `rows`, in that order."""
+    phases = _phases(cfg.l_fft, cfg.subcarrier_spacing, tuple(real.delays.tolist()))
+    return real.taps[list(rows)] @ phases.T
 
 
 def freq_response(real: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
     """Per-symbol frequency response H[j, k] = sum_m a_m(j) exp(-2i pi k df tau_m)."""
-    k = np.arange(cfg.l_fft)
-    phases = np.exp(-2j * np.pi * cfg.subcarrier_spacing * np.outer(k, real.delays))
-    return real.taps @ phases.T
+    return _response_rows(real, cfg, range(real.n_symbols))
 
 
 def noise_variance(snr_db: float, signal_power: float = 1.0) -> float:
@@ -138,7 +153,11 @@ def apply(
 
     snr_db=None disables noise. The noise realization depends only on
     noise_seed and the grid shape, so sweeping SNR with a fixed seed rescales
-    one common draw.
+    one common draw. Noise-stream contract, shared with the row-sparse link
+    (_noise_rows): a PCG64 generator seeded with noise_seed draws the real
+    parts of the whole (n_symbols, l_fft) grid in row-major order, then the
+    imaginary parts; cell (j, k) gets (re + 1j * im) / sqrt(2) scaled by the
+    noise standard deviation.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.shape != (real.n_symbols, cfg.l_fft):
@@ -149,6 +168,23 @@ def apply(
         z = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) / np.sqrt(2.0)
         rx = rx + np.sqrt(noise_variance(snr_db, signal_power)) * z
     return rx
+
+
+def _noise_rows(noise_seed: int, shape: tuple[int, int], rows) -> np.ndarray:
+    """Rows `rows` of the unit-variance noise block apply draws for a grid of `shape`.
+
+    Draws the same stream as apply, one row at a time, and keeps only the
+    rows asked for, so no full-grid temporary is allocated.
+    """
+    n_symbols, l_fft = shape
+    rng = np.random.Generator(np.random.PCG64(noise_seed))
+    slot = {r: i for i, r in enumerate(rows)}
+    parts = np.empty((2, len(slot), l_fft))
+    unused = np.empty(l_fft)
+    for part in parts:  # real parts of every row, then imaginary parts
+        for j in range(n_symbols):
+            rng.standard_normal(out=part[slot[j]] if j in slot else unused)
+    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
 
 
 def apply_time(samples: np.ndarray, real: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:

@@ -121,6 +121,14 @@ def normalize_power(t: np.ndarray, power: float = 1.0) -> np.ndarray:
     """Scale a complex symbol vector to mean per-symbol power `power`."""
     t = np.asarray(t, dtype=np.complex128)
     energy = np.sum(np.abs(t) ** 2, axis=-1, keepdims=True)
+    tiny = energy < np.finfo(np.float64).tiny
+    if np.any(tiny):
+        # an energy below the normal range has lost precision or underflowed
+        # to 0: rescale those rows by their peak first (other rows, and rows
+        # that are all zeros, are divided by 1.0, which leaves them exact)
+        peak = np.max(np.abs(t), axis=-1, keepdims=True)
+        t = t / np.where(tiny & (peak > 0.0), peak, 1.0)
+        energy = np.sum(np.abs(t) ** 2, axis=-1, keepdims=True)
     if np.any(energy == 0.0):
         raise ValueError("cannot power-normalize a zero-energy symbol vector")
     return np.sqrt(t.shape[-1] * power) * t / np.sqrt(energy)
@@ -175,12 +183,10 @@ def save_codec(path, codec: SemanticCodec) -> None:
 
 
 def load_codec(path) -> SemanticCodec:
-    import struct
-
     with open(path, "rb") as fh:
         if fh.read(4) != _CODEC_MAGIC:
             raise ValueError("not a codec checkpoint")
-        n_cu, power = struct.unpack("<Id", fh.read(12))
+        n_cu, power = nnkit.read_header(fh, "<Id", "codec checkpoint")
         encoder = nnkit.read_net(fh)
         decoder = nnkit.read_net(fh)
     return SemanticCodec(encoder, decoder, n_cu, power)

@@ -51,11 +51,19 @@ def new_scorer(cfg: DetectorConfig, seed: int) -> SimilarityScorer:
 
 
 def pool_map(values: np.ndarray, pool: int) -> np.ndarray:
-    """Adaptive average pooling of an (H, W) map down to (pool, pool)."""
+    """Adaptive average pooling of an (H, W) map down to (pool, pool).
+
+    A map whose sides are multiples of pool (a pool-sized map among them,
+    which comes back as a new array of the same values) is averaged over
+    equal blocks by one reshape; other sizes average uneven blocks cell by
+    cell.
+    """
     values = np.asarray(values, dtype=np.float64)
     h, w = values.shape
     if h < pool or w < pool:
         raise ValueError(f"map shape {values.shape} smaller than pool grid {pool}")
+    if h % pool == 0 and w % pool == 0:
+        return values.reshape(pool, h // pool, pool, w // pool).mean(axis=(1, 3))
     out = np.empty((pool, pool))
     hb = [(i * h) // pool for i in range(pool + 1)]
     wb = [(j * w) // pool for j in range(pool + 1)]
@@ -483,16 +491,14 @@ def save_corpus(path, corpus: RankCorpus) -> None:
 
 def load_corpus(path) -> RankCorpus:
     """Inverse of save_corpus."""
-    import struct
-
     with open(path, "rb") as fh:
         if fh.read(4) != _CORPUS_MAGIC:
             raise ValueError("not a rank-corpus file")
-        n_queries, pool = struct.unpack("<II", fh.read(8))
+        n_queries, pool = nnkit.read_header(fh, "<II", "rank-corpus file")
         cell = pool * pool
         queries = []
         for _ in range(n_queries):
-            (k,) = struct.unpack("<I", fh.read(4))
+            (k,) = nnkit.read_header(fh, "<I", "rank-corpus file")
             ref = np.frombuffer(fh.read(4 * cell), dtype="<f4").astype(np.float64)
             samp = np.frombuffer(fh.read(4 * cell * k), dtype="<f4").astype(np.float64)
             s_true = np.frombuffer(fh.read(4 * k), dtype="<f4").astype(np.float64)
@@ -515,12 +521,10 @@ def save_scorer(path, scorer: SimilarityScorer) -> None:
 
 
 def load_scorer(path) -> SimilarityScorer:
-    import struct
-
     with open(path, "rb") as fh:
         if fh.read(4) != _SCORER_MAGIC:
             raise ValueError("not a scorer checkpoint")
-        (pool,) = struct.unpack("<I", fh.read(4))
+        (pool,) = nnkit.read_header(fh, "<I", "scorer checkpoint")
         branch = nnkit.read_net(fh)
         head = nnkit.read_net(fh)
     return SimilarityScorer(branch, head, pool)

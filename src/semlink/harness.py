@@ -371,12 +371,15 @@ def run_sweep(
     for any worker count.
     """
     cfg = bundle.cfg
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     say = log if log is not None else (lambda msg: None)
     sessions = cfg.experiment.sessions if sessions is None else sessions
     workers = cfg.experiment.workers if workers is None else workers
     budget_eff = cfg.experiment.round_budget if budget is None else budget
+    for name, value in (("sessions", sessions), ("workers", workers), ("budget", budget_eff)):
+        if value < 1:
+            raise ValueError(f"bad value for {name}: must be >= 1, got {value}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     modes = tuple(modes)
     snr_list = tuple(float(s) for s in snr_list)
 
@@ -527,6 +530,7 @@ def run_goldens(out_dir=None) -> list[tuple[str, bool, str]]:
         ("ofdm_round_trip", *_golden_ofdm()),
         ("channel_response", *_golden_channel()),
         ("noiseless_estimation", *_golden_estimation()),
+        ("link_fast_path", *_golden_link_fast_path()),
         ("crc_residue", *_golden_crc()),
         ("quantizer_bound", *_golden_quantizer()),
         ("rank_gradients", *_golden_lambda()),
@@ -597,6 +601,29 @@ def _golden_estimation():
     est = rxdsp.estimate(rx, pilots, cfg, noise_var=0.0)
     err = float(np.max(np.abs(est.h - channel.freq_response(real, cfg))))
     return err < 1e-9, f"static-channel estimate error {err:.2e}"
+
+
+def _golden_link_fast_path():
+    """The row-sparse link against the full-grid chain it stands for, bit for bit."""
+    from . import channel, ofdm, rxdsp
+
+    cfg = ExperimentConfig().ofdm_config()
+    profile = ExperimentConfig().channel_profile()
+    rng = np.random.Generator(np.random.PCG64(31))
+    payload = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) / np.sqrt(2.0)
+    seeds = LinkSeeds(pilot=4, channel=5, noise=6)
+    for snr_db in (None, 6.0):
+        grid = ofdm.frame_build(payload, cfg, seeds.pilot)
+        real = channel.realize(profile, cfg, cfg.n_symbols, seeds.channel)
+        rx = channel.apply(grid.grid, real, cfg, snr_db, seeds.noise)
+        noise_var = 0.0 if snr_db is None else channel.noise_variance(snr_db)
+        est = rxdsp.estimate(rx, ofdm.pilot_rows(cfg, seeds.pilot), cfg, noise_var)
+        eq = ofdm.frame_extract(rxdsp.equalize_mmse(rx, est), cfg, payload.size)
+        h = ofdm.frame_extract(est.h, cfg, payload.size)
+        got_eq, got_h, got_var = transmit_with_state(payload, cfg, profile, snr_db, seeds)
+        if not (np.array_equal(got_eq, eq) and np.array_equal(got_h, h) and got_var == noise_var):
+            return False, f"differs from the full-grid chain at snr_db={snr_db}"
+    return True, "bitwise equal to the full-grid chain, noiseless and at 6 dB"
 
 
 def _golden_crc():

@@ -230,14 +230,24 @@ def write_net(fh, net: DenseNet) -> None:
         fh.write(layer.b.astype("<f4").tobytes())
 
 
+def read_header(fh, fmt: str, what: str) -> tuple:
+    """Read exactly struct.calcsize(fmt) bytes and unpack them; a short read
+    raises ValueError naming `what`, the file being read."""
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"truncated {what}: header needs {size} bytes, found {len(raw)}")
+    return struct.unpack(fmt, raw)
+
+
 def read_net(fh) -> DenseNet:
     """Inverse of write_net."""
     if fh.read(4) != _MAGIC:
         raise ValueError("not a dense-net checkpoint")
-    (n_layers,) = struct.unpack("<I", fh.read(4))
+    (n_layers,) = read_header(fh, "<I", "dense-net checkpoint")
     headers = []
     for _ in range(n_layers):
-        n_in, n_out, act_id, alpha = struct.unpack("<IIBf", fh.read(13))
+        n_in, n_out, act_id, alpha = read_header(fh, "<IIBf", "dense-net checkpoint")
         if act_id >= len(ACTIVATIONS):
             raise ValueError(f"unknown activation id {act_id}")
         headers.append((n_in, n_out, ACTIVATIONS[act_id], alpha))

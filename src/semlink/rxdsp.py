@@ -36,6 +36,38 @@ def _denoise_delay(h_row: np.ndarray, l_cp: int) -> np.ndarray:
     return np.fft.fft(g)
 
 
+def _pilot_estimates(rx_pilots: np.ndarray, pilots: np.ndarray, l_cp: int) -> np.ndarray:
+    """Delay-denoised LS estimate on each received pilot row."""
+    h_pilot = np.empty_like(pilots)
+    for i, (y, p) in enumerate(zip(rx_pilots, pilots)):
+        h_pilot[i] = _denoise_delay(y / p, l_cp)
+    return h_pilot
+
+
+def _interpolate(h_pilot: np.ndarray, pilot_rows, rows) -> np.ndarray:
+    """Estimate on each symbol row in `rows` from the pilot-row estimates.
+
+    One pilot row holds for every symbol; with more, the estimate is linear
+    in the symbol index through the first two, extrapolated beyond them.
+    """
+    rows = list(rows)
+    h = np.empty((len(rows), h_pilot.shape[1]), dtype=np.complex128)
+    if len(pilot_rows) == 1:
+        h[:] = h_pilot[0]
+        return h
+    j0, j1 = pilot_rows[0], pilot_rows[1]
+    slope = (h_pilot[1] - h_pilot[0]) / (j1 - j0)
+    for i, j in enumerate(rows):
+        h[i] = h_pilot[0] + (j - j0) * slope
+    return h
+
+
+def _mmse(rx: np.ndarray, h: np.ndarray, noise_var: float, signal_power: float) -> np.ndarray:
+    """Per-cell MMSE equalizer: conj(H) Y / (|H|^2 + noise_var / signal_power)."""
+    denom = np.abs(h) ** 2 + noise_var / signal_power
+    return np.conj(h) * rx / denom
+
+
 def estimate(
     rx_grid: np.ndarray,
     pilots: np.ndarray,
@@ -53,20 +85,8 @@ def estimate(
     if np.min(np.abs(pilots)) < 1e-9:
         raise ValueError("pilot symbols must be bounded away from zero")
 
-    h_pilot = np.empty_like(pilots)
-    for i, r in enumerate(rows):
-        h_pilot[i] = _denoise_delay(rx_grid[r] / pilots[i], cfg.l_cp)
-
-    h = np.empty((cfg.n_symbols, cfg.l_fft), dtype=np.complex128)
-    if len(rows) == 1:
-        h[:] = h_pilot[0]
-    else:
-        # linear in the symbol index through the first two pilot rows,
-        # extrapolated beyond them
-        j0, j1 = rows[0], rows[1]
-        slope = (h_pilot[1] - h_pilot[0]) / (j1 - j0)
-        for j in range(cfg.n_symbols):
-            h[j] = h_pilot[0] + (j - j0) * slope
+    h_pilot = _pilot_estimates(rx_grid[list(rows)], pilots, cfg.l_cp)
+    h = _interpolate(h_pilot, rows, range(cfg.n_symbols))
     return ChannelEstimate(h, float(noise_var))
 
 
@@ -79,5 +99,4 @@ def equalize_mmse(
     rx_grid = np.asarray(rx_grid, dtype=np.complex128)
     if rx_grid.shape != est.h.shape:
         raise ValueError(f"grid shape {rx_grid.shape} does not match estimate")
-    denom = np.abs(est.h) ** 2 + est.noise_var / signal_power
-    return np.conj(est.h) * rx_grid / denom
+    return _mmse(rx_grid, est.h, est.noise_var, signal_power)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -69,9 +69,13 @@ def test_normalize_power_zero_energy():
     st.floats(0.25, 4.0),
 )
 @settings(max_examples=80, deadline=None)
+@example(x=np.array([[5.72667848e-161]]), power=1.0)  # energy 4.1e-321, subnormal
+@example(x=np.array([[1e-170, 0.0]]), power=1.0)  # energy underflows to 0.0
 def test_normalize_power_rowwise(x, power):
     z = x + 0.5j * np.roll(x, 1, axis=-1)
-    if np.any(np.sum(np.abs(z) ** 2, axis=-1) == 0.0):
+    if np.any(np.all(z == 0.0, axis=-1)):
+        with pytest.raises(ValueError):
+            normalize_power(z, power)
         return
     out = normalize_power(z, power)
     assert np.allclose(np.mean(np.abs(out) ** 2, axis=-1), power, rtol=1e-12)

@@ -212,7 +212,34 @@ def test_pool_map_constant():
 def test_pool_map_identity_when_sizes_match():
     rng = np.random.default_rng(9)
     m = rng.uniform(0, 1, (8, 8))
-    assert np.array_equal(pool_map(m, 8), m)
+    out = pool_map(m, 8)
+    assert np.array_equal(out, m)
+    assert not np.shares_memory(out, m)
+
+
+def _pool_loop(values, pool):
+    """Cell-by-cell adaptive average pooling: the oracle for pool_map."""
+    h, w = values.shape
+    hb = [(i * h) // pool for i in range(pool + 1)]
+    wb = [(j * w) // pool for j in range(pool + 1)]
+    out = np.empty((pool, pool))
+    for i in range(pool):
+        for j in range(pool):
+            out[i, j] = values[hb[i] : hb[i + 1], wb[j] : wb[j + 1]].mean()
+    return out
+
+
+@pytest.mark.parametrize("shape,pool", [((16, 16), 8), ((12, 12), 4), ((32, 16), 16), ((20, 15), 5)])
+def test_pool_map_exact_divisors_match_the_loop(shape, pool):
+    m = np.random.default_rng(10).uniform(0, 1, shape)
+    # the reshape sums each block in another order: at most an ulp apart
+    assert np.allclose(pool_map(m, pool), _pool_loop(m, pool), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape,pool", [((13, 11), 4), ((17, 16), 16), ((16, 17), 16), ((12, 10), 8)])
+def test_pool_map_uneven_blocks_match_the_loop(shape, pool):
+    m = np.random.default_rng(11).uniform(0, 1, shape)
+    assert np.array_equal(pool_map(m, pool), _pool_loop(m, pool))
 
 
 def test_pool_map_hand_example():

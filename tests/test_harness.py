@@ -105,6 +105,30 @@ def test_corpus_rebuild_matches_training(tiny_dir, tmp_path):
     assert (tmp_path / "corpus.bin").read_bytes() == (tiny_dir / "corpus.bin").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name,loader",
+    [
+        ("codec_pair1.ckpt", codec.load_codec),
+        ("scorer.ckpt", detector.load_scorer),
+        ("corpus.bin", detector.load_corpus),
+    ],
+)
+def test_truncated_artifacts_raise_value_error(tiny_dir, tmp_path, name, loader):
+    data = (tiny_dir / name).read_bytes()
+    for size in (0, 3, 6, 20, len(data) - 1):
+        path = tmp_path / f"{size}-{name}"
+        path.write_bytes(data[:size])
+        with pytest.raises(ValueError):
+            loader(path)
+
+
+def test_run_sweep_rejects_nonpositive_counts(tiny_bundle, tmp_path):
+    for override in ({"sessions": 0}, {"sessions": -3}, {"workers": 0}, {"budget": 0}):
+        with pytest.raises(ValueError):
+            harness.run_sweep(tiny_bundle, ("sim1",), (0.0,), tmp_path, **override)
+    assert not (tmp_path / "sessions.csv").exists()
+
+
 def test_load_bundle_missing_artifacts(tmp_path):
     with pytest.raises((ValueError, OSError)):
         harness.load_bundle(tiny_config(seed=4242), tmp_path)
@@ -256,6 +280,40 @@ def test_cli_rejects_missing_config(tmp_path):
     proc = _cli("train", "--out", str(tmp_path), "--config", "/no/such/file.ini")
     assert proc.returncode == 1
     assert "error: config file not found" in proc.stderr
+
+
+def _assert_one_error_line(proc):
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _tiny_sweep_cli(tmp_path, art, *extra):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(_render_ini(tiny_config(seed=4242)))
+    return _cli(
+        "sweep", "--config", str(ini), "--out", str(tmp_path / "sweep"),
+        "--artifacts", str(art), "--mode", "sim1", "--snr", "0", *extra,
+    )
+
+
+@pytest.mark.parametrize(
+    "flags", [("--sessions", "0"), ("--sessions", "-3"), ("--workers", "0"), ("--budget", "0")]
+)
+def test_cli_sweep_rejects_nonpositive_counts(tiny_dir, tmp_path, flags):
+    proc = _tiny_sweep_cli(tmp_path, tiny_dir, *flags)
+    _assert_one_error_line(proc)
+    assert not (tmp_path / "sweep" / "sessions.csv").exists()
+
+
+def test_cli_sweep_rejects_truncated_scorer(tiny_dir, tmp_path):
+    art = tmp_path / "art"
+    art.mkdir()
+    for name in ARTIFACTS:
+        (art / name).write_bytes((tiny_dir / name).read_bytes())
+    (art / "scorer.ckpt").write_bytes((tiny_dir / "scorer.ckpt").read_bytes()[:20])
+    _assert_one_error_line(_tiny_sweep_cli(tmp_path, art))
 
 
 def test_cli_train_sweep_corpus_chain(tmp_path):
