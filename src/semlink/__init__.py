@@ -1,10 +1,12 @@
 """Link-level simulator for semantic feature transmission over fading OFDM channels.
 
 Modules are layered bottom-up: tensors and scenegen provide the synthetic
-perception task, nnkit the dense-network machinery, codec the learned
-encoder/decoder, ofdm/channel/rxdsp the physical layer, detector the learned
-acknowledgement scorer, harq the retransmission protocols, and harness the
-experiment orchestration.
+perception task, nnkit the dense-network machinery (and the one stable
+sigmoid), codec the learned encoder/decoder, ofdm/channel/rxdsp/link the
+physical layer, detector the learned acknowledgement scorer, harq the
+retransmission protocols, config the INI file, whose sections load straight
+into the config dataclasses of ofdm, scenegen, codec and detector, and
+harness the experiment orchestration.
 """
 
 __version__ = "0.1.0"

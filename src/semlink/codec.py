@@ -17,40 +17,34 @@ import numpy as np
 
 from . import nnkit
 from .scenegen import ProxyHead, Scene, perception_loss_grad
-from .tensors import FeatureTensor, ImportanceMask, unpack
+from .tensors import ImportanceMask, unpack
+
+
+SIGNAL_POWER = 1.0  # mean per-symbol power every encoder output is scaled to
+PRELU_ALPHA = 0.25  # slope of the hidden layers' PReLU at initialization
 
 
 @dataclass(frozen=True)
 class CodecConfig:
-    n_in: int
-    n_cu: int  # complex channel uses per transmission
+    cr: float = 0.05  # fraction of scene cells the importance mask keeps
+    n_cu: int = 256  # complex channel uses per transmission
     hidden: int = 192
-    signal_power: float = 1.0
-    prelu_alpha: float = 0.25
-
-    def __post_init__(self):
-        if self.n_in < 1 or self.n_cu < 1:
-            raise ValueError("n_in and n_cu must be positive")
-        if self.signal_power <= 0:
-            raise ValueError("signal_power must be positive")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    seed: int = 0
+    train_samples: int = 512
     batch_size: int = 64
     lr: float = 2e-3
     recon_epochs: int = 80
     task_epochs: int = 30
+    task_weight: float = 0.5  # weight on the reconstruction term in step 2
     snr_lo: float = 0.0
     snr_hi: float = 18.0
-    task_weight: float = 0.5  # weight on the reconstruction term in step 2
 
     def __post_init__(self):
-        if self.snr_hi < self.snr_lo:
-            raise ValueError("snr_hi must be >= snr_lo")
+        if self.n_cu < 1:
+            raise ValueError("n_cu must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.snr_hi < self.snr_lo:
+            raise ValueError("snr_hi must be >= snr_lo")
 
 
 @dataclass
@@ -58,7 +52,7 @@ class SemanticCodec:
     encoder: nnkit.DenseNet
     decoder: nnkit.DenseNet
     n_cu: int
-    signal_power: float = 1.0
+    signal_power: float = SIGNAL_POWER
 
     @property
     def n_in(self) -> int:
@@ -89,15 +83,18 @@ class TrainingSet:
             raise ValueError("one mask per scene required")
 
 
-def new_codec(cfg: CodecConfig, seed: int) -> SemanticCodec:
-    """Fresh codec: prelu hidden layers, linear heads, paired real outputs."""
+def new_codec(cfg: CodecConfig, n_in: int, seed: int) -> SemanticCodec:
+    """Fresh codec for n_in-long packed vectors: prelu hidden layers, linear
+    heads, paired real outputs."""
+    if n_in < 1:
+        raise ValueError("n_in must be positive")
     enc = nnkit.init_dense(
-        (cfg.n_in, cfg.hidden, 2 * cfg.n_cu), ("prelu", "linear"), seed, cfg.prelu_alpha
+        (n_in, cfg.hidden, 2 * cfg.n_cu), ("prelu", "linear"), seed, PRELU_ALPHA
     )
     dec = nnkit.init_dense(
-        (2 * cfg.n_cu, cfg.hidden, cfg.n_in), ("prelu", "linear"), seed + 1, cfg.prelu_alpha
+        (2 * cfg.n_cu, cfg.hidden, n_in), ("prelu", "linear"), seed + 1, PRELU_ALPHA
     )
-    return SemanticCodec(enc, dec, cfg.n_cu, cfg.signal_power)
+    return SemanticCodec(enc, dec, cfg.n_cu)
 
 
 def reals_to_complex(x: np.ndarray) -> np.ndarray:
@@ -127,7 +124,12 @@ def normalize_power(t: np.ndarray, power: float = 1.0) -> np.ndarray:
         # to 0: rescale those rows by their peak first (other rows, and rows
         # that are all zeros, are divided by 1.0, which leaves them exact)
         peak = np.max(np.abs(t), axis=-1, keepdims=True)
-        t = t / np.where(tiny & (peak > 0.0), peak, 1.0)
+        scale = np.where(tiny & (peak > 0.0), peak, 1.0)
+        # divide the real and imaginary parts apart: as a complex divisor a
+        # subnormal peak overflows inside the complex division (nan + nanj)
+        t = t.copy()
+        t.real /= scale
+        t.imag /= scale
         energy = np.sum(np.abs(t) ** 2, axis=-1, keepdims=True)
     if np.any(energy == 0.0):
         raise ValueError("cannot power-normalize a zero-energy symbol vector")
@@ -156,6 +158,8 @@ def encode(codec: SemanticCodec, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64).reshape(-1)
     if m.size != codec.n_in:
         raise ValueError(f"input has {m.size} entries, encoder expects {codec.n_in}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("encoder input must be finite")
     reals = nnkit.forward(codec.encoder, m[None, :])[0]
     return normalize_power(reals_to_complex(reals), codec.signal_power)
 
@@ -189,15 +193,11 @@ def load_codec(path) -> SemanticCodec:
         n_cu, power = nnkit.read_header(fh, "<Id", "codec checkpoint")
         encoder = nnkit.read_net(fh)
         decoder = nnkit.read_net(fh)
+    if not (0.0 < power < math.inf) or not (
+        encoder.n_out == decoder.n_in == 2 * n_cu and decoder.n_out == encoder.n_in
+    ):
+        raise ValueError("corrupt codec checkpoint: sizes or power do not fit together")
     return SemanticCodec(encoder, decoder, n_cu, power)
-
-
-def awgn(t: np.ndarray, snr_db: float, rng: np.random.Generator, power: float = 1.0) -> np.ndarray:
-    """Training surrogate channel: add circular complex noise at the given SNR."""
-    t = np.asarray(t, dtype=np.complex128)
-    sigma2 = power / (10.0 ** (snr_db / 10.0))
-    z = (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)) / np.sqrt(2.0)
-    return t + np.sqrt(sigma2) * z
 
 
 def surrogate_roundtrip(
@@ -306,10 +306,10 @@ def _epoch_lr(lr0: float, epoch: int, total: int) -> float:
     return floor + (lr0 - floor) * 0.5 * (1.0 + math.cos(math.pi * epoch / (total - 1)))
 
 
-def _run_epochs(codec, train_set, cfg, n_epochs, rng, states, with_task, curve, frozen=None, sched=None):
+def _run_epochs(codec, train_set, cfg, snr_band, n_epochs, rng, states, with_task, curve, frozen, sched):
     packed = train_set.packed
     n = packed.shape[0]
-    t0, total = sched if sched is not None else (0, n_epochs)
+    t0, total = sched
     for ep in range(n_epochs):
         lr = _epoch_lr(cfg.lr, t0 + ep, total)
         order = rng.permutation(n)
@@ -317,7 +317,7 @@ def _run_epochs(codec, train_set, cfg, n_epochs, rng, states, with_task, curve, 
         n_batches = 0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            snr_db = rng.uniform(cfg.snr_lo, cfg.snr_hi)
+            snr_db = rng.uniform(*snr_band)
             task_ctx = None
             if with_task:
                 task_ctx = (train_set.scenes, train_set.masks, train_set.shape, train_set.head, idx)
@@ -345,33 +345,37 @@ def _run_epochs(codec, train_set, cfg, n_epochs, rng, states, with_task, curve, 
             curve.recon.append(ep_recon / n_batches)
 
 
-def train_no_harq(
-    train_set: TrainingSet, codec_cfg: CodecConfig, train_cfg: TrainConfig
-) -> tuple[SemanticCodec, TrainingCurve]:
-    """Two-step training: reconstruction first, then combined task loss."""
-    if train_set.packed.shape[1] != codec_cfg.n_in:
-        raise ValueError("training set width does not match codec n_in")
-    codec = new_codec(codec_cfg, train_cfg.seed)
-    rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
+def _train(train_set, cfg: CodecConfig, seed: int, snr_band, frozen):
+    """A fresh codec trained for cfg.recon_epochs on reconstruction, then for
+    cfg.task_epochs on the combined task loss, at SNRs drawn from snr_band."""
+    codec = new_codec(cfg, train_set.packed.shape[1], seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
     curve = TrainingCurve()
-    total = train_cfg.recon_epochs + train_cfg.task_epochs
-    _run_epochs(
-        codec, train_set, train_cfg, train_cfg.recon_epochs, rng, states, False, curve,
-        sched=(0, total),
-    )
-    _run_epochs(
-        codec, train_set, train_cfg, train_cfg.task_epochs, rng, states, True, curve,
-        sched=(train_cfg.recon_epochs, total),
-    )
+    total = cfg.recon_epochs + cfg.task_epochs
+    for with_task, n_epochs, t0 in (
+        (False, cfg.recon_epochs, 0),
+        (True, cfg.task_epochs, cfg.recon_epochs),
+    ):
+        _run_epochs(
+            codec, train_set, cfg, snr_band, n_epochs, rng, states, with_task, curve, frozen, (t0, total)
+        )
     return codec, curve
+
+
+def train_no_harq(
+    train_set: TrainingSet, cfg: CodecConfig, seed: int, snr_band: tuple[float, float]
+) -> tuple[SemanticCodec, TrainingCurve]:
+    """Two-step training: reconstruction first, then combined task loss."""
+    return _train(train_set, cfg, seed, snr_band, None)
 
 
 def train_harq2_pair(
     first: SemanticCodec,
     train_set: TrainingSet,
-    codec_cfg: CodecConfig,
-    train_cfg: TrainConfig,
+    cfg: CodecConfig,
+    seed: int,
+    snr_band: tuple[float, float],
 ) -> tuple[SemanticCodec, TrainingCurve]:
     """Train a second codec on the residual of a frozen first pair.
 
@@ -381,17 +385,4 @@ def train_harq2_pair(
     """
     if train_set.packed.shape[1] != first.n_in:
         raise ValueError("training set width does not match the frozen codec")
-    codec = new_codec(codec_cfg, train_cfg.seed)
-    rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
-    states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
-    curve = TrainingCurve()
-    total = train_cfg.recon_epochs + train_cfg.task_epochs
-    _run_epochs(
-        codec, train_set, train_cfg, train_cfg.recon_epochs, rng, states, False, curve,
-        frozen=first, sched=(0, total),
-    )
-    _run_epochs(
-        codec, train_set, train_cfg, train_cfg.task_epochs, rng, states, True, curve,
-        frozen=first, sched=(train_cfg.recon_epochs, total),
-    )
-    return codec, curve
+    return _train(train_set, cfg, seed, snr_band, first)

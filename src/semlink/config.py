@@ -1,5 +1,11 @@
 """Experiment configuration: one INI file drives training, sweeps and goldens.
 
+The [ofdm], [scene], [codec] and [detector] sections load straight into the
+dataclass their module consumes (ofdm.OfdmConfig, scenegen.SceneConfig,
+codec.CodecConfig, detector.DetectorConfig), so each type's own checks run
+when the file is loaded. The experiment, channel, codec-pair SNR band and
+baseline sections are defined here.
+
 The file format is deliberately flat.  Every section that appears must be
 complete; a missing key is a config error that names the field, so stale
 files fail loudly instead of silently picking up new defaults.  Sections
@@ -13,8 +19,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import ChannelProfile, default_profile
-from .codec import CodecConfig, TrainConfig
-from .detector import DetectorConfig, RankTrainConfig
+from .codec import CodecConfig
+from .detector import DetectorConfig
 from .ofdm import QAM_ORDERS, OfdmConfig
 from .scenegen import SceneConfig
 
@@ -30,17 +36,6 @@ class ExperimentSection:
 
 
 @dataclass(frozen=True)
-class OfdmSection:
-    l_fft: int = 2048
-    n_symbols: int = 14
-    pilot_symbols: tuple[int, ...] = (3, 12)
-    l_cp: int = 144
-    subcarrier_spacing: float = 15e3
-    carrier_freq: float = 2.8e9
-    retransmission_interval: float = 2e-3
-
-
-@dataclass(frozen=True)
 class ChannelSection:
     speed_kmh: float = 50.0
     n_taps: int = 6
@@ -49,54 +44,15 @@ class ChannelSection:
 
 
 @dataclass(frozen=True)
-class SceneSection:
-    channels: int = 8
-    height: int = 16
-    width: int = 16
-    object_rate: float = 0.06
-    target_scale: float = 1.0
-    # keep class logits inside the sigmoid's sensitive range so confidence
-    # maps stay informative about reception quality even at high SNR
-    logit_amp: float = 2.0
-    feature_noise: float = 0.1
-
-
-@dataclass(frozen=True)
-class CodecSection:
-    cr: float = 0.05
-    n_cu: int = 256
-    hidden: int = 192
-    train_samples: int = 512
-    batch_size: int = 64
-    lr: float = 2e-3
-    recon_epochs: int = 80
-    task_epochs: int = 30
-    task_weight: float = 0.5
-    snr_lo: float = 0.0
-    snr_hi: float = 18.0
-
-
-@dataclass(frozen=True)
 class PairSection:
-    """SNR band override for one retransmission stage codec."""
+    """SNR band one retransmission stage codec trains over."""
 
     snr_lo: float
     snr_hi: float
 
-
-@dataclass(frozen=True)
-class DetectorSection:
-    ack_threshold: float = 0.72
-    sharpness: float = 1.0
-    pool: int = 16
-    branch_width: int = 64
-    corpus_queries: int = 160
-    corpus_snr_db: tuple[float, ...] = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0)
-    epochs: int = 50
-    lr: float = 2e-4
-    holdout: float = 0.25
-    weight_decay: float = 5e-2
-    batch_queries: int = 8
+    def __post_init__(self):
+        if self.snr_hi < self.snr_lo:
+            raise ValueError("snr_hi must be >= snr_lo")
 
 
 @dataclass(frozen=True)
@@ -108,28 +64,17 @@ class BaselineSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
-    ofdm: OfdmSection = field(default_factory=OfdmSection)
+    ofdm: OfdmConfig = field(default_factory=OfdmConfig)
     channel: ChannelSection = field(default_factory=ChannelSection)
-    scene: SceneSection = field(default_factory=SceneSection)
-    codec: CodecSection = field(default_factory=CodecSection)
+    scene: SceneConfig = field(default_factory=SceneConfig)
+    codec: CodecConfig = field(default_factory=CodecConfig)
     codec_pair1: PairSection = field(default_factory=lambda: PairSection(9.0, 18.0))
     codec_pair2: PairSection = field(default_factory=lambda: PairSection(0.0, 6.0))
-    detector: DetectorSection = field(default_factory=DetectorSection)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
     baseline: BaselineSection = field(default_factory=BaselineSection)
 
-    # ---- derived views consumed by the rest of the package ----
-
     def ofdm_config(self) -> OfdmConfig:
-        o = self.ofdm
-        return OfdmConfig(
-            l_fft=o.l_fft,
-            n_symbols=o.n_symbols,
-            pilot_symbols=o.pilot_symbols,
-            l_cp=o.l_cp,
-            subcarrier_spacing=o.subcarrier_spacing,
-            carrier_freq=o.carrier_freq,
-            retransmission_interval=o.retransmission_interval,
-        )
+        return self.ofdm
 
     def channel_profile(self) -> ChannelProfile:
         c = self.channel
@@ -140,67 +85,12 @@ class ExperimentConfig:
             decay=c.tap_decay,
         )
 
-    def scene_config(self) -> SceneConfig:
-        s = self.scene
-        return SceneConfig(
-            channels=s.channels,
-            height=s.height,
-            width=s.width,
-            object_rate=s.object_rate,
-            target_scale=s.target_scale,
-            logit_amp=s.logit_amp,
-            feature_noise=s.feature_noise,
-        )
-
     def mask_cells(self) -> int:
         s = self.scene
         return int(math.ceil(self.codec.cr * s.height * s.width))
 
     def packed_length(self) -> int:
         return self.scene.channels * self.mask_cells()
-
-    def codec_config(self) -> CodecConfig:
-        return CodecConfig(
-            n_in=self.packed_length(),
-            n_cu=self.codec.n_cu,
-            hidden=self.codec.hidden,
-        )
-
-    def train_config(self, seed: int, band: PairSection | None = None,
-                     task_epochs: int | None = None) -> TrainConfig:
-        c = self.codec
-        lo, hi = (band.snr_lo, band.snr_hi) if band is not None else (c.snr_lo, c.snr_hi)
-        return TrainConfig(
-            seed=seed,
-            batch_size=c.batch_size,
-            lr=c.lr,
-            recon_epochs=c.recon_epochs,
-            task_epochs=c.task_epochs if task_epochs is None else task_epochs,
-            snr_lo=lo,
-            snr_hi=hi,
-            task_weight=c.task_weight,
-        )
-
-    def detector_config(self) -> DetectorConfig:
-        d = self.detector
-        return DetectorConfig(
-            ack_threshold=d.ack_threshold,
-            sharpness=d.sharpness,
-            pool=d.pool,
-            branch_width=d.branch_width,
-        )
-
-    def rank_train_config(self, seed: int) -> RankTrainConfig:
-        d = self.detector
-        return RankTrainConfig(
-            seed=seed,
-            epochs=d.epochs,
-            lr=d.lr,
-            sharpness=d.sharpness,
-            holdout=d.holdout,
-            weight_decay=d.weight_decay,
-            batch_queries=d.batch_queries,
-        )
 
     def baseline_cr(self) -> float:
         """Compression ratio granting the classical stack the same channel uses.
@@ -225,13 +115,13 @@ class ExperimentConfig:
 
 _SECTION_TYPES = {
     "experiment": ExperimentSection,
-    "ofdm": OfdmSection,
+    "ofdm": OfdmConfig,
     "channel": ChannelSection,
-    "scene": SceneSection,
-    "codec": CodecSection,
+    "scene": SceneConfig,
+    "codec": CodecConfig,
     "codec_pair1": PairSection,
     "codec_pair2": PairSection,
-    "detector": DetectorSection,
+    "detector": DetectorConfig,
     "baseline": BaselineSection,
 }
 
@@ -255,13 +145,8 @@ def _parse_value(section: str, key: str, raw: str, annotation: str):
 
 
 def _load_section(parser: configparser.ConfigParser, name: str, cls):
-    """Materialize one section; present sections must list every key."""
-    if not parser.has_section(name):
-        if cls is PairSection:
-            return None
-        return cls()
+    """Materialize one present section; it must list every key."""
     spec = {f.name: f for f in fields(cls)}
-    seen = set()
     values = {}
     for key, raw in parser.items(name):
         if key not in spec:
@@ -269,11 +154,13 @@ def _load_section(parser: configparser.ConfigParser, name: str, cls):
         ann = spec[key].type
         ann = ann if isinstance(ann, str) else getattr(ann, "__name__", str(ann))
         values[key] = _parse_value(name, key, raw, ann)
-        seen.add(key)
-    missing = sorted(set(spec) - seen)
+    missing = sorted(set(spec) - set(values))
     if missing:
         raise ValueError(f"missing field: {name}.{missing[0]}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"bad value in [{name}]: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -284,17 +171,17 @@ def load_config(path) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTION_TYPES:
             raise ValueError(f"unknown section: {section}")
-    kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
-        loaded = _load_section(parser, name, cls)
-        if loaded is not None:
-            kwargs[name.replace("-", "_")] = loaded
-    cfg = ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**{
+        name: _load_section(parser, name, cls)
+        for name, cls in _SECTION_TYPES.items()
+        if parser.has_section(name)
+    })
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Checks that span sections; each section type checks its own values."""
     e = cfg.experiment
     if e.sessions < 1:
         raise ValueError("bad value for experiment.sessions: must be >= 1")
@@ -316,9 +203,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("bad value for baseline.code_copies: must be >= 1")
     if cfg.detector.pool > min(cfg.scene.height, cfg.scene.width):
         raise ValueError("bad value for detector.pool: exceeds scene grid")
-    if cfg.scene.channels < 5:
-        raise ValueError("bad value for scene.channels: need at least 5")
-    cfg.ofdm_config()
     cfg.channel_profile()
     cfg.baseline_cr()
 

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import nnkit
-from .scenegen import SIMILARITY_CAP
 from .tensors import ConfidenceMap
 
 
@@ -27,6 +26,17 @@ class DetectorConfig:
     sharpness: float = 1.0  # pairwise logistic scale
     pool: int = 16
     branch_width: int = 64
+    corpus_queries: int = 160  # rank-corpus sources, each sent once per corpus SNR
+    corpus_snr_db: tuple[float, ...] = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0)
+    epochs: int = 50
+    lr: float = 2e-4
+    holdout: float = 0.25
+    # the rank objective is scale-free in the logit, so margins grow without
+    # bound under Adam; decoupled decay keeps the head in its responsive range
+    weight_decay: float = 5e-2
+    # queries averaged per Adam step; single-query steps are too noisy and
+    # destroy the ordering a few epochs after it is first reached
+    batch_queries: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.ack_threshold < 1.0:
@@ -115,13 +125,8 @@ def ack_decide(s_hat: float, cfg: DetectorConfig) -> bool:
 def pair_probability(s_m: float, s_n: float, sharpness: float = 1.0):
     """Modeled probability that sample m outranks sample n."""
     d = sharpness * (np.asarray(s_m, dtype=np.float64) - np.asarray(s_n, dtype=np.float64))
-    out = np.empty_like(np.atleast_1d(d))
-    dd = np.atleast_1d(d)
-    pos = dd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-dd[pos]))
-    ez = np.exp(dd[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out.reshape(np.shape(d)) if np.ndim(d) else float(out[0])
+    p = nnkit.sigmoid(np.atleast_1d(d))
+    return p.reshape(np.shape(d)) if np.ndim(d) else float(p[0])
 
 
 def pair_loss(s_m, s_n, order: int, sharpness: float = 1.0):
@@ -148,10 +153,7 @@ def lambda_gradients(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float = 1
     if k < 2:
         return np.zeros(k)
     d = sharpness * (s_hat[:, None] - s_hat[None, :])
-    # stable 1/(1+exp(d)) for the oriented pairs
-    with np.errstate(over="ignore"):
-        inv = np.where(d >= 0, np.exp(-d) / (1.0 + np.exp(-d)), 1.0 / (1.0 + np.exp(d)))
-    lam_pair = -sharpness * inv
+    lam_pair = -sharpness * nnkit.sigmoid(-d)
     oriented = s_true[:, None] > s_true[None, :]
     lam_pair = np.where(oriented, lam_pair, 0.0)
     # snap pair terms to a dyadic grid: sums of 2^-30 multiples are exact in
@@ -187,21 +189,6 @@ class RankCorpus:
     pool: int
 
 
-@dataclass(frozen=True)
-class RankTrainConfig:
-    seed: int = 0
-    epochs: int = 50
-    lr: float = 2e-4
-    sharpness: float = 1.0
-    holdout: float = 0.25
-    # the rank objective is scale-free in the logit, so margins grow without
-    # bound under Adam; decoupled decay keeps the head in its responsive range
-    weight_decay: float = 5e-2
-    # queries averaged per Adam step; single-query steps are too noisy and
-    # destroy the ordering a few epochs after it is first reached
-    batch_queries: int = 8
-
-
 def _query_step(scorer, query: RankQuery, sharpness: float):
     """Scores, lambdas, and parameter gradients for one query."""
     k = query.s_true.size
@@ -224,10 +211,10 @@ def _query_step(scorer, query: RankQuery, sharpness: float):
     return s_hat, branch_grads, head_grads
 
 
-def split_corpus(corpus: RankCorpus, cfg: RankTrainConfig) -> tuple[RankCorpus, RankCorpus]:
+def split_corpus(corpus: RankCorpus, cfg: DetectorConfig, seed: int) -> tuple[RankCorpus, RankCorpus]:
     """Deterministic train/held-out split by shuffled query index."""
     n = len(corpus.queries)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n)
     n_hold = max(1, int(round(cfg.holdout * n))) if n > 1 else 0
     hold = set(order[:n_hold].tolist())
@@ -237,7 +224,7 @@ def split_corpus(corpus: RankCorpus, cfg: RankTrainConfig) -> tuple[RankCorpus, 
 
 
 def train_ranker(
-    corpus: RankCorpus, scorer: SimilarityScorer, cfg: RankTrainConfig
+    corpus: RankCorpus, scorer: SimilarityScorer, cfg: DetectorConfig, seed: int
 ) -> tuple[SimilarityScorer, dict]:
     """Adam rank training over queries; returns the scorer and a history dict.
 
@@ -245,8 +232,8 @@ def train_ranker(
     best-accuracy parameters are restored at the end (ties keep the earliest
     epoch), so long runs cannot regress past their best ordering.
     """
-    train_c, hold_c = split_corpus(corpus, cfg)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
+    train_c, hold_c = split_corpus(corpus, cfg, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
     b_state = nnkit.AdamState.init(scorer.branch)
     h_state = nnkit.AdamState.init(scorer.head)
     history = {"pair_loss": [], "holdout_accuracy": []}
@@ -261,7 +248,7 @@ def train_ranker(
             for qi in order[start : start + cfg.batch_queries]:
                 query = train_c.queries[qi]
                 s_hat, branch_grads, head_grads = _query_step(scorer, query, cfg.sharpness)
-                loss, pairs = _query_pair_loss(s_hat, query.s_true, cfg.sharpness)
+                loss, pairs = query_pair_loss(s_hat, query.s_true, cfg.sharpness)
                 ep_loss += loss
                 ep_pairs += pairs
                 if branch_grads is None:
@@ -295,7 +282,9 @@ def _scale_grads(grads, factor: float) -> None:
         gb *= factor
 
 
-def _query_pair_loss(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float):
+def query_pair_loss(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float):
+    """Summed pair loss over the strictly ordered pairs of one query, and
+    their count; lambda_gradients is its gradient in s_hat."""
     total, pairs = 0.0, 0
     k = s_true.size
     for m in range(k):
@@ -389,12 +378,11 @@ def build_corpus(
     codec_obj,
     ofdm_cfg,
     profile,
-    snr_list,
-    n_queries: int,
+    cfg: DetectorConfig,
     master_seed: int,
-    pool: int = 16,
 ) -> RankCorpus:
-    """Rank corpus from the full link: K samplings of each source at the given SNRs.
+    """Rank corpus from the full link: cfg.corpus_queries sources, each sampled
+    once at every SNR of cfg.corpus_snr_db and pooled to cfg.pool.
 
     Each query is one scene; its reference map comes from the masked feature
     actually transmitted, and each sampling reconstructs through an independent
@@ -406,8 +394,9 @@ def build_corpus(
     from .seeding import derive_seed
     from .tensors import apply_mask, importance_map, pack_nonzero, unpack
 
+    pool = cfg.pool
     queries = []
-    for q in range(n_queries):
+    for q in range(cfg.corpus_queries):
         scene, f = generate_scene(derive_seed(master_seed, "corpus-scene", q), scene_cfg, head)
         mask = importance_map(f, cr)
         f_ref = apply_mask(f, mask)
@@ -415,7 +404,7 @@ def build_corpus(
         ref_pooled = pool_map(confidence_map(f_ref, head).values, pool)
         symbols = codec_mod.encode(codec_obj, packed)
         samp, s_true = [], []
-        for k, snr_db in enumerate(snr_list):
+        for k, snr_db in enumerate(cfg.corpus_snr_db):
             seeds = LinkSeeds(
                 pilot=derive_seed(master_seed, "corpus-pilot", q, k),
                 channel=derive_seed(master_seed, "corpus-chan", q, k),
@@ -427,46 +416,6 @@ def build_corpus(
             f_hat = unpack(codec_mod.decode(codec_obj, rx), mask, f.shape)
             samp.append(pool_map(confidence_map(f_hat, head).values, pool))
             s_true.append(true_similarity(f_ref, f_hat, scene, head))
-        queries.append(RankQuery(ref_pooled, np.stack(samp), np.asarray(s_true)))
-    return RankCorpus(tuple(queries), pool)
-
-
-def make_separable_corpus(
-    head,
-    scene_cfg,
-    cr: float,
-    n_queries: int,
-    n_levels: int,
-    master_seed: int,
-    pool: int = 16,
-    s_gap: float = 0.75,
-) -> RankCorpus:
-    """Synthetic corpus with a guaranteed similarity ladder.
-
-    Samplings add feature noise over the whole tensor (synthesized
-    reconstruction error, not restricted to the transmitted cells, so every
-    confidence cell carries level information) with a scale that doubles per
-    level after the clean level 0. Labels are equally spaced similarities
-    (gap >= 0.5), so perfect ordering is achievable and held-out accuracy
-    measures the scorer, not the labels.
-    """
-    from .scenegen import confidence_map, generate_scene
-    from .seeding import derive_seed
-    from .tensors import FeatureTensor, apply_mask, importance_map
-
-    noise_scales = 0.5 * (2.0 ** np.arange(n_levels) - 1.0)  # level 0 stays clean
-    queries = []
-    for q in range(n_queries):
-        scene, f = generate_scene(derive_seed(master_seed, "sep-scene", q), scene_cfg, head)
-        mask = importance_map(f, cr)
-        f_ref = apply_mask(f, mask)
-        ref_pooled = pool_map(confidence_map(f_ref, head).values, pool)
-        rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "sep-noise", q)))
-        samp, s_true = [], []
-        for level, scale in enumerate(noise_scales):
-            noisy = f_ref.data + scale * rng.standard_normal(f_ref.data.shape)
-            samp.append(pool_map(confidence_map(FeatureTensor(noisy), head).values, pool))
-            s_true.append(SIMILARITY_CAP - s_gap * level)
         queries.append(RankQuery(ref_pooled, np.stack(samp), np.asarray(s_true)))
     return RankCorpus(tuple(queries), pool)
 
@@ -490,20 +439,21 @@ def save_corpus(path, corpus: RankCorpus) -> None:
 
 
 def load_corpus(path) -> RankCorpus:
-    """Inverse of save_corpus."""
+    """Inverse of save_corpus; a corrupt or truncated file raises ValueError."""
+    what = "rank-corpus file"
     with open(path, "rb") as fh:
         if fh.read(4) != _CORPUS_MAGIC:
             raise ValueError("not a rank-corpus file")
-        n_queries, pool = nnkit.read_header(fh, "<II", "rank-corpus file")
+        n_queries, pool = nnkit.read_header(fh, "<II", what)
         cell = pool * pool
         queries = []
         for _ in range(n_queries):
-            (k,) = nnkit.read_header(fh, "<I", "rank-corpus file")
-            ref = np.frombuffer(fh.read(4 * cell), dtype="<f4").astype(np.float64)
-            samp = np.frombuffer(fh.read(4 * cell * k), dtype="<f4").astype(np.float64)
-            s_true = np.frombuffer(fh.read(4 * k), dtype="<f4").astype(np.float64)
-            if ref.size != cell or samp.size != cell * k or s_true.size != k:
-                raise ValueError("truncated rank-corpus file")
+            (k,) = nnkit.read_header(fh, "<I", what)
+            if cell == 0 or k == 0:
+                raise ValueError(f"corrupt {what}: zero pool size or sampling count")
+            ref = nnkit.read_floats(fh, cell, what)
+            samp = nnkit.read_floats(fh, cell * k, what)
+            s_true = nnkit.read_floats(fh, k, what)
             queries.append(
                 RankQuery(ref.reshape(pool, pool), samp.reshape(k, pool, pool), s_true)
             )
@@ -527,4 +477,6 @@ def load_scorer(path) -> SimilarityScorer:
         (pool,) = nnkit.read_header(fh, "<I", "scorer checkpoint")
         branch = nnkit.read_net(fh)
         head = nnkit.read_net(fh)
+    if not (branch.n_in == pool * pool and head.n_in == 2 * branch.n_out and head.n_out == 1):
+        raise ValueError("corrupt scorer checkpoint: sizes do not fit together")
     return SimilarityScorer(branch, head, pool)

@@ -21,12 +21,12 @@ from .config import ExperimentConfig
 from .harq import (
     BaselineSessionCtx,
     HarqSession,
-    RepetitionCode,
     finalize,
     make_baseline_payload,
     run_baseline_session,
     run_semantic_session,
     SemanticSessionCtx,
+    throughput,
 )
 from .link import LinkSeeds, transmit_symbols, transmit_with_state
 from .scenegen import ProxyHead, generate_scene, perception_loss
@@ -44,7 +44,7 @@ CORPUS = "corpus.bin"
 
 @dataclass
 class RuntimeBundle:
-    """Trained artifacts plus derived configs, ready to run sessions.
+    """Trained artifacts plus their config, ready to run sessions.
 
     Pair 1 carries every first transmission (and is the whole pipeline for
     no-HARQ and resend mode); pair 2 only ever sends the low-SNR correction.
@@ -79,7 +79,7 @@ class SessionRecord:
 
 
 def build_training_set(cfg: ExperimentConfig, head: ProxyHead) -> codec_mod.TrainingSet:
-    scene_cfg = cfg.scene_config()
+    scene_cfg = cfg.scene
     n = cfg.codec.train_samples
     packed = np.empty((n, cfg.packed_length()), dtype=np.float64)
     scenes, masks = [], []
@@ -118,17 +118,16 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     head = make_head(cfg)
     say("building training scenes")
     tset = build_training_set(cfg, head)
-    codec_cfg = cfg.codec_config()
+    band1 = (cfg.codec_pair1.snr_lo, cfg.codec_pair1.snr_hi)
+    band2 = (cfg.codec_pair2.snr_lo, cfg.codec_pair2.snr_hi)
 
     say("training first codec pair")
-    c_p1, curve_p1 = codec_mod.train_no_harq(
-        tset, codec_cfg, cfg.train_config(derive_seed(ms, "codec-pair1"), cfg.codec_pair1)
-    )
+    c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
     codec_mod.save_codec(out / CODEC_PAIR1, c_p1)
     c_p1 = codec_mod.load_codec(out / CODEC_PAIR1)
     say("training second codec pair on the frozen residual")
     c_p2, curve_p2 = codec_mod.train_harq2_pair(
-        c_p1, tset, codec_cfg, cfg.train_config(derive_seed(ms, "codec-pair2"), cfg.codec_pair2)
+        c_p1, tset, cfg.codec, derive_seed(ms, "codec-pair2"), band2
     )
     codec_mod.save_codec(out / CODEC_PAIR2, c_p2)
     c_p2 = codec_mod.load_codec(out / CODEC_PAIR2)
@@ -138,23 +137,11 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     )
 
     say("building detector corpus over the full link")
-    corpus = det_mod.build_corpus(
-        head,
-        cfg.scene_config(),
-        cfg.codec.cr,
-        c_p1,
-        cfg.ofdm_config(),
-        cfg.channel_profile(),
-        cfg.detector.corpus_snr_db,
-        cfg.detector.corpus_queries,
-        derive_seed(ms, "corpus"),
-        cfg.detector.pool,
-    )
-    det_mod.save_corpus(out / CORPUS, corpus)
+    det_mod.save_corpus(out / CORPUS, _build_corpus(cfg, head, c_p1))
     corpus = det_mod.load_corpus(out / CORPUS)
     say("training similarity scorer")
-    scorer = det_mod.new_scorer(cfg.detector_config(), derive_seed(ms, "scorer"))
-    scorer, history = det_mod.train_ranker(corpus, scorer, cfg.rank_train_config(derive_seed(ms, "ranker")))
+    scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
+    scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))
     scorer = det_mod.calibrate_scorer(scorer, corpus)
     det_mod.save_scorer(out / SCORER, scorer)
     scorer = det_mod.load_scorer(out / SCORER)
@@ -163,6 +150,13 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
 
     say("training artifacts written")
     return RuntimeBundle(cfg, head, c_p1, c_p2, scorer)
+
+
+def _build_corpus(cfg: ExperimentConfig, head: ProxyHead, codec_obj) -> det_mod.RankCorpus:
+    return det_mod.build_corpus(
+        head, cfg.scene, cfg.codec.cr, codec_obj, cfg.ofdm, cfg.channel_profile(),
+        cfg.detector, derive_seed(cfg.experiment.master_seed, "corpus"),
+    )
 
 
 def load_bundle(cfg: ExperimentConfig, art_dir) -> RuntimeBundle:
@@ -259,13 +253,12 @@ def run_session(
     cfg = bundle.cfg
     ms = cfg.experiment.master_seed
     budget = cfg.experiment.round_budget if budget is None else budget
-    ofdm_cfg = cfg.ofdm_config()
+    ofdm_cfg = cfg.ofdm
     profile = cfg.channel_profile()
-    scene_cfg = cfg.scene_config()
-    scene, f = generate_scene(derive_seed(ms, "session-scene", idx), scene_cfg, bundle.head)
+    scene, f = generate_scene(derive_seed(ms, "session-scene", idx), cfg.scene, bundle.head)
 
     if mode in SEMANTIC_MODES:
-        det_cfg = cfg.detector_config()
+        det_cfg = cfg.detector
         if beta is not None:
             det_cfg = replace(det_cfg, ack_threshold=beta)
         mask = importance_map(f, cfg.codec.cr)
@@ -294,7 +287,7 @@ def run_session(
         f_ref = unpack(quant.dequantize(quant.quantize(packed)), mask, f.shape)
         ctx = BaselineSessionCtx(
             cfg.baseline.mod_order,
-            RepetitionCode(cfg.baseline.code_copies),
+            cfg.baseline.code_copies,
             quant, payload_bits, bundle.head, scene, mask, f.shape, f_ref,
         )
 
@@ -402,7 +395,6 @@ def run_sweep(
 
     write_session_csv(out / "sessions.csv", records, budget_eff)
     write_summary_csv(out / "summary.csv", records, modes, snr_list, budget_eff)
-    (out / "plot_summary.py").write_text(_PLOT_SCRIPT, encoding="utf-8")
     say(f"wrote {out / 'sessions.csv'} and {out / 'summary.csv'}")
     return records
 
@@ -441,13 +433,12 @@ def _summary_cells(mode, snr_db, group, budget: int) -> list[str]:
     n = len(group)
     total_rounds = sum(r.rounds_used for r in group)
     acked = sum(1 for r in group if r.ack_round > 0)
-    tput = acked / total_rounds if total_rounds else float("nan")
     betas = {r.beta for r in group}
     beta = betas.pop() if len(betas) == 1 else None
     cells = [
         mode, _fmt(snr_db), _fmt(beta), str(n),
         _fmt(acked / n),
-        _fmt(tput),
+        _fmt(throughput(group)),
         _fmt(total_rounds / n),
         _fmt(sum(r.final_s_true for r in group) / n),
         _fmt(sum(r.final_task_loss for r in group) / n),
@@ -475,49 +466,6 @@ def _fmt(value) -> str:
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-_PLOT_SCRIPT = '''"""Plot a sweep summary CSV (throughput and similarity vs SNR per mode)."""
-
-import csv
-import sys
-from collections import defaultdict
-
-import matplotlib
-
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-
-def main(path="summary.csv", out="summary.png"):
-    series = defaultdict(list)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            series[row["mode"]].append(row)
-    fig, (ax_t, ax_s) = plt.subplots(1, 2, figsize=(11, 4.2))
-    for mode, rows in sorted(series.items()):
-        rows.sort(key=lambda r: float(r["snr_db"]))
-        snr = [float(r["snr_db"]) for r in rows]
-        tput = [float(r["throughput"]) if r["throughput"] else float("nan") for r in rows]
-        sim = [float(r["mean_final_s"]) for r in rows]
-        ax_t.plot(snr, tput, marker="o", label=mode)
-        ax_s.plot(snr, sim, marker="o", label=mode)
-    ax_t.set_xlabel("SNR (dB)")
-    ax_t.set_ylabel("throughput (acks per round)")
-    ax_t.grid(True, alpha=0.3)
-    ax_t.legend()
-    ax_s.set_xlabel("SNR (dB)")
-    ax_s.set_ylabel("mean final similarity")
-    ax_s.grid(True, alpha=0.3)
-    ax_s.legend()
-    fig.tight_layout()
-    fig.savefig(out, dpi=150)
-    print(f"wrote {out}")
-
-
-if __name__ == "__main__":
-    main(*sys.argv[1:])
-'''
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +498,7 @@ def run_goldens(out_dir=None) -> list[tuple[str, bool, str]]:
 def _golden_ofdm():
     from . import ofdm
 
-    cfg = ExperimentConfig().ofdm_config()
+    cfg = ExperimentConfig().ofdm
     rng = np.random.Generator(np.random.PCG64(7))
     payload = (rng.standard_normal(cfg.payload_capacity) +
                1j * rng.standard_normal(cfg.payload_capacity)) / np.sqrt(2.0)
@@ -568,7 +516,7 @@ def _golden_ofdm():
 def _golden_channel():
     from . import channel
 
-    cfg = ExperimentConfig().ofdm_config()
+    cfg = ExperimentConfig().ofdm
     profile = ExperimentConfig().channel_profile()
     real = channel.realize(profile, cfg, 4, seed=11)
     h = channel.freq_response(real, cfg)
@@ -589,7 +537,7 @@ def _golden_estimation():
     from . import channel, ofdm, rxdsp
     from .channel import default_profile
 
-    cfg = ExperimentConfig().ofdm_config()
+    cfg = ExperimentConfig().ofdm
     rng = np.random.Generator(np.random.PCG64(13))
     payload = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / np.sqrt(2.0)
     grid = ofdm.frame_build(payload, cfg, pilot_seed=1)
@@ -607,7 +555,7 @@ def _golden_link_fast_path():
     """The row-sparse link against the full-grid chain it stands for, bit for bit."""
     from . import channel, ofdm, rxdsp
 
-    cfg = ExperimentConfig().ofdm_config()
+    cfg = ExperimentConfig().ofdm
     profile = ExperimentConfig().channel_profile()
     rng = np.random.Generator(np.random.PCG64(31))
     payload = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) / np.sqrt(2.0)
@@ -647,7 +595,7 @@ def _golden_quantizer():
 
 
 def _golden_lambda():
-    from .detector import lambda_gradients, pair_loss
+    from .detector import lambda_gradients, query_pair_loss
 
     rng = np.random.Generator(np.random.PCG64(19))
     s_hat = rng.standard_normal(6)
@@ -660,19 +608,10 @@ def _golden_lambda():
         bumped[i] += eps
         down = s_hat.copy()
         down[i] -= eps
-        fd = (_rank_loss(bumped, s_true, pair_loss) - _rank_loss(down, s_true, pair_loss)) / (2 * eps)
+        fd = (query_pair_loss(bumped, s_true, 1.0)[0] - query_pair_loss(down, s_true, 1.0)[0]) / (2 * eps)
         worst = max(worst, abs(fd - lam[i]))
     total = abs(float(lam.sum()))
     return worst < 1e-6 and total < 1e-12, f"fd gap {worst:.2e}, gradient sum {total:.2e}"
-
-
-def _rank_loss(s_hat, s_true, pair_loss) -> float:
-    total = 0.0
-    for m in range(s_true.size):
-        for n in range(s_true.size):
-            if s_true[m] > s_true[n]:
-                total += float(pair_loss(s_hat[m], s_hat[n], 1))
-    return total
 
 
 def _golden_chase():
@@ -728,18 +667,7 @@ def build_and_save_corpus(cfg: ExperimentConfig, art_dir, out_dir, log=None) -> 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     say("building detector corpus over the full link")
-    corpus = det_mod.build_corpus(
-        make_head(cfg),
-        cfg.scene_config(),
-        cfg.codec.cr,
-        codec_obj,
-        cfg.ofdm_config(),
-        cfg.channel_profile(),
-        cfg.detector.corpus_snr_db,
-        cfg.detector.corpus_queries,
-        derive_seed(cfg.experiment.master_seed, "corpus"),
-        cfg.detector.pool,
-    )
+    corpus = _build_corpus(cfg, make_head(cfg), codec_obj)
     path = out / CORPUS
     det_mod.save_corpus(path, corpus)
     stats = [

@@ -4,8 +4,8 @@ Semantic sessions resend learned symbols and let the similarity scorer decide
 acknowledgement; the single-pair variant keeps the latest decoded message as
 its candidate, while the two-pair variant sends the second codec from round
 two on and sums the decoded messages. The baseline quantizes to 8 bits,
-appends a CRC-24, maps to Gray QAM with a rate-1/2 repetition code, and
-either chase-combines full retransmissions or accumulates the code halves.
+appends a CRC-24, maps to Gray QAM with a rate-1/copies repetition code, and
+either chase-combines full retransmissions or accumulates one copy per round.
 """
 
 from __future__ import annotations
@@ -111,35 +111,6 @@ def bits_to_bytes(bits: np.ndarray) -> np.ndarray:
     if bits.size % 8 != 0:
         raise ValueError("bit count must be a multiple of 8")
     return np.packbits(bits)
-
-
-def channel_uses(d_r_bytes: int, cr: float, mod_order: int, code_rate: float) -> int:
-    """Complex symbols needed to move cr of a d_r-byte payload at the given MCS."""
-    if d_r_bytes < 1 or not 0 < cr <= 1:
-        raise ValueError("need positive payload size and cr in (0, 1]")
-    if mod_order < 2 or not 0 < code_rate <= 1:
-        raise ValueError("need mod_order >= 2 and code_rate in (0, 1]")
-    return math.ceil(d_r_bytes * cr * 8.0 / (math.log2(mod_order) * code_rate))
-
-
-@dataclass(frozen=True)
-class RepetitionCode:
-    """Rate-1/(copies) repetition code; chunk 0 is systematic, all chunks equal.
-
-    Stand-in for a proper rate-1/2 incremental-redundancy code: identical
-    chunks let retransmitted copies combine at symbol level before demapping.
-    """
-
-    copies: int = 2
-
-    @property
-    def rate(self) -> float:
-        return 1.0 / self.copies
-
-    def chunk(self, bits: np.ndarray, index: int) -> np.ndarray:
-        if not 0 <= index < self.copies:
-            raise ValueError(f"chunk index {index} out of range")
-        return np.asarray(bits, dtype=np.uint8).reshape(-1)
 
 
 @dataclass
@@ -292,7 +263,7 @@ class BaselineSessionCtx:
     """Fixed context for a quantize+CRC+QAM baseline session."""
 
     mod_order: int
-    code: RepetitionCode
+    copies: int  # rate-1/copies repetition code: every copy is the same chunk
     quantizer: Quantizer8
     payload_bits: np.ndarray  # quantized bits with CRC appended
     head: ProxyHead
@@ -308,8 +279,9 @@ def make_baseline_payload(packed: np.ndarray) -> tuple[Quantizer8, np.ndarray]:
     return quant, append_crc24(bytes_to_bits(quant.quantize(packed)))
 
 
-def _chunk_symbols(ctx: BaselineSessionCtx, index: int) -> np.ndarray:
-    bits = ctx.code.chunk(ctx.payload_bits, index)
+def _chunk_symbols(ctx: BaselineSessionCtx) -> np.ndarray:
+    """QAM symbols of one code chunk: the payload bits, zero-padded to whole symbols."""
+    bits = ctx.payload_bits
     bps = int(math.log2(ctx.mod_order))
     pad = (-bits.size) % bps
     if pad:
@@ -329,28 +301,27 @@ def _decode_combined(ctx: BaselineSessionCtx, combined: np.ndarray):
 def run_baseline_session(ctx: BaselineSessionCtx, mode: str, budget: int, transmit) -> HarqSession:
     """Run up to `budget` rounds of the classical baseline.
 
-    mode "base1" retransmits the full codeword and chase-combines every copy;
-    mode "base2" sends one code chunk per round (systematic first, then
-    alternating), accumulating copies in the same combiner.
+    mode "base1" retransmits the full codeword (ctx.copies copies of the
+    chunk) and chase-combines every copy; mode "base2" sends one copy per
+    round, accumulating copies in the same combiner.
     `transmit(round_idx, symbols)` must return (equalized, est_h, noise_var).
     """
     if mode not in ("base1", "base2"):
         raise ValueError(f"unknown baseline mode {mode!r}")
     if budget < 1:
         raise ValueError("round budget must be at least 1")
-    n_chunk = _chunk_symbols(ctx, 0).size
+    chunk = _chunk_symbols(ctx)
+    n_chunk = chunk.size
     combiner = ChaseCombiner(n_chunk)
     session = HarqSession(mode=mode, budget=budget)
     for t in range(1, budget + 1):
         if mode == "base1":
-            symbols = np.concatenate([_chunk_symbols(ctx, i) for i in range(ctx.code.copies)])
-            eq, h, noise_var = transmit(t, symbols)
-            for i in range(ctx.code.copies):
+            eq, h, noise_var = transmit(t, np.tile(chunk, ctx.copies))
+            for i in range(ctx.copies):
                 sl = slice(i * n_chunk, (i + 1) * n_chunk)
                 combiner.add(eq[sl], h[sl], noise_var)
         else:
-            chunk_idx = (t - 1) % ctx.code.copies
-            eq, h, noise_var = transmit(t, _chunk_symbols(ctx, chunk_idx))
+            eq, h, noise_var = transmit(t, chunk)
             combiner.add(eq, h, noise_var)
         ack, candidate = _decode_combined(ctx, combiner.combined())
         s_true = true_similarity(ctx.f_ref, candidate, ctx.scene, ctx.head)

@@ -10,7 +10,7 @@ central finite differences, which the test suite enforces layer by layer.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class DenseNet:
     def n_out(self) -> int:
         return self.layers[-1].w.shape[1]
 
-    def n_params(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers)
-
 
 @dataclass
 class GradTape:
@@ -73,6 +70,16 @@ def init_dense(dims, acts, seed: int, prelu_alpha: float = 0.25) -> DenseNet:
     return DenseNet(layers)
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign to keep exp() in the underflow-safe half."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _act_forward(z: np.ndarray, act: str, alpha: float) -> np.ndarray:
     if act == "linear":
         return z
@@ -81,13 +88,7 @@ def _act_forward(z: np.ndarray, act: str, alpha: float) -> np.ndarray:
     if act == "prelu":
         return np.where(z >= 0.0, z, alpha * z)
     if act == "sigmoid":
-        # split by sign to keep exp() in the underflow-safe half
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        return sigmoid(z)
     if act == "tanh":
         return np.tanh(z)
     raise ValueError(f"unknown activation {act!r}")
@@ -151,22 +152,6 @@ def add_grads(acc, grads, scale: float = 1.0):
         aw += scale * gw
         ab += scale * gb
     return acc
-
-
-def sgd_step(net: DenseNet, grads, lr: float, momentum: float = 0.0, velocity=None):
-    """Plain/momentum SGD; returns (updated net, updated velocity)."""
-    if velocity is None:
-        velocity = zeros_like_grads(net)
-    layers = []
-    for layer, (gw, gb), (vw, vb) in zip(net.layers, grads, velocity):
-        vw2 = momentum * vw + gw
-        vb2 = momentum * vb + gb
-        layers.append(
-            DenseLayer(layer.w - lr * vw2, layer.b - lr * vb2, layer.act, layer.prelu_alpha)
-        )
-        vw[...] = vw2
-        vb[...] = vb2
-    return DenseNet(layers), velocity
 
 
 @dataclass
@@ -240,36 +225,46 @@ def read_header(fh, fmt: str, what: str) -> tuple:
     return struct.unpack(fmt, raw)
 
 
+def read_floats(fh, count: int, what: str) -> np.ndarray:
+    """Read count little-endian float32 values as float64.
+
+    The size is checked against the bytes left in the file before anything
+    is read, so a corrupt count cannot request more memory than the file
+    holds; every value must be finite. Both failures raise ValueError naming
+    `what`, the file being read.
+    """
+    pos = fh.tell()
+    left = fh.seek(0, 2) - pos
+    fh.seek(pos)
+    if 4 * count > left:
+        raise ValueError(f"truncated {what}: needs {4 * count} bytes, {left} left")
+    values = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"corrupt {what}: non-finite value")
+    return values
+
+
 def read_net(fh) -> DenseNet:
-    """Inverse of write_net."""
+    """Inverse of write_net; a corrupt or truncated net raises ValueError."""
+    what = "dense-net checkpoint"
     if fh.read(4) != _MAGIC:
         raise ValueError("not a dense-net checkpoint")
-    (n_layers,) = read_header(fh, "<I", "dense-net checkpoint")
+    (n_layers,) = read_header(fh, "<I", what)
+    if n_layers == 0:
+        raise ValueError(f"corrupt {what}: no layers")
     headers = []
     for _ in range(n_layers):
-        n_in, n_out, act_id, alpha = read_header(fh, "<IIBf", "dense-net checkpoint")
+        n_in, n_out, act_id, alpha = read_header(fh, "<IIBf", what)
         if act_id >= len(ACTIVATIONS):
             raise ValueError(f"unknown activation id {act_id}")
+        if n_in == 0 or n_out == 0 or not np.isfinite(alpha):
+            raise ValueError(f"corrupt {what}: zero dimension or non-finite slope")
+        if headers and n_in != headers[-1][1]:
+            raise ValueError(f"corrupt {what}: layer sizes do not chain")
         headers.append((n_in, n_out, ACTIVATIONS[act_id], alpha))
     layers = []
     for n_in, n_out, act, alpha in headers:
-        w = np.frombuffer(fh.read(4 * n_in * n_out), dtype="<f4")
-        b = np.frombuffer(fh.read(4 * n_out), dtype="<f4")
-        if w.size != n_in * n_out or b.size != n_out:
-            raise ValueError("truncated dense-net checkpoint")
-        layers.append(
-            DenseLayer(w.astype(np.float64).reshape(n_in, n_out), b.astype(np.float64), act, float(alpha))
-        )
+        w = read_floats(fh, n_in * n_out, what).reshape(n_in, n_out)
+        b = read_floats(fh, n_out, what)
+        layers.append(DenseLayer(w, b, act, float(alpha)))
     return DenseNet(layers)
-
-
-def save_net(path, net: DenseNet) -> None:
-    """Checkpoint: magic, layer dims and activation tags, float32 LE parameters."""
-    with open(path, "wb") as fh:
-        write_net(fh, net)
-
-
-def load_net(path) -> DenseNet:
-    """Load a checkpoint written by save_net."""
-    with open(path, "rb") as fh:
-        return read_net(fh)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nnkit import sigmoid
 from .tensors import ConfidenceMap, FeatureTensor
 
 FOCAL_GAMMA = 2.0
@@ -29,7 +30,10 @@ class SceneConfig:
     width: int = 16
     object_rate: float = 0.06  # mean fraction of active cells
     target_scale: float = 1.0
-    logit_amp: float = 4.0  # clean features read out to +/- this class logit
+    # clean features read out to +/- this class logit; kept inside the
+    # sigmoid's sensitive range so confidence maps stay informative about
+    # reception quality even at high SNR
+    logit_amp: float = 2.0
     feature_noise: float = 0.1
 
     def __post_init__(self):
@@ -144,15 +148,6 @@ def focal_loss(p: np.ndarray, label: np.ndarray) -> np.ndarray:
     return np.where(label == 1, pos, neg)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def perception_loss(f: FeatureTensor, scene: Scene, head: ProxyHead) -> float:
     """Localization loss on active cells plus focal occupancy loss on all cells.
 
@@ -166,7 +161,7 @@ def perception_loss(f: FeatureTensor, scene: Scene, head: ProxyHead) -> float:
         l_local = float(smooth_l1(reg[active] - scene.targets[active]).sum()) / n_active
     else:
         l_local = 0.0
-    p = _sigmoid(logits)
+    p = sigmoid(logits)
     l_conf = float(focal_loss(p, scene.labels).sum()) / scene.labels.size
     return l_local + l_conf
 
@@ -184,7 +179,7 @@ def perception_loss_grad(f: FeatureTensor, scene: Scene, head: ProxyHead):
         l_local = float(smooth_l1(e).sum()) / n_active
         d_reg[active] = np.clip(e, -1.0, 1.0) / n_active
 
-    p = _sigmoid(logits)
+    p = sigmoid(logits)
     pc = np.clip(p, 1e-12, 1.0 - 1e-12)
     l_conf = float(focal_loss(p, scene.labels).sum()) / scene.labels.size
     # d focal / d logit, derived from p = sigmoid(logit)
@@ -199,7 +194,7 @@ def perception_loss_grad(f: FeatureTensor, scene: Scene, head: ProxyHead):
 def confidence_map(f: FeatureTensor, head: ProxyHead) -> ConfidenceMap:
     """Sigmoid of the per-cell class logits."""
     _, logits = head.readout(f)
-    return ConfidenceMap(_sigmoid(logits))
+    return ConfidenceMap(sigmoid(logits))
 
 
 def true_similarity(

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master_seed: int, *parts: int | str) -> int:
     """Derive a 64-bit child seed from a master seed and a stream path."""
@@ -23,8 +21,3 @@ def derive_seed(master_seed: int, *parts: int | str) -> int:
         else:
             h.update(str(int(part)).encode("ascii"))
     return int.from_bytes(h.digest(), "little")
-
-
-def rng_for(master_seed: int, *parts: int | str) -> np.random.Generator:
-    """Generator seeded from the derived child seed."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, *parts)))

@@ -7,8 +7,7 @@ columns into a flat vector and unpacking scatters them back, bit-exactly.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,25 +139,3 @@ def unpack(v: np.ndarray, mask: ImportanceMask, shape: tuple[int, int, int]) -> 
     out = np.zeros((c, h, w), dtype=np.float64)
     out[:, mask.cells] = v.reshape(c, k)
     return FeatureTensor(out)
-
-
-def save_tensor(path, f: FeatureTensor) -> None:
-    """Write a tensor as three little-endian uint32 dims followed by float32 data."""
-    c, h, w = f.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<III", c, h, w))
-        fh.write(f.data.astype("<f4").tobytes())
-
-
-def load_tensor(path) -> FeatureTensor:
-    """Read a tensor written by save_tensor."""
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if len(header) != 12:
-            raise ValueError("truncated tensor file: missing dims header")
-        c, h, w = struct.unpack("<III", header)
-        raw = fh.read(4 * c * h * w)
-        if len(raw) != 4 * c * h * w:
-            raise ValueError("truncated tensor file: missing payload")
-        data = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(c, h, w)
-    return FeatureTensor(data)

@@ -1,11 +1,13 @@
 """Shared fixtures: one trained artifact set reused by the whole suite."""
 
-from dataclasses import replace
-
 import pytest
 
 from semlink import config as config_mod
 from semlink import harness
+from semlink.codec import CodecConfig
+from semlink.detector import DetectorConfig
+from semlink.ofdm import OfdmConfig
+from semlink.scenegen import SceneConfig
 
 
 @pytest.fixture(scope="session")
@@ -31,13 +33,10 @@ def bundle(default_cfg, trained_dir):
 def tiny_config(seed: int = 9000) -> config_mod.ExperimentConfig:
     """Scaled-down config for structural tests that must train in seconds."""
     cfg = config_mod.ExperimentConfig(
-        experiment=replace(
-            config_mod.ExperimentSection(), master_seed=seed, sessions=8
-        ),
-        ofdm=config_mod.OfdmSection(l_fft=256, l_cp=24),
-        scene=config_mod.SceneSection(channels=5, height=8, width=8),
-        codec=replace(
-            config_mod.CodecSection(),
+        experiment=config_mod.ExperimentSection(master_seed=seed, sessions=8),
+        ofdm=OfdmConfig(l_fft=256, l_cp=24),
+        scene=SceneConfig(channels=5, height=8, width=8),
+        codec=CodecConfig(
             cr=0.1,
             n_cu=32,
             hidden=24,
@@ -46,8 +45,7 @@ def tiny_config(seed: int = 9000) -> config_mod.ExperimentConfig:
             recon_epochs=5,
             task_epochs=2,
         ),
-        detector=replace(
-            config_mod.DetectorSection(),
+        detector=DetectorConfig(
             pool=8,
             branch_width=16,
             corpus_queries=8,

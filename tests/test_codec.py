@@ -11,7 +11,6 @@ from semlink import config as config_mod
 from semlink import harness, nnkit
 from semlink.codec import (
     CodecConfig,
-    TrainConfig,
     complex_to_reals,
     decode,
     encode,
@@ -71,6 +70,7 @@ def test_normalize_power_zero_energy():
 @settings(max_examples=80, deadline=None)
 @example(x=np.array([[5.72667848e-161]]), power=1.0)  # energy 4.1e-321, subnormal
 @example(x=np.array([[1e-170, 0.0]]), power=1.0)  # energy underflows to 0.0
+@example(x=np.array([[2.22507386e-311]]), power=1.0)  # subnormal peak
 def test_normalize_power_rowwise(x, power):
     z = x + 0.5j * np.roll(x, 1, axis=-1)
     if np.any(np.all(z == 0.0, axis=-1)):
@@ -100,8 +100,8 @@ def test_normalize_reals_backward_matches_fd():
 
 
 def test_encode_emits_unit_power_symbols():
-    cfg = CodecConfig(n_in=10, n_cu=6, hidden=8)
-    codec = new_codec(cfg, seed=1)
+    cfg = CodecConfig(n_cu=6, hidden=8)
+    codec = new_codec(cfg, 10, seed=1)
     rng = np.random.default_rng(2)
     for _ in range(10):
         y = encode(codec, rng.standard_normal(10))
@@ -110,8 +110,8 @@ def test_encode_emits_unit_power_symbols():
 
 
 def test_encode_decode_shapes_and_validation():
-    cfg = CodecConfig(n_in=10, n_cu=6, hidden=8)
-    codec = new_codec(cfg, seed=1)
+    cfg = CodecConfig(n_cu=6, hidden=8)
+    codec = new_codec(cfg, 10, seed=1)
     out = decode(codec, np.zeros(6, dtype=complex))
     assert out.shape == (10,)
     with pytest.raises(ValueError):
@@ -120,18 +120,27 @@ def test_encode_decode_shapes_and_validation():
         decode(codec, np.zeros(5, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_nonfinite_input(bad):
+    codec = new_codec(CodecConfig(n_cu=6, hidden=8), 10, seed=1)
+    m = np.zeros(10)
+    m[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        encode(codec, m)
+
+
 def test_new_codec_deterministic():
-    cfg = CodecConfig(n_in=10, n_cu=6, hidden=8)
-    a = new_codec(cfg, seed=7)
-    b = new_codec(cfg, seed=7)
-    c = new_codec(cfg, seed=8)
+    cfg = CodecConfig(n_cu=6, hidden=8)
+    a = new_codec(cfg, 10, seed=7)
+    b = new_codec(cfg, 10, seed=7)
+    c = new_codec(cfg, 10, seed=8)
     assert all(np.array_equal(x.w, y.w) for x, y in zip(a.encoder.layers, b.encoder.layers))
     assert not np.array_equal(a.encoder.layers[0].w, c.encoder.layers[0].w)
 
 
 def test_codec_checkpoint_roundtrip(tmp_path):
-    cfg = CodecConfig(n_in=10, n_cu=6, hidden=8)
-    codec = new_codec(cfg, seed=3)
+    cfg = CodecConfig(n_cu=6, hidden=8)
+    codec = new_codec(cfg, 10, seed=3)
     path = tmp_path / "c.ckpt"
     save_codec(path, codec)
     back = load_codec(path)
@@ -161,35 +170,35 @@ def test_load_codec_rejects_garbage(tmp_path):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(snr_lo=10.0, snr_hi=5.0)
+        CodecConfig(snr_lo=10.0, snr_hi=5.0)
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
+        CodecConfig(batch_size=0)
     with pytest.raises(ValueError):
-        CodecConfig(n_in=0, n_cu=4)
+        CodecConfig(n_cu=0)
+    with pytest.raises(ValueError):
+        new_codec(CodecConfig(n_cu=4), 0, seed=1)
 
 
 def test_training_reduces_reconstruction_loss():
     cfg, ts = _tiny_train_set()
-    ccfg = CodecConfig(n_in=ts.packed.shape[1], n_cu=16, hidden=24)
-    tcfg = TrainConfig(seed=1, batch_size=16, lr=2e-3, recon_epochs=8, task_epochs=2,
-                       snr_lo=9.0, snr_hi=18.0)
-    codec, curve = train_no_harq(ts, ccfg, tcfg)
+    ccfg = CodecConfig(n_cu=16, hidden=24, batch_size=16, lr=2e-3, recon_epochs=8,
+                       task_epochs=2)
+    codec, curve = train_no_harq(ts, ccfg, 1, (9.0, 18.0))
     assert len(curve.recon) == 8
     assert len(curve.total) == 2
     assert all(np.diff(curve.recon) < 0)
     assert curve.recon[-1] < 0.8 * curve.recon[0]
     rng = np.random.default_rng(0)
     recon = surrogate_roundtrip(codec, ts.packed, None, None)
-    fresh = surrogate_roundtrip(new_codec(ccfg, 999), ts.packed, None, None)
+    fresh = surrogate_roundtrip(new_codec(ccfg, ts.packed.shape[1], 999), ts.packed, None, None)
     assert np.mean((recon - ts.packed) ** 2) < np.mean((fresh - ts.packed) ** 2)
 
 
 def test_training_deterministic():
     cfg, ts = _tiny_train_set()
-    ccfg = CodecConfig(n_in=ts.packed.shape[1], n_cu=16, hidden=24)
-    tcfg = TrainConfig(seed=1, batch_size=16, recon_epochs=3, task_epochs=1)
-    a, _ = train_no_harq(ts, ccfg, tcfg)
-    b, _ = train_no_harq(ts, ccfg, tcfg)
+    ccfg = CodecConfig(n_cu=16, hidden=24, batch_size=16, recon_epochs=3, task_epochs=1)
+    a, _ = train_no_harq(ts, ccfg, 1, (0.0, 18.0))
+    b, _ = train_no_harq(ts, ccfg, 1, (0.0, 18.0))
     for la, lb in zip(a.encoder.layers + a.decoder.layers,
                       b.encoder.layers + b.decoder.layers):
         assert np.array_equal(la.w, lb.w)
@@ -198,10 +207,8 @@ def test_training_deterministic():
 
 def test_surrogate_mse_decreases_with_snr():
     cfg, ts = _tiny_train_set()
-    ccfg = CodecConfig(n_in=ts.packed.shape[1], n_cu=16, hidden=24)
-    tcfg = TrainConfig(seed=1, batch_size=16, recon_epochs=10, task_epochs=0,
-                       snr_lo=0.0, snr_hi=18.0)
-    codec, _ = train_no_harq(ts, ccfg, tcfg)
+    ccfg = CodecConfig(n_cu=16, hidden=24, batch_size=16, recon_epochs=10, task_epochs=0)
+    codec, _ = train_no_harq(ts, ccfg, 1, (0.0, 18.0))
     mses = []
     for snr in (0.0, 6.0, 12.0, 18.0):
         rng = np.random.default_rng(42)
@@ -215,14 +222,10 @@ def test_surrogate_mse_decreases_with_snr():
 
 def test_second_pair_trains_on_frozen_residual():
     cfg, ts = _tiny_train_set()
-    ccfg = CodecConfig(n_in=ts.packed.shape[1], n_cu=16, hidden=24)
-    t1 = TrainConfig(seed=1, batch_size=16, recon_epochs=8, task_epochs=0,
-                     snr_lo=9.0, snr_hi=18.0)
-    first, _ = train_no_harq(ts, ccfg, t1)
+    ccfg = CodecConfig(n_cu=16, hidden=24, batch_size=16, recon_epochs=8, task_epochs=0)
+    first, _ = train_no_harq(ts, ccfg, 1, (9.0, 18.0))
     w_before = [l.w.copy() for l in first.encoder.layers + first.decoder.layers]
-    t2 = TrainConfig(seed=2, batch_size=16, recon_epochs=8, task_epochs=0,
-                     snr_lo=0.0, snr_hi=6.0)
-    second, curve = train_harq2_pair(first, ts, ccfg, t2)
+    second, curve = train_harq2_pair(first, ts, ccfg, 2, (0.0, 6.0))
     # the frozen pair must not move
     for w0, layer in zip(w_before, first.encoder.layers + first.decoder.layers):
         assert np.array_equal(w0, layer.w)
@@ -242,24 +245,19 @@ def test_second_pair_trains_on_frozen_residual():
 
 
 def test_training_rejects_width_mismatch():
+    # the pair-2 codec must fit the frozen pair-1 codec it corrects
     cfg, ts = _tiny_train_set()
-    ccfg = CodecConfig(n_in=ts.packed.shape[1] + 1, n_cu=16, hidden=24)
+    ccfg = CodecConfig(n_cu=16, hidden=24, recon_epochs=1, task_epochs=0)
+    first = new_codec(ccfg, ts.packed.shape[1] + 1, seed=1)
     with pytest.raises(ValueError):
-        train_no_harq(ts, ccfg, TrainConfig(recon_epochs=1, task_epochs=0))
+        train_harq2_pair(first, ts, ccfg, 2, (0.0, 6.0))
 
 
 def test_trained_codec_beats_untrained_at_mid_snr(default_cfg, bundle):
     # gap on in-distribution packed features; fresh eval scenes
     eval_cfg = config_mod.with_seed(default_cfg, 777)
     ts = harness.build_training_set(eval_cfg, bundle.head)
-    untrained = new_codec(
-        CodecConfig(
-            n_in=ts.packed.shape[1],
-            n_cu=default_cfg.codec.n_cu,
-            hidden=default_cfg.codec.hidden,
-        ),
-        seed=12345,
-    )
+    untrained = new_codec(default_cfg.codec, ts.packed.shape[1], seed=12345)
     def mse(codec):
         rng = np.random.default_rng(31)
         acc = 0.0

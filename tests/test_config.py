@@ -1,10 +1,11 @@
 """Configuration loading, validation, and derived-view tests."""
 
 import math
+from pathlib import Path
 
 import pytest
 
-from semlink import config as config_mod
+from semlink.codec import CodecConfig
 from semlink.config import (
     ExperimentConfig,
     default_config_text,
@@ -12,6 +13,9 @@ from semlink.config import (
     validate_config,
     with_seed,
 )
+from semlink.detector import DetectorConfig
+from semlink.ofdm import OfdmConfig
+from semlink.scenegen import SceneConfig
 
 
 def test_defaults_validate():
@@ -24,6 +28,13 @@ def test_defaults_validate():
     assert cfg.channel.n_taps == 6
     assert cfg.codec_pair1.snr_lo == 9.0
     assert cfg.codec_pair2.snr_hi == 6.0
+
+
+def test_default_text_matches_the_pinned_file():
+    # a changed default changes every sweep, and still round-trips, so the
+    # rendered INI is compared with a checked-in copy
+    pinned = Path(__file__).parent / "data" / "default_config.ini"
+    assert default_config_text() == pinned.read_text()
 
 
 def test_default_text_roundtrip(tmp_path):
@@ -72,6 +83,26 @@ def test_bad_value_reports_location(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text(text)
     with pytest.raises(ValueError, match="bad value for ofdm.l_fft"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("ack_threshold = 0.72", "ack_threshold = 1.5"),
+        ("sharpness = 1", "sharpness = 0"),
+        ("batch_size = 64", "batch_size = 0"),
+        ("object_rate = 0.06", "object_rate = 0"),
+        ("l_cp = 144", "l_cp = 4096"),
+    ],
+    ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp"],
+)
+def test_load_runs_the_section_type_checks(tmp_path, old, new):
+    text = default_config_text()
+    assert text.count(old) == 1
+    path = tmp_path / "c.ini"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=r"bad value in \["):
         load_config(path)
 
 
@@ -129,28 +160,27 @@ def test_packed_length_derivation():
 
 def test_derived_views_match_sections():
     cfg = ExperimentConfig()
-    ofdm = cfg.ofdm_config()
-    assert ofdm.l_fft == cfg.ofdm.l_fft
-    assert ofdm.pilot_symbols == cfg.ofdm.pilot_symbols
+    assert cfg.ofdm_config() is cfg.ofdm
+    assert isinstance(cfg.ofdm, OfdmConfig)
+    assert isinstance(cfg.scene, SceneConfig)
+    assert isinstance(cfg.codec, CodecConfig)
+    assert isinstance(cfg.detector, DetectorConfig)
+    assert cfg.scene.logit_amp == 2.0
     prof = cfg.channel_profile()
     assert prof.n_taps == cfg.channel.n_taps
     assert abs(prof.speed - cfg.channel.speed_kmh / 3.6) < 1e-12
-    scene = cfg.scene_config()
-    assert scene.logit_amp == cfg.scene.logit_amp
-    det_cfg = cfg.detector_config()
-    assert det_cfg.ack_threshold == cfg.detector.ack_threshold
-    ccfg = cfg.codec_config()
-    assert ccfg.n_in == cfg.packed_length()
-    assert ccfg.n_cu == cfg.codec.n_cu
 
 
-def test_train_config_band_override():
+def test_train_config_band_override(tmp_path):
+    # the pair bands, not codec.snr_lo/snr_hi, are what each pair trains over
     cfg = ExperimentConfig()
-    t1 = cfg.train_config(5, band=cfg.codec_pair1)
-    assert (t1.snr_lo, t1.snr_hi) == (9.0, 18.0)
-    t2 = cfg.train_config(5, band=cfg.codec_pair2, task_epochs=0)
-    assert (t2.snr_lo, t2.snr_hi) == (0.0, 6.0)
-    assert t2.task_epochs == 0
+    assert (cfg.codec_pair1.snr_lo, cfg.codec_pair1.snr_hi) == (9.0, 18.0)
+    assert (cfg.codec_pair2.snr_lo, cfg.codec_pair2.snr_hi) == (0.0, 6.0)
+    text = default_config_text().replace("[codec_pair2]\nsnr_lo = 0", "[codec_pair2]\nsnr_lo = 7")
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"bad value in \[codec_pair2\]"):
+        load_config(path)
 
 
 def test_baseline_cr_budget_math():

@@ -11,15 +11,14 @@ from semlink import detector as det
 from semlink import nnkit
 from semlink.detector import (
     DetectorConfig,
+    RankCorpus,
     RankQuery,
-    RankTrainConfig,
     SimilarityScorer,
     ack_decide,
     calibrate_scorer,
     lambda_gradients,
     load_corpus,
     load_scorer,
-    make_separable_corpus,
     new_scorer,
     pair_loss,
     pair_probability,
@@ -33,7 +32,52 @@ from semlink.detector import (
     split_corpus,
     train_ranker,
 )
-from semlink.scenegen import SIMILARITY_CAP, ProxyHead, SceneConfig
+from semlink.scenegen import (
+    SIMILARITY_CAP,
+    ProxyHead,
+    SceneConfig,
+    confidence_map,
+    generate_scene,
+)
+from semlink.seeding import derive_seed
+from semlink.tensors import FeatureTensor, apply_mask, importance_map
+
+
+def make_separable_corpus(
+    head,
+    scene_cfg,
+    cr: float,
+    n_queries: int,
+    n_levels: int,
+    master_seed: int,
+    pool: int = 16,
+    s_gap: float = 0.75,
+) -> RankCorpus:
+    """Synthetic corpus with a guaranteed similarity ladder.
+
+    Samplings add feature noise over the whole tensor (synthesized
+    reconstruction error, not restricted to the transmitted cells, so every
+    confidence cell carries level information) with a scale that doubles per
+    level after the clean level 0. Labels are equally spaced similarities
+    (gap >= 0.5), so perfect ordering is achievable and held-out accuracy
+    measures the scorer, not the labels.
+    """
+    noise_scales = 0.5 * (2.0 ** np.arange(n_levels) - 1.0)  # level 0 stays clean
+    queries = []
+    for q in range(n_queries):
+        scene, f = generate_scene(derive_seed(master_seed, "sep-scene", q), scene_cfg, head)
+        mask = importance_map(f, cr)
+        f_ref = apply_mask(f, mask)
+        ref_pooled = pool_map(confidence_map(f_ref, head).values, pool)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "sep-noise", q)))
+        samp, s_true = [], []
+        for level, scale in enumerate(noise_scales):
+            noisy = f_ref.data + scale * rng.standard_normal(f_ref.data.shape)
+            samp.append(pool_map(confidence_map(FeatureTensor(noisy), head).values, pool))
+            s_true.append(SIMILARITY_CAP - s_gap * level)
+        queries.append(RankQuery(ref_pooled, np.stack(samp), np.asarray(s_true)))
+    return RankCorpus(tuple(queries), pool)
+
 
 SCENE_CFG = SceneConfig(channels=5, height=12, width=12, logit_amp=2.0)
 HEAD = ProxyHead.from_seed(4, 5)
@@ -275,20 +319,20 @@ def test_separable_corpus_deterministic():
 
 def test_split_corpus_partition():
     corpus = _small_corpus(n_queries=8)
-    cfg = RankTrainConfig(seed=1, holdout=0.25)
-    train_c, hold_c = split_corpus(corpus, cfg)
+    cfg = DetectorConfig(holdout=0.25)
+    train_c, hold_c = split_corpus(corpus, cfg, seed=1)
     assert len(train_c.queries) == 6
     assert len(hold_c.queries) == 2
 
 
 def test_training_improves_ranking():
     corpus = _small_corpus(n_queries=48)
-    cfg = RankTrainConfig(seed=3, epochs=25, lr=2e-3, holdout=0.25,
-                          weight_decay=5e-2, batch_queries=8)
-    scorer = new_scorer(DetectorConfig(pool=8, branch_width=16), seed=11)
-    _, hold_c = split_corpus(corpus, cfg)
+    cfg = DetectorConfig(pool=8, branch_width=16, epochs=25, lr=2e-3, holdout=0.25,
+                         weight_decay=5e-2, batch_queries=8)
+    scorer = new_scorer(cfg, seed=11)
+    _, hold_c = split_corpus(corpus, cfg, seed=3)
     acc_before = pairwise_accuracy(scorer, hold_c)
-    scorer, hist = train_ranker(corpus, scorer, cfg)
+    scorer, hist = train_ranker(corpus, scorer, cfg, seed=3)
     acc_after = pairwise_accuracy(scorer, hold_c)
     assert acc_after > acc_before
     assert acc_after >= 0.8
@@ -298,20 +342,20 @@ def test_training_improves_ranking():
 
 def test_training_deterministic():
     corpus = _small_corpus(n_queries=12)
-    cfg = RankTrainConfig(seed=3, epochs=4, lr=1e-3, batch_queries=4)
-    a = new_scorer(DetectorConfig(pool=8, branch_width=16), seed=11)
-    b = new_scorer(DetectorConfig(pool=8, branch_width=16), seed=11)
-    a, _ = train_ranker(corpus, a, cfg)
-    b, _ = train_ranker(corpus, b, cfg)
+    cfg = DetectorConfig(pool=8, branch_width=16, epochs=4, lr=1e-3, batch_queries=4)
+    a = new_scorer(cfg, seed=11)
+    b = new_scorer(cfg, seed=11)
+    a, _ = train_ranker(corpus, a, cfg, seed=3)
+    b, _ = train_ranker(corpus, b, cfg, seed=3)
     for la, lb in zip(a.branch.layers + a.head.layers, b.branch.layers + b.head.layers):
         assert np.array_equal(la.w, lb.w)
 
 
 def test_calibration_preserves_ordering_and_anchors():
     corpus = _small_corpus(n_queries=24)
-    cfg = RankTrainConfig(seed=3, epochs=10, lr=2e-3, batch_queries=8)
-    scorer = new_scorer(DetectorConfig(pool=8, branch_width=16), seed=11)
-    scorer, _ = train_ranker(corpus, scorer, cfg)
+    cfg = DetectorConfig(pool=8, branch_width=16, epochs=10, lr=2e-3, batch_queries=8)
+    scorer = new_scorer(cfg, seed=11)
+    scorer, _ = train_ranker(corpus, scorer, cfg, seed=3)
     cal = calibrate_scorer(scorer, corpus, s_lo=0.3, s_hi=0.95)
     assert abs(pairwise_accuracy(cal, corpus) - pairwise_accuracy(scorer, corpus)) < 1e-12
     z = np.concatenate([det.query_logits(cal, q) for q in corpus.queries])

@@ -7,12 +7,16 @@ acceptance suite.
 """
 
 import csv
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_config
 from semlink import codec
@@ -42,6 +46,45 @@ def tiny_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def tiny_bundle(tiny_dir):
     return harness.load_bundle(tiny_config(seed=4242), tiny_dir)
+
+
+LOADERS = {
+    "codec_pair1.ckpt": codec.load_codec,
+    "scorer.ckpt": detector.load_scorer,
+    "corpus.bin": detector.load_corpus,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "artifact"
+
+
+def _header_bits(raw: bytes) -> list[int]:
+    """Bit indices of the file header and of each embedded net's header."""
+    starts = [0] + [i for i in range(len(raw)) if raw.startswith(b"DNET", i)]
+    return sorted({bit for i in starts for bit in range(8 * i, 8 * min(len(raw), i + 40))})
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_artifact_loaders_return_or_raise_valueerror(tiny_dir, fuzz_path, data):
+    # a byte prefix or a single flipped bit of a real artifact either loads
+    # or raises ValueError, the one error the CLI turns into an error: line
+    name = data.draw(st.sampled_from(sorted(LOADERS)))
+    raw = (tiny_dir / name).read_bytes()
+    if data.draw(st.booleans()):
+        blob = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        bit = data.draw(st.one_of(st.sampled_from(_header_bits(raw)), st.integers(0, 8 * len(raw) - 1)))
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        blob = bytes(flipped)
+    fuzz_path.write_bytes(blob)
+    try:
+        LOADERS[name](fuzz_path)
+    except ValueError:
+        pass
 
 
 def _read_rows(path):
@@ -181,7 +224,7 @@ def test_sweep_csv_schemas(tiny_bundle, tmp_path):
     # baseline rows carry no similarity threshold and no per-round scores
     base_rows = [r for r in rows if r["mode"] == "base1"]
     assert all(r["beta"] == "" and r["s_hat_1"] == "" for r in base_rows)
-    assert (tmp_path / "plot_summary.py").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.csv", "summary.csv"]
 
 
 def test_summary_aggregates_match_sessions(tiny_bundle, tmp_path):
@@ -248,12 +291,19 @@ def _render_ini(cfg) -> str:
     return "\n".join(lines)
 
 
+# the package the tests import, put first on the CLI's path, so the CLI runs
+# the same code whether or not PYTHONPATH names src/
+_SRC = str(Path(harness.__file__).resolve().parents[1])
+
+
 def _cli(*args, timeout=180):
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "semlink", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -305,6 +355,30 @@ def test_cli_sweep_rejects_nonpositive_counts(tiny_dir, tmp_path, flags):
     proc = _tiny_sweep_cli(tmp_path, tiny_dir, *flags)
     _assert_one_error_line(proc)
     assert not (tmp_path / "sweep" / "sessions.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,old,new",
+    [
+        ("sweep", "ack_threshold = 0.72", "ack_threshold = 1.5"),
+        ("sweep", "sharpness = 1.0", "sharpness = 0"),
+        ("sweep", "batch_size = 16", "batch_size = 0"),
+        ("sweep", "object_rate = 0.06", "object_rate = 0"),
+        ("train", "ack_threshold = 0.72", "ack_threshold = 1.5"),
+    ],
+    ids=["sweep-ack_threshold", "sweep-sharpness", "sweep-batch_size", "sweep-object_rate",
+         "train-ack_threshold"],
+)
+def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
+    text = _render_ini(tiny_config(seed=4242))
+    assert text.count(old) == 1
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    extra = ("--artifacts", str(tiny_dir), "--mode", "sim1", "--snr", "0") if command == "sweep" else ()
+    proc = _cli(command, "--config", str(ini), "--out", str(out), *extra)
+    _assert_one_error_line(proc)
+    assert not out.exists()
 
 
 def test_cli_sweep_rejects_truncated_scorer(tiny_dir, tmp_path):

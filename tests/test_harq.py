@@ -1,7 +1,6 @@
 """Retransmission protocol tests: CRC, quantizer, combining, session logic."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,12 +15,10 @@ from semlink.harq import (
     ChaseCombiner,
     HarqSession,
     Quantizer8,
-    RepetitionCode,
     RoundRecord,
     append_crc24,
     bits_to_bytes,
     bytes_to_bits,
-    channel_uses,
     crc24,
     finalize,
     fit_quantizer,
@@ -139,48 +136,6 @@ def test_bit_byte_roundtrip():
         bits_to_bytes(np.zeros(7, dtype=np.uint8))
 
 
-def test_channel_uses_fraction_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        d = int(rng.integers(1, 10000))
-        cr = float(rng.uniform(0.001, 1.0))
-        order = int(rng.choice([4, 16, 64, 256]))
-        rate = float(rng.choice([0.25, 0.5, 1.0]))
-        expected = math.ceil(Fraction(d * 8) * Fraction(cr) / (Fraction(int(math.log2(order))) * Fraction(rate)))
-        assert channel_uses(d, cr, order, rate) == expected
-
-
-def test_channel_uses_equivalent_configurations():
-    # 16-QAM at cr close to 1/8 the symbol rate of 256-QAM at twice the cr
-    for d in (1000, 4096, 65536):
-        a = channel_uses(d, 1.25e-3, 16, 0.5)
-        b = channel_uses(d, 2.5e-3, 256, 0.5)
-        assert a == b == math.ceil(d * 5e-3)
-
-
-def test_channel_uses_full_feature_16qam_uncoded():
-    assert channel_uses(100, 1.0, 16, 1.0) == 200
-
-
-def test_channel_uses_validation():
-    with pytest.raises(ValueError):
-        channel_uses(0, 0.5, 16, 0.5)
-    with pytest.raises(ValueError):
-        channel_uses(10, 1.5, 16, 0.5)
-    with pytest.raises(ValueError):
-        channel_uses(10, 0.5, 1, 0.5)
-
-
-def test_repetition_code_chunks():
-    code = RepetitionCode(copies=2)
-    assert code.rate == 0.5
-    bits = np.array([1, 0, 1, 1], dtype=np.uint8)
-    assert np.array_equal(code.chunk(bits, 0), bits)
-    assert np.array_equal(code.chunk(bits, 1), bits)
-    with pytest.raises(ValueError):
-        code.chunk(bits, 2)
-
-
 def _fake_session(acks, s_hats=None):
     session = HarqSession(mode="sim1", budget=len(acks))
     cand = FeatureTensor(np.zeros((1, 2, 2)))
@@ -234,9 +189,9 @@ def _semantic_ctx(ack_threshold=0.5, with_second=True, seed=1):
     mask = importance_map(f, 0.2)
     f_ref = apply_mask(f, mask)
     packed = pack_nonzero(f, mask)
-    ccfg = codec_mod.CodecConfig(n_in=packed.size, n_cu=12, hidden=16)
-    first = codec_mod.new_codec(ccfg, seed=2)
-    second = codec_mod.new_codec(ccfg, seed=3) if with_second else None
+    ccfg = codec_mod.CodecConfig(n_cu=12, hidden=16)
+    first = codec_mod.new_codec(ccfg, packed.size, seed=2)
+    second = codec_mod.new_codec(ccfg, packed.size, seed=3) if with_second else None
     scorer = det.new_scorer(det.DetectorConfig(pool=8, branch_width=8), seed=4)
     det_cfg = det.DetectorConfig(ack_threshold=ack_threshold, pool=8, branch_width=8)
     return SemanticSessionCtx(
@@ -365,10 +320,29 @@ def _baseline_ctx(seed=1, mod_order=16, copies=2):
 
     f_ref = unpack(quant.dequantize(quant.quantize(packed)), mask, f.data.shape)
     return BaselineSessionCtx(
-        mod_order=mod_order, code=RepetitionCode(copies), quantizer=quant,
+        mod_order=mod_order, copies=copies, quantizer=quant,
         payload_bits=payload_bits, head=HEAD, scene=scene, mask=mask,
         shape=f.data.shape, f_ref=f_ref,
     )
+
+
+def test_repetition_code_chunks():
+    # a chunk is the payload bits, zero-padded to whole symbols, in QAM;
+    # base1 sends `copies` of it every round, base2 one copy per round
+    ctx = _baseline_ctx(copies=3)
+    bps = int(math.log2(ctx.mod_order))
+    pad = np.zeros((-ctx.payload_bits.size) % bps, dtype=np.uint8)
+    chunk = qam_map(np.concatenate([ctx.payload_bits, pad]), ctx.mod_order)
+    for mode, copies in (("base1", 3), ("base2", 1)):
+        sent = []
+
+        def erased(t, symbols):
+            sent.append(symbols)
+            return np.zeros(symbols.size, dtype=complex), np.ones(symbols.size), 1.0
+
+        session = run_baseline_session(ctx, mode, budget=3, transmit=erased)
+        assert session.rounds_used == len(sent) == 3
+        assert all(np.array_equal(s, np.tile(chunk, copies)) for s in sent)
 
 
 def _clean_transmit(t, symbols):

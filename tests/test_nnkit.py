@@ -1,5 +1,8 @@
 """Dense-network toolkit: forward/backward oracles, optimizers, checkpoints."""
 
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,9 @@ from semlink.nnkit import (
     forward,
     forward_tape,
     init_dense,
-    load_net,
-    save_net,
-    sgd_step,
+    read_net,
+    sigmoid,
+    write_net,
 )
 
 
@@ -107,19 +110,11 @@ def test_backward_matches_central_differences(act):
                 assert garr.reshape(-1)[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
-def test_sgd_lr_zero_is_identity():
-    net = init_dense((3, 2), ("linear",), seed=1)
-    grads = [(np.ones((3, 2)), np.ones(2))]
-    stepped, _ = sgd_step(net, grads, lr=0.0)
-    assert np.array_equal(stepped.layers[0].w, net.layers[0].w)
-    assert np.array_equal(stepped.layers[0].b, net.layers[0].b)
-
-
-def test_sgd_scalar_update():
-    net = DenseNet([DenseLayer(np.array([[2.0]]), np.array([0.5]), "linear")])
-    stepped, _ = sgd_step(net, [(np.array([[3.0]]), np.array([1.0]))], lr=0.1)
-    assert stepped.layers[0].w[0, 0] == pytest.approx(2.0 - 0.1 * 3.0)
-    assert stepped.layers[0].b[0] == pytest.approx(0.5 - 0.1 * 1.0)
+def test_sigmoid_is_stable_at_extremes():
+    z = np.array([-np.inf, -800.0, -0.0, 0.0, 800.0, np.inf])
+    with np.errstate(over="raise", invalid="raise"):
+        out = sigmoid(z)
+    assert np.array_equal(out, [0.0, 0.0, 0.5, 0.5, 1.0, 1.0])
 
 
 def test_adam_first_step_matches_scalar_reference():
@@ -146,11 +141,12 @@ def test_adam_weight_decay_decoupled_and_spares_bias():
     assert np.array_equal(stepped.layers[0].b, net.layers[0].b)
 
 
-def test_checkpoint_round_trip_is_float32_exact(tmp_path):
+def test_checkpoint_round_trip_is_float32_exact():
     net = init_dense((5, 7, 3), ("prelu", "sigmoid"), seed=31, prelu_alpha=0.1)
-    path = tmp_path / "net.ckpt"
-    save_net(path, net)
-    back = load_net(path)
+    buf = io.BytesIO()
+    write_net(buf, net)
+    buf.seek(0)
+    back = read_net(buf)
     assert [l.act for l in back.layers] == [l.act for l in net.layers]
     for orig, loaded in zip(net.layers, back.layers):
         assert np.array_equal(loaded.w, orig.w.astype(np.float32).astype(np.float64))
@@ -158,11 +154,31 @@ def test_checkpoint_round_trip_is_float32_exact(tmp_path):
         assert loaded.prelu_alpha == pytest.approx(orig.prelu_alpha)
 
 
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
+def test_load_rejects_garbage():
     with pytest.raises(ValueError):
-        load_net(path)
+        read_net(io.BytesIO(b"NOPE" + b"\x00" * 32))
+
+
+@pytest.mark.parametrize(
+    "offset,patch",
+    [
+        (4, struct.pack("<I", 0)),  # no layers
+        (8, struct.pack("<I", 0)),  # zero input dimension
+        (8, struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)),  # 7e19 weights declared
+        (17, struct.pack("<f", float("inf"))),  # non-finite PReLU slope
+        (21, struct.pack("<f", float("nan"))),  # non-finite weight
+    ],
+    ids=["no-layers", "zero-dim", "huge-dims", "inf-slope", "nan-weight"],
+)
+def test_read_net_rejects_corrupt_nets(offset, patch):
+    # layout: magic, layer count, one (n_in, n_out, act, alpha) header of
+    # 13 bytes, then 3 x 2 weights and 2 biases as float32
+    buf = io.BytesIO()
+    write_net(buf, init_dense((3, 2), ("prelu",), seed=1))
+    raw = bytearray(buf.getvalue())
+    raw[offset : offset + len(patch)] = patch
+    with pytest.raises(ValueError):
+        read_net(io.BytesIO(bytes(raw)))
 
 
 def test_trains_linearly_separable_toy_to_perfect_accuracy():

@@ -18,7 +18,7 @@ from semlink.scenegen import (
 )
 from semlink.tensors import FeatureTensor
 
-CFG = SceneConfig(channels=8, height=12, width=10)
+CFG = SceneConfig(channels=8, height=12, width=10, logit_amp=4.0)
 HEAD = ProxyHead.from_seed(77, CFG.channels)
 
 

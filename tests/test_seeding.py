@@ -1,10 +1,9 @@
 """Counter-based seed derivation: deterministic, distinct, order-sensitive."""
 
-import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semlink.seeding import derive_seed, rng_for
+from semlink.seeding import derive_seed
 
 
 def test_derive_seed_deterministic():
@@ -32,11 +31,3 @@ def test_derive_seed_no_concatenation_collision():
 def test_derive_seed_in_range(master, tag, idx):
     s = derive_seed(master, tag, idx)
     assert 0 <= s < 2**64
-
-
-def test_rng_for_streams_are_independent():
-    a = rng_for(5, "x").standard_normal(8)
-    b = rng_for(5, "y").standard_normal(8)
-    a2 = rng_for(5, "x").standard_normal(8)
-    assert np.array_equal(a, a2)
-    assert not np.array_equal(a, b)

@@ -10,9 +10,7 @@ from semlink.tensors import (
     ImportanceMask,
     apply_mask,
     importance_map,
-    load_tensor,
     pack_nonzero,
-    save_tensor,
     unpack,
 )
 
@@ -160,22 +158,3 @@ def test_pack_unpack_round_trip(c, h, w, cr, seed):
     masked = apply_mask(f, mask)
     back = unpack(pack_nonzero(masked, mask), mask, masked.shape)
     assert np.array_equal(back.data, masked.data)
-
-
-def test_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    f = FeatureTensor(rng.standard_normal((3, 4, 5)).astype(np.float32))
-    path = tmp_path / "t.bin"
-    save_tensor(path, f)
-    back = load_tensor(path)
-    assert back.shape == (3, 4, 5)
-    assert np.array_equal(back.data, f.data)
-    # header is three little-endian uint32 dims, then float32 payload
-    assert path.stat().st_size == 12 + 4 * 60
-
-
-def test_load_tensor_truncated(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"\x01\x00\x00\x00")
-    with pytest.raises(ValueError, match="truncated"):
-        load_tensor(path)
