@@ -43,6 +43,22 @@ class DetectorConfig:
             raise ValueError("ack_threshold must be in (0, 1)")
         if self.sharpness <= 0:
             raise ValueError("sharpness must be positive")
+        if self.corpus_queries < 1:
+            raise ValueError("corpus_queries must be >= 1")
+        if self.batch_queries < 1:
+            raise ValueError("batch_queries must be >= 1")
+        if not (math.isfinite(self.holdout) and self.holdout >= 0.0) or (
+            self.corpus_queries - _holdout_count(self.holdout, self.corpus_queries) < 1
+        ):
+            raise ValueError(
+                f"holdout must be >= 0 and leave at least one of the {self.corpus_queries} "
+                f"corpus queries for training, got {self.holdout}"
+            )
+
+
+def _holdout_count(holdout: float, n: int) -> int:
+    """Held-out queries of n: at least one, unless n is 1."""
+    return max(1, int(round(holdout * n))) if n > 1 else 0
 
 
 @dataclass
@@ -216,7 +232,7 @@ def split_corpus(corpus: RankCorpus, cfg: DetectorConfig, seed: int) -> tuple[Ra
     n = len(corpus.queries)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n)
-    n_hold = max(1, int(round(cfg.holdout * n))) if n > 1 else 0
+    n_hold = _holdout_count(cfg.holdout, n)
     hold = set(order[:n_hold].tolist())
     train_q = tuple(q for i, q in enumerate(corpus.queries) if i not in hold)
     hold_q = tuple(q for i, q in enumerate(corpus.queries) if i in hold)

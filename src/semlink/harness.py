@@ -4,10 +4,22 @@ Everything here is deterministic in the master seed.  Session seeds are
 derived per session index and round, never from the mode, SNR or threshold,
 so protocol variants see identical channel and noise draws and sweep CSVs
 are byte-identical regardless of the worker count.
+
+A sweep is therefore a common-random-number design, and run_sweep exploits
+it: it runs the grid one session index at a time, and every (mode, SNR) of
+that index shares one SessionCache. The cache holds what depends on the index
+alone: the scene; the semantic mask, reference and packed vector with their
+pooled reference map, reference perception loss and both pairs' symbols; the
+whole baseline session context (quantizer, payload bits, reference, QAM
+chunk); and per round the link's seed-determined draws (pilots, channel
+realization, H and unit-variance noise on the simulated rows). A cache lives
+for one index of one run_sweep call, so memory does not grow with the number
+of sessions and no later sweep starts warm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
@@ -28,7 +40,7 @@ from .harq import (
     SemanticSessionCtx,
     throughput,
 )
-from .link import LinkSeeds, transmit_symbols, transmit_with_state
+from .link import LinkSeeds, RoundDraws, transmit_symbols, transmit_with_state
 from .scenegen import ProxyHead, generate_scene, perception_loss
 from .seeding import derive_seed
 from .tensors import apply_mask, importance_map, pack_nonzero, unpack
@@ -241,6 +253,61 @@ def _session_seeds(ms: int, idx: int, t: int) -> LinkSeeds:
     )
 
 
+class SessionCache:
+    """What every mode, SNR and threshold of session index `idx` share.
+
+    Each part is made on first use: the scene; for the semantic modes the
+    mask, the masked reference, the packed vector and a memo of the pooled
+    reference map, the reference perception loss and each codec pair's
+    symbols; for the baselines the whole session context; per round the
+    link's RoundDraws. Sharing one cache changes no result: every part is a
+    function of the bundle and the index only.
+    """
+
+    def __init__(self, bundle: RuntimeBundle, idx: int):
+        self.bundle = bundle
+        self.idx = idx
+        self.profile = bundle.cfg.channel_profile()
+        self._draws: dict[int, RoundDraws] = {}
+
+    @functools.cached_property
+    def scene(self):
+        cfg = self.bundle.cfg
+        seed = derive_seed(cfg.experiment.master_seed, "session-scene", self.idx)
+        return generate_scene(seed, cfg.scene, self.bundle.head)
+
+    @functools.cached_property
+    def semantic(self):
+        """(mask, f_ref, packed, memo) of the semantic modes."""
+        _, f = self.scene
+        mask = importance_map(f, self.bundle.cfg.codec.cr)
+        packed = pack_nonzero(f, mask)
+        packed.setflags(write=False)
+        return mask, apply_mask(f, mask), packed, {}
+
+    @functools.cached_property
+    def baseline(self) -> BaselineSessionCtx:
+        cfg = self.bundle.cfg
+        scene, f = self.scene
+        mask = importance_map(f, cfg.baseline_cr())
+        packed = pack_nonzero(f, mask)
+        quant, payload_bits = make_baseline_payload(packed)
+        payload_bits.setflags(write=False)
+        f_ref = unpack(quant.dequantize(quant.quantize(packed)), mask, f.shape)
+        return BaselineSessionCtx(
+            cfg.baseline.mod_order,
+            cfg.baseline.code_copies,
+            quant, payload_bits, self.bundle.head, scene, mask, f.shape, f_ref,
+        )
+
+    def draws(self, t: int) -> RoundDraws:
+        """The link draws of round t."""
+        if t not in self._draws:
+            seeds = _session_seeds(self.bundle.cfg.experiment.master_seed, self.idx, t)
+            self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.profile, seeds)
+        return self._draws[t]
+
+
 def run_session(
     bundle: RuntimeBundle,
     mode: str,
@@ -248,55 +315,54 @@ def run_session(
     idx: int,
     beta: float | None = None,
     budget: int | None = None,
+    cache: SessionCache | None = None,
 ) -> SessionRecord:
-    """Run one seeded protocol session and flatten it into a record."""
+    """Run one seeded protocol session and flatten it into a record.
+
+    `cache` is the SessionCache of this bundle and index that other sessions
+    of the same index share; run_sweep makes one per index and drops it when
+    the index is done. Without one the session makes its own, and its record
+    is the same.
+    """
+    if cache is None:
+        cache = SessionCache(bundle, idx)
+    elif cache.bundle is not bundle or cache.idx != idx:
+        raise ValueError(f"session cache of index {cache.idx} used for index {idx}")
     cfg = bundle.cfg
-    ms = cfg.experiment.master_seed
     budget = cfg.experiment.round_budget if budget is None else budget
-    ofdm_cfg = cfg.ofdm
-    profile = cfg.channel_profile()
-    scene, f = generate_scene(derive_seed(ms, "session-scene", idx), cfg.scene, bundle.head)
+    scene, f = cache.scene
 
     if mode in SEMANTIC_MODES:
         det_cfg = cfg.detector
         if beta is not None:
             det_cfg = replace(det_cfg, ack_threshold=beta)
-        mask = importance_map(f, cfg.codec.cr)
-        f_ref = apply_mask(f, mask)
-        packed = pack_nonzero(f, mask)
+        mask, f_ref, packed, memo = cache.semantic
         first = bundle.codec_pair1
         second = bundle.codec_pair2 if mode == "sim2" else None
         ctx = SemanticSessionCtx(
             first, second, bundle.scorer, det_cfg, bundle.head,
-            scene, mask, f.shape, f_ref, packed,
+            scene, mask, f.shape, f_ref, packed, memo,
         )
 
         def transmit(t, symbols):
+            draws = cache.draws(t)
             return transmit_symbols(
-                symbols, ofdm_cfg, profile, snr_db, _session_seeds(ms, idx, t),
-                first.signal_power,
+                symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, first.signal_power,
+                draws=draws,
             )
 
         proto = "sim1" if mode == "noharq" else mode
         session = run_semantic_session(ctx, proto, 1 if mode == "noharq" else budget, transmit)
         used_beta = det_cfg.ack_threshold
     elif mode in BASELINE_MODES:
-        mask = importance_map(f, cfg.baseline_cr())
-        packed = pack_nonzero(f, mask)
-        quant, payload_bits = make_baseline_payload(packed)
-        f_ref = unpack(quant.dequantize(quant.quantize(packed)), mask, f.shape)
-        ctx = BaselineSessionCtx(
-            cfg.baseline.mod_order,
-            cfg.baseline.code_copies,
-            quant, payload_bits, bundle.head, scene, mask, f.shape, f_ref,
-        )
 
         def transmit(t, symbols):
+            draws = cache.draws(t)
             return transmit_with_state(
-                symbols, ofdm_cfg, profile, snr_db, _session_seeds(ms, idx, t)
+                symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, draws=draws
             )
 
-        session = run_baseline_session(ctx, mode, budget, transmit)
+        session = run_baseline_session(cache.baseline, mode, budget, transmit)
         used_beta = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -336,14 +402,21 @@ def _flatten(
 _WORKER_STATE: dict = {}
 
 
-def _pool_init(bundle, beta, budget):
-    _WORKER_STATE["args"] = (bundle, beta, budget)
+def _pool_init(bundle, grid, beta, budget):
+    _WORKER_STATE["args"] = (bundle, grid, beta, budget)
 
 
-def _pool_task(task):
-    mode, snr_db, idx = task
-    bundle, beta, budget = _WORKER_STATE["args"]
-    return run_session(bundle, mode, snr_db, idx, beta=beta, budget=budget)
+def _pool_task(idx):
+    return _run_index(*_WORKER_STATE["args"], idx)
+
+
+def _run_index(bundle, grid, beta, budget, idx) -> list[SessionRecord]:
+    """Every (mode, snr_db) of `grid` at session index idx, on one SessionCache."""
+    cache = SessionCache(bundle, idx)
+    return [
+        run_session(bundle, mode, snr_db, idx, beta=beta, budget=budget, cache=cache)
+        for mode, snr_db in grid
+    ]
 
 
 def run_sweep(
@@ -359,9 +432,14 @@ def run_sweep(
 ) -> list[SessionRecord]:
     """Run a mode x SNR grid of seeded sessions and write the two sweep CSVs.
 
-    The task list and aggregation order are fixed, and per-session seeds do
-    not depend on how tasks are distributed, so the CSV bytes are identical
-    for any worker count.
+    The grid runs one session index at a time: all (mode, SNR) sessions of
+    an index share one SessionCache, which is dropped when the index is done,
+    so the scene, the codewords and the link draws of an index are computed
+    once for the whole grid. With workers > 1 each worker takes whole
+    indices. Records come back, and the CSVs are written, in (mode, SNR,
+    index) order. Per-session seeds do not depend on how indices are
+    distributed, so the CSV bytes are identical for any worker count, and
+    equal to those of running each session with no cache.
     """
     cfg = bundle.cfg
     say = log if log is not None else (lambda msg: None)
@@ -376,22 +454,15 @@ def run_sweep(
     modes = tuple(modes)
     snr_list = tuple(float(s) for s in snr_list)
 
-    tasks = [
-        (mode, snr_db, idx)
-        for mode in modes
-        for snr_db in snr_list
-        for idx in range(sessions)
-    ]
-    say(f"running {len(tasks)} sessions on {workers} worker(s)")
+    grid = [(mode, snr_db) for mode in modes for snr_db in snr_list]
+    say(f"running {len(grid) * sessions} sessions on {workers} worker(s)")
     if workers > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_pool_init, initargs=(bundle, beta, budget)) as pool:
-            records = pool.map(_pool_task, tasks, chunksize=8)
+        with ctx.Pool(workers, initializer=_pool_init, initargs=(bundle, grid, beta, budget)) as pool:
+            by_index = pool.map(_pool_task, range(sessions), chunksize=1)
     else:
-        records = [
-            run_session(bundle, mode, snr_db, idx, beta=beta, budget=budget)
-            for mode, snr_db, idx in tasks
-        ]
+        by_index = [_run_index(bundle, grid, beta, budget, idx) for idx in range(sessions)]
+    records = [rows[k] for k in range(len(grid)) for rows in by_index]
 
     write_session_csv(out / "sessions.csv", records, budget_eff)
     write_summary_csv(out / "summary.csv", records, modes, snr_list, budget_eff)

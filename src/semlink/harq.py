@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import codec as codec_mod
 from .detector import DetectorConfig, SimilarityScorer, ack_decide, pool_map, score_pooled
 from .ofdm import qam_demap_hard, qam_map
-from .scenegen import ProxyHead, Scene, confidence_map, true_similarity
+from .scenegen import ProxyHead, Scene, confidence_map, perception_loss, true_similarity
 from .tensors import FeatureTensor, ImportanceMask, unpack
 
 CRC24_POLY = 0x864CFB
@@ -182,6 +183,22 @@ class SemanticSessionCtx:
     shape: tuple[int, int, int]
     f_ref: FeatureTensor
     packed: np.ndarray
+    # Memo of values the session derives from the fields above, filled on first
+    # use: "ref_pooled" (f_ref's confidence map at the scorer's pool),
+    # "ref_loss" (perception_loss of f_ref), "first" and "second" (each pair's
+    # symbols). Contexts may share one memo if they agree on every field but
+    # det_cfg and second; harness.SessionCache shares one per session index.
+    shared: dict = field(default_factory=dict)
+
+
+def _shared(ctx, key: str, compute: Callable[[], object]):
+    """ctx.shared[key], computed and stored (read-only if an array) on first use."""
+    if key not in ctx.shared:
+        value = compute()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        ctx.shared[key] = value
+    return ctx.shared[key]
 
 
 def _score_candidate(ctx: SemanticSessionCtx, ref_pooled: np.ndarray, candidate: FeatureTensor):
@@ -206,9 +223,12 @@ def run_semantic_session(ctx: SemanticSessionCtx, mode: str, budget: int, transm
     if budget < 1:
         raise ValueError("round budget must be at least 1")
 
-    ref_pooled = pool_map(confidence_map(ctx.f_ref, ctx.head).values, ctx.scorer.pool)
-    sym_first = codec_mod.encode(ctx.first, ctx.packed)
-    sym_second = None
+    ref_pooled = _shared(
+        ctx, "ref_pooled",
+        lambda: pool_map(confidence_map(ctx.f_ref, ctx.head).values, ctx.scorer.pool),
+    )
+    ref_loss = _shared(ctx, "ref_loss", lambda: perception_loss(ctx.f_ref, ctx.scene, ctx.head))
+    sym_first = _shared(ctx, "first", lambda: codec_mod.encode(ctx.first, ctx.packed))
     session = HarqSession(mode=mode, budget=budget)
     msg_sum = None
     for t in range(1, budget + 1):
@@ -218,13 +238,12 @@ def run_semantic_session(ctx: SemanticSessionCtx, mode: str, budget: int, transm
             if mode == "sim2":
                 msg_sum = candidate_packed
         else:
-            if sym_second is None:
-                sym_second = codec_mod.encode(ctx.second, ctx.packed)
+            sym_second = _shared(ctx, "second", lambda: codec_mod.encode(ctx.second, ctx.packed))
             msg_sum = msg_sum + codec_mod.decode(ctx.second, transmit(t, sym_second))
             candidate_packed = msg_sum
         candidate = unpack(candidate_packed, ctx.mask, ctx.shape)
         s_hat, ack = _score_candidate(ctx, ref_pooled, candidate)
-        s_true = true_similarity(ctx.f_ref, candidate, ctx.scene, ctx.head)
+        s_true = true_similarity(ctx.f_ref, candidate, ctx.scene, ctx.head, ref_loss=ref_loss)
         session.rounds.append(RoundRecord(s_hat, s_true, ack, candidate))
         if ack:
             break
@@ -271,6 +290,11 @@ class BaselineSessionCtx:
     mask: ImportanceMask
     shape: tuple[int, int, int]
     f_ref: FeatureTensor  # dequantized transmitted content
+    # Memo of what the session derives from the fields above: "chunk" (the
+    # QAM chunk), "codeword" (ctx.copies chunks) and "ref_loss"
+    # (perception_loss of f_ref). Nothing here depends on mode or SNR, so
+    # sessions may share one context (harness.SessionCache).
+    shared: dict = field(default_factory=dict)
 
 
 def make_baseline_payload(packed: np.ndarray) -> tuple[Quantizer8, np.ndarray]:
@@ -310,13 +334,15 @@ def run_baseline_session(ctx: BaselineSessionCtx, mode: str, budget: int, transm
         raise ValueError(f"unknown baseline mode {mode!r}")
     if budget < 1:
         raise ValueError("round budget must be at least 1")
-    chunk = _chunk_symbols(ctx)
+    chunk = _shared(ctx, "chunk", lambda: _chunk_symbols(ctx))
+    ref_loss = _shared(ctx, "ref_loss", lambda: perception_loss(ctx.f_ref, ctx.scene, ctx.head))
     n_chunk = chunk.size
     combiner = ChaseCombiner(n_chunk)
     session = HarqSession(mode=mode, budget=budget)
     for t in range(1, budget + 1):
         if mode == "base1":
-            eq, h, noise_var = transmit(t, np.tile(chunk, ctx.copies))
+            codeword = _shared(ctx, "codeword", lambda: np.tile(chunk, ctx.copies))
+            eq, h, noise_var = transmit(t, codeword)
             for i in range(ctx.copies):
                 sl = slice(i * n_chunk, (i + 1) * n_chunk)
                 combiner.add(eq[sl], h[sl], noise_var)
@@ -324,7 +350,7 @@ def run_baseline_session(ctx: BaselineSessionCtx, mode: str, budget: int, transm
             eq, h, noise_var = transmit(t, chunk)
             combiner.add(eq, h, noise_var)
         ack, candidate = _decode_combined(ctx, combiner.combined())
-        s_true = true_similarity(ctx.f_ref, candidate, ctx.scene, ctx.head)
+        s_true = true_similarity(ctx.f_ref, candidate, ctx.scene, ctx.head, ref_loss=ref_loss)
         session.rounds.append(RoundRecord(None, s_true, ack, candidate))
         if ack:
             break

@@ -17,6 +17,13 @@ with it every sweep result for a given seed.
 The full-grid chain ofdm.frame_build -> channel.apply -> rxdsp.estimate ->
 rxdsp.equalize_mmse -> ofdm.frame_extract is the oracle: the row-sparse link
 is bitwise equal to it (tests/test_link.py, and the link_fast_path golden).
+
+What a round draws from its seeds (pilot rows, channel realization, H on the
+simulated rows, unit-variance noise on them) does not depend on the payload
+or the SNR. A RoundDraws holds them; one instance passed to every transmit
+call with the same seeds computes them once for all those calls. Sweeps pass
+one per session index and round (harness.SessionCache); the corpus and every
+other caller pass none, and each call then makes its own.
 """
 
 from __future__ import annotations
@@ -36,6 +43,43 @@ class LinkSeeds:
     noise: int
 
 
+class RoundDraws:
+    """The seed-determined draws of one link round, each made on first use.
+
+    Holds the pilot rows, the channel realization and, per set of simulated
+    rows, H on those rows and the unit-variance noise on them. Every array is
+    read-only. A transmit call given draws made for other seeds, another
+    config or another channel profile raises ValueError.
+    """
+
+    def __init__(self, cfg: ofdm.OfdmConfig, profile: chan.ChannelProfile, seeds: LinkSeeds):
+        self.cfg = cfg
+        self.profile = profile
+        self.seeds = seeds
+        self.pilots = _frozen(ofdm.pilot_rows(cfg, seeds.pilot))
+        self.real = chan.realize(profile, cfg, cfg.n_symbols, seeds.channel)
+        self._response = {}
+        self._noise = {}
+
+    def response(self, rows: tuple[int, ...]) -> np.ndarray:
+        """H on the symbol rows `rows`, in that order."""
+        if rows not in self._response:
+            self._response[rows] = _frozen(chan._response_rows(self.real, self.cfg, rows))
+        return self._response[rows]
+
+    def noise(self, rows: tuple[int, ...]) -> np.ndarray:
+        """Unit-variance noise on the symbol rows `rows` (channel._noise_rows)."""
+        if rows not in self._noise:
+            shape = (self.cfg.n_symbols, self.cfg.l_fft)
+            self._noise[rows] = _frozen(chan._noise_rows(self.seeds.noise, shape, rows))
+        return self._noise[rows]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _transmit(
     symbols: np.ndarray,
     cfg: ofdm.OfdmConfig,
@@ -43,6 +87,7 @@ def _transmit(
     snr_db: float | None,
     seeds: LinkSeeds,
     signal_power: float,
+    draws: RoundDraws | None,
 ):
     """Row-sparse link core; returns (equalized payload, estimated H at the
     payload cells, noise_var)."""
@@ -53,22 +98,24 @@ def _transmit(
     pilot_rows = cfg.pilot_rows_idx[:2]
     if not pilot_rows:
         raise ValueError("the link needs at least one pilot symbol")
+    if draws is None:
+        draws = RoundDraws(cfg, profile, seeds)
+    elif (draws.seeds, draws.cfg, draws.profile) != (seeds, cfg, profile):
+        raise ValueError("round draws were made for other seeds, config or channel profile")
     data_rows = cfg.data_rows_idx[: -(-n // cfg.l_fft)]
     n_p = len(pilot_rows)
 
     tx = np.zeros((n_p + len(data_rows), cfg.l_fft), dtype=np.complex128)
-    pilots = ofdm.pilot_rows(cfg, seeds.pilot)[:n_p]
+    pilots = draws.pilots[:n_p]
     tx[:n_p] = pilots
     tx[n_p:].reshape(-1)[:n] = symbols
 
     rows = pilot_rows + data_rows
-    real = chan.realize(profile, cfg, cfg.n_symbols, seeds.channel)
-    rx = chan._response_rows(real, cfg, rows) * tx
+    rx = draws.response(rows) * tx
     noise_var = 0.0
     if snr_db is not None:
         noise_var = chan.noise_variance(snr_db, signal_power)
-        z = chan._noise_rows(seeds.noise, (cfg.n_symbols, cfg.l_fft), rows)
-        rx = rx + np.sqrt(noise_var) * z
+        rx = rx + np.sqrt(noise_var) * draws.noise(rows)
 
     h_pilot = rxdsp._pilot_estimates(rx[:n_p], pilots, cfg.l_cp)
     h = rxdsp._interpolate(h_pilot, pilot_rows, data_rows)
@@ -83,9 +130,13 @@ def transmit_symbols(
     snr_db: float | None,
     seeds: LinkSeeds,
     signal_power: float = 1.0,
+    draws: RoundDraws | None = None,
 ) -> np.ndarray:
-    """Send payload symbols through one faded OFDM frame; return equalized payload."""
-    return _transmit(symbols, cfg, profile, snr_db, seeds, signal_power)[0]
+    """Send payload symbols through one faded OFDM frame; return equalized payload.
+
+    `draws`, if given, supplies this round's seed-determined draws (RoundDraws).
+    """
+    return _transmit(symbols, cfg, profile, snr_db, seeds, signal_power, draws)[0]
 
 
 def transmit_with_state(
@@ -95,10 +146,11 @@ def transmit_with_state(
     snr_db: float | None,
     seeds: LinkSeeds,
     signal_power: float = 1.0,
+    draws: RoundDraws | None = None,
 ):
     """transmit_symbols variant that also returns per-symbol channel state.
 
     Returns (equalized payload, estimated H at the payload cells, noise_var);
     the channel state is what symbol-level combining across rounds needs.
     """
-    return _transmit(symbols, cfg, profile, snr_db, seeds, signal_power)
+    return _transmit(symbols, cfg, profile, snr_db, seeds, signal_power, draws)

@@ -238,10 +238,12 @@ def read_floats(fh, count: int, what: str) -> np.ndarray:
     fh.seek(pos)
     if 4 * count > left:
         raise ValueError(f"truncated {what}: needs {4 * count} bytes, {left} left")
-    values = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
+    values = np.frombuffer(fh.read(4 * count), dtype="<f4")
+    # checked before the cast: casting a signaling NaN raises an invalid-value
+    # floating-point warning
     if not np.all(np.isfinite(values)):
         raise ValueError(f"corrupt {what}: non-finite value")
-    return values
+    return values.astype(np.float64)
 
 
 def read_net(fh) -> DenseNet:

@@ -94,8 +94,15 @@ def test_bad_value_reports_location(tmp_path):
         ("batch_size = 64", "batch_size = 0"),
         ("object_rate = 0.06", "object_rate = 0"),
         ("l_cp = 144", "l_cp = 4096"),
+        ("corpus_queries = 160", "corpus_queries = 0"),
+        ("batch_queries = 8", "batch_queries = 0"),
+        ("holdout = 0.25", "holdout = 1.5"),
+        # round(0.997 * 160) = 160 held out, none left to train on
+        ("holdout = 0.25", "holdout = 0.997"),
+        ("holdout = 0.25", "holdout = nan"),
     ],
-    ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp"],
+    ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
+         "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan"],
 )
 def test_load_runs_the_section_type_checks(tmp_path, old, new):
     text = default_config_text()

@@ -325,6 +325,29 @@ def test_split_corpus_partition():
     assert len(hold_c.queries) == 2
 
 
+@pytest.mark.parametrize("n,holdout", [(1, 0.9), (2, 0.0), (2, 0.5), (4, 0.6), (40, 0.97)])
+def test_detector_config_holdout_leaves_training_queries(n, holdout):
+    cfg = DetectorConfig(corpus_queries=n, holdout=holdout)
+    train_c, _ = split_corpus(_small_corpus(n_queries=n), cfg, seed=1)
+    assert len(train_c.queries) >= 1
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"corpus_queries": 0},
+        {"batch_queries": 0},
+        {"corpus_queries": 4, "holdout": 0.9},  # round(3.6) = 4 held out of 4
+        {"corpus_queries": 2, "holdout": 1.5},
+        {"holdout": -0.1},
+        {"holdout": math.inf},
+    ],
+)
+def test_detector_config_rejects_unusable_corpus_settings(kwargs):
+    with pytest.raises(ValueError):
+        DetectorConfig(**kwargs)
+
+
 def test_training_improves_ranking():
     corpus = _small_corpus(n_queries=48)
     cfg = DetectorConfig(pool=8, branch_width=16, epochs=25, lr=2e-3, holdout=0.25,

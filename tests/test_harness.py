@@ -10,7 +10,8 @@ import csv
 import os
 import subprocess
 import sys
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,17 @@ from semlink import config as config_mod
 from semlink import detector
 from semlink import harness
 from semlink.config import default_config_text
+from semlink.harq import (
+    BaselineSessionCtx,
+    SemanticSessionCtx,
+    make_baseline_payload,
+    run_baseline_session,
+    run_semantic_session,
+)
+from semlink.link import transmit_symbols, transmit_with_state
+from semlink.scenegen import generate_scene
+from semlink.seeding import derive_seed
+from semlink.tensors import apply_mask, importance_map, pack_nonzero, unpack
 
 ARTIFACTS = (
     "codec_pair1.ckpt",
@@ -81,10 +93,31 @@ def test_artifact_loaders_return_or_raise_valueerror(tiny_dir, fuzz_path, data):
         flipped[bit // 8] ^= 1 << (bit % 8)
         blob = bytes(flipped)
     fuzz_path.write_bytes(blob)
-    try:
-        LOADERS[name](fuzz_path)
-    except ValueError:
-        pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            LOADERS[name](fuzz_path)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_reject_signaling_nan_weight_without_warning(tiny_dir, tmp_path, name):
+    # a signaling NaN warns when cast to float64, so it must be caught before
+    raw = bytearray((tiny_dir / name).read_bytes())
+    if name == "corpus.bin":
+        first = 4 + 8 + 4  # magic, (queries, pool), first query's sampling count
+    else:
+        net = raw.index(b"DNET")
+        (n_layers,) = np.frombuffer(bytes(raw[net + 4 : net + 8]), dtype="<u4")
+        first = net + 8 + 13 * int(n_layers)
+    raw[first : first + 4] = np.array([0x7F800001], dtype="<u4").tobytes()
+    path = tmp_path / name
+    path.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="non-finite"):
+            LOADERS[name](path)
 
 
 def _read_rows(path):
@@ -248,6 +281,107 @@ def test_summary_aggregates_match_sessions(tiny_bundle, tmp_path):
     assert float(row["mean_final_s"]) == pytest.approx(mean_s, rel=1e-9)
 
 
+ALL_MODES = ("noharq", "sim1", "sim2", "base1", "base2")
+SWEEP_SNRS = (0.0, 6.0, 18.0)
+# the tiny scorer scores every session near 0.95, so this threshold splits
+# them: some sessions stop at round 1, others go on to round 2
+SWEEP_BETA = 0.9505
+
+
+def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
+    """A session built from the package's parts with no SessionCache and no
+    RoundDraws: the scene, codewords and link draws are all made afresh,
+    round t's link call from the seeds of (master seed, idx, t)."""
+    cfg = bundle.cfg
+    ms = cfg.experiment.master_seed
+    profile = cfg.channel_profile()
+    scene, f = generate_scene(derive_seed(ms, "session-scene", idx), cfg.scene, bundle.head)
+    if mode in harness.SEMANTIC_MODES:
+        mask = importance_map(f, cfg.codec.cr)
+        ctx = SemanticSessionCtx(
+            bundle.codec_pair1, bundle.codec_pair2 if mode == "sim2" else None, bundle.scorer,
+            replace(cfg.detector, ack_threshold=beta), bundle.head,
+            scene, mask, f.shape, apply_mask(f, mask), pack_nonzero(f, mask),
+        )
+
+        def transmit(t, x):
+            seeds = harness._session_seeds(ms, idx, t)
+            return transmit_symbols(x, cfg.ofdm, profile, snr_db, seeds, bundle.codec_pair1.signal_power)
+
+        protocol, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
+        session = run_semantic_session(ctx, protocol, rounds, transmit)
+    else:
+        mask = importance_map(f, cfg.baseline_cr())
+        packed = pack_nonzero(f, mask)
+        quant, bits = make_baseline_payload(packed)
+        f_ref = unpack(quant.dequantize(quant.quantize(packed)), mask, f.shape)
+        ctx = BaselineSessionCtx(
+            cfg.baseline.mod_order, cfg.baseline.code_copies, quant, bits, bundle.head,
+            scene, mask, f.shape, f_ref,
+        )
+
+        def transmit(t, x):
+            return transmit_with_state(x, cfg.ofdm, profile, snr_db, harness._session_seeds(ms, idx, t))
+
+        session = run_baseline_session(ctx, mode, budget, transmit)
+        beta = None
+    return harness._flatten(session, bundle, scene, idx, mode, snr_db, beta, budget)
+
+
+@pytest.fixture(scope="module")
+def uncached_sweep(tiny_bundle, tmp_path_factory):
+    """CSVs of the grid below with every session run on its own, no cache.
+
+    The records also equal those of sessions built from parts, so the
+    SessionCache that each uncached run_session makes for itself is checked
+    too, not only the sharing of one.
+    """
+    out = tmp_path_factory.mktemp("uncached")
+    tasks = [(m, s, i) for m in ALL_MODES for s in SWEEP_SNRS for i in range(5)]
+    records = [
+        harness.run_session(tiny_bundle, m, s, i, beta=SWEEP_BETA, budget=2) for m, s, i in tasks
+    ]
+    assert records == [
+        _session_from_parts(tiny_bundle, m, s, i, SWEEP_BETA, 2) for m, s, i in tasks
+    ]
+    harness.write_session_csv(out / "sessions.csv", records, 2)
+    harness.write_summary_csv(out / "summary.csv", records, ALL_MODES, SWEEP_SNRS, 2)
+    return out
+
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cached_sweep_matches_uncached_sessions(tiny_bundle, uncached_sweep, tmp_path, workers):
+    harness.run_sweep(
+        tiny_bundle, ALL_MODES, SWEEP_SNRS, tmp_path, sessions=5, beta=SWEEP_BETA, budget=2,
+        workers=workers,
+    )
+    for name in ("sessions.csv", "summary.csv"):
+        assert (tmp_path / name).read_bytes() == (uncached_sweep / name).read_bytes(), name
+
+
+def test_session_with_shared_cache_matches_uncached(tiny_bundle):
+    # sessions on a cache that other modes and SNRs filled give the records
+    # they give with no cache
+    idx = 2
+    cache = harness.SessionCache(tiny_bundle, idx)
+    for mode in ("noharq", "sim1", "base2"):
+        for snr_db in (0.0, 9.0):
+            harness.run_session(tiny_bundle, mode, snr_db, idx, beta=0.999, cache=cache)
+    sim2 = harness.run_session(tiny_bundle, "sim2", 0.0, idx, beta=0.999, cache=cache)
+    assert sim2.rounds_used == 3  # beta 0.999 acknowledges nothing
+    assert sim2 == harness.run_session(tiny_bundle, "sim2", 0.0, idx, beta=0.999)
+    base1 = harness.run_session(tiny_bundle, "base1", 0.0, idx, cache=cache)
+    assert base1.rounds_used > 1
+    assert base1 == harness.run_session(tiny_bundle, "base1", 0.0, idx)
+
+
+def test_session_cache_is_bound_to_its_index(tiny_bundle):
+    cache = harness.SessionCache(tiny_bundle, 1)
+    with pytest.raises(ValueError, match="index"):
+        harness.run_session(tiny_bundle, "sim1", 6.0, idx=2, cache=cache)
+
+
 def test_sweep_worker_count_invariance(tiny_bundle, tmp_path):
     one = tmp_path / "w1"
     two = tmp_path / "w2"
@@ -365,9 +499,11 @@ def test_cli_sweep_rejects_nonpositive_counts(tiny_dir, tmp_path, flags):
         ("sweep", "batch_size = 16", "batch_size = 0"),
         ("sweep", "object_rate = 0.06", "object_rate = 0"),
         ("train", "ack_threshold = 0.72", "ack_threshold = 1.5"),
+        ("train", "batch_queries = 4", "batch_queries = 0"),
+        ("train", "holdout = 0.25", "holdout = 1.5"),
     ],
     ids=["sweep-ack_threshold", "sweep-sharpness", "sweep-batch_size", "sweep-object_rate",
-         "train-ack_threshold"],
+         "train-ack_threshold", "train-batch_queries", "train-holdout"],
 )
 def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
     text = _render_ini(tiny_config(seed=4242))

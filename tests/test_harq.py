@@ -30,7 +30,7 @@ from semlink.harq import (
     SemanticSessionCtx,
 )
 from semlink.ofdm import qam_demap_hard, qam_map
-from semlink.scenegen import ProxyHead, SceneConfig, generate_scene
+from semlink.scenegen import ProxyHead, SceneConfig, generate_scene, true_similarity
 from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonzero
 
 
@@ -408,3 +408,26 @@ def test_baseline_session_validation():
         run_baseline_session(ctx, "sim1", 3, _clean_transmit)
     with pytest.raises(ValueError):
         run_baseline_session(ctx, "base1", 0, _clean_transmit)
+
+
+def test_session_similarity_is_measured_against_the_reference():
+    # each round's s_true is true_similarity of its candidate to ctx.f_ref,
+    # with the reference loss computed afresh, for sessions that share a
+    # context (and with it the memo of the reference loss) and for a fresh one
+    def corrupting(t, symbols):  # a flipped first symbol fails every CRC
+        bad = symbols + 0.05 * t
+        bad[0] = -bad[0]
+        return bad, np.ones(bad.size), 0.5
+
+    semantic = _semantic_ctx(ack_threshold=0.999999)
+    baseline = _baseline_ctx()
+    sessions = [
+        (semantic, run_semantic_session(semantic, "sim2", 3, lambda t, s: s + 0.1 * t)),
+        (semantic, run_semantic_session(semantic, "sim1", 3, lambda t, s: s - 0.1 * t)),
+        (baseline, run_baseline_session(baseline, "base2", 3, corrupting)),
+        (baseline, run_baseline_session(baseline, "base1", 3, corrupting)),
+    ]
+    for ctx, session in sessions:
+        assert session.rounds_used == 3
+        for rec in session.rounds:
+            assert rec.s_true == true_similarity(ctx.f_ref, rec.candidate, ctx.scene, HEAD)

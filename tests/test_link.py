@@ -5,7 +5,7 @@ import pytest
 
 from conftest import tiny_config
 from semlink import channel, ofdm, rxdsp
-from semlink.link import LinkSeeds, transmit_symbols, transmit_with_state
+from semlink.link import LinkSeeds, RoundDraws, transmit_symbols, transmit_with_state
 from semlink.ofdm import OfdmConfig
 
 TINY = tiny_config().ofdm_config()
@@ -97,3 +97,29 @@ def test_link_rejects_payload_beyond_capacity():
     with pytest.raises(ValueError):
         transmit_symbols(_payload(TINY.payload_capacity + 1, 1.0, 0), TINY, PROFILE, None,
                          LinkSeeds(1, 2, 3))
+
+
+@pytest.mark.parametrize("snr_db", [None, 6.0])
+def test_shared_round_draws_change_no_bit(snr_db):
+    # one RoundDraws serves payloads of different sizes (one and two data
+    # rows) and both link functions, bit for bit as calls that draw afresh
+    seeds = LinkSeeds(pilot=21, channel=22, noise=23)
+    draws = RoundDraws(TINY, PROFILE, seeds)
+    for n in (TINY.l_fft, TINY.l_fft + 1, 5):
+        symbols = _payload(n, 1.0, seed=n)
+        alone = transmit_with_state(symbols, TINY, PROFILE, snr_db, seeds)
+        shared = transmit_with_state(symbols, TINY, PROFILE, snr_db, seeds, draws=draws)
+        assert all(_same_bits(a, b) for a, b in zip(alone[:2], shared[:2]))
+        assert alone[2] == shared[2]
+        assert _same_bits(transmit_symbols(symbols, TINY, PROFILE, snr_db, seeds, draws=draws), alone[0])
+
+
+def test_round_draws_for_other_seeds_are_rejected():
+    draws = RoundDraws(TINY, PROFILE, LinkSeeds(1, 2, 3))
+    for seeds, cfg, profile in (
+        (LinkSeeds(1, 2, 4), TINY, PROFILE),
+        (LinkSeeds(1, 2, 3), OfdmConfig(), PROFILE),
+        (LinkSeeds(1, 2, 3), TINY, channel.default_profile(speed_kmh=0.0)),
+    ):
+        with pytest.raises(ValueError, match="round draws"):
+            transmit_symbols(_payload(8, 1.0, 0), cfg, profile, 6.0, seeds, draws=draws)
