@@ -201,16 +201,31 @@ def load_codec(path) -> SemanticCodec:
 
 
 def surrogate_roundtrip(
-    codec: SemanticCodec, packed: np.ndarray, snr_db: float | None, rng: np.random.Generator | None
+    codec: SemanticCodec,
+    packed: np.ndarray,
+    snr_db: float | None,
+    rng: np.random.Generator | None,
+    draws: int = 1,
 ) -> np.ndarray:
-    """Batch encode -> surrogate channel -> decode, without gradients."""
+    """Batch encode -> surrogate channel -> decode, without gradients.
+
+    With draws > 1 the encoder runs once, the channel noise of all draws is
+    drawn in one call (the same stream as `draws` calls of one draw each),
+    each draw is decoded on its own, and the result is the mean of the draws'
+    reconstructions. Without noise (snr_db None) there is one decode.
+    """
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     packed = np.atleast_2d(np.asarray(packed, dtype=np.float64))
     reals = nnkit.forward(codec.encoder, packed)
     xn = _normalize_reals(reals, codec.n_cu, codec.signal_power)
-    if snr_db is not None:
-        sigma2 = codec.signal_power / (10.0 ** (snr_db / 10.0))
-        xn = xn + np.sqrt(sigma2 / 2.0) * rng.standard_normal(xn.shape)
-    return nnkit.forward(codec.decoder, xn)
+    if snr_db is None:
+        return nnkit.forward(codec.decoder, xn)
+    sigma2 = codec.signal_power / (10.0 ** (snr_db / 10.0))
+    y = rng.standard_normal((draws,) + xn.shape)
+    y *= np.sqrt(sigma2 / 2.0)
+    np.add(xn, y, out=y)
+    return np.mean([nnkit.forward(codec.decoder, y_k) for y_k in y], axis=0)
 
 
 def _check_finite(value: float, context: str) -> None:
@@ -247,10 +262,7 @@ def _step(
     if frozen is not None:
         # average several frozen-pair draws: same conditional-mean target as a
         # single draw, but the label noise no longer drowns the residual signal
-        m_first = np.mean(
-            [surrogate_roundtrip(frozen, batch, snr_db, frozen_rng) for _ in range(_FROZEN_DRAWS)],
-            axis=0,
-        )
+        m_first = surrogate_roundtrip(frozen, batch, snr_db, frozen_rng, _FROZEN_DRAWS)
         combined = m_first + m_hat
         err = combined - batch
     else:

@@ -10,6 +10,7 @@ accumulation of those pair gradients drives the parameter update.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -111,14 +112,26 @@ def score(scorer: SimilarityScorer, ref, hyp) -> float:
     return float(score_pooled(scorer, _as_pooled(ref, scorer.pool), _as_pooled(hyp, scorer.pool)))
 
 
-def score_pooled(scorer: SimilarityScorer, ref_pooled: np.ndarray, hyp_pooled: np.ndarray):
+def embed_reference(scorer: SimilarityScorer, ref_pooled: np.ndarray) -> np.ndarray:
+    """The scorer branch's (1, width) embedding of a pre-pooled reference map."""
+    width = scorer.pool * scorer.pool
+    return nnkit.forward(scorer.branch, np.asarray(ref_pooled, dtype=np.float64).reshape(1, width))
+
+
+def score_pooled(
+    scorer: SimilarityScorer,
+    ref_pooled: np.ndarray,
+    hyp_pooled: np.ndarray,
+    ref_emb: np.ndarray | None = None,
+):
     """Score pre-pooled maps; hyp_pooled may carry a leading batch axis.
 
     Accepted hyp shapes: (p, p) or (p*p,) for one map, (K, p, p) or
-    (K, p*p) for a batch of K maps.
+    (K, p*p) for a batch of K maps. A caller that scores many maps against
+    one reference may pass ref_emb, which must be
+    embed_reference(scorer, ref_pooled), to skip recomputing it.
     """
     width = scorer.pool * scorer.pool
-    ref = np.asarray(ref_pooled, dtype=np.float64).reshape(1, width)
     hyp = np.asarray(hyp_pooled, dtype=np.float64)
     if hyp.ndim == 3 and hyp.shape[1:] == (scorer.pool, scorer.pool):
         hyp = hyp.reshape(hyp.shape[0], width)
@@ -126,7 +139,7 @@ def score_pooled(scorer: SimilarityScorer, ref_pooled: np.ndarray, hyp_pooled: n
         hyp = hyp.reshape(1, width)
     elif not (hyp.ndim == 2 and hyp.shape[1] == width):
         raise ValueError(f"bad pooled map shape {hyp.shape} for pool {scorer.pool}")
-    emb_ref = nnkit.forward(scorer.branch, ref)
+    emb_ref = embed_reference(scorer, ref_pooled) if ref_emb is None else ref_emb
     emb_hyp = nnkit.forward(scorer.branch, hyp)
     head_in = np.concatenate([np.repeat(emb_ref, emb_hyp.shape[0], axis=0), emb_hyp], axis=1)
     s = nnkit.forward(scorer.head, head_in)[:, 0]
@@ -246,7 +259,8 @@ def train_ranker(
 
     The held-out split tracks pairwise ordering accuracy per epoch and the
     best-accuracy parameters are restored at the end (ties keep the earliest
-    epoch), so long runs cannot regress past their best ordering.
+    epoch), so long runs cannot regress past their best ordering. adam_step
+    updates the nets in place, so the best epoch's nets are kept as copies.
     """
     train_c, hold_c = split_corpus(corpus, cfg, seed)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
@@ -286,7 +300,7 @@ def train_ranker(
         history["pair_loss"].append(ep_loss / max(1, ep_pairs))
         history["holdout_accuracy"].append(acc)
         if not math.isnan(acc) and acc > best_acc:
-            best_acc, best_nets = acc, (scorer.branch, scorer.head)
+            best_acc, best_nets = acc, copy.deepcopy((scorer.branch, scorer.head))
     if best_nets is not None:
         scorer.branch, scorer.head = best_nets
     return scorer, history
@@ -301,14 +315,11 @@ def _scale_grads(grads, factor: float) -> None:
 def query_pair_loss(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float):
     """Summed pair loss over the strictly ordered pairs of one query, and
     their count; lambda_gradients is its gradient in s_hat."""
-    total, pairs = 0.0, 0
-    k = s_true.size
-    for m in range(k):
-        for n in range(k):
-            if s_true[m] > s_true[n]:
-                total += float(pair_loss(s_hat[m], s_hat[n], 1, sharpness))
-                pairs += 1
-    return total, pairs
+    m, n = np.nonzero(s_true[:, None] > s_true[None, :])
+    losses = pair_loss(s_hat[m], s_hat[n], 1, sharpness)
+    # cumsum adds left to right from 0.0, as a running float total would
+    total = np.cumsum(np.concatenate(([0.0], losses)))[-1]
+    return float(total), int(m.size)
 
 
 def query_scores(scorer: SimilarityScorer, query: RankQuery) -> np.ndarray:
@@ -334,13 +345,9 @@ def pairwise_accuracy(scorer: SimilarityScorer, corpus: RankCorpus) -> float:
     good, total = 0, 0
     for query in corpus.queries:
         s_hat = query_logits(scorer, query)
-        st = query.s_true
-        for m in range(st.size):
-            for n in range(st.size):
-                if st[m] > st[n]:
-                    total += 1
-                    if s_hat[m] > s_hat[n]:
-                        good += 1
+        ordered = query.s_true[:, None] > query.s_true[None, :]
+        total += int(np.count_nonzero(ordered))
+        good += int(np.count_nonzero(ordered & (s_hat[:, None] > s_hat[None, :])))
     return good / total if total else float("nan")
 
 

@@ -9,12 +9,12 @@ A sweep is therefore a common-random-number design, and run_sweep exploits
 it: it runs the grid one session index at a time, and every (mode, SNR) of
 that index shares one SessionCache. The cache holds what depends on the index
 alone: the scene; the semantic mask, reference and packed vector with their
-pooled reference map, reference perception loss and both pairs' symbols; the
-whole baseline session context (quantizer, payload bits, reference, QAM
-chunk); and per round the link's seed-determined draws (pilots, channel
-realization, H and unit-variance noise on the simulated rows). A cache lives
-for one index of one run_sweep call, so memory does not grow with the number
-of sessions and no later sweep starts warm.
+pooled reference map, its scorer embedding, reference perception loss and
+both pairs' symbols; the whole baseline session context (quantizer, payload
+bits, reference, QAM chunk); and per round the link's seed-determined draws
+(pilots, channel realization, H and unit-variance noise on the simulated
+rows). A cache lives for one index of one run_sweep call, so memory does not
+grow with the number of sessions and no later sweep starts warm.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .harq import (
     throughput,
 )
 from .link import LinkSeeds, RoundDraws, transmit_symbols, transmit_with_state
-from .scenegen import ProxyHead, generate_scene, perception_loss
+from .scenegen import ProxyHead, generate_scene
 from .seeding import derive_seed
 from .tensors import apply_mask, importance_map, pack_nonzero, unpack
 
@@ -258,9 +258,9 @@ class SessionCache:
 
     Each part is made on first use: the scene; for the semantic modes the
     mask, the masked reference, the packed vector and a memo of the pooled
-    reference map, the reference perception loss and each codec pair's
-    symbols; for the baselines the whole session context; per round the
-    link's RoundDraws. Sharing one cache changes no result: every part is a
+    reference map, its scorer embedding, the reference perception loss and
+    each codec pair's symbols; for the baselines the whole session context;
+    per round the link's RoundDraws. Sharing one cache changes no result: every part is a
     function of the bundle and the index only.
     """
 
@@ -367,14 +367,12 @@ def run_session(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    return _flatten(session, bundle, scene, idx, mode, snr_db, used_beta, budget)
+    return _flatten(session, idx, mode, snr_db, used_beta, budget)
 
 
-def _flatten(
-    session: HarqSession, bundle, scene, idx, mode, snr_db, beta, budget
-) -> SessionRecord:
-    final_round, candidate = finalize(session)
-    task_loss = perception_loss(candidate, scene, bundle.head)
+def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRecord:
+    final_round, _ = finalize(session)
+    final = session.rounds[final_round - 1]
     s_hat = tuple(
         session.rounds[t].s_hat if t < session.rounds_used else None for t in range(budget)
     )
@@ -389,8 +387,8 @@ def _flatten(
         rounds_used=session.rounds_used,
         ack_round=session.ack_round,
         final_round=final_round,
-        final_s_true=float(session.rounds[final_round - 1].s_true),
-        final_task_loss=float(task_loss),
+        final_s_true=float(final.s_true),
+        final_task_loss=float(final.task_loss),
         s_hat=s_hat,
         s_true=s_true,
     )

@@ -17,7 +17,14 @@ from typing import Callable
 import numpy as np
 
 from . import codec as codec_mod
-from .detector import DetectorConfig, SimilarityScorer, ack_decide, pool_map, score_pooled
+from .detector import (
+    DetectorConfig,
+    SimilarityScorer,
+    ack_decide,
+    embed_reference,
+    pool_map,
+    score_pooled,
+)
 from .ofdm import qam_demap_hard, qam_map
 from .scenegen import ProxyHead, Scene, confidence_map, perception_loss, true_similarity
 from .tensors import FeatureTensor, ImportanceMask, unpack
@@ -120,6 +127,7 @@ class RoundRecord:
     s_true: float
     ack: bool
     candidate: FeatureTensor
+    task_loss: float  # perception_loss of the candidate
 
 
 @dataclass
@@ -185,9 +193,10 @@ class SemanticSessionCtx:
     packed: np.ndarray
     # Memo of values the session derives from the fields above, filled on first
     # use: "ref_pooled" (f_ref's confidence map at the scorer's pool),
-    # "ref_loss" (perception_loss of f_ref), "first" and "second" (each pair's
-    # symbols). Contexts may share one memo if they agree on every field but
-    # det_cfg and second; harness.SessionCache shares one per session index.
+    # "ref_emb" (the scorer branch's embedding of it), "ref_loss"
+    # (perception_loss of f_ref), "first" and "second" (each pair's symbols).
+    # Contexts may share one memo if they agree on every field but det_cfg
+    # and second; harness.SessionCache shares one per session index.
     shared: dict = field(default_factory=dict)
 
 
@@ -203,7 +212,8 @@ def _shared(ctx, key: str, compute: Callable[[], object]):
 
 def _score_candidate(ctx: SemanticSessionCtx, ref_pooled: np.ndarray, candidate: FeatureTensor):
     hyp = pool_map(confidence_map(candidate, ctx.head).values, ctx.scorer.pool)
-    s_hat = float(score_pooled(ctx.scorer, ref_pooled, hyp))
+    ref_emb = _shared(ctx, "ref_emb", lambda: embed_reference(ctx.scorer, ref_pooled))
+    s_hat = float(score_pooled(ctx.scorer, ref_pooled, hyp, ref_emb))
     return s_hat, ack_decide(s_hat, ctx.det_cfg)
 
 
@@ -243,8 +253,11 @@ def run_semantic_session(ctx: SemanticSessionCtx, mode: str, budget: int, transm
             candidate_packed = msg_sum
         candidate = unpack(candidate_packed, ctx.mask, ctx.shape)
         s_hat, ack = _score_candidate(ctx, ref_pooled, candidate)
-        s_true = true_similarity(ctx.f_ref, candidate, ctx.scene, ctx.head, ref_loss=ref_loss)
-        session.rounds.append(RoundRecord(s_hat, s_true, ack, candidate))
+        loss = perception_loss(candidate, ctx.scene, ctx.head)
+        s_true = true_similarity(
+            ctx.f_ref, candidate, ctx.scene, ctx.head, ref_loss=ref_loss, hat_loss=loss
+        )
+        session.rounds.append(RoundRecord(s_hat, s_true, ack, candidate, loss))
         if ack:
             break
     return session
@@ -350,8 +363,11 @@ def run_baseline_session(ctx: BaselineSessionCtx, mode: str, budget: int, transm
             eq, h, noise_var = transmit(t, chunk)
             combiner.add(eq, h, noise_var)
         ack, candidate = _decode_combined(ctx, combiner.combined())
-        s_true = true_similarity(ctx.f_ref, candidate, ctx.scene, ctx.head, ref_loss=ref_loss)
-        session.rounds.append(RoundRecord(None, s_true, ack, candidate))
+        loss = perception_loss(candidate, ctx.scene, ctx.head)
+        s_true = true_similarity(
+            ctx.f_ref, candidate, ctx.scene, ctx.head, ref_loss=ref_loss, hat_loss=loss
+        )
+        session.rounds.append(RoundRecord(None, s_true, ack, candidate, loss))
         if ack:
             break
     return session

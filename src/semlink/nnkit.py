@@ -5,6 +5,8 @@ boundary, and harness.train_all continues from the rounded weights read back
 from each checkpoint, so every later stage sees exactly what is stored.
 Backward passes walk a tape recorded by forward_tape and must agree with
 central finite differences, which the test suite enforces layer by layer.
+adam_step updates a net's weights and its optimizer state in place, so a
+caller that wants to keep an earlier set of weights must copy the net.
 """
 
 from __future__ import annotations
@@ -159,6 +161,11 @@ class AdamState:
     m: list
     v: list
     step: int = 0
+    # adam_step's working memory: two rows as long as the net's largest
+    # weight, made on the first step. It is kept because a buffer of that
+    # size freed every step makes glibc hand its pages back to the kernel and
+    # fault them in again on the next step.
+    scratch: np.ndarray | None = None
 
     @classmethod
     def init(cls, net: DenseNet) -> "AdamState":
@@ -175,25 +182,56 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ):
-    """Adam update with bias correction; returns (updated net, state).
+    """Adam update with bias correction; updates net and state in place and
+    returns them as (net, state).
 
     weight_decay is decoupled (applied directly to the weights, not through
-    the moment estimates) and never touches biases.
+    the moment estimates) and never touches biases. Each weight becomes
+    w - lr*(m/c1)/(sqrt(v/c2)+eps) - (lr*weight_decay)*w, evaluated in that
+    order; the decay term is subtracted even when weight_decay is 0, so a
+    signed zero ends up as the textbook expression leaves it.
     """
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    layers = []
+    if state.scratch is None:
+        state.scratch = np.empty((2, max(layer.w.size for layer in net.layers)))
+    coef = (lr, beta1, beta2, eps, c1, c2)
     for layer, (gw, gb), (mw, mb), (vw, vb) in zip(net.layers, grads, state.m, state.v):
-        mw[...] = beta1 * mw + (1 - beta1) * gw
-        mb[...] = beta1 * mb + (1 - beta1) * gb
-        vw[...] = beta2 * vw + (1 - beta2) * gw * gw
-        vb[...] = beta2 * vb + (1 - beta2) * gb * gb
-        w = layer.w - lr * (mw / c1) / (np.sqrt(vw / c2) + eps) - lr * weight_decay * layer.w
-        b = layer.b - lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
-        layers.append(DenseLayer(w, b, layer.act, layer.prelu_alpha))
-    return DenseNet(layers), state
+        _adam_update(layer.w, gw, mw, vw, coef, lr * weight_decay, state.scratch)
+        _adam_update(layer.b, gb, mb, vb, coef, None, state.scratch)
+    return net, state
+
+
+def _adam_update(p, g, m, v, coef, decay, scratch) -> None:
+    """One Adam update of parameter p and its moments m, v, all in place.
+
+    coef is (lr, beta1, beta2, eps, c1, c2). Two rows of scratch hold the
+    intermediates; every product and sum is the one the expression in
+    adam_step's docstring evaluates, so the result is bitwise that of the
+    out-of-place formula. decay None skips the decay term.
+    """
+    lr, beta1, beta2, eps, c1, c2 = coef
+    a, step = (row[: p.size].reshape(p.shape) for row in scratch)
+    np.multiply(g, 1 - beta1, out=a)
+    m *= beta1
+    m += a
+    np.multiply(g, 1 - beta2, out=a)
+    a *= g
+    v *= beta2
+    v += a
+    np.divide(v, c2, out=a)
+    np.sqrt(a, out=a)
+    a += eps
+    np.divide(m, c1, out=step)
+    step *= lr
+    step /= a
+    if decay is not None:
+        np.multiply(p, decay, out=a)  # from p before this step moves it
+    p -= step
+    if decay is not None:
+        p -= a
 
 
 def write_net(fh, net: DenseNet) -> None:

@@ -204,16 +204,19 @@ def true_similarity(
     head: ProxyHead,
     cap: float = SIMILARITY_CAP,
     ref_loss: float | None = None,
+    hat_loss: float | None = None,
 ) -> float:
     """Semantic similarity: capped negative log10 of the perception-loss gap.
 
     Equal losses saturate at the cap; a loss gap of 10^-k scores k. A caller
-    that scores many candidates against one reference may pass ref_loss,
-    which must be perception_loss(f_ref, scene, head), to skip recomputing it.
+    that already has either loss may pass it to skip recomputing it: ref_loss
+    must be perception_loss(f_ref, scene, head), hat_loss that of f_hat.
     """
     if ref_loss is None:
         ref_loss = perception_loss(f_ref, scene, head)
-    gap = abs(ref_loss - perception_loss(f_hat, scene, head))
+    if hat_loss is None:
+        hat_loss = perception_loss(f_hat, scene, head)
+    gap = abs(ref_loss - hat_loss)
     if gap == 0.0:
         return float(cap)
     return float(min(cap, -math.log10(gap)))

@@ -244,6 +244,65 @@ def test_second_pair_trains_on_frozen_residual():
     assert err12 < err1
 
 
+def test_surrogate_draws_match_sequential_single_draws():
+    # one call with `draws` shares the encoder pass and draws all the noise at
+    # once: the mean of that many single-draw calls, and the same stream
+    cfg, ts = _tiny_train_set()
+    codec = new_codec(CodecConfig(n_cu=16, hidden=24), ts.packed.shape[1], seed=5)
+    batch = ts.packed[:20]
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    fused = surrogate_roundtrip(codec, batch, 4.0, rng, draws=8)
+    singles = [surrogate_roundtrip(codec, batch, 4.0, ref_rng) for _ in range(8)]
+    assert fused.tobytes() == np.mean(singles, axis=0).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a single draw is the textbook chain: encode, normalize, add noise, decode
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    xn = codec_mod._normalize_reals(nnkit.forward(codec.encoder, batch), 16, 1.0)
+    noise = np.sqrt(1.0 / (10.0 ** (4.0 / 10.0)) / 2.0) * ref_rng.standard_normal(xn.shape)
+    expect = nnkit.forward(codec.decoder, xn + noise)
+    assert surrogate_roundtrip(codec, batch, 4.0, rng).tobytes() == expect.tobytes()
+    with pytest.raises(ValueError):
+        surrogate_roundtrip(codec, batch, 4.0, rng, draws=0)
+
+
+def _state_bits(codec, states):
+    nets = (codec.encoder, codec.decoder)
+    arrays = [a for net in nets for l in net.layers for a in (l.w, l.b)]
+    arrays += [a for st in states for pair in st.m + st.v for a in pair]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("rows", [64, 32])  # a full batch and the bench config's last one
+@pytest.mark.parametrize("with_task", [False, True])
+def test_fused_pair2_step_matches_sequential_draws(rows, with_task, monkeypatch):
+    # oracle: the frozen pair's reconstruction as the mean of _FROZEN_DRAWS
+    # sequential single-draw round trips, each re-running the frozen encoder
+    cfg, ts = _tiny_train_set()
+    ccfg = CodecConfig(n_cu=16, hidden=24)
+    n_in = ts.packed.shape[1]
+    frozen = new_codec(ccfg, n_in, seed=1)
+    idx = np.random.default_rng(3).integers(0, ts.packed.shape[0], size=rows)
+    task_ctx = (ts.scenes, ts.masks, ts.shape, ts.head, idx) if with_task else None
+    single = codec_mod.surrogate_roundtrip
+
+    def sequential(codec, packed, snr_db, rng, draws=1):
+        return np.mean([single(codec, packed, snr_db, rng) for _ in range(draws)], axis=0)
+
+    results = []
+    for roundtrip in (single, sequential):
+        monkeypatch.setattr(codec_mod, "surrogate_roundtrip", roundtrip)
+        codec = new_codec(ccfg, n_in, seed=2)
+        states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
+        rng = np.random.default_rng(4)
+        for _ in range(2):  # the second step runs on moved weights and moments
+            losses = codec_mod._step(
+                codec, ts.packed[idx], 2.5, rng, states, 2e-3, task_ctx, 0.5, frozen,
+                frozen_rng=rng, weight_decay=codec_mod._PAIR2_WEIGHT_DECAY,
+            )
+        results.append((losses, _state_bits(codec, states), rng.bit_generator.state))
+    assert results[0] == results[1]
+
+
 def test_training_rejects_width_mismatch():
     # the pair-2 codec must fit the frozen pair-1 codec it corrects
     cfg, ts = _tiny_train_set()

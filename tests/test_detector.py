@@ -1,6 +1,7 @@
 """Similarity scorer tests: pairwise objective, lambda gradients, ranking."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,6 +244,16 @@ def test_score_pooled_batch_matches_singles():
     assert np.allclose(s_batch, singles, atol=1e-15)
 
 
+def test_score_pooled_with_reference_embedding_matches_without():
+    scorer = new_scorer(DetectorConfig(pool=4, branch_width=8), seed=7)
+    rng = np.random.default_rng(9)
+    ref = rng.uniform(0, 1, (4, 4))
+    emb = det.embed_reference(scorer, ref)
+    for hyp in (rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (3, 4, 4))):
+        with_emb = np.asarray(score_pooled(scorer, ref, hyp, emb))
+        assert with_emb.tobytes() == np.asarray(score_pooled(scorer, ref, hyp)).tobytes()
+
+
 def test_score_pooled_rejects_bad_shape():
     scorer = new_scorer(DetectorConfig(pool=4, branch_width=8), seed=7)
     with pytest.raises(ValueError):
@@ -372,6 +383,64 @@ def test_training_deterministic():
     b, _ = train_ranker(corpus, b, cfg, seed=3)
     for la, lb in zip(a.branch.layers + a.head.layers, b.branch.layers + b.head.layers):
         assert np.array_equal(la.w, lb.w)
+
+
+def _net_bits(scorer):
+    return [a.tobytes() for l in scorer.branch.layers + scorer.head.layers for a in (l.w, l.b)]
+
+
+def test_train_ranker_restores_best_epoch():
+    # the returned nets are those of the best held-out epoch, not the last:
+    # bitwise those of the same seed trained for exactly that many epochs
+    corpus = _small_corpus(n_queries=16)
+    cfg = DetectorConfig(pool=8, branch_width=16, epochs=8, lr=3e-3, batch_queries=4)
+    scorer, hist = train_ranker(corpus, new_scorer(cfg, seed=11), cfg, seed=3)
+    best = int(np.argmax(hist["holdout_accuracy"]))
+    assert 0 < best < cfg.epochs - 1  # later epochs moved the weights away
+    short_cfg = replace(cfg, epochs=best + 1)
+    short, _ = train_ranker(corpus, new_scorer(cfg, seed=11), short_cfg, seed=3)
+    assert _net_bits(scorer) == _net_bits(short)
+
+
+def _query_pair_loss_loop(s_hat, s_true, sharpness):
+    total, pairs = 0.0, 0
+    for m in range(s_true.size):
+        for n in range(s_true.size):
+            if s_true[m] > s_true[n]:
+                total += float(pair_loss(s_hat[m], s_hat[n], 1, sharpness))
+                pairs += 1
+    return total, pairs
+
+
+def test_query_pair_loss_matches_the_pair_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        k = int(rng.integers(1, 12))
+        s_hat = rng.uniform(0.0, 1.0, k) if trial % 3 else rng.standard_normal(k) * 30.0
+        s_true = rng.integers(0, 4, k).astype(np.float64)  # ties contribute no pair
+        sharpness = float(rng.choice([0.5, 1.0, 7.0]))
+        got = det.query_pair_loss(s_hat, s_true, sharpness)
+        want = _query_pair_loss_loop(s_hat, s_true, sharpness)
+        assert got[1] == want[1] and np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+def test_pairwise_accuracy_matches_the_pair_loop():
+    corpus = _small_corpus(n_queries=6, n_levels=5)
+    # tied labels (samplings 1 and 2) and tied logits on ordered pairs (0, 1 and 2, 3)
+    tied = RankQuery(corpus.queries[0].ref_pooled, corpus.queries[0].samp_pooled[[0, 0, 1, 1]],
+                     np.array([1.0, 0.5, 0.5, 0.2]))
+    corpus = RankCorpus(corpus.queries + (tied,), corpus.pool)
+    scorer = new_scorer(DetectorConfig(pool=8, branch_width=16), seed=5)
+    good = total = 0
+    for query in corpus.queries:
+        z, st = det.query_logits(scorer, query), query.s_true
+        for m in range(st.size):
+            for n in range(st.size):
+                if st[m] > st[n]:
+                    total += 1
+                    good += int(z[m] > z[n])
+    assert pairwise_accuracy(scorer, corpus) == good / total
+    assert math.isnan(pairwise_accuracy(scorer, RankCorpus((), 8)))
 
 
 def test_calibration_preserves_ordering_and_anchors():

@@ -27,6 +27,8 @@ from semlink import harness
 from semlink.config import default_config_text
 from semlink.harq import (
     BaselineSessionCtx,
+    HarqSession,
+    RoundRecord,
     SemanticSessionCtx,
     make_baseline_payload,
     run_baseline_session,
@@ -35,7 +37,7 @@ from semlink.harq import (
 from semlink.link import transmit_symbols, transmit_with_state
 from semlink.scenegen import generate_scene
 from semlink.seeding import derive_seed
-from semlink.tensors import apply_mask, importance_map, pack_nonzero, unpack
+from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonzero, unpack
 
 ARTIFACTS = (
     "codec_pair1.ckpt",
@@ -230,6 +232,23 @@ def test_noharq_is_single_round(tiny_bundle):
     assert rec.final_task_loss == ref.final_task_loss
 
 
+@pytest.mark.parametrize(
+    "s_hats,acks,final",
+    [((0.2, 0.9, 0.5), (False, False, False), 2), ((0.2, 0.9, 0.95), (False, False, True), 3),
+     ((None, None, None), (False, False, False), 3)],
+    ids=["best-scored", "acknowledged", "last-unscored"],
+)
+def test_flatten_reports_the_final_rounds_task_loss(s_hats, acks, final):
+    session = HarqSession(mode="sim1", budget=3)
+    for t, (s_hat, ack) in enumerate(zip(s_hats, acks), start=1):
+        cand = FeatureTensor(np.full((1, 2, 2), float(t)))
+        session.rounds.append(RoundRecord(s_hat, 0.1 * t, ack, cand, 10.0 * t))
+    rec = harness._flatten(session, 0, "sim1", 6.0, 0.5, 3)
+    assert rec.final_round == final
+    assert rec.final_task_loss == 10.0 * final
+    assert rec.final_s_true == 0.1 * final
+
+
 def test_run_session_rejects_unknown_mode(tiny_bundle):
     with pytest.raises(ValueError, match="unknown mode"):
         harness.run_session(tiny_bundle, "qpsk", 6.0, idx=0)
@@ -325,7 +344,7 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
 
         session = run_baseline_session(ctx, mode, budget, transmit)
         beta = None
-    return harness._flatten(session, bundle, scene, idx, mode, snr_db, beta, budget)
+    return harness._flatten(session, idx, mode, snr_db, beta, budget)
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,14 @@ from semlink.harq import (
     SemanticSessionCtx,
 )
 from semlink.ofdm import qam_demap_hard, qam_map
-from semlink.scenegen import ProxyHead, SceneConfig, generate_scene, true_similarity
+from semlink.scenegen import (
+    ProxyHead,
+    SceneConfig,
+    confidence_map,
+    generate_scene,
+    perception_loss,
+    true_similarity,
+)
 from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonzero
 
 
@@ -141,7 +148,7 @@ def _fake_session(acks, s_hats=None):
     cand = FeatureTensor(np.zeros((1, 2, 2)))
     for i, ack in enumerate(acks):
         s_hat = None if s_hats is None else s_hats[i]
-        session.rounds.append(RoundRecord(s_hat, 0.0, ack, cand))
+        session.rounds.append(RoundRecord(s_hat, 0.0, ack, cand, 0.0))
     return session
 
 
@@ -431,3 +438,28 @@ def test_session_similarity_is_measured_against_the_reference():
         assert session.rounds_used == 3
         for rec in session.rounds:
             assert rec.s_true == true_similarity(ctx.f_ref, rec.candidate, ctx.scene, HEAD)
+
+
+def test_session_rounds_record_score_and_task_loss_of_their_candidate():
+    # s_hat is the scorer's score of the candidate against the reference and
+    # task_loss its perception loss, both computed afresh here, for sessions
+    # that share a context (and its memo of the reference embedding)
+    semantic = _semantic_ctx(ack_threshold=0.999999)
+    runs = [
+        run_semantic_session(semantic, "sim2", 3, lambda t, s: s + 0.1 * t),
+        run_semantic_session(semantic, "sim1", 3, lambda t, s: s - 0.1 * t),
+    ]
+    ref_map = confidence_map(semantic.f_ref, HEAD)
+    for session in runs:
+        for rec in session.rounds:
+            hyp_map = confidence_map(rec.candidate, HEAD)
+            assert rec.s_hat == det.score(semantic.scorer, ref_map, hyp_map)
+            assert rec.task_loss == perception_loss(rec.candidate, semantic.scene, HEAD)
+
+    def noisy(t, symbols):
+        return symbols + 0.3 * t, np.ones(symbols.size), 0.5
+
+    baseline = _baseline_ctx()
+    session = run_baseline_session(baseline, "base2", 3, noisy)
+    for rec in session.rounds:
+        assert rec.task_loss == perception_loss(rec.candidate, baseline.scene, HEAD)

@@ -1,5 +1,6 @@
 """Dense-network toolkit: forward/backward oracles, optimizers, checkpoints."""
 
+import copy
 import io
 import struct
 
@@ -133,12 +134,64 @@ def test_adam_first_step_matches_scalar_reference():
 def test_adam_weight_decay_decoupled_and_spares_bias():
     rng = np.random.default_rng(14)
     net = init_dense((3, 2), ("linear",), seed=2)
+    w0, b0 = net.layers[0].w.copy(), net.layers[0].b.copy()  # adam_step works in place
     zero = [(np.zeros((3, 2)), np.zeros(2))]
     wd, lr = 0.1, 0.05
     stepped, _ = adam_step(net, zero, AdamState.init(net), lr, weight_decay=wd)
     # zero gradient: the only movement is the decoupled decay on weights
-    assert np.allclose(stepped.layers[0].w, (1 - lr * wd) * net.layers[0].w, rtol=1e-12)
-    assert np.array_equal(stepped.layers[0].b, net.layers[0].b)
+    assert np.allclose(stepped.layers[0].w, (1 - lr * wd) * w0, rtol=1e-12)
+    assert np.array_equal(stepped.layers[0].b, b0)
+
+
+def _adam_step_reference(net, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    """The out-of-place Adam update adam_step must match bit for bit."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    layers = []
+    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(net.layers, grads, state.m, state.v):
+        mw[...] = beta1 * mw + (1 - beta1) * gw
+        mb[...] = beta1 * mb + (1 - beta1) * gb
+        vw[...] = beta2 * vw + (1 - beta2) * gw * gw
+        vb[...] = beta2 * vb + (1 - beta2) * gb * gb
+        w = layer.w - lr * (mw / c1) / (np.sqrt(vw / c2) + eps) - lr * weight_decay * layer.w
+        b = layer.b - lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        layers.append(DenseLayer(w, b, layer.act, layer.prelu_alpha))
+    return DenseNet(layers), state
+
+
+def _bits(net, state):
+    arrays = [a for l in net.layers for a in (l.w, l.b)]
+    arrays += [a for pair in state.m + state.v for a in pair]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 3e-3])
+def test_adam_in_place_matches_reference(weight_decay):
+    rng = np.random.default_rng(21)
+    net = init_dense((5, 7, 3), ("prelu", "linear"), seed=8)
+    # signed zeros: w - step - 0*w turns -0.0 into +0.0, so the decay term
+    # must be applied even when weight_decay is 0
+    net.layers[0].w[0, :3] = -0.0
+    net.layers[1].b[1] = -0.0
+    ref_net = copy.deepcopy(net)
+    state, ref_state = AdamState.init(net), AdamState.init(net)
+    for step in range(6):
+        grads = [(rng.standard_normal(l.w.shape), rng.standard_normal(l.b.shape))
+                 for l in net.layers]
+        if step == 0:
+            grads[0][0][0, :3] = 0.0
+            grads[1][1][1] = 0.0
+        ref_net, ref_state = _adam_step_reference(
+            ref_net, grads, ref_state, 0.01, weight_decay=weight_decay
+        )
+        out, out_state = adam_step(net, grads, state, 0.01, weight_decay=weight_decay)
+        assert out is net and out_state is state
+        assert _bits(net, state) == _bits(ref_net, ref_state)
+        assert state.step == ref_state.step == step + 1
+        for layer, (gw, gb) in zip(net.layers, grads):
+            assert not np.shares_memory(layer.w, gw) and not np.shares_memory(layer.b, gb)
 
 
 def test_checkpoint_round_trip_is_float32_exact():
