@@ -1,9 +1,8 @@
 """Tapped-delay-line fading channel with per-symbol Gauss-Markov evolution.
 
 Each tap is a circular complex Gaussian whose symbol-to-symbol correlation is
-the zeroth-order Bessel value at the Doppler rate. The default evaluation path
-applies the channel multiplicatively on the resource grid; a time-domain
-convolution path exists for equivalence checks against the CP/FFT chain.
+the zeroth-order Bessel value at the Doppler rate. The channel is applied
+multiplicatively on the resource grid.
 """
 
 from __future__ import annotations
@@ -186,29 +185,3 @@ def _noise_rows(noise_seed: int, shape: tuple[int, int], rows) -> np.ndarray:
             rng.standard_normal(out=part[slot[j]] if j in slot else unused)
     return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
 
-
-def apply_time(samples: np.ndarray, real: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
-    """Time-domain tap convolution of CP-extended symbols (noiseless).
-
-    Tap delays must sit on the sample grid and inside the CP; samples that
-    would reach back across the symbol boundary land in the CP region only,
-    which the receiver discards, so they are left zero.
-    """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.shape != (real.n_symbols, cfg.l_cp + cfg.l_fft):
-        raise ValueError(f"sample block shape {samples.shape} does not match config")
-    d_samples = np.asarray(real.delays) * cfg.sample_rate
-    d_int = np.round(d_samples).astype(int)
-    if np.max(np.abs(d_samples - d_int)) > 1e-6:
-        raise ValueError("time-domain path requires tap delays on the sample grid")
-    if np.any(d_int > cfg.l_cp):
-        raise ValueError("tap delays must not exceed the CP length")
-    out = np.zeros_like(samples)
-    for m, d in enumerate(d_int):
-        shifted = np.zeros_like(samples)
-        if d == 0:
-            shifted[:, :] = samples
-        else:
-            shifted[:, d:] = samples[:, :-d]
-        out += real.taps[:, m : m + 1] * shifted
-    return out

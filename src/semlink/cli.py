@@ -8,12 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import harness
-from .config import ExperimentConfig, default_config_text, load_config, with_seed
-
-ALL_MODES = ("noharq", "sim1", "sim2", "base1", "base2")
+from .config import ALL_MODES, ExperimentConfig, default_config_text, load_config, with_seed
 
 
 def build_parser() -> argparse.ArgumentParser:

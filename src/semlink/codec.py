@@ -240,17 +240,16 @@ def _step(
     rng: np.random.Generator,
     states,
     lr: float,
-    task_ctx=None,
-    task_weight: float = 0.5,
-    frozen: "SemanticCodec | None" = None,
-    frozen_rng: np.random.Generator | None = None,
-    weight_decay: float = 0.0,
+    task_ctx,
+    task_weight: float,
+    frozen: "SemanticCodec | None",
 ):
     """One Adam step through encoder, surrogate channel, decoder.
 
     With task_ctx the loss is task_weight * recon + perception; otherwise pure
     reconstruction. With `frozen` set, the loss compares against the residual
-    of the frozen codec's reconstruction over an independent channel draw.
+    of the frozen codec's reconstruction over independent channel draws from
+    the same rng, and Adam applies _PAIR2_WEIGHT_DECAY.
     """
     b, n_in = batch.shape
     enc_out, enc_tape = nnkit.forward_tape(codec.encoder, batch)
@@ -262,7 +261,7 @@ def _step(
     if frozen is not None:
         # average several frozen-pair draws: same conditional-mean target as a
         # single draw, but the label noise no longer drowns the residual signal
-        m_first = surrogate_roundtrip(frozen, batch, snr_db, frozen_rng, _FROZEN_DRAWS)
+        m_first = surrogate_roundtrip(frozen, batch, snr_db, rng, _FROZEN_DRAWS)
         combined = m_first + m_hat
         err = combined - batch
     else:
@@ -271,6 +270,7 @@ def _step(
     recon = float(np.mean(err * err))
     g_mhat = 2.0 * err / err.size
     loss = recon
+    task_mean = 0.0
 
     if task_ctx is not None:
         scenes, masks, shape, head, idx = task_ctx
@@ -291,15 +291,14 @@ def _step(
     enc_grads, _ = nnkit.backward(codec.encoder, enc_tape, g_x)
 
     enc_state, dec_state = states
+    weight_decay = _PAIR2_WEIGHT_DECAY if frozen is not None else 0.0
     codec.encoder, _ = nnkit.adam_step(
         codec.encoder, enc_grads, enc_state, lr, weight_decay=weight_decay
     )
     codec.decoder, _ = nnkit.adam_step(
         codec.decoder, dec_grads, dec_state, lr, weight_decay=weight_decay
     )
-    if task_ctx is not None:
-        return loss, recon, task_mean
-    return loss, recon, 0.0
+    return loss, recon, task_mean
 
 
 _LR_FLOOR = 0.05  # final lr as a fraction of the initial lr (cosine decay)
@@ -318,15 +317,23 @@ def _epoch_lr(lr0: float, epoch: int, total: int) -> float:
     return floor + (lr0 - floor) * 0.5 * (1.0 + math.cos(math.pi * epoch / (total - 1)))
 
 
-def _run_epochs(codec, train_set, cfg, snr_band, n_epochs, rng, states, with_task, curve, frozen, sched):
+def _train(train_set, cfg: CodecConfig, seed: int, snr_band, frozen):
+    """A fresh codec trained for cfg.recon_epochs on reconstruction, then for
+    cfg.task_epochs on the combined task loss, at SNRs drawn from snr_band,
+    with one cosine learning-rate decay over all the epochs."""
+    codec = new_codec(cfg, train_set.packed.shape[1], seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
+    curve = TrainingCurve()
     packed = train_set.packed
     n = packed.shape[0]
-    t0, total = sched
-    for ep in range(n_epochs):
-        lr = _epoch_lr(cfg.lr, t0 + ep, total)
+    n_batches = len(range(0, n, cfg.batch_size))
+    total = cfg.recon_epochs + cfg.task_epochs
+    for epoch in range(total):
+        with_task = epoch >= cfg.recon_epochs
+        lr = _epoch_lr(cfg.lr, epoch, total)
         order = rng.permutation(n)
         ep_loss = ep_recon = ep_task = 0.0
-        n_batches = 0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             snr_db = rng.uniform(*snr_band)
@@ -334,44 +341,16 @@ def _run_epochs(codec, train_set, cfg, snr_band, n_epochs, rng, states, with_tas
             if with_task:
                 task_ctx = (train_set.scenes, train_set.masks, train_set.shape, train_set.head, idx)
             loss, recon, task = _step(
-                codec,
-                packed[idx],
-                snr_db,
-                rng,
-                states,
-                lr,
-                task_ctx,
-                cfg.task_weight,
-                frozen,
-                frozen_rng=rng,
-                weight_decay=_PAIR2_WEIGHT_DECAY if frozen is not None else 0.0,
+                codec, packed[idx], snr_db, rng, states, lr, task_ctx, cfg.task_weight, frozen
             )
             ep_loss += loss
             ep_recon += recon
             ep_task += task
-            n_batches += 1
         if with_task:
             curve.total.append(ep_loss / n_batches)
             curve.task.append(ep_task / n_batches)
         else:
             curve.recon.append(ep_recon / n_batches)
-
-
-def _train(train_set, cfg: CodecConfig, seed: int, snr_band, frozen):
-    """A fresh codec trained for cfg.recon_epochs on reconstruction, then for
-    cfg.task_epochs on the combined task loss, at SNRs drawn from snr_band."""
-    codec = new_codec(cfg, train_set.packed.shape[1], seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
-    curve = TrainingCurve()
-    total = cfg.recon_epochs + cfg.task_epochs
-    for with_task, n_epochs, t0 in (
-        (False, cfg.recon_epochs, 0),
-        (True, cfg.task_epochs, cfg.recon_epochs),
-    ):
-        _run_epochs(
-            codec, train_set, cfg, snr_band, n_epochs, rng, states, with_task, curve, frozen, (t0, total)
-        )
     return codec, curve
 
 

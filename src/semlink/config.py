@@ -24,6 +24,11 @@ from .detector import DetectorConfig
 from .ofdm import QAM_ORDERS, OfdmConfig
 from .scenegen import SceneConfig
 
+# Protocol modes: scorer-acknowledged semantic modes and CRC baselines.
+SEMANTIC_MODES = ("noharq", "sim1", "sim2")
+BASELINE_MODES = ("base1", "base2")
+ALL_MODES = SEMANTIC_MODES + BASELINE_MODES
+
 
 @dataclass(frozen=True)
 class ExperimentSection:
@@ -189,9 +194,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("bad value for experiment.round_budget: must be >= 1")
     if e.workers < 1:
         raise ValueError("bad value for experiment.workers: must be >= 1")
-    known_modes = {"noharq", "sim1", "sim2", "base1", "base2"}
     for mode in e.modes:
-        if mode not in known_modes:
+        if mode not in ALL_MODES:
             raise ValueError(f"bad value for experiment.modes: unknown mode {mode!r}")
     if not 0.0 < cfg.codec.cr <= 1.0:
         raise ValueError("bad value for codec.cr: must be in (0, 1]")

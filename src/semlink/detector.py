@@ -18,7 +18,6 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import nnkit
-from .tensors import ConfidenceMap
 
 
 @dataclass(frozen=True)
@@ -100,36 +99,19 @@ def pool_map(values: np.ndarray, pool: int) -> np.ndarray:
     return out
 
 
-def _as_pooled(m, pool: int) -> np.ndarray:
-    values = m.values if isinstance(m, ConfidenceMap) else np.asarray(m, dtype=np.float64)
-    if values.shape == (pool, pool):
-        return values
-    return pool_map(values, pool)
-
-
-def score(scorer: SimilarityScorer, ref, hyp) -> float:
-    """Similarity score in (0, 1) for a reference/reconstruction map pair."""
-    return float(score_pooled(scorer, _as_pooled(ref, scorer.pool), _as_pooled(hyp, scorer.pool)))
-
-
 def embed_reference(scorer: SimilarityScorer, ref_pooled: np.ndarray) -> np.ndarray:
     """The scorer branch's (1, width) embedding of a pre-pooled reference map."""
     width = scorer.pool * scorer.pool
     return nnkit.forward(scorer.branch, np.asarray(ref_pooled, dtype=np.float64).reshape(1, width))
 
 
-def score_pooled(
-    scorer: SimilarityScorer,
-    ref_pooled: np.ndarray,
-    hyp_pooled: np.ndarray,
-    ref_emb: np.ndarray | None = None,
-):
-    """Score pre-pooled maps; hyp_pooled may carry a leading batch axis.
+def score_pooled(scorer: SimilarityScorer, ref_emb: np.ndarray, hyp_pooled: np.ndarray):
+    """Score pre-pooled maps against a reference embedding; hyp_pooled may
+    carry a leading batch axis.
 
+    ref_emb is embed_reference(scorer, ref_pooled) of the reference map.
     Accepted hyp shapes: (p, p) or (p*p,) for one map, (K, p, p) or
-    (K, p*p) for a batch of K maps. A caller that scores many maps against
-    one reference may pass ref_emb, which must be
-    embed_reference(scorer, ref_pooled), to skip recomputing it.
+    (K, p*p) for a batch of K maps.
     """
     width = scorer.pool * scorer.pool
     hyp = np.asarray(hyp_pooled, dtype=np.float64)
@@ -139,23 +121,15 @@ def score_pooled(
         hyp = hyp.reshape(1, width)
     elif not (hyp.ndim == 2 and hyp.shape[1] == width):
         raise ValueError(f"bad pooled map shape {hyp.shape} for pool {scorer.pool}")
-    emb_ref = embed_reference(scorer, ref_pooled) if ref_emb is None else ref_emb
     emb_hyp = nnkit.forward(scorer.branch, hyp)
-    head_in = np.concatenate([np.repeat(emb_ref, emb_hyp.shape[0], axis=0), emb_hyp], axis=1)
+    head_in = np.concatenate([np.repeat(ref_emb, emb_hyp.shape[0], axis=0), emb_hyp], axis=1)
     s = nnkit.forward(scorer.head, head_in)[:, 0]
     return s if s.size > 1 else float(s[0])
 
 
-def ack_decide(s_hat: float, cfg: DetectorConfig) -> bool:
+def ack_decide(s_hat: float, threshold: float) -> bool:
     """ACK only if the score strictly exceeds the threshold; ties are NACK."""
-    return bool(s_hat > cfg.ack_threshold)
-
-
-def pair_probability(s_m: float, s_n: float, sharpness: float = 1.0):
-    """Modeled probability that sample m outranks sample n."""
-    d = sharpness * (np.asarray(s_m, dtype=np.float64) - np.asarray(s_n, dtype=np.float64))
-    p = nnkit.sigmoid(np.atleast_1d(d))
-    return p.reshape(np.shape(d)) if np.ndim(d) else float(p[0])
+    return bool(s_hat > threshold)
 
 
 def pair_loss(s_m, s_n, order: int, sharpness: float = 1.0):
@@ -323,7 +297,8 @@ def query_pair_loss(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float):
 
 
 def query_scores(scorer: SimilarityScorer, query: RankQuery) -> np.ndarray:
-    s = score_pooled(scorer, query.ref_pooled, query.samp_pooled.reshape(query.s_true.size, -1))
+    ref_emb = embed_reference(scorer, query.ref_pooled)
+    s = score_pooled(scorer, ref_emb, query.samp_pooled.reshape(query.s_true.size, -1))
     return np.atleast_1d(s)
 
 
@@ -413,7 +388,7 @@ def build_corpus(
     """
     from . import codec as codec_mod
     from .link import LinkSeeds, transmit_symbols
-    from .scenegen import confidence_map, generate_scene, true_similarity
+    from .scenegen import confidence_map, generate_scene, perception_loss, true_similarity
     from .seeding import derive_seed
     from .tensors import apply_mask, importance_map, pack_nonzero, unpack
 
@@ -425,6 +400,7 @@ def build_corpus(
         f_ref = apply_mask(f, mask)
         packed = pack_nonzero(f, mask)
         ref_pooled = pool_map(confidence_map(f_ref, head).values, pool)
+        ref_loss = perception_loss(f_ref, scene, head)
         symbols = codec_mod.encode(codec_obj, packed)
         samp, s_true = [], []
         for k, snr_db in enumerate(cfg.corpus_snr_db):
@@ -438,7 +414,7 @@ def build_corpus(
             )
             f_hat = unpack(codec_mod.decode(codec_obj, rx), mask, f.shape)
             samp.append(pool_map(confidence_map(f_hat, head).values, pool))
-            s_true.append(true_similarity(f_ref, f_hat, scene, head))
+            s_true.append(true_similarity(ref_loss, perception_loss(f_hat, scene, head)))
         queries.append(RankQuery(ref_pooled, np.stack(samp), np.asarray(s_true)))
     return RankCorpus(tuple(queries), pool)
 

@@ -8,13 +8,12 @@ are byte-identical regardless of the worker count.
 A sweep is therefore a common-random-number design, and run_sweep exploits
 it: it runs the grid one session index at a time, and every (mode, SNR) of
 that index shares one SessionCache. The cache holds what depends on the index
-alone: the scene; the semantic mask, reference and packed vector with their
-pooled reference map, its scorer embedding, reference perception loss and
-both pairs' symbols; the whole baseline session context (quantizer, payload
-bits, reference, QAM chunk); and per round the link's seed-determined draws
-(pilots, channel realization, H and unit-variance noise on the simulated
-rows). A cache lives for one index of one run_sweep call, so memory does not
-grow with the number of sessions and no later sweep starts warm.
+alone: the scene, its harq.SemanticSource and harq.BaselineSource (each
+computes its codewords and reference values once, for every session that
+runs from it), and per round the link's seed-determined draws (pilots,
+channel realization, H and unit-variance noise on the simulated rows). A
+cache lives for one index of one run_sweep call, so memory does not grow
+with the number of sessions and no later sweep starts warm.
 """
 
 from __future__ import annotations
@@ -22,31 +21,27 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import codec as codec_mod
 from . import detector as det_mod
-from .config import ExperimentConfig
+from .config import BASELINE_MODES, SEMANTIC_MODES, ExperimentConfig
 from .harq import (
-    BaselineSessionCtx,
+    BaselineSource,
     HarqSession,
+    SemanticSource,
     finalize,
-    make_baseline_payload,
     run_baseline_session,
     run_semantic_session,
-    SemanticSessionCtx,
     throughput,
 )
 from .link import LinkSeeds, RoundDraws, transmit_symbols, transmit_with_state
 from .scenegen import ProxyHead, generate_scene
 from .seeding import derive_seed
-from .tensors import apply_mask, importance_map, pack_nonzero, unpack
-
-SEMANTIC_MODES = ("noharq", "sim1", "sim2")
-BASELINE_MODES = ("base1", "base2")
+from .tensors import importance_map, pack_nonzero
 
 CODEC_PAIR1 = "codec_pair1.ckpt"
 CODEC_PAIR2 = "codec_pair2.ckpt"
@@ -256,11 +251,10 @@ def _session_seeds(ms: int, idx: int, t: int) -> LinkSeeds:
 class SessionCache:
     """What every mode, SNR and threshold of session index `idx` share.
 
-    Each part is made on first use: the scene; for the semantic modes the
-    mask, the masked reference, the packed vector and a memo of the pooled
-    reference map, its scorer embedding, the reference perception loss and
-    each codec pair's symbols; for the baselines the whole session context;
-    per round the link's RoundDraws. Sharing one cache changes no result: every part is a
+    Each part is made on first use: the scene, its semantic and baseline
+    sources, and per round the link's RoundDraws. A sweep of baseline modes
+    alone never builds the semantic source, so it runs on a bundle without
+    codecs or scorer. Sharing one cache changes no result: every part is a
     function of the bundle and the index only.
     """
 
@@ -277,27 +271,20 @@ class SessionCache:
         return generate_scene(seed, cfg.scene, self.bundle.head)
 
     @functools.cached_property
-    def semantic(self):
-        """(mask, f_ref, packed, memo) of the semantic modes."""
-        _, f = self.scene
-        mask = importance_map(f, self.bundle.cfg.codec.cr)
-        packed = pack_nonzero(f, mask)
-        packed.setflags(write=False)
-        return mask, apply_mask(f, mask), packed, {}
+    def semantic(self) -> SemanticSource:
+        b = self.bundle
+        scene, f = self.scene
+        return SemanticSource(
+            b.codec_pair1, b.codec_pair2, b.scorer, b.head, scene, f, b.cfg.codec.cr
+        )
 
     @functools.cached_property
-    def baseline(self) -> BaselineSessionCtx:
+    def baseline(self) -> BaselineSource:
         cfg = self.bundle.cfg
         scene, f = self.scene
-        mask = importance_map(f, cfg.baseline_cr())
-        packed = pack_nonzero(f, mask)
-        quant, payload_bits = make_baseline_payload(packed)
-        payload_bits.setflags(write=False)
-        f_ref = unpack(quant.dequantize(quant.quantize(packed)), mask, f.shape)
-        return BaselineSessionCtx(
-            cfg.baseline.mod_order,
-            cfg.baseline.code_copies,
-            quant, payload_bits, self.bundle.head, scene, mask, f.shape, f_ref,
+        return BaselineSource(
+            self.bundle.head, scene, f, cfg.baseline_cr(),
+            cfg.baseline.mod_order, cfg.baseline.code_copies,
         )
 
     def draws(self, t: int) -> RoundDraws:
@@ -306,6 +293,11 @@ class SessionCache:
             seeds = _session_seeds(self.bundle.cfg.experiment.master_seed, self.idx, t)
             self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.profile, seeds)
         return self._draws[t]
+
+
+def _check_beta(beta: float | None) -> None:
+    if beta is not None and not 0.0 < beta < 1.0:
+        raise ValueError(f"bad value for beta: must be in (0, 1), got {beta}")
 
 
 def run_session(
@@ -319,41 +311,33 @@ def run_session(
 ) -> SessionRecord:
     """Run one seeded protocol session and flatten it into a record.
 
-    `cache` is the SessionCache of this bundle and index that other sessions
-    of the same index share; run_sweep makes one per index and drops it when
-    the index is done. Without one the session makes its own, and its record
-    is the same.
+    `beta` overrides the config's acknowledgement threshold. `cache` is the
+    SessionCache of this bundle and index that other sessions of the same
+    index share; run_sweep makes one per index and drops it when the index
+    is done. Without one the session makes its own, and its record is the
+    same.
     """
+    _check_beta(beta)
     if cache is None:
         cache = SessionCache(bundle, idx)
     elif cache.bundle is not bundle or cache.idx != idx:
         raise ValueError(f"session cache of index {cache.idx} used for index {idx}")
     cfg = bundle.cfg
     budget = cfg.experiment.round_budget if budget is None else budget
-    scene, f = cache.scene
 
     if mode in SEMANTIC_MODES:
-        det_cfg = cfg.detector
-        if beta is not None:
-            det_cfg = replace(det_cfg, ack_threshold=beta)
-        mask, f_ref, packed, memo = cache.semantic
-        first = bundle.codec_pair1
-        second = bundle.codec_pair2 if mode == "sim2" else None
-        ctx = SemanticSessionCtx(
-            first, second, bundle.scorer, det_cfg, bundle.head,
-            scene, mask, f.shape, f_ref, packed, memo,
-        )
+        src = cache.semantic
+        threshold = cfg.detector.ack_threshold if beta is None else beta
 
         def transmit(t, symbols):
             draws = cache.draws(t)
             return transmit_symbols(
-                symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, first.signal_power,
+                symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, src.first.signal_power,
                 draws=draws,
             )
 
-        proto = "sim1" if mode == "noharq" else mode
-        session = run_semantic_session(ctx, proto, 1 if mode == "noharq" else budget, transmit)
-        used_beta = det_cfg.ack_threshold
+        proto, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
+        session = run_semantic_session(src, proto, rounds, threshold, transmit)
     elif mode in BASELINE_MODES:
 
         def transmit(t, symbols):
@@ -363,11 +347,11 @@ def run_session(
             )
 
         session = run_baseline_session(cache.baseline, mode, budget, transmit)
-        used_beta = None
+        threshold = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    return _flatten(session, idx, mode, snr_db, used_beta, budget)
+    return _flatten(session, idx, mode, snr_db, threshold, budget)
 
 
 def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRecord:
@@ -447,6 +431,7 @@ def run_sweep(
     for name, value in (("sessions", sessions), ("workers", workers), ("budget", budget_eff)):
         if value < 1:
             raise ValueError(f"bad value for {name}: must be >= 1, got {value}")
+    _check_beta(beta)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     modes = tuple(modes)

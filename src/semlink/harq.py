@@ -6,28 +6,33 @@ its candidate, while the two-pair variant sends the second codec from round
 two on and sums the decoded messages. The baseline quantizes to 8 bits,
 appends a CRC-24, maps to Gray QAM with a rate-1/copies repetition code, and
 either chase-combines full retransmissions or accumulates one copy per round.
+
+A session runs from a source (SemanticSource, BaselineSource): one scene's
+mask, reference and payload, and what every session of that scene derives
+from them, computed once. What varies by session (mode, round budget,
+threshold, channel) is an argument of the session function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import codec as codec_mod
-from .detector import (
-    DetectorConfig,
-    SimilarityScorer,
-    ack_decide,
-    embed_reference,
-    pool_map,
-    score_pooled,
-)
+from .detector import SimilarityScorer, ack_decide, embed_reference, pool_map, score_pooled
 from .ofdm import qam_demap_hard, qam_map
 from .scenegen import ProxyHead, Scene, confidence_map, perception_loss, true_similarity
-from .tensors import FeatureTensor, ImportanceMask, unpack
+from .tensors import (
+    FeatureTensor,
+    _frozen,
+    apply_mask,
+    importance_map,
+    pack_nonzero,
+    unpack,
+)
 
 CRC24_POLY = 0x864CFB
 CRC24_BITS = 24
@@ -177,87 +182,85 @@ def throughput(sessions) -> float:
     return sum(1 for s in sessions if s.ack_round > 0) / total_rounds
 
 
-@dataclass(frozen=True)
-class SemanticSessionCtx:
-    """Everything a semantic session needs besides the per-round channel."""
+class SemanticSource:
+    """One scene's semantic transmission, and what every session of it derives.
 
-    first: codec_mod.SemanticCodec
-    second: codec_mod.SemanticCodec | None
-    scorer: SimilarityScorer
-    det_cfg: DetectorConfig
-    head: ProxyHead
-    scene: Scene
-    mask: ImportanceMask
-    shape: tuple[int, int, int]
-    f_ref: FeatureTensor
-    packed: np.ndarray
-    # Memo of values the session derives from the fields above, filled on first
-    # use: "ref_pooled" (f_ref's confidence map at the scorer's pool),
-    # "ref_emb" (the scorer branch's embedding of it), "ref_loss"
-    # (perception_loss of f_ref), "first" and "second" (each pair's symbols).
-    # Contexts may share one memo if they agree on every field but det_cfg
-    # and second; harness.SessionCache shares one per session index.
-    shared: dict = field(default_factory=dict)
+    The feature f is masked at ratio cr (fixed for the whole session) and
+    packed. The pooled reference map, its scorer embedding, the reference
+    perception loss and each pair's symbols are computed on first use and
+    kept; none depends on mode, SNR or threshold, so sessions may share one
+    source (harness.SessionCache). Every array it hands out is read-only.
+    """
+
+    def __init__(
+        self, first: codec_mod.SemanticCodec, second: codec_mod.SemanticCodec | None,
+        scorer: SimilarityScorer, head: ProxyHead, scene: Scene, f: FeatureTensor, cr: float,
+    ):
+        self.first = first
+        self.second = second  # None: the source cannot run mode sim2
+        self.scorer = scorer
+        self.head = head
+        self.scene = scene
+        self.mask = importance_map(f, cr)
+        self.f_ref = apply_mask(f, self.mask)
+        self.packed = _frozen(pack_nonzero(f, self.mask))
+
+    @functools.cached_property
+    def ref_pooled(self) -> np.ndarray:
+        """f_ref's confidence map pooled to the scorer's grid."""
+        return _frozen(pool_map(confidence_map(self.f_ref, self.head).values, self.scorer.pool))
+
+    @functools.cached_property
+    def ref_emb(self) -> np.ndarray:
+        """The scorer branch's embedding of ref_pooled."""
+        return _frozen(embed_reference(self.scorer, self.ref_pooled))
+
+    @functools.cached_property
+    def ref_loss(self) -> float:
+        return perception_loss(self.f_ref, self.scene, self.head)
+
+    @functools.cached_property
+    def sym_first(self) -> np.ndarray:
+        return _frozen(codec_mod.encode(self.first, self.packed))
+
+    @functools.cached_property
+    def sym_second(self) -> np.ndarray:
+        return _frozen(codec_mod.encode(self.second, self.packed))
 
 
-def _shared(ctx, key: str, compute: Callable[[], object]):
-    """ctx.shared[key], computed and stored (read-only if an array) on first use."""
-    if key not in ctx.shared:
-        value = compute()
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        ctx.shared[key] = value
-    return ctx.shared[key]
-
-
-def _score_candidate(ctx: SemanticSessionCtx, ref_pooled: np.ndarray, candidate: FeatureTensor):
-    hyp = pool_map(confidence_map(candidate, ctx.head).values, ctx.scorer.pool)
-    ref_emb = _shared(ctx, "ref_emb", lambda: embed_reference(ctx.scorer, ref_pooled))
-    s_hat = float(score_pooled(ctx.scorer, ref_pooled, hyp, ref_emb))
-    return s_hat, ack_decide(s_hat, ctx.det_cfg)
-
-
-def run_semantic_session(ctx: SemanticSessionCtx, mode: str, budget: int, transmit) -> HarqSession:
+def run_semantic_session(
+    src: SemanticSource, mode: str, budget: int, threshold: float, transmit
+) -> HarqSession:
     """Run up to `budget` rounds of a semantic session.
 
     mode "sim1" resends the same first-pair symbols every round and keeps the
     latest decoded message as candidate; mode "sim2" switches to the second
     pair from round two and its candidate is the unpacked sum of all decoded
-    messages. `transmit(round_idx, symbols)` realizes one channel round trip;
-    the importance mask is fixed at round one for the whole session.
+    messages. A round is acknowledged when the scorer's score of its
+    candidate exceeds `threshold` (ack_decide). `transmit(round_idx, symbols)`
+    realizes one channel round trip.
     """
     if mode not in ("sim1", "sim2"):
         raise ValueError(f"unknown semantic mode {mode!r}")
-    if mode == "sim2" and ctx.second is None:
+    if mode == "sim2" and src.second is None:
         raise ValueError("mode sim2 needs a second codec pair")
     if budget < 1:
         raise ValueError("round budget must be at least 1")
 
-    ref_pooled = _shared(
-        ctx, "ref_pooled",
-        lambda: pool_map(confidence_map(ctx.f_ref, ctx.head).values, ctx.scorer.pool),
-    )
-    ref_loss = _shared(ctx, "ref_loss", lambda: perception_loss(ctx.f_ref, ctx.scene, ctx.head))
-    sym_first = _shared(ctx, "first", lambda: codec_mod.encode(ctx.first, ctx.packed))
     session = HarqSession(mode=mode, budget=budget)
-    msg_sum = None
     for t in range(1, budget + 1):
         if mode == "sim1" or t == 1:
-            m_hat = codec_mod.decode(ctx.first, transmit(t, sym_first))
-            candidate_packed = m_hat if mode == "sim1" else m_hat.copy()
-            if mode == "sim2":
-                msg_sum = candidate_packed
+            message = codec_mod.decode(src.first, transmit(t, src.sym_first))
         else:
-            sym_second = _shared(ctx, "second", lambda: codec_mod.encode(ctx.second, ctx.packed))
-            msg_sum = msg_sum + codec_mod.decode(ctx.second, transmit(t, sym_second))
-            candidate_packed = msg_sum
-        candidate = unpack(candidate_packed, ctx.mask, ctx.shape)
-        s_hat, ack = _score_candidate(ctx, ref_pooled, candidate)
-        loss = perception_loss(candidate, ctx.scene, ctx.head)
-        s_true = true_similarity(
-            ctx.f_ref, candidate, ctx.scene, ctx.head, ref_loss=ref_loss, hat_loss=loss
+            message = message + codec_mod.decode(src.second, transmit(t, src.sym_second))
+        candidate = unpack(message, src.mask, src.f_ref.shape)
+        hyp = pool_map(confidence_map(candidate, src.head).values, src.scorer.pool)
+        s_hat = float(score_pooled(src.scorer, src.ref_emb, hyp))
+        ack = ack_decide(s_hat, threshold)
+        loss = perception_loss(candidate, src.scene, src.head)
+        session.rounds.append(
+            RoundRecord(s_hat, true_similarity(src.ref_loss, loss), ack, candidate, loss)
         )
-        session.rounds.append(RoundRecord(s_hat, s_true, ack, candidate, loss))
         if ack:
             break
     return session
@@ -290,55 +293,60 @@ class ChaseCombiner:
         return self.num / self.den
 
 
-@dataclass(frozen=True)
-class BaselineSessionCtx:
-    """Fixed context for a quantize+CRC+QAM baseline session."""
+class BaselineSource:
+    """One scene's quantize+CRC+QAM transmission, and what every session of it derives.
 
-    mod_order: int
-    copies: int  # rate-1/copies repetition code: every copy is the same chunk
-    quantizer: Quantizer8
-    payload_bits: np.ndarray  # quantized bits with CRC appended
-    head: ProxyHead
-    scene: Scene
-    mask: ImportanceMask
-    shape: tuple[int, int, int]
-    f_ref: FeatureTensor  # dequantized transmitted content
-    # Memo of what the session derives from the fields above: "chunk" (the
-    # QAM chunk), "codeword" (ctx.copies chunks) and "ref_loss"
-    # (perception_loss of f_ref). Nothing here depends on mode or SNR, so
-    # sessions may share one context (harness.SessionCache).
-    shared: dict = field(default_factory=dict)
+    The feature f is masked at ratio cr, its packed values quantized to 8 bits
+    and the CRC appended; f_ref is the dequantized content. The QAM chunk,
+    the codeword (`copies` chunks: a rate-1/copies repetition code) and the
+    reference perception loss are computed on first use and kept, like
+    SemanticSource's. Every array it hands out is read-only.
+    """
+
+    def __init__(
+        self, head: ProxyHead, scene: Scene, f: FeatureTensor, cr: float, mod_order: int, copies: int
+    ):
+        self.head = head
+        self.scene = scene
+        self.mod_order = mod_order
+        self.copies = copies
+        self.mask = importance_map(f, cr)
+        packed = pack_nonzero(f, self.mask)
+        self.quantizer = fit_quantizer(packed)
+        codes = self.quantizer.quantize(packed)
+        self.payload_bits = _frozen(append_crc24(bytes_to_bits(codes)))
+        self.f_ref = unpack(self.quantizer.dequantize(codes), self.mask, f.shape)
+
+    @functools.cached_property
+    def chunk(self) -> np.ndarray:
+        """QAM symbols of one code chunk: the payload bits, zero-padded to whole symbols."""
+        bits = self.payload_bits
+        bps = int(math.log2(self.mod_order))
+        pad = (-bits.size) % bps
+        if pad:
+            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+        return _frozen(qam_map(bits, self.mod_order))
+
+    @functools.cached_property
+    def codeword(self) -> np.ndarray:
+        return _frozen(np.tile(self.chunk, self.copies))
+
+    @functools.cached_property
+    def ref_loss(self) -> float:
+        return perception_loss(self.f_ref, self.scene, self.head)
+
+    def decode(self, combined: np.ndarray) -> tuple[bool, FeatureTensor]:
+        """Whether the CRC of a combined chunk passes, and its candidate."""
+        bits = qam_demap_hard(combined, self.mod_order)[: self.payload_bits.size]
+        ack = verify_crc24(bits)
+        codes = bits_to_bytes(bits[: bits.size - CRC24_BITS])
+        return ack, unpack(self.quantizer.dequantize(codes), self.mask, self.f_ref.shape)
 
 
-def make_baseline_payload(packed: np.ndarray) -> tuple[Quantizer8, np.ndarray]:
-    """Quantize a packed vector and append the CRC."""
-    quant = fit_quantizer(packed)
-    return quant, append_crc24(bytes_to_bits(quant.quantize(packed)))
-
-
-def _chunk_symbols(ctx: BaselineSessionCtx) -> np.ndarray:
-    """QAM symbols of one code chunk: the payload bits, zero-padded to whole symbols."""
-    bits = ctx.payload_bits
-    bps = int(math.log2(ctx.mod_order))
-    pad = (-bits.size) % bps
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    return qam_map(bits, ctx.mod_order)
-
-
-def _decode_combined(ctx: BaselineSessionCtx, combined: np.ndarray):
-    bits = qam_demap_hard(combined, ctx.mod_order)[: ctx.payload_bits.size]
-    ack = verify_crc24(bits)
-    codes = bits_to_bytes(bits[: bits.size - CRC24_BITS])
-    values = ctx.quantizer.dequantize(codes)
-    candidate = unpack(values, ctx.mask, ctx.shape)
-    return ack, candidate
-
-
-def run_baseline_session(ctx: BaselineSessionCtx, mode: str, budget: int, transmit) -> HarqSession:
+def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) -> HarqSession:
     """Run up to `budget` rounds of the classical baseline.
 
-    mode "base1" retransmits the full codeword (ctx.copies copies of the
+    mode "base1" retransmits the full codeword (src.copies copies of the
     chunk) and chase-combines every copy; mode "base2" sends one copy per
     round, accumulating copies in the same combiner.
     `transmit(round_idx, symbols)` must return (equalized, est_h, noise_var).
@@ -347,27 +355,23 @@ def run_baseline_session(ctx: BaselineSessionCtx, mode: str, budget: int, transm
         raise ValueError(f"unknown baseline mode {mode!r}")
     if budget < 1:
         raise ValueError("round budget must be at least 1")
-    chunk = _shared(ctx, "chunk", lambda: _chunk_symbols(ctx))
-    ref_loss = _shared(ctx, "ref_loss", lambda: perception_loss(ctx.f_ref, ctx.scene, ctx.head))
-    n_chunk = chunk.size
+    n_chunk = src.chunk.size
     combiner = ChaseCombiner(n_chunk)
     session = HarqSession(mode=mode, budget=budget)
     for t in range(1, budget + 1):
         if mode == "base1":
-            codeword = _shared(ctx, "codeword", lambda: np.tile(chunk, ctx.copies))
-            eq, h, noise_var = transmit(t, codeword)
-            for i in range(ctx.copies):
+            eq, h, noise_var = transmit(t, src.codeword)
+            for i in range(src.copies):
                 sl = slice(i * n_chunk, (i + 1) * n_chunk)
                 combiner.add(eq[sl], h[sl], noise_var)
         else:
-            eq, h, noise_var = transmit(t, chunk)
+            eq, h, noise_var = transmit(t, src.chunk)
             combiner.add(eq, h, noise_var)
-        ack, candidate = _decode_combined(ctx, combiner.combined())
-        loss = perception_loss(candidate, ctx.scene, ctx.head)
-        s_true = true_similarity(
-            ctx.f_ref, candidate, ctx.scene, ctx.head, ref_loss=ref_loss, hat_loss=loss
+        ack, candidate = src.decode(combiner.combined())
+        loss = perception_loss(candidate, src.scene, src.head)
+        session.rounds.append(
+            RoundRecord(None, true_similarity(src.ref_loss, loss), ack, candidate, loss)
         )
-        session.rounds.append(RoundRecord(None, s_true, ack, candidate, loss))
         if ack:
             break
     return session

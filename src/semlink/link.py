@@ -21,9 +21,9 @@ is bitwise equal to it (tests/test_link.py, and the link_fast_path golden).
 What a round draws from its seeds (pilot rows, channel realization, H on the
 simulated rows, unit-variance noise on them) does not depend on the payload
 or the SNR. A RoundDraws holds them; one instance passed to every transmit
-call with the same seeds computes them once for all those calls. Sweeps pass
-one per session index and round (harness.SessionCache); the corpus and every
-other caller pass none, and each call then makes its own.
+call with the same seeds computes them once for all those calls. A sweep's
+harness.SessionCache keeps one per session index and round, beside the harq
+sources that keep the symbols; other callers pass none and make their own.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 
 from . import channel as chan
 from . import ofdm, rxdsp
+from .tensors import _frozen
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,6 @@ class RoundDraws:
             shape = (self.cfg.n_symbols, self.cfg.l_fft)
             self._noise[rows] = _frozen(chan._noise_rows(self.seeds.noise, shape, rows))
         return self._noise[rows]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _transmit(

@@ -197,26 +197,13 @@ def confidence_map(f: FeatureTensor, head: ProxyHead) -> ConfidenceMap:
     return ConfidenceMap(sigmoid(logits))
 
 
-def true_similarity(
-    f_ref: FeatureTensor,
-    f_hat: FeatureTensor,
-    scene: Scene,
-    head: ProxyHead,
-    cap: float = SIMILARITY_CAP,
-    ref_loss: float | None = None,
-    hat_loss: float | None = None,
-) -> float:
-    """Semantic similarity: capped negative log10 of the perception-loss gap.
+def true_similarity(ref_loss: float, hat_loss: float) -> float:
+    """Semantic similarity from the perception losses of a reference and a
+    reconstruction: the negative log10 of their gap, capped at SIMILARITY_CAP.
 
-    Equal losses saturate at the cap; a loss gap of 10^-k scores k. A caller
-    that already has either loss may pass it to skip recomputing it: ref_loss
-    must be perception_loss(f_ref, scene, head), hat_loss that of f_hat.
+    Equal losses saturate at the cap; a loss gap of 10^-k scores k.
     """
-    if ref_loss is None:
-        ref_loss = perception_loss(f_ref, scene, head)
-    if hat_loss is None:
-        hat_loss = perception_loss(f_hat, scene, head)
     gap = abs(ref_loss - hat_loss)
     if gap == 0.0:
-        return float(cap)
-    return float(min(cap, -math.log10(gap)))
+        return float(SIMILARITY_CAP)
+    return float(min(SIMILARITY_CAP, -math.log10(gap)))

@@ -8,7 +8,6 @@ from semlink.channel import (
     ChannelProfile,
     ChannelRealization,
     apply,
-    apply_time,
     default_profile,
     doppler_frequency,
     freq_response,
@@ -20,6 +19,33 @@ from semlink.ofdm import OfdmConfig
 
 CFG = OfdmConfig(l_fft=64, n_symbols=14, l_cp=8)
 FULL = OfdmConfig()
+
+
+def apply_time(samples: np.ndarray, real: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
+    """Time-domain tap convolution of CP-extended symbols (noiseless).
+
+    Tap delays must sit on the sample grid and inside the CP; samples that
+    would reach back across the symbol boundary land in the CP region only,
+    which the receiver discards, so they are left zero.
+    """
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.shape != (real.n_symbols, cfg.l_cp + cfg.l_fft):
+        raise ValueError(f"sample block shape {samples.shape} does not match config")
+    d_samples = np.asarray(real.delays) * cfg.sample_rate
+    d_int = np.round(d_samples).astype(int)
+    if np.max(np.abs(d_samples - d_int)) > 1e-6:
+        raise ValueError("time-domain path requires tap delays on the sample grid")
+    if np.any(d_int > cfg.l_cp):
+        raise ValueError("tap delays must not exceed the CP length")
+    out = np.zeros_like(samples)
+    for m, d in enumerate(d_int):
+        shifted = np.zeros_like(samples)
+        if d == 0:
+            shifted[:, :] = samples
+        else:
+            shifted[:, d:] = samples[:, :-d]
+        out += real.taps[:, m : m + 1] * shifted
+    return out
 
 
 def test_default_profile_shape():

@@ -296,8 +296,7 @@ def test_fused_pair2_step_matches_sequential_draws(rows, with_task, monkeypatch)
         rng = np.random.default_rng(4)
         for _ in range(2):  # the second step runs on moved weights and moments
             losses = codec_mod._step(
-                codec, ts.packed[idx], 2.5, rng, states, 2e-3, task_ctx, 0.5, frozen,
-                frozen_rng=rng, weight_decay=codec_mod._PAIR2_WEIGHT_DECAY,
+                codec, ts.packed[idx], 2.5, rng, states, 2e-3, task_ctx, 0.5, frozen
             )
         results.append((losses, _state_bits(codec, states), rng.bit_generator.state))
     assert results[0] == results[1]

@@ -11,7 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,25 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_config
+from conftest import score, tiny_config
 from semlink import codec
 from semlink import config as config_mod
 from semlink import detector
 from semlink import harness
 from semlink.config import default_config_text
 from semlink.harq import (
-    BaselineSessionCtx,
+    BaselineSource,
     HarqSession,
     RoundRecord,
-    SemanticSessionCtx,
-    make_baseline_payload,
+    SemanticSource,
     run_baseline_session,
     run_semantic_session,
 )
 from semlink.link import transmit_symbols, transmit_with_state
 from semlink.scenegen import generate_scene
 from semlink.seeding import derive_seed
-from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonzero, unpack
+from semlink.tensors import FeatureTensor
 
 ARTIFACTS = (
     "codec_pair1.ckpt",
@@ -170,9 +169,7 @@ def test_load_bundle_matches_training(tmp_path):
         codec.encode(loaded.codec_pair1, x), codec.encode(trained.codec_pair1, x)
     )
     field = np.linspace(0.0, 1.0, 64).reshape(8, 8)
-    assert detector.score(loaded.scorer, field, field) == detector.score(
-        trained.scorer, field, field
-    )
+    assert score(loaded.scorer, field, field) == score(trained.scorer, field, field)
 
 
 def test_corpus_rebuild_matches_training(tiny_dir, tmp_path):
@@ -309,18 +306,16 @@ SWEEP_BETA = 0.9505
 
 def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
     """A session built from the package's parts with no SessionCache and no
-    RoundDraws: the scene, codewords and link draws are all made afresh,
+    RoundDraws: the scene, its source and link draws are all made afresh,
     round t's link call from the seeds of (master seed, idx, t)."""
     cfg = bundle.cfg
     ms = cfg.experiment.master_seed
     profile = cfg.channel_profile()
     scene, f = generate_scene(derive_seed(ms, "session-scene", idx), cfg.scene, bundle.head)
     if mode in harness.SEMANTIC_MODES:
-        mask = importance_map(f, cfg.codec.cr)
-        ctx = SemanticSessionCtx(
-            bundle.codec_pair1, bundle.codec_pair2 if mode == "sim2" else None, bundle.scorer,
-            replace(cfg.detector, ack_threshold=beta), bundle.head,
-            scene, mask, f.shape, apply_mask(f, mask), pack_nonzero(f, mask),
+        src = SemanticSource(
+            bundle.codec_pair1, bundle.codec_pair2, bundle.scorer, bundle.head,
+            scene, f, cfg.codec.cr,
         )
 
         def transmit(t, x):
@@ -328,21 +323,17 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
             return transmit_symbols(x, cfg.ofdm, profile, snr_db, seeds, bundle.codec_pair1.signal_power)
 
         protocol, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
-        session = run_semantic_session(ctx, protocol, rounds, transmit)
+        session = run_semantic_session(src, protocol, rounds, beta, transmit)
     else:
-        mask = importance_map(f, cfg.baseline_cr())
-        packed = pack_nonzero(f, mask)
-        quant, bits = make_baseline_payload(packed)
-        f_ref = unpack(quant.dequantize(quant.quantize(packed)), mask, f.shape)
-        ctx = BaselineSessionCtx(
-            cfg.baseline.mod_order, cfg.baseline.code_copies, quant, bits, bundle.head,
-            scene, mask, f.shape, f_ref,
+        src = BaselineSource(
+            bundle.head, scene, f, cfg.baseline_cr(),
+            cfg.baseline.mod_order, cfg.baseline.code_copies,
         )
 
         def transmit(t, x):
             return transmit_with_state(x, cfg.ofdm, profile, snr_db, harness._session_seeds(ms, idx, t))
 
-        session = run_baseline_session(ctx, mode, budget, transmit)
+        session = run_baseline_session(src, mode, budget, transmit)
         beta = None
     return harness._flatten(session, idx, mode, snr_db, beta, budget)
 
@@ -393,6 +384,34 @@ def test_session_with_shared_cache_matches_uncached(tiny_bundle):
     base1 = harness.run_session(tiny_bundle, "base1", 0.0, idx, cache=cache)
     assert base1.rounds_used > 1
     assert base1 == harness.run_session(tiny_bundle, "base1", 0.0, idx)
+
+
+def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
+    # the baseline modes read only the proxy head, so they run on a bundle
+    # without codecs or scorer and write the bytes of the trained bundle;
+    # their sessions never build a semantic source
+    cfg = tiny_bundle.cfg
+    bare = harness.RuntimeBundle(cfg, harness.make_head(cfg), None, None, None)
+    for name, bundle in (("trained", tiny_bundle), ("bare", bare)):
+        harness.run_sweep(
+            bundle, ("base1", "base2"), SWEEP_SNRS, tmp_path / name, sessions=3, budget=2
+        )
+    for name in ("sessions.csv", "summary.csv"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "trained" / name).read_bytes()
+    cache = harness.SessionCache(bare, 0)
+    for mode in ("base1", "base2"):
+        harness.run_session(bare, mode, 0.0, 0, cache=cache)
+    assert "semantic" not in vars(cache)
+
+
+@pytest.mark.parametrize("mode", ["sim1", "base1"])
+@pytest.mark.parametrize("beta", [1.5, 0.0, float("nan")])
+def test_sessions_reject_bad_beta(tiny_bundle, tmp_path, mode, beta):
+    with pytest.raises(ValueError, match="beta"):
+        harness.run_session(tiny_bundle, mode, 6.0, 0, beta=beta)
+    with pytest.raises(ValueError, match="beta"):
+        harness.run_sweep(tiny_bundle, (mode,), (6.0,), tmp_path / "out", sessions=1, beta=beta)
+    assert not (tmp_path / "out").exists()
 
 
 def test_session_cache_is_bound_to_its_index(tiny_bundle):
@@ -508,6 +527,15 @@ def test_cli_sweep_rejects_nonpositive_counts(tiny_dir, tmp_path, flags):
     proc = _tiny_sweep_cli(tmp_path, tiny_dir, *flags)
     _assert_one_error_line(proc)
     assert not (tmp_path / "sweep" / "sessions.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["base1", "sim1"])
+@pytest.mark.parametrize("beta", ["1.5", "0", "nan"])
+def test_cli_sweep_rejects_bad_beta(tiny_dir, tmp_path, mode, beta):
+    # checked before any session runs and before the output directory is made
+    proc = _tiny_sweep_cli(tmp_path, tiny_dir, "--mode", mode, "--beta", beta)
+    _assert_one_error_line(proc)
+    assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,23 +11,22 @@ from semlink import codec as codec_mod
 from semlink import detector as det
 from semlink.harq import (
     CRC24_BITS,
-    BaselineSessionCtx,
+    BaselineSource,
     ChaseCombiner,
     HarqSession,
     Quantizer8,
     RoundRecord,
+    SemanticSource,
     append_crc24,
     bits_to_bytes,
     bytes_to_bits,
     crc24,
     finalize,
     fit_quantizer,
-    make_baseline_payload,
     run_baseline_session,
     run_semantic_session,
     throughput,
     verify_crc24,
-    SemanticSessionCtx,
 )
 from semlink.ofdm import qam_demap_hard, qam_map
 from semlink.scenegen import (
@@ -38,7 +37,9 @@ from semlink.scenegen import (
     perception_loss,
     true_similarity,
 )
-from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonzero
+from semlink.tensors import FeatureTensor, importance_map, pack_nonzero
+
+from conftest import score
 
 
 def _bit_serial_crc(bits, poly=0x864CFB):
@@ -191,64 +192,64 @@ SCENE_CFG = SceneConfig(channels=5, height=8, width=8, logit_amp=2.0)
 HEAD = ProxyHead.from_seed(31, 5)
 
 
-def _semantic_ctx(ack_threshold=0.5, with_second=True, seed=1):
+def _semantic_source(with_second=True, seed=1):
+    """A source built from its parts; every session of it below runs on a
+    fresh one unless the test shares one on purpose."""
     scene, f = generate_scene(seed, SCENE_CFG, HEAD)
-    mask = importance_map(f, 0.2)
-    f_ref = apply_mask(f, mask)
-    packed = pack_nonzero(f, mask)
+    n_in = pack_nonzero(f, importance_map(f, 0.2)).size
     ccfg = codec_mod.CodecConfig(n_cu=12, hidden=16)
-    first = codec_mod.new_codec(ccfg, packed.size, seed=2)
-    second = codec_mod.new_codec(ccfg, packed.size, seed=3) if with_second else None
+    first = codec_mod.new_codec(ccfg, n_in, seed=2)
+    second = codec_mod.new_codec(ccfg, n_in, seed=3) if with_second else None
     scorer = det.new_scorer(det.DetectorConfig(pool=8, branch_width=8), seed=4)
-    det_cfg = det.DetectorConfig(ack_threshold=ack_threshold, pool=8, branch_width=8)
-    return SemanticSessionCtx(
-        first=first, second=second, scorer=scorer, det_cfg=det_cfg, head=HEAD,
-        scene=scene, mask=mask, shape=f.data.shape, f_ref=f_ref, packed=packed,
-    )
+    return SemanticSource(first, second, scorer, HEAD, scene, f, 0.2)
+
+
+def _identity(t, s):
+    return s
 
 
 def test_semantic_session_ack_stops_immediately():
-    ctx = _semantic_ctx(ack_threshold=0.01)
-    session = run_semantic_session(ctx, "sim1", budget=3, transmit=lambda t, s: s)
+    src = _semantic_source()
+    session = run_semantic_session(src, "sim1", 3, 0.01, _identity)
     assert session.rounds_used == 1
     assert session.ack_round == 1
     assert session.rounds[0].ack
 
 
 def test_semantic_session_exhausts_budget_without_ack():
-    ctx = _semantic_ctx(ack_threshold=0.999999)
+    src = _semantic_source()
     calls = []
     def transmit(t, s):
         calls.append(t)
         return s
-    session = run_semantic_session(ctx, "sim1", budget=3, transmit=transmit)
+    session = run_semantic_session(src, "sim1", 3, 0.999999, transmit)
     assert session.rounds_used == 3
     assert session.ack_round == 0
     assert calls == [1, 2, 3]
 
 
 def test_sim1_keeps_latest_decode_as_candidate():
-    ctx = _semantic_ctx(ack_threshold=0.999999)
-    session = run_semantic_session(ctx, "sim1", budget=2, transmit=lambda t, s: s)
+    src = _semantic_source()
+    session = run_semantic_session(src, "sim1", 2, 0.999999, _identity)
     # identity channel: both rounds decode identically
     assert np.allclose(session.rounds[0].candidate.data, session.rounds[1].candidate.data)
-    expect = codec_mod.decode(ctx.first, codec_mod.encode(ctx.first, ctx.packed))
-    got = pack_nonzero(session.rounds[1].candidate, ctx.mask)
+    expect = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed))
+    got = pack_nonzero(session.rounds[1].candidate, src.mask)
     assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_sim2_accumulates_decoded_messages():
-    ctx = _semantic_ctx(ack_threshold=0.999999)
-    session = run_semantic_session(ctx, "sim2", budget=3, transmit=lambda t, s: s)
-    d1 = codec_mod.decode(ctx.first, codec_mod.encode(ctx.first, ctx.packed))
-    d2 = codec_mod.decode(ctx.second, codec_mod.encode(ctx.second, ctx.packed))
-    got = pack_nonzero(session.rounds[2].candidate, ctx.mask)
+    src = _semantic_source()
+    session = run_semantic_session(src, "sim2", 3, 0.999999, _identity)
+    d1 = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed))
+    d2 = codec_mod.decode(src.second, codec_mod.encode(src.second, src.packed))
+    got = pack_nonzero(session.rounds[2].candidate, src.mask)
     assert np.allclose(got, d1 + 2 * d2, atol=1e-12)
 
 
 def test_sim2_round_order_invariance():
     # summed decodes do not depend on which later round saw which channel
-    ctx = _semantic_ctx(ack_threshold=0.999999)
+    src = _semantic_source()
     rng = np.random.default_rng(11)
     offsets = {2: rng.standard_normal(12) * 0.2, 3: rng.standard_normal(12) * 0.2}
 
@@ -258,19 +259,19 @@ def test_sim2_round_order_invariance():
     def transmit_swapped(t, s):
         return s if t == 1 else s + offsets[5 - t]
 
-    a = run_semantic_session(ctx, "sim2", budget=3, transmit=transmit_fwd)
-    b = run_semantic_session(ctx, "sim2", budget=3, transmit=transmit_swapped)
+    a = run_semantic_session(src, "sim2", 3, 0.999999, transmit_fwd)
+    b = run_semantic_session(src, "sim2", 3, 0.999999, transmit_swapped)
     assert np.allclose(a.rounds[2].candidate.data, b.rounds[2].candidate.data, atol=1e-12)
 
 
 def test_semantic_session_validation():
-    ctx = _semantic_ctx(with_second=False)
+    src = _semantic_source(with_second=False)
     with pytest.raises(ValueError):
-        run_semantic_session(ctx, "sim3", 3, lambda t, s: s)
+        run_semantic_session(src, "sim3", 3, 0.5, _identity)
     with pytest.raises(ValueError):
-        run_semantic_session(ctx, "sim2", 3, lambda t, s: s)
+        run_semantic_session(src, "sim2", 3, 0.5, _identity)
     with pytest.raises(ValueError):
-        run_semantic_session(ctx, "sim1", 0, lambda t, s: s)
+        run_semantic_session(src, "sim1", 0, 0.5, _identity)
 
 
 # -- chase combining --
@@ -318,28 +319,18 @@ def test_chase_combining_lowers_bit_errors():
 
 # -- baseline sessions over an injected channel --
 
-def _baseline_ctx(seed=1, mod_order=16, copies=2):
+def _baseline_source(seed=1, mod_order=16, copies=2):
     scene, f = generate_scene(seed, SCENE_CFG, HEAD)
-    mask = importance_map(f, 0.2)
-    packed = pack_nonzero(f, mask)
-    quant, payload_bits = make_baseline_payload(packed)
-    from semlink.tensors import unpack
-
-    f_ref = unpack(quant.dequantize(quant.quantize(packed)), mask, f.data.shape)
-    return BaselineSessionCtx(
-        mod_order=mod_order, copies=copies, quantizer=quant,
-        payload_bits=payload_bits, head=HEAD, scene=scene, mask=mask,
-        shape=f.data.shape, f_ref=f_ref,
-    )
+    return BaselineSource(HEAD, scene, f, 0.2, mod_order, copies)
 
 
 def test_repetition_code_chunks():
     # a chunk is the payload bits, zero-padded to whole symbols, in QAM;
     # base1 sends `copies` of it every round, base2 one copy per round
-    ctx = _baseline_ctx(copies=3)
-    bps = int(math.log2(ctx.mod_order))
-    pad = np.zeros((-ctx.payload_bits.size) % bps, dtype=np.uint8)
-    chunk = qam_map(np.concatenate([ctx.payload_bits, pad]), ctx.mod_order)
+    src = _baseline_source(copies=3)
+    bps = int(math.log2(src.mod_order))
+    pad = np.zeros((-src.payload_bits.size) % bps, dtype=np.uint8)
+    chunk = qam_map(np.concatenate([src.payload_bits, pad]), src.mod_order)
     for mode, copies in (("base1", 3), ("base2", 1)):
         sent = []
 
@@ -347,7 +338,7 @@ def test_repetition_code_chunks():
             sent.append(symbols)
             return np.zeros(symbols.size, dtype=complex), np.ones(symbols.size), 1.0
 
-        session = run_baseline_session(ctx, mode, budget=3, transmit=erased)
+        session = run_baseline_session(src, mode, budget=3, transmit=erased)
         assert session.rounds_used == len(sent) == 3
         assert all(np.array_equal(s, np.tile(chunk, copies)) for s in sent)
 
@@ -357,35 +348,35 @@ def _clean_transmit(t, symbols):
 
 
 def test_baseline_payload_verifies():
-    rng = np.random.default_rng(7)
-    quant, bits = make_baseline_payload(rng.uniform(-1, 1, 37))
-    assert bits.size == 37 * 8 + CRC24_BITS
-    assert verify_crc24(bits)
+    # 8 bits per packed value (5 channels per kept cell), then the CRC
+    src = _baseline_source()
+    assert src.payload_bits.size == 5 * src.mask.n_selected * 8 + CRC24_BITS
+    assert verify_crc24(src.payload_bits)
 
 
 def test_baseline_clean_channel_acks_first_round():
-    ctx = _baseline_ctx()
-    session = run_baseline_session(ctx, "base1", budget=3, transmit=_clean_transmit)
+    src = _baseline_source()
+    session = run_baseline_session(src, "base1", budget=3, transmit=_clean_transmit)
     assert session.ack_round == 1
     # candidate equals the dequantized payload exactly
-    assert np.array_equal(session.rounds[0].candidate.data, ctx.f_ref.data)
+    assert np.array_equal(session.rounds[0].candidate.data, src.f_ref.data)
 
 
 def test_baseline_chunked_clean_channel_acks_first_round():
-    ctx = _baseline_ctx()
-    session = run_baseline_session(ctx, "base2", budget=3, transmit=_clean_transmit)
+    src = _baseline_source()
+    session = run_baseline_session(src, "base2", budget=3, transmit=_clean_transmit)
     assert session.ack_round == 1
 
 
 def test_baseline_forced_errors_exhaust_budget():
-    ctx = _baseline_ctx()
+    src = _baseline_source()
 
     def corrupting(t, symbols):
         bad = symbols.copy()
         bad[0] = -bad[0]
         return bad, np.ones(bad.size), 1e-12
 
-    session = run_baseline_session(ctx, "base1", budget=3, transmit=corrupting)
+    session = run_baseline_session(src, "base1", budget=3, transmit=corrupting)
     assert session.rounds_used == 3
     assert session.ack_round == 0
     assert all(r.s_hat is None for r in session.rounds)
@@ -394,7 +385,7 @@ def test_baseline_forced_errors_exhaust_budget():
 def test_baseline_combining_recovers_from_noisy_first_round():
     # round 1 ruined by a huge noise burst; clean round 2 dominates the
     # combiner because weights scale with 1/noise_var
-    ctx = _baseline_ctx()
+    src = _baseline_source()
     rng = np.random.default_rng(8)
 
     def transmit(t, symbols):
@@ -404,62 +395,87 @@ def test_baseline_combining_recovers_from_noisy_first_round():
             return noisy, np.ones(symbols.size), 200.0
         return symbols, np.ones(symbols.size), 1e-12
 
-    session = run_baseline_session(ctx, "base1", budget=3, transmit=transmit)
+    session = run_baseline_session(src, "base1", budget=3, transmit=transmit)
     assert not session.rounds[0].ack
     assert session.ack_round == 2
 
 
 def test_baseline_session_validation():
-    ctx = _baseline_ctx()
+    src = _baseline_source()
     with pytest.raises(ValueError):
-        run_baseline_session(ctx, "sim1", 3, _clean_transmit)
+        run_baseline_session(src, "sim1", 3, _clean_transmit)
     with pytest.raises(ValueError):
-        run_baseline_session(ctx, "base1", 0, _clean_transmit)
+        run_baseline_session(src, "base1", 0, _clean_transmit)
 
 
 def test_session_similarity_is_measured_against_the_reference():
-    # each round's s_true is true_similarity of its candidate to ctx.f_ref,
-    # with the reference loss computed afresh, for sessions that share a
-    # context (and with it the memo of the reference loss) and for a fresh one
+    # each round's s_true is true_similarity of its candidate's perception
+    # loss to that of src.f_ref, the reference loss computed afresh, for
+    # sessions that share a source (and its reference loss) and for a fresh one
     def corrupting(t, symbols):  # a flipped first symbol fails every CRC
         bad = symbols + 0.05 * t
         bad[0] = -bad[0]
         return bad, np.ones(bad.size), 0.5
 
-    semantic = _semantic_ctx(ack_threshold=0.999999)
-    baseline = _baseline_ctx()
+    semantic = _semantic_source()
+    baseline = _baseline_source()
     sessions = [
-        (semantic, run_semantic_session(semantic, "sim2", 3, lambda t, s: s + 0.1 * t)),
-        (semantic, run_semantic_session(semantic, "sim1", 3, lambda t, s: s - 0.1 * t)),
+        (semantic, run_semantic_session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t)),
+        (semantic, run_semantic_session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t)),
         (baseline, run_baseline_session(baseline, "base2", 3, corrupting)),
         (baseline, run_baseline_session(baseline, "base1", 3, corrupting)),
     ]
-    for ctx, session in sessions:
+    for src, session in sessions:
         assert session.rounds_used == 3
+        ref_loss = perception_loss(src.f_ref, src.scene, HEAD)
         for rec in session.rounds:
-            assert rec.s_true == true_similarity(ctx.f_ref, rec.candidate, ctx.scene, HEAD)
+            hat_loss = perception_loss(rec.candidate, src.scene, HEAD)
+            assert rec.s_true == true_similarity(ref_loss, hat_loss)
 
 
 def test_session_rounds_record_score_and_task_loss_of_their_candidate():
     # s_hat is the scorer's score of the candidate against the reference and
     # task_loss its perception loss, both computed afresh here, for sessions
-    # that share a context (and its memo of the reference embedding)
-    semantic = _semantic_ctx(ack_threshold=0.999999)
+    # that share a source (and its reference embedding)
+    semantic = _semantic_source()
     runs = [
-        run_semantic_session(semantic, "sim2", 3, lambda t, s: s + 0.1 * t),
-        run_semantic_session(semantic, "sim1", 3, lambda t, s: s - 0.1 * t),
+        run_semantic_session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t),
+        run_semantic_session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t),
     ]
     ref_map = confidence_map(semantic.f_ref, HEAD)
     for session in runs:
         for rec in session.rounds:
             hyp_map = confidence_map(rec.candidate, HEAD)
-            assert rec.s_hat == det.score(semantic.scorer, ref_map, hyp_map)
+            assert rec.s_hat == score(semantic.scorer, ref_map, hyp_map)
             assert rec.task_loss == perception_loss(rec.candidate, semantic.scene, HEAD)
 
     def noisy(t, symbols):
         return symbols + 0.3 * t, np.ones(symbols.size), 0.5
 
-    baseline = _baseline_ctx()
+    baseline = _baseline_source()
     session = run_baseline_session(baseline, "base2", 3, noisy)
     for rec in session.rounds:
         assert rec.task_loss == perception_loss(rec.candidate, baseline.scene, HEAD)
+
+
+def test_sources_hand_out_read_only_arrays():
+    # sessions of one index share a source, so none may change what a later
+    # session reads
+    semantic = _semantic_source()
+    baseline = _baseline_source()
+    arrays = {
+        "packed": semantic.packed,
+        "sym_first": semantic.sym_first,
+        "sym_second": semantic.sym_second,
+        "ref_pooled": semantic.ref_pooled,
+        "ref_emb": semantic.ref_emb,
+        "f_ref": semantic.f_ref.data,
+        "payload_bits": baseline.payload_bits,
+        "chunk": baseline.chunk,
+        "codeword": baseline.codeword,
+        "baseline f_ref": baseline.f_ref.data,
+    }
+    for name, a in arrays.items():
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a.reshape(-1)[0] = 0

@@ -146,9 +146,13 @@ def test_confidence_map_matches_scalar_oracle():
             assert values[i, j] == pytest.approx(1.0 / (1.0 + math.exp(-logits[i, j])))
 
 
+def _similarity(f_ref, f_hat, scene, head):
+    return true_similarity(perception_loss(f_ref, scene, head), perception_loss(f_hat, scene, head))
+
+
 def test_true_similarity_identical_hits_cap():
     scene, f = generate_scene(4, CFG, HEAD)
-    assert true_similarity(f, f, scene, HEAD) == SIMILARITY_CAP
+    assert _similarity(f, f, scene, HEAD) == SIMILARITY_CAP
 
 
 def test_true_similarity_decade_arithmetic():
@@ -161,7 +165,7 @@ def test_true_similarity_decade_arithmetic():
     f_hat = FeatureTensor(head.adjoint(targets - d, np.full((1, 1), 10.0)))
     gap = abs(perception_loss(f_hat, scene, head) - l_ref)
     assert gap == pytest.approx(0.1, rel=1e-9)
-    assert true_similarity(f_ref, f_hat, scene, head) == pytest.approx(1.0, abs=1e-9)
+    assert _similarity(f_ref, f_hat, scene, head) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_true_similarity_cap_binds_on_tiny_gap():
@@ -169,7 +173,7 @@ def test_true_similarity_cap_binds_on_tiny_gap():
     f_ref = FeatureTensor(head.adjoint(targets, np.full((1, 1), 10.0)))
     d = math.sqrt(2 * 1e-8 / 4)
     f_hat = FeatureTensor(head.adjoint(targets - d, np.full((1, 1), 10.0)))
-    assert true_similarity(f_ref, f_hat, scene, head) == SIMILARITY_CAP
+    assert _similarity(f_ref, f_hat, scene, head) == SIMILARITY_CAP
 
 
 def test_true_similarity_monotone_in_gap():
@@ -179,6 +183,6 @@ def test_true_similarity_monotone_in_gap():
     for gap in (1e-3, 1e-2, 1e-1, 1.0):
         d = math.sqrt(2 * gap / 4)
         f_hat = FeatureTensor(head.adjoint(targets - d, np.full((1, 1), 10.0)))
-        scores.append(true_similarity(f_ref, f_hat, scene, head))
+        scores.append(_similarity(f_ref, f_hat, scene, head))
     assert scores == sorted(scores, reverse=True)
     assert all(s <= SIMILARITY_CAP for s in scores)
