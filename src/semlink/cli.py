@@ -1,4 +1,4 @@
-"""Command line entry points: train, sweep, goldens, corpus.
+"""Command line entry points: train, sweep, corpus, print-config.
 
 Every subcommand is deterministic in --seed and exits nonzero with a single
 machine-parsable "error: ..." line on stderr when anything is wrong.
@@ -29,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common(sweep)
     sweep.add_argument(
         "--mode",
-        default="sim1",
-        help=f"comma list from {{{','.join(ALL_MODES)}}} (default sim1)",
+        default=None,
+        help=f"comma list from {{{','.join(ALL_MODES)}}} (default: experiment.modes)",
     )
     sweep.add_argument("--snr", default=None, help="comma list of SNR points in dB")
     sweep.add_argument("--beta", type=float, default=None, help="acknowledgement threshold override")
@@ -41,10 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--artifacts", default=None, help="directory with training artifacts (default: --out)"
     )
     sweep.set_defaults(run=cmd_sweep)
-
-    goldens = sub.add_parser("goldens", help="run numeric self-checks against known answers")
-    goldens.add_argument("--out", default=None, help="directory for goldens_report.txt")
-    goldens.set_defaults(run=cmd_goldens)
 
     corpus = sub.add_parser("corpus", help="build the detector rank corpus from artifacts")
     _common(corpus)
@@ -79,7 +75,10 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    modes = tuple(tok.strip() for tok in args.mode.split(",") if tok.strip())
+    if args.mode is not None:
+        modes = tuple(tok.strip() for tok in args.mode.split(",") if tok.strip())
+    else:
+        modes = cfg.experiment.modes
     for mode in modes:
         if mode not in ALL_MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(ALL_MODES)}")
@@ -102,19 +101,6 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         log=_say,
     )
-    return 0
-
-
-def cmd_goldens(args) -> int:
-    results = harness.run_goldens(args.out)
-    failed = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed += 0 if ok else 1
-    if failed:
-        print(f"{failed} golden check(s) failed", file=sys.stderr)
-        return 1
-    print(f"all {len(results)} golden checks passed")
     return 0
 
 

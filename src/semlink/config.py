@@ -1,4 +1,4 @@
-"""Experiment configuration: one INI file drives training, sweeps and goldens.
+"""Experiment configuration: one INI file drives training and sweeps.
 
 The [ofdm], [scene], [codec] and [detector] sections load straight into the
 dataclass their module consumes (ofdm.OfdmConfig, scenegen.SceneConfig,

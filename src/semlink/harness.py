@@ -1,4 +1,4 @@
-"""Experiment harness: training orchestration, seeded session sweeps, goldens.
+"""Experiment harness: training orchestration and seeded session sweeps.
 
 Everything here is deterministic in the master seed.  Session seeds are
 derived per session index and round, never from the mode, SNR or threshold,
@@ -432,10 +432,13 @@ def run_sweep(
         if value < 1:
             raise ValueError(f"bad value for {name}: must be >= 1, got {value}")
     _check_beta(beta)
+    snr_list = tuple(float(s) for s in snr_list)
+    for snr_db in snr_list:
+        if not math.isfinite(snr_db):
+            raise ValueError(f"bad value for snr_db: must be finite, got {snr_db}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     modes = tuple(modes)
-    snr_list = tuple(float(s) for s in snr_list)
 
     grid = [(mode, snr_db) for mode in modes for snr_db in snr_list]
     say(f"running {len(grid) * sessions} sessions on {workers} worker(s)")
@@ -463,8 +466,8 @@ def write_session_csv(path, records, budget: int) -> None:
         cells = [str(r.session_id), r.mode, _fmt(r.snr_db), _fmt(r.beta),
                  str(r.rounds_used), str(r.ack_round), str(r.final_round),
                  _fmt(r.final_s_true), _fmt(r.final_task_loss)]
-        cells += [_fmt(v) for v in _pad(r.s_hat, budget)]
-        cells += [_fmt(v) for v in _pad(r.s_true, budget)]
+        cells += [_fmt(v) for v in r.s_hat]
+        cells += [_fmt(v) for v in r.s_true]
         rows.append(",".join(cells))
     _write_lines(path, [",".join(head)] + rows)
 
@@ -502,12 +505,6 @@ def _summary_cells(mode, snr_db, group, budget: int) -> list[str]:
     return cells
 
 
-def _pad(values, budget: int) -> list:
-    out = list(values)[:budget]
-    out += [None] * (budget - len(out))
-    return out
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -520,191 +517,6 @@ def _fmt(value) -> str:
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# goldens
-
-
-def run_goldens(out_dir=None) -> list[tuple[str, bool, str]]:
-    """Fast self-checks of the numeric core against closed-form oracles."""
-    results = [
-        ("ofdm_round_trip", *_golden_ofdm()),
-        ("channel_response", *_golden_channel()),
-        ("noiseless_estimation", *_golden_estimation()),
-        ("link_fast_path", *_golden_link_fast_path()),
-        ("crc_residue", *_golden_crc()),
-        ("quantizer_bound", *_golden_quantizer()),
-        ("rank_gradients", *_golden_lambda()),
-        ("chase_combining", *_golden_chase()),
-        ("qam_round_trip", *_golden_qam()),
-    ]
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = [
-            f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results
-        ]
-        _write_lines(out / "goldens_report.txt", lines)
-    return results
-
-
-def _golden_ofdm():
-    from . import ofdm
-
-    cfg = ExperimentConfig().ofdm
-    rng = np.random.Generator(np.random.PCG64(7))
-    payload = (rng.standard_normal(cfg.payload_capacity) +
-               1j * rng.standard_normal(cfg.payload_capacity)) / np.sqrt(2.0)
-    grid = ofdm.frame_build(payload, cfg, pilot_seed=3)
-    back = ofdm.from_time(ofdm.to_time(grid.grid, cfg), cfg)
-    err = float(np.max(np.abs(back - grid.grid)))
-    t = ofdm.to_time(grid.grid, cfg)[:, cfg.l_cp:]
-    parseval = float(np.max(np.abs(
-        np.sum(np.abs(t) ** 2, axis=1) - np.sum(np.abs(grid.grid) ** 2, axis=1)
-    )))
-    ok = err < 1e-9 and parseval < 1e-9
-    return ok, f"round trip {err:.2e}, energy mismatch {parseval:.2e}"
-
-
-def _golden_channel():
-    from . import channel
-
-    cfg = ExperimentConfig().ofdm
-    profile = ExperimentConfig().channel_profile()
-    real = channel.realize(profile, cfg, 4, seed=11)
-    h = channel.freq_response(real, cfg)
-    rng = np.random.Generator(np.random.PCG64(5))
-    worst = 0.0
-    for _ in range(32):
-        j = int(rng.integers(0, 4))
-        k = int(rng.integers(0, cfg.l_fft))
-        direct = sum(
-            real.taps[j, m] * np.exp(-2j * np.pi * k * cfg.subcarrier_spacing * real.delays[m])
-            for m in range(real.delays.size)
-        )
-        worst = max(worst, abs(h[j, k] - direct))
-    return worst < 1e-12, f"max deviation {worst:.2e}"
-
-
-def _golden_estimation():
-    from . import channel, ofdm, rxdsp
-    from .channel import default_profile
-
-    cfg = ExperimentConfig().ofdm
-    rng = np.random.Generator(np.random.PCG64(13))
-    payload = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / np.sqrt(2.0)
-    grid = ofdm.frame_build(payload, cfg, pilot_seed=1)
-    # frequency-flat and static, the one case with no interpolation residual
-    profile = default_profile(speed_kmh=0.0, n_taps=1)
-    real = channel.realize(profile, cfg, cfg.n_symbols, seed=2)
-    rx = channel.apply(grid.grid, real, cfg, snr_db=None)
-    pilots = ofdm.pilot_rows(cfg, 1)
-    est = rxdsp.estimate(rx, pilots, cfg, noise_var=0.0)
-    err = float(np.max(np.abs(est.h - channel.freq_response(real, cfg))))
-    return err < 1e-9, f"static-channel estimate error {err:.2e}"
-
-
-def _golden_link_fast_path():
-    """The row-sparse link against the full-grid chain it stands for, bit for bit."""
-    from . import channel, ofdm, rxdsp
-
-    cfg = ExperimentConfig().ofdm
-    profile = ExperimentConfig().channel_profile()
-    rng = np.random.Generator(np.random.PCG64(31))
-    payload = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) / np.sqrt(2.0)
-    seeds = LinkSeeds(pilot=4, channel=5, noise=6)
-    for snr_db in (None, 6.0):
-        grid = ofdm.frame_build(payload, cfg, seeds.pilot)
-        real = channel.realize(profile, cfg, cfg.n_symbols, seeds.channel)
-        rx = channel.apply(grid.grid, real, cfg, snr_db, seeds.noise)
-        noise_var = 0.0 if snr_db is None else channel.noise_variance(snr_db)
-        est = rxdsp.estimate(rx, ofdm.pilot_rows(cfg, seeds.pilot), cfg, noise_var)
-        eq = ofdm.frame_extract(rxdsp.equalize_mmse(rx, est), cfg, payload.size)
-        h = ofdm.frame_extract(est.h, cfg, payload.size)
-        got_eq, got_h, got_var = transmit_with_state(payload, cfg, profile, snr_db, seeds)
-        if not (np.array_equal(got_eq, eq) and np.array_equal(got_h, h) and got_var == noise_var):
-            return False, f"differs from the full-grid chain at snr_db={snr_db}"
-    return True, "bitwise equal to the full-grid chain, noiseless and at 6 dB"
-
-
-def _golden_crc():
-    from .harq import append_crc24, bytes_to_bits, crc24, verify_crc24
-
-    word = bytes_to_bits(np.frombuffer(bytes([0xDE, 0xAD, 0xBE, 0xEF]), dtype=np.uint8))
-    value = crc24(word)
-    ok = value == 0x6432C5 and verify_crc24(append_crc24(word)) and crc24(np.zeros(64, dtype=np.uint8)) == 0
-    return ok, f"checksum 0x{value:06X}"
-
-
-def _golden_quantizer():
-    from .harq import fit_quantizer
-
-    rng = np.random.Generator(np.random.PCG64(17))
-    values = rng.standard_normal(512) * 3.0
-    quant = fit_quantizer(values)
-    err = float(np.max(np.abs(quant.dequantize(quant.quantize(values)) - values)))
-    bound = quant.scale / 2.0 + 1e-12
-    return err <= bound, f"max error {err:.3e} vs half step {bound:.3e}"
-
-
-def _golden_lambda():
-    from .detector import lambda_gradients, query_pair_loss
-
-    rng = np.random.Generator(np.random.PCG64(19))
-    s_hat = rng.standard_normal(6)
-    s_true = rng.standard_normal(6)
-    lam = lambda_gradients(s_hat, s_true)
-    eps = 1e-6
-    worst = 0.0
-    for i in range(6):
-        bumped = s_hat.copy()
-        bumped[i] += eps
-        down = s_hat.copy()
-        down[i] -= eps
-        fd = (query_pair_loss(bumped, s_true, 1.0)[0] - query_pair_loss(down, s_true, 1.0)[0]) / (2 * eps)
-        worst = max(worst, abs(fd - lam[i]))
-    total = abs(float(lam.sum()))
-    return worst < 1e-6 and total < 1e-12, f"fd gap {worst:.2e}, gradient sum {total:.2e}"
-
-
-def _golden_chase():
-    from .harq import ChaseCombiner
-
-    rng = np.random.Generator(np.random.PCG64(23))
-    x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    comb = ChaseCombiner(32)
-    agg = np.zeros(32, dtype=np.complex128)
-    wsum = np.zeros(32)
-    for copy in range(3):
-        h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        nv = 0.5 + copy
-        comb.add(x, h, nv)
-        w = np.abs(h) ** 2 / nv
-        agg += w * x
-        wsum += w
-    err = float(np.max(np.abs(comb.combined() - agg / wsum)))
-    return err < 1e-12, f"weighted average deviation {err:.2e}"
-
-
-def _golden_qam():
-    from .ofdm import QAM_ORDERS, qam_demap_hard, qam_map
-
-    rng = np.random.Generator(np.random.PCG64(29))
-    for order in QAM_ORDERS:
-        bps = int(math.log2(order))
-        bits = rng.integers(0, 2, size=bps * 64).astype(np.uint8)
-        sym = qam_map(bits, order)
-        power = float(np.mean(np.abs(qam_map(_all_words(bps), order)) ** 2))
-        if not np.array_equal(qam_demap_hard(sym, order), bits) or abs(power - 1.0) > 1e-12:
-            return False, f"order {order} failed"
-    return True, "all constellation orders invert and have unit mean energy"
-
-
-def _all_words(bps: int) -> np.ndarray:
-    count = 2 ** bps
-    words = ((np.arange(count)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.uint8)
-    return words.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

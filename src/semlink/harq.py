@@ -137,8 +137,6 @@ class RoundRecord:
 
 @dataclass
 class HarqSession:
-    mode: str
-    budget: int
     rounds: list[RoundRecord] = field(default_factory=list)
 
     @property
@@ -247,7 +245,7 @@ def run_semantic_session(
     if budget < 1:
         raise ValueError("round budget must be at least 1")
 
-    session = HarqSession(mode=mode, budget=budget)
+    session = HarqSession()
     for t in range(1, budget + 1):
         if mode == "sim1" or t == 1:
             message = codec_mod.decode(src.first, transmit(t, src.sym_first))
@@ -357,7 +355,7 @@ def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) 
         raise ValueError("round budget must be at least 1")
     n_chunk = src.chunk.size
     combiner = ChaseCombiner(n_chunk)
-    session = HarqSession(mode=mode, budget=budget)
+    session = HarqSession()
     for t in range(1, budget + 1):
         if mode == "base1":
             eq, h, noise_var = transmit(t, src.codeword)

@@ -16,7 +16,7 @@ with it every sweep result for a given seed.
 
 The full-grid chain ofdm.frame_build -> channel.apply -> rxdsp.estimate ->
 rxdsp.equalize_mmse -> ofdm.frame_extract is the oracle: the row-sparse link
-is bitwise equal to it (tests/test_link.py, and the link_fast_path golden).
+is bitwise equal to it (tests/test_link.py).
 
 What a round draws from its seeds (pilot rows, channel realization, H on the
 simulated rows, unit-variance noise on them) does not depend on the payload

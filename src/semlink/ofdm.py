@@ -1,9 +1,8 @@
-"""OFDM framing: Gray-mapped QAM, pilot layout, CP add/remove, FFT transforms.
+"""OFDM framing: Gray-mapped QAM and the pilot layout.
 
 A frame is a (n_symbols, l_fft) grid. Two symbol rows carry known QPSK pilots
 for channel estimation; the rest carry payload in row-major order with zero
-padding. FFTs use orthonormal scaling so grid and time-domain body energies
-match (Parseval).
+padding.
 """
 
 from __future__ import annotations
@@ -164,19 +163,3 @@ def frame_extract(grid: np.ndarray, cfg: OfdmConfig, n_payload: int) -> np.ndarr
         raise ValueError(f"cannot extract {n_payload} symbols from {cfg.payload_capacity}")
     return grid[list(cfg.data_rows_idx), :].reshape(-1)[:n_payload].copy()
 
-
-def to_time(grid: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Orthonormal per-symbol IFFT plus cyclic prefix -> (n_symbols, l_cp + l_fft)."""
-    grid = np.asarray(grid, dtype=np.complex128)
-    if grid.shape != (cfg.n_symbols, cfg.l_fft):
-        raise ValueError(f"grid shape {grid.shape} does not match config")
-    body = np.fft.ifft(grid, axis=1, norm="ortho")
-    return np.concatenate([body[:, cfg.l_fft - cfg.l_cp :], body], axis=1)
-
-
-def from_time(samples: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Drop the cyclic prefix and FFT back to the resource grid."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.shape != (cfg.n_symbols, cfg.l_cp + cfg.l_fft):
-        raise ValueError(f"sample block shape {samples.shape} does not match config")
-    return np.fft.fft(samples[:, cfg.l_cp :], axis=1, norm="ortho")

@@ -74,3 +74,26 @@ def score(scorer, ref, hyp) -> float:
     kept between calls."""
     ref_emb = detector.embed_reference(scorer, _as_pooled(ref, scorer.pool))
     return float(detector.score_pooled(scorer, ref_emb, _as_pooled(hyp, scorer.pool)))
+
+
+def to_time(grid: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Orthonormal per-symbol IFFT plus cyclic prefix -> (n_symbols, l_cp + l_fft).
+
+    The simulator works on the resource grid; this and from_time are the
+    time-domain view the OFDM and channel oracles check it against. The
+    orthonormal scaling makes grid and time-domain body energies match
+    (Parseval).
+    """
+    grid = np.asarray(grid, dtype=np.complex128)
+    if grid.shape != (cfg.n_symbols, cfg.l_fft):
+        raise ValueError(f"grid shape {grid.shape} does not match config")
+    body = np.fft.ifft(grid, axis=1, norm="ortho")
+    return np.concatenate([body[:, cfg.l_fft - cfg.l_cp :], body], axis=1)
+
+
+def from_time(samples: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Drop the cyclic prefix and FFT back to the resource grid."""
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.shape != (cfg.n_symbols, cfg.l_cp + cfg.l_fft):
+        raise ValueError(f"sample block shape {samples.shape} does not match config")
+    return np.fft.fft(samples[:, cfg.l_cp :], axis=1, norm="ortho")

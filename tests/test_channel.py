@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import from_time, to_time
 from semlink import channel, ofdm
 from semlink.channel import (
     ChannelProfile,
@@ -198,8 +199,8 @@ def test_time_domain_convolution_matches_grid_multiplication():
     rng = np.random.default_rng(3)
     grid = rng.standard_normal((14, CFG.l_fft)) + 1j * rng.standard_normal((14, CFG.l_fft))
     via_freq = apply(grid, real, CFG, snr_db=None)
-    t = ofdm.to_time(grid, CFG)
-    via_time = ofdm.from_time(apply_time(t, real, CFG), CFG)
+    t = to_time(grid, CFG)
+    via_time = from_time(apply_time(t, real, CFG), CFG)
     err = np.max(np.abs(via_time - via_freq)) / np.max(np.abs(via_freq))
     assert err < 1e-6
 

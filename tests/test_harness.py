@@ -1,4 +1,4 @@
-"""End-to-end harness tests: training artifacts, sweeps, CSVs, goldens, CLI.
+"""End-to-end harness tests: training artifacts, sweeps, CSVs, CLI.
 
 Everything here runs on a deliberately small configuration (low FFT size,
 narrow networks, few sessions) so the whole module stays in the seconds
@@ -236,7 +236,7 @@ def test_noharq_is_single_round(tiny_bundle):
     ids=["best-scored", "acknowledged", "last-unscored"],
 )
 def test_flatten_reports_the_final_rounds_task_loss(s_hats, acks, final):
-    session = HarqSession(mode="sim1", budget=3)
+    session = HarqSession()
     for t, (s_hat, ack) in enumerate(zip(s_hats, acks), start=1):
         cand = FeatureTensor(np.full((1, 2, 2), float(t)))
         session.rounds.append(RoundRecord(s_hat, 0.1 * t, ack, cand, 10.0 * t))
@@ -433,15 +433,6 @@ def test_sweep_worker_count_invariance(tiny_bundle, tmp_path):
     assert (one / "summary.csv").read_bytes() == (two / "summary.csv").read_bytes()
 
 
-def test_goldens_all_pass(tmp_path):
-    results = harness.run_goldens(tmp_path)
-    for name, ok, detail in results:
-        assert ok, f"{name}: {detail}"
-    report = (tmp_path / "goldens_report.txt").read_text()
-    assert report.count("PASS") == len(results)
-    assert "FAIL" not in report
-
-
 # ---------------------------------------------------------------------------
 # command line
 
@@ -483,13 +474,6 @@ def test_cli_print_config():
     proc = _cli("print-config")
     assert proc.returncode == 0
     assert proc.stdout == default_config_text()
-
-
-def test_cli_goldens(tmp_path):
-    proc = _cli("goldens", "--out", str(tmp_path))
-    assert proc.returncode == 0
-    assert "golden checks passed" in proc.stdout
-    assert (tmp_path / "goldens_report.txt").exists()
 
 
 def test_cli_rejects_unknown_mode(tmp_path):
@@ -536,6 +520,30 @@ def test_cli_sweep_rejects_bad_beta(tiny_dir, tmp_path, mode, beta):
     proc = _tiny_sweep_cli(tmp_path, tiny_dir, "--mode", mode, "--beta", beta)
     _assert_one_error_line(proc)
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("mode", ["base1", "sim1"])
+@pytest.mark.parametrize("snr", ["-inf", "nan", "inf"])
+def test_cli_sweep_rejects_non_finite_snr(tiny_dir, tmp_path, mode, snr):
+    # checked before any session runs and before the output directory is made
+    proc = _tiny_sweep_cli(tmp_path, tiny_dir, "--mode", mode, f"--snr={snr}")
+    _assert_one_error_line(proc)
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_defaults_to_the_config_modes(tiny_dir, tmp_path):
+    text = _render_ini(tiny_config(seed=4242))
+    old = "modes = noharq,sim1,sim2,base1"
+    assert text.count(old) == 1
+    ini = tmp_path / "modes.ini"
+    ini.write_text(text.replace(old, "modes = sim1,base1"))
+    out = tmp_path / "sweep"
+    proc = _cli(
+        "sweep", "--config", str(ini), "--out", str(out), "--artifacts", str(tiny_dir),
+        "--snr", "0", "--sessions", "1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [r["mode"] for r in _read_rows(out / "sessions.csv")] == ["sim1", "base1"]
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,7 @@ def test_crc_frozen_values():
     bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
     assert crc24(bits) == 0xCDE703
     assert crc24(np.ones(24, dtype=np.uint8)) == 0xEDF8CE
+    assert crc24(np.unpackbits(np.frombuffer(b"\xde\xad\xbe\xef", dtype=np.uint8))) == 0x6432C5
 
 
 def test_crc_matches_bit_serial_reference():
@@ -145,7 +146,7 @@ def test_bit_byte_roundtrip():
 
 
 def _fake_session(acks, s_hats=None):
-    session = HarqSession(mode="sim1", budget=len(acks))
+    session = HarqSession()
     cand = FeatureTensor(np.zeros((1, 2, 2)))
     for i, ack in enumerate(acks):
         s_hat = None if s_hats is None else s_hats[i]
@@ -183,7 +184,7 @@ def test_finalize_unscored_falls_back_to_last():
 
 def test_finalize_empty_session():
     with pytest.raises(ValueError):
-        finalize(HarqSession(mode="sim1", budget=3))
+        finalize(HarqSession())
 
 
 # -- semantic sessions over an injected channel --

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlink import ofdm
+from conftest import from_time, to_time
 from semlink.ofdm import (
     QAM_ORDERS,
     OfdmConfig,
     frame_build,
     frame_extract,
-    from_time,
     pilot_rows,
     qam_demap_hard,
     qam_map,
-    to_time,
 )
 
 CFG = OfdmConfig()
@@ -138,9 +136,11 @@ def test_frame_overflow_rejected():
 
 def test_time_roundtrip_identity():
     rng = np.random.default_rng(8)
-    grid = rng.standard_normal((14, 64)) + 1j * rng.standard_normal((14, 64))
-    back = from_time(to_time(grid, SMALL), SMALL)
-    assert np.max(np.abs(back - grid)) / np.max(np.abs(grid)) < 1e-9
+    for cfg in (SMALL, CFG):
+        shape = (cfg.n_symbols, cfg.l_fft)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        back = from_time(to_time(grid, cfg), cfg)
+        assert np.max(np.abs(back - grid)) / np.max(np.abs(grid)) < 1e-9
 
 
 def test_cyclic_prefix_is_tail_copy():
@@ -153,11 +153,13 @@ def test_cyclic_prefix_is_tail_copy():
 
 def test_parseval_per_symbol():
     rng = np.random.default_rng(10)
-    grid = rng.standard_normal((14, 64)) + 1j * rng.standard_normal((14, 64))
-    body = to_time(grid, SMALL)[:, SMALL.l_cp :]
-    e_time = np.sum(np.abs(body) ** 2, axis=1)
-    e_freq = np.sum(np.abs(grid) ** 2, axis=1)
-    assert np.max(np.abs(e_time - e_freq) / e_freq) < 1e-9
+    for cfg in (SMALL, CFG):
+        shape = (cfg.n_symbols, cfg.l_fft)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        body = to_time(grid, cfg)[:, cfg.l_cp :]
+        e_time = np.sum(np.abs(body) ** 2, axis=1)
+        e_freq = np.sum(np.abs(grid) ** 2, axis=1)
+        assert np.max(np.abs(e_time - e_freq) / e_freq) < 1e-9
 
 
 def test_single_subcarrier_is_complex_exponential():
