@@ -3,10 +3,11 @@
 Modules are layered bottom-up: tensors and scenegen provide the synthetic
 perception task, nnkit the dense-network machinery (and the one stable
 sigmoid), codec the learned encoder/decoder, ofdm/channel/rxdsp/link the
-physical layer, detector the learned acknowledgement scorer, harq the
-retransmission protocols, config the INI file, whose sections load straight
-into the config dataclasses of ofdm, scenegen, codec and detector, and
-harness the experiment orchestration.
+physical layer (each receiver step is one channel or rxdsp function, which link
+runs on the symbol rows it simulates), detector the learned acknowledgement
+scorer, harq the retransmission protocols, config the INI file, whose sections
+load straight into the config dataclasses of ofdm, scenegen, codec and
+detector, and harness the experiment orchestration.
 """
 
 __version__ = "0.1.0"

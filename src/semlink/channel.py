@@ -3,6 +3,10 @@
 Each tap is a circular complex Gaussian whose symbol-to-symbol correlation is
 the zeroth-order Bessel value at the Doppler rate. The channel is applied
 multiplicatively on the resource grid.
+
+The link (link.RoundDraws) and its full-grid oracle share realize and
+freq_response. Noise is drawn apart: apply draws the whole grid at once,
+the link row by row (_noise_rows), and the oracle checks they agree.
 """
 
 from __future__ import annotations
@@ -124,15 +128,11 @@ def _phases(l_fft: int, subcarrier_spacing: float, delays: tuple[float, ...]) ->
     return phases
 
 
-def _response_rows(real: ChannelRealization, cfg: OfdmConfig, rows) -> np.ndarray:
-    """freq_response restricted to the symbol rows `rows`, in that order."""
+def freq_response(real: ChannelRealization, cfg: OfdmConfig, rows=None) -> np.ndarray:
+    """H[j, k] = sum_m a_m(j) exp(-2i pi k df tau_m) for j in `rows` (every symbol if None)."""
+    rows = range(real.n_symbols) if rows is None else rows
     phases = _phases(cfg.l_fft, cfg.subcarrier_spacing, tuple(real.delays.tolist()))
     return real.taps[list(rows)] @ phases.T
-
-
-def freq_response(real: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
-    """Per-symbol frequency response H[j, k] = sum_m a_m(j) exp(-2i pi k df tau_m)."""
-    return _response_rows(real, cfg, range(real.n_symbols))
 
 
 def noise_variance(snr_db: float, signal_power: float = 1.0) -> float:

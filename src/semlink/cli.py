@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import harness
-from .config import ALL_MODES, ExperimentConfig, default_config_text, load_config, with_seed
+from .config import ALL_MODES, ExperimentConfig, check_modes, default_config_text, load_config, with_seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,17 +75,12 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    modes = cfg.experiment.modes  # an INI's list is checked when it loads
     if args.mode is not None:
-        modes = tuple(tok.strip() for tok in args.mode.split(",") if tok.strip())
-    else:
-        modes = cfg.experiment.modes
-    for mode in modes:
-        if mode not in ALL_MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(ALL_MODES)}")
+        modes = check_modes((tok.strip() for tok in args.mode.split(",") if tok.strip()), "--mode")
+    snr_list = cfg.experiment.snr_db
     if args.snr is not None:
         snr_list = tuple(float(tok) for tok in args.snr.split(",") if tok.strip())
-    else:
-        snr_list = cfg.experiment.snr_db
     if not snr_list:
         raise ValueError("empty SNR list")
     art = args.artifacts if args.artifacts is not None else args.out

@@ -35,16 +35,12 @@ class CodecConfig:
     recon_epochs: int = 80
     task_epochs: int = 30
     task_weight: float = 0.5  # weight on the reconstruction term in step 2
-    snr_lo: float = 0.0
-    snr_hi: float = 18.0
 
     def __post_init__(self):
         if self.n_cu < 1:
             raise ValueError("n_cu must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.snr_hi < self.snr_lo:
-            raise ValueError("snr_hi must be >= snr_lo")
 
 
 @dataclass

@@ -194,9 +194,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("bad value for experiment.round_budget: must be >= 1")
     if e.workers < 1:
         raise ValueError("bad value for experiment.workers: must be >= 1")
-    for mode in e.modes:
-        if mode not in ALL_MODES:
-            raise ValueError(f"bad value for experiment.modes: unknown mode {mode!r}")
+    check_modes(e.modes, "experiment.modes")
     if not 0.0 < cfg.codec.cr <= 1.0:
         raise ValueError("bad value for codec.cr: must be in (0, 1]")
     if cfg.baseline.mod_order not in QAM_ORDERS:
@@ -209,6 +207,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("bad value for detector.pool: exceeds scene grid")
     cfg.channel_profile()
     cfg.baseline_cr()
+
+
+def check_modes(modes, name: str = "modes") -> tuple[str, ...]:
+    """The mode list as a tuple; ValueError, naming it `name`, if it is empty or
+    names an unknown mode."""
+    modes = tuple(modes)
+    if not modes:
+        raise ValueError(f"bad value for {name}: empty mode list")
+    for mode in modes:
+        if mode not in ALL_MODES:
+            raise ValueError(
+                f"bad value for {name}: unknown mode {mode!r}; choose from {', '.join(ALL_MODES)}"
+            )
+    return modes
 
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:

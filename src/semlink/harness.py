@@ -28,7 +28,7 @@ import numpy as np
 
 from . import codec as codec_mod
 from . import detector as det_mod
-from .config import BASELINE_MODES, SEMANTIC_MODES, ExperimentConfig
+from .config import BASELINE_MODES, SEMANTIC_MODES, ExperimentConfig, check_modes
 from .harq import (
     BaselineSource,
     HarqSession,
@@ -295,9 +295,13 @@ class SessionCache:
         return self._draws[t]
 
 
-def _check_beta(beta: float | None) -> None:
+def _check_point(beta: float | None, snr_list) -> None:
+    """ValueError unless beta is None or in (0, 1) and every SNR point is finite."""
     if beta is not None and not 0.0 < beta < 1.0:
         raise ValueError(f"bad value for beta: must be in (0, 1), got {beta}")
+    for snr_db in snr_list:
+        if not math.isfinite(snr_db):
+            raise ValueError(f"bad value for snr_db: must be finite, got {snr_db}")
 
 
 def run_session(
@@ -317,7 +321,7 @@ def run_session(
     is done. Without one the session makes its own, and its record is the
     same.
     """
-    _check_beta(beta)
+    _check_point(beta, (snr_db,))
     if cache is None:
         cache = SessionCache(bundle, idx)
     elif cache.bundle is not bundle or cache.idx != idx:
@@ -431,14 +435,11 @@ def run_sweep(
     for name, value in (("sessions", sessions), ("workers", workers), ("budget", budget_eff)):
         if value < 1:
             raise ValueError(f"bad value for {name}: must be >= 1, got {value}")
-    _check_beta(beta)
+    modes = check_modes(modes)
     snr_list = tuple(float(s) for s in snr_list)
-    for snr_db in snr_list:
-        if not math.isfinite(snr_db):
-            raise ValueError(f"bad value for snr_db: must be finite, got {snr_db}")
+    _check_point(beta, snr_list)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    modes = tuple(modes)
 
     grid = [(mode, snr_db) for mode in modes for snr_db in snr_list]
     say(f"running {len(grid) * sessions} sessions on {workers} worker(s)")

@@ -14,9 +14,11 @@ the whole grid's noise stream is still drawn (channel._noise_rows), because
 drawing only the rows in use would change the seed-to-noise mapping and
 with it every sweep result for a given seed.
 
-The full-grid chain ofdm.frame_build -> channel.apply -> rxdsp.estimate ->
-rxdsp.equalize_mmse -> ofdm.frame_extract is the oracle: the row-sparse link
-is bitwise equal to it (tests/test_link.py).
+The link runs channel.freq_response, rxdsp.estimate and rxdsp.equalize_mmse
+on its rows. Its oracle (tests/test_link.py) runs them on every row of the
+full grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse
+-> ofdm.frame_extract, with its own payload placement and whole-grid noise
+draw; the link is bitwise equal to it.
 
 What a round draws from its seeds (pilot rows, channel realization, H on the
 simulated rows, unit-variance noise on them) does not depend on the payload
@@ -65,7 +67,7 @@ class RoundDraws:
     def response(self, rows: tuple[int, ...]) -> np.ndarray:
         """H on the symbol rows `rows`, in that order."""
         if rows not in self._response:
-            self._response[rows] = _frozen(chan._response_rows(self.real, self.cfg, rows))
+            self._response[rows] = _frozen(chan.freq_response(self.real, self.cfg, rows))
         return self._response[rows]
 
     def noise(self, rows: tuple[int, ...]) -> np.ndarray:
@@ -91,13 +93,11 @@ def _transmit(
     n = symbols.size
     if n > cfg.payload_capacity:
         raise ValueError(f"payload of {n} symbols exceeds capacity {cfg.payload_capacity}")
-    pilot_rows = cfg.pilot_rows_idx[:2]
-    if not pilot_rows:
-        raise ValueError("the link needs at least one pilot symbol")
     if draws is None:
         draws = RoundDraws(cfg, profile, seeds)
     elif (draws.seeds, draws.cfg, draws.profile) != (seeds, cfg, profile):
         raise ValueError("round draws were made for other seeds, config or channel profile")
+    pilot_rows = cfg.pilot_rows_idx[:2]  # the rows rxdsp.estimate reads
     data_rows = cfg.data_rows_idx[: -(-n // cfg.l_fft)]
     n_p = len(pilot_rows)
 
@@ -113,9 +113,8 @@ def _transmit(
         noise_var = chan.noise_variance(snr_db, signal_power)
         rx = rx + np.sqrt(noise_var) * draws.noise(rows)
 
-    h_pilot = rxdsp._pilot_estimates(rx[:n_p], pilots, cfg.l_cp)
-    h = rxdsp._interpolate(h_pilot, pilot_rows, data_rows)
-    eq = rxdsp._mmse(rx[n_p:], h, noise_var, signal_power)
+    h = rxdsp.estimate(rx[:n_p], pilots, pilot_rows, data_rows, cfg.l_cp)
+    eq = rxdsp.equalize_mmse(rx[n_p:], h, noise_var, signal_power)
     return eq.reshape(-1)[:n], h.reshape(-1)[:n], noise_var
 
 

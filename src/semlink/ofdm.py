@@ -57,18 +57,6 @@ class OfdmConfig:
         return len(self.data_rows_idx) * self.l_fft
 
 
-@dataclass(frozen=True)
-class ResourceGrid:
-    grid: np.ndarray  # (n_symbols, l_fft) complex
-    pilot_rows_idx: tuple[int, ...]
-    data_rows_idx: tuple[int, ...]
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.complex128)
-        grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-
-
 def _gray_to_bin(g: np.ndarray) -> np.ndarray:
     b = g.copy()
     shift = 1
@@ -139,8 +127,9 @@ def pilot_rows(cfg: OfdmConfig, seed: int) -> np.ndarray:
     return qam_map(bits, 4).reshape(n_p, cfg.l_fft)
 
 
-def frame_build(payload: np.ndarray, cfg: OfdmConfig, pilot_seed: int) -> ResourceGrid:
-    """Place payload symbols row-major into the data rows, zero-padding the rest."""
+def frame_build(payload: np.ndarray, cfg: OfdmConfig, pilot_seed: int) -> np.ndarray:
+    """The read-only (n_symbols, l_fft) frame: pilot_rows(cfg, pilot_seed) on the
+    pilot rows, the payload row-major in the data rows, zero padding after it."""
     payload = np.asarray(payload, dtype=np.complex128).reshape(-1)
     if payload.size > cfg.payload_capacity:
         raise ValueError(
@@ -151,7 +140,8 @@ def frame_build(payload: np.ndarray, cfg: OfdmConfig, pilot_seed: int) -> Resour
     data[: payload.size] = payload
     grid[list(cfg.data_rows_idx), :] = data.reshape(len(cfg.data_rows_idx), cfg.l_fft)
     grid[list(cfg.pilot_rows_idx), :] = pilot_rows(cfg, pilot_seed)
-    return ResourceGrid(grid, cfg.pilot_rows_idx, cfg.data_rows_idx)
+    grid.setflags(write=False)
+    return grid
 
 
 def frame_extract(grid: np.ndarray, cfg: OfdmConfig, n_payload: int) -> np.ndarray:

@@ -3,100 +3,55 @@
 Estimation is least-squares on the pilot rows, denoised in the delay domain by
 zeroing taps beyond the cyclic prefix, then linearly interpolated (and
 extrapolated) across OFDM symbols. The noise variance is taken as known.
+
+Both steps take any set of symbol rows and return plain arrays. The link runs
+them on the rows it simulates and its full-grid oracle on every row, so
+tests/test_rxdsp.py, not that oracle, checks this arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ofdm import OfdmConfig
 
+def estimate(rx_pilots: np.ndarray, pilots: np.ndarray, pilot_rows, rows, l_cp: int) -> np.ndarray:
+    """Channel estimate on each symbol row in `rows`, shaped (len(rows), l_fft).
 
-@dataclass(frozen=True)
-class ChannelEstimate:
-    h: np.ndarray  # (n_symbols, l_fft) complex
-    noise_var: float
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.complex128)
-        if h.ndim != 2:
-            raise ValueError("estimate must be (n_symbols, l_fft)")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be non-negative")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-
-
-def _denoise_delay(h_row: np.ndarray, l_cp: int) -> np.ndarray:
-    """Zero delay-domain content at or beyond the CP length (incl. negative bins)."""
-    g = np.fft.ifft(h_row)
-    g[l_cp:] = 0.0
-    return np.fft.fft(g)
-
-
-def _pilot_estimates(rx_pilots: np.ndarray, pilots: np.ndarray, l_cp: int) -> np.ndarray:
-    """Delay-denoised LS estimate on each received pilot row."""
-    h_pilot = np.empty_like(pilots)
-    for i, (y, p) in enumerate(zip(rx_pilots, pilots)):
-        h_pilot[i] = _denoise_delay(y / p, l_cp)
-    return h_pilot
-
-
-def _interpolate(h_pilot: np.ndarray, pilot_rows, rows) -> np.ndarray:
-    """Estimate on each symbol row in `rows` from the pilot-row estimates.
-
-    One pilot row holds for every symbol; with more, the estimate is linear
-    in the symbol index through the first two, extrapolated beyond them.
+    rx_pilots[i] is the received pilot row pilot_rows[i], which carried
+    pilots[i]. One pilot row's estimate holds for every symbol; with more, the
+    estimate is linear in the symbol index through the first two, extrapolated
+    beyond them, and further pilot rows are not read.
     """
-    rows = list(rows)
-    h = np.empty((len(rows), h_pilot.shape[1]), dtype=np.complex128)
-    if len(pilot_rows) == 1:
-        h[:] = h_pilot[0]
-        return h
-    j0, j1 = pilot_rows[0], pilot_rows[1]
-    slope = (h_pilot[1] - h_pilot[0]) / (j1 - j0)
-    for i, j in enumerate(rows):
-        h[i] = h_pilot[0] + (j - j0) * slope
-    return h
-
-
-def _mmse(rx: np.ndarray, h: np.ndarray, noise_var: float, signal_power: float) -> np.ndarray:
-    """Per-cell MMSE equalizer: conj(H) Y / (|H|^2 + noise_var / signal_power)."""
-    denom = np.abs(h) ** 2 + noise_var / signal_power
-    return np.conj(h) * rx / denom
-
-
-def estimate(
-    rx_grid: np.ndarray,
-    pilots: np.ndarray,
-    cfg: OfdmConfig,
-    noise_var: float,
-) -> ChannelEstimate:
-    """LS pilot estimation with delay-domain denoising and linear time interpolation."""
-    rx_grid = np.asarray(rx_grid, dtype=np.complex128)
+    rx_pilots = np.asarray(rx_pilots, dtype=np.complex128)
     pilots = np.asarray(pilots, dtype=np.complex128)
-    rows = cfg.pilot_rows_idx
-    if rx_grid.shape != (cfg.n_symbols, cfg.l_fft):
-        raise ValueError(f"grid shape {rx_grid.shape} does not match config")
-    if pilots.shape != (len(rows), cfg.l_fft):
-        raise ValueError(f"pilot block must be ({len(rows)}, {cfg.l_fft})")
+    if not pilot_rows:
+        raise ValueError("estimation needs at least one pilot row")
+    if pilots.ndim != 2 or len(pilots) != len(pilot_rows) or rx_pilots.shape != pilots.shape:
+        raise ValueError(f"pilot blocks must both hold {len(pilot_rows)} rows of one width")
     if np.min(np.abs(pilots)) < 1e-9:
         raise ValueError("pilot symbols must be bounded away from zero")
 
-    h_pilot = _pilot_estimates(rx_grid[list(rows)], pilots, cfg.l_cp)
-    h = _interpolate(h_pilot, rows, range(cfg.n_symbols))
-    return ChannelEstimate(h, float(noise_var))
+    g = np.fft.ifft(rx_pilots[:2] / pilots[:2], axis=1)
+    g[:, l_cp:] = 0.0  # delay-domain content at or beyond the CP, incl. negative bins
+    h_pilot = np.fft.fft(g, axis=1)
+    offset = np.asarray(list(rows), dtype=np.int64) - pilot_rows[0]
+    if len(h_pilot) == 1:
+        return np.repeat(h_pilot[:1], len(offset), axis=0)
+    slope = (h_pilot[1] - h_pilot[0]) / (pilot_rows[1] - pilot_rows[0])
+    return h_pilot[0] + offset[:, None] * slope
 
 
 def equalize_mmse(
-    rx_grid: np.ndarray,
-    est: ChannelEstimate,
+    rx: np.ndarray,
+    h: np.ndarray,
+    noise_var: float,
     signal_power: float = 1.0,
 ) -> np.ndarray:
     """Per-cell MMSE equalizer: conj(H) Y / (|H|^2 + noise_var / signal_power)."""
-    rx_grid = np.asarray(rx_grid, dtype=np.complex128)
-    if rx_grid.shape != est.h.shape:
-        raise ValueError(f"grid shape {rx_grid.shape} does not match estimate")
-    return _mmse(rx_grid, est.h, est.noise_var, signal_power)
+    rx = np.asarray(rx, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    if rx.shape != h.shape:
+        raise ValueError(f"received shape {rx.shape} does not match estimate {h.shape}")
+    if noise_var < 0:
+        raise ValueError("noise variance must be non-negative")
+    return np.conj(h) * rx / (np.abs(h) ** 2 + noise_var / signal_power)

@@ -170,8 +170,6 @@ def test_load_codec_rejects_garbage(tmp_path):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        CodecConfig(snr_lo=10.0, snr_hi=5.0)
-    with pytest.raises(ValueError):
         CodecConfig(batch_size=0)
     with pytest.raises(ValueError):
         CodecConfig(n_cu=0)

@@ -120,6 +120,9 @@ def test_validate_rejects_bad_mode():
     bad = replace(cfg, experiment=replace(cfg.experiment, modes=("warp",)))
     with pytest.raises(ValueError, match="unknown mode"):
         validate_config(bad)
+    empty = replace(cfg, experiment=replace(cfg.experiment, modes=()))
+    with pytest.raises(ValueError, match="experiment.modes: empty mode list"):
+        validate_config(empty)
 
 
 def test_validate_rejects_bad_cr():
@@ -179,7 +182,7 @@ def test_derived_views_match_sections():
 
 
 def test_train_config_band_override(tmp_path):
-    # the pair bands, not codec.snr_lo/snr_hi, are what each pair trains over
+    # each pair trains over its own band, which PairSection checks
     cfg = ExperimentConfig()
     assert (cfg.codec_pair1.snr_lo, cfg.codec_pair1.snr_hi) == (9.0, 18.0)
     assert (cfg.codec_pair2.snr_lo, cfg.codec_pair2.snr_hi) == (0.0, 6.0)

@@ -414,6 +414,23 @@ def test_sessions_reject_bad_beta(tiny_bundle, tmp_path, mode, beta):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["sim1", "base1"])
+@pytest.mark.parametrize("snr", [float("-inf"), float("nan"), float("inf")])
+def test_sessions_reject_non_finite_snr(tiny_bundle, tmp_path, mode, snr):
+    with pytest.raises(ValueError, match="snr_db"):
+        harness.run_session(tiny_bundle, mode, snr, 0)
+    with pytest.raises(ValueError, match="snr_db"):
+        harness.run_sweep(tiny_bundle, (mode,), (snr,), tmp_path / "out", sessions=1)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("modes", [(), ("sim1", "warp")])
+def test_run_sweep_rejects_bad_mode_lists(tiny_bundle, tmp_path, modes):
+    with pytest.raises(ValueError, match="mode"):
+        harness.run_sweep(tiny_bundle, modes, (6.0,), tmp_path / "out", sessions=1)
+    assert not (tmp_path / "out").exists()
+
+
 def test_session_cache_is_bound_to_its_index(tiny_bundle):
     cache = harness.SessionCache(tiny_bundle, 1)
     with pytest.raises(ValueError, match="index"):
@@ -529,6 +546,30 @@ def test_cli_sweep_rejects_non_finite_snr(tiny_dir, tmp_path, mode, snr):
     proc = _tiny_sweep_cli(tmp_path, tiny_dir, "--mode", mode, f"--snr={snr}")
     _assert_one_error_line(proc)
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("mode", [",", " , "])
+def test_cli_sweep_rejects_bad_mode_lists(tiny_dir, tmp_path, mode):
+    # checked before the artifacts are loaded and before the output directory is made
+    proc = _tiny_sweep_cli(tmp_path, tiny_dir, f"--mode={mode}")
+    _assert_one_error_line(proc)
+    assert "mode" in proc.stderr
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_rejects_the_dropped_codec_snr_keys(tmp_path):
+    # codec.snr_lo and snr_hi were read by nothing; an INI that still lists
+    # them fails on the first, as any unknown key does
+    text = default_config_text()
+    old = "task_weight = 0.5\n"
+    assert text.count(old) == 1
+    ini = tmp_path / "old.ini"
+    ini.write_text(text.replace(old, old + "snr_lo = 0\nsnr_hi = 18\n"))
+    out = tmp_path / "out"
+    proc = _cli("train", "--config", str(ini), "--out", str(out))
+    _assert_one_error_line(proc)
+    assert proc.stderr.strip() == "error: unknown field: codec.snr_lo"
+    assert not out.exists()
 
 
 def test_cli_sweep_defaults_to_the_config_modes(tiny_dir, tmp_path):

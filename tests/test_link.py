@@ -1,5 +1,7 @@
 """Row-sparse link tests: bitwise equality with the full-grid chain it replaces."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,14 @@ def _full_grid(symbols, cfg, profile, snr_db, seeds, signal_power):
     """The oracle: build, fade and equalize the whole frame, then extract."""
     grid = ofdm.frame_build(symbols, cfg, seeds.pilot)
     real = channel.realize(profile, cfg, cfg.n_symbols, seeds.channel)
-    rx = channel.apply(grid.grid, real, cfg, snr_db, seeds.noise, signal_power)
+    rx = channel.apply(grid, real, cfg, snr_db, seeds.noise, signal_power)
     noise_var = 0.0 if snr_db is None else channel.noise_variance(snr_db, signal_power)
-    est = rxdsp.estimate(rx, ofdm.pilot_rows(cfg, seeds.pilot), cfg, noise_var)
-    eq = rxdsp.equalize_mmse(rx, est, signal_power)
+    pilot_rows = cfg.pilot_rows_idx
+    h = rxdsp.estimate(rx[list(pilot_rows)], ofdm.pilot_rows(cfg, seeds.pilot), pilot_rows,
+                       range(cfg.n_symbols), cfg.l_cp)
+    eq = rxdsp.equalize_mmse(rx, h, noise_var, signal_power)
     n = symbols.size
-    return ofdm.frame_extract(eq, cfg, n), ofdm.frame_extract(est.h, cfg, n), noise_var
+    return ofdm.frame_extract(eq, cfg, n), ofdm.frame_extract(h, cfg, n), noise_var
 
 
 def _payload(n, signal_power, seed):
@@ -58,6 +62,27 @@ def test_row_sparse_link_matches_full_grid(name, size, snr_db, signal_power):
     assert _same_bits(got_h, h)
     assert got_var == noise_var
     assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, snr_db, seeds, signal_power), eq)
+
+
+@pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
+def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
+    # each transmit runs the public estimator and equalizer once; a RoundDraws
+    # asks channel.freq_response for H once per new set of simulated rows
+    counts = Counter()
+    for module, name in ((rxdsp, "estimate"), (rxdsp, "equalize_mmse"), (channel, "freq_response")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    seeds = LinkSeeds(pilot=31, channel=32, noise=33)
+    draws = RoundDraws(TINY, PROFILE, seeds)
+    # one data row, two, then both row sets again
+    for calls, n in enumerate((5, TINY.l_fft + 1, 7, TINY.l_fft + 2), start=1):
+        link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, 6.0, seeds, draws=draws)
+        assert counts["estimate"] == counts["equalize_mmse"] == calls
+    assert counts["freq_response"] == 2
+    link_fn(_payload(5, 1.0, seed=5), TINY, PROFILE, None, seeds)  # draws of its own
+    assert (counts["estimate"], counts["equalize_mmse"], counts["freq_response"]) == (5, 5, 3)
 
 
 def _realize_loop(profile, cfg, n_symbols, seed):

@@ -109,7 +109,7 @@ def test_frame_roundtrip_exact():
     rng = np.random.default_rng(5)
     payload = rng.standard_normal(500) + 1j * rng.standard_normal(500)
     grid = frame_build(payload, SMALL, pilot_seed=7)
-    assert np.array_equal(frame_extract(grid.grid, SMALL, 500), payload)
+    assert np.array_equal(frame_extract(grid, SMALL, 500), payload)
 
 
 def test_frame_full_capacity_no_padding():
@@ -117,15 +117,15 @@ def test_frame_full_capacity_no_padding():
     n = SMALL.payload_capacity
     payload = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     grid = frame_build(payload, SMALL, pilot_seed=7)
-    data = grid.grid[list(SMALL.data_rows_idx), :]
+    data = grid[list(SMALL.data_rows_idx), :]
     assert np.array_equal(data.reshape(-1), payload)
 
 
 def test_frame_empty_payload_zero_data_rows():
     grid = frame_build(np.zeros(0, dtype=complex), SMALL, pilot_seed=7)
-    data = grid.grid[list(SMALL.data_rows_idx), :]
+    data = grid[list(SMALL.data_rows_idx), :]
     assert not np.any(data)
-    pilots = grid.grid[list(SMALL.pilot_rows_idx), :]
+    pilots = grid[list(SMALL.pilot_rows_idx), :]
     assert np.array_equal(pilots, pilot_rows(SMALL, 7))
 
 
@@ -177,7 +177,7 @@ def test_full_chain_identity_channel():
     rng = np.random.default_rng(11)
     payload = rng.standard_normal(700) + 1j * rng.standard_normal(700)
     grid = frame_build(payload, SMALL, pilot_seed=3)
-    out = frame_extract(from_time(to_time(grid.grid, SMALL), SMALL), SMALL, 700)
+    out = frame_extract(from_time(to_time(grid, SMALL), SMALL), SMALL, 700)
     assert np.max(np.abs(out - payload)) < 1e-9
 
 

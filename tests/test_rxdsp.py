@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from semlink import channel, ofdm, rxdsp
+from semlink import channel, ofdm
 from semlink.channel import ChannelProfile, ChannelRealization, apply, default_profile, noise_variance, realize
 from semlink.ofdm import OfdmConfig, frame_build, pilot_rows
-from semlink.rxdsp import ChannelEstimate, equalize_mmse, estimate
+from semlink.rxdsp import equalize_mmse, estimate
 
 CFG = OfdmConfig(l_fft=64, n_symbols=14, l_cp=8)
 
@@ -16,15 +16,21 @@ def _received(cfg, real, snr_db, pilot_seed=17, payload_seed=4, noise_seed=0):
     bits = rng.integers(0, 2, size=cfg.payload_capacity * 2)
     payload = ofdm.qam_map(bits, 4)
     grid = frame_build(payload, cfg, pilot_seed)
-    rx = apply(grid.grid, real, cfg, snr_db=snr_db, noise_seed=noise_seed)
+    rx = apply(grid, real, cfg, snr_db=snr_db, noise_seed=noise_seed)
     return grid, rx
+
+
+def _estimate(rx, cfg=CFG, pilot_seed=17):
+    """The estimate on every symbol row of a received frame."""
+    rows = cfg.pilot_rows_idx
+    return estimate(rx[list(rows)], pilot_rows(cfg, pilot_seed), rows, range(cfg.n_symbols), cfg.l_cp)
 
 
 def test_noiseless_flat_channel_exact():
     real = ChannelRealization(np.full((14, 1), 0.8 + 0.3j), np.array([0.0]))
     grid, rx = _received(CFG, real, snr_db=None)
-    est = estimate(rx, pilot_rows(CFG, 17), CFG, noise_var=0.0)
-    assert np.max(np.abs(est.h - (0.8 + 0.3j))) < 1e-10
+    h = _estimate(rx)
+    assert np.max(np.abs(h - (0.8 + 0.3j))) < 1e-10
 
 
 def test_noiseless_linear_drift_exact():
@@ -32,8 +38,8 @@ def test_noiseless_linear_drift_exact():
     ramp = 0.6 + 0.02 * np.arange(14)
     real = ChannelRealization(ramp.reshape(14, 1).astype(complex), np.array([0.0]))
     grid, rx = _received(CFG, real, snr_db=None)
-    est = estimate(rx, pilot_rows(CFG, 17), CFG, noise_var=0.0)
-    assert np.max(np.abs(est.h - ramp[:, None])) < 1e-10
+    h = _estimate(rx)
+    assert np.max(np.abs(h - ramp[:, None])) < 1e-10
 
 
 def test_noiseless_multipath_static_exact():
@@ -41,9 +47,9 @@ def test_noiseless_multipath_static_exact():
     prof = ChannelProfile((0.0, 3.0 / sr), (0.7, 0.3), 0.0)
     real = realize(prof, CFG, 14, seed=2)
     grid, rx = _received(CFG, real, snr_db=None)
-    est = estimate(rx, pilot_rows(CFG, 17), CFG, noise_var=0.0)
+    h = _estimate(rx)
     h_true = channel.freq_response(real, CFG)
-    assert np.max(np.abs(est.h - h_true)) < 1e-9
+    assert np.max(np.abs(h - h_true)) < 1e-9
 
 
 def test_delay_denoising_beats_raw_ls():
@@ -58,12 +64,42 @@ def test_delay_denoising_beats_raw_ls():
         grid, rx = _received(CFG, real, snr_db=6.0, noise_seed=seed)
         r = CFG.pilot_rows_idx[0]
         raw = rx[r] / pil[0]
-        den = rxdsp._denoise_delay(raw.copy(), CFG.l_cp)
+        den = estimate(rx[[r]], pil[:1], (r,), (r,), CFG.l_cp)[0]  # one pilot row: denoised LS
         e_raw = np.mean(np.abs(raw - h_true[r]) ** 2)
         e_den = np.mean(np.abs(den - h_true[r]) ** 2)
         if e_den <= e_raw:
             wins += 1
     assert wins >= 95
+
+
+def _estimate_loop(rx_pilots, pilots, pilot_rows, rows, l_cp):
+    """Per-row reference: one FFT pair per pilot row, then one symbol at a time."""
+    h_pilot = []
+    for y, p in zip(rx_pilots[:2], pilots[:2]):
+        g = np.fft.ifft(y / p)
+        g[l_cp:] = 0.0
+        h_pilot.append(np.fft.fft(g))
+    h = np.empty((len(rows), pilots.shape[1]), dtype=np.complex128)
+    for i, j in enumerate(rows):
+        if len(h_pilot) == 1:
+            h[i] = h_pilot[0]
+        else:
+            slope = (h_pilot[1] - h_pilot[0]) / (pilot_rows[1] - pilot_rows[0])
+            h[i] = h_pilot[0] + (j - pilot_rows[0]) * slope
+    return h
+
+
+@pytest.mark.parametrize("l_fft,l_cp", [(64, 8), (2048, 144)])
+@pytest.mark.parametrize("pilots_at", [(2, 11), (4,), (1, 6, 11), (13, 0)])
+def test_estimate_matches_the_per_row_loop(l_fft, l_cp, pilots_at):
+    rng = np.random.default_rng(l_fft + len(pilots_at))
+    k = len(pilots_at)
+    for rows in ((), (5,), tuple(range(14)), (13, 0, 7)):
+        pil = np.exp(2j * np.pi * rng.random((k, l_fft)))
+        rx = rng.standard_normal((k, l_fft)) + 1j * rng.standard_normal((k, l_fft))
+        got = estimate(rx, pil, pilots_at, rows, l_cp)
+        want = _estimate_loop(rx, pil, pilots_at, rows, l_cp)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_estimate_mse_decreases_with_snr():
@@ -75,8 +111,7 @@ def test_estimate_mse_decreases_with_snr():
             real = realize(prof, CFG, 14, seed=seed)
             h_true = channel.freq_response(real, CFG)
             grid, rx = _received(CFG, real, snr_db=snr, noise_seed=seed)
-            est = estimate(rx, pilot_rows(CFG, 17), CFG, noise_variance(snr))
-            acc += np.mean(np.abs(est.h - h_true) ** 2)
+            acc += np.mean(np.abs(_estimate(rx) - h_true) ** 2)
         mses.append(acc / 30)
     assert mses[0] > mses[1] > mses[2] > mses[3]
 
@@ -91,10 +126,10 @@ def test_mmse_beats_zero_forcing_at_low_snr():
     for seed in range(20):
         real = realize(prof, CFG, 14, seed=seed)
         grid, rx = _received(CFG, real, snr_db=snr, noise_seed=seed)
-        est = estimate(rx, pilot_rows(CFG, 17), CFG, noise_variance(snr))
-        eq = equalize_mmse(rx, est)
-        zf = rx / est.h
-        sent = grid.grid[list(CFG.data_rows_idx), :]
+        h = _estimate(rx)
+        eq = equalize_mmse(rx, h, noise_variance(snr))
+        zf = rx / h
+        sent = grid[list(CFG.data_rows_idx), :]
         rows = list(CFG.data_rows_idx)
         err_mmse += np.sum(np.abs(eq[rows] - sent) ** 2)
         err_zf += np.sum(np.abs(zf[rows] - sent) ** 2)
@@ -106,41 +141,41 @@ def test_mmse_beats_zero_forcing_at_low_snr():
 def test_mmse_converges_to_zero_forcing_at_high_snr():
     h = np.full((2, 8), 0.9 - 0.4j)
     rx = np.ones((2, 8), dtype=complex)
-    est_hi = ChannelEstimate(h, noise_var=1e-12)
     zf = rx / h
-    assert np.allclose(equalize_mmse(rx, est_hi), zf, rtol=1e-9)
+    assert np.allclose(equalize_mmse(rx, h, noise_var=1e-12), zf, rtol=1e-9)
 
 
 def test_mmse_scalar_formula():
     h = np.array([[0.5 + 0.5j]])
     rx = np.array([[1.0 + 0.0j]])
     nv = 0.25
-    est = ChannelEstimate(h, noise_var=nv)
     expected = np.conj(h) * rx / (np.abs(h) ** 2 + nv)
-    assert np.allclose(equalize_mmse(rx, est), expected, atol=1e-15)
+    assert np.allclose(equalize_mmse(rx, h, nv), expected, atol=1e-15)
 
 
 def test_mmse_signal_power_scaling():
     h = np.array([[0.5 + 0.5j]])
     rx = np.array([[2.0 - 1.0j]])
-    est = ChannelEstimate(h, noise_var=0.5)
     expected = np.conj(h) * rx / (np.abs(h) ** 2 + 0.5 / 4.0)
-    assert np.allclose(equalize_mmse(rx, est, signal_power=4.0), expected, atol=1e-15)
+    assert np.allclose(equalize_mmse(rx, h, 0.5, signal_power=4.0), expected, atol=1e-15)
 
 
 def test_estimate_input_validation():
     pil = pilot_rows(CFG, 17)
+    rows = CFG.pilot_rows_idx
+    every = range(CFG.n_symbols)
+    with pytest.raises(ValueError):  # received pilots narrower than the pilot block
+        estimate(np.zeros((2, 32), dtype=complex), pil, rows, every, CFG.l_cp)
+    with pytest.raises(ValueError):  # one pilot block row for two pilot rows
+        estimate(np.zeros((1, 64), dtype=complex), pil[:1], rows, every, CFG.l_cp)
     with pytest.raises(ValueError):
-        estimate(np.zeros((14, 32), dtype=complex), pil, CFG, 0.1)
+        estimate(np.zeros((2, 64), dtype=complex), np.zeros_like(pil), rows, every, CFG.l_cp)
     with pytest.raises(ValueError):
-        estimate(np.zeros((14, 64), dtype=complex), pil[:1], CFG, 0.1)
+        estimate(np.zeros((0, 64), dtype=complex), pil[:0], (), every, CFG.l_cp)
     with pytest.raises(ValueError):
-        estimate(np.zeros((14, 64), dtype=complex), np.zeros_like(pil), CFG, 0.1)
-    with pytest.raises(ValueError):
-        ChannelEstimate(np.zeros((2, 4), dtype=complex), noise_var=-1.0)
+        equalize_mmse(np.zeros((2, 4), dtype=complex), np.zeros((2, 4), dtype=complex), -1.0)
 
 
 def test_equalize_shape_mismatch():
-    est = ChannelEstimate(np.ones((2, 4), dtype=complex), noise_var=0.1)
     with pytest.raises(ValueError):
-        equalize_mmse(np.ones((2, 5), dtype=complex), est)
+        equalize_mmse(np.ones((2, 5), dtype=complex), np.ones((2, 4), dtype=complex), 0.1)
