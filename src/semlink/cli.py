@@ -81,8 +81,6 @@ def cmd_sweep(args) -> int:
     snr_list = cfg.experiment.snr_db
     if args.snr is not None:
         snr_list = tuple(float(tok) for tok in args.snr.split(",") if tok.strip())
-    if not snr_list:
-        raise ValueError("empty SNR list")
     art = args.artifacts if args.artifacts is not None else args.out
     bundle = harness.load_bundle(cfg, art)
     harness.run_sweep(

@@ -11,6 +11,7 @@ frozen first pair for incremental retransmission.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,8 +174,6 @@ _CODEC_MAGIC = b"SCDC"
 
 def save_codec(path, codec: SemanticCodec) -> None:
     """Container checkpoint: symbol count, power, then encoder and decoder nets."""
-    import struct
-
     with open(path, "wb") as fh:
         fh.write(_CODEC_MAGIC)
         fh.write(struct.pack("<Id", codec.n_cu, codec.signal_power))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from .channel import ChannelProfile, default_profile
 from .codec import CodecConfig
 from .detector import DetectorConfig
+from .harq import CRC24_BITS
 from .ofdm import QAM_ORDERS, OfdmConfig
 from .scenegen import SceneConfig
 
@@ -107,8 +108,6 @@ class ExperimentConfig:
         b = self.baseline
         bits_per_use = math.log2(b.mod_order) / b.code_copies
         budget_bits = self.codec.n_cu * bits_per_use
-        from .harq import CRC24_BITS
-
         k = int((budget_bits - CRC24_BITS) // (8 * self.scene.channels))
         if k < 1:
             raise ValueError(
@@ -170,7 +169,10 @@ def _load_section(parser: configparser.ConfigParser, name: str, cls):
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:  # a repeated section or key, or no section header
+        raise ValueError(f"bad config file: {' '.join(str(exc).split())}") from None
     if not read:
         raise ValueError(f"config file not found: {path}")
     for section in parser.sections():

@@ -6,18 +6,27 @@ embeddings to a single sigmoid score. Training is pairwise rank learning on
 queries of K samplings of the same source: each pair ordered by true
 similarity contributes a logistic cost, and the per-sample lambda
 accumulation of those pair gradients drives the parameter update.
+
+The rank corpus is sampled through harq.SemanticSource, the source every
+semantic session runs from, so a corpus sampling is the reception a session
+round makes: the same candidate, pooled map and true similarity.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
+from . import codec as codec_mod
 from . import nnkit
+from .link import LinkSeeds, transmit_symbols
+from .scenegen import generate_scene
+from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -369,54 +378,34 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def build_corpus(
-    head,
-    scene_cfg,
-    cr: float,
-    codec_obj,
-    ofdm_cfg,
-    profile,
-    cfg: DetectorConfig,
-    master_seed: int,
-) -> RankCorpus:
-    """Rank corpus from the full link: cfg.corpus_queries sources, each sampled
-    once at every SNR of cfg.corpus_snr_db and pooled to cfg.pool.
+def build_corpus(cfg, head, codec) -> RankCorpus:
+    """Rank corpus of an experiment config from the full link:
+    cfg.detector.corpus_queries sources, each sent once at every SNR of
+    cfg.detector.corpus_snr_db and pooled to cfg.detector.pool.
 
-    Each query is one scene; its reference map comes from the masked feature
-    actually transmitted, and each sampling reconstructs through an independent
-    channel draw at one of the listed SNRs.
+    Query q is a harq.SemanticSource of one scene with `codec` as its only
+    pair and no scorer; its reference map comes from the masked feature
+    actually transmitted, and each sampling is the source's reception of an
+    independent channel draw at one of the listed SNRs.
     """
-    from . import codec as codec_mod
-    from .link import LinkSeeds, transmit_symbols
-    from .scenegen import confidence_map, generate_scene, perception_loss, true_similarity
-    from .seeding import derive_seed
-    from .tensors import apply_mask, importance_map, pack_nonzero, unpack
+    from .harq import SemanticSource  # harq imports this module
 
-    pool = cfg.pool
+    det = cfg.detector
+    ms = derive_seed(cfg.experiment.master_seed, "corpus")
+    profile = cfg.channel_profile()
     queries = []
-    for q in range(cfg.corpus_queries):
-        scene, f = generate_scene(derive_seed(master_seed, "corpus-scene", q), scene_cfg, head)
-        mask = importance_map(f, cr)
-        f_ref = apply_mask(f, mask)
-        packed = pack_nonzero(f, mask)
-        ref_pooled = pool_map(confidence_map(f_ref, head).values, pool)
-        ref_loss = perception_loss(f_ref, scene, head)
-        symbols = codec_mod.encode(codec_obj, packed)
+    for q in range(det.corpus_queries):
+        scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
+        src = SemanticSource(codec, None, None, head, scene, f, cfg.codec.cr, det.pool)
         samp, s_true = [], []
-        for k, snr_db in enumerate(cfg.corpus_snr_db):
-            seeds = LinkSeeds(
-                pilot=derive_seed(master_seed, "corpus-pilot", q, k),
-                channel=derive_seed(master_seed, "corpus-chan", q, k),
-                noise=derive_seed(master_seed, "corpus-noise", q, k),
-            )
-            rx = transmit_symbols(
-                symbols, ofdm_cfg, profile, snr_db, seeds, codec_obj.signal_power
-            )
-            f_hat = unpack(codec_mod.decode(codec_obj, rx), mask, f.shape)
-            samp.append(pool_map(confidence_map(f_hat, head).values, pool))
-            s_true.append(true_similarity(ref_loss, perception_loss(f_hat, scene, head)))
-        queries.append(RankQuery(ref_pooled, np.stack(samp), np.asarray(s_true)))
-    return RankCorpus(tuple(queries), pool)
+        for k, snr_db in enumerate(det.corpus_snr_db):
+            seeds = LinkSeeds.derive(ms, "corpus", q, k)
+            rx = transmit_symbols(src.sym_first, cfg.ofdm, profile, snr_db, seeds, codec.signal_power)
+            _, pooled, _, s = src.receive(codec_mod.decode(codec, rx))
+            samp.append(pooled)
+            s_true.append(s)
+        queries.append(RankQuery(src.ref_pooled, np.stack(samp), np.asarray(s_true)))
+    return RankCorpus(tuple(queries), det.pool)
 
 
 _CORPUS_MAGIC = b"RKCP"
@@ -425,8 +414,6 @@ _SCORER_MAGIC = b"SCOR"
 
 def save_corpus(path, corpus: RankCorpus) -> None:
     """Serialize pooled maps and similarity scores as little-endian float32."""
-    import struct
-
     with open(path, "wb") as fh:
         fh.write(_CORPUS_MAGIC)
         fh.write(struct.pack("<II", len(corpus.queries), corpus.pool))
@@ -460,8 +447,6 @@ def load_corpus(path) -> RankCorpus:
 
 
 def save_scorer(path, scorer: SimilarityScorer) -> None:
-    import struct
-
     with open(path, "wb") as fh:
         fh.write(_SCORER_MAGIC)
         fh.write(struct.pack("<I", scorer.pool))

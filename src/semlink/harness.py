@@ -144,7 +144,7 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     )
 
     say("building detector corpus over the full link")
-    det_mod.save_corpus(out / CORPUS, _build_corpus(cfg, head, c_p1))
+    det_mod.save_corpus(out / CORPUS, det_mod.build_corpus(cfg, head, c_p1))
     corpus = det_mod.load_corpus(out / CORPUS)
     say("training similarity scorer")
     scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
@@ -157,13 +157,6 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
 
     say("training artifacts written")
     return RuntimeBundle(cfg, head, c_p1, c_p2, scorer)
-
-
-def _build_corpus(cfg: ExperimentConfig, head: ProxyHead, codec_obj) -> det_mod.RankCorpus:
-    return det_mod.build_corpus(
-        head, cfg.scene, cfg.codec.cr, codec_obj, cfg.ofdm, cfg.channel_profile(),
-        cfg.detector, derive_seed(cfg.experiment.master_seed, "corpus"),
-    )
 
 
 def load_bundle(cfg: ExperimentConfig, art_dir) -> RuntimeBundle:
@@ -211,41 +204,22 @@ def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:
     """Per corpus SNR: mean predicted score vs mean true similarity.
 
     This is the table used to place the acknowledgement threshold between
-    the scores of reliable and unreliable receptions.
+    the scores of reliable and unreliable receptions. Every query holds one
+    sampling per corpus SNR.
     """
     snrs = cfg.detector.corpus_snr_db
-    n = len(snrs)
-    s_hat = np.zeros(n)
-    s_true = np.zeros(n)
-    count = 0
+    s_hat = np.zeros(len(snrs))
+    s_true = np.zeros(len(snrs))
     for query in corpus.queries:
-        if query.s_true.size != n:
-            continue
         s_hat += det_mod.query_scores(scorer, query)
         s_true += query.s_true
-        count += 1
-    rows = []
-    if count:
-        s_hat /= count
-        s_true /= count
-        rows = [
-            f"{_fmt(snr)},{_fmt(sh)},{_fmt(st)}"
-            for snr, sh, st in zip(snrs, s_hat, s_true)
-        ]
+    n = len(corpus.queries)
+    rows = [f"{_fmt(snr)},{_fmt(sh / n)},{_fmt(st / n)}" for snr, sh, st in zip(snrs, s_hat, s_true)]
     _write_lines(path, ["snr_db,mean_score,mean_true_similarity"] + rows)
 
 
 # ---------------------------------------------------------------------------
 # sessions
-
-
-def _session_seeds(ms: int, idx: int, t: int) -> LinkSeeds:
-    """Round seeds shared by every mode, SNR and threshold for pairing."""
-    return LinkSeeds(
-        pilot=derive_seed(ms, "session-pilot", idx, t),
-        channel=derive_seed(ms, "session-chan", idx, t),
-        noise=derive_seed(ms, "session-noise", idx, t),
-    )
 
 
 class SessionCache:
@@ -275,7 +249,8 @@ class SessionCache:
         b = self.bundle
         scene, f = self.scene
         return SemanticSource(
-            b.codec_pair1, b.codec_pair2, b.scorer, b.head, scene, f, b.cfg.codec.cr
+            b.codec_pair1, b.codec_pair2, b.scorer, b.head, scene, f, b.cfg.codec.cr,
+            b.cfg.detector.pool,
         )
 
     @functools.cached_property
@@ -288,17 +263,19 @@ class SessionCache:
         )
 
     def draws(self, t: int) -> RoundDraws:
-        """The link draws of round t."""
+        """The link draws of round t, the same for every mode, SNR and threshold."""
         if t not in self._draws:
-            seeds = _session_seeds(self.bundle.cfg.experiment.master_seed, self.idx, t)
+            seeds = LinkSeeds.derive(self.bundle.cfg.experiment.master_seed, "session", self.idx, t)
             self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.profile, seeds)
         return self._draws[t]
 
 
 def _check_point(beta: float | None, snr_list) -> None:
-    """ValueError unless beta is None or in (0, 1) and every SNR point is finite."""
+    """ValueError unless beta is None or in (0, 1) and the SNR list is finite and non-empty."""
     if beta is not None and not 0.0 < beta < 1.0:
         raise ValueError(f"bad value for beta: must be in (0, 1), got {beta}")
+    if not snr_list:
+        raise ValueError("bad value for snr_db: empty SNR list")
     for snr_db in snr_list:
         if not math.isfinite(snr_db):
             raise ValueError(f"bad value for snr_db: must be finite, got {snr_db}")
@@ -534,7 +511,7 @@ def build_and_save_corpus(cfg: ExperimentConfig, art_dir, out_dir, log=None) -> 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     say("building detector corpus over the full link")
-    corpus = _build_corpus(cfg, make_head(cfg), codec_obj)
+    corpus = det_mod.build_corpus(cfg, make_head(cfg), codec_obj)
     path = out / CORPUS
     det_mod.save_corpus(path, corpus)
     stats = [

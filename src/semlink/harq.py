@@ -10,7 +10,9 @@ either chase-combines full retransmissions or accumulates one copy per round.
 A session runs from a source (SemanticSource, BaselineSource): one scene's
 mask, reference and payload, and what every session of that scene derives
 from them, computed once. What varies by session (mode, round budget,
-threshold, channel) is an argument of the session function.
+threshold, channel) is an argument of the session function. A semantic
+reception is SemanticSource.receive, for the sessions here and for the
+scorer's rank corpus (detector.build_corpus), whose sources have no scorer.
 """
 
 from __future__ import annotations
@@ -184,29 +186,33 @@ class SemanticSource:
     """One scene's semantic transmission, and what every session of it derives.
 
     The feature f is masked at ratio cr (fixed for the whole session) and
-    packed. The pooled reference map, its scorer embedding, the reference
-    perception loss and each pair's symbols are computed on first use and
-    kept; none depends on mode, SNR or threshold, so sessions may share one
-    source (harness.SessionCache). Every array it hands out is read-only.
+    packed. The reference map pooled to pool x pool, its scorer embedding,
+    the reference perception loss and each pair's symbols are computed on
+    first use and kept; none depends on mode, SNR or threshold, so sessions
+    may share one source (harness.SessionCache). Every array it hands out is
+    read-only. The second pair and the scorer may be None: such a source
+    cannot run mode sim2, or score, but still sends and receives.
     """
 
     def __init__(
         self, first: codec_mod.SemanticCodec, second: codec_mod.SemanticCodec | None,
-        scorer: SimilarityScorer, head: ProxyHead, scene: Scene, f: FeatureTensor, cr: float,
+        scorer: SimilarityScorer | None, head: ProxyHead, scene: Scene, f: FeatureTensor,
+        cr: float, pool: int,
     ):
         self.first = first
-        self.second = second  # None: the source cannot run mode sim2
+        self.second = second
         self.scorer = scorer
         self.head = head
         self.scene = scene
+        self.pool = pool
         self.mask = importance_map(f, cr)
         self.f_ref = apply_mask(f, self.mask)
         self.packed = _frozen(pack_nonzero(f, self.mask))
 
     @functools.cached_property
     def ref_pooled(self) -> np.ndarray:
-        """f_ref's confidence map pooled to the scorer's grid."""
-        return _frozen(pool_map(confidence_map(self.f_ref, self.head).values, self.scorer.pool))
+        """f_ref's confidence map pooled to the pool x pool grid."""
+        return _frozen(pool_map(confidence_map(self.f_ref, self.head), self.pool))
 
     @functools.cached_property
     def ref_emb(self) -> np.ndarray:
@@ -225,6 +231,14 @@ class SemanticSource:
     def sym_second(self) -> np.ndarray:
         return _frozen(codec_mod.encode(self.second, self.packed))
 
+    def receive(self, message: np.ndarray) -> tuple[FeatureTensor, np.ndarray, float, float]:
+        """A decoded message's candidate, its pooled confidence map, its
+        perception loss and its true similarity to the reference."""
+        candidate = unpack(message, self.mask, self.f_ref.shape)
+        loss = perception_loss(candidate, self.scene, self.head)
+        pooled = pool_map(confidence_map(candidate, self.head), self.pool)
+        return candidate, pooled, loss, true_similarity(self.ref_loss, loss)
+
 
 def run_semantic_session(
     src: SemanticSource, mode: str, budget: int, threshold: float, transmit
@@ -242,6 +256,8 @@ def run_semantic_session(
         raise ValueError(f"unknown semantic mode {mode!r}")
     if mode == "sim2" and src.second is None:
         raise ValueError("mode sim2 needs a second codec pair")
+    if src.scorer is None:
+        raise ValueError("a semantic session needs a scorer")
     if budget < 1:
         raise ValueError("round budget must be at least 1")
 
@@ -251,14 +267,10 @@ def run_semantic_session(
             message = codec_mod.decode(src.first, transmit(t, src.sym_first))
         else:
             message = message + codec_mod.decode(src.second, transmit(t, src.sym_second))
-        candidate = unpack(message, src.mask, src.f_ref.shape)
-        hyp = pool_map(confidence_map(candidate, src.head).values, src.scorer.pool)
-        s_hat = float(score_pooled(src.scorer, src.ref_emb, hyp))
+        candidate, pooled, loss, s_true = src.receive(message)
+        s_hat = float(score_pooled(src.scorer, src.ref_emb, pooled))
         ack = ack_decide(s_hat, threshold)
-        loss = perception_loss(candidate, src.scene, src.head)
-        session.rounds.append(
-            RoundRecord(s_hat, true_similarity(src.ref_loss, loss), ack, candidate, loss)
-        )
+        session.rounds.append(RoundRecord(s_hat, s_true, ack, candidate, loss))
         if ack:
             break
     return session

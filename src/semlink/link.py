@@ -36,6 +36,7 @@ import numpy as np
 
 from . import channel as chan
 from . import ofdm, rxdsp
+from .seeding import derive_seed
 from .tensors import _frozen
 
 
@@ -44,6 +45,12 @@ class LinkSeeds:
     pilot: int
     channel: int
     noise: int
+
+    @classmethod
+    def derive(cls, master_seed: int, stream: str, *index: int) -> "LinkSeeds":
+        """The seeds of `stream` at `index`: those of "{stream}-pilot",
+        "{stream}-chan" and "{stream}-noise" (seeding.derive_seed)."""
+        return cls(*(derive_seed(master_seed, f"{stream}-{p}", *index) for p in ("pilot", "chan", "noise")))
 
 
 class RoundDraws:

@@ -5,6 +5,8 @@ target and a binary occupancy label. A frozen random linear head reads a
 feature tensor out to per-cell regression values and class logits; scenes are
 lifted into feature space through the head's adjoint, so a clean feature reads
 out to the scene targets exactly and corruption shows up as perception loss.
+harq.SemanticSource.receive scores a reception with these (confidence map,
+perception loss, true similarity), in sessions and in the rank corpus alike.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nnkit import sigmoid
-from .tensors import ConfidenceMap, FeatureTensor
+from .tensors import FeatureTensor
 
 FOCAL_GAMMA = 2.0
 FOCAL_ALPHA = 0.25
@@ -191,10 +193,11 @@ def perception_loss_grad(f: FeatureTensor, scene: Scene, head: ProxyHead):
     return l_local + l_conf, grad
 
 
-def confidence_map(f: FeatureTensor, head: ProxyHead) -> ConfidenceMap:
-    """Sigmoid of the per-cell class logits."""
+def confidence_map(f: FeatureTensor, head: ProxyHead) -> np.ndarray:
+    """(H, W) per-cell detection confidences in [0, 1]: the sigmoid of the
+    class logits."""
     _, logits = head.readout(f)
-    return ConfidenceMap(sigmoid(logits))
+    return sigmoid(logits)
 
 
 def true_similarity(ref_loss: float, hat_loss: float) -> float:

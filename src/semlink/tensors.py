@@ -3,6 +3,8 @@
 A feature tensor is a (C, H, W) array of finite reals. An importance mask
 selects the spatial cells worth transmitting; packing gathers the selected
 columns into a flat vector and unpacking scatters them back, bit-exactly.
+harq.SemanticSource masks, packs and unpacks with these for every semantic
+session and for every sampling of the scorer's rank corpus.
 """
 
 from __future__ import annotations
@@ -63,23 +65,6 @@ class ImportanceMask:
     @property
     def n_selected(self) -> int:
         return int(self.cells.sum())
-
-
-@dataclass(frozen=True)
-class ConfidenceMap:
-    """(H, W) map of per-cell detection confidences in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"confidence map must be (H, W), got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("confidence map entries must be finite")
-        if values.min() < 0.0 or values.max() > 1.0:
-            raise ValueError("confidence values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(values))
 
 
 def importance_map(f: FeatureTensor, cr: float) -> ImportanceMask:

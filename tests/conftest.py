@@ -9,7 +9,6 @@ from semlink.codec import CodecConfig
 from semlink.detector import DetectorConfig
 from semlink.ofdm import OfdmConfig
 from semlink.scenegen import SceneConfig
-from semlink.tensors import ConfidenceMap
 
 
 @pytest.fixture(scope="session")
@@ -61,17 +60,17 @@ def tiny_config(seed: int = 9000) -> config_mod.ExperimentConfig:
 
 
 def _as_pooled(m, pool: int) -> np.ndarray:
-    values = m.values if isinstance(m, ConfidenceMap) else np.asarray(m, dtype=np.float64)
+    values = np.asarray(m, dtype=np.float64)
     if values.shape == (pool, pool):
         return values
     return detector.pool_map(values, pool)
 
 
 def score(scorer, ref, hyp) -> float:
-    """Similarity score in (0, 1) for a reference/reconstruction map pair,
-    each a ConfidenceMap or array, pooled to the scorer's grid unless it
-    already is: the scorer's output computed from scratch, with no embedding
-    kept between calls."""
+    """Similarity score in (0, 1) for a reference/reconstruction pair of
+    confidence maps, pooled to the scorer's grid unless they already are: the
+    scorer's output computed from scratch, with no embedding kept between
+    calls."""
     ref_emb = detector.embed_reference(scorer, _as_pooled(ref, scorer.pool))
     return float(detector.score_pooled(scorer, ref_emb, _as_pooled(hyp, scorer.pool)))
 

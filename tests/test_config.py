@@ -57,6 +57,26 @@ def test_missing_file():
         load_config("/nonexistent/path.ini")
 
 
+@pytest.mark.parametrize(
+    "text,what",
+    [
+        ("[ofdm]\nl_fft = 1024\n\n[ofdm]\nl_cp = 8\n", "section 'ofdm' already exists"),
+        ("[ofdm]\nl_fft = 1024\nl_fft = 512\n", "option 'l_fft' in section 'ofdm' already exists"),
+        ("l_fft = 1024\n[ofdm]\n", "no section headers"),
+    ],
+    ids=["repeated-section", "repeated-key", "no-section-header"],
+)
+def test_malformed_ini_is_a_value_error(tmp_path, text, what):
+    # configparser's own errors are not ValueErrors; load_config turns them
+    # into one, on one line, so the CLI reports them as it does a bad value
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad config file") as info:
+        load_config(path)
+    assert what in str(info.value)
+    assert "\n" not in str(info.value)
+
+
 def test_unknown_section(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[nonsense]\nx = 1\n")

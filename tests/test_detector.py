@@ -76,12 +76,12 @@ def make_separable_corpus(
         scene, f = generate_scene(derive_seed(master_seed, "sep-scene", q), scene_cfg, head)
         mask = importance_map(f, cr)
         f_ref = apply_mask(f, mask)
-        ref_pooled = pool_map(confidence_map(f_ref, head).values, pool)
+        ref_pooled = pool_map(confidence_map(f_ref, head), pool)
         rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "sep-noise", q)))
         samp, s_true = [], []
         for level, scale in enumerate(noise_scales):
             noisy = f_ref.data + scale * rng.standard_normal(f_ref.data.shape)
-            samp.append(pool_map(confidence_map(FeatureTensor(noisy), head).values, pool))
+            samp.append(pool_map(confidence_map(FeatureTensor(noisy), head), pool))
             s_true.append(SIMILARITY_CAP - s_gap * level)
         queries.append(RankQuery(ref_pooled, np.stack(samp), np.asarray(s_true)))
     return RankCorpus(tuple(queries), pool)

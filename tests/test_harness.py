@@ -33,10 +33,11 @@ from semlink.harq import (
     run_baseline_session,
     run_semantic_session,
 )
-from semlink.link import transmit_symbols, transmit_with_state
-from semlink.scenegen import generate_scene
+from semlink.detector import pool_map
+from semlink.link import LinkSeeds, transmit_symbols, transmit_with_state
+from semlink.scenegen import confidence_map, generate_scene, perception_loss, true_similarity
 from semlink.seeding import derive_seed
-from semlink.tensors import FeatureTensor
+from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonzero, unpack
 
 ARTIFACTS = (
     "codec_pair1.ckpt",
@@ -180,6 +181,52 @@ def test_corpus_rebuild_matches_training(tiny_dir, tmp_path):
     assert (tmp_path / "corpus.bin").read_bytes() == (tiny_dir / "corpus.bin").read_bytes()
 
 
+def _corpus_from_parts(cfg, head, codec_obj):
+    """(ref_pooled, samp_pooled, s_true) of each rank query, built from the
+    package's parts with no SemanticSource: query q is the scene of (corpus
+    seed, q), masked, packed and encoded here, and sent once at each corpus
+    SNR k through the link seeds of (corpus seed, q, k)."""
+    ms = derive_seed(cfg.experiment.master_seed, "corpus")
+    pool = cfg.detector.pool
+    profile = cfg.channel_profile()
+    queries = []
+    for q in range(cfg.detector.corpus_queries):
+        scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
+        mask = importance_map(f, cfg.codec.cr)
+        f_ref = apply_mask(f, mask)
+        ref_loss = perception_loss(f_ref, scene, head)
+        symbols = codec.encode(codec_obj, pack_nonzero(f, mask))
+        samp, s_true = [], []
+        for k, snr_db in enumerate(cfg.detector.corpus_snr_db):
+            seeds = LinkSeeds(
+                pilot=derive_seed(ms, "corpus-pilot", q, k),
+                channel=derive_seed(ms, "corpus-chan", q, k),
+                noise=derive_seed(ms, "corpus-noise", q, k),
+            )
+            rx = transmit_symbols(symbols, cfg.ofdm, profile, snr_db, seeds, codec_obj.signal_power)
+            f_hat = unpack(codec.decode(codec_obj, rx), mask, f.shape)
+            samp.append(pool_map(confidence_map(f_hat, head), pool))
+            s_true.append(true_similarity(ref_loss, perception_loss(f_hat, scene, head)))
+        ref_pooled = pool_map(confidence_map(f_ref, head), pool)
+        queries.append((ref_pooled, np.stack(samp), np.asarray(s_true)))
+    return queries
+
+
+def test_corpus_matches_its_construction_from_parts(tiny_bundle):
+    cfg = tiny_bundle.cfg
+    corpus = detector.build_corpus(cfg, tiny_bundle.head, tiny_bundle.codec_pair1)
+    expect = _corpus_from_parts(cfg, tiny_bundle.head, tiny_bundle.codec_pair1)
+    assert corpus.pool == cfg.detector.pool
+    assert len(corpus.queries) == len(expect) == cfg.detector.corpus_queries
+    for query, arrays in zip(corpus.queries, expect):
+        got = (query.ref_pooled, query.samp_pooled, query.s_true)
+        for a, b in zip(got, arrays):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    # the corpus spans more than one similarity, or the check above is weak
+    assert len({float(s) for q in corpus.queries for s in q.s_true}) > 1
+
+
 @pytest.mark.parametrize(
     "name,loader",
     [
@@ -315,11 +362,11 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
     if mode in harness.SEMANTIC_MODES:
         src = SemanticSource(
             bundle.codec_pair1, bundle.codec_pair2, bundle.scorer, bundle.head,
-            scene, f, cfg.codec.cr,
+            scene, f, cfg.codec.cr, cfg.detector.pool,
         )
 
         def transmit(t, x):
-            seeds = harness._session_seeds(ms, idx, t)
+            seeds = LinkSeeds.derive(ms, "session", idx, t)
             return transmit_symbols(x, cfg.ofdm, profile, snr_db, seeds, bundle.codec_pair1.signal_power)
 
         protocol, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
@@ -331,7 +378,8 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
         )
 
         def transmit(t, x):
-            return transmit_with_state(x, cfg.ofdm, profile, snr_db, harness._session_seeds(ms, idx, t))
+            seeds = LinkSeeds.derive(ms, "session", idx, t)
+            return transmit_with_state(x, cfg.ofdm, profile, snr_db, seeds)
 
         session = run_baseline_session(src, mode, budget, transmit)
         beta = None
@@ -428,6 +476,13 @@ def test_sessions_reject_non_finite_snr(tiny_bundle, tmp_path, mode, snr):
 def test_run_sweep_rejects_bad_mode_lists(tiny_bundle, tmp_path, modes):
     with pytest.raises(ValueError, match="mode"):
         harness.run_sweep(tiny_bundle, modes, (6.0,), tmp_path / "out", sessions=1)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["sim1", "base1"])
+def test_run_sweep_rejects_an_empty_snr_list(tiny_bundle, tmp_path, mode):
+    with pytest.raises(ValueError, match="empty SNR list"):
+        harness.run_sweep(tiny_bundle, (mode,), (), tmp_path / "out", sessions=1)
     assert not (tmp_path / "out").exists()
 
 
@@ -548,6 +603,14 @@ def test_cli_sweep_rejects_non_finite_snr(tiny_dir, tmp_path, mode, snr):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("snr", [",", " , "])
+def test_cli_sweep_rejects_an_empty_snr_list(tiny_dir, tmp_path, snr):
+    proc = _tiny_sweep_cli(tmp_path, tiny_dir, f"--snr={snr}")
+    _assert_one_error_line(proc)
+    assert "empty SNR list" in proc.stderr
+    assert not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("mode", [",", " , "])
 def test_cli_sweep_rejects_bad_mode_lists(tiny_dir, tmp_path, mode):
     # checked before the artifacts are loaded and before the output directory is made
@@ -597,9 +660,14 @@ def test_cli_sweep_defaults_to_the_config_modes(tiny_dir, tmp_path):
         ("train", "ack_threshold = 0.72", "ack_threshold = 1.5"),
         ("train", "batch_queries = 4", "batch_queries = 0"),
         ("train", "holdout = 0.25", "holdout = 1.5"),
+        # malformed files, which configparser itself rejects
+        ("train", "[ofdm]", "[ofdm]\n\n[ofdm]"),
+        ("train", "l_fft = 256", "l_fft = 256\nl_fft = 512"),
+        ("train", "[experiment]", "l_fft = 256\n[experiment]"),
     ],
     ids=["sweep-ack_threshold", "sweep-sharpness", "sweep-batch_size", "sweep-object_rate",
-         "train-ack_threshold", "train-batch_queries", "train-holdout"],
+         "train-ack_threshold", "train-batch_queries", "train-holdout",
+         "train-repeated-section", "train-repeated-key", "train-no-section-header"],
 )
 def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
     text = _render_ini(tiny_config(seed=4242))

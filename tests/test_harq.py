@@ -202,7 +202,7 @@ def _semantic_source(with_second=True, seed=1):
     first = codec_mod.new_codec(ccfg, n_in, seed=2)
     second = codec_mod.new_codec(ccfg, n_in, seed=3) if with_second else None
     scorer = det.new_scorer(det.DetectorConfig(pool=8, branch_width=8), seed=4)
-    return SemanticSource(first, second, scorer, HEAD, scene, f, 0.2)
+    return SemanticSource(first, second, scorer, HEAD, scene, f, 0.2, 8)
 
 
 def _identity(t, s):
@@ -273,6 +273,25 @@ def test_semantic_session_validation():
         run_semantic_session(src, "sim2", 3, 0.5, _identity)
     with pytest.raises(ValueError):
         run_semantic_session(src, "sim1", 0, 0.5, _identity)
+
+
+def test_scorer_free_source_receives_what_a_session_records():
+    # the rank corpus samples sources with no scorer: their reception of a
+    # message is the candidate, pooled map, loss and similarity that a round
+    # of a scored source's session records, and they run no session
+    scored = _semantic_source()
+    scene, f = generate_scene(1, SCENE_CFG, HEAD)
+    bare = SemanticSource(scored.first, None, None, HEAD, scene, f, 0.2, 8)
+    session = run_semantic_session(scored, "sim1", 3, 0.999999, lambda t, s: s + 0.1 * t)
+    assert session.rounds_used == 3
+    for t, rec in enumerate(session.rounds, start=1):
+        message = codec_mod.decode(bare.first, bare.sym_first + 0.1 * t)
+        candidate, pooled, loss, s_true = bare.receive(message)
+        assert np.array_equal(candidate.data, rec.candidate.data)
+        assert (loss, s_true) == (rec.task_loss, rec.s_true)
+        assert rec.s_hat == score(scored.scorer, bare.ref_pooled, pooled)
+    with pytest.raises(ValueError, match="needs a scorer"):
+        run_semantic_session(bare, "sim1", 1, 0.5, _identity)
 
 
 # -- chase combining --

@@ -128,18 +128,18 @@ def test_perception_loss_grad_matches_finite_differences():
 
 def test_confidence_map_zero_feature():
     f = FeatureTensor(np.zeros((8, 4, 4)))
-    assert np.all(confidence_map(f, HEAD).values == 0.5)
+    assert np.all(confidence_map(f, HEAD) == 0.5)
 
 
 def test_confidence_map_saturates_high_logit():
     head, scene, targets = _one_cell_setup()
     f = FeatureTensor(head.adjoint(np.zeros((1, 1, 4)), np.full((1, 1), 40.0)))
-    assert confidence_map(f, head).values[0, 0] >= 1.0 - 1e-6
+    assert confidence_map(f, head)[0, 0] >= 1.0 - 1e-6
 
 
 def test_confidence_map_matches_scalar_oracle():
     _, f = generate_scene(3, CFG, HEAD)
-    values = confidence_map(f, HEAD).values
+    values = confidence_map(f, HEAD)
     _, logits = HEAD.readout(f)
     for i in range(f.shape[1]):
         for j in range(f.shape[2]):

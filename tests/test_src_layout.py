@@ -1,8 +1,11 @@
-"""Layout guard: every top-level function and class in src/semlink has a caller.
+"""Layout guards: every top-level function and class in src/semlink has a
+caller, and every import of src/semlink sits at the top of its module.
 
 A definition counts as used when its name appears somewhere in src/semlink
 outside its own definition, or in a non-test file of bench/ (the benchmark
-traces functions by name). Code that only tests call belongs in tests/.
+traces functions by name). Code that only tests call belongs in tests/. An
+import made further down is allowed only where a top-level one would close
+an import cycle.
 """
 
 import ast
@@ -62,3 +65,30 @@ def test_every_src_definition_has_a_caller_outside_tests():
     unused = _unused_definitions()
     assert EXEMPT <= unused, "an exempt definition is now used; drop its exemption"
     assert unused == EXEMPT, f"defined in src/ but used only by tests or nothing: {sorted(unused - EXEMPT)}"
+
+
+# The one import made inside a function: harq imports detector at its top, so
+# detector.build_corpus imports harq.SemanticSource where it runs.
+CYCLE_BREAKERS = {("detector", "harq")}
+
+
+def _imported(node: ast.AST) -> set[str]:
+    """Last components of the modules an import statement reads from."""
+    if isinstance(node, ast.Import):
+        return {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+    if node.module:
+        return {node.module.rsplit(".", 1)[-1]}
+    return {alias.name for alias in node.names}  # from . import codec
+
+
+def _imports(tree: ast.Module, top: bool) -> set[str]:
+    nodes = tree.body if top else [n for stmt in tree.body for n in ast.walk(stmt) if n is not stmt]
+    return {name for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom)) for name in _imported(n)}
+
+
+def test_src_imports_inside_functions_only_to_break_a_cycle():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    local = {(mod, name) for mod, tree in modules.items() for name in _imports(tree, top=False)}
+    assert local == CYCLE_BREAKERS, f"imports below the top level: {sorted(local - CYCLE_BREAKERS)}"
+    for mod, target in CYCLE_BREAKERS:
+        assert mod in _imports(modules[target], top=True), f"{target} does not import {mod}: no cycle"
