@@ -4,6 +4,10 @@ Each tap is a circular complex Gaussian whose symbol-to-symbol correlation is
 the zeroth-order Bessel value at the Doppler rate. The channel is applied
 multiplicatively on the resource grid.
 
+SNR is defined per unit mean symbol power (SIGNAL_POWER): noise_variance is
+the one SNR rule of the link, its MMSE equalizer and the codec's surrogate
+channel.
+
 The link (link.RoundDraws) and its full-grid oracle share realize and
 freq_response. Noise is drawn apart: apply draws the whole grid at once,
 the link row by row (_noise_rows), and the oracle checks they agree.
@@ -20,6 +24,7 @@ from scipy.special import j0
 from .ofdm import OfdmConfig
 
 SPEED_OF_LIGHT = 2.99792458e8
+SIGNAL_POWER = 1.0  # mean per-symbol power every SNR is defined on
 
 
 @dataclass(frozen=True)
@@ -135,9 +140,9 @@ def freq_response(real: ChannelRealization, cfg: OfdmConfig, rows=None) -> np.nd
     return real.taps[list(rows)] @ phases.T
 
 
-def noise_variance(snr_db: float, signal_power: float = 1.0) -> float:
-    """Per-complex-symbol noise variance for an SNR defined on mean signal power."""
-    return signal_power / (10.0 ** (snr_db / 10.0))
+def noise_variance(snr_db: float) -> float:
+    """Per-complex-symbol noise variance at snr_db over SIGNAL_POWER."""
+    return SIGNAL_POWER / (10.0 ** (snr_db / 10.0))
 
 
 def apply(
@@ -146,7 +151,6 @@ def apply(
     cfg: OfdmConfig,
     snr_db: float | None,
     noise_seed: int = 0,
-    signal_power: float = 1.0,
 ) -> np.ndarray:
     """Multiply the grid by the frequency response and add white noise.
 
@@ -165,7 +169,7 @@ def apply(
     if snr_db is not None:
         rng = np.random.Generator(np.random.PCG64(noise_seed))
         z = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) / np.sqrt(2.0)
-        rx = rx + np.sqrt(noise_variance(snr_db, signal_power)) * z
+        rx = rx + np.sqrt(noise_variance(snr_db)) * z
     return rx
 
 

@@ -1,11 +1,12 @@
 """Learned semantic encoder/decoder over packed feature vectors.
 
-The encoder maps a packed feature vector to complex channel symbols under a
-mean-power constraint; the decoder maps noisy symbols back. Training runs on
-an additive-white-Gaussian surrogate channel in two steps: reconstruction loss
-first, then a weighted sum of reconstruction and perception loss through the
-frozen proxy head. A second codec pair can be trained on the residual of a
-frozen first pair for incremental retransmission.
+The encoder maps a packed feature vector to complex channel symbols of unit
+mean power, the channel.SIGNAL_POWER that SNR is defined per; the decoder
+maps noisy symbols back. Training runs on an additive-white-Gaussian
+surrogate channel in two steps: reconstruction loss first, then a weighted
+sum of reconstruction and perception loss through the frozen proxy head. A
+second codec pair can be trained on the residual of a frozen first pair for
+incremental retransmission.
 """
 
 from __future__ import annotations
@@ -13,15 +14,16 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import nnkit
+from .channel import SIGNAL_POWER, noise_variance
 from .scenegen import ProxyHead, Scene, perception_loss_grad
 from .tensors import ImportanceMask, unpack
 
 
-SIGNAL_POWER = 1.0  # mean per-symbol power every encoder output is scaled to
 PRELU_ALPHA = 0.25  # slope of the hidden layers' PReLU at initialization
 
 
@@ -49,7 +51,7 @@ class SemanticCodec:
     encoder: nnkit.DenseNet
     decoder: nnkit.DenseNet
     n_cu: int
-    signal_power: float = SIGNAL_POWER
+    signal_power: ClassVar[float] = SIGNAL_POWER  # mean power of encode's symbols
 
     @property
     def n_in(self) -> int:
@@ -111,41 +113,29 @@ def complex_to_reals(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def normalize_power(t: np.ndarray, power: float = 1.0) -> np.ndarray:
-    """Scale a complex symbol vector to mean per-symbol power `power`."""
-    t = np.asarray(t, dtype=np.complex128)
-    energy = np.sum(np.abs(t) ** 2, axis=-1, keepdims=True)
+def normalize_power(x: np.ndarray) -> np.ndarray:
+    """Scale each row of paired reals (reals_to_complex) to mean power
+    SIGNAL_POWER over its width / 2 complex symbols."""
+    x = np.asarray(x, dtype=np.float64)
+    energy = np.sum(x * x, axis=-1, keepdims=True)
     tiny = energy < np.finfo(np.float64).tiny
     if np.any(tiny):
         # an energy below the normal range has lost precision or underflowed
         # to 0: rescale those rows by their peak first (other rows, and rows
         # that are all zeros, are divided by 1.0, which leaves them exact)
-        peak = np.max(np.abs(t), axis=-1, keepdims=True)
-        scale = np.where(tiny & (peak > 0.0), peak, 1.0)
-        # divide the real and imaginary parts apart: as a complex divisor a
-        # subnormal peak overflows inside the complex division (nan + nanj)
-        t = t.copy()
-        t.real /= scale
-        t.imag /= scale
-        energy = np.sum(np.abs(t) ** 2, axis=-1, keepdims=True)
+        peak = np.max(np.abs(x), axis=-1, keepdims=True)
+        x = x / np.where(tiny & (peak > 0.0), peak, 1.0)
+        energy = np.sum(x * x, axis=-1, keepdims=True)
     if np.any(energy == 0.0):
         raise ValueError("cannot power-normalize a zero-energy symbol vector")
-    return np.sqrt(t.shape[-1] * power) * t / np.sqrt(energy)
+    return np.sqrt(x.shape[-1] / 2 * SIGNAL_POWER) * x / np.sqrt(energy)
 
 
-def _normalize_reals(x: np.ndarray, n_cu: int, power: float) -> np.ndarray:
-    """Power normalization in paired-real coordinates, rowwise."""
-    r2 = np.sum(x * x, axis=-1, keepdims=True)
-    if np.any(r2 == 0.0):
-        raise ValueError("cannot power-normalize a zero-energy symbol vector")
-    return np.sqrt(n_cu * power) * x / np.sqrt(r2)
-
-
-def _normalize_reals_backward(x: np.ndarray, gy: np.ndarray, n_cu: int, power: float) -> np.ndarray:
-    """Jacobian-transpose product of _normalize_reals at x."""
+def _normalize_power_backward(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Jacobian-transpose product of normalize_power at x."""
     r2 = np.sum(x * x, axis=-1, keepdims=True)
     r = np.sqrt(r2)
-    c = np.sqrt(n_cu * power)
+    c = np.sqrt(x.shape[-1] / 2 * SIGNAL_POWER)
     dot = np.sum(x * gy, axis=-1, keepdims=True)
     return c * (gy / r - x * dot / (r2 * r))
 
@@ -157,8 +147,7 @@ def encode(codec: SemanticCodec, m: np.ndarray) -> np.ndarray:
         raise ValueError(f"input has {m.size} entries, encoder expects {codec.n_in}")
     if not np.all(np.isfinite(m)):
         raise ValueError("encoder input must be finite")
-    reals = nnkit.forward(codec.encoder, m[None, :])[0]
-    return normalize_power(reals_to_complex(reals), codec.signal_power)
+    return reals_to_complex(normalize_power(nnkit.forward(codec.encoder, m[None, :])))[0]
 
 
 def decode(codec: SemanticCodec, y: np.ndarray) -> np.ndarray:
@@ -176,7 +165,7 @@ def save_codec(path, codec: SemanticCodec) -> None:
     """Container checkpoint: symbol count, power, then encoder and decoder nets."""
     with open(path, "wb") as fh:
         fh.write(_CODEC_MAGIC)
-        fh.write(struct.pack("<Id", codec.n_cu, codec.signal_power))
+        fh.write(struct.pack("<Id", codec.n_cu, SIGNAL_POWER))
         nnkit.write_net(fh, codec.encoder)
         nnkit.write_net(fh, codec.decoder)
 
@@ -188,11 +177,11 @@ def load_codec(path) -> SemanticCodec:
         n_cu, power = nnkit.read_header(fh, "<Id", "codec checkpoint")
         encoder = nnkit.read_net(fh)
         decoder = nnkit.read_net(fh)
-    if not (0.0 < power < math.inf) or not (
+    if power != SIGNAL_POWER or not (
         encoder.n_out == decoder.n_in == 2 * n_cu and decoder.n_out == encoder.n_in
     ):
         raise ValueError("corrupt codec checkpoint: sizes or power do not fit together")
-    return SemanticCodec(encoder, decoder, n_cu, power)
+    return SemanticCodec(encoder, decoder, n_cu)
 
 
 def surrogate_roundtrip(
@@ -213,12 +202,11 @@ def surrogate_roundtrip(
         raise ValueError("draws must be >= 1")
     packed = np.atleast_2d(np.asarray(packed, dtype=np.float64))
     reals = nnkit.forward(codec.encoder, packed)
-    xn = _normalize_reals(reals, codec.n_cu, codec.signal_power)
+    xn = normalize_power(reals)
     if snr_db is None:
         return nnkit.forward(codec.decoder, xn)
-    sigma2 = codec.signal_power / (10.0 ** (snr_db / 10.0))
     y = rng.standard_normal((draws,) + xn.shape)
-    y *= np.sqrt(sigma2 / 2.0)
+    y *= np.sqrt(noise_variance(snr_db) / 2.0)
     np.add(xn, y, out=y)
     return np.mean([nnkit.forward(codec.decoder, y_k) for y_k in y], axis=0)
 
@@ -248,9 +236,8 @@ def _step(
     """
     b, n_in = batch.shape
     enc_out, enc_tape = nnkit.forward_tape(codec.encoder, batch)
-    xn = _normalize_reals(enc_out, codec.n_cu, codec.signal_power)
-    sigma2 = codec.signal_power / (10.0 ** (snr_db / 10.0))
-    y = xn + np.sqrt(sigma2 / 2.0) * rng.standard_normal(xn.shape)
+    xn = normalize_power(enc_out)
+    y = xn + np.sqrt(noise_variance(snr_db) / 2.0) * rng.standard_normal(xn.shape)
     m_hat, dec_tape = nnkit.forward_tape(codec.decoder, y)
 
     if frozen is not None:
@@ -282,7 +269,7 @@ def _step(
     _check_finite(loss, "combined step" if task_ctx is not None else "reconstruction step")
 
     dec_grads, g_y = nnkit.backward(codec.decoder, dec_tape, g_mhat)
-    g_x = _normalize_reals_backward(enc_out, g_y, codec.n_cu, codec.signal_power)
+    g_x = _normalize_power_backward(enc_out, g_y)
     enc_grads, _ = nnkit.backward(codec.encoder, enc_tape, g_x)
 
     enc_state, dec_state = states

@@ -114,26 +114,14 @@ def embed_reference(scorer: SimilarityScorer, ref_pooled: np.ndarray) -> np.ndar
     return nnkit.forward(scorer.branch, np.asarray(ref_pooled, dtype=np.float64).reshape(1, width))
 
 
-def score_pooled(scorer: SimilarityScorer, ref_emb: np.ndarray, hyp_pooled: np.ndarray):
-    """Score pre-pooled maps against a reference embedding; hyp_pooled may
-    carry a leading batch axis.
-
-    ref_emb is embed_reference(scorer, ref_pooled) of the reference map.
-    Accepted hyp shapes: (p, p) or (p*p,) for one map, (K, p, p) or
-    (K, p*p) for a batch of K maps.
-    """
-    width = scorer.pool * scorer.pool
+def score_pooled(scorer: SimilarityScorer, ref_emb: np.ndarray, hyp_pooled: np.ndarray) -> float:
+    """Score one pre-pooled (pool, pool) map against ref_emb, the
+    embed_reference of the reference map."""
     hyp = np.asarray(hyp_pooled, dtype=np.float64)
-    if hyp.ndim == 3 and hyp.shape[1:] == (scorer.pool, scorer.pool):
-        hyp = hyp.reshape(hyp.shape[0], width)
-    elif hyp.shape == (scorer.pool, scorer.pool) or hyp.shape == (width,):
-        hyp = hyp.reshape(1, width)
-    elif not (hyp.ndim == 2 and hyp.shape[1] == width):
+    if hyp.shape != (scorer.pool, scorer.pool):
         raise ValueError(f"bad pooled map shape {hyp.shape} for pool {scorer.pool}")
-    emb_hyp = nnkit.forward(scorer.branch, hyp)
-    head_in = np.concatenate([np.repeat(ref_emb, emb_hyp.shape[0], axis=0), emb_hyp], axis=1)
-    s = nnkit.forward(scorer.head, head_in)[:, 0]
-    return s if s.size > 1 else float(s[0])
+    emb_hyp = nnkit.forward(scorer.branch, hyp.reshape(1, -1))
+    return float(nnkit.forward(scorer.head, np.concatenate([ref_emb, emb_hyp], axis=1))[0, 0])
 
 
 def ack_decide(s_hat: float, threshold: float) -> bool:
@@ -141,10 +129,10 @@ def ack_decide(s_hat: float, threshold: float) -> bool:
     return bool(s_hat > threshold)
 
 
-def pair_loss(s_m, s_n, order: int, sharpness: float = 1.0):
-    """Pairwise logistic cost; order is sign(S_m - S_n) in {-1, 0, 1}."""
+def pair_loss(s_m, s_n, sharpness: float = 1.0):
+    """Pairwise logistic cost of a pair whose first score should be the larger."""
     d = sharpness * (np.asarray(s_m, dtype=np.float64) - np.asarray(s_n, dtype=np.float64))
-    return 0.5 * (1 - order) * d + np.logaddexp(0.0, -d)
+    return np.logaddexp(0.0, -d)
 
 
 _LAMBDA_GRID = float(2**30)
@@ -201,21 +189,28 @@ class RankCorpus:
     pool: int
 
 
-def _query_step(scorer, query: RankQuery, sharpness: float):
-    """Scores, lambdas, and parameter gradients for one query."""
+def _query_pass(scorer, query: RankQuery):
+    """(scores, embeddings, branch tape, head tape) of one taped pass: the
+    branch embeds the reference (row 0) and the K samplings in one batch, and
+    the head scores each sampling against the reference."""
     k = query.s_true.size
     x = np.concatenate(
         [query.ref_pooled.reshape(1, -1), query.samp_pooled.reshape(k, -1)], axis=0
     )
     emb, tape_b = nnkit.forward_tape(scorer.branch, x)
-    width = emb.shape[1]
     head_in = np.concatenate([np.repeat(emb[0:1], k, axis=0), emb[1:]], axis=1)
     s_hat, tape_h = nnkit.forward_tape(scorer.head, head_in)
-    s_hat = s_hat[:, 0]
+    return s_hat[:, 0], emb, tape_b, tape_h
+
+
+def _query_step(scorer, query: RankQuery, sharpness: float):
+    """Scores, lambdas, and parameter gradients for one query."""
+    s_hat, emb, tape_b, tape_h = _query_pass(scorer, query)
     lam = lambda_gradients(s_hat, query.s_true, sharpness)
     if not np.any(lam):
         return s_hat, None, None
     head_grads, g_head_in = nnkit.backward(scorer.head, tape_h, lam[:, None])
+    width = emb.shape[1]
     g_emb = np.empty_like(emb)
     g_emb[0] = g_head_in[:, :width].sum(axis=0)
     g_emb[1:] = g_head_in[:, width:]
@@ -299,29 +294,20 @@ def query_pair_loss(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float):
     """Summed pair loss over the strictly ordered pairs of one query, and
     their count; lambda_gradients is its gradient in s_hat."""
     m, n = np.nonzero(s_true[:, None] > s_true[None, :])
-    losses = pair_loss(s_hat[m], s_hat[n], 1, sharpness)
+    losses = pair_loss(s_hat[m], s_hat[n], sharpness)
     # cumsum adds left to right from 0.0, as a running float total would
     total = np.cumsum(np.concatenate(([0.0], losses)))[-1]
     return float(total), int(m.size)
 
 
 def query_scores(scorer: SimilarityScorer, query: RankQuery) -> np.ndarray:
-    ref_emb = embed_reference(scorer, query.ref_pooled)
-    s = score_pooled(scorer, ref_emb, query.samp_pooled.reshape(query.s_true.size, -1))
-    return np.atleast_1d(s)
+    return _query_pass(scorer, query)[0]
 
 
 def query_logits(scorer: SimilarityScorer, query: RankQuery) -> np.ndarray:
     """Pre-sigmoid scores; same ordering as query_scores but never rounds
     to exact ties when the sigmoid saturates."""
-    k = query.s_true.size
-    x = np.concatenate(
-        [query.ref_pooled.reshape(1, -1), query.samp_pooled.reshape(k, -1)], axis=0
-    )
-    emb = nnkit.forward(scorer.branch, x)
-    head_in = np.concatenate([np.repeat(emb[0:1], k, axis=0), emb[1:]], axis=1)
-    _, tape = nnkit.forward_tape(scorer.head, head_in)
-    return tape.preacts[-1][:, 0].copy()
+    return _query_pass(scorer, query)[3].preacts[-1][:, 0].copy()
 
 
 def pairwise_accuracy(scorer: SimilarityScorer, corpus: RankCorpus) -> float:
@@ -335,19 +321,17 @@ def pairwise_accuracy(scorer: SimilarityScorer, corpus: RankCorpus) -> float:
     return good / total if total else float("nan")
 
 
-def calibrate_scorer(
-    scorer: SimilarityScorer,
-    corpus: RankCorpus,
-    s_lo: float = 0.3,
-    s_hi: float = 0.95,
-) -> SimilarityScorer:
+CALIBRATION_ANCHORS = (0.3, 0.95)  # calibrated scores of the bottom and top quartiles
+
+
+def calibrate_scorer(scorer: SimilarityScorer, corpus: RankCorpus) -> SimilarityScorer:
     """Affine logit recalibration against a corpus score distribution.
 
     Rank training fixes only the ordering of scores, not their location, so
     the raw sigmoid outputs may crowd one end of (0,1) where a fixed
     acknowledgement threshold cannot separate them. This anchors the mean
-    logit of the corpus's top true-similarity quartile at score s_hi and the
-    bottom quartile at s_lo, folding the affine map into the final head
+    logit of the corpus's bottom and top true-similarity quartiles at the
+    scores CALIBRATION_ANCHORS, folding the affine map into the final head
     layer. Ordering (and therefore ranking accuracy) is unchanged; only the
     score locations an acknowledgement threshold cuts through move.
     """
@@ -356,6 +340,7 @@ def calibrate_scorer(
     lo_cut, hi_cut = np.quantile(s, [0.25, 0.75])
     z_lo = float(z[s <= lo_cut].mean())
     z_hi = float(z[s >= hi_cut].mean())
+    s_lo, s_hi = CALIBRATION_ANCHORS
     l_lo = math.log(s_lo / (1.0 - s_lo))
     l_hi = math.log(s_hi / (1.0 - s_hi))
     a = (l_hi - l_lo) / (z_hi - z_lo) if z_hi > z_lo else 1.0
@@ -400,7 +385,7 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
         samp, s_true = [], []
         for k, snr_db in enumerate(det.corpus_snr_db):
             seeds = LinkSeeds.derive(ms, "corpus", q, k)
-            rx = transmit_symbols(src.sym_first, cfg.ofdm, profile, snr_db, seeds, codec.signal_power)
+            rx = transmit_symbols(src.sym_first, cfg.ofdm, profile, snr_db, seeds)
             _, pooled, _, s = src.receive(codec_mod.decode(codec, rx))
             samp.append(pooled)
             s_true.append(s)

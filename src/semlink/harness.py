@@ -312,10 +312,7 @@ def run_session(
 
         def transmit(t, symbols):
             draws = cache.draws(t)
-            return transmit_symbols(
-                symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, src.first.signal_power,
-                draws=draws,
-            )
+            return transmit_symbols(symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, draws=draws)
 
         proto, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
         session = run_semantic_session(src, proto, rounds, threshold, transmit)
@@ -323,9 +320,7 @@ def run_session(
 
         def transmit(t, symbols):
             draws = cache.draws(t)
-            return transmit_with_state(
-                symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, draws=draws
-            )
+            return transmit_with_state(symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, draws=draws)
 
         session = run_baseline_session(cache.baseline, mode, budget, transmit)
         threshold = None

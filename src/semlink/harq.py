@@ -268,7 +268,7 @@ def run_semantic_session(
         else:
             message = message + codec_mod.decode(src.second, transmit(t, src.sym_second))
         candidate, pooled, loss, s_true = src.receive(message)
-        s_hat = float(score_pooled(src.scorer, src.ref_emb, pooled))
+        s_hat = score_pooled(src.scorer, src.ref_emb, pooled)
         ack = ack_decide(s_hat, threshold)
         session.rounds.append(RoundRecord(s_hat, s_true, ack, candidate, loss))
         if ack:

@@ -3,6 +3,8 @@
 Shared by codec evaluation, detector corpus construction, and the
 retransmission protocols. Channel and noise draws are controlled by explicit
 seeds so sessions are reproducible and SNR sweeps can share common draws.
+SNR is defined per unit mean symbol power (channel.SIGNAL_POWER), which every
+payload has: codec symbols are normalized to it, QAM constellations have it.
 
 The link is row-sparse: per round it simulates only the symbol rows whose
 received values reach the output. Those are the pilot rows the estimator
@@ -91,7 +93,6 @@ def _transmit(
     profile: chan.ChannelProfile,
     snr_db: float | None,
     seeds: LinkSeeds,
-    signal_power: float,
     draws: RoundDraws | None,
 ):
     """Row-sparse link core; returns (equalized payload, estimated H at the
@@ -117,11 +118,11 @@ def _transmit(
     rx = draws.response(rows) * tx
     noise_var = 0.0
     if snr_db is not None:
-        noise_var = chan.noise_variance(snr_db, signal_power)
+        noise_var = chan.noise_variance(snr_db)
         rx = rx + np.sqrt(noise_var) * draws.noise(rows)
 
     h = rxdsp.estimate(rx[:n_p], pilots, pilot_rows, data_rows, cfg.l_cp)
-    eq = rxdsp.equalize_mmse(rx[n_p:], h, noise_var, signal_power)
+    eq = rxdsp.equalize_mmse(rx[n_p:], h, noise_var)
     return eq.reshape(-1)[:n], h.reshape(-1)[:n], noise_var
 
 
@@ -131,14 +132,14 @@ def transmit_symbols(
     profile: chan.ChannelProfile,
     snr_db: float | None,
     seeds: LinkSeeds,
-    signal_power: float = 1.0,
+    *,
     draws: RoundDraws | None = None,
 ) -> np.ndarray:
     """Send payload symbols through one faded OFDM frame; return equalized payload.
 
     `draws`, if given, supplies this round's seed-determined draws (RoundDraws).
     """
-    return _transmit(symbols, cfg, profile, snr_db, seeds, signal_power, draws)[0]
+    return _transmit(symbols, cfg, profile, snr_db, seeds, draws)[0]
 
 
 def transmit_with_state(
@@ -147,7 +148,7 @@ def transmit_with_state(
     profile: chan.ChannelProfile,
     snr_db: float | None,
     seeds: LinkSeeds,
-    signal_power: float = 1.0,
+    *,
     draws: RoundDraws | None = None,
 ):
     """transmit_symbols variant that also returns per-symbol channel state.
@@ -155,4 +156,4 @@ def transmit_with_state(
     Returns (equalized payload, estimated H at the payload cells, noise_var);
     the channel state is what symbol-level combining across rounds needs.
     """
-    return _transmit(symbols, cfg, profile, snr_db, seeds, signal_power, draws)
+    return _transmit(symbols, cfg, profile, snr_db, seeds, draws)

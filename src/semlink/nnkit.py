@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("linear", "relu", "prelu", "sigmoid", "tanh")
+ACTIVATIONS = ("linear", "relu", "prelu", "sigmoid")
 _ACT_IDS = {name: i for i, name in enumerate(ACTIVATIONS)}
 _MAGIC = b"DNET"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator epsilon
 
 
 @dataclass
@@ -91,8 +92,6 @@ def _act_forward(z: np.ndarray, act: str, alpha: float) -> np.ndarray:
         return np.where(z >= 0.0, z, alpha * z)
     if act == "sigmoid":
         return sigmoid(z)
-    if act == "tanh":
-        return np.tanh(z)
     raise ValueError(f"unknown activation {act!r}")
 
 
@@ -106,9 +105,6 @@ def _act_backward(z: np.ndarray, act: str, alpha: float) -> np.ndarray:
     if act == "sigmoid":
         s = _act_forward(z, "sigmoid", alpha)
         return s * (1.0 - s)
-    if act == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
     raise ValueError(f"unknown activation {act!r}")
 
 
@@ -177,9 +173,6 @@ def adam_step(
     grads,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ):
     """Adam update with bias correction; updates net and state in place and
@@ -187,17 +180,17 @@ def adam_step(
 
     weight_decay is decoupled (applied directly to the weights, not through
     the moment estimates) and never touches biases. Each weight becomes
-    w - lr*(m/c1)/(sqrt(v/c2)+eps) - (lr*weight_decay)*w, evaluated in that
+    w - lr*(m/c1)/(sqrt(v/c2)+ADAM_EPS) - (lr*weight_decay)*w, evaluated in that
     order; the decay term is subtracted even when weight_decay is 0, so a
     signed zero ends up as the textbook expression leaves it.
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     if state.scratch is None:
         state.scratch = np.empty((2, max(layer.w.size for layer in net.layers)))
-    coef = (lr, beta1, beta2, eps, c1, c2)
+    coef = (lr, c1, c2)
     for layer, (gw, gb), (mw, mb), (vw, vb) in zip(net.layers, grads, state.m, state.v):
         _adam_update(layer.w, gw, mw, vw, coef, lr * weight_decay, state.scratch)
         _adam_update(layer.b, gb, mb, vb, coef, None, state.scratch)
@@ -207,23 +200,23 @@ def adam_step(
 def _adam_update(p, g, m, v, coef, decay, scratch) -> None:
     """One Adam update of parameter p and its moments m, v, all in place.
 
-    coef is (lr, beta1, beta2, eps, c1, c2). Two rows of scratch hold the
+    coef is (lr, c1, c2). Two rows of scratch hold the
     intermediates; every product and sum is the one the expression in
     adam_step's docstring evaluates, so the result is bitwise that of the
     out-of-place formula. decay None skips the decay term.
     """
-    lr, beta1, beta2, eps, c1, c2 = coef
+    lr, c1, c2 = coef
     a, step = (row[: p.size].reshape(p.shape) for row in scratch)
-    np.multiply(g, 1 - beta1, out=a)
-    m *= beta1
+    np.multiply(g, 1 - ADAM_BETA1, out=a)
+    m *= ADAM_BETA1
     m += a
-    np.multiply(g, 1 - beta2, out=a)
+    np.multiply(g, 1 - ADAM_BETA2, out=a)
     a *= g
-    v *= beta2
+    v *= ADAM_BETA2
     v += a
     np.divide(v, c2, out=a)
     np.sqrt(a, out=a)
-    a += eps
+    a += ADAM_EPS
     np.divide(m, c1, out=step)
     step *= lr
     step /= a

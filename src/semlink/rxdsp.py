@@ -2,7 +2,8 @@
 
 Estimation is least-squares on the pilot rows, denoised in the delay domain by
 zeroing taps beyond the cyclic prefix, then linearly interpolated (and
-extrapolated) across OFDM symbols. The noise variance is taken as known.
+extrapolated) across OFDM symbols. The noise variance is taken as known, and
+SNR is defined per unit mean symbol power (channel.SIGNAL_POWER).
 
 Both steps take any set of symbol rows and return plain arrays. The link runs
 them on the rows it simulates and its full-grid oracle on every row, so
@@ -41,17 +42,12 @@ def estimate(rx_pilots: np.ndarray, pilots: np.ndarray, pilot_rows, rows, l_cp: 
     return h_pilot[0] + offset[:, None] * slope
 
 
-def equalize_mmse(
-    rx: np.ndarray,
-    h: np.ndarray,
-    noise_var: float,
-    signal_power: float = 1.0,
-) -> np.ndarray:
-    """Per-cell MMSE equalizer: conj(H) Y / (|H|^2 + noise_var / signal_power)."""
+def equalize_mmse(rx: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray:
+    """Per-cell MMSE equalizer for unit-power symbols: conj(H) Y / (|H|^2 + noise_var)."""
     rx = np.asarray(rx, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     if rx.shape != h.shape:
         raise ValueError(f"received shape {rx.shape} does not match estimate {h.shape}")
     if noise_var < 0:
         raise ValueError("noise variance must be non-negative")
-    return np.conj(h) * rx / (np.abs(h) ** 2 + noise_var / signal_power)
+    return np.conj(h) * rx / (np.abs(h) ** 2 + noise_var)

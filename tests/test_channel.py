@@ -147,7 +147,6 @@ def test_stationary_tap_power_matches_profile():
 def test_noise_variance_values():
     assert noise_variance(0.0) == 1.0
     assert abs(noise_variance(10.0) - 0.1) < 1e-15
-    assert abs(noise_variance(3.0, signal_power=2.0) - 2.0 / 10 ** 0.3) < 1e-15
 
 
 def test_applied_noise_power_matches_target():

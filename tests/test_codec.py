@@ -1,5 +1,7 @@
 """Analog feature codec tests: symbol packing, power normalization, training."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from semlink import codec as codec_mod
 from semlink import config as config_mod
 from semlink import harness, nnkit
+from semlink.channel import noise_variance
 from semlink.codec import (
     CodecConfig,
     complex_to_reals,
@@ -42,21 +45,21 @@ def test_real_complex_pairing():
 
 
 def test_normalize_power_example():
-    # energy 25 over 2 symbols -> scale sqrt(2)/5 for unit mean power
-    z = np.array([3.0 + 4.0j, 0.0])
-    out = normalize_power(z)
-    assert np.allclose(out, z * np.sqrt(2.0) / 5.0, atol=1e-15)
-    assert abs(np.mean(np.abs(out) ** 2) - 1.0) < 1e-15
+    # the symbols 3+4j and 0: energy 25 over 2 symbols -> scale sqrt(2)/5
+    x = np.array([3.0, 4.0, 0.0, 0.0])
+    out = normalize_power(x)
+    assert np.allclose(out, x * np.sqrt(2.0) / 5.0, atol=1e-15)
+    assert abs(np.mean(np.abs(reals_to_complex(out)) ** 2) - 1.0) < 1e-15
 
 
 def test_normalize_power_fixed_point():
-    z = np.array([1.0 + 0.0j, 0.0 + 1.0j])
-    assert np.allclose(normalize_power(z), z, atol=1e-15)
+    x = np.array([1.0, 0.0, 0.0, 1.0])  # the symbols 1 and 1j
+    assert np.allclose(normalize_power(x), x, atol=1e-15)
 
 
 def test_normalize_power_zero_energy():
     with pytest.raises(ValueError):
-        normalize_power(np.zeros(4, dtype=complex))
+        normalize_power(np.zeros(8))
 
 
 @given(
@@ -65,27 +68,26 @@ def test_normalize_power_zero_energy():
         st.tuples(st.integers(1, 4), st.integers(1, 16)),
         elements=st.floats(-50, 50, allow_nan=False),
     ),
-    st.floats(0.25, 4.0),
 )
 @settings(max_examples=80, deadline=None)
-@example(x=np.array([[5.72667848e-161]]), power=1.0)  # energy 4.1e-321, subnormal
-@example(x=np.array([[1e-170, 0.0]]), power=1.0)  # energy underflows to 0.0
-@example(x=np.array([[2.22507386e-311]]), power=1.0)  # subnormal peak
-def test_normalize_power_rowwise(x, power):
-    z = x + 0.5j * np.roll(x, 1, axis=-1)
-    if np.any(np.all(z == 0.0, axis=-1)):
+@example(x=np.array([[5.72667848e-161]]))  # energy 4.1e-321, subnormal
+@example(x=np.array([[1e-170, 0.0]]))  # energy underflows to 0.0
+@example(x=np.array([[2.22507386e-311]]))  # subnormal peak
+def test_normalize_power_rowwise(x):
+    reals = complex_to_reals(x + 0.5j * np.roll(x, 1, axis=-1))
+    if np.any(np.all(reals == 0.0, axis=-1)):
         with pytest.raises(ValueError):
-            normalize_power(z, power)
+            normalize_power(reals)
         return
-    out = normalize_power(z, power)
-    assert np.allclose(np.mean(np.abs(out) ** 2, axis=-1), power, rtol=1e-12)
+    out = reals_to_complex(normalize_power(reals))
+    assert np.allclose(np.mean(np.abs(out) ** 2, axis=-1), 1.0, rtol=1e-12)
 
 
 def test_normalize_reals_backward_matches_fd():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 8))
     gy = rng.standard_normal((3, 8))
-    gx = codec_mod._normalize_reals_backward(x, gy, 4, 1.0)
+    gx = codec_mod._normalize_power_backward(x, gy)
     h = 1e-6
     fd = np.empty_like(x)
     for i in range(x.shape[0]):
@@ -93,8 +95,8 @@ def test_normalize_reals_backward_matches_fd():
             xp, xm = x.copy(), x.copy()
             xp[i, j] += h
             xm[i, j] -= h
-            fp = np.sum(codec_mod._normalize_reals(xp, 4, 1.0) * gy)
-            fm = np.sum(codec_mod._normalize_reals(xm, 4, 1.0) * gy)
+            fp = np.sum(normalize_power(xp) * gy)
+            fm = np.sum(normalize_power(xm) * gy)
             fd[i, j] = (fp - fm) / (2 * h)
     assert np.max(np.abs(gx - fd)) < 1e-5
 
@@ -107,6 +109,15 @@ def test_encode_emits_unit_power_symbols():
         y = encode(codec, rng.standard_normal(10))
         assert y.shape == (6,)
         assert abs(np.mean(np.abs(y) ** 2) - 1.0) < 1e-12
+
+
+def test_encode_is_the_normalized_encoder_output():
+    # one normalization for training and encode: the surrogate channel's
+    # symbols are bit for bit the ones the link carries
+    codec = new_codec(CodecConfig(n_cu=6, hidden=8), 10, seed=1)
+    for m in np.random.default_rng(3).standard_normal((20, 10)):
+        want = reals_to_complex(normalize_power(nnkit.forward(codec.encoder, m[None])))[0]
+        assert encode(codec, m).tobytes() == want.tobytes()
 
 
 def test_encode_decode_shapes_and_validation():
@@ -156,7 +167,6 @@ def test_codec_checkpoint_roundtrip(tmp_path):
                                 l.b.astype(np.float32).astype(np.float64),
                                 l.act, l.prelu_alpha) for l in codec.decoder.layers]),
         codec.n_cu,
-        codec.signal_power,
     )
     assert np.array_equal(encode(back, x), encode(f32, x))
 
@@ -164,6 +174,19 @@ def test_codec_checkpoint_roundtrip(tmp_path):
 def test_load_codec_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
+    with pytest.raises(ValueError):
+        load_codec(path)
+
+
+def test_load_codec_rejects_another_signal_power(tmp_path):
+    # SNR is defined per unit symbol power; a codec stored for another power
+    # would be sent at a different SNR than the sweep reports
+    path = tmp_path / "c.ckpt"
+    save_codec(path, new_codec(CodecConfig(n_cu=6, hidden=8), 10, seed=3))
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<d", raw, 8) == (1.0,)  # after the magic and n_cu
+    struct.pack_into("<d", raw, 8, 2.0)
+    path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_codec(path)
 
@@ -255,8 +278,8 @@ def test_surrogate_draws_match_sequential_single_draws():
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # a single draw is the textbook chain: encode, normalize, add noise, decode
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    xn = codec_mod._normalize_reals(nnkit.forward(codec.encoder, batch), 16, 1.0)
-    noise = np.sqrt(1.0 / (10.0 ** (4.0 / 10.0)) / 2.0) * ref_rng.standard_normal(xn.shape)
+    xn = normalize_power(nnkit.forward(codec.encoder, batch))
+    noise = np.sqrt(noise_variance(4.0) / 2.0) * ref_rng.standard_normal(xn.shape)
     expect = nnkit.forward(codec.decoder, xn + noise)
     assert surrogate_roundtrip(codec, batch, 4.0, rng).tobytes() == expect.tobytes()
     with pytest.raises(ValueError):

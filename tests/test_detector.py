@@ -118,24 +118,22 @@ def test_pair_probability_sharpness():
 
 
 def test_pair_loss_tie_is_log2():
-    assert abs(pair_loss(0.5, 0.5, 1) - math.log(2.0)) < 1e-12
+    assert abs(pair_loss(0.5, 0.5) - math.log(2.0)) < 1e-12
 
 
 def test_pair_loss_vanishes_when_order_satisfied():
-    assert pair_loss(40.0, 0.0, 1) < 1e-12
-    assert pair_loss(0.0, 40.0, -1) < 1e-12
+    assert pair_loss(40.0, 0.0) < 1e-12
+    assert pair_loss(4.0, 0.0, sharpness=10.0) < 1e-12
 
 
 def test_pair_loss_is_cross_entropy():
-    # equals -P̄ log P - (1-P̄) log(1-P) with P̄ = (1+order)/2
+    # the cross entropy of "m above n": -log P, and -log(1 - P) when swapped
     rng = np.random.default_rng(1)
     for _ in range(20):
         sm, sn = 3.0 * rng.standard_normal(2)
-        order = int(rng.integers(-1, 2))
         p = pair_probability(sm, sn)
-        p_bar = (1 + order) / 2.0
-        ce = -(p_bar * math.log(p) + (1 - p_bar) * math.log(1 - p))
-        assert abs(pair_loss(sm, sn, order) - ce) < 1e-10
+        assert abs(pair_loss(sm, sn) + math.log(p)) < 1e-10
+        assert abs(pair_loss(sn, sm) + math.log(1 - p)) < 1e-10
 
 
 def test_lambda_two_sample_closed_form():
@@ -187,7 +185,7 @@ def test_lambda_matches_finite_difference():
             for m in range(k):
                 for n in range(k):
                     if s_true[m] > s_true[n]:
-                        out += float(pair_loss(s[m], s[n], 1))
+                        out += float(pair_loss(s[m], s[n]))
             return out
 
         lam = lambda_gradients(s_hat, s_true)
@@ -240,21 +238,22 @@ def test_score_in_unit_interval():
         assert 0.0 < s < 1.0
 
 
-def test_score_pooled_batch_matches_singles():
+def test_query_scores_match_single_scores():
+    # a query's one taped pass scores each sampling as a session round does
     scorer = new_scorer(DetectorConfig(pool=4, branch_width=8), seed=7)
     rng = np.random.default_rng(8)
-    ref = rng.uniform(0, 1, (4, 4))
-    batch = rng.uniform(0, 1, (5, 4, 4))
-    s_batch = score_pooled(scorer, det.embed_reference(scorer, ref), batch)
-    singles = [score(scorer, ref, batch[i]) for i in range(5)]
-    assert np.allclose(s_batch, singles, atol=1e-15)
+    query = RankQuery(rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (5, 4, 4)), rng.uniform(0, 1, 5))
+    singles = [score(scorer, query.ref_pooled, samp) for samp in query.samp_pooled]
+    assert np.allclose(det.query_scores(scorer, query), singles, atol=1e-15)
+    assert np.allclose(nnkit.sigmoid(det.query_logits(scorer, query)), singles, atol=1e-15)
 
 
 def test_score_pooled_rejects_bad_shape():
     scorer = new_scorer(DetectorConfig(pool=4, branch_width=8), seed=7)
     ref_emb = det.embed_reference(scorer, np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        score_pooled(scorer, ref_emb, np.zeros((3, 3)))
+    for shape in [(3, 3), (16,), (2, 4, 4), (2, 16)]:  # one (pool, pool) map only
+        with pytest.raises(ValueError):
+            score_pooled(scorer, ref_emb, np.zeros(shape))
 
 
 def test_pool_map_constant():
@@ -404,7 +403,7 @@ def _query_pair_loss_loop(s_hat, s_true, sharpness):
     for m in range(s_true.size):
         for n in range(s_true.size):
             if s_true[m] > s_true[n]:
-                total += float(pair_loss(s_hat[m], s_hat[n], 1, sharpness))
+                total += float(pair_loss(s_hat[m], s_hat[n], sharpness))
                 pairs += 1
     return total, pairs
 
@@ -445,7 +444,7 @@ def test_calibration_preserves_ordering_and_anchors():
     cfg = DetectorConfig(pool=8, branch_width=16, epochs=10, lr=2e-3, batch_queries=8)
     scorer = new_scorer(cfg, seed=11)
     scorer, _ = train_ranker(corpus, scorer, cfg, seed=3)
-    cal = calibrate_scorer(scorer, corpus, s_lo=0.3, s_hi=0.95)
+    cal = calibrate_scorer(scorer, corpus)
     assert abs(pairwise_accuracy(cal, corpus) - pairwise_accuracy(scorer, corpus)) < 1e-12
     z = np.concatenate([det.query_logits(cal, q) for q in corpus.queries])
     s = np.concatenate([q.s_true for q in corpus.queries])

@@ -203,7 +203,7 @@ def _corpus_from_parts(cfg, head, codec_obj):
                 channel=derive_seed(ms, "corpus-chan", q, k),
                 noise=derive_seed(ms, "corpus-noise", q, k),
             )
-            rx = transmit_symbols(symbols, cfg.ofdm, profile, snr_db, seeds, codec_obj.signal_power)
+            rx = transmit_symbols(symbols, cfg.ofdm, profile, snr_db, seeds)
             f_hat = unpack(codec.decode(codec_obj, rx), mask, f.shape)
             samp.append(pool_map(confidence_map(f_hat, head), pool))
             s_true.append(true_similarity(ref_loss, perception_loss(f_hat, scene, head)))
@@ -367,7 +367,7 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
 
         def transmit(t, x):
             seeds = LinkSeeds.derive(ms, "session", idx, t)
-            return transmit_symbols(x, cfg.ofdm, profile, snr_db, seeds, bundle.codec_pair1.signal_power)
+            return transmit_symbols(x, cfg.ofdm, profile, snr_db, seeds)
 
         protocol, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
         session = run_semantic_session(src, protocol, rounds, beta, transmit)

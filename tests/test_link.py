@@ -21,23 +21,24 @@ CONFIGS = {
 PROFILE = channel.default_profile()
 
 
-def _full_grid(symbols, cfg, profile, snr_db, seeds, signal_power):
+def _full_grid(symbols, cfg, profile, snr_db, seeds):
     """The oracle: build, fade and equalize the whole frame, then extract."""
     grid = ofdm.frame_build(symbols, cfg, seeds.pilot)
     real = channel.realize(profile, cfg, cfg.n_symbols, seeds.channel)
-    rx = channel.apply(grid, real, cfg, snr_db, seeds.noise, signal_power)
-    noise_var = 0.0 if snr_db is None else channel.noise_variance(snr_db, signal_power)
+    rx = channel.apply(grid, real, cfg, snr_db, seeds.noise)
+    noise_var = 0.0 if snr_db is None else channel.noise_variance(snr_db)
     pilot_rows = cfg.pilot_rows_idx
     h = rxdsp.estimate(rx[list(pilot_rows)], ofdm.pilot_rows(cfg, seeds.pilot), pilot_rows,
                        range(cfg.n_symbols), cfg.l_cp)
-    eq = rxdsp.equalize_mmse(rx, h, noise_var, signal_power)
+    eq = rxdsp.equalize_mmse(rx, h, noise_var)
     n = symbols.size
     return ofdm.frame_extract(eq, cfg, n), ofdm.frame_extract(h, cfg, n), noise_var
 
 
-def _payload(n, signal_power, seed):
+def _payload(n, amplitude, seed):
+    """n complex Gaussian symbols of mean power amplitude**2."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return np.sqrt(signal_power / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return amplitude / np.sqrt(2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def _same_bits(a, b):
@@ -48,20 +49,20 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @pytest.mark.parametrize("size", ["empty", "one", "row", "row+1", "capacity"])
 @pytest.mark.parametrize("snr_db", [None, 0.0, 18.0])
-@pytest.mark.parametrize("signal_power", [1.0, 2.5])
-def test_row_sparse_link_matches_full_grid(name, size, snr_db, signal_power):
+@pytest.mark.parametrize("amplitude", [1.0, 2.5])  # SNR stays defined per unit power
+def test_row_sparse_link_matches_full_grid(name, size, snr_db, amplitude):
     cfg = CONFIGS[name]
     n = {"empty": 0, "one": 1, "row": cfg.l_fft, "row+1": cfg.l_fft + 1,
          "capacity": cfg.payload_capacity}[size]
-    symbols = _payload(n, signal_power, seed=n)
+    symbols = _payload(n, amplitude, seed=n)
     seeds = LinkSeeds(pilot=11 + n, channel=12 + n, noise=13 + n)
-    eq, h, noise_var = _full_grid(symbols, cfg, PROFILE, snr_db, seeds, signal_power)
+    eq, h, noise_var = _full_grid(symbols, cfg, PROFILE, snr_db, seeds)
 
-    got_eq, got_h, got_var = transmit_with_state(symbols, cfg, PROFILE, snr_db, seeds, signal_power)
+    got_eq, got_h, got_var = transmit_with_state(symbols, cfg, PROFILE, snr_db, seeds)
     assert _same_bits(got_eq, eq)
     assert _same_bits(got_h, h)
     assert got_var == noise_var
-    assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, snr_db, seeds, signal_power), eq)
+    assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, snr_db, seeds), eq)
 
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
@@ -148,3 +149,10 @@ def test_round_draws_for_other_seeds_are_rejected():
     ):
         with pytest.raises(ValueError, match="round draws"):
             transmit_symbols(_payload(8, 1.0, 0), cfg, profile, 6.0, seeds, draws=draws)
+
+
+@pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
+def test_draws_is_keyword_only(link_fn):
+    # a stale positional power argument must not bind to draws
+    with pytest.raises(TypeError):
+        link_fn(_payload(5, 1.0, seed=5), TINY, PROFILE, 6.0, LinkSeeds(1, 2, 3), 1.0)

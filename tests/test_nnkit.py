@@ -55,7 +55,7 @@ def test_forward_matches_triple_loop_oracle():
 
 
 def test_forward_is_pure():
-    net = init_dense((3, 6, 2), ("tanh", "linear"), seed=3)
+    net = init_dense((3, 6, 2), ("sigmoid", "linear"), seed=3)
     x = np.random.default_rng(4).standard_normal((7, 3))
     assert np.array_equal(forward(net, x), forward(net, x))
 
@@ -123,7 +123,7 @@ def test_adam_first_step_matches_scalar_reference():
     w0, g, lr, eps = 1.5, -0.37, 0.01, 1e-8
     net = DenseNet([DenseLayer(np.array([[w0]]), np.array([0.0]), "linear")])
     state = AdamState.init(net)
-    stepped, _ = adam_step(net, [(np.array([[g]]), np.array([0.0]))], state, lr, eps=eps)
+    stepped, _ = adam_step(net, [(np.array([[g]]), np.array([0.0]))], state, lr)
     m_hat = (1 - 0.9) * g / (1 - 0.9)
     v_hat = (1 - 0.999) * g * g / (1 - 0.999)
     expect = w0 - lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -218,10 +218,11 @@ def test_load_rejects_garbage():
         (4, struct.pack("<I", 0)),  # no layers
         (8, struct.pack("<I", 0)),  # zero input dimension
         (8, struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)),  # 7e19 weights declared
+        (16, bytes([4])),  # activation id 4, past the last activation
         (17, struct.pack("<f", float("inf"))),  # non-finite PReLU slope
         (21, struct.pack("<f", float("nan"))),  # non-finite weight
     ],
-    ids=["no-layers", "zero-dim", "huge-dims", "inf-slope", "nan-weight"],
+    ids=["no-layers", "zero-dim", "huge-dims", "act-id-4", "inf-slope", "nan-weight"],
 )
 def test_read_net_rejects_corrupt_nets(offset, patch):
     # layout: magic, layer count, one (n_in, n_out, act, alpha) header of

@@ -153,13 +153,6 @@ def test_mmse_scalar_formula():
     assert np.allclose(equalize_mmse(rx, h, nv), expected, atol=1e-15)
 
 
-def test_mmse_signal_power_scaling():
-    h = np.array([[0.5 + 0.5j]])
-    rx = np.array([[2.0 - 1.0j]])
-    expected = np.conj(h) * rx / (np.abs(h) ** 2 + 0.5 / 4.0)
-    assert np.allclose(equalize_mmse(rx, h, 0.5, signal_power=4.0), expected, atol=1e-15)
-
-
 def test_estimate_input_validation():
     pil = pilot_rows(CFG, 17)
     rows = CFG.pilot_rows_idx

@@ -1,5 +1,6 @@
 """Layout guards: every top-level function and class in src/semlink has a
-caller, and every import of src/semlink sits at the top of its module.
+caller, every import of src/semlink sits at the top of its module, and every
+parameter default of src/semlink is one that some caller overrides.
 
 A definition counts as used when its name appears somewhere in src/semlink
 outside its own definition, or in a non-test file of bench/ (the benchmark
@@ -92,3 +93,60 @@ def test_src_imports_inside_functions_only_to_break_a_cycle():
     assert local == CYCLE_BREAKERS, f"imports below the top level: {sorted(local - CYCLE_BREAKERS)}"
     for mod, target in CYCLE_BREAKERS:
         assert mod in _imports(modules[target], top=True), f"{target} does not import {mod}: no cycle"
+
+
+# cli.main's argv is set by whoever calls the console script, and
+# channel.apply's noise_seed by the unit tests: apply is the full-grid noise
+# oracle, kept in src/ while the benchmark traces it by name.
+DEFAULT_EXEMPT = {("cli", "main", "argv"), ("channel", "apply", "noise_seed")}
+
+
+def _defaulted_parameters() -> set[tuple[str, str, str, int | None]]:
+    """(module, function, parameter, position) of every parameter with a
+    default; position counts from the first argument a caller passes, and is
+    None for a keyword-only parameter."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args]
+            params = params[1:] if params[:1] in (["self"], ["cls"]) else params
+            for pos in range(len(params) - len(a.defaults), len(params)):
+                out.add((path.stem, node.name, params[pos], pos))
+            for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    out.add((path.stem, node.name, p.arg, None))
+    return out
+
+
+def _calls() -> list[ast.Call]:
+    paths = sorted(SRC.glob("*.py"))
+    paths += [p for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
+    return [n for p in paths for n in ast.walk(ast.parse(p.read_text())) if isinstance(n, ast.Call)]
+
+
+def _sets(call: ast.Call, name: str, pos: int | None) -> bool:
+    """Whether call may pass a value for parameter `name` at position `pos`."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return pos is not None and (starred or pos < len(call.args))
+
+
+def test_every_default_is_set_by_a_caller():
+    # a default that no call in src/ or bench/ overrides is a constant; make
+    # it one, so the signature lists only what callers choose
+    by_name = {}
+    for call in _calls():
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        by_name.setdefault(name, []).append(call)
+    unset = {
+        (mod, fn, param)
+        for mod, fn, param, pos in _defaulted_parameters()
+        if not any(_sets(call, param, pos) for call in by_name.get(fn, []))
+    }
+    assert DEFAULT_EXEMPT <= unset, "an exempt default is now set by a caller; drop its exemption"
+    assert unset == DEFAULT_EXEMPT, f"defaults no caller sets: {sorted(unset - DEFAULT_EXEMPT)}"
