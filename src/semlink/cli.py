@@ -1,4 +1,4 @@
-"""Command line entry points: train, sweep, corpus, print-config.
+"""Command line entry points: train, sweep, print-config.
 
 Every subcommand is deterministic in --seed and exits nonzero with a single
 machine-parsable "error: ..." line on stderr when anything is wrong.
@@ -41,13 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--artifacts", default=None, help="directory with training artifacts (default: --out)"
     )
     sweep.set_defaults(run=cmd_sweep)
-
-    corpus = sub.add_parser("corpus", help="build the detector rank corpus from artifacts")
-    _common(corpus)
-    corpus.add_argument(
-        "--artifacts", default=None, help="directory with training artifacts (default: --out)"
-    )
-    corpus.set_defaults(run=cmd_corpus)
 
     dump = sub.add_parser("print-config", help="print the built-in default config INI")
     dump.set_defaults(run=cmd_print_config)
@@ -94,13 +87,6 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         log=_say,
     )
-    return 0
-
-
-def cmd_corpus(args) -> int:
-    cfg = _load(args)
-    art = args.artifacts if args.artifacts is not None else args.out
-    harness.build_and_save_corpus(cfg, art, args.out, log=_say)
     return 0
 
 

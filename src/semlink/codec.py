@@ -40,10 +40,9 @@ class CodecConfig:
     task_weight: float = 0.5  # weight on the reconstruction term in step 2
 
     def __post_init__(self):
-        if self.n_cu < 1:
-            raise ValueError("n_cu must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        for name in ("n_cu", "hidden", "train_samples", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -187,8 +186,8 @@ def load_codec(path) -> SemanticCodec:
 def surrogate_roundtrip(
     codec: SemanticCodec,
     packed: np.ndarray,
-    snr_db: float | None,
-    rng: np.random.Generator | None,
+    snr_db: float,
+    rng: np.random.Generator,
     draws: int = 1,
 ) -> np.ndarray:
     """Batch encode -> surrogate channel -> decode, without gradients.
@@ -196,15 +195,12 @@ def surrogate_roundtrip(
     With draws > 1 the encoder runs once, the channel noise of all draws is
     drawn in one call (the same stream as `draws` calls of one draw each),
     each draw is decoded on its own, and the result is the mean of the draws'
-    reconstructions. Without noise (snr_db None) there is one decode.
+    reconstructions.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     packed = np.atleast_2d(np.asarray(packed, dtype=np.float64))
-    reals = nnkit.forward(codec.encoder, packed)
-    xn = normalize_power(reals)
-    if snr_db is None:
-        return nnkit.forward(codec.decoder, xn)
+    xn = normalize_power(nnkit.forward(codec.encoder, packed))
     y = rng.standard_normal((draws,) + xn.shape)
     y *= np.sqrt(noise_variance(snr_db) / 2.0)
     np.add(xn, y, out=y)

@@ -52,10 +52,9 @@ class DetectorConfig:
             raise ValueError("ack_threshold must be in (0, 1)")
         if self.sharpness <= 0:
             raise ValueError("sharpness must be positive")
-        if self.corpus_queries < 1:
-            raise ValueError("corpus_queries must be >= 1")
-        if self.batch_queries < 1:
-            raise ValueError("batch_queries must be >= 1")
+        for name in ("pool", "branch_width", "corpus_queries", "batch_queries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (math.isfinite(self.holdout) and self.holdout >= 0.0) or (
             self.corpus_queries - _holdout_count(self.holdout, self.corpus_queries) < 1
         ):

@@ -1,4 +1,8 @@
-"""Experiment harness: training orchestration and seeded session sweeps.
+"""Experiment harness: training orchestration, seeded session sweeps and
+the tables both write.
+
+Every table a run writes, the training curves, the detector calibration and
+the two sweep CSVs, goes through _write_csv and its one cell rule.
 
 Everything here is deterministic in the master seed.  Session seeds are
 derived per session index and round, never from the mode, SNR or threshold,
@@ -138,10 +142,12 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     )
     codec_mod.save_codec(out / CODEC_PAIR2, c_p2)
     c_p2 = codec_mod.load_codec(out / CODEC_PAIR2)
-    _write_codec_curves(
-        out / "train_codecs.csv",
-        (("pair1", curve_p1), ("pair2", curve_p2)),
-    )
+    _write_csv(out / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
+        (name, phase, epoch, loss)
+        for name, curve in (("pair1", curve_p1), ("pair2", curve_p2))
+        for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
+        for epoch, loss in enumerate(series, start=1)
+    ])
 
     say("building detector corpus over the full link")
     det_mod.save_corpus(out / CORPUS, det_mod.build_corpus(cfg, head, c_p1))
@@ -152,7 +158,12 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     scorer = det_mod.calibrate_scorer(scorer, corpus)
     det_mod.save_scorer(out / SCORER, scorer)
     scorer = det_mod.load_scorer(out / SCORER)
-    _write_detector_curve(out / "train_detector.csv", history)
+    _write_csv(out / "train_detector.csv", ("epoch", "pair_loss", "holdout_accuracy"), [
+        (epoch, pair_loss, accuracy)
+        for epoch, (pair_loss, accuracy) in enumerate(
+            zip(history["pair_loss"], history["holdout_accuracy"]), start=1
+        )
+    ])
     _write_calibration(out / "detector_calibration.csv", cfg, corpus, scorer)
 
     say("training artifacts written")
@@ -171,33 +182,20 @@ def load_bundle(cfg: ExperimentConfig, art_dir) -> RuntimeBundle:
         codec_mod.load_codec(art / CODEC_PAIR2),
         det_mod.load_scorer(art / SCORER),
     )
-    if bundle.codec_pair1.n_in != cfg.packed_length():
-        raise ValueError(
-            "artifacts do not match config: codec width "
-            f"{bundle.codec_pair1.n_in} vs packed length {cfg.packed_length()}"
-        )
+    for pair in (bundle.codec_pair1, bundle.codec_pair2):
+        if pair.n_in != cfg.packed_length():
+            raise ValueError(
+                "artifacts do not match config: codec width "
+                f"{pair.n_in} vs packed length {cfg.packed_length()}"
+            )
+        if pair.n_cu != cfg.codec.n_cu:
+            raise ValueError(
+                f"artifacts do not match config: codec sends {pair.n_cu} symbols "
+                f"vs codec.n_cu {cfg.codec.n_cu}"
+            )
     if bundle.scorer.pool != cfg.detector.pool:
         raise ValueError("artifacts do not match config: scorer pooling size")
     return bundle
-
-
-def _write_codec_curves(path, named_curves) -> None:
-    rows = []
-    for name, curve in named_curves:
-        for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task)):
-            for epoch, loss in enumerate(series, start=1):
-                rows.append(f"{name},{phase},{epoch},{_fmt(loss)}")
-    _write_lines(path, ["codec,phase,epoch,loss"] + rows)
-
-
-def _write_detector_curve(path, history) -> None:
-    rows = [
-        f"{epoch},{_fmt(pl)},{_fmt(acc)}"
-        for epoch, (pl, acc) in enumerate(
-            zip(history["pair_loss"], history["holdout_accuracy"]), start=1
-        )
-    ]
-    _write_lines(path, ["epoch,pair_loss,holdout_accuracy"] + rows)
 
 
 def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:
@@ -214,8 +212,8 @@ def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:
         s_hat += det_mod.query_scores(scorer, query)
         s_true += query.s_true
     n = len(corpus.queries)
-    rows = [f"{_fmt(snr)},{_fmt(sh / n)},{_fmt(st / n)}" for snr, sh, st in zip(snrs, s_hat, s_true)]
-    _write_lines(path, ["snr_db,mean_score,mean_true_similarity"] + rows)
+    rows = [(snr, sh / n, st / n) for snr, sh, st in zip(snrs, s_hat, s_true)]
+    _write_csv(path, ("snr_db", "mean_score", "mean_true_similarity"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +432,12 @@ def write_session_csv(path, records, budget: int) -> None:
             "final_round", "final_s_true", "final_task_loss"]
     head += [f"s_hat_{t}" for t in range(1, budget + 1)]
     head += [f"s_true_{t}" for t in range(1, budget + 1)]
-    rows = []
-    for r in records:
-        cells = [str(r.session_id), r.mode, _fmt(r.snr_db), _fmt(r.beta),
-                 str(r.rounds_used), str(r.ack_round), str(r.final_round),
-                 _fmt(r.final_s_true), _fmt(r.final_task_loss)]
-        cells += [_fmt(v) for v in r.s_hat]
-        cells += [_fmt(v) for v in r.s_true]
-        rows.append(",".join(cells))
-    _write_lines(path, [",".join(head)] + rows)
+    rows = [
+        (r.session_id, r.mode, r.snr_db, r.beta, r.rounds_used, r.ack_round, r.final_round,
+         r.final_s_true, r.final_task_loss, *r.s_hat, *r.s_true)
+        for r in records
+    ]
+    _write_csv(path, head, rows)
 
 
 def write_summary_csv(path, records, modes, snr_list, budget: int) -> None:
@@ -455,63 +450,33 @@ def write_summary_csv(path, records, modes, snr_list, budget: int) -> None:
             group = [r for r in records if r.mode == mode and r.snr_db == snr_db]
             if not group:
                 continue
-            rows.append(",".join(_summary_cells(mode, snr_db, group, budget)))
-    _write_lines(path, [",".join(head)] + rows)
+            n = len(group)
+            betas = {r.beta for r in group}
+            rows.append((
+                mode, snr_db, betas.pop() if len(betas) == 1 else None, n,
+                sum(r.ack_round > 0 for r in group) / n,
+                throughput(group),
+                sum(r.rounds_used for r in group) / n,
+                sum(r.final_s_true for r in group) / n,
+                sum(r.final_task_loss for r in group) / n,
+                *(sum(r.rounds_used == t for r in group) for t in range(1, budget + 1)),
+            ))
+    _write_csv(path, head, rows)
 
 
-def _summary_cells(mode, snr_db, group, budget: int) -> list[str]:
-    n = len(group)
-    total_rounds = sum(r.rounds_used for r in group)
-    acked = sum(1 for r in group if r.ack_round > 0)
-    betas = {r.beta for r in group}
-    beta = betas.pop() if len(betas) == 1 else None
-    cells = [
-        mode, _fmt(snr_db), _fmt(beta), str(n),
-        _fmt(acked / n),
-        _fmt(throughput(group)),
-        _fmt(total_rounds / n),
-        _fmt(sum(r.final_s_true for r in group) / n),
-        _fmt(sum(r.final_task_loss for r in group) / n),
-    ]
-    for t in range(1, budget + 1):
-        cells.append(str(sum(1 for r in group if r.rounds_used == t)))
-    return cells
+def _write_csv(path, head, rows) -> None:
+    """The one writer of the tables a run writes. Each cell is a str as is, an
+    int through str, a float as .10g, and empty for None or NaN."""
 
+    def cell(value) -> str:
+        if isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return str(value)
+        if value is None or math.isnan(value):
+            return ""
+        return format(float(value), ".10g")
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    value = float(value)
-    if math.isnan(value):
-        return ""
-    return format(value, ".10g")
-
-
-def _write_lines(path, lines) -> None:
+    lines = [",".join(head)] + [",".join(map(cell, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# corpus command
-
-
-def build_and_save_corpus(cfg: ExperimentConfig, art_dir, out_dir, log=None) -> Path:
-    """Standalone corpus build from trained codec artifacts."""
-    say = log if log is not None else (lambda msg: None)
-    art = Path(art_dir)
-    if not (art / CODEC_PAIR1).exists():
-        raise ValueError(f"missing training artifacts in {art}: {CODEC_PAIR1}")
-    codec_obj = codec_mod.load_codec(art / CODEC_PAIR1)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    say("building detector corpus over the full link")
-    corpus = det_mod.build_corpus(cfg, make_head(cfg), codec_obj)
-    path = out / CORPUS
-    det_mod.save_corpus(path, corpus)
-    stats = [
-        f"{len(corpus.queries)} queries, {corpus.queries[0].s_true.size} samplings each"
-    ]
-    _write_lines(out / "corpus_stats.txt", stats)
-    say(f"wrote {path}")
-    return path

@@ -120,9 +120,14 @@ def test_bad_value_reports_location(tmp_path):
         # round(0.997 * 160) = 160 held out, none left to train on
         ("holdout = 0.25", "holdout = 0.997"),
         ("holdout = 0.25", "holdout = nan"),
+        ("pool = 16", "pool = 0"),
+        ("branch_width = 64", "branch_width = 0"),
+        ("train_samples = 512", "train_samples = 0"),
+        ("hidden = 192", "hidden = 0"),
     ],
     ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
-         "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan"],
+         "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan",
+         "pool", "branch_width", "train_samples", "hidden"],
 )
 def test_load_runs_the_section_type_checks(tmp_path, old, new):
     text = default_config_text()

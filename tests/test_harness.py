@@ -11,7 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,10 +174,11 @@ def test_load_bundle_matches_training(tmp_path):
 
 
 def test_corpus_rebuild_matches_training(tiny_dir, tmp_path):
-    # the corpus command rebuilds from the stored pair-1 checkpoint, so it
-    # reproduces the training corpus only if training built it from the same
-    # stored weights
-    harness.build_and_save_corpus(tiny_config(seed=4242), tiny_dir, tmp_path)
+    # a corpus rebuilt from the stored pair-1 checkpoint reproduces the
+    # training corpus only if training built it from the same stored weights
+    cfg = tiny_config(seed=4242)
+    pair1 = codec.load_codec(tiny_dir / "codec_pair1.ckpt")
+    detector.save_corpus(tmp_path / "corpus.bin", detector.build_corpus(cfg, harness.make_head(cfg), pair1))
     assert (tmp_path / "corpus.bin").read_bytes() == (tiny_dir / "corpus.bin").read_bytes()
 
 
@@ -254,6 +255,37 @@ def test_run_sweep_rejects_nonpositive_counts(tiny_bundle, tmp_path):
 def test_load_bundle_missing_artifacts(tmp_path):
     with pytest.raises((ValueError, OSError)):
         harness.load_bundle(tiny_config(seed=4242), tmp_path)
+
+
+@pytest.mark.parametrize("mismatch", ["config-n_cu", "pair2-n_cu", "pair2-width"])
+def test_load_bundle_rejects_codecs_that_do_not_match_the_config(tiny_dir, tmp_path, mismatch):
+    # a codec that sends other than codec.n_cu symbols breaks the equal
+    # channel-use budget that config.baseline_cr gives the baselines
+    cfg = tiny_config(seed=4242)
+    art = _copy_artifacts(tiny_dir, tmp_path / "art")
+    if mismatch == "config-n_cu":
+        cfg = replace(cfg, codec=replace(cfg.codec, n_cu=2 * cfg.codec.n_cu))
+    else:
+        n_cu = 2 * cfg.codec.n_cu if mismatch == "pair2-n_cu" else cfg.codec.n_cu
+        n_in = cfg.packed_length() + (mismatch == "pair2-width")
+        stray = codec.new_codec(replace(cfg.codec, n_cu=n_cu), n_in, seed=1)
+        codec.save_codec(art / "codec_pair2.ckpt", stray)
+    with pytest.raises(ValueError, match="artifacts do not match config"):
+        harness.load_bundle(cfg, art)
+
+
+@pytest.mark.parametrize(
+    "value,cell",
+    [("sim1", "sim1"), (3, "3"), (12345678901, "12345678901"), (18.0, "18"),
+     (1 / 3, "0.3333333333"), (np.float64(0.25), "0.25"), (None, ""), (float("nan"), ""),
+     (np.nan, "")],
+    ids=["str", "int", "long-int", "whole-float", "float", "numpy-float", "none", "nan",
+         "numpy-nan"],
+)
+def test_write_csv_cell_rule(tmp_path, value, cell):
+    path = tmp_path / "t.csv"
+    harness._write_csv(path, ("a", "b"), [(value, value)])
+    assert path.read_bytes() == f"a,b\n{cell},{cell}\n".encode()
 
 
 def test_session_record_pairing(tiny_bundle):
@@ -660,13 +692,18 @@ def test_cli_sweep_defaults_to_the_config_modes(tiny_dir, tmp_path):
         ("train", "ack_threshold = 0.72", "ack_threshold = 1.5"),
         ("train", "batch_queries = 4", "batch_queries = 0"),
         ("train", "holdout = 0.25", "holdout = 1.5"),
+        ("train", "pool = 8", "pool = 0"),
+        ("train", "branch_width = 16", "branch_width = 0"),
+        ("train", "train_samples = 48", "train_samples = 0"),
+        ("train", "hidden = 24", "hidden = 0"),
         # malformed files, which configparser itself rejects
         ("train", "[ofdm]", "[ofdm]\n\n[ofdm]"),
         ("train", "l_fft = 256", "l_fft = 256\nl_fft = 512"),
         ("train", "[experiment]", "l_fft = 256\n[experiment]"),
     ],
     ids=["sweep-ack_threshold", "sweep-sharpness", "sweep-batch_size", "sweep-object_rate",
-         "train-ack_threshold", "train-batch_queries", "train-holdout",
+         "train-ack_threshold", "train-batch_queries", "train-holdout", "train-pool",
+         "train-branch_width", "train-train_samples", "train-hidden",
          "train-repeated-section", "train-repeated-key", "train-no-section-header"],
 )
 def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
@@ -681,16 +718,20 @@ def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
     assert not out.exists()
 
 
-def test_cli_sweep_rejects_truncated_scorer(tiny_dir, tmp_path):
-    art = tmp_path / "art"
-    art.mkdir()
+def _copy_artifacts(src: Path, dst: Path) -> Path:
+    dst.mkdir()
     for name in ARTIFACTS:
-        (art / name).write_bytes((tiny_dir / name).read_bytes())
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def test_cli_sweep_rejects_truncated_scorer(tiny_dir, tmp_path):
+    art = _copy_artifacts(tiny_dir, tmp_path / "art")
     (art / "scorer.ckpt").write_bytes((tiny_dir / "scorer.ckpt").read_bytes()[:20])
     _assert_one_error_line(_tiny_sweep_cli(tmp_path, art))
 
 
-def test_cli_train_sweep_corpus_chain(tmp_path):
+def test_cli_train_sweep_chain(tmp_path):
     ini = tmp_path / "tiny.ini"
     ini.write_text(_render_ini(tiny_config(seed=7777)))
     art = tmp_path / "art"
@@ -716,12 +757,14 @@ def test_cli_train_sweep_corpus_chain(tmp_path):
     assert {r["mode"] for r in rows} == {"sim1", "base1"}
     assert {r["snr_db"] for r in rows} == {"0", "12"}
 
-    corpus_out = tmp_path / "corpus"
-    proc = _cli(
-        "corpus", "--config", str(ini), "--out", str(corpus_out), "--artifacts", str(art)
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (corpus_out / "corpus.bin").read_bytes() == (art / "corpus.bin").read_bytes()
+
+def test_cli_has_no_corpus_command(tmp_path):
+    # train writes the one corpus.bin; no second command rebuilds it
+    out = tmp_path / "out"
+    proc = _cli("corpus", "--out", str(out))
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_seed_override_changes_artifacts(tmp_path):

@@ -1,6 +1,7 @@
 """Layout guards: every top-level function and class in src/semlink has a
-caller, every import of src/semlink sits at the top of its module, and every
-parameter default of src/semlink is one that some caller overrides.
+caller, every import of src/semlink sits at the top of its module, every
+parameter default of src/semlink is one that some caller overrides, and
+harness._write_csv is the one place that writes a text file.
 
 A definition counts as used when its name appears somewhere in src/semlink
 outside its own definition, or in a non-test file of bench/ (the benchmark
@@ -11,6 +12,8 @@ an import cycle.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import semlink
 
@@ -150,3 +153,61 @@ def test_every_default_is_set_by_a_caller():
     }
     assert DEFAULT_EXEMPT <= unset, "an exempt default is now set by a caller; drop its exemption"
     assert unset == DEFAULT_EXEMPT, f"defaults no caller sets: {sorted(unset - DEFAULT_EXEMPT)}"
+
+
+# Every table a run writes goes through one writer and its one cell rule;
+# binary writers (checkpoints, the rank corpus) open their files "wb".
+TEXT_WRITERS = {("harness", "_write_csv")}
+
+
+def _opens_for_text_writing(call: ast.Call) -> bool:
+    """Whether a call is open(...) or x.open(...) with a mode that writes text.
+    A mode that is not a literal counts, since it may."""
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    if name != "open":
+        return False
+    pos = 0 if isinstance(f, ast.Attribute) else 1  # Path.open(mode) vs open(path, mode)
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None and len(call.args) > pos:
+        mode = call.args[pos]
+    if mode is None:
+        return False  # the default mode reads
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return "b" not in mode.value and any(c in mode.value for c in "wax+")
+
+
+def _text_writers(src: Path = SRC) -> set[tuple[str, str]]:
+    """(module, top-level definition) of every text-mode write in src/semlink,
+    with "<module>" for one outside any definition."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if _opens_for_text_writing(node) or (
+                        isinstance(f, ast.Attribute) and f.attr == "write_text"
+                    ):
+                        out.add((path.stem, owner))
+    return out
+
+
+def test_text_files_are_written_only_by_the_csv_writer():
+    writers = _text_writers()
+    assert TEXT_WRITERS <= writers, "the CSV writer no longer opens a file; update TEXT_WRITERS"
+    assert writers == TEXT_WRITERS, f"text written outside harness._write_csv: {sorted(writers - TEXT_WRITERS)}"
+
+
+@pytest.mark.parametrize(
+    "code,writes",
+    [('open(p, "w")', True), ('open(p, mode="a", encoding="utf-8")', True),
+     ('p.open("w")', True), ("open(p, m)", True), ('p.write_text("x")', True),
+     ('open(p, "wb")', False), ('open(p, "rb")', False), ("open(p)", False),
+     ('p.open()', False)],
+)
+def test_text_writer_guard_sees_each_form(tmp_path, code, writes):
+    (tmp_path / "mod.py").write_text(f"def f(p, m):\n    return {code}\n")
+    assert _text_writers(tmp_path) == ({("mod", "f")} if writes else set())
