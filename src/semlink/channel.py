@@ -16,6 +16,7 @@ the link row by row (_noise_rows), and the oracle checks they agree.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,10 @@ def freq_response(real: ChannelRealization, cfg: OfdmConfig, rows=None) -> np.nd
 
 
 def noise_variance(snr_db: float) -> float:
-    """Per-complex-symbol noise variance at snr_db over SIGNAL_POWER."""
+    """Per-complex-symbol noise variance at snr_db over SIGNAL_POWER; ValueError
+    unless snr_db is finite."""
+    if not math.isfinite(snr_db):
+        raise ValueError(f"bad value for snr_db: must be finite, got {snr_db}")
     return SIGNAL_POWER / (10.0 ** (snr_db / 10.0))
 
 

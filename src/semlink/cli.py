@@ -2,15 +2,31 @@
 
 Every subcommand is deterministic in --seed and exits nonzero with a single
 machine-parsable "error: ..." line on stderr when anything is wrong.
+
+A run-setting flag (_FLAGS) is the INI text of the key it sets: it is parsed
+and checked as that key is in a config file, and fails with the same words.
 """
 
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+from pathlib import Path
 
 from . import harness
-from .config import ALL_MODES, ExperimentConfig, check_modes, default_config_text, load_config, with_seed
+from .config import ExperimentConfig, default_config_text, load_config, override, parse_field
+
+# the [section] key each run-setting flag sets; train takes only --seed
+_FLAGS = {
+    "seed": ("experiment", "master_seed"),
+    "mode": ("experiment", "modes"),
+    "snr": ("experiment", "snr_db"),
+    "sessions": ("experiment", "sessions"),
+    "budget": ("experiment", "round_budget"),
+    "workers": ("experiment", "workers"),
+    "beta": ("detector", "ack_threshold"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,24 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="train codecs and the similarity scorer")
-    _common(train)
+    _common(train, ("seed",))
     train.set_defaults(run=cmd_train)
 
     sweep = sub.add_parser("sweep", help="run seeded protocol sessions over an SNR grid")
-    _common(sweep)
-    sweep.add_argument(
-        "--mode",
-        default=None,
-        help=f"comma list from {{{','.join(ALL_MODES)}}} (default: experiment.modes)",
-    )
-    sweep.add_argument("--snr", default=None, help="comma list of SNR points in dB")
-    sweep.add_argument("--beta", type=float, default=None, help="acknowledgement threshold override")
-    sweep.add_argument("--sessions", type=int, default=None, help="sessions per grid point")
-    sweep.add_argument("--budget", type=int, default=None, help="round budget override")
-    sweep.add_argument("--workers", type=int, default=None, help="worker process count")
-    sweep.add_argument(
-        "--artifacts", default=None, help="directory with training artifacts (default: --out)"
-    )
+    _common(sweep, _FLAGS)
+    sweep.add_argument("--artifacts", help="directory with training artifacts (default: --out)")
     sweep.set_defaults(run=cmd_sweep)
 
     dump = sub.add_parser("print-config", help="print the built-in default config INI")
@@ -47,46 +51,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common(cmd: argparse.ArgumentParser) -> None:
+def _common(cmd: argparse.ArgumentParser, flags) -> None:
     cmd.add_argument("--config", default=None, help="INI config path (defaults built in)")
-    cmd.add_argument("--seed", type=int, default=None, help="master seed override")
     cmd.add_argument("--out", required=True, help="output directory")
+    for dest in flags:
+        section, key = _FLAGS[dest]
+        cmd.add_argument(f"--{dest}", help=f"sets [{section}] {key} (INI syntax)")
 
 
 def _load(args) -> ExperimentConfig:
+    """The config file, or the defaults, with every given flag set in it."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
+    for dest, (section, key) in _FLAGS.items():
+        raw = getattr(args, dest, None)
+        if raw is not None:
+            cfg = override(cfg, section, **{key: parse_field(section, key, raw)})
     return cfg
 
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    harness.train_all(cfg, args.out, log=_say)
+    out = Path(args.out)
+    made = not out.exists()
+    try:
+        harness.train_all(cfg, out, log=_say)
+    except ValueError:  # e.g. training diverged: leave no directory of partial artifacts
+        if made:
+            shutil.rmtree(out)
+        raise
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    modes = cfg.experiment.modes  # an INI's list is checked when it loads
-    if args.mode is not None:
-        modes = check_modes((tok.strip() for tok in args.mode.split(",") if tok.strip()), "--mode")
-    snr_list = cfg.experiment.snr_db
-    if args.snr is not None:
-        snr_list = tuple(float(tok) for tok in args.snr.split(",") if tok.strip())
     art = args.artifacts if args.artifacts is not None else args.out
-    bundle = harness.load_bundle(cfg, art)
-    harness.run_sweep(
-        bundle,
-        modes,
-        snr_list,
-        args.out,
-        sessions=args.sessions,
-        beta=args.beta,
-        budget=args.budget,
-        workers=args.workers,
-        log=_say,
-    )
+    e = cfg.experiment  # run_sweep sets its arguments in the config again, unchanged
+    harness.run_sweep(harness.load_bundle(cfg, art), e.modes, e.snr_db, args.out, log=_say)
     return 0
 
 

@@ -40,9 +40,13 @@ class CodecConfig:
     task_weight: float = 0.5  # weight on the reconstruction term in step 2
 
     def __post_init__(self):
+        if not 0.0 < self.cr <= 1.0:
+            raise ValueError(f"cr must be in (0, 1], got {self.cr}")
         for name in ("n_cu", "hidden", "train_samples", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
 
 @dataclass
@@ -209,9 +213,10 @@ def surrogate_roundtrip(
 
 def _check_finite(value: float, context: str) -> None:
     if not np.isfinite(value):
-        raise RuntimeError(f"training diverged ({context}: loss={value}); lower the lr")
+        raise ValueError(f"training diverged ({context}: loss={value}); lower the lr")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence: _check_finite reports it
 def _step(
     codec: SemanticCodec,
     batch: np.ndarray,

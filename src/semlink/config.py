@@ -2,9 +2,13 @@
 
 The [ofdm], [scene], [codec] and [detector] sections load straight into the
 dataclass their module consumes (ofdm.OfdmConfig, scenegen.SceneConfig,
-codec.CodecConfig, detector.DetectorConfig), so each type's own checks run
-when the file is loaded. The experiment, channel, codec-pair SNR band and
-baseline sections are defined here.
+codec.CodecConfig, detector.DetectorConfig). The experiment, channel,
+codec-pair SNR band and baseline sections are defined here.
+
+Each setting has one home and one check: _parse_value parses its text (no
+non-finite floats), its section type's __post_init__ checks its value, and
+validate_config, run whenever an ExperimentConfig is made, the rules that
+span sections. A config file, a flag and a sweep's arguments fail alike.
 
 The file format is deliberately flat.  Every section that appears must be
 complete; a missing key is a config error that names the field, so stale
@@ -31,6 +35,15 @@ BASELINE_MODES = ("base1", "base2")
 ALL_MODES = SEMANTIC_MODES + BASELINE_MODES
 
 
+def check_modes(modes) -> None:
+    """ValueError if the mode list is empty or names an unknown mode."""
+    if not modes:
+        raise ValueError("empty mode list")
+    for mode in modes:
+        if mode not in ALL_MODES:
+            raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(ALL_MODES)}")
+
+
 @dataclass(frozen=True)
 class ExperimentSection:
     master_seed: int = 2024
@@ -39,6 +52,16 @@ class ExperimentSection:
     modes: tuple[str, ...] = ("noharq", "sim1", "sim2", "base1")
     round_budget: int = 3
     workers: int = 1
+
+    def __post_init__(self):
+        for name in ("sessions", "round_budget", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        check_modes(self.modes)
+        if not self.snr_db:
+            raise ValueError("empty SNR list")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +89,12 @@ class BaselineSection:
     mod_order: int = 16
     code_copies: int = 2
 
+    def __post_init__(self):
+        if self.mod_order not in QAM_ORDERS:
+            raise ValueError(f"mod_order must be one of {QAM_ORDERS}")
+        if self.code_copies < 1:
+            raise ValueError("code_copies must be >= 1")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,17 +108,15 @@ class ExperimentConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     baseline: BaselineSection = field(default_factory=BaselineSection)
 
+    def __post_init__(self):
+        validate_config(self)
+
     def ofdm_config(self) -> OfdmConfig:
         return self.ofdm
 
     def channel_profile(self) -> ChannelProfile:
         c = self.channel
-        return default_profile(
-            speed_kmh=c.speed_kmh,
-            n_taps=c.n_taps,
-            spacing=c.tap_spacing,
-            decay=c.tap_decay,
-        )
+        return default_profile(c.speed_kmh, c.n_taps, spacing=c.tap_spacing, decay=c.tap_decay)
 
     def mask_cells(self) -> int:
         s = self.scene
@@ -130,15 +157,22 @@ _SECTION_TYPES = {
 }
 
 
+def _finite(tok: str) -> float:
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {tok.strip()}")
+    return value
+
+
 def _parse_value(section: str, key: str, raw: str, annotation: str):
     raw = raw.strip()
     try:
         if annotation == "int":
             return int(raw)
         if annotation == "float":
-            return float(raw)
+            return _finite(raw)
         if annotation.startswith("tuple[float"):
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            return tuple(_finite(tok) for tok in raw.split(",") if tok.strip())
         if annotation.startswith("tuple[int"):
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
         if annotation.startswith("tuple[str"):
@@ -148,23 +182,37 @@ def _parse_value(section: str, key: str, raw: str, annotation: str):
     raise ValueError(f"unsupported field type for {section}.{key}")
 
 
-def _load_section(parser: configparser.ConfigParser, name: str, cls):
-    """Materialize one present section; it must list every key."""
-    spec = {f.name: f for f in fields(cls)}
-    values = {}
-    for key, raw in parser.items(name):
-        if key not in spec:
-            raise ValueError(f"unknown field: {name}.{key}")
-        ann = spec[key].type
-        ann = ann if isinstance(ann, str) else getattr(ann, "__name__", str(ann))
-        values[key] = _parse_value(name, key, raw, ann)
-    missing = sorted(set(spec) - set(values))
-    if missing:
-        raise ValueError(f"missing field: {name}.{missing[0]}")
+def parse_field(section: str, key: str, raw: str):
+    """The value of `raw` as the INI text of field `key` of `section`."""
+    spec = {f.name: f for f in fields(_SECTION_TYPES[section])}
+    if key not in spec:
+        raise ValueError(f"unknown field: {section}.{key}")
+    ann = spec[key].type
+    ann = ann if isinstance(ann, str) else getattr(ann, "__name__", str(ann))
+    return _parse_value(section, key, raw, ann)
+
+
+def _make_section(name: str, make, *args, **values):
+    """make(*args, **values), naming the section in the ValueError of its type's checks."""
     try:
-        return cls(**values)
+        return make(*args, **values)
     except ValueError as exc:
         raise ValueError(f"bad value in [{name}]: {exc}") from None
+
+
+def override(cfg: ExperimentConfig, section: str, **values) -> ExperimentConfig:
+    """cfg with `values` set in `section`; the section and the whole config
+    are checked as a loaded file's are."""
+    return replace(cfg, **{section: _make_section(section, replace, getattr(cfg, section), **values)})
+
+
+def _load_section(parser: configparser.ConfigParser, name: str, cls):
+    """Materialize one present section; it must list every key."""
+    values = {key: parse_field(name, key, raw) for key, raw in parser.items(name)}
+    missing = sorted({f.name for f in fields(cls)} - set(values))
+    if missing:
+        raise ValueError(f"missing field: {name}.{missing[0]}")
+    return _make_section(name, cls, **values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -178,55 +226,20 @@ def load_config(path) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTION_TYPES:
             raise ValueError(f"unknown section: {section}")
-    cfg = ExperimentConfig(**{
+    return ExperimentConfig(**{
         name: _load_section(parser, name, cls)
         for name, cls in _SECTION_TYPES.items()
         if parser.has_section(name)
     })
-    validate_config(cfg)
-    return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Checks that span sections; each section type checks its own values."""
-    e = cfg.experiment
-    if e.sessions < 1:
-        raise ValueError("bad value for experiment.sessions: must be >= 1")
-    if e.round_budget < 1:
-        raise ValueError("bad value for experiment.round_budget: must be >= 1")
-    if e.workers < 1:
-        raise ValueError("bad value for experiment.workers: must be >= 1")
-    check_modes(e.modes, "experiment.modes")
-    if not 0.0 < cfg.codec.cr <= 1.0:
-        raise ValueError("bad value for codec.cr: must be in (0, 1]")
-    if cfg.baseline.mod_order not in QAM_ORDERS:
-        raise ValueError(
-            f"bad value for baseline.mod_order: must be one of {QAM_ORDERS}"
-        )
-    if cfg.baseline.code_copies < 1:
-        raise ValueError("bad value for baseline.code_copies: must be >= 1")
+    """The rules that span sections, run whenever an ExperimentConfig is made; a
+    rule on one section's own fields lives in that section type's __post_init__."""
     if cfg.detector.pool > min(cfg.scene.height, cfg.scene.width):
         raise ValueError("bad value for detector.pool: exceeds scene grid")
     cfg.channel_profile()
     cfg.baseline_cr()
-
-
-def check_modes(modes, name: str = "modes") -> tuple[str, ...]:
-    """The mode list as a tuple; ValueError, naming it `name`, if it is empty or
-    names an unknown mode."""
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError(f"bad value for {name}: empty mode list")
-    for mode in modes:
-        if mode not in ALL_MODES:
-            raise ValueError(
-                f"bad value for {name}: unknown mode {mode!r}; choose from {', '.join(ALL_MODES)}"
-            )
-    return modes
-
-
-def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(cfg, experiment=replace(cfg.experiment, master_seed=seed))
 
 
 def default_config_text() -> str:

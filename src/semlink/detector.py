@@ -52,6 +52,8 @@ class DetectorConfig:
             raise ValueError("ack_threshold must be in (0, 1)")
         if self.sharpness <= 0:
             raise ValueError("sharpness must be positive")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
         for name in ("pool", "branch_width", "corpus_queries", "batch_queries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -260,8 +262,8 @@ def train_ranker(
                 ep_pairs += pairs
                 if branch_grads is None:
                     continue
-                nnkit.add_grads(b_grads, branch_grads, 1.0)
-                nnkit.add_grads(h_grads, head_grads, 1.0)
+                nnkit.add_grads(b_grads, branch_grads)
+                nnkit.add_grads(h_grads, head_grads)
                 got += 1
             if not got:
                 continue

@@ -25,14 +25,14 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import codec as codec_mod
 from . import detector as det_mod
-from .config import BASELINE_MODES, SEMANTIC_MODES, ExperimentConfig, check_modes
+from .config import BASELINE_MODES, SEMANTIC_MODES, ExperimentConfig, override
 from .harq import (
     BaselineSource,
     HarqSession,
@@ -221,7 +221,7 @@ def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:
 
 
 class SessionCache:
-    """What every mode, SNR and threshold of session index `idx` share.
+    """What every mode and SNR of session index `idx` share.
 
     Each part is made on first use: the scene, its semantic and baseline
     sources, and per round the link's RoundDraws. A sweep of baseline modes
@@ -268,45 +268,32 @@ class SessionCache:
         return self._draws[t]
 
 
-def _check_point(beta: float | None, snr_list) -> None:
-    """ValueError unless beta is None or in (0, 1) and the SNR list is finite and non-empty."""
-    if beta is not None and not 0.0 < beta < 1.0:
-        raise ValueError(f"bad value for beta: must be in (0, 1), got {beta}")
-    if not snr_list:
-        raise ValueError("bad value for snr_db: empty SNR list")
-    for snr_db in snr_list:
-        if not math.isfinite(snr_db):
-            raise ValueError(f"bad value for snr_db: must be finite, got {snr_db}")
-
-
 def run_session(
     bundle: RuntimeBundle,
     mode: str,
     snr_db: float,
     idx: int,
-    beta: float | None = None,
-    budget: int | None = None,
     cache: SessionCache | None = None,
 ) -> SessionRecord:
     """Run one seeded protocol session and flatten it into a record.
 
-    `beta` overrides the config's acknowledgement threshold. `cache` is the
-    SessionCache of this bundle and index that other sessions of the same
-    index share; run_sweep makes one per index and drops it when the index
-    is done. Without one the session makes its own, and its record is the
-    same.
+    The threshold and round budget are the bundle config's, where they are
+    checked; a non-finite snr_db fails in channel.noise_variance. `cache` is
+    the SessionCache of this bundle and index that other sessions of the
+    same index share; run_sweep makes one per index and drops it when the
+    index is done. Without one the session makes its own, and its record is
+    the same.
     """
-    _check_point(beta, (snr_db,))
     if cache is None:
         cache = SessionCache(bundle, idx)
     elif cache.bundle is not bundle or cache.idx != idx:
         raise ValueError(f"session cache of index {cache.idx} used for index {idx}")
     cfg = bundle.cfg
-    budget = cfg.experiment.round_budget if budget is None else budget
+    budget = cfg.experiment.round_budget
 
     if mode in SEMANTIC_MODES:
         src = cache.semantic
-        threshold = cfg.detector.ack_threshold if beta is None else beta
+        threshold = cfg.detector.ack_threshold
 
         def transmit(t, symbols):
             draws = cache.draws(t)
@@ -331,12 +318,9 @@ def run_session(
 def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRecord:
     final_round, _ = finalize(session)
     final = session.rounds[final_round - 1]
-    s_hat = tuple(
-        session.rounds[t].s_hat if t < session.rounds_used else None for t in range(budget)
-    )
-    s_true = tuple(
-        session.rounds[t].s_true if t < session.rounds_used else None for t in range(budget)
-    )
+    unused = (None,) * (budget - session.rounds_used)
+    s_hat = tuple(r.s_hat for r in session.rounds) + unused
+    s_true = tuple(r.s_true for r in session.rounds) + unused
     return SessionRecord(
         session_id=idx,
         mode=mode,
@@ -358,21 +342,18 @@ def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRe
 _WORKER_STATE: dict = {}
 
 
-def _pool_init(bundle, grid, beta, budget):
-    _WORKER_STATE["args"] = (bundle, grid, beta, budget)
+def _pool_init(bundle, grid):
+    _WORKER_STATE["args"] = (bundle, grid)
 
 
 def _pool_task(idx):
     return _run_index(*_WORKER_STATE["args"], idx)
 
 
-def _run_index(bundle, grid, beta, budget, idx) -> list[SessionRecord]:
+def _run_index(bundle, grid, idx) -> list[SessionRecord]:
     """Every (mode, snr_db) of `grid` at session index idx, on one SessionCache."""
     cache = SessionCache(bundle, idx)
-    return [
-        run_session(bundle, mode, snr_db, idx, beta=beta, budget=budget, cache=cache)
-        for mode, snr_db in grid
-    ]
+    return [run_session(bundle, mode, snr_db, idx, cache=cache) for mode, snr_db in grid]
 
 
 def run_sweep(
@@ -381,12 +362,14 @@ def run_sweep(
     snr_list,
     out_dir,
     sessions: int | None = None,
-    beta: float | None = None,
-    budget: int | None = None,
     workers: int | None = None,
     log=None,
 ) -> list[SessionRecord]:
     """Run a mode x SNR grid of seeded sessions and write the two sweep CSVs.
+
+    `modes`, `snr_list` and any `sessions` or `workers` are set in the
+    bundle config's [experiment] section by config.override, and so checked
+    as a config file is, before the output directory is made.
 
     The grid runs one session index at a time: all (mode, SNR) sessions of
     an index share one SessionCache, which is dropped when the index is done,
@@ -397,32 +380,25 @@ def run_sweep(
     distributed, so the CSV bytes are identical for any worker count, and
     equal to those of running each session with no cache.
     """
-    cfg = bundle.cfg
+    counts = {k: v for k, v in (("sessions", sessions), ("workers", workers)) if v is not None}
+    cfg = override(bundle.cfg, "experiment", modes=tuple(modes), snr_db=tuple(map(float, snr_list)), **counts)
+    bundle, e = replace(bundle, cfg=cfg), cfg.experiment
     say = log if log is not None else (lambda msg: None)
-    sessions = cfg.experiment.sessions if sessions is None else sessions
-    workers = cfg.experiment.workers if workers is None else workers
-    budget_eff = cfg.experiment.round_budget if budget is None else budget
-    for name, value in (("sessions", sessions), ("workers", workers), ("budget", budget_eff)):
-        if value < 1:
-            raise ValueError(f"bad value for {name}: must be >= 1, got {value}")
-    modes = check_modes(modes)
-    snr_list = tuple(float(s) for s in snr_list)
-    _check_point(beta, snr_list)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    grid = [(mode, snr_db) for mode in modes for snr_db in snr_list]
-    say(f"running {len(grid) * sessions} sessions on {workers} worker(s)")
-    if workers > 1:
+    grid = [(mode, snr_db) for mode in e.modes for snr_db in e.snr_db]
+    say(f"running {len(grid) * e.sessions} sessions on {e.workers} worker(s)")
+    if e.workers > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_pool_init, initargs=(bundle, grid, beta, budget)) as pool:
-            by_index = pool.map(_pool_task, range(sessions), chunksize=1)
+        with ctx.Pool(e.workers, initializer=_pool_init, initargs=(bundle, grid)) as pool:
+            by_index = pool.map(_pool_task, range(e.sessions), chunksize=1)
     else:
-        by_index = [_run_index(bundle, grid, beta, budget, idx) for idx in range(sessions)]
+        by_index = [_run_index(bundle, grid, idx) for idx in range(e.sessions)]
     records = [rows[k] for k in range(len(grid)) for rows in by_index]
 
-    write_session_csv(out / "sessions.csv", records, budget_eff)
-    write_summary_csv(out / "summary.csv", records, modes, snr_list, budget_eff)
+    write_session_csv(out / "sessions.csv", records, e.round_budget)
+    write_summary_csv(out / "summary.csv", records, e.modes, e.snr_db, e.round_budget)
     say(f"wrote {out / 'sessions.csv'} and {out / 'summary.csv'}")
     return records
 

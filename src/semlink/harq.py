@@ -276,17 +276,13 @@ def run_semantic_session(
     return session
 
 
-@dataclass
 class ChaseCombiner:
     """Per-symbol weighted averaging of equalized observations across copies."""
 
-    n_symbols: int
-    num: np.ndarray = None
-    den: np.ndarray = None
-
-    def __post_init__(self):
-        self.num = np.zeros(self.n_symbols, dtype=np.complex128)
-        self.den = np.zeros(self.n_symbols, dtype=np.float64)
+    def __init__(self, n_symbols: int):
+        self.n_symbols = n_symbols
+        self.num = np.zeros(n_symbols, dtype=np.complex128)
+        self.den = np.zeros(n_symbols, dtype=np.float64)
 
     def add(self, eq_symbols: np.ndarray, h: np.ndarray, noise_var: float) -> None:
         eq_symbols = np.asarray(eq_symbols, dtype=np.complex128).reshape(-1)

@@ -144,11 +144,11 @@ def zeros_like_grads(net: DenseNet):
     return [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in net.layers]
 
 
-def add_grads(acc, grads, scale: float = 1.0):
-    """acc += scale * grads, in place, returning acc."""
+def add_grads(acc, grads):
+    """acc += grads, in place, returning acc."""
     for (aw, ab), (gw, gb) in zip(acc, grads):
-        aw += scale * gw
-        ab += scale * gb
+        aw += gw
+        ab += gb
     return acc
 
 

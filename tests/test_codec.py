@@ -1,6 +1,7 @@
 """Analog feature codec tests: symbol packing, power normalization, training."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from semlink import codec as codec_mod
-from semlink import config as config_mod
 from semlink import harness, nnkit
 from semlink.channel import noise_variance
 from semlink.codec import (
@@ -337,7 +337,7 @@ def test_training_rejects_width_mismatch():
 
 def test_trained_codec_beats_untrained_at_mid_snr(default_cfg, bundle):
     # gap on in-distribution packed features; fresh eval scenes
-    eval_cfg = config_mod.with_seed(default_cfg, 777)
+    eval_cfg = replace(default_cfg, experiment=replace(default_cfg.experiment, master_seed=777))
     ts = harness.build_training_set(eval_cfg, bundle.head)
     untrained = new_codec(default_cfg.codec, ts.packed.shape[1], seed=12345)
     def mse(codec):
@@ -353,7 +353,7 @@ def test_trained_codec_beats_untrained_at_mid_snr(default_cfg, bundle):
 
 def test_combined_decoding_beats_first_pair_at_low_snr(default_cfg, bundle):
     # paired draws over the second pair's low training SNR range
-    eval_cfg = config_mod.with_seed(default_cfg, 778)
+    eval_cfg = replace(default_cfg, experiment=replace(default_cfg.experiment, master_seed=778))
     ts = harness.build_training_set(eval_cfg, bundle.head)
     rng_snr = np.random.default_rng(5)
     diffs = []

@@ -1,17 +1,19 @@
 """Configuration loading, validation, and derived-view tests."""
 
+import configparser
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from semlink.codec import CodecConfig
 from semlink.config import (
+    _SECTION_TYPES,
     ExperimentConfig,
     default_config_text,
     load_config,
     validate_config,
-    with_seed,
 )
 from semlink.detector import DetectorConfig
 from semlink.ofdm import OfdmConfig
@@ -124,62 +126,100 @@ def test_bad_value_reports_location(tmp_path):
         ("branch_width = 64", "branch_width = 0"),
         ("train_samples = 512", "train_samples = 0"),
         ("hidden = 192", "hidden = 0"),
+        ("sessions = 200", "sessions = 0"),
+        ("round_budget = 3", "round_budget = 0"),
+        ("workers = 1", "workers = 0"),
+        ("modes = noharq,sim1,sim2,base1", "modes = sim1,warp"),
+        ("modes = noharq,sim1,sim2,base1", "modes = ,"),
+        ("\nsnr_db = 0,3,6,9,12,15,18\n", "\nsnr_db = \n"),
+        ("cr = 0.05", "cr = 0"),
+        ("lr = 0.002\n", "lr = -1\n"),
+        ("lr = 0.0002", "lr = 0"),
+        ("mod_order = 16", "mod_order = 8"),
+        ("code_copies = 2", "code_copies = 0"),
     ],
     ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
          "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan",
-         "pool", "branch_width", "train_samples", "hidden"],
+         "pool", "branch_width", "train_samples", "hidden", "sessions", "round_budget",
+         "workers", "modes", "modes-empty", "snr_db-empty", "cr", "codec-lr", "detector-lr",
+         "mod_order", "code_copies"],
 )
 def test_load_runs_the_section_type_checks(tmp_path, old, new):
     text = default_config_text()
     assert text.count(old) == 1
     path = tmp_path / "c.ini"
     path.write_text(text.replace(old, new))
-    with pytest.raises(ValueError, match=r"bad value in \["):
+    # a non-finite float fails one step sooner, where its text is parsed
+    where = r"bad value for detector\.holdout: must be finite" if new.endswith("nan") else r"bad value in \["
+    with pytest.raises(ValueError, match=where):
         load_config(path)
 
 
-def test_validate_rejects_bad_mode():
-    from dataclasses import replace
+# the checks run when a section or a config is made, so a replaced one is
+# checked as a loaded one is
 
+
+def test_validate_rejects_bad_mode():
     cfg = ExperimentConfig()
-    bad = replace(cfg, experiment=replace(cfg.experiment, modes=("warp",)))
-    with pytest.raises(ValueError, match="unknown mode"):
-        validate_config(bad)
-    empty = replace(cfg, experiment=replace(cfg.experiment, modes=()))
-    with pytest.raises(ValueError, match="experiment.modes: empty mode list"):
-        validate_config(empty)
+    with pytest.raises(ValueError, match="unknown mode 'warp'"):
+        replace(cfg, experiment=replace(cfg.experiment, modes=("warp",)))
+    with pytest.raises(ValueError, match="empty mode list"):
+        replace(cfg, experiment=replace(cfg.experiment, modes=()))
 
 
 def test_validate_rejects_bad_cr():
-    from dataclasses import replace
-
     cfg = ExperimentConfig()
-    bad = replace(cfg, codec=replace(cfg.codec, cr=0.0))
-    with pytest.raises(ValueError, match="codec.cr"):
-        validate_config(bad)
+    with pytest.raises(ValueError, match=r"cr must be in \(0, 1\]"):
+        replace(cfg, codec=replace(cfg.codec, cr=0.0))
 
 
 def test_validate_rejects_bad_mod_order():
-    from dataclasses import replace
-
     cfg = ExperimentConfig()
-    bad = replace(cfg, baseline=replace(cfg.baseline, mod_order=8))
     with pytest.raises(ValueError, match="mod_order"):
-        validate_config(bad)
+        replace(cfg, baseline=replace(cfg.baseline, mod_order=8))
 
 
 def test_validate_rejects_oversized_pool():
-    from dataclasses import replace
-
+    # a cross-section rule: runs when the ExperimentConfig is made
     cfg = ExperimentConfig()
-    bad = replace(cfg, detector=replace(cfg.detector, pool=64))
+    detector = replace(cfg.detector, pool=64)
     with pytest.raises(ValueError, match="detector.pool"):
-        validate_config(bad)
+        replace(cfg, detector=detector)
+
+
+def _float_fields():
+    return [
+        (name, f.name)
+        for name, cls in _SECTION_TYPES.items()
+        for f in fields(cls)
+        if f.type == "float" or f.type.startswith("tuple[float")
+    ]
+
+
+@pytest.mark.parametrize("section,key", _float_fields(), ids=[f"{s}.{k}" for s, k in _float_fields()])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_floats_fail_at_load(tmp_path, section, key, value):
+    # generated from the section types, so a new float field is covered too
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(default_config_text())
+    parser[section][key] = value
+    path = tmp_path / "c.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(ValueError, match=rf"bad value for {section}\.{key}: must be finite"):
+        load_config(path)
+
+
+def test_float_fields_are_found():
+    # the generator above sees every kind of float field
+    found = set(_float_fields())
+    assert {("experiment", "snr_db"), ("channel", "speed_kmh"), ("codec_pair1", "snr_lo"),
+            ("detector", "corpus_snr_db"), ("codec", "lr")} <= found
 
 
 def test_with_seed():
     cfg = ExperimentConfig()
-    reseeded = with_seed(cfg, 999)
+    reseeded = replace(cfg, experiment=replace(cfg.experiment, master_seed=999))
     assert reseeded.experiment.master_seed == 999
     assert cfg.experiment.master_seed == 2024
     assert reseeded.ofdm == cfg.ofdm

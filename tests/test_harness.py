@@ -245,10 +245,18 @@ def test_truncated_artifacts_raise_value_error(tiny_dir, tmp_path, name, loader)
             loader(path)
 
 
+def _set(bundle, section, **values):
+    """bundle with `values` set in its config's `section`, as a run sets them."""
+    return replace(bundle, cfg=config_mod.override(bundle.cfg, section, **values))
+
+
 def test_run_sweep_rejects_nonpositive_counts(tiny_bundle, tmp_path):
-    for override in ({"sessions": 0}, {"sessions": -3}, {"workers": 0}, {"budget": 0}):
-        with pytest.raises(ValueError):
+    for override in ({"sessions": 0}, {"sessions": -3}, {"workers": 0}):
+        with pytest.raises(ValueError, match=r"bad value in \[experiment\]"):
             harness.run_sweep(tiny_bundle, ("sim1",), (0.0,), tmp_path, **override)
+    # the round budget is the config's, set where a run sets it
+    with pytest.raises(ValueError, match="round_budget must be >= 1"):
+        _set(tiny_bundle, "experiment", round_budget=0)
     assert not (tmp_path / "sessions.csv").exists()
 
 
@@ -293,14 +301,14 @@ def test_session_record_pairing(tiny_bundle):
     # so the first-round truth is identical across modes and thresholds
     a = harness.run_session(tiny_bundle, "sim1", 6.0, idx=3)
     b = harness.run_session(tiny_bundle, "sim2", 6.0, idx=3)
-    c = harness.run_session(tiny_bundle, "sim1", 6.0, idx=3, beta=0.999)
+    c = harness.run_session(_set(tiny_bundle, "detector", ack_threshold=0.999), "sim1", 6.0, idx=3)
     assert a.s_true[0] == b.s_true[0] == c.s_true[0]
     assert a.s_hat[0] == b.s_hat[0] == c.s_hat[0]
 
 
 def test_noharq_is_single_round(tiny_bundle):
     rec = harness.run_session(tiny_bundle, "noharq", 6.0, idx=1)
-    ref = harness.run_session(tiny_bundle, "sim1", 6.0, idx=1, budget=1)
+    ref = harness.run_session(_set(tiny_bundle, "experiment", round_budget=1), "sim1", 6.0, idx=1)
     assert rec.rounds_used == 1
     assert rec.final_round == 1
     assert rec.s_true[1:] == (None, None)
@@ -419,7 +427,13 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
 
 
 @pytest.fixture(scope="module")
-def uncached_sweep(tiny_bundle, tmp_path_factory):
+def sweep_bundle(tiny_bundle):
+    """tiny_bundle with the threshold SWEEP_BETA and a round budget of 2."""
+    return _set(_set(tiny_bundle, "detector", ack_threshold=SWEEP_BETA), "experiment", round_budget=2)
+
+
+@pytest.fixture(scope="module")
+def uncached_sweep(sweep_bundle, tmp_path_factory):
     """CSVs of the grid below with every session run on its own, no cache.
 
     The records also equal those of sessions built from parts, so the
@@ -428,11 +442,9 @@ def uncached_sweep(tiny_bundle, tmp_path_factory):
     """
     out = tmp_path_factory.mktemp("uncached")
     tasks = [(m, s, i) for m in ALL_MODES for s in SWEEP_SNRS for i in range(5)]
-    records = [
-        harness.run_session(tiny_bundle, m, s, i, beta=SWEEP_BETA, budget=2) for m, s, i in tasks
-    ]
+    records = [harness.run_session(sweep_bundle, m, s, i) for m, s, i in tasks]
     assert records == [
-        _session_from_parts(tiny_bundle, m, s, i, SWEEP_BETA, 2) for m, s, i in tasks
+        _session_from_parts(sweep_bundle, m, s, i, SWEEP_BETA, 2) for m, s, i in tasks
     ]
     harness.write_session_csv(out / "sessions.csv", records, 2)
     harness.write_summary_csv(out / "summary.csv", records, ALL_MODES, SWEEP_SNRS, 2)
@@ -441,11 +453,8 @@ def uncached_sweep(tiny_bundle, tmp_path_factory):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_cached_sweep_matches_uncached_sessions(tiny_bundle, uncached_sweep, tmp_path, workers):
-    harness.run_sweep(
-        tiny_bundle, ALL_MODES, SWEEP_SNRS, tmp_path, sessions=5, beta=SWEEP_BETA, budget=2,
-        workers=workers,
-    )
+def test_cached_sweep_matches_uncached_sessions(sweep_bundle, uncached_sweep, tmp_path, workers):
+    harness.run_sweep(sweep_bundle, ALL_MODES, SWEEP_SNRS, tmp_path, sessions=5, workers=workers)
     for name in ("sessions.csv", "summary.csv"):
         assert (tmp_path / name).read_bytes() == (uncached_sweep / name).read_bytes(), name
 
@@ -454,28 +463,28 @@ def test_session_with_shared_cache_matches_uncached(tiny_bundle):
     # sessions on a cache that other modes and SNRs filled give the records
     # they give with no cache
     idx = 2
-    cache = harness.SessionCache(tiny_bundle, idx)
+    bundle = _set(tiny_bundle, "detector", ack_threshold=0.999)
+    cache = harness.SessionCache(bundle, idx)
     for mode in ("noharq", "sim1", "base2"):
         for snr_db in (0.0, 9.0):
-            harness.run_session(tiny_bundle, mode, snr_db, idx, beta=0.999, cache=cache)
-    sim2 = harness.run_session(tiny_bundle, "sim2", 0.0, idx, beta=0.999, cache=cache)
+            harness.run_session(bundle, mode, snr_db, idx, cache=cache)
+    sim2 = harness.run_session(bundle, "sim2", 0.0, idx, cache=cache)
     assert sim2.rounds_used == 3  # beta 0.999 acknowledges nothing
-    assert sim2 == harness.run_session(tiny_bundle, "sim2", 0.0, idx, beta=0.999)
-    base1 = harness.run_session(tiny_bundle, "base1", 0.0, idx, cache=cache)
+    assert sim2 == harness.run_session(bundle, "sim2", 0.0, idx)
+    base1 = harness.run_session(bundle, "base1", 0.0, idx, cache=cache)
     assert base1.rounds_used > 1
-    assert base1 == harness.run_session(tiny_bundle, "base1", 0.0, idx)
+    assert base1 == harness.run_session(bundle, "base1", 0.0, idx)
 
 
 def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
     # the baseline modes read only the proxy head, so they run on a bundle
     # without codecs or scorer and write the bytes of the trained bundle;
     # their sessions never build a semantic source
-    cfg = tiny_bundle.cfg
+    trained = _set(tiny_bundle, "experiment", round_budget=2)
+    cfg = trained.cfg
     bare = harness.RuntimeBundle(cfg, harness.make_head(cfg), None, None, None)
-    for name, bundle in (("trained", tiny_bundle), ("bare", bare)):
-        harness.run_sweep(
-            bundle, ("base1", "base2"), SWEEP_SNRS, tmp_path / name, sessions=3, budget=2
-        )
+    for name, bundle in (("trained", trained), ("bare", bare)):
+        harness.run_sweep(bundle, ("base1", "base2"), SWEEP_SNRS, tmp_path / name, sessions=3)
     for name in ("sessions.csv", "summary.csv"):
         assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "trained" / name).read_bytes()
     cache = harness.SessionCache(bare, 0)
@@ -486,12 +495,13 @@ def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
 
 @pytest.mark.parametrize("mode", ["sim1", "base1"])
 @pytest.mark.parametrize("beta", [1.5, 0.0, float("nan")])
-def test_sessions_reject_bad_beta(tiny_bundle, tmp_path, mode, beta):
-    with pytest.raises(ValueError, match="beta"):
-        harness.run_session(tiny_bundle, mode, 6.0, 0, beta=beta)
-    with pytest.raises(ValueError, match="beta"):
-        harness.run_sweep(tiny_bundle, (mode,), (6.0,), tmp_path / "out", sessions=1, beta=beta)
-    assert not (tmp_path / "out").exists()
+def test_sessions_reject_bad_beta(tiny_bundle, mode, beta):
+    # a session reads beta from its bundle's config, whose [detector] section
+    # rejects a bad one, so no bundle carries it into a session
+    with pytest.raises(ValueError, match=r"bad value in \[detector\]: ack_threshold"):
+        _set(tiny_bundle, "detector", ack_threshold=beta)
+    rec = harness.run_session(_set(tiny_bundle, "detector", ack_threshold=0.999), mode, 6.0, 0)
+    assert rec.beta == (0.999 if mode == "sim1" else None)
 
 
 @pytest.mark.parametrize("mode", ["sim1", "base1"])
@@ -682,6 +692,19 @@ def test_cli_sweep_defaults_to_the_config_modes(tiny_dir, tmp_path):
     assert [r["mode"] for r in _read_rows(out / "sessions.csv")] == ["sim1", "base1"]
 
 
+_TINY_SNR_DB = "snr_db = 0.0,3.0,6.0,9.0,12.0,15.0,18.0"
+# values that both train and sweep read
+_NON_FINITE = [
+    ("speed_kmh = 50.0", "speed_kmh = nan"),
+    ("tap_spacing = 5e-07", "tap_spacing = nan"),
+    ("tap_decay = 5e-07", "tap_decay = nan"),
+    ("carrier_freq = 2800000000.0", "carrier_freq = nan"),
+    ("feature_noise = 0.1", "feature_noise = nan"),
+    (_TINY_SNR_DB, "snr_db = nan"),
+    (_TINY_SNR_DB, "snr_db = "),
+]
+
+
 @pytest.mark.parametrize(
     "command,old,new",
     [
@@ -696,6 +719,15 @@ def test_cli_sweep_defaults_to_the_config_modes(tiny_dir, tmp_path):
         ("train", "branch_width = 16", "branch_width = 0"),
         ("train", "train_samples = 48", "train_samples = 0"),
         ("train", "hidden = 24", "hidden = 0"),
+        # non-finite floats, which the INI parser rejects
+        *((command, old, new) for command in ("train", "sweep") for old, new in _NON_FINITE),
+        ("train", "snr_lo = 9.0", "snr_lo = nan"),
+        ("train", "lr = 0.002", "lr = nan"),
+        ("train", "task_weight = 0.5", "task_weight = nan"),
+        # a learning rate that is not positive, and one at which training diverges
+        ("train", "lr = 0.002", "lr = -1"),
+        ("train", "lr = 0.0002", "lr = 0"),
+        ("train", "lr = 0.002", "lr = 1e6"),
         # malformed files, which configparser itself rejects
         ("train", "[ofdm]", "[ofdm]\n\n[ofdm]"),
         ("train", "l_fft = 256", "l_fft = 256\nl_fft = 512"),
@@ -704,6 +736,10 @@ def test_cli_sweep_defaults_to_the_config_modes(tiny_dir, tmp_path):
     ids=["sweep-ack_threshold", "sweep-sharpness", "sweep-batch_size", "sweep-object_rate",
          "train-ack_threshold", "train-batch_queries", "train-holdout", "train-pool",
          "train-branch_width", "train-train_samples", "train-hidden",
+         *(f"{command}-{new.split(' = ')[0]}-{new.split(' = ')[1] or 'empty'}"
+           for command in ("train", "sweep") for _, new in _NON_FINITE),
+         "train-snr_lo-nan", "train-lr-nan", "train-task_weight-nan", "train-lr--1",
+         "train-detector-lr-0", "train-lr-diverges",
          "train-repeated-section", "train-repeated-key", "train-no-section-header"],
 )
 def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
@@ -715,6 +751,36 @@ def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
     extra = ("--artifacts", str(tiny_dir), "--mode", "sim1", "--snr", "0") if command == "sweep" else ()
     proc = _cli(command, "--config", str(ini), "--out", str(out), *extra)
     _assert_one_error_line(proc)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,old,new",
+    [
+        (("--sessions", "0"), "sessions = 8", "sessions = 0"),
+        (("--budget", "0"), "round_budget = 3", "round_budget = 0"),
+        (("--workers", "0"), "workers = 1", "workers = 0"),
+        (("--beta", "1.5"), "ack_threshold = 0.72", "ack_threshold = 1.5"),
+        (("--snr", "nan"), _TINY_SNR_DB, "snr_db = nan"),
+        (("--mode", "warp"), "modes = noharq,sim1,sim2,base1", "modes = warp"),
+    ],
+    ids=["sessions", "round_budget", "workers", "ack_threshold", "snr_db", "modes"],
+)
+def test_cli_flag_and_its_ini_key_fail_alike(tiny_dir, tmp_path, flag, old, new):
+    # a flag is its INI key's text, parsed and checked in the same place
+    text = _render_ini(tiny_config(seed=4242))
+    assert text.count(old) == 1
+    good = tmp_path / "good.ini"
+    good.write_text(text)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    args = ("sweep", "--out", str(out), "--artifacts", str(tiny_dir))
+    by_flag = _cli(*args, "--config", str(good), *flag)
+    by_key = _cli(*args, "--config", str(bad))
+    _assert_one_error_line(by_flag)
+    _assert_one_error_line(by_key)
+    assert by_flag.stderr == by_key.stderr
     assert not out.exists()
 
 
