@@ -10,9 +10,7 @@ and checked as that key is in a config file, and fails with the same words.
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
-from pathlib import Path
 
 from . import harness
 from .config import ExperimentConfig, default_config_text, load_config, override, parse_field
@@ -70,15 +68,7 @@ def _load(args) -> ExperimentConfig:
 
 
 def cmd_train(args) -> int:
-    cfg = _load(args)
-    out = Path(args.out)
-    made = not out.exists()
-    try:
-        harness.train_all(cfg, out, log=_say)
-    except ValueError:  # e.g. training diverged: leave no directory of partial artifacts
-        if made:
-            shutil.rmtree(out)
-        raise
+    harness.train_all(_load(args), args.out, log=_say)
     return 0
 
 

@@ -22,7 +22,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .channel import ChannelProfile, default_profile
+from .channel import ChannelProfile, default_profile, symbol_correlation
 from .codec import CodecConfig
 from .detector import DetectorConfig
 from .harq import CRC24_BITS
@@ -238,7 +238,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     rule on one section's own fields lives in that section type's __post_init__."""
     if cfg.detector.pool > min(cfg.scene.height, cfg.scene.width):
         raise ValueError("bad value for detector.pool: exceeds scene grid")
-    cfg.channel_profile()
+    if cfg.codec.n_cu > cfg.ofdm.payload_capacity:
+        raise ValueError(f"bad value for codec.n_cu: a frame holds {cfg.ofdm.payload_capacity} payload symbols")
+    symbol_correlation(cfg.channel_profile(), cfg.ofdm)
     cfg.baseline_cr()
 
 

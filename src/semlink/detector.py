@@ -20,7 +20,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import codec as codec_mod
 from . import nnkit
@@ -353,15 +352,15 @@ def calibrate_scorer(scorer: SimilarityScorer, corpus: RankCorpus) -> Similarity
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC (ties get average rank)."""
+    """Mann-Whitney AUC: the share of (positive, negative) pairs that the
+    scores order correctly, a tie counting one half."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    pos, neg = scores[labels], np.sort(scores[~labels])
+    if pos.size == 0 or neg.size == 0:
         raise ValueError("need both positive and negative labels")
-    ranks = rankdata(scores)
-    return (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    below, upto = np.searchsorted(neg, pos, "left"), np.searchsorted(neg, pos, "right")
+    return float((below + 0.5 * (upto - below)).sum() / (pos.size * neg.size))
 
 
 def build_corpus(cfg, head, codec) -> RankCorpus:

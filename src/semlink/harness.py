@@ -25,6 +25,9 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -120,52 +123,62 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     trains and calibrates on the stored corpus, and the calibration table is
     computed with the stored scorer. The returned bundle is the one read back
     from the checkpoints, bitwise equal to what load_bundle gives for out_dir.
+    Files are staged beside out_dir and moved in once every stage has passed:
+    a run that fails leaves out_dir as it was, or absent.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"output path is not a directory: {out}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     say = log if log is not None else (lambda msg: None)
     ms = cfg.experiment.master_seed
+    try:
+        head = make_head(cfg)
+        say("building training scenes")
+        tset = build_training_set(cfg, head)
+        band1 = (cfg.codec_pair1.snr_lo, cfg.codec_pair1.snr_hi)
+        band2 = (cfg.codec_pair2.snr_lo, cfg.codec_pair2.snr_hi)
 
-    head = make_head(cfg)
-    say("building training scenes")
-    tset = build_training_set(cfg, head)
-    band1 = (cfg.codec_pair1.snr_lo, cfg.codec_pair1.snr_hi)
-    band2 = (cfg.codec_pair2.snr_lo, cfg.codec_pair2.snr_hi)
-
-    say("training first codec pair")
-    c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
-    codec_mod.save_codec(out / CODEC_PAIR1, c_p1)
-    c_p1 = codec_mod.load_codec(out / CODEC_PAIR1)
-    say("training second codec pair on the frozen residual")
-    c_p2, curve_p2 = codec_mod.train_harq2_pair(
-        c_p1, tset, cfg.codec, derive_seed(ms, "codec-pair2"), band2
-    )
-    codec_mod.save_codec(out / CODEC_PAIR2, c_p2)
-    c_p2 = codec_mod.load_codec(out / CODEC_PAIR2)
-    _write_csv(out / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
-        (name, phase, epoch, loss)
-        for name, curve in (("pair1", curve_p1), ("pair2", curve_p2))
-        for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
-        for epoch, loss in enumerate(series, start=1)
-    ])
-
-    say("building detector corpus over the full link")
-    det_mod.save_corpus(out / CORPUS, det_mod.build_corpus(cfg, head, c_p1))
-    corpus = det_mod.load_corpus(out / CORPUS)
-    say("training similarity scorer")
-    scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
-    scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))
-    scorer = det_mod.calibrate_scorer(scorer, corpus)
-    det_mod.save_scorer(out / SCORER, scorer)
-    scorer = det_mod.load_scorer(out / SCORER)
-    _write_csv(out / "train_detector.csv", ("epoch", "pair_loss", "holdout_accuracy"), [
-        (epoch, pair_loss, accuracy)
-        for epoch, (pair_loss, accuracy) in enumerate(
-            zip(history["pair_loss"], history["holdout_accuracy"]), start=1
+        say("training first codec pair")
+        c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
+        codec_mod.save_codec(work / CODEC_PAIR1, c_p1)
+        c_p1 = codec_mod.load_codec(work / CODEC_PAIR1)
+        say("training second codec pair on the frozen residual")
+        c_p2, curve_p2 = codec_mod.train_harq2_pair(
+            c_p1, tset, cfg.codec, derive_seed(ms, "codec-pair2"), band2
         )
-    ])
-    _write_calibration(out / "detector_calibration.csv", cfg, corpus, scorer)
+        codec_mod.save_codec(work / CODEC_PAIR2, c_p2)
+        c_p2 = codec_mod.load_codec(work / CODEC_PAIR2)
+        _write_csv(work / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
+            (name, phase, epoch, loss)
+            for name, curve in (("pair1", curve_p1), ("pair2", curve_p2))
+            for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
+            for epoch, loss in enumerate(series, start=1)
+        ])
 
+        say("building detector corpus over the full link")
+        det_mod.save_corpus(work / CORPUS, det_mod.build_corpus(cfg, head, c_p1))
+        corpus = det_mod.load_corpus(work / CORPUS)
+        say("training similarity scorer")
+        scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
+        scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))
+        scorer = det_mod.calibrate_scorer(scorer, corpus)
+        det_mod.save_scorer(work / SCORER, scorer)
+        scorer = det_mod.load_scorer(work / SCORER)
+        _write_csv(work / "train_detector.csv", ("epoch", "pair_loss", "holdout_accuracy"), [
+            (epoch, pair_loss, accuracy)
+            for epoch, (pair_loss, accuracy) in enumerate(
+                zip(history["pair_loss"], history["holdout_accuracy"]), start=1
+            )
+        ])
+        _write_calibration(work / "detector_calibration.csv", cfg, corpus, scorer)
+
+        out.mkdir(exist_ok=True)
+        for path in work.iterdir():
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     say("training artifacts written")
     return RuntimeBundle(cfg, head, c_p1, c_p2, scorer)
 

@@ -34,6 +34,8 @@ class OfdmConfig:
                 raise ValueError(f"pilot symbol index {p} outside 1..{self.n_symbols}")
         if len(set(self.pilot_symbols)) != len(self.pilot_symbols):
             raise ValueError("pilot symbol indices must be distinct")
+        if not 0 < len(self.pilot_symbols) < self.n_symbols:
+            raise ValueError("pilot_symbols must name at least one symbol and leave one for payload")
 
     @property
     def sample_rate(self) -> float:

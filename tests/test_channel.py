@@ -1,5 +1,7 @@
 """Fading channel tests: PDP shape, response oracle, statistics, equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,16 @@ def test_zero_speed_is_static():
     assert symbol_correlation(prof, FULL) == 1.0
     real = realize(prof, FULL, 14, seed=3)
     assert np.array_equal(real.taps, np.tile(real.taps[0], (14, 1)))
+
+
+def test_default_symbol_correlation_is_pinned():
+    # the value the default config's channel draws are made with, bit for bit
+    assert symbol_correlation(default_profile(), FULL) == 0.9991546116106323
+
+
+@pytest.mark.parametrize("x,tabulated", [(1.0, 0.7651976865579666), (2.0, 0.22389077914123567)])
+def test_j0_series_matches_tabulated_values(x, tabulated):
+    assert abs(channel.j0(x) - tabulated) <= 2 * math.ulp(tabulated)
 
 
 def test_doppler_value():

@@ -10,6 +10,7 @@ import pytest
 from semlink.codec import CodecConfig
 from semlink.config import (
     _SECTION_TYPES,
+    ChannelSection,
     ExperimentConfig,
     default_config_text,
     load_config,
@@ -137,12 +138,14 @@ def test_bad_value_reports_location(tmp_path):
         ("lr = 0.0002", "lr = 0"),
         ("mod_order = 16", "mod_order = 8"),
         ("code_copies = 2", "code_copies = 0"),
+        ("pilot_symbols = 3,12", "pilot_symbols = "),
+        ("n_symbols = 14\npilot_symbols = 3,12", "n_symbols = 2\npilot_symbols = 1,2"),
     ],
     ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
          "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan",
          "pool", "branch_width", "train_samples", "hidden", "sessions", "round_budget",
          "workers", "modes", "modes-empty", "snr_db-empty", "cr", "codec-lr", "detector-lr",
-         "mod_order", "code_copies"],
+         "mod_order", "code_copies", "pilot_symbols-empty", "pilot_symbols-all"],
 )
 def test_load_runs_the_section_type_checks(tmp_path, old, new):
     text = default_config_text()
@@ -185,6 +188,21 @@ def test_validate_rejects_oversized_pool():
     detector = replace(cfg.detector, pool=64)
     with pytest.raises(ValueError, match="detector.pool"):
         replace(cfg, detector=detector)
+
+
+def test_validate_rejects_n_cu_beyond_payload_capacity():
+    # a cross-section rule: a transmission must fit the payload rows of one frame
+    capacity = OfdmConfig().payload_capacity
+    assert ExperimentConfig(codec=CodecConfig(n_cu=capacity)).codec.n_cu == capacity
+    with pytest.raises(ValueError, match="codec.n_cu"):
+        ExperimentConfig(codec=CodecConfig(n_cu=capacity + 1))
+
+
+def test_validate_rejects_a_channel_beyond_the_j0_series():
+    # a cross-section rule: speed, carrier and symbol time set the Bessel argument
+    assert ExperimentConfig(channel=ChannelSection(speed_kmh=6500.0)).channel.speed_kmh == 6500.0
+    with pytest.raises(ValueError, match="channel too fast"):
+        ExperimentConfig(channel=ChannelSection(speed_kmh=7500.0))
 
 
 def _float_fields():

@@ -453,12 +453,32 @@ def test_calibration_preserves_ordering_and_anchors():
     assert abs(z[s <= lo_cut].mean() - math.log(0.3 / 0.7)) < 1e-9
 
 
-def test_roc_auc_values():
+def _pairwise_auc(scores, labels) -> float:
+    """AUC by brute force over every (positive, negative) pair, a tie counting one half."""
+    pos = [s for s, positive in zip(scores, labels) if positive]
+    neg = [s for s, positive in zip(scores, labels) if not positive]
+    wins = sum(1.0 if p > n else 0.5 if p == n else 0.0 for p in pos for n in neg)
+    return wins / (len(pos) * len(neg))
+
+
+# scores from a few values, so most draws hold ties within and across the classes
+_TIED_SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(
+    st.lists(st.tuples(_TIED_SCORES, st.booleans()), min_size=2, max_size=60).filter(
+        lambda drawn: len({positive for _, positive in drawn}) == 2
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_roc_auc_values(drawn):
     assert roc_auc(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0])) == 1.0
     assert roc_auc(np.array([0.1, 0.2, 0.8, 0.9]), np.array([1, 1, 0, 0])) == 0.0
     assert roc_auc(np.array([0.5, 0.5, 0.5, 0.5]), np.array([1, 1, 0, 0])) == 0.5
     with pytest.raises(ValueError):
         roc_auc(np.array([0.5, 0.6]), np.array([1, 1]))
+    scores, labels = zip(*drawn)
+    assert roc_auc(np.array(scores), np.array(labels)) == _pairwise_auc(scores, labels)
 
 
 def test_corpus_serialization_roundtrip(tmp_path):

@@ -728,6 +728,10 @@ _NON_FINITE = [
         ("train", "lr = 0.002", "lr = -1"),
         ("train", "lr = 0.0002", "lr = 0"),
         ("train", "lr = 0.002", "lr = 1e6"),
+        # configs that cannot run: fail when they load, before any training
+        ("train", "n_cu = 32", "n_cu = 30000"),
+        ("train", "pilot_symbols = 3,12", "pilot_symbols = "),
+        ("train", "n_symbols = 14\npilot_symbols = 3,12", "n_symbols = 2\npilot_symbols = 1,2"),
         # malformed files, which configparser itself rejects
         ("train", "[ofdm]", "[ofdm]\n\n[ofdm]"),
         ("train", "l_fft = 256", "l_fft = 256\nl_fft = 512"),
@@ -740,6 +744,7 @@ _NON_FINITE = [
            for command in ("train", "sweep") for _, new in _NON_FINITE),
          "train-snr_lo-nan", "train-lr-nan", "train-task_weight-nan", "train-lr--1",
          "train-detector-lr-0", "train-lr-diverges",
+         "train-n_cu-beyond-capacity", "train-pilot_symbols-empty", "train-pilot_symbols-all",
          "train-repeated-section", "train-repeated-key", "train-no-section-header"],
 )
 def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
@@ -822,6 +827,30 @@ def test_cli_train_sweep_chain(tmp_path):
     assert len(rows) == 2 * 2 * 2
     assert {r["mode"] for r in rows} == {"sim1", "base1"}
     assert {r["snr_db"] for r in rows} == {"0", "12"}
+
+
+def test_cli_failed_train_leaves_existing_artifacts_unchanged(tiny_dir, tmp_path):
+    # training diverges in pair 2, after pair 1 is written: the run's files
+    # are staged beside the directory, so none of them reaches it
+    art = _copy_artifacts(tiny_dir, tmp_path / "art")
+    before = {name: (art / name).read_bytes() for name in ARTIFACTS}
+    ini = tmp_path / "bad.ini"
+    text = _render_ini(tiny_config(seed=4242))
+    assert text.count("lr = 0.002") == 1
+    ini.write_text(text.replace("lr = 0.002", "lr = 1e6"))
+    _assert_one_error_line(_cli("train", "--config", str(ini), "--out", str(art)))
+    assert {p.name: p.read_bytes() for p in art.iterdir()} == before
+    harness.load_bundle(tiny_config(seed=4242), art)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["art", "bad.ini"]
+
+
+def test_train_into_a_file_fails_before_training(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("x")
+    with pytest.raises(ValueError, match="not a directory"):  # the first stage would log
+        harness.train_all(tiny_config(seed=4242), path, log=pytest.fail)
+    assert path.read_text() == "x"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_cli_has_no_corpus_command(tmp_path):

@@ -114,8 +114,9 @@ def test_realize_matches_per_symbol_draws(speed_kmh, n_taps, n_symbols):
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
 def test_link_rejects_a_pilot_free_config(link_fn):
-    cfg = OfdmConfig(l_fft=TINY.l_fft, l_cp=TINY.l_cp, pilot_symbols=())
-    with pytest.raises(ValueError):
+    # OfdmConfig refuses to be made without pilots, so no link is handed one
+    with pytest.raises(ValueError, match="pilot_symbols"):
+        cfg = OfdmConfig(l_fft=TINY.l_fft, l_cp=TINY.l_cp, pilot_symbols=())
         link_fn(_payload(8, 1.0, 0), cfg, PROFILE, None, LinkSeeds(1, 2, 3))
 
 

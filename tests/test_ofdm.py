@@ -87,6 +87,10 @@ def test_config_validation():
         OfdmConfig(pilot_symbols=(0, 12))
     with pytest.raises(ValueError):
         OfdmConfig(pilot_symbols=(3, 3))
+    with pytest.raises(ValueError, match="pilot_symbols"):
+        OfdmConfig(pilot_symbols=())
+    with pytest.raises(ValueError, match="pilot_symbols"):
+        OfdmConfig(n_symbols=2, pilot_symbols=(1, 2))
 
 
 def test_pilot_layout_default():

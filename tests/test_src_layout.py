@@ -1,7 +1,8 @@
 """Layout guards: every top-level function and class in src/semlink has a
 caller, every import of src/semlink sits at the top of its module, every
-parameter default of src/semlink is one that some caller overrides, and
-harness._write_csv is the one place that writes a text file.
+parameter default of src/semlink is one that some caller overrides,
+harness._write_csv is the one place that writes a text file, and importing
+the CLI loads no package but numpy outside the standard library.
 
 A definition counts as used when its name appears somewhere in src/semlink
 outside its own definition, or in a non-test file of bench/ (the benchmark
@@ -11,6 +12,8 @@ an import cycle.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -211,3 +214,14 @@ def test_text_files_are_written_only_by_the_csv_writer():
 def test_text_writer_guard_sees_each_form(tmp_path, code, writes):
     (tmp_path / "mod.py").write_text(f"def f(p, m):\n    return {code}\n")
     assert _text_writers(tmp_path) == ({("mod", "f")} if writes else set())
+
+
+def test_importing_the_cli_loads_numpy_alone():
+    # numpy is the one runtime dependency; any other package would add its
+    # import time to every semlink process
+    code = "import sys; before = set(sys.modules); import semlink.cli; print(*set(sys.modules) - before)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=SRC.parent, check=True
+    )
+    top = {name.split(".")[0] for name in proc.stdout.split() if not name.startswith("_")}
+    assert top - set(sys.stdlib_module_names) == {"semlink", "numpy"}
