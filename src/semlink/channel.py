@@ -100,7 +100,8 @@ def symbol_correlation(profile: ChannelProfile, cfg: OfdmConfig) -> float:
     return j0(x)
 
 
-def _check_delays(profile: ChannelProfile, cfg: OfdmConfig) -> None:
+def check_delays(profile: ChannelProfile, cfg: OfdmConfig) -> None:
+    """ValueError unless every tap delay falls inside the cyclic prefix."""
     cp_duration = cfg.l_cp / cfg.sample_rate
     if max(profile.delays) >= cp_duration:
         raise ValueError(
@@ -116,7 +117,7 @@ def realize(profile: ChannelProfile, cfg: OfdmConfig, n_symbols: int, seed: int)
     Gauss-Markov process, so per-symbol variance stays at the profile power and
     the lag-1 correlation equals symbol_correlation.
     """
-    _check_delays(profile, cfg)
+    check_delays(profile, cfg)
     rng = np.random.Generator(np.random.PCG64(seed))
     m = profile.n_taps
     p = np.asarray(profile.powers)

@@ -29,7 +29,7 @@ PRELU_ALPHA = 0.25  # slope of the hidden layers' PReLU at initialization
 
 @dataclass(frozen=True)
 class CodecConfig:
-    cr: float = 0.05  # fraction of scene cells the importance mask keeps
+    cr: float = 0.05  # fraction of scene cells the mask keeps, rounded up to whole cells by mask_cells
     n_cu: int = 256  # complex channel uses per transmission
     hidden: int = 192
     train_samples: int = 512

@@ -22,7 +22,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .channel import ChannelProfile, default_profile, symbol_correlation
+from .channel import ChannelProfile, check_delays, default_profile, symbol_correlation
 from .codec import CodecConfig
 from .detector import DetectorConfig
 from .harq import CRC24_BITS
@@ -70,6 +70,10 @@ class ChannelSection:
     n_taps: int = 6
     tap_spacing: float = 0.5e-6
     tap_decay: float = 0.5e-6
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tap_decay) and self.tap_decay > 0.0):
+            raise ValueError(f"tap_decay must be finite and positive, got {self.tap_decay}")
 
 
 @dataclass(frozen=True)
@@ -119,29 +123,28 @@ class ExperimentConfig:
         return default_profile(c.speed_kmh, c.n_taps, spacing=c.tap_spacing, decay=c.tap_decay)
 
     def mask_cells(self) -> int:
+        """Cells the semantic pipeline keeps: codec.cr of the scene grid, rounded up."""
         s = self.scene
         return int(math.ceil(self.codec.cr * s.height * s.width))
 
     def packed_length(self) -> int:
         return self.scene.channels * self.mask_cells()
 
-    def baseline_cr(self) -> float:
-        """Compression ratio granting the classical stack the same channel uses.
+    def baseline_cells(self) -> int:
+        """Cells the classical stack keeps in the learned codec's n_cu channel uses.
 
-        The byte pipeline spends 8 bits per kept value plus a fixed integrity
-        tag, coded at rate 1/copies, so the number of kept cells is the largest
-        one whose coded payload fits the learned codec's symbol budget.
+        Each of code_copies chunks gets n_cu // code_copies whole symbols; k is
+        the largest count whose frame, 8 bits per kept value and the CRC-24,
+        fits one, at most the whole grid. The codeword never exceeds n_cu symbols.
         """
-        b = self.baseline
-        bits_per_use = math.log2(b.mod_order) / b.code_copies
-        budget_bits = self.codec.n_cu * bits_per_use
-        k = int((budget_bits - CRC24_BITS) // (8 * self.scene.channels))
+        b, s = self.baseline, self.scene
+        chunk_bits = (self.codec.n_cu // b.code_copies) * int(math.log2(b.mod_order))
+        k = min((chunk_bits - CRC24_BITS) // (8 * s.channels), s.height * s.width)
         if k < 1:
             raise ValueError(
                 "baseline.mod_order too small: no payload fits the symbol budget"
             )
-        cells = self.scene.height * self.scene.width
-        return min(1.0, k / cells)
+        return k
 
 
 _SECTION_TYPES = {
@@ -240,8 +243,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("bad value for detector.pool: exceeds scene grid")
     if cfg.codec.n_cu > cfg.ofdm.payload_capacity:
         raise ValueError(f"bad value for codec.n_cu: a frame holds {cfg.ofdm.payload_capacity} payload symbols")
-    symbol_correlation(cfg.channel_profile(), cfg.ofdm)
-    cfg.baseline_cr()
+    profile = cfg.channel_profile()
+    check_delays(profile, cfg.ofdm)
+    symbol_correlation(profile, cfg.ofdm)
+    cfg.baseline_cells()
 
 
 def default_config_text() -> str:

@@ -378,10 +378,11 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     det = cfg.detector
     ms = derive_seed(cfg.experiment.master_seed, "corpus")
     profile = cfg.channel_profile()
+    cells = cfg.mask_cells()
     queries = []
     for q in range(det.corpus_queries):
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
-        src = SemanticSource(codec, None, None, head, scene, f, cfg.codec.cr, det.pool)
+        src = SemanticSource(codec, None, None, head, scene, f, cells, det.pool)
         samp, s_true = [], []
         for k, snr_db in enumerate(det.corpus_snr_db):
             seeds = LinkSeeds.derive(ms, "corpus", q, k)

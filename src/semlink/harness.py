@@ -95,13 +95,14 @@ class SessionRecord:
 def build_training_set(cfg: ExperimentConfig, head: ProxyHead) -> codec_mod.TrainingSet:
     scene_cfg = cfg.scene
     n = cfg.codec.train_samples
+    cells = cfg.mask_cells()
     packed = np.empty((n, cfg.packed_length()), dtype=np.float64)
     scenes, masks = [], []
     shape = (scene_cfg.channels, scene_cfg.height, scene_cfg.width)
     for i in range(n):
         seed = derive_seed(cfg.experiment.master_seed, "train-scene", i)
         scene, f = generate_scene(seed, scene_cfg, head)
-        mask = importance_map(f, cfg.codec.cr)
+        mask = importance_map(f, cells)
         packed[i] = pack_nonzero(f, mask)
         scenes.append(scene)
         masks.append(mask)
@@ -260,7 +261,7 @@ class SessionCache:
         b = self.bundle
         scene, f = self.scene
         return SemanticSource(
-            b.codec_pair1, b.codec_pair2, b.scorer, b.head, scene, f, b.cfg.codec.cr,
+            b.codec_pair1, b.codec_pair2, b.scorer, b.head, scene, f, b.cfg.mask_cells(),
             b.cfg.detector.pool,
         )
 
@@ -269,7 +270,7 @@ class SessionCache:
         cfg = self.bundle.cfg
         scene, f = self.scene
         return BaselineSource(
-            self.bundle.head, scene, f, cfg.baseline_cr(),
+            self.bundle.head, scene, f, cfg.baseline_cells(),
             cfg.baseline.mod_order, cfg.baseline.code_copies,
         )
 

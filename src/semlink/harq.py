@@ -3,9 +3,10 @@
 Semantic sessions resend learned symbols and let the similarity scorer decide
 acknowledgement; the single-pair variant keeps the latest decoded message as
 its candidate, while the two-pair variant sends the second codec from round
-two on and sums the decoded messages. The baseline quantizes to 8 bits,
-appends a CRC-24, maps to Gray QAM with a rate-1/copies repetition code, and
-either chase-combines full retransmissions or accumulates one copy per round.
+two on and sums the decoded messages. The baseline frames its 8-bit codes
+with their CRC-24A (3GPP TS 38.212 §5.1) in whole bytes, maps the frame's bits
+to Gray QAM with a rate-1/copies repetition code, and either chase-combines
+full retransmissions or accumulates one copy per round.
 
 A session runs from a source (SemanticSource, BaselineSource): one scene's
 mask, reference and payload, and what every session of that scene derives
@@ -40,8 +41,8 @@ CRC24_POLY = 0x864CFB
 CRC24_BITS = 24
 
 
-def _build_crc_table() -> np.ndarray:
-    table = np.empty(256, dtype=np.uint32)
+def _build_crc_table() -> tuple[int, ...]:
+    table = []
     for byte in range(256):
         reg = byte << 16
         for _ in range(8):
@@ -49,42 +50,20 @@ def _build_crc_table() -> np.ndarray:
                 reg = ((reg << 1) ^ CRC24_POLY) & 0xFFFFFF
             else:
                 reg = (reg << 1) & 0xFFFFFF
-        table[byte] = reg
-    return table
+        table.append(reg)
+    return tuple(table)
 
 
 _CRC24_TABLE = _build_crc_table()
 
 
-def crc24(bits: np.ndarray) -> int:
-    """Bit-serial CRC-24 (poly 0x864CFB, init 0, no reflection) over a bit vector."""
-    bits = np.asarray(bits).astype(np.uint8).reshape(-1)
-    if np.any(bits > 1):
-        raise ValueError("bits must be 0/1")
+def crc24(data: np.ndarray) -> int:
+    """CRC-24A (poly 0x864CFB, init 0, no reflection) of a uint8 byte vector;
+    that of the bytes followed by their CRC, most significant byte first, is 0."""
     reg = 0
-    n_whole = bits.size // 8
-    if n_whole:
-        for byte in np.packbits(bits[: 8 * n_whole]).tolist():
-            reg = ((reg << 8) & 0xFFFFFF) ^ int(_CRC24_TABLE[((reg >> 16) & 0xFF) ^ byte])
-    for b in bits[8 * n_whole :].tolist():
-        reg ^= (b & 1) << 23
-        if reg & 0x800000:
-            reg = ((reg << 1) ^ CRC24_POLY) & 0xFFFFFF
-        else:
-            reg = (reg << 1) & 0xFFFFFF
+    for byte in np.asarray(data, dtype=np.uint8).tolist():
+        reg = ((reg << 8) & 0xFFFFFF) ^ _CRC24_TABLE[(reg >> 16) ^ byte]
     return reg
-
-
-def append_crc24(bits: np.ndarray) -> np.ndarray:
-    """Append the 24 CRC bits (MSB first); crc24 of the result is zero."""
-    bits = np.asarray(bits).astype(np.uint8).reshape(-1)
-    c = crc24(bits)
-    tail = np.array([(c >> (CRC24_BITS - 1 - i)) & 1 for i in range(CRC24_BITS)], dtype=np.uint8)
-    return np.concatenate([bits, tail])
-
-
-def verify_crc24(bits: np.ndarray) -> bool:
-    return crc24(bits) == 0
 
 
 @dataclass(frozen=True)
@@ -114,18 +93,6 @@ def fit_quantizer(values: np.ndarray) -> Quantizer8:
         raise ValueError("quantizer inputs must be finite")
     lo, hi = float(values.min()), float(values.max())
     return Quantizer8(scale=(hi - lo) / 255.0, zero_point=lo)
-
-
-def bytes_to_bits(codes: np.ndarray) -> np.ndarray:
-    """Uint8 codes -> MSB-first bit vector."""
-    return np.unpackbits(np.asarray(codes, dtype=np.uint8))
-
-
-def bits_to_bytes(bits: np.ndarray) -> np.ndarray:
-    bits = np.asarray(bits).astype(np.uint8).reshape(-1)
-    if bits.size % 8 != 0:
-        raise ValueError("bit count must be a multiple of 8")
-    return np.packbits(bits)
 
 
 @dataclass
@@ -185,19 +152,20 @@ def throughput(sessions) -> float:
 class SemanticSource:
     """One scene's semantic transmission, and what every session of it derives.
 
-    The feature f is masked at ratio cr (fixed for the whole session) and
-    packed. The reference map pooled to pool x pool, its scorer embedding,
-    the reference perception loss and each pair's symbols are computed on
-    first use and kept; none depends on mode, SNR or threshold, so sessions
-    may share one source (harness.SessionCache). Every array it hands out is
-    read-only. The second pair and the scorer may be None: such a source
-    cannot run mode sim2, or score, but still sends and receives.
+    The feature f is masked to its `cells` strongest cells (fixed for the
+    whole session) and packed. The reference map pooled to pool x pool, its
+    scorer embedding, the reference perception loss and each pair's symbols
+    are computed on first use and kept; none depends on mode, SNR or
+    threshold, so sessions may share one source (harness.SessionCache).
+    Every array it hands out is read-only. The second pair and the scorer
+    may be None: such a source cannot run mode sim2, or score, but still
+    sends and receives.
     """
 
     def __init__(
         self, first: codec_mod.SemanticCodec, second: codec_mod.SemanticCodec | None,
         scorer: SimilarityScorer | None, head: ProxyHead, scene: Scene, f: FeatureTensor,
-        cr: float, pool: int,
+        cells: int, pool: int,
     ):
         self.first = first
         self.second = second
@@ -205,7 +173,7 @@ class SemanticSource:
         self.head = head
         self.scene = scene
         self.pool = pool
-        self.mask = importance_map(f, cr)
+        self.mask = importance_map(f, cells)
         self.f_ref = apply_mask(f, self.mask)
         self.packed = _frozen(pack_nonzero(f, self.mask))
 
@@ -302,25 +270,26 @@ class ChaseCombiner:
 class BaselineSource:
     """One scene's quantize+CRC+QAM transmission, and what every session of it derives.
 
-    The feature f is masked at ratio cr, its packed values quantized to 8 bits
-    and the CRC appended; f_ref is the dequantized content. The QAM chunk,
-    the codeword (`copies` chunks: a rate-1/copies repetition code) and the
-    reference perception loss are computed on first use and kept, like
-    SemanticSource's. Every array it hands out is read-only.
+    The feature f is masked to `cells` cells, its packed values quantized to
+    8-bit codes and payload_bits are the frame of the codes and their CRC-24;
+    f_ref is the dequantized content. The QAM chunk, the codeword (`copies`
+    chunks: a rate-1/copies repetition code) and the reference perception
+    loss are computed on first use and kept, like SemanticSource's. Every array it hands out is read-only.
     """
 
     def __init__(
-        self, head: ProxyHead, scene: Scene, f: FeatureTensor, cr: float, mod_order: int, copies: int
+        self, head: ProxyHead, scene: Scene, f: FeatureTensor, cells: int, mod_order: int, copies: int
     ):
         self.head = head
         self.scene = scene
         self.mod_order = mod_order
         self.copies = copies
-        self.mask = importance_map(f, cr)
+        self.mask = importance_map(f, cells)
         packed = pack_nonzero(f, self.mask)
         self.quantizer = fit_quantizer(packed)
         codes = self.quantizer.quantize(packed)
-        self.payload_bits = _frozen(append_crc24(bytes_to_bits(codes)))
+        frame = codes.tobytes() + crc24(codes).to_bytes(CRC24_BITS // 8, "big")
+        self.payload_bits = _frozen(np.unpackbits(np.frombuffer(frame, dtype=np.uint8)))
         self.f_ref = unpack(self.quantizer.dequantize(codes), self.mask, f.shape)
 
     @functools.cached_property
@@ -342,11 +311,10 @@ class BaselineSource:
         return perception_loss(self.f_ref, self.scene, self.head)
 
     def decode(self, combined: np.ndarray) -> tuple[bool, FeatureTensor]:
-        """Whether the CRC of a combined chunk passes, and its candidate."""
-        bits = qam_demap_hard(combined, self.mod_order)[: self.payload_bits.size]
-        ack = verify_crc24(bits)
-        codes = bits_to_bytes(bits[: bits.size - CRC24_BITS])
-        return ack, unpack(self.quantizer.dequantize(codes), self.mask, self.f_ref.shape)
+        """Whether the CRC of a combined chunk's frame passes, and its candidate."""
+        frame = np.packbits(qam_demap_hard(combined, self.mod_order)[: self.payload_bits.size])
+        codes = frame[: frame.size - CRC24_BITS // 8]
+        return crc24(frame) == 0, unpack(self.quantizer.dequantize(codes), self.mask, self.f_ref.shape)
 
 
 def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) -> HarqSession:

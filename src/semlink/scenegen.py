@@ -65,10 +65,6 @@ class Scene:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def n_active(self) -> int:
-        return int(self.labels.sum())
-
 
 class ProxyHead:
     """Frozen random linear readout from C channels to 4 regressions + 1 logit.

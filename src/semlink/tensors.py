@@ -1,8 +1,9 @@
 """Feature tensors, importance masking, and the packed-vector wire format.
 
 A feature tensor is a (C, H, W) array of finite reals. An importance mask
-selects the spatial cells worth transmitting; packing gathers the selected
-columns into a flat vector and unpacking scatters them back, bit-exactly.
+selects the k spatial cells worth transmitting (config's mask_cells or
+baseline_cells); packing gathers the selected columns into a flat vector
+and unpacking scatters them back, bit-exactly.
 harq.SemanticSource masks, packs and unpacks with these for every semantic
 session and for every sampling of the scorer's rank corpus.
 """
@@ -41,10 +42,9 @@ class FeatureTensor:
 
 @dataclass(frozen=True)
 class ImportanceMask:
-    """Binary (H, W) cell-selection mask with its target compression ratio."""
+    """Binary (H, W) cell-selection mask."""
 
     cells: np.ndarray
-    cr: float
 
     def __post_init__(self):
         cells = np.asarray(self.cells)
@@ -54,12 +54,6 @@ class ImportanceMask:
             if not np.all((cells == 0) | (cells == 1)):
                 raise ValueError("mask entries must be binary")
             cells = cells.astype(bool)
-        if not 0.0 < self.cr <= 1.0:
-            raise ValueError(f"cr must be in (0, 1], got {self.cr}")
-        # occupancy must match the target ratio to within one cell
-        n_cells = cells.size
-        if abs(int(cells.sum()) - self.cr * n_cells) > 1.0:
-            raise ValueError("mask occupancy inconsistent with cr")
         object.__setattr__(self, "cells", _frozen(cells))
 
     @property
@@ -67,21 +61,20 @@ class ImportanceMask:
         return int(self.cells.sum())
 
 
-def importance_map(f: FeatureTensor, cr: float) -> ImportanceMask:
-    """Select the ceil(cr*H*W) cells with the largest channel-wise L2 magnitude.
+def importance_map(f: FeatureTensor, k: int) -> ImportanceMask:
+    """Select the k cells with the largest channel-wise L2 magnitude, 1 <= k <= H*W.
 
     Ties are broken toward the lowest row-major linear index.
     """
-    if not 0.0 < cr <= 1.0:
-        raise ValueError(f"cr must be in (0, 1], got {cr}")
     c, h, w = f.shape
-    k = int(np.ceil(cr * h * w))
+    if not 1 <= k <= h * w:
+        raise ValueError(f"cell count must be in [1, {h * w}], got {k}")
     mag = np.sqrt(np.sum(f.data * f.data, axis=0)).reshape(-1)
     # stable sort on descending magnitude keeps lowest linear index first on ties
     order = np.argsort(-mag, kind="stable")
     cells = np.zeros(h * w, dtype=bool)
     cells[order[:k]] = True
-    return ImportanceMask(cells.reshape(h, w), cr)
+    return ImportanceMask(cells.reshape(h, w))
 
 
 def apply_mask(f: FeatureTensor, mask: ImportanceMask) -> FeatureTensor:

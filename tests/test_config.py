@@ -134,6 +134,7 @@ def test_bad_value_reports_location(tmp_path):
         ("modes = noharq,sim1,sim2,base1", "modes = ,"),
         ("\nsnr_db = 0,3,6,9,12,15,18\n", "\nsnr_db = \n"),
         ("cr = 0.05", "cr = 0"),
+        ("tap_decay = 5e-07", "tap_decay = 0"),
         ("lr = 0.002\n", "lr = -1\n"),
         ("lr = 0.0002", "lr = 0"),
         ("mod_order = 16", "mod_order = 8"),
@@ -144,7 +145,7 @@ def test_bad_value_reports_location(tmp_path):
     ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
          "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan",
          "pool", "branch_width", "train_samples", "hidden", "sessions", "round_budget",
-         "workers", "modes", "modes-empty", "snr_db-empty", "cr", "codec-lr", "detector-lr",
+         "workers", "modes", "modes-empty", "snr_db-empty", "cr", "tap_decay", "codec-lr", "detector-lr",
          "mod_order", "code_copies", "pilot_symbols-empty", "pilot_symbols-all"],
 )
 def test_load_runs_the_section_type_checks(tmp_path, old, new):
@@ -176,6 +177,13 @@ def test_validate_rejects_bad_cr():
         replace(cfg, codec=replace(cfg.codec, cr=0.0))
 
 
+def test_channel_section_rejects_a_decay_that_is_not_finite_and_positive():
+    # a zero decay gives NaN tap powers, which no later check sees
+    for decay in (0.0, -0.5e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tap_decay must be finite and positive"):
+            ChannelSection(tap_decay=decay)
+
+
 def test_validate_rejects_bad_mod_order():
     cfg = ExperimentConfig()
     with pytest.raises(ValueError, match="mod_order"):
@@ -203,6 +211,13 @@ def test_validate_rejects_a_channel_beyond_the_j0_series():
     assert ExperimentConfig(channel=ChannelSection(speed_kmh=6500.0)).channel.speed_kmh == 6500.0
     with pytest.raises(ValueError, match="channel too fast"):
         ExperimentConfig(channel=ChannelSection(speed_kmh=7500.0))
+
+
+def test_validate_rejects_taps_beyond_the_cyclic_prefix():
+    # a cross-section rule: [channel] sets the tap delays, [ofdm] the CP they must stay inside
+    assert ExperimentConfig(channel=ChannelSection(n_taps=10)).channel.n_taps == 10
+    with pytest.raises(ValueError, match="must stay below the CP"):
+        ExperimentConfig(channel=ChannelSection(n_taps=11))
 
 
 def _float_fields():
@@ -276,12 +291,18 @@ def test_train_config_band_override(tmp_path):
         load_config(path)
 
 
-def test_baseline_cr_budget_math():
-    # kept cells: largest k with 8*channels*k + 24 CRC bits inside the coded
-    # bit budget of n_cu symbols
+def test_baseline_cells_budget_math():
+    # kept cells: largest k with 8*channels*k + 24 CRC bits inside one chunk,
+    # the bits of n_cu // copies whole symbols
     cfg = ExperimentConfig()
-    bits_per_use = math.log2(cfg.baseline.mod_order) / cfg.baseline.code_copies
-    budget = cfg.codec.n_cu * bits_per_use
-    k = int((budget - 24) // (8 * cfg.scene.channels))
-    assert cfg.baseline_cr() == k / (cfg.scene.height * cfg.scene.width)
-    assert 0.0 < cfg.baseline_cr() <= cfg.codec.cr
+    chunk_bits = (cfg.codec.n_cu // cfg.baseline.code_copies) * int(math.log2(cfg.baseline.mod_order))
+    assert chunk_bits == 512
+    k = (chunk_bits - 24) // (8 * cfg.scene.channels)
+    assert cfg.baseline_cells() == k == 7
+    assert 1 <= cfg.baseline_cells() <= cfg.mask_cells()
+    # a grid smaller than the budget is kept whole
+    small = replace(cfg, scene=replace(cfg.scene, height=2, width=3), detector=replace(cfg.detector, pool=2))
+    assert small.baseline_cells() == 6
+    # and a budget that holds no cell fails when the config is made
+    with pytest.raises(ValueError, match="no payload fits the symbol budget"):
+        replace(cfg, codec=replace(cfg.codec, n_cu=20))

@@ -54,7 +54,7 @@ def pair_probability(s_m: float, s_n: float, sharpness: float = 1.0):
 def make_separable_corpus(
     head,
     scene_cfg,
-    cr: float,
+    cells: int,
     n_queries: int,
     n_levels: int,
     master_seed: int,
@@ -74,7 +74,7 @@ def make_separable_corpus(
     queries = []
     for q in range(n_queries):
         scene, f = generate_scene(derive_seed(master_seed, "sep-scene", q), scene_cfg, head)
-        mask = importance_map(f, cr)
+        mask = importance_map(f, cells)
         f_ref = apply_mask(f, mask)
         ref_pooled = pool_map(confidence_map(f_ref, head), pool)
         rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "sep-noise", q)))
@@ -93,7 +93,7 @@ HEAD = ProxyHead.from_seed(4, 5)
 
 def _small_corpus(n_queries=32, n_levels=4, seed=99):
     return make_separable_corpus(
-        HEAD, SCENE_CFG, 0.1, n_queries=n_queries, n_levels=n_levels,
+        HEAD, SCENE_CFG, 15, n_queries=n_queries, n_levels=n_levels,
         master_seed=seed, pool=8,
     )
 

@@ -193,7 +193,7 @@ def _corpus_from_parts(cfg, head, codec_obj):
     queries = []
     for q in range(cfg.detector.corpus_queries):
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
-        mask = importance_map(f, cfg.codec.cr)
+        mask = importance_map(f, cfg.mask_cells())
         f_ref = apply_mask(f, mask)
         ref_loss = perception_loss(f_ref, scene, head)
         symbols = codec.encode(codec_obj, pack_nonzero(f, mask))
@@ -268,7 +268,7 @@ def test_load_bundle_missing_artifacts(tmp_path):
 @pytest.mark.parametrize("mismatch", ["config-n_cu", "pair2-n_cu", "pair2-width"])
 def test_load_bundle_rejects_codecs_that_do_not_match_the_config(tiny_dir, tmp_path, mismatch):
     # a codec that sends other than codec.n_cu symbols breaks the equal
-    # channel-use budget that config.baseline_cr gives the baselines
+    # channel-use budget that config.baseline_cells gives the baselines
     cfg = tiny_config(seed=4242)
     art = _copy_artifacts(tiny_dir, tmp_path / "art")
     if mismatch == "config-n_cu":
@@ -402,7 +402,7 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
     if mode in harness.SEMANTIC_MODES:
         src = SemanticSource(
             bundle.codec_pair1, bundle.codec_pair2, bundle.scorer, bundle.head,
-            scene, f, cfg.codec.cr, cfg.detector.pool,
+            scene, f, cfg.mask_cells(), cfg.detector.pool,
         )
 
         def transmit(t, x):
@@ -413,7 +413,7 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
         session = run_semantic_session(src, protocol, rounds, beta, transmit)
     else:
         src = BaselineSource(
-            bundle.head, scene, f, cfg.baseline_cr(),
+            bundle.head, scene, f, cfg.baseline_cells(),
             cfg.baseline.mod_order, cfg.baseline.code_copies,
         )
 
@@ -712,6 +712,9 @@ _NON_FINITE = [
         ("sweep", "sharpness = 1.0", "sharpness = 0"),
         ("sweep", "batch_size = 16", "batch_size = 0"),
         ("sweep", "object_rate = 0.06", "object_rate = 0"),
+        # a decay that gives NaN tap powers, and taps past the cyclic prefix
+        ("sweep", "tap_decay = 5e-07", "tap_decay = 0"),
+        ("sweep", "n_taps = 6", "n_taps = 20"),
         ("train", "ack_threshold = 0.72", "ack_threshold = 1.5"),
         ("train", "batch_queries = 4", "batch_queries = 0"),
         ("train", "holdout = 0.25", "holdout = 1.5"),
@@ -738,6 +741,7 @@ _NON_FINITE = [
         ("train", "[experiment]", "l_fft = 256\n[experiment]"),
     ],
     ids=["sweep-ack_threshold", "sweep-sharpness", "sweep-batch_size", "sweep-object_rate",
+         "sweep-tap_decay-0", "sweep-n_taps-beyond-cp",
          "train-ack_threshold", "train-batch_queries", "train-holdout", "train-pool",
          "train-branch_width", "train-train_samples", "train-hidden",
          *(f"{command}-{new.split(' = ')[0]}-{new.split(' = ')[1] or 'empty'}"

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semlink import codec as codec_mod
 from semlink import detector as det
+from semlink.config import BaselineSection, ExperimentConfig
 from semlink.harq import (
     CRC24_BITS,
     BaselineSource,
@@ -17,18 +18,14 @@ from semlink.harq import (
     Quantizer8,
     RoundRecord,
     SemanticSource,
-    append_crc24,
-    bits_to_bytes,
-    bytes_to_bits,
     crc24,
     finalize,
     fit_quantizer,
     run_baseline_session,
     run_semantic_session,
     throughput,
-    verify_crc24,
 )
-from semlink.ofdm import qam_demap_hard, qam_map
+from semlink.ofdm import QAM_ORDERS, qam_demap_hard, qam_map
 from semlink.scenegen import (
     ProxyHead,
     SceneConfig,
@@ -50,60 +47,63 @@ def _bit_serial_crc(bits, poly=0x864CFB):
     return reg
 
 
+def _bytes(raw: bytes) -> np.ndarray:
+    return np.frombuffer(raw, dtype=np.uint8)
+
+
+def _framed(data: np.ndarray) -> np.ndarray:
+    """data followed by its CRC, most significant byte first."""
+    return np.concatenate([data, _bytes(crc24(data).to_bytes(3, "big"))])
+
+
 def test_crc_all_zero_is_zero():
-    assert crc24(np.zeros(64, dtype=np.uint8)) == 0
+    assert crc24(np.zeros(8, dtype=np.uint8)) == 0
     assert crc24(np.zeros(0, dtype=np.uint8)) == 0
 
 
 def test_crc_frozen_values():
-    bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
-    assert crc24(bits) == 0xCDE703
-    assert crc24(np.ones(24, dtype=np.uint8)) == 0xEDF8CE
-    assert crc24(np.unpackbits(np.frombuffer(b"\xde\xad\xbe\xef", dtype=np.uint8))) == 0x6432C5
+    assert crc24(_bytes(b"123456789")) == 0xCDE703
+    assert crc24(_bytes(b"\xff\xff\xff")) == 0xEDF8CE
+    assert crc24(_bytes(b"\xde\xad\xbe\xef")) == 0x6432C5
 
 
 def test_crc_matches_bit_serial_reference():
     rng = np.random.default_rng(0)
     for n in (1, 7, 8, 9, 63, 64, 65, 200):
-        bits = rng.integers(0, 2, size=n).astype(np.uint8)
-        assert crc24(bits) == _bit_serial_crc(bits)
+        data = rng.integers(0, 256, size=n).astype(np.uint8)
+        assert crc24(data) == _bit_serial_crc(np.unpackbits(data))
 
 
-@given(st.lists(st.integers(0, 1), min_size=0, max_size=120))
+@given(st.binary(min_size=0, max_size=15))
 @settings(max_examples=100, deadline=None)
-def test_appended_crc_verifies(bits):
-    framed = append_crc24(np.array(bits, dtype=np.uint8))
-    assert framed.size == len(bits) + CRC24_BITS
-    assert verify_crc24(framed)
+def test_appended_crc_verifies(raw):
+    framed = _framed(_bytes(raw))
+    assert framed.size == len(raw) + CRC24_BITS // 8
+    assert crc24(framed) == 0
 
 
 def test_crc_detects_all_single_flips_512():
     rng = np.random.default_rng(1)
-    framed = append_crc24(rng.integers(0, 2, size=512).astype(np.uint8))
-    for i in range(framed.size):
-        bad = framed.copy()
+    bits = np.unpackbits(_framed(rng.integers(0, 256, size=64).astype(np.uint8)))
+    for i in range(bits.size):
+        bad = bits.copy()
         bad[i] ^= 1
-        assert not verify_crc24(bad)
+        assert crc24(np.packbits(bad)) != 0
 
 
 def test_crc_detects_short_bursts():
     # any error burst no longer than the CRC width is caught
     rng = np.random.default_rng(2)
-    framed = append_crc24(rng.integers(0, 2, size=256).astype(np.uint8))
+    bits = np.unpackbits(_framed(rng.integers(0, 256, size=32).astype(np.uint8)))
     for _ in range(2000):
         width = int(rng.integers(1, CRC24_BITS + 1))
-        start = int(rng.integers(0, framed.size - width + 1))
+        start = int(rng.integers(0, bits.size - width + 1))
         pattern = rng.integers(0, 2, size=width).astype(np.uint8)
         pattern[0] = 1
         pattern[-1] = 1
-        bad = framed.copy()
+        bad = bits.copy()
         bad[start : start + width] ^= pattern
-        assert not verify_crc24(bad)
-
-
-def test_crc_rejects_non_binary():
-    with pytest.raises(ValueError):
-        crc24(np.array([0, 1, 2]))
+        assert crc24(np.packbits(bad)) != 0
 
 
 def test_quantizer_roundtrip_error_bound():
@@ -133,16 +133,6 @@ def test_quantizer_input_validation():
         fit_quantizer(np.zeros(0))
     with pytest.raises(ValueError):
         fit_quantizer(np.array([1.0, np.nan]))
-
-
-def test_bit_byte_roundtrip():
-    rng = np.random.default_rng(4)
-    codes = rng.integers(0, 256, size=40).astype(np.uint8)
-    assert np.array_equal(bits_to_bytes(bytes_to_bits(codes)), codes)
-    assert np.array_equal(bytes_to_bits(np.array([0x80], dtype=np.uint8)),
-                          np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        bits_to_bytes(np.zeros(7, dtype=np.uint8))
 
 
 def _fake_session(acks, s_hats=None):
@@ -191,18 +181,19 @@ def test_finalize_empty_session():
 
 SCENE_CFG = SceneConfig(channels=5, height=8, width=8, logit_amp=2.0)
 HEAD = ProxyHead.from_seed(31, 5)
+CELLS = 13  # of the 8 x 8 grid
 
 
 def _semantic_source(with_second=True, seed=1):
     """A source built from its parts; every session of it below runs on a
     fresh one unless the test shares one on purpose."""
     scene, f = generate_scene(seed, SCENE_CFG, HEAD)
-    n_in = pack_nonzero(f, importance_map(f, 0.2)).size
+    n_in = pack_nonzero(f, importance_map(f, CELLS)).size
     ccfg = codec_mod.CodecConfig(n_cu=12, hidden=16)
     first = codec_mod.new_codec(ccfg, n_in, seed=2)
     second = codec_mod.new_codec(ccfg, n_in, seed=3) if with_second else None
     scorer = det.new_scorer(det.DetectorConfig(pool=8, branch_width=8), seed=4)
-    return SemanticSource(first, second, scorer, HEAD, scene, f, 0.2, 8)
+    return SemanticSource(first, second, scorer, HEAD, scene, f, CELLS, 8)
 
 
 def _identity(t, s):
@@ -281,7 +272,7 @@ def test_scorer_free_source_receives_what_a_session_records():
     # of a scored source's session records, and they run no session
     scored = _semantic_source()
     scene, f = generate_scene(1, SCENE_CFG, HEAD)
-    bare = SemanticSource(scored.first, None, None, HEAD, scene, f, 0.2, 8)
+    bare = SemanticSource(scored.first, None, None, HEAD, scene, f, CELLS, 8)
     session = run_semantic_session(scored, "sim1", 3, 0.999999, lambda t, s: s + 0.1 * t)
     assert session.rounds_used == 3
     for t, rec in enumerate(session.rounds, start=1):
@@ -341,7 +332,44 @@ def test_chase_combining_lowers_bit_errors():
 
 def _baseline_source(seed=1, mod_order=16, copies=2):
     scene, f = generate_scene(seed, SCENE_CFG, HEAD)
-    return BaselineSource(HEAD, scene, f, 0.2, mod_order, copies)
+    return BaselineSource(HEAD, scene, f, CELLS, mod_order, copies)
+
+
+def _budget_config(channels, height, width, n_cu, mod_order, copies):
+    """The config of these settings, or None when it cannot run."""
+    try:
+        return ExperimentConfig(
+            scene=SceneConfig(channels=channels, height=height, width=width),
+            codec=codec_mod.CodecConfig(n_cu=n_cu),
+            detector=det.DetectorConfig(pool=1),
+            baseline=BaselineSection(mod_order=mod_order, code_copies=copies),
+        )
+    except ValueError:
+        return None
+
+
+@given(
+    st.integers(5, 12), st.integers(1, 30), st.integers(1, 30), st.integers(1, 1500),
+    st.sampled_from(QAM_ORDERS), st.integers(1, 4), st.integers(0, 2**31 - 1),
+)
+@example(8, 16, 25, 256, 16, 2, 0)  # default budget on a 16 x 25 grid: 268 symbols for 8 cells
+@example(5, 16, 16, 92, 64, 3, 0)  # 93 symbols for 4 cells
+@settings(max_examples=60, deadline=None)
+def test_baseline_cells_is_the_largest_count_within_the_symbol_budget(
+    channels, height, width, n_cu, mod_order, copies, seed
+):
+    cfg = _budget_config(channels, height, width, n_cu, mod_order, copies)
+    assume(cfg is not None)
+    head = ProxyHead.from_seed(seed, channels)
+    scene, f = generate_scene(seed, cfg.scene, head)
+
+    def codeword_size(cells):
+        return BaselineSource(head, scene, f, cells, mod_order, copies).codeword.size
+
+    k = cfg.baseline_cells()
+    assert codeword_size(k) <= n_cu
+    if k < height * width:
+        assert codeword_size(k + 1) > n_cu
 
 
 def test_repetition_code_chunks():
@@ -371,7 +399,7 @@ def test_baseline_payload_verifies():
     # 8 bits per packed value (5 channels per kept cell), then the CRC
     src = _baseline_source()
     assert src.payload_bits.size == 5 * src.mask.n_selected * 8 + CRC24_BITS
-    assert verify_crc24(src.payload_bits)
+    assert crc24(np.packbits(src.payload_bits)) == 0
 
 
 def test_baseline_clean_channel_acks_first_round():

@@ -57,14 +57,14 @@ def test_generate_scene_deterministic():
 def test_generate_scene_zero_rate():
     cfg = SceneConfig(channels=8, height=12, width=10, object_rate=1e-12)
     scene, _ = generate_scene(5, cfg, HEAD)
-    assert scene.n_active == 0
+    assert scene.labels.sum() == 0
 
 
 def test_active_fraction_matches_rate():
     rate = 0.06
     n_cells = CFG.height * CFG.width
     fractions = [
-        generate_scene(seed, CFG, HEAD)[0].n_active / n_cells for seed in range(1000)
+        generate_scene(seed, CFG, HEAD)[0].labels.sum() / n_cells for seed in range(1000)
     ]
     # Poisson(rate * n) counts: SE of the mean fraction over 1000 seeds
     se = math.sqrt(rate / n_cells / 1000)

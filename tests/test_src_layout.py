@@ -1,12 +1,14 @@
-"""Layout guards: every top-level function and class in src/semlink has a
-caller, every import of src/semlink sits at the top of its module, every
+"""Layout guards: every top-level function and class in src/semlink, and
+every method and property of its classes, has a caller, every import of src/semlink sits at the top of its module, every
 parameter default of src/semlink is one that some caller overrides,
 harness._write_csv is the one place that writes a text file, and importing
 the CLI loads no package but numpy outside the standard library.
 
 A definition counts as used when its name appears somewhere in src/semlink
 outside its own definition, or in a non-test file of bench/ (the benchmark
-traces functions by name). Code that only tests call belongs in tests/. An
+traces functions by name). A class member (dunders aside) counts as used when
+an attribute access or a string constant names it there. Code that only tests
+call belongs in tests/. An
 import made further down is allowed only where a top-level one would close
 an import cycle.
 """
@@ -68,8 +70,33 @@ def _unused_definitions() -> set[tuple[str, str]]:
     return unused
 
 
+def _unused_members() -> set[tuple[str, str]]:
+    """(module, "Class.member") of each non-dunder method or property of a
+    src/ class that no attribute access or string constant in src/, or in a
+    non-test file of bench/, names."""
+    paths = sorted(SRC.glob("*.py"))
+    paths += [p for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return {
+        (path.stem, f"{cls.name}.{member.name}")
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and member.name not in named
+    }
+
+
 def test_every_src_definition_has_a_caller_outside_tests():
-    unused = _unused_definitions()
+    unused = _unused_definitions() | _unused_members()
     assert EXEMPT <= unused, "an exempt definition is now used; drop its exemption"
     assert unused == EXEMPT, f"defined in src/ but used only by tests or nothing: {sorted(unused - EXEMPT)}"
 
