@@ -7,12 +7,13 @@ surrogate channel in two steps: reconstruction loss first, then a weighted
 sum of reconstruction and perception loss through the frozen proxy head. A
 second codec pair can be trained on the residual of a frozen first pair for
 incremental retransmission.
+Both pairs are stored in harness.train_all's one bundle.ckpt, and pair 2
+trains against nnkit.stored copies of pair 1, the weights as that file holds.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -161,32 +162,6 @@ def decode(codec: SemanticCodec, y: np.ndarray) -> np.ndarray:
     return nnkit.forward(codec.decoder, complex_to_reals(y)[None, :])[0]
 
 
-_CODEC_MAGIC = b"SCDC"
-
-
-def save_codec(path, codec: SemanticCodec) -> None:
-    """Container checkpoint: symbol count, power, then encoder and decoder nets."""
-    with open(path, "wb") as fh:
-        fh.write(_CODEC_MAGIC)
-        fh.write(struct.pack("<Id", codec.n_cu, SIGNAL_POWER))
-        nnkit.write_net(fh, codec.encoder)
-        nnkit.write_net(fh, codec.decoder)
-
-
-def load_codec(path) -> SemanticCodec:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CODEC_MAGIC:
-            raise ValueError("not a codec checkpoint")
-        n_cu, power = nnkit.read_header(fh, "<Id", "codec checkpoint")
-        encoder = nnkit.read_net(fh)
-        decoder = nnkit.read_net(fh)
-    if power != SIGNAL_POWER or not (
-        encoder.n_out == decoder.n_in == 2 * n_cu and decoder.n_out == encoder.n_in
-    ):
-        raise ValueError("corrupt codec checkpoint: sizes or power do not fit together")
-    return SemanticCodec(encoder, decoder, n_cu)
-
-
 def surrogate_roundtrip(
     codec: SemanticCodec,
     packed: np.ndarray,
@@ -219,23 +194,25 @@ def _check_finite(value: float, context: str) -> None:
 @np.errstate(over="ignore", invalid="ignore")  # divergence: _check_finite reports it
 def _step(
     codec: SemanticCodec,
-    batch: np.ndarray,
+    train_set: TrainingSet,
+    idx: np.ndarray,
     snr_db: float,
     rng: np.random.Generator,
     states,
     lr: float,
-    task_ctx,
-    task_weight: float,
+    task_weight: float | None,
     frozen: "SemanticCodec | None",
 ):
-    """One Adam step through encoder, surrogate channel, decoder.
+    """One Adam step through encoder, surrogate channel, decoder, on the
+    training samples at idx.
 
-    With task_ctx the loss is task_weight * recon + perception; otherwise pure
-    reconstruction. With `frozen` set, the loss compares against the residual
-    of the frozen codec's reconstruction over independent channel draws from
-    the same rng, and Adam applies _PAIR2_WEIGHT_DECAY.
+    With a task_weight the loss is task_weight * recon + perception; with
+    None, pure reconstruction. With `frozen` set, the loss compares against
+    the residual of the frozen codec's reconstruction over independent
+    channel draws from the same rng, and Adam applies _PAIR2_WEIGHT_DECAY.
     """
-    b, n_in = batch.shape
+    batch = train_set.packed[idx]
+    b = batch.shape[0]
     enc_out, enc_tape = nnkit.forward_tape(codec.encoder, batch)
     xn = normalize_power(enc_out)
     y = xn + np.sqrt(noise_variance(snr_db) / 2.0) * rng.standard_normal(xn.shape)
@@ -255,19 +232,19 @@ def _step(
     loss = recon
     task_mean = 0.0
 
-    if task_ctx is not None:
-        scenes, masks, shape, head, idx = task_ctx
+    if task_weight is not None:
         g_mhat = task_weight * g_mhat
         task_total = 0.0
         rec = combined if frozen is not None else m_hat
         for row, i in enumerate(idx):
-            f_hat = unpack(rec[row], masks[i], shape)
-            l_p, g_f = perception_loss_grad(f_hat, scenes[i], head)
+            mask = train_set.masks[i]
+            f_hat = unpack(rec[row], mask, train_set.shape)
+            l_p, g_f = perception_loss_grad(f_hat, train_set.scenes[i], train_set.head)
             task_total += l_p
-            g_mhat[row] += g_f[:, masks[i].cells].reshape(-1) / b
+            g_mhat[row] += g_f[:, mask.cells].reshape(-1) / b
         task_mean = task_total / b
         loss = task_weight * recon + task_mean
-    _check_finite(loss, "combined step" if task_ctx is not None else "reconstruction step")
+    _check_finite(loss, "combined step" if task_weight is not None else "reconstruction step")
 
     dec_grads, g_y = nnkit.backward(codec.decoder, dec_tape, g_mhat)
     g_x = _normalize_power_backward(enc_out, g_y)
@@ -308,28 +285,24 @@ def _train(train_set, cfg: CodecConfig, seed: int, snr_band, frozen):
     rng = np.random.Generator(np.random.PCG64(seed))
     states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
     curve = TrainingCurve()
-    packed = train_set.packed
-    n = packed.shape[0]
+    n = train_set.packed.shape[0]
     n_batches = len(range(0, n, cfg.batch_size))
     total = cfg.recon_epochs + cfg.task_epochs
     for epoch in range(total):
-        with_task = epoch >= cfg.recon_epochs
+        task_weight = cfg.task_weight if epoch >= cfg.recon_epochs else None
         lr = _epoch_lr(cfg.lr, epoch, total)
         order = rng.permutation(n)
         ep_loss = ep_recon = ep_task = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             snr_db = rng.uniform(*snr_band)
-            task_ctx = None
-            if with_task:
-                task_ctx = (train_set.scenes, train_set.masks, train_set.shape, train_set.head, idx)
             loss, recon, task = _step(
-                codec, packed[idx], snr_db, rng, states, lr, task_ctx, cfg.task_weight, frozen
+                codec, train_set, idx, snr_db, rng, states, lr, task_weight, frozen
             )
             ep_loss += loss
             ep_recon += recon
             ep_task += task
-        if with_task:
+        if task_weight is not None:
             curve.total.append(ep_loss / n_batches)
             curve.task.append(ep_task / n_batches)
         else:

@@ -10,6 +10,8 @@ accumulation of those pair gradients drives the parameter update.
 The rank corpus is sampled through harq.SemanticSource, the source every
 semantic session runs from, so a corpus sampling is the reception a session
 round makes: the same candidate, pooled map and true similarity.
+The scorer is stored in harness.train_all's one bundle.ckpt, and the
+calibration table is computed with nnkit.stored copies of its nets.
 """
 
 from __future__ import annotations
@@ -395,7 +397,6 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
 
 
 _CORPUS_MAGIC = b"RKCP"
-_SCORER_MAGIC = b"SCOR"
 
 
 def save_corpus(path, corpus: RankCorpus) -> None:
@@ -430,23 +431,3 @@ def load_corpus(path) -> RankCorpus:
                 RankQuery(ref.reshape(pool, pool), samp.reshape(k, pool, pool), s_true)
             )
     return RankCorpus(tuple(queries), pool)
-
-
-def save_scorer(path, scorer: SimilarityScorer) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_SCORER_MAGIC)
-        fh.write(struct.pack("<I", scorer.pool))
-        nnkit.write_net(fh, scorer.branch)
-        nnkit.write_net(fh, scorer.head)
-
-
-def load_scorer(path) -> SimilarityScorer:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _SCORER_MAGIC:
-            raise ValueError("not a scorer checkpoint")
-        (pool,) = nnkit.read_header(fh, "<I", "scorer checkpoint")
-        branch = nnkit.read_net(fh)
-        head = nnkit.read_net(fh)
-    if not (branch.n_in == pool * pool and head.n_in == 2 * branch.n_out and head.n_out == 1):
-        raise ValueError("corrupt scorer checkpoint: sizes do not fit together")
-    return SimilarityScorer(branch, head, pool)

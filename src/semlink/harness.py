@@ -35,6 +35,7 @@ import numpy as np
 
 from . import codec as codec_mod
 from . import detector as det_mod
+from . import nnkit
 from .config import BASELINE_MODES, SEMANTIC_MODES, ExperimentConfig, override
 from .harq import (
     BaselineSource,
@@ -50,10 +51,11 @@ from .scenegen import ProxyHead, generate_scene
 from .seeding import derive_seed
 from .tensors import importance_map, pack_nonzero
 
-CODEC_PAIR1 = "codec_pair1.ckpt"
-CODEC_PAIR2 = "codec_pair2.ckpt"
-SCORER = "scorer.ckpt"
+BUNDLE = "bundle.ckpt"
 CORPUS = "corpus.bin"
+_BUNDLE_MAGIC = b"SLBD"
+_NET_NAMES = ("pair 1 encoder", "pair 1 decoder", "pair 2 encoder", "pair 2 decoder",
+              "scorer branch", "scorer head")
 
 
 @dataclass
@@ -116,16 +118,16 @@ def make_head(cfg: ExperimentConfig) -> ProxyHead:
 
 
 def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
-    """Train the codecs and the similarity scorer; write checkpoints and curves.
+    """Train the codecs and the similarity scorer; write bundle.ckpt and curves.
 
-    Checkpoints store float32 weights. Each checkpoint is read back as soon as
-    it is written, and every later stage runs on that read-back copy: pair 2
-    trains against the stored pair 1, the corpus is built from it, the ranker
-    trains and calibrates on the stored corpus, and the calibration table is
-    computed with the stored scorer. The returned bundle is the one read back
-    from the checkpoints, bitwise equal to what load_bundle gives for out_dir.
-    Files are staged beside out_dir and moved in once every stage has passed:
-    a run that fails leaves out_dir as it was, or absent.
+    bundle.ckpt stores both codec pairs and the scorer as float32 weights.
+    Each stage continues from nnkit.stored copies, the weights as the
+    checkpoint holds them: pair 2 trains against the stored pair 1, the corpus
+    is built from it, the ranker trains and calibrates on the stored corpus,
+    and the calibration table is computed with the stored scorer. The returned
+    bundle is bitwise equal to what load_bundle gives for out_dir. Files are
+    staged beside out_dir and moved in once every stage has passed: a run that
+    fails leaves out_dir as it was, or absent.
     """
     out = Path(out_dir)
     if out.exists() and not out.is_dir():
@@ -143,14 +145,12 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
 
         say("training first codec pair")
         c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
-        codec_mod.save_codec(work / CODEC_PAIR1, c_p1)
-        c_p1 = codec_mod.load_codec(work / CODEC_PAIR1)
+        c_p1 = replace(c_p1, encoder=nnkit.stored(c_p1.encoder), decoder=nnkit.stored(c_p1.decoder))
         say("training second codec pair on the frozen residual")
         c_p2, curve_p2 = codec_mod.train_harq2_pair(
             c_p1, tset, cfg.codec, derive_seed(ms, "codec-pair2"), band2
         )
-        codec_mod.save_codec(work / CODEC_PAIR2, c_p2)
-        c_p2 = codec_mod.load_codec(work / CODEC_PAIR2)
+        c_p2 = replace(c_p2, encoder=nnkit.stored(c_p2.encoder), decoder=nnkit.stored(c_p2.decoder))
         _write_csv(work / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
             (name, phase, epoch, loss)
             for name, curve in (("pair1", curve_p1), ("pair2", curve_p2))
@@ -165,8 +165,7 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
         scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
         scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))
         scorer = det_mod.calibrate_scorer(scorer, corpus)
-        det_mod.save_scorer(work / SCORER, scorer)
-        scorer = det_mod.load_scorer(work / SCORER)
+        scorer = replace(scorer, branch=nnkit.stored(scorer.branch), head=nnkit.stored(scorer.head))
         _write_csv(work / "train_detector.csv", ("epoch", "pair_loss", "holdout_accuracy"), [
             (epoch, pair_loss, accuracy)
             for epoch, (pair_loss, accuracy) in enumerate(
@@ -174,6 +173,7 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
             )
         ])
         _write_calibration(work / "detector_calibration.csv", cfg, corpus, scorer)
+        _write_bundle(work / BUNDLE, c_p1, c_p2, scorer)
 
         out.mkdir(exist_ok=True)
         for path in work.iterdir():
@@ -184,32 +184,57 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     return RuntimeBundle(cfg, head, c_p1, c_p2, scorer)
 
 
+def _nets(pair1, pair2, scorer) -> tuple:
+    """The six nets of a trained system, in bundle.ckpt's order (_NET_NAMES)."""
+    return (pair1.encoder, pair1.decoder, pair2.encoder, pair2.decoder, scorer.branch, scorer.head)
+
+
+def _write_bundle(path, pair1, pair2, scorer) -> None:
+    """bundle.ckpt: its magic, then the six nets of _nets through nnkit.write_net,
+    and nothing after them."""
+    with open(path, "wb") as fh:
+        fh.write(_BUNDLE_MAGIC)
+        for net in _nets(pair1, pair2, scorer):
+            nnkit.write_net(fh, net)
+
+
+def _built_layouts(cfg: ExperimentConfig) -> list:
+    """nnkit.layout of the six nets that new_codec and new_scorer build from cfg;
+    the nets are freed on return, before load_bundle reads the stored ones."""
+    pair = codec_mod.new_codec(cfg.codec, cfg.packed_length(), 0)
+    return [nnkit.layout(net) for net in _nets(pair, pair, det_mod.new_scorer(cfg.detector, 0))]
+
+
 def load_bundle(cfg: ExperimentConfig, art_dir) -> RuntimeBundle:
-    art = Path(art_dir)
-    missing = [n for n in (CODEC_PAIR1, CODEC_PAIR2, SCORER) if not (art / n).exists()]
-    if missing:
-        raise ValueError(f"missing training artifacts in {art}: {', '.join(missing)}")
-    bundle = RuntimeBundle(
-        cfg,
-        make_head(cfg),
-        codec_mod.load_codec(art / CODEC_PAIR1),
-        codec_mod.load_codec(art / CODEC_PAIR2),
-        det_mod.load_scorer(art / SCORER),
-    )
-    for pair in (bundle.codec_pair1, bundle.codec_pair2):
-        if pair.n_in != cfg.packed_length():
+    """The trained system that train_all wrote to art_dir, checked against cfg
+    by one rule: each net's nnkit.layout is that of the net the constructors
+    build from cfg, the one home of the architecture; n_cu and pool come from
+    cfg. A missing, truncated or corrupt bundle.ckpt, bytes after its last
+    net, or another layout raise ValueError naming the file."""
+    path = Path(art_dir) / BUNDLE
+    if not path.is_file():
+        raise ValueError(f"missing training artifact: {path}")
+    proxy_head, built = make_head(cfg), _built_layouts(cfg)
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(4) != _BUNDLE_MAGIC:
+                raise ValueError("not a bundle checkpoint")
+            nets = [nnkit.read_net(fh) for _ in built]
+            if fh.read(1):
+                raise ValueError("bytes after the last net")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for name, net, want in zip(_NET_NAMES, nets, built):
+        if nnkit.layout(net) != want:
             raise ValueError(
-                "artifacts do not match config: codec width "
-                f"{pair.n_in} vs packed length {cfg.packed_length()}"
+                f"{path}: artifacts do not match config: {name} has layers {nnkit.layout(net)}, "
+                f"the config builds {want}"
             )
-        if pair.n_cu != cfg.codec.n_cu:
-            raise ValueError(
-                f"artifacts do not match config: codec sends {pair.n_cu} symbols "
-                f"vs codec.n_cu {cfg.codec.n_cu}"
-            )
-    if bundle.scorer.pool != cfg.detector.pool:
-        raise ValueError("artifacts do not match config: scorer pooling size")
-    return bundle
+    enc1, dec1, enc2, dec2, branch, head = nets
+    n_cu = cfg.codec.n_cu
+    pair1, pair2 = codec_mod.SemanticCodec(enc1, dec1, n_cu), codec_mod.SemanticCodec(enc2, dec2, n_cu)
+    scorer = det_mod.SimilarityScorer(branch, head, cfg.detector.pool)
+    return RuntimeBundle(cfg, proxy_head, pair1, pair2, scorer)
 
 
 def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:

@@ -1,8 +1,8 @@
 """Minimal dense-network toolkit: forward, reverse-mode gradients, optimizers.
 
-Everything is float64 internally; checkpoints round to float32 at the file
-boundary, and harness.train_all continues from the rounded weights read back
-from each checkpoint, so every later stage sees exactly what is stored.
+Everything is float64 internally; write_net rounds to float32 at the stream
+boundary. harness.train_all stores every trained net in one bundle.ckpt and
+continues each stage from stored(net), the net as that checkpoint holds it.
 Backward passes walk a tape recorded by forward_tape and must agree with
 central finite differences, which the test suite enforces layer by layer.
 adam_step updates a net's weights and its optimizer state in place, so a
@@ -11,6 +11,7 @@ caller that wants to keep an earlier set of weights must copy the net.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 
@@ -45,10 +46,6 @@ class DenseNet:
     @property
     def n_in(self) -> int:
         return self.layers[0].w.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.layers[-1].w.shape[1]
 
 
 @dataclass
@@ -244,6 +241,22 @@ def write_net(fh, net: DenseNet) -> None:
     for layer in net.layers:
         fh.write(layer.w.astype("<f4").tobytes())
         fh.write(layer.b.astype("<f4").tobytes())
+
+
+def layout(net: DenseNet) -> tuple:
+    """What write_net stores of a net besides its weights: per layer the weight
+    shape, the activation and the PReLU slope, the slope rounded to float32 as
+    stored."""
+    return tuple((l.w.shape, l.act, float(np.float32(l.prelu_alpha))) for l in net.layers)
+
+
+def stored(net: DenseNet) -> DenseNet:
+    """The net as a checkpoint holds it: write_net then read_net in memory,
+    so its weights are rounded to float32."""
+    buf = io.BytesIO()
+    write_net(buf, net)
+    buf.seek(0)
+    return read_net(buf)
 
 
 def read_header(fh, fmt: str, what: str) -> tuple:

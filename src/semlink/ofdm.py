@@ -109,9 +109,13 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
 
 
 def qam_demap_hard(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest-level hard demap; exact inverse of qam_map on clean symbols."""
+    """Nearest-level hard demap; exact inverse of qam_map on clean symbols. A
+    non-finite symbol raises ValueError: cast to an integer level it would
+    give fixed bits, and an all-zero frame passes CRC-24A."""
     m, levels, scale = _axis_params(order)
     symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    if not np.isfinite(symbols).all():
+        raise ValueError("cannot demap a non-finite symbol")
     out = np.empty((symbols.size, 2 * m), dtype=np.uint8)
     for axis, vals in ((0, symbols.real), (1, symbols.imag)):
         idx = np.clip(np.round(((levels - 1) - vals * scale) / 2.0), 0, levels - 1)

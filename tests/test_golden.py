@@ -14,11 +14,9 @@ from semlink import config as config_mod
 from semlink import harness
 
 TRAIN = {
-    "codec_pair1.ckpt": "9294d3f21f2876d80c3faa9731040a81deb21f386ccfe4cfd7f3ddd8e0cdeccd",
-    "codec_pair2.ckpt": "975acfd17a1ca19de22d91f46d2a59994b37d7bb21190fe93fa6585cdf857533",
+    "bundle.ckpt": "9237c86c9f5f545f073b54b69d1855cc071a1fe47b5ce563085e11b4f832ed9d",
     "corpus.bin": "391b4e290e98e7065cd6a5947258b6b5014c05102e568ca748b7b60ca8a4350c",
     "detector_calibration.csv": "f1000fc4c85eb085758abb5ac3b3dce800ae8240f582dee917b806d0da473ccd",
-    "scorer.ckpt": "d74e37393b696aed002771e339513608158334615b9f7c261a2a6cdaae397e35",
     "train_codecs.csv": "5a4a4f39721b250edd3d6847edc70609bd0d1dcfe5ab2492de33f6eea6148983",
     "train_detector.csv": "81d250a01d4a88113a0bfa37f34479777b8b7348ca09b48c88c7d2bf24c49eb2",
 }

@@ -8,6 +8,7 @@ acceptance suite.
 
 import csv
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -40,9 +41,7 @@ from semlink.seeding import derive_seed
 from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonzero, unpack
 
 ARTIFACTS = (
-    "codec_pair1.ckpt",
-    "codec_pair2.ckpt",
-    "scorer.ckpt",
+    "bundle.ckpt",
     "corpus.bin",
     "detector_calibration.csv",
     "train_codecs.csv",
@@ -62,27 +61,51 @@ def tiny_bundle(tiny_dir):
     return harness.load_bundle(tiny_config(seed=4242), tiny_dir)
 
 
+def _load_tiny_bundle(path):
+    """load_bundle of the directory that holds `path`, a bundle.ckpt."""
+    return harness.load_bundle(tiny_config(seed=4242), path.parent)
+
+
 LOADERS = {
-    "codec_pair1.ckpt": codec.load_codec,
-    "scorer.ckpt": detector.load_scorer,
+    "bundle.ckpt": _load_tiny_bundle,
     "corpus.bin": detector.load_corpus,
 }
 
+# bundle.ckpt holds as sections the nets that codec_pair1.ckpt, codec_pair2.ckpt
+# and scorer.ckpt held as files before it; each section is its nets' indices in
+# bundle order. Tests that ran on those files keep their names as case ids.
+BUNDLE_SECTIONS = {"codec_pair1.ckpt": (0, 1), "codec_pair2.ckpt": (2, 3), "scorer.ckpt": (4, 5)}
+
 
 @pytest.fixture(scope="module")
-def fuzz_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "artifact"
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _net_starts(raw: bytes) -> list[int]:
+    """Offsets of the six nets in a bundle.ckpt. After the 4-byte magic, each
+    net is b"DNET", a layer count, 13-byte layer headers, then float32 weights
+    and biases; nothing follows the last net."""
+    starts, pos = [], 4
+    for _ in range(6):
+        assert raw.startswith(b"DNET", pos)
+        starts.append(pos)
+        (n_layers,) = struct.unpack_from("<I", raw, pos + 4)
+        dims = [struct.unpack_from("<II", raw, pos + 8 + 13 * i) for i in range(n_layers)]
+        pos += 8 + 13 * n_layers + sum(4 * (n_in * n_out + n_out) for n_in, n_out in dims)
+    assert pos == len(raw)
+    return starts
 
 
 def _header_bits(raw: bytes) -> list[int]:
-    """Bit indices of the file header and of each embedded net's header."""
+    """Bit indices of the file's magic and of each embedded net's header."""
     starts = [0] + [i for i in range(len(raw)) if raw.startswith(b"DNET", i)]
     return sorted({bit for i in starts for bit in range(8 * i, 8 * min(len(raw), i + 40))})
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_artifact_loaders_return_or_raise_valueerror(tiny_dir, fuzz_path, data):
+def test_artifact_loaders_return_or_raise_valueerror(tiny_dir, fuzz_dir, data):
     # a byte prefix or a single flipped bit of a real artifact either loads
     # or raises ValueError, the one error the CLI turns into an error: line
     name = data.draw(st.sampled_from(sorted(LOADERS)))
@@ -94,32 +117,55 @@ def test_artifact_loaders_return_or_raise_valueerror(tiny_dir, fuzz_path, data):
         flipped = bytearray(raw)
         flipped[bit // 8] ^= 1 << (bit % 8)
         blob = bytes(flipped)
-    fuzz_path.write_bytes(blob)
+    (fuzz_dir / name).write_bytes(blob)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            LOADERS[name](fuzz_path)
+            LOADERS[name](fuzz_dir / name)
         except ValueError:
             pass
 
 
-@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_load_bundle_rejects_every_header_bit_flip(tiny_dir, tmp_path):
+    # a flipped bit in the magic or in a net's header changes a layer's
+    # layout, or makes the file unreadable: either way load_bundle refuses it
+    raw = (tiny_dir / "bundle.ckpt").read_bytes()
+    header = list(range(4))
+    for start in _net_starts(raw):
+        (n_layers,) = struct.unpack_from("<I", raw, start + 4)
+        header += range(start, start + 8 + 13 * n_layers)
+    for byte in header:
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[byte] ^= 1 << bit
+            (tmp_path / "bundle.ckpt").write_bytes(bytes(flipped))
+            with pytest.raises(ValueError, match="bundle.ckpt"):
+                harness.load_bundle(tiny_config(seed=4242), tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted([*BUNDLE_SECTIONS, "corpus.bin"]))
 def test_loaders_reject_signaling_nan_weight_without_warning(tiny_dir, tmp_path, name):
-    # a signaling NaN warns when cast to float64, so it must be caught before
-    raw = bytearray((tiny_dir / name).read_bytes())
+    # a signaling NaN warns when cast to float64, so it must be caught before;
+    # in bundle.ckpt it is tried as the first weight of each net of the section
+    file = name if name == "corpus.bin" else "bundle.ckpt"
+    raw = (tiny_dir / file).read_bytes()
     if name == "corpus.bin":
-        first = 4 + 8 + 4  # magic, (queries, pool), first query's sampling count
+        firsts = [4 + 8 + 4]  # magic, (queries, pool), first query's sampling count
     else:
-        net = raw.index(b"DNET")
-        (n_layers,) = np.frombuffer(bytes(raw[net + 4 : net + 8]), dtype="<u4")
-        first = net + 8 + 13 * int(n_layers)
-    raw[first : first + 4] = np.array([0x7F800001], dtype="<u4").tobytes()
-    path = tmp_path / name
-    path.write_bytes(bytes(raw))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="non-finite"):
-            LOADERS[name](path)
+        starts = _net_starts(raw)
+        firsts = [
+            starts[i] + 8 + 13 * struct.unpack_from("<I", raw, starts[i] + 4)[0]
+            for i in BUNDLE_SECTIONS[name]
+        ]
+    for first in firsts:
+        patched = bytearray(raw)
+        patched[first : first + 4] = np.array([0x7F800001], dtype="<u4").tobytes()
+        path = tmp_path / file
+        path.write_bytes(bytes(patched))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite"):
+                LOADERS[file](path)
 
 
 def _read_rows(path):
@@ -128,6 +174,7 @@ def _read_rows(path):
 
 
 def test_train_all_writes_artifacts(tiny_dir):
+    assert sorted(p.name for p in tiny_dir.iterdir()) == sorted(ARTIFACTS)
     for name in ARTIFACTS:
         assert (tiny_dir / name).exists(), name
         assert (tiny_dir / name).stat().st_size > 0, name
@@ -153,6 +200,9 @@ def test_load_bundle_matches_training(tmp_path):
     cfg = tiny_config(seed=4242)
     trained = harness.train_all(cfg, tmp_path)
     loaded = harness.load_bundle(cfg, tmp_path)
+    assert loaded.codec_pair1.n_cu == loaded.codec_pair2.n_cu == trained.codec_pair1.n_cu
+    assert trained.codec_pair2.n_cu == cfg.codec.n_cu
+    assert loaded.scorer.pool == trained.scorer.pool == cfg.detector.pool
     for pair in ("codec_pair1", "codec_pair2"):
         for net in ("encoder", "decoder"):
             _assert_nets_bitwise_equal(
@@ -173,11 +223,11 @@ def test_load_bundle_matches_training(tmp_path):
     assert score(loaded.scorer, field, field) == score(trained.scorer, field, field)
 
 
-def test_corpus_rebuild_matches_training(tiny_dir, tmp_path):
-    # a corpus rebuilt from the stored pair-1 checkpoint reproduces the
-    # training corpus only if training built it from the same stored weights
+def test_corpus_rebuild_matches_training(tiny_dir, tiny_bundle, tmp_path):
+    # a corpus rebuilt from the stored pair 1 reproduces the training corpus
+    # only if training built it from the same stored weights
     cfg = tiny_config(seed=4242)
-    pair1 = codec.load_codec(tiny_dir / "codec_pair1.ckpt")
+    pair1 = tiny_bundle.codec_pair1
     detector.save_corpus(tmp_path / "corpus.bin", detector.build_corpus(cfg, harness.make_head(cfg), pair1))
     assert (tmp_path / "corpus.bin").read_bytes() == (tiny_dir / "corpus.bin").read_bytes()
 
@@ -231,18 +281,44 @@ def test_corpus_matches_its_construction_from_parts(tiny_bundle):
 @pytest.mark.parametrize(
     "name,loader",
     [
-        ("codec_pair1.ckpt", codec.load_codec),
-        ("scorer.ckpt", detector.load_scorer),
+        # a bundle section is cut where its file was, and load_bundle reads it
+        pytest.param("codec_pair1.ckpt", _load_tiny_bundle, id="codec_pair1.ckpt-load_codec"),
         ("corpus.bin", detector.load_corpus),
+        pytest.param("scorer.ckpt", _load_tiny_bundle, id="scorer.ckpt-load_scorer"),
     ],
 )
 def test_truncated_artifacts_raise_value_error(tiny_dir, tmp_path, name, loader):
-    data = (tiny_dir / name).read_bytes()
-    for size in (0, 3, 6, 20, len(data) - 1):
-        path = tmp_path / f"{size}-{name}"
+    file = name if name == "corpus.bin" else "bundle.ckpt"
+    data = (tiny_dir / file).read_bytes()
+    if name == "corpus.bin":
+        start, end = 0, len(data)
+    else:
+        first, last = BUNDLE_SECTIONS[name]
+        bounds = [*_net_starts(data), len(data)]
+        start, end = bounds[first], bounds[last + 1]
+    for size in (start, start + 3, start + 6, start + 20, end - 1):
+        path = tmp_path / str(size) / file
+        path.parent.mkdir()
         path.write_bytes(data[:size])
         with pytest.raises(ValueError):
             loader(path)
+
+
+def test_truncated_bundle_raises_value_error(tiny_dir, tmp_path):
+    data = (tiny_dir / "bundle.ckpt").read_bytes()
+    starts = _net_starts(data)
+    for size in sorted({0, 3, len(data) - 1, *starts, *(s + 1 for s in starts)}):
+        art = tmp_path / str(size)
+        art.mkdir()
+        (art / "bundle.ckpt").write_bytes(data[:size])
+        with pytest.raises(ValueError, match="bundle.ckpt"):
+            harness.load_bundle(tiny_config(seed=4242), art)
+
+
+def test_load_bundle_rejects_a_trailing_byte(tiny_dir, tmp_path):
+    (tmp_path / "bundle.ckpt").write_bytes((tiny_dir / "bundle.ckpt").read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="bytes after the last net"):
+        harness.load_bundle(tiny_config(seed=4242), tmp_path)
 
 
 def _set(bundle, section, **values):
@@ -261,25 +337,48 @@ def test_run_sweep_rejects_nonpositive_counts(tiny_bundle, tmp_path):
 
 
 def test_load_bundle_missing_artifacts(tmp_path):
-    with pytest.raises((ValueError, OSError)):
+    with pytest.raises(ValueError, match="missing training artifact: .*bundle.ckpt"):
         harness.load_bundle(tiny_config(seed=4242), tmp_path)
 
 
-@pytest.mark.parametrize("mismatch", ["config-n_cu", "pair2-n_cu", "pair2-width"])
-def test_load_bundle_rejects_codecs_that_do_not_match_the_config(tiny_dir, tmp_path, mismatch):
+@pytest.mark.parametrize(
+    "mismatch", ["config-n_cu", "pair2-n_cu", "pair2-width", "pair2-hidden", "config-hidden"]
+)
+def test_load_bundle_rejects_codecs_that_do_not_match_the_config(tiny_bundle, tmp_path, mismatch):
     # a codec that sends other than codec.n_cu symbols breaks the equal
-    # channel-use budget that config.baseline_cells gives the baselines
+    # channel-use budget that config.baseline_cells gives the baselines; any
+    # other layout is not the system the config describes
     cfg = tiny_config(seed=4242)
-    art = _copy_artifacts(tiny_dir, tmp_path / "art")
-    if mismatch == "config-n_cu":
-        cfg = replace(cfg, codec=replace(cfg.codec, n_cu=2 * cfg.codec.n_cu))
+    b = tiny_bundle
+    where, key = mismatch.split("-")
+    pair2 = b.codec_pair2
+    if key == "width":
+        pair2 = codec.new_codec(cfg.codec, cfg.packed_length() + 1, seed=1)
     else:
-        n_cu = 2 * cfg.codec.n_cu if mismatch == "pair2-n_cu" else cfg.codec.n_cu
-        n_in = cfg.packed_length() + (mismatch == "pair2-width")
-        stray = codec.new_codec(replace(cfg.codec, n_cu=n_cu), n_in, seed=1)
-        codec.save_codec(art / "codec_pair2.ckpt", stray)
+        doubled = replace(cfg.codec, **{key: 2 * getattr(cfg.codec, key)})
+        if where == "config":
+            cfg = replace(cfg, codec=doubled)
+        else:
+            pair2 = codec.new_codec(doubled, cfg.packed_length(), seed=1)
+    harness._write_bundle(tmp_path / "bundle.ckpt", b.codec_pair1, pair2, b.scorer)
     with pytest.raises(ValueError, match="artifacts do not match config"):
-        harness.load_bundle(cfg, art)
+        harness.load_bundle(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("mismatch", ["scorer-pool", "config-pool", "config-branch_width"])
+def test_load_bundle_rejects_a_scorer_that_does_not_match_the_config(tiny_bundle, tmp_path, mismatch):
+    cfg = tiny_config(seed=4242)
+    b = tiny_bundle
+    where, key = mismatch.split("-")
+    smaller = replace(cfg.detector, **{key: getattr(cfg.detector, key) // 2})
+    scorer = b.scorer
+    if where == "config":
+        cfg = replace(cfg, detector=smaller)
+    else:
+        scorer = detector.new_scorer(smaller, seed=1)
+    harness._write_bundle(tmp_path / "bundle.ckpt", b.codec_pair1, b.codec_pair2, scorer)
+    with pytest.raises(ValueError, match="artifacts do not match config: scorer branch"):
+        harness.load_bundle(cfg, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -802,8 +901,51 @@ def _copy_artifacts(src: Path, dst: Path) -> Path:
 
 def test_cli_sweep_rejects_truncated_scorer(tiny_dir, tmp_path):
     art = _copy_artifacts(tiny_dir, tmp_path / "art")
-    (art / "scorer.ckpt").write_bytes((tiny_dir / "scorer.ckpt").read_bytes()[:20])
+    raw = (tiny_dir / "bundle.ckpt").read_bytes()
+    (art / "bundle.ckpt").write_bytes(raw[: _net_starts(raw)[4] + 20])  # inside the scorer branch
     _assert_one_error_line(_tiny_sweep_cli(tmp_path, art))
+
+
+@pytest.mark.parametrize("fault", ["trailing-byte", "flipped-bit", "codec-hidden", "detector-branch_width"])
+def test_cli_sweep_rejects_a_bundle_that_does_not_load(tiny_dir, tmp_path, fault):
+    # one error: line, no traceback; a sweep whose [codec] hidden or
+    # [detector] branch_width differs from training's is refused as well
+    art = _copy_artifacts(tiny_dir, tmp_path / "art")
+    raw = bytearray((tiny_dir / "bundle.ckpt").read_bytes())
+    cfg = tiny_config(seed=4242)
+    if fault == "trailing-byte":
+        raw += b"\0"
+    elif fault == "flipped-bit":
+        raw[_net_starts(bytes(raw))[2] + 8] ^= 1  # pair 2 encoder's input width
+    elif fault == "codec-hidden":
+        cfg = replace(cfg, codec=replace(cfg.codec, hidden=cfg.codec.hidden + 1))
+    else:
+        cfg = replace(cfg, detector=replace(cfg.detector, branch_width=cfg.detector.branch_width + 1))
+    (art / "bundle.ckpt").write_bytes(bytes(raw))
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(_render_ini(cfg))
+    out = tmp_path / "sweep"
+    proc = _cli("sweep", "--config", str(ini), "--out", str(out), "--artifacts", str(art),
+                "--mode", "sim1", "--snr", "0")
+    _assert_one_error_line(proc)
+    assert "bundle.ckpt" in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_sweep_on_an_older_artifact_layout_names_the_bundle(tiny_dir, tmp_path):
+    # artifact directories from before the one bundle.ckpt held three
+    # checkpoints, which nothing reads now: a sweep on one must be retrained
+    art = tmp_path / "art"
+    art.mkdir()
+    for name in ARTIFACTS[1:]:
+        (art / name).write_bytes((tiny_dir / name).read_bytes())
+    old = {"codec_pair1.ckpt": b"SCDC", "codec_pair2.ckpt": b"SCDC", "scorer.ckpt": b"SCOR"}
+    for name, magic in old.items():
+        (art / name).write_bytes(magic)
+    proc = _tiny_sweep_cli(tmp_path, art)
+    _assert_one_error_line(proc)
+    assert "bundle.ckpt" in proc.stderr
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_train_sweep_chain(tmp_path):
@@ -876,4 +1018,4 @@ def test_cli_seed_override_changes_artifacts(tmp_path):
         _cli("train", "--config", str(ini), "--seed", "31337", "--out", str(b)).returncode
         == 0
     )
-    assert (a / "codec_pair1.ckpt").read_bytes() != (b / "codec_pair1.ckpt").read_bytes()
+    assert (a / "bundle.ckpt").read_bytes() != (b / "bundle.ckpt").read_bytes()

@@ -416,6 +416,15 @@ def test_baseline_chunked_clean_channel_acks_first_round():
     assert session.ack_round == 1
 
 
+def test_baseline_decode_of_a_nan_reception_raises():
+    # an all-zero frame passes CRC-24A, so a reception that demapped to fixed
+    # bits could be acknowledged; a non-finite one is refused instead
+    src = _baseline_source()
+    assert crc24(np.zeros(src.payload_bits.size // 8, dtype=np.uint8)) == 0
+    with pytest.raises(ValueError, match="non-finite"):
+        src.decode(np.full(src.chunk.size, complex(np.nan, np.nan)))
+
+
 def test_baseline_forced_errors_exhaust_budget():
     src = _baseline_source()
 

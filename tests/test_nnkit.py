@@ -17,8 +17,10 @@ from semlink.nnkit import (
     forward,
     forward_tape,
     init_dense,
+    layout,
     read_net,
     sigmoid,
+    stored,
     write_net,
 )
 
@@ -205,6 +207,22 @@ def test_checkpoint_round_trip_is_float32_exact():
         assert np.array_equal(loaded.w, orig.w.astype(np.float32).astype(np.float64))
         assert np.array_equal(loaded.b, orig.b.astype(np.float32).astype(np.float64))
         assert loaded.prelu_alpha == pytest.approx(orig.prelu_alpha)
+
+
+def test_stored_is_the_net_a_checkpoint_holds():
+    # stored(net) is write_net then read_net; its layout is the one a
+    # checkpoint of net has, the slope included: 0.1 is not a float32 value
+    net = init_dense((5, 7, 3), ("prelu", "sigmoid"), seed=31, prelu_alpha=0.1)
+    buf = io.BytesIO()
+    write_net(buf, net)
+    buf.seek(0)
+    back, copy_ = read_net(buf), stored(net)
+    for a, b in zip(back.layers, copy_.layers):
+        assert (a.act, a.prelu_alpha) == (b.act, b.prelu_alpha)
+        assert a.w.tobytes() == b.w.tobytes() and a.b.tobytes() == b.b.tobytes()
+    assert layout(copy_) == layout(net) == (((5, 7), "prelu", float(np.float32(0.1))),
+                                           ((7, 3), "sigmoid", float(np.float32(0.1))))
+    assert copy_.layers[0].prelu_alpha != net.layers[0].prelu_alpha
 
 
 def test_load_rejects_garbage():

@@ -1,5 +1,7 @@
 """OFDM framing tests: QAM mapping, pilot layout, CP, and transform inverses."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,15 @@ def test_qam_rejects_bad_inputs():
         qam_map(np.zeros(3, dtype=int), 4)
     with pytest.raises(ValueError):
         qam_map(np.array([0, 2]), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.nan), np.inf, complex(-np.inf, 1.0)])
+def test_qam_demap_hard_rejects_a_non_finite_symbol(bad):
+    # cast to an integer level, NaN would warn and then give fixed bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            qam_demap_hard(np.array([bad, 1 + 1j]), 16)
 
 
 def test_config_validation():

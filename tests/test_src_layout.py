@@ -1,7 +1,8 @@
 """Layout guards: every top-level function and class in src/semlink, and
 every method and property of its classes, has a caller, every import of src/semlink sits at the top of its module, every
 parameter default of src/semlink is one that some caller overrides,
-harness._write_csv is the one place that writes a text file, and importing
+harness._write_csv is the one place that writes a text file, the bundle and
+corpus writers the only ones that write a binary file, and importing
 the CLI loads no package but numpy outside the standard library.
 
 A definition counts as used when its name appears somewhere in src/semlink
@@ -185,50 +186,59 @@ def test_every_default_is_set_by_a_caller():
     assert unset == DEFAULT_EXEMPT, f"defaults no caller sets: {sorted(unset - DEFAULT_EXEMPT)}"
 
 
-# Every table a run writes goes through one writer and its one cell rule;
-# binary writers (checkpoints, the rank corpus) open their files "wb".
+# Every table a run writes goes through one writer and its one cell rule, and
+# the checkpoint format has one home: the bundle writer, beside the rank
+# corpus's writer, is the one place that writes a binary file.
 TEXT_WRITERS = {("harness", "_write_csv")}
+BINARY_WRITERS = {("harness", "_write_bundle"), ("detector", "save_corpus")}
 
 
-def _opens_for_text_writing(call: ast.Call) -> bool:
-    """Whether a call is open(...) or x.open(...) with a mode that writes text.
-    A mode that is not a literal counts, since it may."""
+def _write_kinds(call: ast.Call) -> set[str]:
+    """The kinds of file a call may write: "text", "binary", both or neither.
+    open(...) or x.open(...) counts by its mode, and a mode that is not a
+    literal as both, since it may be either; x.write_text(...) writes text
+    and x.write_bytes(...) binary."""
     f = call.func
     name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    if isinstance(f, ast.Attribute) and name in ("write_text", "write_bytes"):
+        return {"text" if name == "write_text" else "binary"}
     if name != "open":
-        return False
+        return set()
     pos = 0 if isinstance(f, ast.Attribute) else 1  # Path.open(mode) vs open(path, mode)
     mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
     if mode is None and len(call.args) > pos:
         mode = call.args[pos]
     if mode is None:
-        return False  # the default mode reads
+        return set()  # the default mode reads
     if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
-        return True
-    return "b" not in mode.value and any(c in mode.value for c in "wax+")
+        return {"text", "binary"}
+    if not any(c in mode.value for c in "wax+"):
+        return set()
+    return {"binary" if "b" in mode.value else "text"}
 
 
-def _text_writers(src: Path = SRC) -> set[tuple[str, str]]:
-    """(module, top-level definition) of every text-mode write in src/semlink,
-    with "<module>" for one outside any definition."""
+def _writers(kind: str, src: Path = SRC) -> set[tuple[str, str]]:
+    """(module, top-level definition) of every write of a `kind` file in
+    src/semlink, with "<module>" for one outside any definition."""
     out = set()
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    if _opens_for_text_writing(node) or (
-                        isinstance(f, ast.Attribute) and f.attr == "write_text"
-                    ):
-                        out.add((path.stem, owner))
+            if any(kind in _write_kinds(n) for n in ast.walk(stmt) if isinstance(n, ast.Call)):
+                out.add((path.stem, owner))
     return out
 
 
 def test_text_files_are_written_only_by_the_csv_writer():
-    writers = _text_writers()
+    writers = _writers("text")
     assert TEXT_WRITERS <= writers, "the CSV writer no longer opens a file; update TEXT_WRITERS"
     assert writers == TEXT_WRITERS, f"text written outside harness._write_csv: {sorted(writers - TEXT_WRITERS)}"
+
+
+def test_binary_files_are_written_only_by_the_bundle_and_corpus_writers():
+    writers = _writers("binary")
+    assert BINARY_WRITERS <= writers, "a binary writer no longer opens a file; update BINARY_WRITERS"
+    assert writers == BINARY_WRITERS, f"binary written elsewhere: {sorted(writers - BINARY_WRITERS)}"
 
 
 @pytest.mark.parametrize(
@@ -240,7 +250,18 @@ def test_text_files_are_written_only_by_the_csv_writer():
 )
 def test_text_writer_guard_sees_each_form(tmp_path, code, writes):
     (tmp_path / "mod.py").write_text(f"def f(p, m):\n    return {code}\n")
-    assert _text_writers(tmp_path) == ({("mod", "f")} if writes else set())
+    assert _writers("text", tmp_path) == ({("mod", "f")} if writes else set())
+
+
+@pytest.mark.parametrize(
+    "code,writes",
+    [('open(p, "wb")', True), ('p.open("wb")', True), ('p.write_bytes(b"x")', True),
+     ('open(p, mode="ab")', True), ("open(p, m)", True), ('open(p, "w")', False),
+     ('open(p, "rb")', False), ('p.write_text("x")', False), ('p.open()', False)],
+)
+def test_binary_writer_guard_sees_each_form(tmp_path, code, writes):
+    (tmp_path / "mod.py").write_text(f"def f(p, m):\n    return {code}\n")
+    assert _writers("binary", tmp_path) == ({("mod", "f")} if writes else set())
 
 
 def test_importing_the_cli_loads_numpy_alone():
