@@ -15,9 +15,12 @@ that index shares one SessionCache. The cache holds what depends on the index
 alone: the scene, its harq.SemanticSource and harq.BaselineSource (each
 computes its codewords and reference values once, for every session that
 runs from it), and per round the link's seed-determined draws (pilots,
-channel realization, H and unit-variance noise on the simulated rows). A
-cache lives for one index of one run_sweep call, so memory does not grow
-with the number of sessions and no later sweep starts warm.
+channel realization, H and unit-variance noise on the simulated rows, and
+per SNR the pilot estimate). It also holds the receptions: per (SNR, round)
+the scored harq.Reception of the first codec pair's symbols, which noharq,
+every sim1 round and sim2's first round read, so each is computed once per
+index. A cache lives for one index of one run_sweep call, so memory does not
+grow with the number of sessions and no later sweep starts warm.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .config import BASELINE_MODES, SEMANTIC_MODES, ExperimentConfig, override
 from .harq import (
     BaselineSource,
     HarqSession,
+    Reception,
     SemanticSource,
     finalize,
     run_baseline_session,
@@ -263,10 +267,11 @@ class SessionCache:
     """What every mode and SNR of session index `idx` share.
 
     Each part is made on first use: the scene, its semantic and baseline
-    sources, and per round the link's RoundDraws. A sweep of baseline modes
-    alone never builds the semantic source, so it runs on a bundle without
-    codecs or scorer. Sharing one cache changes no result: every part is a
-    function of the bundle and the index only.
+    sources, per round the link's RoundDraws, and per (SNR, round) the
+    reception of the first pair's symbols. A sweep of baseline modes alone
+    never builds the semantic source or a reception, so it runs on a bundle
+    without codecs or scorer. Sharing one cache changes no result: every part
+    is a function of the bundle, the index and its key only.
     """
 
     def __init__(self, bundle: RuntimeBundle, idx: int):
@@ -274,6 +279,7 @@ class SessionCache:
         self.idx = idx
         self.profile = bundle.cfg.channel_profile()
         self._draws: dict[int, RoundDraws] = {}
+        self._first: dict[tuple[float, int], Reception] = {}
 
     @functools.cached_property
     def scene(self):
@@ -306,6 +312,26 @@ class SessionCache:
             self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.profile, seeds)
         return self._draws[t]
 
+    def send(self, snr_db: float, t: int, symbols):
+        """transmit_symbols of symbols in round t at snr_db, on that round's draws."""
+        draws = self.draws(t)
+        return transmit_symbols(symbols, self.bundle.cfg.ofdm, self.profile, snr_db, draws.seeds, draws=draws)
+
+    def send_with_state(self, snr_db: float, t: int, symbols):
+        """transmit_with_state of symbols in round t at snr_db, on that round's draws."""
+        draws = self.draws(t)
+        return transmit_with_state(symbols, self.bundle.cfg.ofdm, self.profile, snr_db, draws.seeds, draws=draws)
+
+    def first(self, snr_db: float, t: int) -> Reception:
+        """The reception of the first pair's symbols sent in round t at
+        snr_db, the same for every semantic mode and threshold."""
+        key = (snr_db, t)
+        if key not in self._first:
+            src = self.semantic
+            message = codec_mod.decode(src.first, self.send(snr_db, t, src.sym_first))
+            self._first[key] = src.reception(message)
+        return self._first[key]
+
 
 def run_session(
     bundle: RuntimeBundle,
@@ -331,21 +357,14 @@ def run_session(
     budget = cfg.experiment.round_budget
 
     if mode in SEMANTIC_MODES:
-        src = cache.semantic
         threshold = cfg.detector.ack_threshold
-
-        def transmit(t, symbols):
-            draws = cache.draws(t)
-            return transmit_symbols(symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, draws=draws)
-
         proto, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
-        session = run_semantic_session(src, proto, rounds, threshold, transmit)
+        session = run_semantic_session(
+            cache.semantic, proto, rounds, threshold,
+            functools.partial(cache.first, snr_db), functools.partial(cache.send, snr_db),
+        )
     elif mode in BASELINE_MODES:
-
-        def transmit(t, symbols):
-            draws = cache.draws(t)
-            return transmit_with_state(symbols, cfg.ofdm, cache.profile, snr_db, draws.seeds, draws=draws)
-
+        transmit = functools.partial(cache.send_with_state, snr_db)
         session = run_baseline_session(cache.baseline, mode, budget, transmit)
         threshold = None
     else:
@@ -412,12 +431,13 @@ def run_sweep(
 
     The grid runs one session index at a time: all (mode, SNR) sessions of
     an index share one SessionCache, which is dropped when the index is done,
-    so the scene, the codewords and the link draws of an index are computed
-    once for the whole grid. With workers > 1 each worker takes whole
-    indices. Records come back, and the CSVs are written, in (mode, SNR,
-    index) order. Per-session seeds do not depend on how indices are
-    distributed, so the CSV bytes are identical for any worker count, and
-    equal to those of running each session with no cache.
+    so the scene, the codewords, the link draws and the first pair's
+    receptions of an index are computed once for the whole grid. With
+    workers > 1 each worker takes whole indices. Records come back, and the
+    CSVs are written, in (mode, SNR, index) order. Per-session seeds do not
+    depend on how indices are distributed, so the CSV bytes are identical for
+    any worker count, and equal to those of running each session with no
+    cache.
     """
     counts = {k: v for k, v in (("sessions", sessions), ("workers", workers)) if v is not None}
     cfg = override(bundle.cfg, "experiment", modes=tuple(modes), snr_db=tuple(map(float, snr_list)), **counts)

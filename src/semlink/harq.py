@@ -13,7 +13,8 @@ mask, reference and payload, and what every session of that scene derives
 from them, computed once. What varies by session (mode, round budget,
 threshold, channel) is an argument of the session function. A semantic
 reception is SemanticSource.receive, for the sessions here and for the
-scorer's rank corpus (detector.build_corpus), whose sources have no scorer.
+scorer's rank corpus (detector.build_corpus), whose sources have no scorer;
+a session's is the scored Reception of SemanticSource.reception.
 """
 
 from __future__ import annotations
@@ -102,6 +103,18 @@ class RoundRecord:
     ack: bool
     candidate: FeatureTensor
     task_loss: float  # perception_loss of the candidate
+
+
+@dataclass(frozen=True)
+class Reception:
+    """A decoded message and what a semantic round records of it. Its arrays
+    are read-only, so the sessions that share one reception cannot alter it."""
+
+    message: np.ndarray
+    candidate: FeatureTensor
+    task_loss: float
+    s_true: float
+    s_hat: float
 
 
 @dataclass
@@ -207,9 +220,15 @@ class SemanticSource:
         pooled = pool_map(confidence_map(candidate, self.head), self.pool)
         return candidate, pooled, loss, true_similarity(self.ref_loss, loss)
 
+    def reception(self, message: np.ndarray) -> Reception:
+        """receive(message), with the scorer's score of the pooled map."""
+        candidate, pooled, loss, s_true = self.receive(message)
+        s_hat = score_pooled(self.scorer, self.ref_emb, pooled)
+        return Reception(_frozen(message), candidate, loss, s_true, s_hat)
+
 
 def run_semantic_session(
-    src: SemanticSource, mode: str, budget: int, threshold: float, transmit
+    src: SemanticSource, mode: str, budget: int, threshold: float, first, transmit
 ) -> HarqSession:
     """Run up to `budget` rounds of a semantic session.
 
@@ -217,8 +236,14 @@ def run_semantic_session(
     latest decoded message as candidate; mode "sim2" switches to the second
     pair from round two and its candidate is the unpacked sum of all decoded
     messages. A round is acknowledged when the scorer's score of its
-    candidate exceeds `threshold` (ack_decide). `transmit(round_idx, symbols)`
-    realizes one channel round trip.
+    candidate exceeds `threshold` (ack_decide).
+
+    `first(round_idx)` is the Reception of the first pair's symbols sent in
+    that round. Every round that sends them reads it: sim1's rounds and
+    sim2's first, which no mode, budget or threshold changes, so
+    harness.SessionCache serves them from one memo per SNR and round.
+    `transmit(round_idx, symbols)` realizes the channel round trip of sim2's
+    second-pair rounds, the only receptions a session makes itself.
     """
     if mode not in ("sim1", "sim2"):
         raise ValueError(f"unknown semantic mode {mode!r}")
@@ -232,13 +257,11 @@ def run_semantic_session(
     session = HarqSession()
     for t in range(1, budget + 1):
         if mode == "sim1" or t == 1:
-            message = codec_mod.decode(src.first, transmit(t, src.sym_first))
+            rx = first(t)
         else:
-            message = message + codec_mod.decode(src.second, transmit(t, src.sym_second))
-        candidate, pooled, loss, s_true = src.receive(message)
-        s_hat = score_pooled(src.scorer, src.ref_emb, pooled)
-        ack = ack_decide(s_hat, threshold)
-        session.rounds.append(RoundRecord(s_hat, s_true, ack, candidate, loss))
+            rx = src.reception(rx.message + codec_mod.decode(src.second, transmit(t, src.sym_second)))
+        ack = ack_decide(rx.s_hat, threshold)
+        session.rounds.append(RoundRecord(rx.s_hat, rx.s_true, ack, rx.candidate, rx.task_loss))
         if ack:
             break
     return session

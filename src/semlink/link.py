@@ -22,10 +22,13 @@ full grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse
 -> ofdm.frame_extract, with its own payload placement and whole-grid noise
 draw; the link is bitwise equal to it.
 
-What a round draws from its seeds (pilot rows, channel realization, H on the
-simulated rows, unit-variance noise on them) does not depend on the payload
-or the SNR. A RoundDraws holds them; one instance passed to every transmit
-call with the same seeds computes them once for all those calls. A sweep's
+A RoundDraws holds what a round's link computes from its seeds alone: the
+draws (pilot rows, channel realization, H on the simulated rows,
+unit-variance noise on them) and, per SNR and set of simulated rows, the
+pilot estimate. None of it depends on the payload, since the estimate reads
+only the received pilot rows. One instance passed to every transmit call
+with the same seeds computes each part once for all those calls, so every
+payload sent at one SNR shares one rxdsp.estimate call. A sweep's
 harness.SessionCache keeps one per session index and round, beside the harq
 sources that keep the symbols; other callers pass none and make their own.
 """
@@ -56,12 +59,14 @@ class LinkSeeds:
 
 
 class RoundDraws:
-    """The seed-determined draws of one link round, each made on first use.
+    """The seed-determined parts of one link round, each made on first use.
 
     Holds the pilot rows, the channel realization and, per set of simulated
-    rows, H on those rows and the unit-variance noise on them. Every array is
-    read-only. A transmit call given draws made for other seeds, another
-    config or another channel profile raises ValueError.
+    rows, H on those rows and the unit-variance noise on them; per SNR and set
+    of simulated rows it holds the pilot estimate, which does not depend on
+    the payload. Every array is read-only.
+    A transmit call given draws made for other seeds, another config or
+    another channel profile raises ValueError.
     """
 
     def __init__(self, cfg: ofdm.OfdmConfig, profile: chan.ChannelProfile, seeds: LinkSeeds):
@@ -69,9 +74,11 @@ class RoundDraws:
         self.profile = profile
         self.seeds = seeds
         self.pilots = _frozen(ofdm.pilot_rows(cfg, seeds.pilot))
+        self.pilot_rows = cfg.pilot_rows_idx[:2]  # the rows rxdsp.estimate reads
         self.real = chan.realize(profile, cfg, cfg.n_symbols, seeds.channel)
         self._response = {}
         self._noise = {}
+        self._estimate = {}
 
     def response(self, rows: tuple[int, ...]) -> np.ndarray:
         """H on the symbol rows `rows`, in that order."""
@@ -85,6 +92,26 @@ class RoundDraws:
             shape = (self.cfg.n_symbols, self.cfg.l_fft)
             self._noise[rows] = _frozen(chan._noise_rows(self.seeds.noise, shape, rows))
         return self._noise[rows]
+
+    def received(self, tx: np.ndarray, rows: tuple[int, ...], part: slice, snr_db: float | None) -> np.ndarray:
+        """What arrives on rows[part] when they carry tx: H times tx, plus the
+        noise at snr_db's variance unless snr_db is None."""
+        rx = self.response(rows)[part] * tx
+        if snr_db is not None:
+            rx = rx + np.sqrt(chan.noise_variance(snr_db)) * self.noise(rows)[part]
+        return rx
+
+    def estimate(self, snr_db: float | None, data_rows: tuple[int, ...]) -> np.ndarray:
+        """rxdsp.estimate's H on `data_rows`, from pilot_rows received at
+        snr_db, when a transmit call simulates pilot_rows + data_rows."""
+        key = (snr_db, data_rows)
+        if key not in self._estimate:
+            n_p = len(self.pilot_rows)
+            pilots = self.pilots[:n_p]
+            rx = self.received(pilots, self.pilot_rows + data_rows, slice(None, n_p), snr_db)
+            h = rxdsp.estimate(rx, pilots, self.pilot_rows, data_rows, self.cfg.l_cp)
+            self._estimate[key] = _frozen(h)
+        return self._estimate[key]
 
 
 def _transmit(
@@ -105,24 +132,14 @@ def _transmit(
         draws = RoundDraws(cfg, profile, seeds)
     elif (draws.seeds, draws.cfg, draws.profile) != (seeds, cfg, profile):
         raise ValueError("round draws were made for other seeds, config or channel profile")
-    pilot_rows = cfg.pilot_rows_idx[:2]  # the rows rxdsp.estimate reads
+    noise_var = 0.0 if snr_db is None else chan.noise_variance(snr_db)
     data_rows = cfg.data_rows_idx[: -(-n // cfg.l_fft)]
-    n_p = len(pilot_rows)
 
-    tx = np.zeros((n_p + len(data_rows), cfg.l_fft), dtype=np.complex128)
-    pilots = draws.pilots[:n_p]
-    tx[:n_p] = pilots
-    tx[n_p:].reshape(-1)[:n] = symbols
-
-    rows = pilot_rows + data_rows
-    rx = draws.response(rows) * tx
-    noise_var = 0.0
-    if snr_db is not None:
-        noise_var = chan.noise_variance(snr_db)
-        rx = rx + np.sqrt(noise_var) * draws.noise(rows)
-
-    h = rxdsp.estimate(rx[:n_p], pilots, pilot_rows, data_rows, cfg.l_cp)
-    eq = rxdsp.equalize_mmse(rx[n_p:], h, noise_var)
+    tx = np.zeros((len(data_rows), cfg.l_fft), dtype=np.complex128)
+    tx.reshape(-1)[:n] = symbols
+    rx = draws.received(tx, draws.pilot_rows + data_rows, slice(len(draws.pilot_rows), None), snr_db)
+    h = draws.estimate(snr_db, data_rows)
+    eq = rxdsp.equalize_mmse(rx, h, noise_var)
     return eq.reshape(-1)[:n], h.reshape(-1)[:n], noise_var
 
 

@@ -24,11 +24,12 @@ from conftest import score, tiny_config
 from semlink import codec
 from semlink import config as config_mod
 from semlink import detector
-from semlink import harness
+from semlink import harness, harq, rxdsp
 from semlink.config import default_config_text
 from semlink.harq import (
     BaselineSource,
     HarqSession,
+    Reception,
     RoundRecord,
     SemanticSource,
     run_baseline_session,
@@ -492,8 +493,10 @@ SWEEP_BETA = 0.9505
 
 def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
     """A session built from the package's parts with no SessionCache and no
-    RoundDraws: the scene, its source and link draws are all made afresh,
-    round t's link call from the seeds of (master seed, idx, t)."""
+    RoundDraws: the scene, its source, link draws, pilot estimates and every
+    reception are all made afresh, round t's link call from the seeds of
+    (master seed, idx, t), each pair-1 round by its own chain of transmit,
+    decode, receive and score."""
     cfg = bundle.cfg
     ms = cfg.experiment.master_seed
     profile = cfg.channel_profile()
@@ -508,8 +511,13 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
             seeds = LinkSeeds.derive(ms, "session", idx, t)
             return transmit_symbols(x, cfg.ofdm, profile, snr_db, seeds)
 
+        def first(t):
+            message = codec.decode(src.first, transmit(t, src.sym_first))
+            candidate, pooled, loss, s_true = src.receive(message)
+            return Reception(message, candidate, loss, s_true, score(src.scorer, src.ref_pooled, pooled))
+
         protocol, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
-        session = run_semantic_session(src, protocol, rounds, beta, transmit)
+        session = run_semantic_session(src, protocol, rounds, beta, first, transmit)
     else:
         src = BaselineSource(
             bundle.head, scene, f, cfg.baseline_cells(),
@@ -560,25 +568,91 @@ def test_cached_sweep_matches_uncached_sessions(sweep_bundle, uncached_sweep, tm
 
 def test_session_with_shared_cache_matches_uncached(tiny_bundle):
     # sessions on a cache that other modes and SNRs filled give the records
-    # they give with no cache
+    # they give with no cache, whether sim2 runs last or first and so fills
+    # the reception memo that noharq and sim1 then read; each order starts
+    # from a fresh cache
     idx = 2
     bundle = _set(tiny_bundle, "detector", ack_threshold=0.999)
-    cache = harness.SessionCache(bundle, idx)
-    for mode in ("noharq", "sim1", "base2"):
-        for snr_db in (0.0, 9.0):
-            harness.run_session(bundle, mode, snr_db, idx, cache=cache)
-    sim2 = harness.run_session(bundle, "sim2", 0.0, idx, cache=cache)
-    assert sim2.rounds_used == 3  # beta 0.999 acknowledges nothing
-    assert sim2 == harness.run_session(bundle, "sim2", 0.0, idx)
-    base1 = harness.run_session(bundle, "base1", 0.0, idx, cache=cache)
-    assert base1.rounds_used > 1
-    assert base1 == harness.run_session(bundle, "base1", 0.0, idx)
+    grid = [(mode, snr_db) for mode in ("noharq", "sim1", "base2", "sim2", "base1") for snr_db in (0.0, 9.0)]
+    sim2_last, sim2_first = grid, grid[6:8] + grid[:6] + grid[8:]
+    for order in (sim2_last, sim2_first):
+        cache = harness.SessionCache(bundle, idx)
+        records = {}
+        for mode, snr_db in order:
+            records[mode, snr_db] = harness.run_session(bundle, mode, snr_db, idx, cache=cache)
+            assert records[mode, snr_db] == harness.run_session(bundle, mode, snr_db, idx)
+        assert records["sim2", 0.0].rounds_used == 3  # beta 0.999 acknowledges nothing
+        assert records["base1", 0.0].rounds_used > 1
+
+
+def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
+    # over one index, pair 1 is decoded and the pilot estimate made once per
+    # (SNR, round) that any session reaches, and each distinct reception is
+    # scored once; sim2's pair-2 rounds are the only receptions of their own
+    counts = {"pair1": 0, "pair2": 0, "estimate": 0, "score": 0}
+
+    def counting(module, name, key):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[key(args)] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(codec, "decode", lambda args: "pair1" if args[0] is sweep_bundle.codec_pair1 else "pair2")
+    counting(rxdsp, "estimate", lambda args: "estimate")
+    counting(harq, "score_pooled", lambda args: "score")
+    cfg, idx = sweep_bundle.cfg, 4  # at this index the semantic modes stop at round 1 at 18 dB only
+    cache = harness.SessionCache(sweep_bundle, idx)
+
+    def rows(n):
+        return -(-n // cfg.ofdm.l_fft)
+
+    def run(modes, n_symbols):
+        records = [harness.run_session(sweep_bundle, mode, snr_db, idx, cache=cache)
+                   for mode in modes for snr_db in (0.0, 18.0)]
+        return [(r.mode, r.snr_db, t, rows(n_symbols[r.mode]))
+                for r in records for t in range(1, r.rounds_used + 1)]
+
+    n_cu = cfg.codec.n_cu
+    rounds = run(("noharq", "sim1", "sim2"), {"noharq": n_cu, "sim1": n_cu, "sim2": n_cu})
+    pair1 = {(snr_db, t) for mode, snr_db, t, _ in rounds if mode != "sim2" or t == 1}
+    pair2 = [(snr_db, t) for mode, snr_db, t, _ in rounds if mode == "sim2" and t > 1]
+    assert pair2 and len(pair1) == 3  # (0 dB, rounds 1 and 2), (18 dB, round 1)
+    assert len(pair1) < len(rounds) - len(pair2)  # the memo was read
+    assert counts == {"pair1": len(pair1), "pair2": len(pair2),
+                      "estimate": len({(snr_db, t, n) for _, snr_db, t, n in rounds}),
+                      "score": len(pair1) + len(pair2)}
+
+    src = cache.baseline
+    rounds += run(("base1", "base2"), {"base1": src.codeword.size, "base2": src.chunk.size})
+    assert counts == {"pair1": len(pair1), "pair2": len(pair2),
+                      "estimate": len({(snr_db, t, n) for _, snr_db, t, n in rounds}),
+                      "score": len(pair1) + len(pair2)}
+
+
+def test_shared_receptions_are_read_only(sweep_bundle):
+    # sessions of every semantic mode share the memo's receptions and the
+    # round draws' estimates, so none of their arrays can be written
+    cache = harness.SessionCache(sweep_bundle, 1)
+    for mode in ("noharq", "sim1", "sim2"):
+        harness.run_session(sweep_bundle, mode, 6.0, 1, cache=cache)
+    receptions = list(cache._first.values())
+    estimates = [h for t in range(1, 3) for h in cache.draws(t)._estimate.values()]
+    assert receptions and estimates
+    for rx in receptions:
+        assert not rx.message.flags.writeable
+        assert not rx.candidate.data.flags.writeable
+        with pytest.raises(ValueError):
+            rx.message[0] = 0.0
+    for h in estimates:
+        assert not h.flags.writeable
 
 
 def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
     # the baseline modes read only the proxy head, so they run on a bundle
     # without codecs or scorer and write the bytes of the trained bundle;
-    # their sessions never build a semantic source
+    # their sessions never build a semantic source or fill the reception memo
     trained = _set(tiny_bundle, "experiment", round_budget=2)
     cfg = trained.cfg
     bare = harness.RuntimeBundle(cfg, harness.make_head(cfg), None, None, None)
@@ -586,10 +660,12 @@ def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
         harness.run_sweep(bundle, ("base1", "base2"), SWEEP_SNRS, tmp_path / name, sessions=3)
     for name in ("sessions.csv", "summary.csv"):
         assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "trained" / name).read_bytes()
-    cache = harness.SessionCache(bare, 0)
-    for mode in ("base1", "base2"):
-        harness.run_session(bare, mode, 0.0, 0, cache=cache)
-    assert "semantic" not in vars(cache)
+    for bundle in (bare, trained):
+        cache = harness.SessionCache(bundle, 0)
+        for mode in ("base1", "base2"):
+            harness.run_session(bundle, mode, 0.0, 0, cache=cache)
+        assert "semantic" not in vars(cache)
+        assert not cache._first
 
 
 @pytest.mark.parametrize("mode", ["sim1", "base1"])

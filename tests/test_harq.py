@@ -200,9 +200,17 @@ def _identity(t, s):
     return s
 
 
+def _session(src, mode, budget, threshold, transmit):
+    """run_semantic_session with every round, pair 1's too, sent by `transmit`
+    and received afresh."""
+    def first(t):
+        return src.reception(codec_mod.decode(src.first, transmit(t, src.sym_first)))
+    return run_semantic_session(src, mode, budget, threshold, first, transmit)
+
+
 def test_semantic_session_ack_stops_immediately():
     src = _semantic_source()
-    session = run_semantic_session(src, "sim1", 3, 0.01, _identity)
+    session = _session(src, "sim1", 3, 0.01, _identity)
     assert session.rounds_used == 1
     assert session.ack_round == 1
     assert session.rounds[0].ack
@@ -214,7 +222,7 @@ def test_semantic_session_exhausts_budget_without_ack():
     def transmit(t, s):
         calls.append(t)
         return s
-    session = run_semantic_session(src, "sim1", 3, 0.999999, transmit)
+    session = _session(src, "sim1", 3, 0.999999, transmit)
     assert session.rounds_used == 3
     assert session.ack_round == 0
     assert calls == [1, 2, 3]
@@ -222,7 +230,7 @@ def test_semantic_session_exhausts_budget_without_ack():
 
 def test_sim1_keeps_latest_decode_as_candidate():
     src = _semantic_source()
-    session = run_semantic_session(src, "sim1", 2, 0.999999, _identity)
+    session = _session(src, "sim1", 2, 0.999999, _identity)
     # identity channel: both rounds decode identically
     assert np.allclose(session.rounds[0].candidate.data, session.rounds[1].candidate.data)
     expect = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed))
@@ -232,7 +240,7 @@ def test_sim1_keeps_latest_decode_as_candidate():
 
 def test_sim2_accumulates_decoded_messages():
     src = _semantic_source()
-    session = run_semantic_session(src, "sim2", 3, 0.999999, _identity)
+    session = _session(src, "sim2", 3, 0.999999, _identity)
     d1 = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed))
     d2 = codec_mod.decode(src.second, codec_mod.encode(src.second, src.packed))
     got = pack_nonzero(session.rounds[2].candidate, src.mask)
@@ -251,19 +259,41 @@ def test_sim2_round_order_invariance():
     def transmit_swapped(t, s):
         return s if t == 1 else s + offsets[5 - t]
 
-    a = run_semantic_session(src, "sim2", 3, 0.999999, transmit_fwd)
-    b = run_semantic_session(src, "sim2", 3, 0.999999, transmit_swapped)
+    a = _session(src, "sim2", 3, 0.999999, transmit_fwd)
+    b = _session(src, "sim2", 3, 0.999999, transmit_swapped)
     assert np.allclose(a.rounds[2].candidate.data, b.rounds[2].candidate.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["sim1", "sim2"])
+def test_semantic_session_reads_pair1_rounds_from_first(mode):
+    # every round that sends the first pair is first(t), recorded as it is;
+    # transmit carries only sim2's second-pair rounds
+    src = _semantic_source()
+    firsts = {t: src.reception(codec_mod.decode(src.first, src.sym_first + 0.1 * t)) for t in (1, 2, 3)}
+    sent = []
+
+    def transmit(t, symbols):
+        sent.append(t)
+        assert symbols is src.sym_second
+        return symbols
+
+    session = run_semantic_session(src, mode, 3, 0.999999, firsts.__getitem__, transmit)
+    pair1 = (1, 2, 3) if mode == "sim1" else (1,)
+    assert sent == [t for t in (1, 2, 3) if t not in pair1]
+    for t in pair1:
+        rec, rx = session.rounds[t - 1], firsts[t]
+        assert rec.candidate is rx.candidate
+        assert (rec.s_hat, rec.s_true, rec.task_loss) == (rx.s_hat, rx.s_true, rx.task_loss)
 
 
 def test_semantic_session_validation():
     src = _semantic_source(with_second=False)
     with pytest.raises(ValueError):
-        run_semantic_session(src, "sim3", 3, 0.5, _identity)
+        _session(src, "sim3", 3, 0.5, _identity)
     with pytest.raises(ValueError):
-        run_semantic_session(src, "sim2", 3, 0.5, _identity)
+        _session(src, "sim2", 3, 0.5, _identity)
     with pytest.raises(ValueError):
-        run_semantic_session(src, "sim1", 0, 0.5, _identity)
+        _session(src, "sim1", 0, 0.5, _identity)
 
 
 def test_scorer_free_source_receives_what_a_session_records():
@@ -273,7 +303,7 @@ def test_scorer_free_source_receives_what_a_session_records():
     scored = _semantic_source()
     scene, f = generate_scene(1, SCENE_CFG, HEAD)
     bare = SemanticSource(scored.first, None, None, HEAD, scene, f, CELLS, 8)
-    session = run_semantic_session(scored, "sim1", 3, 0.999999, lambda t, s: s + 0.1 * t)
+    session = _session(scored, "sim1", 3, 0.999999, lambda t, s: s + 0.1 * t)
     assert session.rounds_used == 3
     for t, rec in enumerate(session.rounds, start=1):
         message = codec_mod.decode(bare.first, bare.sym_first + 0.1 * t)
@@ -282,7 +312,7 @@ def test_scorer_free_source_receives_what_a_session_records():
         assert (loss, s_true) == (rec.task_loss, rec.s_true)
         assert rec.s_hat == score(scored.scorer, bare.ref_pooled, pooled)
     with pytest.raises(ValueError, match="needs a scorer"):
-        run_semantic_session(bare, "sim1", 1, 0.5, _identity)
+        _session(bare, "sim1", 1, 0.5, _identity)
 
 
 # -- chase combining --
@@ -477,8 +507,8 @@ def test_session_similarity_is_measured_against_the_reference():
     semantic = _semantic_source()
     baseline = _baseline_source()
     sessions = [
-        (semantic, run_semantic_session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t)),
-        (semantic, run_semantic_session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t)),
+        (semantic, _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t)),
+        (semantic, _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t)),
         (baseline, run_baseline_session(baseline, "base2", 3, corrupting)),
         (baseline, run_baseline_session(baseline, "base1", 3, corrupting)),
     ]
@@ -496,8 +526,8 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
     # that share a source (and its reference embedding)
     semantic = _semantic_source()
     runs = [
-        run_semantic_session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t),
-        run_semantic_session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t),
+        _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t),
+        _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t),
     ]
     ref_map = confidence_map(semantic.f_ref, HEAD)
     for session in runs:

@@ -67,8 +67,10 @@ def test_row_sparse_link_matches_full_grid(name, size, snr_db, amplitude):
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
 def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
-    # each transmit runs the public estimator and equalizer once; a RoundDraws
-    # asks channel.freq_response for H once per new set of simulated rows
+    # each transmit runs the public equalizer once; a RoundDraws runs the
+    # public estimator once per new (SNR, set of simulated rows), since the
+    # estimate reads only the pilot rows, and asks channel.freq_response for
+    # H once per new set of simulated rows
     counts = Counter()
     for module, name in ((rxdsp, "estimate"), (rxdsp, "equalize_mmse"), (channel, "freq_response")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -77,13 +79,33 @@ def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
         monkeypatch.setattr(module, name, counted)
     seeds = LinkSeeds(pilot=31, channel=32, noise=33)
     draws = RoundDraws(TINY, PROFILE, seeds)
-    # one data row, two, then both row sets again
-    for calls, n in enumerate((5, TINY.l_fft + 1, 7, TINY.l_fft + 2), start=1):
-        link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, 6.0, seeds, draws=draws)
-        assert counts["estimate"] == counts["equalize_mmse"] == calls
-    assert counts["freq_response"] == 2
+    # one data row, two, both row sets again, then both at another SNR and
+    # with no noise: (payload size, SNR, estimates and H responses so far)
+    steps = [
+        (5, 6.0, 1, 1), (TINY.l_fft + 1, 6.0, 2, 2), (7, 6.0, 2, 2), (TINY.l_fft + 2, 6.0, 2, 2),
+        (9, 0.0, 3, 2), (TINY.l_fft + 3, 0.0, 4, 2), (11, 0.0, 4, 2), (13, None, 5, 2),
+    ]
+    for calls, (n, snr_db, estimates, responses) in enumerate(steps, start=1):
+        link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, snr_db, seeds, draws=draws)
+        assert (counts["estimate"], counts["equalize_mmse"], counts["freq_response"]) == (
+            estimates, calls, responses)
     link_fn(_payload(5, 1.0, seed=5), TINY, PROFILE, None, seeds)  # draws of its own
-    assert (counts["estimate"], counts["equalize_mmse"], counts["freq_response"]) == (5, 5, 3)
+    assert (counts["estimate"], counts["equalize_mmse"], counts["freq_response"]) == (6, 9, 3)
+
+
+def test_round_draws_estimate_is_read_only_and_payload_free():
+    # the estimate a RoundDraws keeps is the one every payload at that SNR
+    # gets, and no caller can write into it
+    seeds = LinkSeeds(pilot=41, channel=42, noise=43)
+    draws = RoundDraws(TINY, PROFILE, seeds)
+    rows = TINY.data_rows_idx[:1]
+    h = draws.estimate(6.0, rows)
+    assert not h.flags.writeable
+    assert draws.estimate(6.0, rows) is h
+    for n in (3, TINY.l_fft):
+        _, got_h, _ = transmit_with_state(_payload(n, 1.0, seed=n), TINY, PROFILE, 6.0, seeds, draws=draws)
+        assert _same_bits(got_h, h.reshape(-1)[:n])
+    assert not _same_bits(draws.estimate(0.0, rows), h)
 
 
 def _realize_loop(profile, cfg, n_symbols, seed):
