@@ -8,9 +8,10 @@ SNR is defined per unit mean symbol power (SIGNAL_POWER): noise_variance is
 the one SNR rule of the link, its MMSE equalizer and the codec's surrogate
 channel.
 
-The link (link.RoundDraws) and its full-grid oracle share realize and
-freq_response. Noise is drawn apart: apply draws the whole grid at once,
-the link row by row (_noise_rows), and the oracle checks they agree.
+The link (link.RoundDraws) and its full-grid oracle share realize,
+freq_response and _noise_rows, the one noise rule: each symbol row's noise
+comes from its own stream, so the link draws only the rows it simulates and
+apply draws every row.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ofdm import OfdmConfig
+from .seeding import derive_seed
 
 SPEED_OF_LIGHT = 2.99792458e8
 SIGNAL_POWER = 1.0  # mean per-symbol power every SNR is defined on
@@ -168,38 +170,32 @@ def apply(
 ) -> np.ndarray:
     """Multiply the grid by the frequency response and add white noise.
 
-    snr_db=None disables noise. The noise realization depends only on
-    noise_seed and the grid shape, so sweeping SNR with a fixed seed rescales
-    one common draw. Noise-stream contract, shared with the row-sparse link
-    (_noise_rows): a PCG64 generator seeded with noise_seed draws the real
-    parts of the whole (n_symbols, l_fft) grid in row-major order, then the
-    imaginary parts; cell (j, k) gets (re + 1j * im) / sqrt(2) scaled by the
-    noise standard deviation.
+    snr_db=None disables noise. The noise is _noise_rows(noise_seed, every
+    row, l_fft) scaled by the noise standard deviation, so sweeping SNR with a
+    fixed seed rescales one common draw, and row j's noise is the same
+    whichever other rows a caller simulates.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.shape != (real.n_symbols, cfg.l_fft):
         raise ValueError(f"grid shape {grid.shape} does not match realization/config")
     rx = freq_response(real, cfg) * grid
     if snr_db is not None:
-        rng = np.random.Generator(np.random.PCG64(noise_seed))
-        z = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) / np.sqrt(2.0)
+        z = _noise_rows(noise_seed, range(real.n_symbols), cfg.l_fft)
         rx = rx + np.sqrt(noise_variance(snr_db)) * z
     return rx
 
 
-def _noise_rows(noise_seed: int, shape: tuple[int, int], rows) -> np.ndarray:
-    """Rows `rows` of the unit-variance noise block apply draws for a grid of `shape`.
+def _noise_rows(noise_seed: int, rows, l_fft: int) -> np.ndarray:
+    """Unit-variance circular complex Gaussian noise on the symbol rows `rows`,
+    shaped (len(rows), l_fft).
 
-    Draws the same stream as apply, one row at a time, and keeps only the
-    rows asked for, so no full-grid temporary is allocated.
+    Noise-stream contract: row j's noise depends only on (noise_seed, j). A
+    PCG64 generator seeded with derive_seed(noise_seed, "noise-row", j) draws
+    the row's l_fft real parts, then its l_fft imaginary parts; cell k gets
+    (re[k] + 1j * im[k]) / sqrt(2).
     """
-    n_symbols, l_fft = shape
-    rng = np.random.Generator(np.random.PCG64(noise_seed))
-    slot = {r: i for i, r in enumerate(rows)}
-    parts = np.empty((2, len(slot), l_fft))
-    unused = np.empty(l_fft)
-    for part in parts:  # real parts of every row, then imaginary parts
-        for j in range(n_symbols):
-            rng.standard_normal(out=part[slot[j]] if j in slot else unused)
-    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
-
+    parts = np.empty((len(rows), 2, l_fft))
+    for part, j in zip(parts, rows):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(noise_seed, "noise-row", j)))
+        rng.standard_normal(out=part)
+    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)

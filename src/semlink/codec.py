@@ -173,8 +173,8 @@ def surrogate_roundtrip(
 
     With draws > 1 the encoder runs once, the channel noise of all draws is
     drawn in one call (the same stream as `draws` calls of one draw each),
-    each draw is decoded on its own, and the result is the mean of the draws'
-    reconstructions.
+    the decoder runs once over the draws' stacked rows, and the result is the
+    mean of the draws' reconstructions.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -183,7 +183,8 @@ def surrogate_roundtrip(
     y = rng.standard_normal((draws,) + xn.shape)
     y *= np.sqrt(noise_variance(snr_db) / 2.0)
     np.add(xn, y, out=y)
-    return np.mean([nnkit.forward(codec.decoder, y_k) for y_k in y], axis=0)
+    out = nnkit.forward(codec.decoder, y.reshape(-1, xn.shape[1]))
+    return out.reshape(draws, xn.shape[0], -1).mean(axis=0)
 
 
 def _check_finite(value: float, context: str) -> None:

@@ -15,12 +15,13 @@ that index shares one SessionCache. The cache holds what depends on the index
 alone: the scene, its harq.SemanticSource and harq.BaselineSource (each
 computes its codewords and reference values once, for every session that
 runs from it), and per round the link's seed-determined draws (pilots,
-channel realization, H and unit-variance noise on the simulated rows, and
-per SNR the pilot estimate). It also holds the receptions: per (SNR, round)
-the scored harq.Reception of the first codec pair's symbols, which noharq,
-every sim1 round and sim2's first round read, so each is computed once per
-index. A cache lives for one index of one run_sweep call, so memory does not
-grow with the number of sessions and no later sweep starts warm.
+channel realization, and per set of simulated data rows H, the noise and
+the two parts of the pilot estimate that every SNR combines). It also holds
+the receptions: per (SNR, round) the scored harq.Reception of the first codec
+pair's symbols, which noharq, every sim1 round and sim2's first round read,
+so each is computed once per index. A cache lives for one index of one
+run_sweep call, so memory does not grow with the number of sessions and no
+later sweep starts warm.
 """
 
 from __future__ import annotations

@@ -11,26 +11,31 @@ received values reach the output. Those are the pilot rows the estimator
 interpolates through (the first two, or the only one), at full width because
 the estimate is denoised in the delay domain, and the data rows the payload
 occupies. Every other cell of the frame carries zero padding or an unused
-pilot. The noise on the simulated rows is the same draw the full grid gets:
-the whole grid's noise stream is still drawn (channel._noise_rows), because
-drawing only the rows in use would change the seed-to-noise mapping and
-with it every sweep result for a given seed.
+pilot. Each row's noise comes from its own stream (channel._noise_rows), so
+the rows the link draws carry the noise the full grid has on them.
 
-The link runs channel.freq_response, rxdsp.estimate and rxdsp.equalize_mmse
-on its rows. Its oracle (tests/test_link.py) runs them on every row of the
-full grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse
--> ofdm.frame_extract, with its own payload placement and whole-grid noise
-draw; the link is bitwise equal to it.
+rxdsp.estimate is linear in the received pilots: with y = H_p*p + sigma*z_p
+it equals estimate(H_p*p) + sigma*estimate(z_p) up to rounding. So a round
+makes two estimates per set of data rows, not one per SNR: a, from the
+noiseless pilots, which is what a noiseless call uses, and b, from the pilot
+rows' noise alone, on the first noisy call. A transmit call at noise standard
+deviation sigma then works on its n payload cells only: it receives
+H*x + sigma*z, estimates a + sigma*b, and equalizes with rxdsp.equalize_mmse.
+A noiseless call draws no noise and makes no b.
+
+Its oracle (tests/test_link.py) runs the receiver on every row of the full
+grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse
+-> ofdm.frame_extract, with its own payload placement. Noiseless calls are
+bitwise equal to it. With noise the received cells are bitwise equal, and
+the estimate is within rounding of the oracle's; the test states the bound.
 
 A RoundDraws holds what a round's link computes from its seeds alone: the
-draws (pilot rows, channel realization, H on the simulated rows,
-unit-variance noise on them) and, per SNR and set of simulated rows, the
-pilot estimate. None of it depends on the payload, since the estimate reads
-only the received pilot rows. One instance passed to every transmit call
-with the same seeds computes each part once for all those calls, so every
-payload sent at one SNR shares one rxdsp.estimate call. A sweep's
-harness.SessionCache keeps one per session index and round, beside the harq
-sources that keep the symbols; other callers pass none and make their own.
+pilot rows, the channel realization and, per set of simulated data rows, H
+with a, and the noise with b. None of it depends on the payload or the SNR.
+One instance passed to every transmit call with the same seeds computes each
+part once for all those calls. A sweep's harness.SessionCache keeps one per
+session index and round, beside the harq sources that keep the symbols;
+other callers pass none and make their own.
 """
 
 from __future__ import annotations
@@ -61,10 +66,11 @@ class LinkSeeds:
 class RoundDraws:
     """The seed-determined parts of one link round, each made on first use.
 
-    Holds the pilot rows, the channel realization and, per set of simulated
-    rows, H on those rows and the unit-variance noise on them; per SNR and set
-    of simulated rows it holds the pilot estimate, which does not depend on
-    the payload. Every array is read-only.
+    Holds the pilot rows rxdsp.estimate reads and the channel realization.
+    Per set of simulated data rows it holds, flattened row-major over those
+    rows: H and a, the estimate from the noiseless pilots (clean); and, once
+    a call is noisy, the unit-variance noise and b, the estimate from the
+    pilot rows' noise alone (noisy). Every array is read-only.
     A transmit call given draws made for other seeds, another config or
     another channel profile raises ValueError.
     """
@@ -73,45 +79,35 @@ class RoundDraws:
         self.cfg = cfg
         self.profile = profile
         self.seeds = seeds
-        self.pilots = _frozen(ofdm.pilot_rows(cfg, seeds.pilot))
         self.pilot_rows = cfg.pilot_rows_idx[:2]  # the rows rxdsp.estimate reads
+        self.pilots = _frozen(ofdm.pilot_rows(cfg, seeds.pilot)[: len(self.pilot_rows)])
         self.real = chan.realize(profile, cfg, cfg.n_symbols, seeds.channel)
-        self._response = {}
-        self._noise = {}
-        self._estimate = {}
+        self._clean = {}
+        self._noisy = {}
 
-    def response(self, rows: tuple[int, ...]) -> np.ndarray:
-        """H on the symbol rows `rows`, in that order."""
-        if rows not in self._response:
-            self._response[rows] = _frozen(chan.freq_response(self.real, self.cfg, rows))
-        return self._response[rows]
+    def _estimate(self, rx_pilots: np.ndarray, data_rows: tuple[int, ...]) -> np.ndarray:
+        est = rxdsp.estimate(rx_pilots, self.pilots, self.pilot_rows, data_rows, self.cfg.l_cp)
+        return _frozen(est.reshape(-1))
 
-    def noise(self, rows: tuple[int, ...]) -> np.ndarray:
-        """Unit-variance noise on the symbol rows `rows` (channel._noise_rows)."""
-        if rows not in self._noise:
-            shape = (self.cfg.n_symbols, self.cfg.l_fft)
-            self._noise[rows] = _frozen(chan._noise_rows(self.seeds.noise, shape, rows))
-        return self._noise[rows]
-
-    def received(self, tx: np.ndarray, rows: tuple[int, ...], part: slice, snr_db: float | None) -> np.ndarray:
-        """What arrives on rows[part] when they carry tx: H times tx, plus the
-        noise at snr_db's variance unless snr_db is None."""
-        rx = self.response(rows)[part] * tx
-        if snr_db is not None:
-            rx = rx + np.sqrt(chan.noise_variance(snr_db)) * self.noise(rows)[part]
-        return rx
-
-    def estimate(self, snr_db: float | None, data_rows: tuple[int, ...]) -> np.ndarray:
-        """rxdsp.estimate's H on `data_rows`, from pilot_rows received at
-        snr_db, when a transmit call simulates pilot_rows + data_rows."""
-        key = (snr_db, data_rows)
-        if key not in self._estimate:
+    def clean(self, data_rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(H, a) on `data_rows`: the channel, and the estimate from the pilots
+        received without noise."""
+        if data_rows not in self._clean:
             n_p = len(self.pilot_rows)
-            pilots = self.pilots[:n_p]
-            rx = self.received(pilots, self.pilot_rows + data_rows, slice(None, n_p), snr_db)
-            h = rxdsp.estimate(rx, pilots, self.pilot_rows, data_rows, self.cfg.l_cp)
-            self._estimate[key] = _frozen(h)
-        return self._estimate[key]
+            h = chan.freq_response(self.real, self.cfg, self.pilot_rows + data_rows)
+            a = self._estimate(h[:n_p] * self.pilots, data_rows)
+            self._clean[data_rows] = (_frozen(h[n_p:].reshape(-1)), a)
+        return self._clean[data_rows]
+
+    def noisy(self, data_rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(z, b) on `data_rows`: the unit-variance noise, and the estimate from
+        the pilot rows' noise alone."""
+        if data_rows not in self._noisy:
+            n_p = len(self.pilot_rows)
+            z = chan._noise_rows(self.seeds.noise, self.pilot_rows + data_rows, self.cfg.l_fft)
+            b = self._estimate(z[:n_p], data_rows)
+            self._noisy[data_rows] = (_frozen(z[n_p:].reshape(-1)), b)
+        return self._noisy[data_rows]
 
 
 def _transmit(
@@ -132,15 +128,17 @@ def _transmit(
         draws = RoundDraws(cfg, profile, seeds)
     elif (draws.seeds, draws.cfg, draws.profile) != (seeds, cfg, profile):
         raise ValueError("round draws were made for other seeds, config or channel profile")
-    noise_var = 0.0 if snr_db is None else chan.noise_variance(snr_db)
     data_rows = cfg.data_rows_idx[: -(-n // cfg.l_fft)]
 
-    tx = np.zeros((len(data_rows), cfg.l_fft), dtype=np.complex128)
-    tx.reshape(-1)[:n] = symbols
-    rx = draws.received(tx, draws.pilot_rows + data_rows, slice(len(draws.pilot_rows), None), snr_db)
-    h = draws.estimate(snr_db, data_rows)
-    eq = rxdsp.equalize_mmse(rx, h, noise_var)
-    return eq.reshape(-1)[:n], h.reshape(-1)[:n], noise_var
+    response, a = draws.clean(data_rows)
+    rx, h, noise_var = response[:n] * symbols, a[:n], 0.0
+    if snr_db is not None:
+        noise_var = chan.noise_variance(snr_db)
+        z, b = draws.noisy(data_rows)
+        sigma = np.sqrt(noise_var)
+        rx = rx + sigma * z[:n]
+        h = h + sigma * b[:n]
+    return rxdsp.equalize_mmse(rx, h, noise_var), h, noise_var
 
 
 def transmit_symbols(

@@ -125,12 +125,16 @@ def qam_demap_hard(symbols: np.ndarray, order: int) -> np.ndarray:
     return out.reshape(-1)
 
 
+_QPSK = qam_map(np.array([0, 0, 0, 1, 1, 0, 1, 1]), 4)  # qam_map of each bit pair, in binary order
+
+
 def pilot_rows(cfg: OfdmConfig, seed: int) -> np.ndarray:
-    """Deterministic per-seed QPSK pilot rows, one per pilot symbol."""
+    """Deterministic per-seed QPSK pilot rows, one per pilot symbol: qam_map(bits, 4)
+    of the seed's bits, looked up per bit pair in a table qam_map made."""
     rng = np.random.Generator(np.random.PCG64(seed))
     n_p = len(cfg.pilot_symbols)
-    bits = rng.integers(0, 2, size=n_p * cfg.l_fft * 2)
-    return qam_map(bits, 4).reshape(n_p, cfg.l_fft)
+    bits = rng.integers(0, 2, size=(n_p * cfg.l_fft, 2))
+    return _QPSK.take(bits @ (2, 1)).reshape(n_p, cfg.l_fft)
 
 
 def frame_build(payload: np.ndarray, cfg: OfdmConfig, pilot_seed: int) -> np.ndarray:

@@ -5,9 +5,12 @@ zeroing taps beyond the cyclic prefix, then linearly interpolated (and
 extrapolated) across OFDM symbols. The noise variance is taken as known, and
 SNR is defined per unit mean symbol power (channel.SIGNAL_POWER).
 
-Both steps take any set of symbol rows and return plain arrays. The link runs
-them on the rows it simulates and its full-grid oracle on every row, so
-tests/test_rxdsp.py, not that oracle, checks this arithmetic.
+Both steps take any set of symbol rows and return plain arrays. The estimate
+is linear in the received pilots, which the link relies on: it estimates
+from the noiseless pilots and from the pilot rows' noise apart, and adds the
+two at each SNR (link.RoundDraws). The equalizer works cell by cell, so the
+link runs it on its payload cells only. Its full-grid oracle runs both on
+every row, so tests/test_rxdsp.py, not that oracle, checks this arithmetic.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from semlink.channel import (
     symbol_correlation,
 )
 from semlink.ofdm import OfdmConfig
+from semlink.seeding import derive_seed
 
 CFG = OfdmConfig(l_fft=64, n_symbols=14, l_cp=8)
 FULL = OfdmConfig()
@@ -185,6 +186,45 @@ def test_common_noise_draw_rescales_across_snr():
     n12 = (apply(grid, real, CFG, snr_db=12.0, noise_seed=9) - clean)
     scale = np.sqrt(noise_variance(12.0) / noise_variance(0.0))
     assert np.allclose(n12, n0 * scale, rtol=1e-12)
+
+
+def test_row_noise_follows_its_stated_rule():
+    # channel._noise_rows: row j's noise is drawn from its own PCG64 stream,
+    # keyed by (noise seed, j) alone, so any set of rows gets the rows the
+    # whole grid gets, and channel.apply adds exactly these rows
+    seed = 321
+    for j in (0, 5, 13):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "noise-row", j)))
+        re, im = rng.standard_normal((2, CFG.l_fft))
+        want = (re + 1j * im) / np.sqrt(2.0)
+        assert channel._noise_rows(seed, [j], CFG.l_fft).tobytes() == want.tobytes()
+    whole = channel._noise_rows(seed, range(14), CFG.l_fft)
+    assert channel._noise_rows(seed, (9, 2), CFG.l_fft).tobytes() == whole[[9, 2]].tobytes()
+    real = realize(default_profile(), CFG, 14, seed=24)
+    zero = np.zeros((14, CFG.l_fft))
+    assert apply(zero, real, CFG, snr_db=0.0, noise_seed=seed).tobytes() == whole.tobytes()
+
+
+def test_row_noise_statistics():
+    # over 400 seeds x 14 rows x 64 cells: every estimate below is a mean of
+    # N terms whose standard error is at most 1/sqrt(N) (|z|^2 is Exp(1),
+    # and each normalized cross term has unit variance), so each is checked
+    # to 6 standard errors
+    seeds, n_rows = 400, 14
+    z = np.stack([channel._noise_rows(s, range(n_rows), CFG.l_fft) for s in range(seeds)])
+
+    def within(value, n):
+        return abs(value) <= 6.0 / np.sqrt(n)
+
+    power = np.abs(z) ** 2
+    assert within(power.mean() - 1.0, power.size)
+    assert all(within(m - 1.0, seeds) for m in power.mean(axis=0).ravel())  # per cell, over seeds
+    re, im = np.sqrt(2.0) * z.real, np.sqrt(2.0) * z.imag  # unit-variance parts
+    assert within(np.mean(re * im), z.size)
+    for j in range(n_rows):
+        for k in range(j + 1, n_rows):  # rows of one seed
+            assert within(np.mean(z[:, j] * np.conj(z[:, k])), seeds * CFG.l_fft)
+    assert within(np.mean(z[1:] * np.conj(z[:-1])), (seeds - 1) * n_rows * CFG.l_fft)  # neighbouring seeds
 
 
 def test_noiseless_apply_is_linear():

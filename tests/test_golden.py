@@ -14,19 +14,19 @@ from semlink import config as config_mod
 from semlink import harness
 
 TRAIN = {
-    "bundle.ckpt": "9237c86c9f5f545f073b54b69d1855cc071a1fe47b5ce563085e11b4f832ed9d",
-    "corpus.bin": "391b4e290e98e7065cd6a5947258b6b5014c05102e568ca748b7b60ca8a4350c",
-    "detector_calibration.csv": "f1000fc4c85eb085758abb5ac3b3dce800ae8240f582dee917b806d0da473ccd",
+    "bundle.ckpt": "582496c82d899c405e75afeed9f7d166d9d3a5910a4fc6c1ccb620fee2097c95",
+    "corpus.bin": "8a870d502aef0d3f8d55c2f4d5974bc0269c5ca5987d358a325d9821000f7eea",
+    "detector_calibration.csv": "9975efa5ecb2483afaf3c6594c5103b3f1961544759f41d661a7f65a6700494a",
     "train_codecs.csv": "5a4a4f39721b250edd3d6847edc70609bd0d1dcfe5ab2492de33f6eea6148983",
-    "train_detector.csv": "81d250a01d4a88113a0bfa37f34479777b8b7348ca09b48c88c7d2bf24c49eb2",
+    "train_detector.csv": "04da39bf1515c48aaf456edaed974987e866ba7d43e5156e43c730e053753c02",
 }
 TINY_SWEEP = {
-    "sessions.csv": "4798ec46b84fc59648ba6d42aa977cc099983acd00ba51b9d25b8941e5f183b9",
-    "summary.csv": "785b1142afb7087629ad471ecf8ca16d534d2bfdf519920463804975d2e1ee4b",
+    "sessions.csv": "ac56fa4a5bb4a8f7bca7471a924832fda3fc9d22372e5a4dc705b06278b04da1",
+    "summary.csv": "752729bda1af05127d8cd095543097112702ac8d49e2544a49618478b24bcaac",
 }
 DEFAULT_BASELINE_SWEEP = {
-    "sessions.csv": "3cacb00e6afcbae19fdca14df2c6f72b861b060101d0ef382aec19088514f568",
-    "summary.csv": "d67466e1790a979d0360b510367464ecd6f5463c419a780e4278c4affb92eba9",
+    "sessions.csv": "a843ca3a78edba9a123a8b4a166cc33c88cc3c225c34760e4ec663160f2eecbd",
+    "summary.csv": "1f2a00dbfbb47f4a8f377c7e000337b64e5943c46ea2afcc955a7c7c44f41d97",
 }
 
 

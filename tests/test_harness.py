@@ -586,9 +586,11 @@ def test_session_with_shared_cache_matches_uncached(tiny_bundle):
 
 
 def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
-    # over one index, pair 1 is decoded and the pilot estimate made once per
-    # (SNR, round) that any session reaches, and each distinct reception is
-    # scored once; sim2's pair-2 rounds are the only receptions of their own
+    # over one index, pair 1 is decoded once per (SNR, round) that any
+    # session reaches, and each distinct reception is scored once; sim2's
+    # pair-2 rounds are the only receptions of their own. The pilot estimate
+    # is made twice per (round, data rows), its noiseless and its noise part,
+    # whatever the number of SNRs
     counts = {"pair1": 0, "pair2": 0, "estimate": 0, "score": 0}
 
     def counting(module, name, key):
@@ -602,7 +604,7 @@ def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
     counting(codec, "decode", lambda args: "pair1" if args[0] is sweep_bundle.codec_pair1 else "pair2")
     counting(rxdsp, "estimate", lambda args: "estimate")
     counting(harq, "score_pooled", lambda args: "score")
-    cfg, idx = sweep_bundle.cfg, 4  # at this index the semantic modes stop at round 1 at 18 dB only
+    cfg, idx = sweep_bundle.cfg, 6  # at this index the semantic modes stop at round 1 at 18 dB only
     cache = harness.SessionCache(sweep_bundle, idx)
 
     def rows(n):
@@ -621,32 +623,34 @@ def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
     assert pair2 and len(pair1) == 3  # (0 dB, rounds 1 and 2), (18 dB, round 1)
     assert len(pair1) < len(rounds) - len(pair2)  # the memo was read
     assert counts == {"pair1": len(pair1), "pair2": len(pair2),
-                      "estimate": len({(snr_db, t, n) for _, snr_db, t, n in rounds}),
+                      "estimate": 2 * len({(t, n) for _, _, t, n in rounds}),
                       "score": len(pair1) + len(pair2)}
 
     src = cache.baseline
     rounds += run(("base1", "base2"), {"base1": src.codeword.size, "base2": src.chunk.size})
     assert counts == {"pair1": len(pair1), "pair2": len(pair2),
-                      "estimate": len({(snr_db, t, n) for _, snr_db, t, n in rounds}),
+                      "estimate": 2 * len({(t, n) for _, _, t, n in rounds}),
                       "score": len(pair1) + len(pair2)}
 
 
 def test_shared_receptions_are_read_only(sweep_bundle):
     # sessions of every semantic mode share the memo's receptions and the
-    # round draws' estimates, so none of their arrays can be written
+    # round draws' kept parts (H, the noise and both estimate parts), so none
+    # of their arrays can be written
     cache = harness.SessionCache(sweep_bundle, 1)
     for mode in ("noharq", "sim1", "sim2"):
         harness.run_session(sweep_bundle, mode, 6.0, 1, cache=cache)
     receptions = list(cache._first.values())
-    estimates = [h for t in range(1, 3) for h in cache.draws(t)._estimate.values()]
-    assert receptions and estimates
+    draws = [cache.draws(t) for t in range(1, 3)]
+    kept = [a for d in draws for parts in (*d._clean.values(), *d._noisy.values()) for a in parts]
+    assert receptions and kept
     for rx in receptions:
         assert not rx.message.flags.writeable
         assert not rx.candidate.data.flags.writeable
         with pytest.raises(ValueError):
             rx.message[0] = 0.0
-    for h in estimates:
-        assert not h.flags.writeable
+    for a in kept:
+        assert not a.flags.writeable
 
 
 def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):

@@ -102,6 +102,20 @@ def test_estimate_matches_the_per_row_loop(l_fft, l_cp, pilots_at):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("pilots_at", [(2, 11), (4,)])
+def test_estimate_is_linear_in_the_received_pilots(pilots_at):
+    # the link estimates the noiseless pilots and the pilot noise apart and
+    # adds them per SNR: estimate(y + s*z) = estimate(y) + s*estimate(z) up to rounding
+    rng = np.random.default_rng(8)
+    k, rows = len(pilots_at), tuple(range(14))
+    pil = np.exp(2j * np.pi * rng.random((k, 2048)))
+    y, z = (rng.standard_normal((2, k, 2048)) + 1j * rng.standard_normal((2, k, 2048)))
+    for s in (1.0, 0.1, 1e-3):
+        whole = estimate(y + s * z, pil, pilots_at, rows, 144)
+        split = estimate(y, pil, pilots_at, rows, 144) + s * estimate(z, pil, pilots_at, rows, 144)
+        assert np.max(np.abs(whole - split)) <= 1e-14 * np.max(np.abs(whole))
+
+
 def test_estimate_mse_decreases_with_snr():
     prof = default_profile(spacing=1.0 / CFG.sample_rate, decay=1.0 / CFG.sample_rate)
     mses = []
