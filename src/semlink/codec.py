@@ -4,9 +4,11 @@ The encoder maps a packed feature vector to complex channel symbols of unit
 mean power, the channel.SIGNAL_POWER that SNR is defined per; the decoder
 maps noisy symbols back. Training runs on an additive-white-Gaussian
 surrogate channel in two steps: reconstruction loss first, then a weighted
-sum of reconstruction and perception loss through the frozen proxy head. A
-second codec pair can be trained on the residual of a frozen first pair for
-incremental retransmission.
+sum of reconstruction and perception loss through the frozen proxy head. The
+perception term is read out on the cells each sample sends, in one batch per
+step, plus a per-sample constant for the cells it does not send (those hold
+a zero feature; scenegen.SentCells). A second codec pair can be trained on
+the residual of a frozen first pair for incremental retransmission.
 Both pairs are stored in harness.train_all's one bundle.ckpt, and pair 2
 trains against nnkit.stored copies of pair 1, the weights as that file holds.
 """
@@ -14,15 +16,15 @@ trains against nnkit.stored copies of pair 1, the weights as that file holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from . import nnkit
 from .channel import SIGNAL_POWER, noise_variance
-from .scenegen import ProxyHead, Scene, perception_loss_grad
-from .tensors import ImportanceMask, unpack
+from .scenegen import ProxyHead, Scene, SentCells, perception_loss_grad, sent_cells
+from .tensors import ImportanceMask
 
 
 PRELU_ALPHA = 0.25  # slope of the hidden layers' PReLU at initialization
@@ -71,19 +73,35 @@ class TrainingCurve:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Packed features plus the scene context needed for the perception term."""
+    """Packed features plus the scene context needed for the perception term.
+
+    Sample i is scenes[i] sent through masks[i], and every mask keeps the same
+    k = packed.shape[1] / C cells. The scenes and masks are not kept: `sent`
+    holds, per sample, the scene on those k cells and the perception loss of
+    the cells not sent, which a zero feature fixes. It is computed once here,
+    so each training step reads out only the cells the codec sends.
+    """
 
     packed: np.ndarray  # (N, n_in)
-    scenes: tuple[Scene, ...]
-    masks: tuple[ImportanceMask, ...]
+    scenes: InitVar[tuple[Scene, ...]]
+    masks: InitVar[tuple[ImportanceMask, ...]]
     shape: tuple[int, int, int]
     head: ProxyHead
+    sent: SentCells = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.packed.ndim != 2 or self.packed.shape[0] != len(self.scenes):
+    def __post_init__(self, scenes, masks):
+        if self.packed.ndim != 2 or self.packed.shape[0] != len(scenes):
             raise ValueError("packed rows must match the scene list")
-        if len(self.masks) != len(self.scenes):
+        if len(masks) != len(scenes):
             raise ValueError("one mask per scene required")
+        width = self.packed.shape[1]
+        for i, mask in enumerate(masks):
+            if mask.n_selected * self.shape[0] != width:
+                raise ValueError(
+                    f"mask {i} keeps {mask.n_selected} cells; packed rows of width {width} "
+                    f"over {self.shape[0]} channels need {width / self.shape[0]:g}"
+                )
+        object.__setattr__(self, "sent", sent_cells(scenes, masks))
 
 
 def new_codec(cfg: CodecConfig, n_in: int, seed: int) -> SemanticCodec:
@@ -235,15 +253,12 @@ def _step(
 
     if task_weight is not None:
         g_mhat = task_weight * g_mhat
-        task_total = 0.0
         rec = combined if frozen is not None else m_hat
-        for row, i in enumerate(idx):
-            mask = train_set.masks[i]
-            f_hat = unpack(rec[row], mask, train_set.shape)
-            l_p, g_f = perception_loss_grad(f_hat, train_set.scenes[i], train_set.head)
-            task_total += l_p
-            g_mhat[row] += g_f[:, mask.cells].reshape(-1) / b
-        task_mean = task_total / b
+        l_p, g_f = perception_loss_grad(
+            rec.reshape(b, train_set.shape[0], -1), train_set.sent.rows(idx), train_set.head
+        )
+        g_mhat += g_f.reshape(b, -1) / b
+        task_mean = float(l_p.sum()) / b
         loss = task_weight * recon + task_mean
     _check_finite(loss, "combined step" if task_weight is not None else "reconstruction step")
 

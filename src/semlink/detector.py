@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,7 +372,9 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     Query q is a harq.SemanticSource of one scene with `codec` as its only
     pair and no scorer; its reference map comes from the masked feature
     actually transmitted, and each sampling is the source's reception of an
-    independent channel draw at one of the listed SNRs.
+    independent channel draw at one of the listed SNRs. The pooled maps and
+    similarities are rounded to float32 once (and held as float64): the
+    precision the scorer is trained and calibrated on.
     """
     from .harq import SemanticSource  # harq imports this module
 
@@ -392,42 +393,6 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
             _, pooled, _, s = src.receive(codec_mod.decode(codec, rx))
             samp.append(pooled)
             s_true.append(s)
-        queries.append(RankQuery(src.ref_pooled, np.stack(samp), np.asarray(s_true)))
+        arrays = (src.ref_pooled, np.stack(samp), np.asarray(s_true))
+        queries.append(RankQuery(*(a.astype(np.float32) for a in arrays)))
     return RankCorpus(tuple(queries), det.pool)
-
-
-_CORPUS_MAGIC = b"RKCP"
-
-
-def save_corpus(path, corpus: RankCorpus) -> None:
-    """Serialize pooled maps and similarity scores as little-endian float32."""
-    with open(path, "wb") as fh:
-        fh.write(_CORPUS_MAGIC)
-        fh.write(struct.pack("<II", len(corpus.queries), corpus.pool))
-        for query in corpus.queries:
-            fh.write(struct.pack("<I", query.s_true.size))
-            fh.write(query.ref_pooled.astype("<f4").tobytes())
-            fh.write(query.samp_pooled.astype("<f4").tobytes())
-            fh.write(query.s_true.astype("<f4").tobytes())
-
-
-def load_corpus(path) -> RankCorpus:
-    """Inverse of save_corpus; a corrupt or truncated file raises ValueError."""
-    what = "rank-corpus file"
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CORPUS_MAGIC:
-            raise ValueError("not a rank-corpus file")
-        n_queries, pool = nnkit.read_header(fh, "<II", what)
-        cell = pool * pool
-        queries = []
-        for _ in range(n_queries):
-            (k,) = nnkit.read_header(fh, "<I", what)
-            if cell == 0 or k == 0:
-                raise ValueError(f"corrupt {what}: zero pool size or sampling count")
-            ref = nnkit.read_floats(fh, cell, what)
-            samp = nnkit.read_floats(fh, cell * k, what)
-            s_true = nnkit.read_floats(fh, k, what)
-            queries.append(
-                RankQuery(ref.reshape(pool, pool), samp.reshape(k, pool, pool), s_true)
-            )
-    return RankCorpus(tuple(queries), pool)

@@ -57,7 +57,6 @@ from .seeding import derive_seed
 from .tensors import importance_map, pack_nonzero
 
 BUNDLE = "bundle.ckpt"
-CORPUS = "corpus.bin"
 _BUNDLE_MAGIC = b"SLBD"
 _NET_NAMES = ("pair 1 encoder", "pair 1 decoder", "pair 2 encoder", "pair 2 decoder",
               "scorer branch", "scorer head")
@@ -128,8 +127,8 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     bundle.ckpt stores both codec pairs and the scorer as float32 weights.
     Each stage continues from nnkit.stored copies, the weights as the
     checkpoint holds them: pair 2 trains against the stored pair 1, the corpus
-    is built from it, the ranker trains and calibrates on the stored corpus,
-    and the calibration table is computed with the stored scorer. The returned
+    is built from it, the ranker trains and calibrates on that corpus, and the
+    calibration table is computed with the stored scorer. The returned
     bundle is bitwise equal to what load_bundle gives for out_dir. Files are
     staged beside out_dir and moved in once every stage has passed: a run that
     fails leaves out_dir as it was, or absent.
@@ -164,8 +163,7 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
         ])
 
         say("building detector corpus over the full link")
-        det_mod.save_corpus(work / CORPUS, det_mod.build_corpus(cfg, head, c_p1))
-        corpus = det_mod.load_corpus(work / CORPUS)
+        corpus = det_mod.build_corpus(cfg, head, c_p1)
         say("training similarity scorer")
         scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
         scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))

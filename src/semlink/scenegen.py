@@ -7,6 +7,10 @@ lifted into feature space through the head's adjoint, so a clean feature reads
 out to the scene targets exactly and corruption shows up as perception loss.
 harq.SemanticSource.receive scores a reception with these (confidence map,
 perception loss, true similarity), in sessions and in the rank corpus alike.
+Codec training takes the perception term's gradient through
+perception_loss_grad, batched over samples and computed on the transmitted
+cells alone: an untransmitted cell holds a zero feature, so its terms are a
+per-sample constant (SentCells).
 """
 
 from __future__ import annotations
@@ -164,29 +168,77 @@ def perception_loss(f: FeatureTensor, scene: Scene, head: ProxyHead) -> float:
     return l_local + l_conf
 
 
-def perception_loss_grad(f: FeatureTensor, scene: Scene, head: ProxyHead):
-    """Loss and its gradient with respect to the feature tensor entries."""
-    reg, logits = head.readout(f)
-    active = scene.labels == 1
-    n_active = int(active.sum())
+@dataclass(frozen=True)
+class SentCells:
+    """The scenes of N masked samples, seen from the k cells each mask sends.
 
-    d_reg = np.zeros_like(reg)
-    l_local = 0.0
-    if n_active > 0:
-        e = reg[active] - scene.targets[active]
-        l_local = float(smooth_l1(e).sum()) / n_active
-        d_reg[active] = np.clip(e, -1.0, 1.0) / n_active
+    Row i holds scene i on the cells that mask i keeps, in row-major cell
+    order (the packed order of tensors.pack_nonzero). A cell that is not sent
+    holds a zero feature, which reads out to regression 0 and logit 0, so its
+    smooth-L1 and focal terms depend on the scene alone: `rest` is their share
+    of perception_loss.
+    """
+
+    labels: np.ndarray  # (N, k) occupancy of the sent cells
+    targets: np.ndarray  # (N, k, 4) regression targets of the sent cells
+    n_active: np.ndarray  # (N,) active cells of the whole scene
+    rest: np.ndarray  # (N,) perception loss of the cells not sent
+    n_cells: int  # cells of the whole scene, H * W
+
+    def rows(self, idx) -> "SentCells":
+        return SentCells(
+            self.labels[idx], self.targets[idx], self.n_active[idx], self.rest[idx], self.n_cells
+        )
+
+
+def sent_cells(scenes, masks) -> SentCells:
+    """SentCells of scenes[i] under the importance mask masks[i]. Every mask
+    must keep the same number of cells (codec.TrainingSet checks it)."""
+    cells = np.stack([m.cells for m in masks])
+    labels = np.stack([s.labels for s in scenes])
+    targets = np.stack([s.targets for s in scenes])
+    n, h, w = cells.shape
+    k = masks[0].n_selected
+    active = labels == 1
+    n_active = active.sum(axis=(1, 2))
+    unsent = ~cells
+    local = np.sum(smooth_l1(targets) * (active & unsent)[..., None], axis=(1, 2, 3))
+    conf = np.sum(focal_loss(np.full(labels.shape, 0.5), labels) * unsent, axis=(1, 2))
+    rest = local / np.maximum(n_active, 1) + conf / (h * w)
+    return SentCells(
+        labels[cells].reshape(n, k), targets[cells].reshape(n, k, N_REGRESSION), n_active, rest, h * w
+    )
+
+
+def perception_loss_grad(f: np.ndarray, sent: SentCells, head: ProxyHead):
+    """Per-sample perception loss of B features known on their sent cells, and
+    its gradient on those cells.
+
+    f is (B, C, k): row i's feature on the k cells that sent row i covers, with
+    every other cell zero. Returns the (B,) losses, each the perception_loss of
+    the row's whole (C, H, W) feature (up to rounding), and their (B, C, k)
+    gradient. Only the sent cells are read out; the cells not sent add
+    sent.rest.
+    """
+    out = np.einsum("bck,cr->bkr", f, head.basis)
+    reg, logits = out[..., :N_REGRESSION], out[..., N_REGRESSION]
+    active = sent.labels == 1
+    n_active = np.maximum(sent.n_active, 1)
+
+    e = reg - sent.targets
+    l_local = np.sum(smooth_l1(e) * active[..., None], axis=(1, 2)) / n_active
+    d_reg = np.where(active[..., None], np.clip(e, -1.0, 1.0) / n_active[:, None, None], 0.0)
 
     p = sigmoid(logits)
     pc = np.clip(p, 1e-12, 1.0 - 1e-12)
-    l_conf = float(focal_loss(p, scene.labels).sum()) / scene.labels.size
+    l_conf = focal_loss(p, sent.labels).sum(axis=1) / sent.n_cells
     # d focal / d logit, derived from p = sigmoid(logit)
     pos = FOCAL_ALPHA * (1.0 - pc) ** FOCAL_GAMMA * (FOCAL_GAMMA * pc * np.log(pc) - (1.0 - pc))
     neg = (1.0 - FOCAL_ALPHA) * pc**FOCAL_GAMMA * (pc - FOCAL_GAMMA * (1.0 - pc) * np.log(1.0 - pc))
-    d_logit = np.where(scene.labels == 1, pos, neg) / scene.labels.size
+    d_logit = np.where(active, pos, neg) / sent.n_cells
 
-    grad = head.adjoint(d_reg, d_logit)
-    return l_local + l_conf, grad
+    y = np.concatenate([d_reg, d_logit[..., None]], axis=2)
+    return sent.rest + l_local + l_conf, np.einsum("bkr,cr->bck", y, head.basis)
 
 
 def confidence_map(f: FeatureTensor, head: ProxyHead) -> np.ndarray:

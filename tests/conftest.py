@@ -8,7 +8,8 @@ from semlink import detector, harness
 from semlink.codec import CodecConfig
 from semlink.detector import DetectorConfig
 from semlink.ofdm import OfdmConfig
-from semlink.scenegen import SceneConfig
+from semlink.nnkit import sigmoid
+from semlink.scenegen import FOCAL_ALPHA, FOCAL_GAMMA, SceneConfig, focal_loss, smooth_l1
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +58,33 @@ def tiny_config(seed: int = 9000) -> config_mod.ExperimentConfig:
     )
     config_mod.validate_config(cfg)
     return cfg
+
+
+def whole_grid_perception_loss_grad(f, scene, head):
+    """Loss and gradient of one sample's perception term over its whole
+    (C, H, W) feature tensor: the oracle of the batched
+    scenegen.perception_loss_grad, which reads out the sent cells alone."""
+    reg, logits = head.readout(f)
+    active = scene.labels == 1
+    n_active = int(active.sum())
+
+    d_reg = np.zeros_like(reg)
+    l_local = 0.0
+    if n_active > 0:
+        e = reg[active] - scene.targets[active]
+        l_local = float(smooth_l1(e).sum()) / n_active
+        d_reg[active] = np.clip(e, -1.0, 1.0) / n_active
+
+    p = sigmoid(logits)
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    l_conf = float(focal_loss(p, scene.labels).sum()) / scene.labels.size
+    # d focal / d logit, derived from p = sigmoid(logit)
+    pos = FOCAL_ALPHA * (1.0 - pc) ** FOCAL_GAMMA * (FOCAL_GAMMA * pc * np.log(pc) - (1.0 - pc))
+    neg = (1.0 - FOCAL_ALPHA) * pc**FOCAL_GAMMA * (pc - FOCAL_GAMMA * (1.0 - pc) * np.log(1.0 - pc))
+    d_logit = np.where(scene.labels == 1, pos, neg) / scene.labels.size
+
+    grad = head.adjoint(d_reg, d_logit)
+    return l_local + l_conf, grad
 
 
 def _as_pooled(m, pool: int) -> np.ndarray:

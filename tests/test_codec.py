@@ -24,7 +24,11 @@ from semlink.codec import (
     train_no_harq,
 )
 
-from conftest import tiny_config
+from semlink.scenegen import generate_scene
+from semlink.seeding import derive_seed
+from semlink.tensors import ImportanceMask, importance_map, pack_nonzero, unpack
+
+from conftest import tiny_config, whole_grid_perception_loss_grad
 
 
 def _tiny_train_set(seed=9000):
@@ -299,6 +303,63 @@ def test_fused_pair2_step_matches_sequential_draws(rows, with_task, monkeypatch)
             )
         results.append((losses, _state_bits(codec, states), rng.bit_generator.state))
     assert results[0] == results[1]
+
+
+def _tiny_scenes_and_masks(cfg, ts):
+    """The scenes and masks that harness.build_training_set sent into ts, made
+    again from their seeds (a TrainingSet does not keep them)."""
+    scenes, masks = [], []
+    for i in range(ts.packed.shape[0]):
+        seed = derive_seed(cfg.experiment.master_seed, "train-scene", i)
+        scene, f = generate_scene(seed, cfg.scene, ts.head)
+        scenes.append(scene)
+        masks.append(importance_map(f, cfg.mask_cells()))
+        assert pack_nonzero(f, masks[-1]).tobytes() == ts.packed[i].tobytes()
+    return scenes, masks
+
+
+@pytest.mark.parametrize("pair", [1, 2])  # pair 2 with its frozen target
+def test_task_step_matches_whole_grid_oracle(pair, monkeypatch):
+    # oracle: the perception term of each row over its whole feature grid,
+    # the gradient gathered back onto the row's sent cells
+    cfg, ts = _tiny_train_set()
+    scenes, masks = _tiny_scenes_and_masks(cfg, ts)
+    ccfg = CodecConfig(n_cu=16, hidden=24)
+    n_in = ts.packed.shape[1]
+    frozen = new_codec(ccfg, n_in, seed=1) if pair == 2 else None
+    idx = np.random.default_rng(3).integers(0, ts.packed.shape[0], size=16)
+
+    def whole_grid(f, sent, head):
+        rows = [
+            whole_grid_perception_loss_grad(unpack(f[r], masks[i], ts.shape), scenes[i], head)
+            for r, i in enumerate(idx)
+        ]
+        grads = [g[:, masks[i].cells] for (_, g), i in zip(rows, idx)]
+        return np.array([loss for loss, _ in rows]), np.stack(grads)
+
+    results = []
+    for term in (codec_mod.perception_loss_grad, whole_grid):
+        monkeypatch.setattr(codec_mod, "perception_loss_grad", term)
+        codec = new_codec(ccfg, n_in, seed=2)
+        states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
+        rng = np.random.default_rng(4)
+        # the second step runs on moved weights and moments
+        losses = [codec_mod._step(codec, ts, idx, 2.5, rng, states, 2e-3, 0.5, frozen) for _ in range(2)]
+        results.append((losses, _state_bits(codec, states)))
+    (losses, bits), (oracle_losses, oracle_bits) = results
+    assert bits == oracle_bits
+    np.testing.assert_allclose(losses, oracle_losses, rtol=1e-12)
+
+
+def test_training_set_rejects_masks_that_do_not_fit_the_packed_width():
+    # the batched perception term needs one cell count for the whole set
+    cfg, ts = _tiny_train_set()
+    scenes, masks = _tiny_scenes_and_masks(cfg, ts)
+    codec_mod.TrainingSet(ts.packed, scenes, masks, ts.shape, ts.head)
+    narrow = masks[0].cells.copy()
+    narrow.flat[np.flatnonzero(narrow)[0]] = False
+    with pytest.raises(ValueError, match="mask 0 keeps"):
+        codec_mod.TrainingSet(ts.packed, scenes, [ImportanceMask(narrow)] + masks[1:], ts.shape, ts.head)
 
 
 def test_training_rejects_width_mismatch():

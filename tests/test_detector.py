@@ -18,13 +18,11 @@ from semlink.detector import (
     ack_decide,
     calibrate_scorer,
     lambda_gradients,
-    load_corpus,
     new_scorer,
     pair_loss,
     pairwise_accuracy,
     pool_map,
     roc_auc,
-    save_corpus,
     score_pooled,
     split_corpus,
     train_ranker,
@@ -479,18 +477,6 @@ def test_roc_auc_values(drawn):
     assert roc_auc(np.array(scores), np.array(labels)) == _pairwise_auc(scores, labels)
 
 
-def test_corpus_serialization_roundtrip(tmp_path):
-    corpus = _small_corpus(n_queries=3)
-    path = tmp_path / "c.bin"
-    save_corpus(path, corpus)
-    back = load_corpus(path)
-    assert back.pool == corpus.pool
-    assert len(back.queries) == 3
-    for qa, qb in zip(corpus.queries, back.queries):
-        assert np.array_equal(qb.ref_pooled, qa.ref_pooled.astype(np.float32))
-        assert np.array_equal(qb.samp_pooled, qa.samp_pooled.astype(np.float32))
-
-
 def test_scorer_serialization_roundtrip():
     # the scorer's nets as the checkpoint holds them score to float32 resolution
     scorer = new_scorer(DetectorConfig(pool=4, branch_width=8), seed=21)
@@ -499,10 +485,3 @@ def test_scorer_serialization_roundtrip():
     rng = np.random.default_rng(3)
     ref, hyp = rng.uniform(0, 1, (2, 4, 4))
     assert abs(score(back, ref, hyp) - score(scorer, ref, hyp)) < 1e-6
-
-
-def test_serialization_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"XXXX" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        load_corpus(path)

@@ -15,7 +15,6 @@ from semlink import harness
 
 TRAIN = {
     "bundle.ckpt": "582496c82d899c405e75afeed9f7d166d9d3a5910a4fc6c1ccb620fee2097c95",
-    "corpus.bin": "8a870d502aef0d3f8d55c2f4d5974bc0269c5ca5987d358a325d9821000f7eea",
     "detector_calibration.csv": "9975efa5ecb2483afaf3c6594c5103b3f1961544759f41d661a7f65a6700494a",
     "train_codecs.csv": "5a4a4f39721b250edd3d6847edc70609bd0d1dcfe5ab2492de33f6eea6148983",
     "train_detector.csv": "04da39bf1515c48aaf456edaed974987e866ba7d43e5156e43c730e053753c02",

@@ -43,7 +43,6 @@ from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonz
 
 ARTIFACTS = (
     "bundle.ckpt",
-    "corpus.bin",
     "detector_calibration.csv",
     "train_codecs.csv",
     "train_detector.csv",
@@ -69,7 +68,6 @@ def _load_tiny_bundle(path):
 
 LOADERS = {
     "bundle.ckpt": _load_tiny_bundle,
-    "corpus.bin": detector.load_corpus,
 }
 
 # bundle.ckpt holds as sections the nets that codec_pair1.ckpt, codec_pair2.ckpt
@@ -144,29 +142,25 @@ def test_load_bundle_rejects_every_header_bit_flip(tiny_dir, tmp_path):
                 harness.load_bundle(tiny_config(seed=4242), tmp_path)
 
 
-@pytest.mark.parametrize("name", sorted([*BUNDLE_SECTIONS, "corpus.bin"]))
+@pytest.mark.parametrize("name", sorted(BUNDLE_SECTIONS))
 def test_loaders_reject_signaling_nan_weight_without_warning(tiny_dir, tmp_path, name):
     # a signaling NaN warns when cast to float64, so it must be caught before;
-    # in bundle.ckpt it is tried as the first weight of each net of the section
-    file = name if name == "corpus.bin" else "bundle.ckpt"
-    raw = (tiny_dir / file).read_bytes()
-    if name == "corpus.bin":
-        firsts = [4 + 8 + 4]  # magic, (queries, pool), first query's sampling count
-    else:
-        starts = _net_starts(raw)
-        firsts = [
-            starts[i] + 8 + 13 * struct.unpack_from("<I", raw, starts[i] + 4)[0]
-            for i in BUNDLE_SECTIONS[name]
-        ]
+    # it is tried as the first weight of each net of the section
+    raw = (tiny_dir / "bundle.ckpt").read_bytes()
+    starts = _net_starts(raw)
+    firsts = [
+        starts[i] + 8 + 13 * struct.unpack_from("<I", raw, starts[i] + 4)[0]
+        for i in BUNDLE_SECTIONS[name]
+    ]
     for first in firsts:
         patched = bytearray(raw)
         patched[first : first + 4] = np.array([0x7F800001], dtype="<u4").tobytes()
-        path = tmp_path / file
+        path = tmp_path / "bundle.ckpt"
         path.write_bytes(bytes(patched))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="non-finite"):
-                LOADERS[file](path)
+                _load_tiny_bundle(path)
 
 
 def _read_rows(path):
@@ -225,19 +219,22 @@ def test_load_bundle_matches_training(tmp_path):
 
 
 def test_corpus_rebuild_matches_training(tiny_dir, tiny_bundle, tmp_path):
-    # a corpus rebuilt from the stored pair 1 reproduces the training corpus
-    # only if training built it from the same stored weights
+    # a corpus rebuilt from the stored pair 1 reproduces the training corpus,
+    # as the calibration table the stored scorer makes of it shows, only if
+    # training built it from the same stored weights
     cfg = tiny_config(seed=4242)
-    pair1 = tiny_bundle.codec_pair1
-    detector.save_corpus(tmp_path / "corpus.bin", detector.build_corpus(cfg, harness.make_head(cfg), pair1))
-    assert (tmp_path / "corpus.bin").read_bytes() == (tiny_dir / "corpus.bin").read_bytes()
+    corpus = detector.build_corpus(cfg, harness.make_head(cfg), tiny_bundle.codec_pair1)
+    harness._write_calibration(tmp_path / "calibration.csv", cfg, corpus, tiny_bundle.scorer)
+    name = "detector_calibration.csv"
+    assert (tmp_path / "calibration.csv").read_bytes() == (tiny_dir / name).read_bytes()
 
 
 def _corpus_from_parts(cfg, head, codec_obj):
     """(ref_pooled, samp_pooled, s_true) of each rank query, built from the
     package's parts with no SemanticSource: query q is the scene of (corpus
     seed, q), masked, packed and encoded here, and sent once at each corpus
-    SNR k through the link seeds of (corpus seed, q, k)."""
+    SNR k through the link seeds of (corpus seed, q, k); every array rounded
+    to float32 once, as float64."""
     ms = derive_seed(cfg.experiment.master_seed, "corpus")
     pool = cfg.detector.pool
     profile = cfg.channel_profile()
@@ -260,7 +257,8 @@ def _corpus_from_parts(cfg, head, codec_obj):
             samp.append(pool_map(confidence_map(f_hat, head), pool))
             s_true.append(true_similarity(ref_loss, perception_loss(f_hat, scene, head)))
         ref_pooled = pool_map(confidence_map(f_ref, head), pool)
-        queries.append((ref_pooled, np.stack(samp), np.asarray(s_true)))
+        arrays = (ref_pooled, np.stack(samp), np.asarray(s_true))
+        queries.append(tuple(a.astype(np.float32).astype(np.float64) for a in arrays))
     return queries
 
 
@@ -284,21 +282,16 @@ def test_corpus_matches_its_construction_from_parts(tiny_bundle):
     [
         # a bundle section is cut where its file was, and load_bundle reads it
         pytest.param("codec_pair1.ckpt", _load_tiny_bundle, id="codec_pair1.ckpt-load_codec"),
-        ("corpus.bin", detector.load_corpus),
         pytest.param("scorer.ckpt", _load_tiny_bundle, id="scorer.ckpt-load_scorer"),
     ],
 )
 def test_truncated_artifacts_raise_value_error(tiny_dir, tmp_path, name, loader):
-    file = name if name == "corpus.bin" else "bundle.ckpt"
-    data = (tiny_dir / file).read_bytes()
-    if name == "corpus.bin":
-        start, end = 0, len(data)
-    else:
-        first, last = BUNDLE_SECTIONS[name]
-        bounds = [*_net_starts(data), len(data)]
-        start, end = bounds[first], bounds[last + 1]
+    data = (tiny_dir / "bundle.ckpt").read_bytes()
+    first, last = BUNDLE_SECTIONS[name]
+    bounds = [*_net_starts(data), len(data)]
+    start, end = bounds[first], bounds[last + 1]
     for size in (start, start + 3, start + 6, start + 20, end - 1):
-        path = tmp_path / str(size) / file
+        path = tmp_path / str(size) / "bundle.ckpt"
         path.parent.mkdir()
         path.write_bytes(data[:size])
         with pytest.raises(ValueError):
@@ -1080,7 +1073,7 @@ def test_train_into_a_file_fails_before_training(tmp_path):
 
 
 def test_cli_has_no_corpus_command(tmp_path):
-    # train writes the one corpus.bin; no second command rebuilds it
+    # the corpus lives only inside train; no second command builds it
     out = tmp_path / "out"
     proc = _cli("corpus", "--out", str(out))
     assert proc.returncode == 2

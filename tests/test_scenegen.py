@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semlink.scenegen import (
     SIMILARITY_CAP,
@@ -14,9 +16,12 @@ from semlink.scenegen import (
     generate_scene,
     perception_loss,
     perception_loss_grad,
+    sent_cells,
     true_similarity,
 )
-from semlink.tensors import FeatureTensor
+from semlink.tensors import FeatureTensor, ImportanceMask, importance_map, pack_nonzero, unpack
+
+from conftest import whole_grid_perception_loss_grad
 
 CFG = SceneConfig(channels=8, height=12, width=10, logit_amp=4.0)
 HEAD = ProxyHead.from_seed(77, CFG.channels)
@@ -107,23 +112,76 @@ def test_perception_loss_nonnegative_and_noise_monotone():
 
 def test_perception_loss_grad_matches_finite_differences():
     scene, f = generate_scene(42, CFG, HEAD)
-    loss, grad = perception_loss_grad(f, scene, HEAD)
-    assert loss == pytest.approx(perception_loss(f, scene, HEAD), rel=1e-12)
+    mask = importance_map(f, 30)
+    c = f.shape[0]
+    packed = pack_nonzero(f, mask)
+    loss, grad = perception_loss_grad(packed.reshape(1, c, -1), sent_cells([scene], [mask]), HEAD)
+    whole = unpack(packed, mask, f.shape)
+    assert loss[0] == pytest.approx(perception_loss(whole, scene, HEAD), rel=1e-12)
     rng = np.random.default_rng(2)
     h = 1e-6
-    for _ in range(20):
-        c = rng.integers(f.shape[0])
-        i = rng.integers(f.shape[1])
-        j = rng.integers(f.shape[2])
-        up = f.data.copy()
-        dn = f.data.copy()
-        up[c, i, j] += h
-        dn[c, i, j] -= h
+    for j in rng.integers(packed.size, size=20):
+        up = packed.copy()
+        dn = packed.copy()
+        up[j] += h
+        dn[j] -= h
         fd = (
-            perception_loss(FeatureTensor(up), scene, HEAD)
-            - perception_loss(FeatureTensor(dn), scene, HEAD)
+            perception_loss(unpack(up, mask, f.shape), scene, HEAD)
+            - perception_loss(unpack(dn, mask, f.shape), scene, HEAD)
         ) / (2 * h)
-        assert grad[c, i, j] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+        assert grad.reshape(-1)[j] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+ROW_KINDS = ("drawn", "no active cell", "active cells all unsent", "full mask")
+
+
+@given(
+    c=st.integers(5, 9),
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+    k_frac=st.floats(0.0, 1.0),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(c=8, h=4, w=4, k_frac=0.2, kinds=["no active cell", "active cells all unsent", "drawn"],
+         scale=1.0, seed=1)
+@example(c=5, h=3, w=2, k_frac=0.0, kinds=["full mask", "drawn", "no active cell"], scale=30.0, seed=2)
+def test_batched_perception_loss_grad_matches_whole_grid_oracle(c, h, w, k_frac, kinds, scale, seed):
+    # the batched term on the sent cells against the per-sample whole-grid
+    # oracle: gradients bit for bit, losses to rounding (the cells not sent
+    # are summed in another order)
+    n_cells = h * w
+    if "full mask" in kinds:
+        k = n_cells
+    else:
+        k = min(n_cells, 1 + int(k_frac * n_cells))
+    rng = np.random.default_rng(seed)
+    head = ProxyHead.from_seed(seed, c)
+    scenes, masks = [], []
+    for kind in kinds:
+        cells = np.zeros(n_cells, dtype=bool)
+        cells[rng.choice(n_cells, size=k, replace=False)] = True
+        labels = rng.random(n_cells) < 0.3
+        if kind == "no active cell":
+            labels[:] = False
+        elif kind == "active cells all unsent":
+            labels &= ~cells
+            if k < n_cells:
+                labels[np.flatnonzero(~cells)[0]] = True
+        targets = rng.standard_normal((n_cells, 4)) * labels[:, None]
+        scenes.append(Scene(targets.reshape(h, w, 4), labels.reshape(h, w).astype(np.uint8)))
+        masks.append(ImportanceMask(cells.reshape(h, w)))
+    rec = scale * rng.standard_normal((len(kinds), c, k))
+
+    loss, grad = perception_loss_grad(rec, sent_cells(scenes, masks), head)
+    assert loss.shape == (len(kinds),) and grad.shape == rec.shape
+    for i, (scene, mask) in enumerate(zip(scenes, masks)):
+        f = unpack(rec[i], mask, (c, h, w))
+        l_full, g_full = whole_grid_perception_loss_grad(f, scene, head)
+        assert grad[i].tobytes() == g_full[:, mask.cells].tobytes()
+        assert loss[i] == pytest.approx(l_full, rel=1e-12)
 
 
 def test_confidence_map_zero_feature():

@@ -1,8 +1,8 @@
 """Layout guards: every top-level function and class in src/semlink, and
 every method and property of its classes, has a caller, every import of src/semlink sits at the top of its module, every
 parameter default of src/semlink is one that some caller overrides,
-harness._write_csv is the one place that writes a text file, the bundle and
-corpus writers the only ones that write a binary file, and importing
+harness._write_csv is the one place that writes a text file, the bundle
+writer the only one that writes a binary file, and importing
 the CLI loads no package but numpy outside the standard library.
 
 A definition counts as used when its name appears somewhere in src/semlink
@@ -187,10 +187,10 @@ def test_every_default_is_set_by_a_caller():
 
 
 # Every table a run writes goes through one writer and its one cell rule, and
-# the checkpoint format has one home: the bundle writer, beside the rank
-# corpus's writer, is the one place that writes a binary file.
+# the checkpoint format has one home: the bundle writer is the one place that
+# writes a binary file.
 TEXT_WRITERS = {("harness", "_write_csv")}
-BINARY_WRITERS = {("harness", "_write_bundle"), ("detector", "save_corpus")}
+BINARY_WRITERS = {("harness", "_write_bundle")}
 
 
 def _write_kinds(call: ast.Call) -> set[str]:
@@ -235,6 +235,8 @@ def test_text_files_are_written_only_by_the_csv_writer():
     assert writers == TEXT_WRITERS, f"text written outside harness._write_csv: {sorted(writers - TEXT_WRITERS)}"
 
 
+# The name is kept from when the rank corpus had a writer too, so that the
+# test's id stays stable.
 def test_binary_files_are_written_only_by_the_bundle_and_corpus_writers():
     writers = _writers("binary")
     assert BINARY_WRITERS <= writers, "a binary writer no longer opens a file; update BINARY_WRITERS"
