@@ -7,9 +7,11 @@ queries of K samplings of the same source: each pair ordered by true
 similarity contributes a logistic cost, and the per-sample lambda
 accumulation of those pair gradients drives the parameter update.
 
-The rank corpus is sampled through harq.SemanticSource, the source every
-semantic session runs from, so a corpus sampling is the reception a session
-round makes: the same candidate, pooled map and true similarity.
+The rank corpus is two arrays: per query, the pooled reference map and its
+K samplings' pooled maps, and the samplings' true similarities. It is
+sampled through harq.SemanticSource, the source every semantic session runs
+from, so a corpus sampling is the reception a session round makes: the same
+candidate, pooled map and true similarity.
 The scorer is stored in harness.train_all's one bundle.ckpt, and the
 calibration table is computed with nnkit.stored copies of its nets.
 """
@@ -27,6 +29,7 @@ from . import nnkit
 from .link import LinkSeeds, transmit_symbols
 from .scenegen import generate_scene
 from .seeding import derive_seed
+from .tensors import _frozen
 
 
 @dataclass(frozen=True)
@@ -166,48 +169,41 @@ def lambda_gradients(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float = 1
 
 
 @dataclass(frozen=True)
-class RankQuery:
-    ref_pooled: np.ndarray  # (pool, pool)
-    samp_pooled: np.ndarray  # (K, pool, pool)
-    s_true: np.ndarray  # (K,)
+class RankCorpus:
+    """Q queries of K samplings each, as two read-only float64 arrays.
+
+    maps is (Q, 1+K, pool*pool): row 0 of a query is its reference map
+    pooled and flattened, rows 1..K its samplings' maps. s_true is (Q, K),
+    each sampling's true similarity to its reference.
+    """
+
+    maps: np.ndarray
+    s_true: np.ndarray
 
     def __post_init__(self):
-        ref = np.asarray(self.ref_pooled, dtype=np.float64)
-        samp = np.asarray(self.samp_pooled, dtype=np.float64)
-        s = np.asarray(self.s_true, dtype=np.float64)
-        if samp.ndim != 3 or samp.shape[1:] != ref.shape or s.shape != (samp.shape[0],):
-            raise ValueError("inconsistent query shapes")
-        for a in (ref, samp, s):
-            a.setflags(write=False)
-        object.__setattr__(self, "ref_pooled", ref)
-        object.__setattr__(self, "samp_pooled", samp)
-        object.__setattr__(self, "s_true", s)
+        maps, s_true = (_frozen(np.asarray(a, dtype=np.float64)) for a in (self.maps, self.s_true))
+        if maps.ndim != 3 or s_true.ndim != 2 or maps.shape[:2] != (len(s_true), s_true.shape[1] + 1):
+            raise ValueError(f"inconsistent corpus shapes: maps {maps.shape}, s_true {s_true.shape}")
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "s_true", s_true)
 
 
-@dataclass(frozen=True)
-class RankCorpus:
-    queries: tuple[RankQuery, ...]
-    pool: int
-
-
-def _query_pass(scorer, query: RankQuery):
-    """(scores, embeddings, branch tape, head tape) of one taped pass: the
-    branch embeds the reference (row 0) and the K samplings in one batch, and
-    the head scores each sampling against the reference."""
-    k = query.s_true.size
-    x = np.concatenate(
-        [query.ref_pooled.reshape(1, -1), query.samp_pooled.reshape(k, -1)], axis=0
-    )
-    emb, tape_b = nnkit.forward_tape(scorer.branch, x)
+def _query_pass(scorer, maps: np.ndarray):
+    """(scores, embeddings, branch tape, head tape) of one taped pass over a
+    query's (1+K, pool*pool) maps: the branch embeds the reference (row 0) and
+    the K samplings in one batch, and the head scores each sampling against
+    the reference."""
+    emb, tape_b = nnkit.forward_tape(scorer.branch, maps)
+    k = maps.shape[0] - 1
     head_in = np.concatenate([np.repeat(emb[0:1], k, axis=0), emb[1:]], axis=1)
     s_hat, tape_h = nnkit.forward_tape(scorer.head, head_in)
     return s_hat[:, 0], emb, tape_b, tape_h
 
 
-def _query_step(scorer, query: RankQuery, sharpness: float):
+def _query_step(scorer, maps: np.ndarray, s_true: np.ndarray, sharpness: float):
     """Scores, lambdas, and parameter gradients for one query."""
-    s_hat, emb, tape_b, tape_h = _query_pass(scorer, query)
-    lam = lambda_gradients(s_hat, query.s_true, sharpness)
+    s_hat, emb, tape_b, tape_h = _query_pass(scorer, maps)
+    lam = lambda_gradients(s_hat, s_true, sharpness)
     if not np.any(lam):
         return s_hat, None, None
     head_grads, g_head_in = nnkit.backward(scorer.head, tape_h, lam[:, None])
@@ -220,15 +216,15 @@ def _query_step(scorer, query: RankQuery, sharpness: float):
 
 
 def split_corpus(corpus: RankCorpus, cfg: DetectorConfig, seed: int) -> tuple[RankCorpus, RankCorpus]:
-    """Deterministic train/held-out split by shuffled query index."""
-    n = len(corpus.queries)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(n)
-    n_hold = _holdout_count(cfg.holdout, n)
-    hold = set(order[:n_hold].tolist())
-    train_q = tuple(q for i, q in enumerate(corpus.queries) if i not in hold)
-    hold_q = tuple(q for i, q in enumerate(corpus.queries) if i in hold)
-    return RankCorpus(train_q, corpus.pool), RankCorpus(hold_q, corpus.pool)
+    """Deterministic train/held-out split: the first _holdout_count queries of
+    a seeded permutation are held out. Both parts keep the corpus order."""
+    n = len(corpus.s_true)
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    held = np.isin(np.arange(n), order[: _holdout_count(cfg.holdout, n)])
+    return (
+        RankCorpus(corpus.maps[~held], corpus.s_true[~held]),
+        RankCorpus(corpus.maps[held], corpus.s_true[held]),
+    )
 
 
 def train_ranker(
@@ -248,16 +244,16 @@ def train_ranker(
     history = {"pair_loss": [], "holdout_accuracy": []}
     best_acc, best_nets = -1.0, None
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(train_c.queries))
+        order = rng.permutation(len(train_c.s_true))
         ep_loss, ep_pairs = 0.0, 0
         for start in range(0, order.size, cfg.batch_queries):
             b_grads = nnkit.zeros_like_grads(scorer.branch)
             h_grads = nnkit.zeros_like_grads(scorer.head)
             got = 0
             for qi in order[start : start + cfg.batch_queries]:
-                query = train_c.queries[qi]
-                s_hat, branch_grads, head_grads = _query_step(scorer, query, cfg.sharpness)
-                loss, pairs = query_pair_loss(s_hat, query.s_true, cfg.sharpness)
+                maps, s_true = train_c.maps[qi], train_c.s_true[qi]
+                s_hat, branch_grads, head_grads = _query_step(scorer, maps, s_true, cfg.sharpness)
+                loss, pairs = query_pair_loss(s_hat, s_true, cfg.sharpness)
                 ep_loss += loss
                 ep_pairs += pairs
                 if branch_grads is None:
@@ -301,24 +297,24 @@ def query_pair_loss(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float):
     return float(total), int(m.size)
 
 
-def query_scores(scorer: SimilarityScorer, query: RankQuery) -> np.ndarray:
-    return _query_pass(scorer, query)[0]
+def query_logits(scorer: SimilarityScorer, maps: np.ndarray) -> np.ndarray:
+    """Pre-sigmoid scores of a query's K samplings (maps as in RankCorpus);
+    they order as the scores do but never round to exact ties when the
+    sigmoid saturates."""
+    return _query_pass(scorer, maps)[3].preacts[-1][:, 0].copy()
 
 
-def query_logits(scorer: SimilarityScorer, query: RankQuery) -> np.ndarray:
-    """Pre-sigmoid scores; same ordering as query_scores but never rounds
-    to exact ties when the sigmoid saturates."""
-    return _query_pass(scorer, query)[3].preacts[-1][:, 0].copy()
+def _corpus_logits(scorer: SimilarityScorer, corpus: RankCorpus) -> np.ndarray:
+    """(Q, K) query_logits of every query."""
+    return np.array([query_logits(scorer, maps) for maps in corpus.maps]).reshape(corpus.s_true.shape)
 
 
 def pairwise_accuracy(scorer: SimilarityScorer, corpus: RankCorpus) -> float:
     """Fraction of strictly-ordered true pairs the scorer orders correctly."""
-    good, total = 0, 0
-    for query in corpus.queries:
-        s_hat = query_logits(scorer, query)
-        ordered = query.s_true[:, None] > query.s_true[None, :]
-        total += int(np.count_nonzero(ordered))
-        good += int(np.count_nonzero(ordered & (s_hat[:, None] > s_hat[None, :])))
+    z, s = _corpus_logits(scorer, corpus), corpus.s_true
+    ordered = s[:, :, None] > s[:, None, :]
+    total = int(np.count_nonzero(ordered))
+    good = int(np.count_nonzero(ordered & (z[:, :, None] > z[:, None, :])))
     return good / total if total else float("nan")
 
 
@@ -336,8 +332,7 @@ def calibrate_scorer(scorer: SimilarityScorer, corpus: RankCorpus) -> Similarity
     layer. Ordering (and therefore ranking accuracy) is unchanged; only the
     score locations an acknowledgement threshold cuts through move.
     """
-    z = np.concatenate([query_logits(scorer, q) for q in corpus.queries])
-    s = np.concatenate([q.s_true for q in corpus.queries])
+    z, s = _corpus_logits(scorer, corpus).reshape(-1), corpus.s_true.reshape(-1)
     lo_cut, hi_cut = np.quantile(s, [0.25, 0.75])
     z_lo = float(z[s <= lo_cut].mean())
     z_hi = float(z[s >= hi_cut].mean())
@@ -370,11 +365,11 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     cfg.detector.corpus_snr_db and pooled to cfg.detector.pool.
 
     Query q is a harq.SemanticSource of one scene with `codec` as its only
-    pair and no scorer; its reference map comes from the masked feature
-    actually transmitted, and each sampling is the source's reception of an
-    independent channel draw at one of the listed SNRs. The pooled maps and
-    similarities are rounded to float32 once (and held as float64): the
-    precision the scorer is trained and calibrated on.
+    pair and no scorer; its reference map (maps[q, 0]) comes from the masked
+    feature actually transmitted, and sampling k (maps[q, 1 + k] and
+    s_true[q, k]) is the source's reception of an independent channel draw
+    at the k-th listed SNR. The arrays are rounded to float32 once (and held
+    as float64): the precision the scorer is trained and calibrated on.
     """
     from .harq import SemanticSource  # harq imports this module
 
@@ -382,17 +377,16 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     ms = derive_seed(cfg.experiment.master_seed, "corpus")
     profile = cfg.channel_profile()
     cells = cfg.mask_cells()
-    queries = []
+    n_snr = len(det.corpus_snr_db)
+    maps = np.empty((det.corpus_queries, 1 + n_snr, det.pool * det.pool))
+    s_true = np.empty((det.corpus_queries, n_snr))
     for q in range(det.corpus_queries):
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
         src = SemanticSource(codec, None, None, head, scene, f, cells, det.pool)
-        samp, s_true = [], []
+        maps[q, 0] = src.ref_pooled.reshape(-1)
         for k, snr_db in enumerate(det.corpus_snr_db):
             seeds = LinkSeeds.derive(ms, "corpus", q, k)
             rx = transmit_symbols(src.sym_first, cfg.ofdm, profile, snr_db, seeds)
-            _, pooled, _, s = src.receive(codec_mod.decode(codec, rx))
-            samp.append(pooled)
-            s_true.append(s)
-        arrays = (src.ref_pooled, np.stack(samp), np.asarray(s_true))
-        queries.append(RankQuery(*(a.astype(np.float32) for a in arrays)))
-    return RankCorpus(tuple(queries), det.pool)
+            _, pooled, _, s_true[q, k] = src.receive(codec_mod.decode(codec, rx))
+            maps[q, 1 + k] = pooled.reshape(-1)
+    return RankCorpus(maps.astype(np.float32), s_true.astype(np.float32))

@@ -21,7 +21,8 @@ the receptions: per (SNR, round) the scored harq.Reception of the first codec
 pair's symbols, which noharq, every sim1 round and sim2's first round read,
 so each is computed once per index. A cache lives for one index of one
 run_sweep call, so memory does not grow with the number of sessions and no
-later sweep starts warm.
+later sweep starts warm. A session runs on the cache it is given
+(run_session), and every round it records is a harq.Reception.
 """
 
 from __future__ import annotations
@@ -248,12 +249,10 @@ def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:
     sampling per corpus SNR.
     """
     snrs = cfg.detector.corpus_snr_db
-    s_hat = np.zeros(len(snrs))
-    s_true = np.zeros(len(snrs))
-    for query in corpus.queries:
-        s_hat += det_mod.query_scores(scorer, query)
-        s_true += query.s_true
-    n = len(corpus.queries)
+    # both sums add the queries in corpus order: another order rounds differently
+    s_hat = sum(nnkit.sigmoid(det_mod.query_logits(scorer, maps)) for maps in corpus.maps)
+    s_true = corpus.s_true.sum(axis=0)
+    n = len(corpus.maps)
     rows = [(snr, sh / n, st / n) for snr, sh, st in zip(snrs, s_hat, s_true)]
     _write_csv(path, ("snr_db", "mean_score", "mean_true_similarity"), rows)
 
@@ -332,27 +331,17 @@ class SessionCache:
         return self._first[key]
 
 
-def run_session(
-    bundle: RuntimeBundle,
-    mode: str,
-    snr_db: float,
-    idx: int,
-    cache: SessionCache | None = None,
-) -> SessionRecord:
-    """Run one seeded protocol session and flatten it into a record.
+def run_session(cache: SessionCache, mode: str, snr_db: float) -> SessionRecord:
+    """Run one seeded protocol session of the cache's bundle and index, and
+    flatten it into a record.
 
     The threshold and round budget are the bundle config's, where they are
-    checked; a non-finite snr_db fails in channel.noise_variance. `cache` is
-    the SessionCache of this bundle and index that other sessions of the
-    same index share; run_sweep makes one per index and drops it when the
-    index is done. Without one the session makes its own, and its record is
+    checked; a non-finite snr_db fails in channel.noise_variance. The other
+    sessions of the index may share the cache; run_sweep makes one per index
+    and drops it when the index is done. A session on a fresh cache records
     the same.
     """
-    if cache is None:
-        cache = SessionCache(bundle, idx)
-    elif cache.bundle is not bundle or cache.idx != idx:
-        raise ValueError(f"session cache of index {cache.idx} used for index {idx}")
-    cfg = bundle.cfg
+    cfg = cache.bundle.cfg
     budget = cfg.experiment.round_budget
 
     if mode in SEMANTIC_MODES:
@@ -369,12 +358,11 @@ def run_session(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    return _flatten(session, idx, mode, snr_db, threshold, budget)
+    return _flatten(session, cache.idx, mode, snr_db, threshold, budget)
 
 
 def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRecord:
-    final_round, _ = finalize(session)
-    final = session.rounds[final_round - 1]
+    final_round, final = finalize(session)
     unused = (None,) * (budget - session.rounds_used)
     s_hat = tuple(r.s_hat for r in session.rounds) + unused
     s_true = tuple(r.s_true for r in session.rounds) + unused
@@ -410,7 +398,7 @@ def _pool_task(idx):
 def _run_index(bundle, grid, idx) -> list[SessionRecord]:
     """Every (mode, snr_db) of `grid` at session index idx, on one SessionCache."""
     cache = SessionCache(bundle, idx)
-    return [run_session(bundle, mode, snr_db, idx, cache=cache) for mode, snr_db in grid]
+    return [run_session(cache, mode, snr_db) for mode, snr_db in grid]
 
 
 def run_sweep(
@@ -435,8 +423,8 @@ def run_sweep(
     workers > 1 each worker takes whole indices. Records come back, and the
     CSVs are written, in (mode, SNR, index) order. Per-session seeds do not
     depend on how indices are distributed, so the CSV bytes are identical for
-    any worker count, and equal to those of running each session with no
-    cache.
+    any worker count, and equal to those of running each session on a cache
+    of its own.
     """
     counts = {k: v for k, v in (("sessions", sessions), ("workers", workers)) if v is not None}
     cfg = override(bundle.cfg, "experiment", modes=tuple(modes), snr_db=tuple(map(float, snr_list)), **counts)

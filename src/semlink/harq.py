@@ -11,17 +11,19 @@ full retransmissions or accumulates one copy per round.
 A session runs from a source (SemanticSource, BaselineSource): one scene's
 mask, reference and payload, and what every session of that scene derives
 from them, computed once. What varies by session (mode, round budget,
-threshold, channel) is an argument of the session function. A semantic
-reception is SemanticSource.receive, for the sessions here and for the
-scorer's rank corpus (detector.build_corpus), whose sources have no scorer;
-a session's is the scored Reception of SemanticSource.reception.
+threshold, channel) is an argument of the session function. Each round of
+every mode is one Reception (the source's `reception`), judged by the scorer
+or the CRC; a session is its rounds and whether the last was acknowledged.
+A semantic reception is SemanticSource.receive, for the sessions here and
+for the scorer's rank corpus (detector.build_corpus), whose sources have no
+scorer.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,30 +98,27 @@ def fit_quantizer(values: np.ndarray) -> Quantizer8:
     return Quantizer8(scale=(hi - lo) / 255.0, zero_point=lo)
 
 
-@dataclass
-class RoundRecord:
-    s_hat: float | None  # None for CRC-based rounds
-    s_true: float
-    ack: bool
-    candidate: FeatureTensor
-    task_loss: float  # perception_loss of the candidate
-
-
 @dataclass(frozen=True)
 class Reception:
-    """A decoded message and what a semantic round records of it. Its arrays
-    are read-only, so the sessions that share one reception cannot alter it."""
+    """One round's decoded message and what the round records of it: its
+    candidate, the candidate's perception loss, its true similarity to the
+    reference, and the scorer's score, None in a CRC round. Its arrays are
+    read-only, so the sessions that share one reception cannot alter it."""
 
     message: np.ndarray
     candidate: FeatureTensor
     task_loss: float
     s_true: float
-    s_hat: float
+    s_hat: float | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarqSession:
-    rounds: list[RoundRecord] = field(default_factory=list)
+    """A session's Receptions, one per round used, and whether its last round
+    was acknowledged: a session stops at its ACK, so no other round can be."""
+
+    rounds: list[Reception]
+    acked: bool
 
     @property
     def rounds_used(self) -> int:
@@ -128,14 +127,11 @@ class HarqSession:
     @property
     def ack_round(self) -> int:
         """1-indexed acknowledged round, or 0 when none was acknowledged."""
-        for t, rec in enumerate(self.rounds, start=1):
-            if rec.ack:
-                return t
-        return 0
+        return len(self.rounds) if self.acked else 0
 
 
-def finalize(session: HarqSession) -> tuple[int, FeatureTensor]:
-    """Final candidate: the acknowledged round's, else the best-scored round's.
+def finalize(session: HarqSession) -> tuple[int, Reception]:
+    """Final round and its Reception: the acknowledged round, else the best-scored one.
 
     Without any acknowledgement, scored sessions pick the highest-scored round
     (ties to the earliest); unscored (CRC) sessions fall back to the last
@@ -145,13 +141,9 @@ def finalize(session: HarqSession) -> tuple[int, FeatureTensor]:
         raise ValueError("cannot finalize a session with no rounds")
     t = session.ack_round
     if t == 0:
-        scored = [r.s_hat for r in session.rounds]
-        if all(s is None for s in scored):
-            t = len(session.rounds)
-        else:
-            best = max(s for s in scored if s is not None)
-            t = next(i + 1 for i, s in enumerate(scored) if s == best)
-    return t, session.rounds[t - 1].candidate
+        scored = [r.s_hat for r in session.rounds]  # a session's rounds are all scored or none
+        t = len(scored) if scored[0] is None else 1 + scored.index(max(scored))
+    return t, session.rounds[t - 1]
 
 
 def throughput(sessions) -> float:
@@ -254,17 +246,16 @@ def run_semantic_session(
     if budget < 1:
         raise ValueError("round budget must be at least 1")
 
-    session = HarqSession()
+    rounds = []
     for t in range(1, budget + 1):
         if mode == "sim1" or t == 1:
             rx = first(t)
         else:
             rx = src.reception(rx.message + codec_mod.decode(src.second, transmit(t, src.sym_second)))
-        ack = ack_decide(rx.s_hat, threshold)
-        session.rounds.append(RoundRecord(rx.s_hat, rx.s_true, ack, rx.candidate, rx.task_loss))
-        if ack:
-            break
-    return session
+        rounds.append(rx)
+        if ack_decide(rx.s_hat, threshold):
+            return HarqSession(rounds, True)
+    return HarqSession(rounds, False)
 
 
 class ChaseCombiner:
@@ -297,7 +288,9 @@ class BaselineSource:
     8-bit codes and payload_bits are the frame of the codes and their CRC-24;
     f_ref is the dequantized content. The QAM chunk, the codeword (`copies`
     chunks: a rate-1/copies repetition code) and the reference perception
-    loss are computed on first use and kept, like SemanticSource's. Every array it hands out is read-only.
+    loss are computed on first use and kept, like SemanticSource's. Every
+    array it hands out is read-only. A round's Reception carries the
+    dequantized codes as its message and no score: the CRC judges it.
     """
 
     def __init__(
@@ -333,11 +326,15 @@ class BaselineSource:
     def ref_loss(self) -> float:
         return perception_loss(self.f_ref, self.scene, self.head)
 
-    def decode(self, combined: np.ndarray) -> tuple[bool, FeatureTensor]:
-        """Whether the CRC of a combined chunk's frame passes, and its candidate."""
+    def reception(self, combined: np.ndarray) -> tuple[bool, Reception]:
+        """Whether the CRC of a combined chunk's frame passes, and the
+        unscored Reception of its dequantized codes."""
         frame = np.packbits(qam_demap_hard(combined, self.mod_order)[: self.payload_bits.size])
-        codes = frame[: frame.size - CRC24_BITS // 8]
-        return crc24(frame) == 0, unpack(self.quantizer.dequantize(codes), self.mask, self.f_ref.shape)
+        message = _frozen(self.quantizer.dequantize(frame[: frame.size - CRC24_BITS // 8]))
+        candidate = unpack(message, self.mask, self.f_ref.shape)
+        loss = perception_loss(candidate, self.scene, self.head)
+        s_true = true_similarity(self.ref_loss, loss)
+        return crc24(frame) == 0, Reception(message, candidate, loss, s_true, None)
 
 
 def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) -> HarqSession:
@@ -345,7 +342,8 @@ def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) 
 
     mode "base1" retransmits the full codeword (src.copies copies of the
     chunk) and chase-combines every copy; mode "base2" sends one copy per
-    round, accumulating copies in the same combiner.
+    round, accumulating copies in the same combiner. A round is acknowledged
+    when the CRC of the combination passes (BaselineSource.reception).
     `transmit(round_idx, symbols)` must return (equalized, est_h, noise_var).
     """
     if mode not in ("base1", "base2"):
@@ -354,7 +352,7 @@ def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) 
         raise ValueError("round budget must be at least 1")
     n_chunk = src.chunk.size
     combiner = ChaseCombiner(n_chunk)
-    session = HarqSession()
+    rounds = []
     for t in range(1, budget + 1):
         if mode == "base1":
             eq, h, noise_var = transmit(t, src.codeword)
@@ -364,11 +362,8 @@ def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) 
         else:
             eq, h, noise_var = transmit(t, src.chunk)
             combiner.add(eq, h, noise_var)
-        ack, candidate = src.decode(combiner.combined())
-        loss = perception_loss(candidate, src.scene, src.head)
-        session.rounds.append(
-            RoundRecord(None, true_similarity(src.ref_loss, loss), ack, candidate, loss)
-        )
-        if ack:
-            break
-    return session
+        passed, rx = src.reception(combiner.combined())
+        rounds.append(rx)
+        if passed:
+            return HarqSession(rounds, True)
+    return HarqSession(rounds, False)

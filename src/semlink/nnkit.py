@@ -259,58 +259,56 @@ def stored(net: DenseNet) -> DenseNet:
     return read_net(buf)
 
 
-def read_header(fh, fmt: str, what: str) -> tuple:
+def _read_header(fh, fmt: str) -> tuple:
     """Read exactly struct.calcsize(fmt) bytes and unpack them; a short read
-    raises ValueError naming `what`, the file being read."""
+    raises ValueError."""
     size = struct.calcsize(fmt)
     raw = fh.read(size)
     if len(raw) != size:
-        raise ValueError(f"truncated {what}: header needs {size} bytes, found {len(raw)}")
+        raise ValueError(f"truncated dense-net checkpoint: header needs {size} bytes, found {len(raw)}")
     return struct.unpack(fmt, raw)
 
 
-def read_floats(fh, count: int, what: str) -> np.ndarray:
+def _read_floats(fh, count: int) -> np.ndarray:
     """Read count little-endian float32 values as float64.
 
     The size is checked against the bytes left in the file before anything
     is read, so a corrupt count cannot request more memory than the file
-    holds; every value must be finite. Both failures raise ValueError naming
-    `what`, the file being read.
+    holds; every value must be finite. Both failures raise ValueError.
     """
     pos = fh.tell()
     left = fh.seek(0, 2) - pos
     fh.seek(pos)
     if 4 * count > left:
-        raise ValueError(f"truncated {what}: needs {4 * count} bytes, {left} left")
+        raise ValueError(f"truncated dense-net checkpoint: needs {4 * count} bytes, {left} left")
     values = np.frombuffer(fh.read(4 * count), dtype="<f4")
     # checked before the cast: casting a signaling NaN raises an invalid-value
     # floating-point warning
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"corrupt {what}: non-finite value")
+        raise ValueError("corrupt dense-net checkpoint: non-finite value")
     return values.astype(np.float64)
 
 
 def read_net(fh) -> DenseNet:
     """Inverse of write_net; a corrupt or truncated net raises ValueError."""
-    what = "dense-net checkpoint"
     if fh.read(4) != _MAGIC:
         raise ValueError("not a dense-net checkpoint")
-    (n_layers,) = read_header(fh, "<I", what)
+    (n_layers,) = _read_header(fh, "<I")
     if n_layers == 0:
-        raise ValueError(f"corrupt {what}: no layers")
+        raise ValueError("corrupt dense-net checkpoint: no layers")
     headers = []
     for _ in range(n_layers):
-        n_in, n_out, act_id, alpha = read_header(fh, "<IIBf", what)
+        n_in, n_out, act_id, alpha = _read_header(fh, "<IIBf")
         if act_id >= len(ACTIVATIONS):
             raise ValueError(f"unknown activation id {act_id}")
         if n_in == 0 or n_out == 0 or not np.isfinite(alpha):
-            raise ValueError(f"corrupt {what}: zero dimension or non-finite slope")
+            raise ValueError("corrupt dense-net checkpoint: zero dimension or non-finite slope")
         if headers and n_in != headers[-1][1]:
-            raise ValueError(f"corrupt {what}: layer sizes do not chain")
+            raise ValueError("corrupt dense-net checkpoint: layer sizes do not chain")
         headers.append((n_in, n_out, ACTIVATIONS[act_id], alpha))
     layers = []
     for n_in, n_out, act, alpha in headers:
-        w = read_floats(fh, n_in * n_out, what).reshape(n_in, n_out)
-        b = read_floats(fh, n_out, what)
+        w = _read_floats(fh, n_in * n_out).reshape(n_in, n_out)
+        b = _read_floats(fh, n_out)
         layers.append(DenseLayer(w, b, act, float(alpha)))
     return DenseNet(layers)

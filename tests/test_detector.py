@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semlink import detector as det
@@ -13,7 +13,6 @@ from semlink import nnkit
 from semlink.detector import (
     DetectorConfig,
     RankCorpus,
-    RankQuery,
     SimilarityScorer,
     ack_decide,
     calibrate_scorer,
@@ -67,20 +66,18 @@ def make_separable_corpus(
     measures the scorer, not the labels.
     """
     noise_scales = 0.5 * (2.0 ** np.arange(n_levels) - 1.0)  # level 0 stays clean
-    queries = []
+    maps = np.empty((n_queries, 1 + n_levels, pool * pool))
     for q in range(n_queries):
         scene, f = generate_scene(derive_seed(master_seed, "sep-scene", q), scene_cfg, head)
         mask = importance_map(f, cells)
         f_ref = apply_mask(f, mask)
-        ref_pooled = pool_map(confidence_map(f_ref, head), pool)
+        maps[q, 0] = pool_map(confidence_map(f_ref, head), pool).reshape(-1)
         rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "sep-noise", q)))
-        samp, s_true = [], []
         for level, scale in enumerate(noise_scales):
             noisy = f_ref.data + scale * rng.standard_normal(f_ref.data.shape)
-            samp.append(pool_map(confidence_map(FeatureTensor(noisy), head), pool))
-            s_true.append(SIMILARITY_CAP - s_gap * level)
-        queries.append(RankQuery(ref_pooled, np.stack(samp), np.asarray(s_true)))
-    return RankCorpus(tuple(queries), pool)
+            maps[q, 1 + level] = pool_map(confidence_map(FeatureTensor(noisy), head), pool).reshape(-1)
+    s_true = np.tile(SIMILARITY_CAP - s_gap * np.arange(n_levels), (n_queries, 1))
+    return RankCorpus(maps, s_true)
 
 
 SCENE_CFG = SceneConfig(channels=5, height=12, width=12, logit_amp=2.0)
@@ -238,10 +235,9 @@ def test_query_scores_match_single_scores():
     # a query's one taped pass scores each sampling as a session round does
     scorer = new_scorer(DetectorConfig(pool=4, branch_width=8), seed=7)
     rng = np.random.default_rng(8)
-    query = RankQuery(rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (5, 4, 4)), rng.uniform(0, 1, 5))
-    singles = [score(scorer, query.ref_pooled, samp) for samp in query.samp_pooled]
-    assert np.allclose(det.query_scores(scorer, query), singles, atol=1e-15)
-    assert np.allclose(nnkit.sigmoid(det.query_logits(scorer, query)), singles, atol=1e-15)
+    maps = rng.uniform(0, 1, (6, 16))  # the reference, then 5 samplings
+    singles = [score(scorer, maps[0].reshape(4, 4), samp.reshape(4, 4)) for samp in maps[1:]]
+    assert np.allclose(nnkit.sigmoid(det.query_logits(scorer, maps)), singles, atol=1e-15)
 
 
 def test_score_pooled_rejects_bad_shape():
@@ -304,35 +300,75 @@ def test_pool_map_too_small():
 
 def test_separable_corpus_structure():
     corpus = _small_corpus(n_queries=4, n_levels=4)
-    assert len(corpus.queries) == 4
-    q = corpus.queries[0]
-    assert np.array_equal(q.s_true, SIMILARITY_CAP - 0.75 * np.arange(4))
-    assert np.min(np.diff(q.s_true)) <= -0.5
+    assert corpus.maps.shape == (4, 5, 64) and corpus.s_true.shape == (4, 4)
+    maps, s_true = corpus.maps[0], corpus.s_true[0]
+    assert np.array_equal(s_true, SIMILARITY_CAP - 0.75 * np.arange(4))
+    assert np.min(np.diff(s_true)) <= -0.5
     # level 0 is the clean reference itself
-    assert np.array_equal(q.samp_pooled[0], q.ref_pooled)
-    assert not np.array_equal(q.samp_pooled[1], q.ref_pooled)
+    assert np.array_equal(maps[1], maps[0])
+    assert not np.array_equal(maps[2], maps[0])
 
 
 def test_separable_corpus_deterministic():
     a = _small_corpus(n_queries=3)
     b = _small_corpus(n_queries=3)
-    for qa, qb in zip(a.queries, b.queries):
-        assert np.array_equal(qa.samp_pooled, qb.samp_pooled)
+    assert a.maps.tobytes() == b.maps.tobytes()
 
 
 def test_split_corpus_partition():
     corpus = _small_corpus(n_queries=8)
     cfg = DetectorConfig(holdout=0.25)
     train_c, hold_c = split_corpus(corpus, cfg, seed=1)
-    assert len(train_c.queries) == 6
-    assert len(hold_c.queries) == 2
+    assert len(train_c.s_true) == len(train_c.maps) == 6
+    assert len(hold_c.s_true) == len(hold_c.maps) == 2
+
+
+@pytest.mark.parametrize(
+    "maps_shape,s_shape",
+    [((4, 5, 16), (4, 5)), ((4, 5, 16), (3, 4)), ((4, 5), (4, 4)), ((4, 5, 16), (4,)),
+     ((4, 5, 4, 4), (4, 4)), ((0, 5, 16), (0, 5))],
+)
+def test_rank_corpus_rejects_inconsistent_shapes(maps_shape, s_shape):
+    # maps is (Q, 1+K, pool*pool), a reference row before the K samplings of s_true's (Q, K)
+    with pytest.raises(ValueError, match="inconsistent corpus shapes"):
+        RankCorpus(np.zeros(maps_shape), np.zeros(s_shape))
+
+
+def test_rank_corpus_hands_out_read_only_float64_arrays():
+    corpus = RankCorpus(np.ones((2, 3, 4), dtype=np.float32), [[0.5, 0.25], [1.0, 0.0]])
+    for a in (corpus.maps, corpus.s_true):
+        assert a.dtype == np.float64 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    for part in split_corpus(corpus, DetectorConfig(holdout=0.5), seed=1):
+        assert not part.maps.flags.writeable and not part.s_true.flags.writeable
+
+
+@given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_split_corpus_is_an_ordered_partition(n, holdout, seed):
+    try:
+        cfg = DetectorConfig(corpus_queries=n, holdout=holdout)
+    except ValueError:
+        assume(False)
+    # query q is marked by q in its maps and its similarities
+    ids = np.arange(n, dtype=np.float64)
+    corpus = RankCorpus(np.repeat(ids, 3 * 2).reshape(n, 3, 2), np.repeat(ids, 2).reshape(n, 2))
+    train_c, hold_c = split_corpus(corpus, cfg, seed)
+    train_ids, hold_ids = train_c.s_true[:, 0], hold_c.s_true[:, 0]
+    for part, part_ids in ((train_c, train_ids), (hold_c, hold_ids)):
+        assert np.array_equal(part.maps, np.repeat(part_ids, 3 * 2).reshape(-1, 3, 2))
+        assert np.all(np.diff(part_ids) > 0)  # corpus order
+    assert not set(train_ids) & set(hold_ids)
+    assert sorted(set(train_ids) | set(hold_ids)) == ids.tolist()
+    assert hold_ids.size == det._holdout_count(holdout, n)
 
 
 @pytest.mark.parametrize("n,holdout", [(1, 0.9), (2, 0.0), (2, 0.5), (4, 0.6), (40, 0.97)])
 def test_detector_config_holdout_leaves_training_queries(n, holdout):
     cfg = DetectorConfig(corpus_queries=n, holdout=holdout)
     train_c, _ = split_corpus(_small_corpus(n_queries=n), cfg, seed=1)
-    assert len(train_c.queries) >= 1
+    assert len(train_c.s_true) >= 1
 
 
 @pytest.mark.parametrize(
@@ -418,21 +454,22 @@ def test_query_pair_loss_matches_the_pair_loop():
 
 def test_pairwise_accuracy_matches_the_pair_loop():
     corpus = _small_corpus(n_queries=6, n_levels=5)
-    # tied labels (samplings 1 and 2) and tied logits on ordered pairs (0, 1 and 2, 3)
-    tied = RankQuery(corpus.queries[0].ref_pooled, corpus.queries[0].samp_pooled[[0, 0, 1, 1]],
-                     np.array([1.0, 0.5, 0.5, 0.2]))
-    corpus = RankCorpus(corpus.queries + (tied,), corpus.pool)
+    # tied labels (samplings 1 and 2) and tied logits on ordered pairs (0, 1 and 2, 3):
+    # the reference, then the first query's samplings 0, 0, 1, 1 and 2
+    tied_maps = corpus.maps[0, [0, 1, 1, 2, 2, 3]]
+    tied_s = np.array([1.0, 0.5, 0.5, 0.2, 0.1])
+    corpus = RankCorpus(np.concatenate([corpus.maps, tied_maps[None]]), np.vstack([corpus.s_true, tied_s]))
     scorer = new_scorer(DetectorConfig(pool=8, branch_width=16), seed=5)
     good = total = 0
-    for query in corpus.queries:
-        z, st = det.query_logits(scorer, query), query.s_true
+    for maps, st in zip(corpus.maps, corpus.s_true):
+        z = det.query_logits(scorer, maps)
         for m in range(st.size):
             for n in range(st.size):
                 if st[m] > st[n]:
                     total += 1
                     good += int(z[m] > z[n])
     assert pairwise_accuracy(scorer, corpus) == good / total
-    assert math.isnan(pairwise_accuracy(scorer, RankCorpus((), 8)))
+    assert math.isnan(pairwise_accuracy(scorer, RankCorpus(np.zeros((0, 6, 64)), np.zeros((0, 5)))))
 
 
 def test_calibration_preserves_ordering_and_anchors():
@@ -442,8 +479,8 @@ def test_calibration_preserves_ordering_and_anchors():
     scorer, _ = train_ranker(corpus, scorer, cfg, seed=3)
     cal = calibrate_scorer(scorer, corpus)
     assert abs(pairwise_accuracy(cal, corpus) - pairwise_accuracy(scorer, corpus)) < 1e-12
-    z = np.concatenate([det.query_logits(cal, q) for q in corpus.queries])
-    s = np.concatenate([q.s_true for q in corpus.queries])
+    z = np.concatenate([det.query_logits(cal, maps) for maps in corpus.maps])
+    s = corpus.s_true.reshape(-1)
     lo_cut, hi_cut = np.quantile(s, [0.25, 0.75])
     assert abs(z[s >= hi_cut].mean() - math.log(0.95 / 0.05)) < 1e-9
     assert abs(z[s <= lo_cut].mean() - math.log(0.3 / 0.7)) < 1e-9

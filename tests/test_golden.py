@@ -1,4 +1,5 @@
-"""Golden bytes: sha256 digests of what a small train and two small sweeps write.
+"""Golden bytes: sha256 digests of what a small train, the default train and
+three short sweeps write.
 
 A refactor that is meant to keep every output must leave these digests as
 they are. A change that alters outputs on purpose updates the digests here
@@ -22,6 +23,18 @@ TRAIN = {
 TINY_SWEEP = {
     "sessions.csv": "ac56fa4a5bb4a8f7bca7471a924832fda3fc9d22372e5a4dc705b06278b04da1",
     "summary.csv": "752729bda1af05127d8cd095543097112702ac8d49e2544a49618478b24bcaac",
+}
+# the default config's train (the suite's trained_dir) and a 10-session
+# 5-mode sweep on it
+DEFAULT_TRAIN = {
+    "bundle.ckpt": "cbc85a6d4929d49941d1eed3b34102df020c87e26639514eb6a996910364808b",
+    "detector_calibration.csv": "8ed519e26f7aebdb62d165b6de004cb603b20aa34b0440b53f5277e02eb197e0",
+    "train_codecs.csv": "f9409ecf1a7d9568deeebcc5fb31184af730232ea2d625e79887774dc825b485",
+    "train_detector.csv": "1179d3831542c80bb34f17a8b021051e1e11c1cff46d9e2133ec26f78db6b511",
+}
+DEFAULT_SWEEP = {
+    "sessions.csv": "e9794bb3ae4889a152cdece44b383e779cb189c69f341c5fc61aa2b7248e1e03",
+    "summary.csv": "24df41d820f3acd1245dbee0ca46ffed4de2f6aed6be0385a8e6e04ee9e40908",
 }
 DEFAULT_BASELINE_SWEEP = {
     "sessions.csv": "a843ca3a78edba9a123a8b4a166cc33c88cc3c225c34760e4ec663160f2eecbd",
@@ -59,3 +72,12 @@ def test_default_baseline_sweep_bytes(tmp_path):
     bare = harness.RuntimeBundle(cfg, harness.make_head(cfg), None, None, None)
     harness.run_sweep(bare, ("base1", "base2"), cfg.experiment.snr_db, tmp_path, sessions=20)
     assert _digests(tmp_path, DEFAULT_BASELINE_SWEEP) == DEFAULT_BASELINE_SWEEP
+
+
+def test_default_train_bytes(trained_dir):
+    assert _digests(trained_dir, DEFAULT_TRAIN) == DEFAULT_TRAIN
+
+
+def test_default_sweep_bytes(bundle, tmp_path):
+    harness.run_sweep(bundle, config_mod.ALL_MODES, bundle.cfg.experiment.snr_db, tmp_path, sessions=10)
+    assert _digests(tmp_path, DEFAULT_SWEEP) == DEFAULT_SWEEP

@@ -12,7 +12,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ from semlink.harq import (
     BaselineSource,
     HarqSession,
     Reception,
-    RoundRecord,
     SemanticSource,
     run_baseline_session,
     run_semantic_session,
@@ -266,15 +265,16 @@ def test_corpus_matches_its_construction_from_parts(tiny_bundle):
     cfg = tiny_bundle.cfg
     corpus = detector.build_corpus(cfg, tiny_bundle.head, tiny_bundle.codec_pair1)
     expect = _corpus_from_parts(cfg, tiny_bundle.head, tiny_bundle.codec_pair1)
-    assert corpus.pool == cfg.detector.pool
-    assert len(corpus.queries) == len(expect) == cfg.detector.corpus_queries
-    for query, arrays in zip(corpus.queries, expect):
-        got = (query.ref_pooled, query.samp_pooled, query.s_true)
-        for a, b in zip(got, arrays):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+    n_snr, cells = len(cfg.detector.corpus_snr_db), cfg.detector.pool**2
+    assert corpus.maps.shape == (len(expect), 1 + n_snr, cells) and corpus.maps.dtype == np.float64
+    assert corpus.s_true.shape == (len(expect), n_snr) and corpus.s_true.dtype == np.float64
+    assert len(expect) == cfg.detector.corpus_queries
+    for maps, s_true, (ref_pooled, samp_pooled, s_expect) in zip(corpus.maps, corpus.s_true, expect):
+        assert maps[0].tobytes() == ref_pooled.reshape(cells).tobytes()
+        assert maps[1:].tobytes() == samp_pooled.reshape(n_snr, cells).tobytes()
+        assert s_true.tobytes() == s_expect.tobytes()
     # the corpus spans more than one similarity, or the check above is weak
-    assert len({float(s) for q in corpus.queries for s in q.s_true}) > 1
+    assert len(set(corpus.s_true.reshape(-1).tolist())) > 1
 
 
 @pytest.mark.parametrize(
@@ -389,19 +389,24 @@ def test_write_csv_cell_rule(tmp_path, value, cell):
     assert path.read_bytes() == f"a,b\n{cell},{cell}\n".encode()
 
 
+def _fresh_session(bundle, mode, snr_db, idx):
+    """run_session on a SessionCache of its own."""
+    return harness.run_session(harness.SessionCache(bundle, idx), mode, snr_db)
+
+
 def test_session_record_pairing(tiny_bundle):
     # round 1 uses the same codec, seeds and channel in every semantic mode,
     # so the first-round truth is identical across modes and thresholds
-    a = harness.run_session(tiny_bundle, "sim1", 6.0, idx=3)
-    b = harness.run_session(tiny_bundle, "sim2", 6.0, idx=3)
-    c = harness.run_session(_set(tiny_bundle, "detector", ack_threshold=0.999), "sim1", 6.0, idx=3)
+    a = _fresh_session(tiny_bundle, "sim1", 6.0, 3)
+    b = _fresh_session(tiny_bundle, "sim2", 6.0, 3)
+    c = _fresh_session(_set(tiny_bundle, "detector", ack_threshold=0.999), "sim1", 6.0, 3)
     assert a.s_true[0] == b.s_true[0] == c.s_true[0]
     assert a.s_hat[0] == b.s_hat[0] == c.s_hat[0]
 
 
 def test_noharq_is_single_round(tiny_bundle):
-    rec = harness.run_session(tiny_bundle, "noharq", 6.0, idx=1)
-    ref = harness.run_session(_set(tiny_bundle, "experiment", round_budget=1), "sim1", 6.0, idx=1)
+    rec = _fresh_session(tiny_bundle, "noharq", 6.0, 1)
+    ref = _fresh_session(_set(tiny_bundle, "experiment", round_budget=1), "sim1", 6.0, 1)
     assert rec.rounds_used == 1
     assert rec.final_round == 1
     assert rec.s_true[1:] == (None, None)
@@ -416,11 +421,12 @@ def test_noharq_is_single_round(tiny_bundle):
     ids=["best-scored", "acknowledged", "last-unscored"],
 )
 def test_flatten_reports_the_final_rounds_task_loss(s_hats, acks, final):
-    session = HarqSession()
-    for t, (s_hat, ack) in enumerate(zip(s_hats, acks), start=1):
-        cand = FeatureTensor(np.full((1, 2, 2), float(t)))
-        session.rounds.append(RoundRecord(s_hat, 0.1 * t, ack, cand, 10.0 * t))
-    rec = harness._flatten(session, 0, "sim1", 6.0, 0.5, 3)
+    rounds = [
+        Reception(np.zeros(4), FeatureTensor(np.full((1, 2, 2), float(t))), 10.0 * t, 0.1 * t, s_hat)
+        for t, s_hat in enumerate(s_hats, start=1)
+    ]
+    assert not any(acks[:-1])  # only a session's last round can be acknowledged
+    rec = harness._flatten(HarqSession(rounds, acks[-1]), 0, "sim1", 6.0, 0.5, 3)
     assert rec.final_round == final
     assert rec.final_task_loss == 10.0 * final
     assert rec.final_s_true == 0.1 * final
@@ -428,7 +434,7 @@ def test_flatten_reports_the_final_rounds_task_loss(s_hats, acks, final):
 
 def test_run_session_rejects_unknown_mode(tiny_bundle):
     with pytest.raises(ValueError, match="unknown mode"):
-        harness.run_session(tiny_bundle, "qpsk", 6.0, idx=0)
+        _fresh_session(tiny_bundle, "qpsk", 6.0, 0)
 
 
 def test_sweep_csv_schemas(tiny_bundle, tmp_path):
@@ -534,15 +540,15 @@ def sweep_bundle(tiny_bundle):
 
 @pytest.fixture(scope="module")
 def uncached_sweep(sweep_bundle, tmp_path_factory):
-    """CSVs of the grid below with every session run on its own, no cache.
+    """CSVs of the grid below with every session run on a cache of its own.
 
     The records also equal those of sessions built from parts, so the
-    SessionCache that each uncached run_session makes for itself is checked
-    too, not only the sharing of one.
+    SessionCache of a lone session is checked too, not only the sharing of
+    one.
     """
     out = tmp_path_factory.mktemp("uncached")
     tasks = [(m, s, i) for m in ALL_MODES for s in SWEEP_SNRS for i in range(5)]
-    records = [harness.run_session(sweep_bundle, m, s, i) for m, s, i in tasks]
+    records = [_fresh_session(sweep_bundle, m, s, i) for m, s, i in tasks]
     assert records == [
         _session_from_parts(sweep_bundle, m, s, i, SWEEP_BETA, 2) for m, s, i in tasks
     ]
@@ -561,7 +567,7 @@ def test_cached_sweep_matches_uncached_sessions(sweep_bundle, uncached_sweep, tm
 
 def test_session_with_shared_cache_matches_uncached(tiny_bundle):
     # sessions on a cache that other modes and SNRs filled give the records
-    # they give with no cache, whether sim2 runs last or first and so fills
+    # they give on a fresh one, whether sim2 runs last or first and so fills
     # the reception memo that noharq and sim1 then read; each order starts
     # from a fresh cache
     idx = 2
@@ -572,8 +578,8 @@ def test_session_with_shared_cache_matches_uncached(tiny_bundle):
         cache = harness.SessionCache(bundle, idx)
         records = {}
         for mode, snr_db in order:
-            records[mode, snr_db] = harness.run_session(bundle, mode, snr_db, idx, cache=cache)
-            assert records[mode, snr_db] == harness.run_session(bundle, mode, snr_db, idx)
+            records[mode, snr_db] = harness.run_session(cache, mode, snr_db)
+            assert records[mode, snr_db] == _fresh_session(bundle, mode, snr_db, idx)
         assert records["sim2", 0.0].rounds_used == 3  # beta 0.999 acknowledges nothing
         assert records["base1", 0.0].rounds_used > 1
 
@@ -604,8 +610,7 @@ def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
         return -(-n // cfg.ofdm.l_fft)
 
     def run(modes, n_symbols):
-        records = [harness.run_session(sweep_bundle, mode, snr_db, idx, cache=cache)
-                   for mode in modes for snr_db in (0.0, 18.0)]
+        records = [harness.run_session(cache, mode, snr_db) for mode in modes for snr_db in (0.0, 18.0)]
         return [(r.mode, r.snr_db, t, rows(n_symbols[r.mode]))
                 for r in records for t in range(1, r.rounds_used + 1)]
 
@@ -632,7 +637,7 @@ def test_shared_receptions_are_read_only(sweep_bundle):
     # of their arrays can be written
     cache = harness.SessionCache(sweep_bundle, 1)
     for mode in ("noharq", "sim1", "sim2"):
-        harness.run_session(sweep_bundle, mode, 6.0, 1, cache=cache)
+        harness.run_session(cache, mode, 6.0)
     receptions = list(cache._first.values())
     draws = [cache.draws(t) for t in range(1, 3)]
     kept = [a for d in draws for parts in (*d._clean.values(), *d._noisy.values()) for a in parts]
@@ -644,6 +649,33 @@ def test_shared_receptions_are_read_only(sweep_bundle):
             rx.message[0] = 0.0
     for a in kept:
         assert not a.flags.writeable
+
+
+def test_every_round_of_every_mode_is_a_read_only_reception(sweep_bundle, monkeypatch):
+    # a session records each round as the Reception it received, scored by
+    # the scorer or, in a CRC round, unscored; it stops at its one ACK
+    sessions = []
+    for name in ("run_semantic_session", "run_baseline_session"):
+        def kept(*args, _run=getattr(harness, name)):
+            sessions.append(_run(*args))
+            return sessions[-1]
+        monkeypatch.setattr(harness, name, kept)
+    records = [harness.run_session(harness.SessionCache(sweep_bundle, idx), mode, snr_db)
+               for idx in range(3) for mode in ALL_MODES for snr_db in SWEEP_SNRS]
+    assert len(sessions) == len(records)
+    assert {s.acked for s in sessions} == {True, False}
+    for session, rec in zip(sessions, records):
+        assert session.ack_round in (session.rounds_used, 0)
+        assert session.ack_round == (session.rounds_used if session.acked else 0) == rec.ack_round
+        assert rec.rounds_used == session.rounds_used == len(session.rounds)
+        for rx in session.rounds:
+            assert isinstance(rx, Reception)
+            assert (rx.s_hat is None) == (rec.mode in harness.BASELINE_MODES)
+            assert not rx.message.flags.writeable and not rx.candidate.data.flags.writeable
+            with pytest.raises(FrozenInstanceError):
+                rx.s_true = 0.0
+        with pytest.raises(FrozenInstanceError):
+            session.acked = not session.acked
 
 
 def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
@@ -660,7 +692,7 @@ def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
     for bundle in (bare, trained):
         cache = harness.SessionCache(bundle, 0)
         for mode in ("base1", "base2"):
-            harness.run_session(bundle, mode, 0.0, 0, cache=cache)
+            harness.run_session(cache, mode, 0.0)
         assert "semantic" not in vars(cache)
         assert not cache._first
 
@@ -672,7 +704,7 @@ def test_sessions_reject_bad_beta(tiny_bundle, mode, beta):
     # rejects a bad one, so no bundle carries it into a session
     with pytest.raises(ValueError, match=r"bad value in \[detector\]: ack_threshold"):
         _set(tiny_bundle, "detector", ack_threshold=beta)
-    rec = harness.run_session(_set(tiny_bundle, "detector", ack_threshold=0.999), mode, 6.0, 0)
+    rec = _fresh_session(_set(tiny_bundle, "detector", ack_threshold=0.999), mode, 6.0, 0)
     assert rec.beta == (0.999 if mode == "sim1" else None)
 
 
@@ -680,7 +712,7 @@ def test_sessions_reject_bad_beta(tiny_bundle, mode, beta):
 @pytest.mark.parametrize("snr", [float("-inf"), float("nan"), float("inf")])
 def test_sessions_reject_non_finite_snr(tiny_bundle, tmp_path, mode, snr):
     with pytest.raises(ValueError, match="snr_db"):
-        harness.run_session(tiny_bundle, mode, snr, 0)
+        _fresh_session(tiny_bundle, mode, snr, 0)
     with pytest.raises(ValueError, match="snr_db"):
         harness.run_sweep(tiny_bundle, (mode,), (snr,), tmp_path / "out", sessions=1)
     assert not (tmp_path / "out").exists()
@@ -698,12 +730,6 @@ def test_run_sweep_rejects_an_empty_snr_list(tiny_bundle, tmp_path, mode):
     with pytest.raises(ValueError, match="empty SNR list"):
         harness.run_sweep(tiny_bundle, (mode,), (), tmp_path / "out", sessions=1)
     assert not (tmp_path / "out").exists()
-
-
-def test_session_cache_is_bound_to_its_index(tiny_bundle):
-    cache = harness.SessionCache(tiny_bundle, 1)
-    with pytest.raises(ValueError, match="index"):
-        harness.run_session(tiny_bundle, "sim1", 6.0, idx=2, cache=cache)
 
 
 def test_sweep_worker_count_invariance(tiny_bundle, tmp_path):

@@ -16,7 +16,7 @@ from semlink.harq import (
     ChaseCombiner,
     HarqSession,
     Quantizer8,
-    RoundRecord,
+    Reception,
     SemanticSource,
     crc24,
     finalize,
@@ -135,46 +135,49 @@ def test_quantizer_input_validation():
         fit_quantizer(np.array([1.0, np.nan]))
 
 
-def _fake_session(acks, s_hats=None):
-    session = HarqSession()
-    cand = FeatureTensor(np.zeros((1, 2, 2)))
-    for i, ack in enumerate(acks):
-        s_hat = None if s_hats is None else s_hats[i]
-        session.rounds.append(RoundRecord(s_hat, 0.0, ack, cand, 0.0))
-    return session
+def _fake_session(n_rounds, acked, s_hats=None):
+    """A session of n_rounds Receptions, unscored unless s_hats are given."""
+    rounds = [
+        Reception(np.zeros(4), FeatureTensor(np.full((1, 2, 2), float(t))), 0.0, 0.0,
+                  None if s_hats is None else s_hats[t])
+        for t in range(n_rounds)
+    ]
+    return HarqSession(rounds, acked)
 
 
 def test_throughput_values():
-    assert throughput([_fake_session([True]), _fake_session([True])]) == 1.0
-    assert throughput([_fake_session([False, False, False])]) == 0.0
+    assert throughput([_fake_session(1, True), _fake_session(1, True)]) == 1.0
+    assert throughput([_fake_session(3, False)]) == 0.0
     # one ack in round 1 plus one ack in round 2: 2 acks over 3 rounds
-    assert abs(throughput([_fake_session([True]), _fake_session([False, True])]) - 2 / 3) < 1e-15
+    assert abs(throughput([_fake_session(1, True), _fake_session(2, True)]) - 2 / 3) < 1e-15
     assert math.isnan(throughput([]))
 
 
 def test_finalize_prefers_ack_round():
-    session = _fake_session([False, True, False], s_hats=[0.9, 0.2, 0.8])
-    session.rounds[1].candidate = FeatureTensor(np.ones((1, 2, 2)))
-    t, cand = finalize(session)
-    assert t == 2
-    assert np.array_equal(cand.data, np.ones((1, 2, 2)))
+    # a session ends at its ACK: the acknowledged last round is final, though
+    # an earlier round scored higher
+    session = _fake_session(3, True, s_hats=[0.9, 0.2, 0.8])
+    t, final = finalize(session)
+    assert t == 3
+    assert final is session.rounds[2]
+    assert np.array_equal(final.candidate.data, np.full((1, 2, 2), 2.0))
 
 
 def test_finalize_best_score_when_no_ack():
-    session = _fake_session([False, False, False], s_hats=[0.3, 0.6, 0.5])
+    session = _fake_session(3, False, s_hats=[0.3, 0.6, 0.5])
     assert finalize(session)[0] == 2
-    ties = _fake_session([False, False], s_hats=[0.4, 0.4])
+    ties = _fake_session(2, False, s_hats=[0.4, 0.4])
     assert finalize(ties)[0] == 1
 
 
 def test_finalize_unscored_falls_back_to_last():
-    session = _fake_session([False, False, False])
+    session = _fake_session(3, False)
     assert finalize(session)[0] == 3
 
 
 def test_finalize_empty_session():
     with pytest.raises(ValueError):
-        finalize(HarqSession())
+        finalize(HarqSession([], False))
 
 
 # -- semantic sessions over an injected channel --
@@ -213,7 +216,7 @@ def test_semantic_session_ack_stops_immediately():
     session = _session(src, "sim1", 3, 0.01, _identity)
     assert session.rounds_used == 1
     assert session.ack_round == 1
-    assert session.rounds[0].ack
+    assert session.acked
 
 
 def test_semantic_session_exhausts_budget_without_ack():
@@ -281,9 +284,7 @@ def test_semantic_session_reads_pair1_rounds_from_first(mode):
     pair1 = (1, 2, 3) if mode == "sim1" else (1,)
     assert sent == [t for t in (1, 2, 3) if t not in pair1]
     for t in pair1:
-        rec, rx = session.rounds[t - 1], firsts[t]
-        assert rec.candidate is rx.candidate
-        assert (rec.s_hat, rec.s_true, rec.task_loss) == (rx.s_hat, rx.s_true, rx.task_loss)
+        assert session.rounds[t - 1] is firsts[t]
 
 
 def test_semantic_session_validation():
@@ -452,7 +453,7 @@ def test_baseline_decode_of_a_nan_reception_raises():
     src = _baseline_source()
     assert crc24(np.zeros(src.payload_bits.size // 8, dtype=np.uint8)) == 0
     with pytest.raises(ValueError, match="non-finite"):
-        src.decode(np.full(src.chunk.size, complex(np.nan, np.nan)))
+        src.reception(np.full(src.chunk.size, complex(np.nan, np.nan)))
 
 
 def test_baseline_forced_errors_exhaust_budget():
@@ -483,8 +484,7 @@ def test_baseline_combining_recovers_from_noisy_first_round():
         return symbols, np.ones(symbols.size), 1e-12
 
     session = run_baseline_session(src, "base1", budget=3, transmit=transmit)
-    assert not session.rounds[0].ack
-    assert session.ack_round == 2
+    assert session.rounds_used == session.ack_round == 2
 
 
 def test_baseline_session_validation():

@@ -1,5 +1,6 @@
 """Layout guards: every top-level function and class in src/semlink, and
-every method and property of its classes, has a caller, every import of src/semlink sits at the top of its module, every
+every method and property of its classes, has a caller, every import of
+src/semlink sits at the top of its module and is named in it, every
 parameter default of src/semlink is one that some caller overrides,
 harness._write_csv is the one place that writes a text file, the bundle
 writer the only one that writes a binary file, and importing
@@ -127,6 +128,46 @@ def test_src_imports_inside_functions_only_to_break_a_cycle():
     assert local == CYCLE_BREAKERS, f"imports below the top level: {sorted(local - CYCLE_BREAKERS)}"
     for mod, target in CYCLE_BREAKERS:
         assert mod in _imports(modules[target], top=True), f"{target} does not import {mod}: no cycle"
+
+
+def _unused_imports(src: Path = SRC) -> set[tuple[str, str]]:
+    """(module, name) of each name that a top-level import of a src/ module
+    binds and nothing else in that module names; __init__ re-exports, and
+    __future__ imports are directives."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    out.add((path.stem, bound))
+    return out
+
+
+def test_src_imports_are_used():
+    # an import that nothing names is what a deletion leaves behind
+    assert not _unused_imports(), f"imported but never named: {sorted(_unused_imports())}"
+
+
+@pytest.mark.parametrize(
+    "code,unused",
+    [("import os\nx = 1", {"os"}), ("import os.path\nx = os.path.sep", set()),
+     ("from a import b as c\nx = c", set()), ("from a import b, c\nx = b", {"c"}),
+     ("from __future__ import annotations\nx = 1", set()), ("import a as b\nx: b.T = 1", set()),
+     ("def f():\n    import os\n    return os", set())],
+    ids=["unused", "dotted", "alias", "one-of-two", "future", "annotation", "local"],
+)
+def test_unused_import_guard_sees_each_form(tmp_path, code, unused):
+    (tmp_path / "mod.py").write_text(code + "\n")
+    (tmp_path / "__init__.py").write_text("import os\n")
+    assert _unused_imports(tmp_path) == {("mod", name) for name in unused}
 
 
 # cli.main's argv is set by whoever calls the console script, and
