@@ -11,7 +11,7 @@ The rank corpus is two arrays: per query, the pooled reference map and its
 K samplings' pooled maps, and the samplings' true similarities. It is
 sampled through harq.SemanticSource, the source every semantic session runs
 from, so a corpus sampling is the reception a session round makes: the same
-candidate, pooled map and true similarity.
+pooled map and true similarity, scored on the sent cells alone.
 The scorer is stored in harness.train_all's one bundle.ckpt, and the
 calibration table is computed with nnkit.stored copies of its nets.
 """
@@ -387,6 +387,6 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
         for k, snr_db in enumerate(det.corpus_snr_db):
             seeds = LinkSeeds.derive(ms, "corpus", q, k)
             rx = transmit_symbols(src.sym_first, cfg.ofdm, profile, snr_db, seeds)
-            _, pooled, _, s_true[q, k] = src.receive(codec_mod.decode(codec, rx))
+            pooled, _, s_true[q, k] = src.receive(codec_mod.decode(codec, rx))
             maps[q, 1 + k] = pooled.reshape(-1)
     return RankCorpus(maps.astype(np.float32), s_true.astype(np.float32))

@@ -16,7 +16,11 @@ every mode is one Reception (the source's `reception`), judged by the scorer
 or the CRC; a session is its rounds and whether the last was acknowledged.
 A semantic reception is SemanticSource.receive, for the sessions here and
 for the scorer's rank corpus (detector.build_corpus), whose sources have no
-scorer.
+scorer. A reception is known on the cells its source's mask sends, and
+both sources score it there alone (scenegen.SentReadout), summing in the
+whole-grid order, so its loss and map are those that
+scenegen.perception_loss and confidence_map, the definition, give for the
+unpacked feature.
 """
 
 from __future__ import annotations
@@ -30,15 +34,8 @@ import numpy as np
 from . import codec as codec_mod
 from .detector import SimilarityScorer, ack_decide, embed_reference, pool_map, score_pooled
 from .ofdm import qam_demap_hard, qam_map
-from .scenegen import ProxyHead, Scene, confidence_map, perception_loss, true_similarity
-from .tensors import (
-    FeatureTensor,
-    _frozen,
-    apply_mask,
-    importance_map,
-    pack_nonzero,
-    unpack,
-)
+from .scenegen import ProxyHead, Scene, SentReadout, true_similarity
+from .tensors import FeatureTensor, _frozen, importance_map, pack_nonzero
 
 CRC24_POLY = 0x864CFB
 CRC24_BITS = 24
@@ -100,13 +97,13 @@ def fit_quantizer(values: np.ndarray) -> Quantizer8:
 
 @dataclass(frozen=True)
 class Reception:
-    """One round's decoded message and what the round records of it: its
-    candidate, the candidate's perception loss, its true similarity to the
-    reference, and the scorer's score, None in a CRC round. Its arrays are
-    read-only, so the sessions that share one reception cannot alter it."""
+    """One round's decoded message and what the round records of it: the
+    perception loss of its candidate (the message on the mask's cells, zero
+    elsewhere), its true similarity to the reference, and the scorer's score,
+    None in a CRC round. Its message is read-only, so the sessions that share
+    one reception cannot alter it."""
 
     message: np.ndarray
-    candidate: FeatureTensor
     task_loss: float
     s_true: float
     s_hat: float | None
@@ -158,10 +155,11 @@ class SemanticSource:
     """One scene's semantic transmission, and what every session of it derives.
 
     The feature f is masked to its `cells` strongest cells (fixed for the
-    whole session) and packed. The reference map pooled to pool x pool, its
-    scorer embedding, the reference perception loss and each pair's symbols
-    are computed on first use and kept; none depends on mode, SNR or
-    threshold, so sessions may share one source (harness.SessionCache).
+    whole session) and packed; the packed values are the reference message.
+    The reference map pooled to pool x pool, its scorer embedding, the
+    reference perception loss and each pair's symbols are computed on first
+    use and kept; none depends on mode, SNR or threshold, so sessions may
+    share one source (harness.SessionCache).
     Every array it hands out is read-only. The second pair and the scorer
     may be None: such a source cannot run mode sim2, or score, but still
     sends and receives.
@@ -175,17 +173,16 @@ class SemanticSource:
         self.first = first
         self.second = second
         self.scorer = scorer
-        self.head = head
         self.scene = scene
         self.pool = pool
         self.mask = importance_map(f, cells)
-        self.f_ref = apply_mask(f, self.mask)
         self.packed = _frozen(pack_nonzero(f, self.mask))
+        self.readout = SentReadout(scene, self.mask, head)
 
     @functools.cached_property
     def ref_pooled(self) -> np.ndarray:
-        """f_ref's confidence map pooled to the pool x pool grid."""
-        return _frozen(pool_map(confidence_map(self.f_ref, self.head), self.pool))
+        """The reference's confidence map pooled to the pool x pool grid."""
+        return _frozen(pool_map(self.readout.score(self.packed)[1], self.pool))
 
     @functools.cached_property
     def ref_emb(self) -> np.ndarray:
@@ -194,7 +191,7 @@ class SemanticSource:
 
     @functools.cached_property
     def ref_loss(self) -> float:
-        return perception_loss(self.f_ref, self.scene, self.head)
+        return self.readout.score(self.packed)[0]
 
     @functools.cached_property
     def sym_first(self) -> np.ndarray:
@@ -204,19 +201,18 @@ class SemanticSource:
     def sym_second(self) -> np.ndarray:
         return _frozen(codec_mod.encode(self.second, self.packed))
 
-    def receive(self, message: np.ndarray) -> tuple[FeatureTensor, np.ndarray, float, float]:
-        """A decoded message's candidate, its pooled confidence map, its
-        perception loss and its true similarity to the reference."""
-        candidate = unpack(message, self.mask, self.f_ref.shape)
-        loss = perception_loss(candidate, self.scene, self.head)
-        pooled = pool_map(confidence_map(candidate, self.head), self.pool)
-        return candidate, pooled, loss, true_similarity(self.ref_loss, loss)
+    def receive(self, message: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """A decoded message's pooled confidence map, its perception loss and
+        its true similarity to the reference, scored on the sent cells alone
+        (self.readout): the values of the whole-grid candidate, bit for bit."""
+        loss, cmap = self.readout.score(message)
+        return pool_map(cmap, self.pool), loss, true_similarity(self.ref_loss, loss)
 
     def reception(self, message: np.ndarray) -> Reception:
         """receive(message), with the scorer's score of the pooled map."""
-        candidate, pooled, loss, s_true = self.receive(message)
+        pooled, loss, s_true = self.receive(message)
         s_hat = score_pooled(self.scorer, self.ref_emb, pooled)
-        return Reception(_frozen(message), candidate, loss, s_true, s_hat)
+        return Reception(_frozen(message), loss, s_true, s_hat)
 
 
 def run_semantic_session(
@@ -226,7 +222,7 @@ def run_semantic_session(
 
     mode "sim1" resends the same first-pair symbols every round and keeps the
     latest decoded message as candidate; mode "sim2" switches to the second
-    pair from round two and its candidate is the unpacked sum of all decoded
+    pair from round two and its candidate is the sum of all decoded
     messages. A round is acknowledged when the scorer's score of its
     candidate exceeds `threshold` (ack_decide).
 
@@ -286,17 +282,18 @@ class BaselineSource:
 
     The feature f is masked to `cells` cells, its packed values quantized to
     8-bit codes and payload_bits are the frame of the codes and their CRC-24;
-    f_ref is the dequantized content. The QAM chunk, the codeword (`copies`
-    chunks: a rate-1/copies repetition code) and the reference perception
-    loss are computed on first use and kept, like SemanticSource's. Every
-    array it hands out is read-only. A round's Reception carries the
-    dequantized codes as its message and no score: the CRC judges it.
+    ref_message is the dequantized codes. The QAM chunk, the codeword
+    (`copies` chunks: a rate-1/copies repetition code) and the reference
+    perception loss are computed on first use and kept, like
+    SemanticSource's. Every array it hands out is read-only. A round's
+    Reception carries the dequantized codes as its message and no score: the
+    CRC judges it. Its loss is scored on the sent cells alone, like
+    SemanticSource's (scenegen.SentReadout).
     """
 
     def __init__(
         self, head: ProxyHead, scene: Scene, f: FeatureTensor, cells: int, mod_order: int, copies: int
     ):
-        self.head = head
         self.scene = scene
         self.mod_order = mod_order
         self.copies = copies
@@ -306,7 +303,8 @@ class BaselineSource:
         codes = self.quantizer.quantize(packed)
         frame = codes.tobytes() + crc24(codes).to_bytes(CRC24_BITS // 8, "big")
         self.payload_bits = _frozen(np.unpackbits(np.frombuffer(frame, dtype=np.uint8)))
-        self.f_ref = unpack(self.quantizer.dequantize(codes), self.mask, f.shape)
+        self.ref_message = _frozen(self.quantizer.dequantize(codes))
+        self.readout = SentReadout(scene, self.mask, head)
 
     @functools.cached_property
     def chunk(self) -> np.ndarray:
@@ -324,17 +322,15 @@ class BaselineSource:
 
     @functools.cached_property
     def ref_loss(self) -> float:
-        return perception_loss(self.f_ref, self.scene, self.head)
+        return self.readout.score(self.ref_message)[0]
 
     def reception(self, combined: np.ndarray) -> tuple[bool, Reception]:
         """Whether the CRC of a combined chunk's frame passes, and the
         unscored Reception of its dequantized codes."""
         frame = np.packbits(qam_demap_hard(combined, self.mod_order)[: self.payload_bits.size])
         message = _frozen(self.quantizer.dequantize(frame[: frame.size - CRC24_BITS // 8]))
-        candidate = unpack(message, self.mask, self.f_ref.shape)
-        loss = perception_loss(candidate, self.scene, self.head)
-        s_true = true_similarity(self.ref_loss, loss)
-        return crc24(frame) == 0, Reception(message, candidate, loss, s_true, None)
+        loss = self.readout.score(message)[0]
+        return crc24(frame) == 0, Reception(message, loss, true_similarity(self.ref_loss, loss), None)
 
 
 def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) -> HarqSession:

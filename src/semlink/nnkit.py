@@ -71,13 +71,12 @@ def init_dense(dims, acts, seed: int, prelu_alpha: float = 0.25) -> DenseNet:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign to keep exp() in the underflow-safe half."""
-    out = np.empty_like(z)
+    """Logistic function in one pass: e = exp(-|z|), which cannot overflow,
+    gives 1/(1+e) for z >= 0 and e/(1+e) below. The sign is chosen with
+    where, not abs, so that a NaN keeps its sign bit."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _act_forward(z: np.ndarray, act: str, alpha: float) -> np.ndarray:

@@ -7,6 +7,7 @@ padding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,11 @@ class OfdmConfig:
     def symbol_duration(self) -> float:
         return (self.l_fft + self.l_cp) / self.sample_rate
 
-    @property
+    @functools.cached_property
     def pilot_rows_idx(self) -> tuple[int, ...]:
         return tuple(p - 1 for p in self.pilot_symbols)
 
-    @property
+    @functools.cached_property
     def data_rows_idx(self) -> tuple[int, ...]:
         pilots = set(self.pilot_rows_idx)
         return tuple(i for i in range(self.n_symbols) if i not in pilots)
@@ -108,21 +109,32 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     return (ai + 1j * aq) / scale
 
 
+def _gray_bit_table(order: int) -> np.ndarray:
+    """(levels, m) read-only table: row i is the Gray code of level index i,
+    most significant bit first."""
+    m, levels, _ = _axis_params(order)
+    gray = _bin_to_gray(np.arange(levels))
+    table = ((gray[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+_GRAY_BITS = {order: _gray_bit_table(order) for order in QAM_ORDERS}
+
+
 def qam_demap_hard(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest-level hard demap; exact inverse of qam_map on clean symbols. A
-    non-finite symbol raises ValueError: cast to an integer level it would
-    give fixed bits, and an all-zero frame passes CRC-24A."""
+    """Nearest-level hard demap; exact inverse of qam_map on clean symbols.
+    Each axis's level index is rounded and clipped, and its bits are read
+    from the order's Gray-bit table. A non-finite symbol raises ValueError:
+    cast to an integer level it would give fixed bits, and an all-zero frame
+    passes CRC-24A."""
     m, levels, scale = _axis_params(order)
-    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    symbols = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
     if not np.isfinite(symbols).all():
         raise ValueError("cannot demap a non-finite symbol")
-    out = np.empty((symbols.size, 2 * m), dtype=np.uint8)
-    for axis, vals in ((0, symbols.real), (1, symbols.imag)):
-        idx = np.clip(np.round(((levels - 1) - vals * scale) / 2.0), 0, levels - 1)
-        gray = _bin_to_gray(idx.astype(np.int64))
-        for b in range(m):
-            out[:, axis * m + b] = (gray >> (m - 1 - b)) & 1
-    return out.reshape(-1)
+    axes = symbols.view(np.float64).reshape(-1, 2)  # (I, Q) per symbol
+    idx = np.clip(np.round(((levels - 1) - axes * scale) / 2.0), 0, levels - 1)
+    return _GRAY_BITS[order][idx.astype(np.intp)].reshape(-1)
 
 
 _QPSK = qam_map(np.array([0, 0, 0, 1, 1, 0, 1, 1]), 4)  # qam_map of each bit pair, in binary order

@@ -5,12 +5,14 @@ target and a binary occupancy label. A frozen random linear head reads a
 feature tensor out to per-cell regression values and class logits; scenes are
 lifted into feature space through the head's adjoint, so a clean feature reads
 out to the scene targets exactly and corruption shows up as perception loss.
-harq.SemanticSource.receive scores a reception with these (confidence map,
-perception loss, true similarity), in sessions and in the rank corpus alike.
-Codec training takes the perception term's gradient through
-perception_loss_grad, batched over samples and computed on the transmitted
-cells alone: an untransmitted cell holds a zero feature, so its terms are a
-per-sample constant (SentCells).
+perception_loss and confidence_map score a whole (C, H, W) feature; they are
+the definition. Sessions and the rank corpus receive only the k cells an
+importance mask sends, and score them through SentReadout, on the sent cells
+alone but summed in the whole-grid order, so its loss and map equal these
+bit for bit. Codec training takes the perception term's gradient through
+perception_loss_grad, batched over samples and also computed on the sent
+cells alone. Both rest on one fact: a cell not sent holds a zero feature, so
+its terms depend on the scene alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nnkit import sigmoid
-from .tensors import FeatureTensor
+from .tensors import FeatureTensor, ImportanceMask, _frozen
 
 FOCAL_GAMMA = 2.0
 FOCAL_ALPHA = 0.25
@@ -208,6 +210,54 @@ def sent_cells(scenes, masks) -> SentCells:
     return SentCells(
         labels[cells].reshape(n, k), targets[cells].reshape(n, k, N_REGRESSION), n_active, rest, h * w
     )
+
+
+class SentReadout:
+    """perception_loss and confidence_map of one scene's features known on
+    the k cells one mask sends, equal bit for bit to those of the whole grid.
+
+    A feature is given as message.reshape(C, k), in the packed order of
+    tensors.pack_nonzero; every other cell holds a zero feature. The readout
+    of such a cell is zero, so its smooth-L1 terms (if active) are those at
+    a zero feature and its focal term that at p = 0.5: both are computed once.
+    score reads the sent cells out, scatters their terms into copies of these
+    arrays and sums each copy as perception_loss sums the whole grid's terms,
+    in the same order. perception_loss_grad, which codec training uses, adds
+    the terms of the cells not sent as one precomputed sum (SentCells.rest)
+    instead, so its loss agrees with perception_loss only up to rounding.
+    """
+
+    def __init__(self, scene: Scene, mask: ImportanceMask, head: ProxyHead):
+        cells = mask.cells
+        active = scene.labels == 1
+        self.head = head
+        self.cells = cells
+        self.k = mask.n_selected
+        self.labels = _frozen(scene.labels[cells])  # (k,) occupancy of the sent cells
+        self.sent_active = _frozen(self.labels == 1)
+        self.targets = _frozen(scene.targets[cells][self.sent_active])
+        self.active_rows = _frozen(np.flatnonzero(cells[active]))  # sent cells among the active
+        self.local0 = _frozen(smooth_l1(scene.targets[active]))  # (n_active, 4) at a zero feature
+        self.conf0 = _frozen(focal_loss(np.full(scene.labels.shape, 0.5), scene.labels))
+
+    def score(self, message: np.ndarray) -> tuple[float, np.ndarray]:
+        """The perception loss and the (H, W) confidence map of the feature
+        that is `message` on the sent cells and zero elsewhere."""
+        f = np.asarray(message, dtype=np.float64).reshape(self.head.basis.shape[0], self.k)
+        if not np.isfinite(f).all():
+            raise ValueError("feature tensor entries must be finite")
+        out = np.einsum("ck,cr->kr", f, self.head.basis)
+        l_local = 0.0
+        if self.local0.size:
+            local = self.local0.copy()
+            local[self.active_rows] = smooth_l1(out[self.sent_active, :N_REGRESSION] - self.targets)
+            l_local = float(local.sum()) / len(local)
+        p = sigmoid(out[:, N_REGRESSION])
+        conf = self.conf0.copy()
+        conf[self.cells] = focal_loss(p, self.labels)
+        cmap = np.full(self.cells.shape, 0.5)
+        cmap[self.cells] = p
+        return l_local + float(conf.sum()) / conf.size, cmap
 
 
 def perception_loss_grad(f: np.ndarray, sent: SentCells, head: ProxyHead):

@@ -4,8 +4,10 @@ A feature tensor is a (C, H, W) array of finite reals. An importance mask
 selects the k spatial cells worth transmitting (config's mask_cells or
 baseline_cells); packing gathers the selected columns into a flat vector
 and unpacking scatters them back, bit-exactly.
-harq.SemanticSource masks, packs and unpacks with these for every semantic
-session and for every sampling of the scorer's rank corpus.
+harq's sources mask and pack with these for every session and for every
+sampling of the scorer's rank corpus. They score a reception on its packed
+cells (scenegen.SentReadout), so unpack and apply_mask define the whole-grid
+feature that scoring stands for; the tests check it against them.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from semlink.detector import pool_map
 from semlink.link import LinkSeeds, transmit_symbols, transmit_with_state
 from semlink.scenegen import confidence_map, generate_scene, perception_loss, true_similarity
 from semlink.seeding import derive_seed
-from semlink.tensors import FeatureTensor, apply_mask, importance_map, pack_nonzero, unpack
+from semlink.tensors import apply_mask, importance_map, pack_nonzero, unpack
 
 ARTIFACTS = (
     "bundle.ckpt",
@@ -277,6 +277,34 @@ def test_corpus_matches_its_construction_from_parts(tiny_bundle):
     assert len(set(corpus.s_true.reshape(-1).tolist())) > 1
 
 
+def test_sessions_and_the_corpus_score_only_the_sent_cells(bundle, tmp_path, monkeypatch):
+    # sessions and the rank corpus score a reception on the cells its mask
+    # sends (scenegen.SentReadout); the whole-grid functions are its
+    # definition and the oracle of its tests, never a session's path. With
+    # every binding of them made to raise, a default 5-mode sweep writes the
+    # bytes it writes without, and a corpus is still built
+    modes, snrs = config_mod.ALL_MODES, bundle.cfg.experiment.snr_db
+    harness.run_sweep(bundle, modes, snrs, tmp_path / "free", sessions=2, workers=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a session or the corpus scored a whole grid")
+
+    modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "semlink"]
+    rebound = 0
+    for module in modules:
+        for name in ("perception_loss", "confidence_map", "unpack"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+                rebound += 1
+    assert rebound >= 3
+    harness.run_sweep(bundle, modes, snrs, tmp_path / "guarded", sessions=2, workers=1)
+    for name in ("sessions.csv", "summary.csv"):
+        assert (tmp_path / "guarded" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+    small = config_mod.override(bundle.cfg, "detector", corpus_queries=2)
+    corpus = detector.build_corpus(small, bundle.head, bundle.codec_pair1)
+    assert corpus.s_true.shape == (2, len(small.detector.corpus_snr_db))
+
+
 @pytest.mark.parametrize(
     "name,loader",
     [
@@ -422,7 +450,7 @@ def test_noharq_is_single_round(tiny_bundle):
 )
 def test_flatten_reports_the_final_rounds_task_loss(s_hats, acks, final):
     rounds = [
-        Reception(np.zeros(4), FeatureTensor(np.full((1, 2, 2), float(t))), 10.0 * t, 0.1 * t, s_hat)
+        Reception(np.full(4, float(t)), 10.0 * t, 0.1 * t, s_hat)
         for t, s_hat in enumerate(s_hats, start=1)
     ]
     assert not any(acks[:-1])  # only a session's last round can be acknowledged
@@ -512,8 +540,8 @@ def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
 
         def first(t):
             message = codec.decode(src.first, transmit(t, src.sym_first))
-            candidate, pooled, loss, s_true = src.receive(message)
-            return Reception(message, candidate, loss, s_true, score(src.scorer, src.ref_pooled, pooled))
+            pooled, loss, s_true = src.receive(message)
+            return Reception(message, loss, s_true, score(src.scorer, src.ref_pooled, pooled))
 
         protocol, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
         session = run_semantic_session(src, protocol, rounds, beta, first, transmit)
@@ -644,7 +672,6 @@ def test_shared_receptions_are_read_only(sweep_bundle):
     assert receptions and kept
     for rx in receptions:
         assert not rx.message.flags.writeable
-        assert not rx.candidate.data.flags.writeable
         with pytest.raises(ValueError):
             rx.message[0] = 0.0
     for a in kept:
@@ -671,7 +698,7 @@ def test_every_round_of_every_mode_is_a_read_only_reception(sweep_bundle, monkey
         for rx in session.rounds:
             assert isinstance(rx, Reception)
             assert (rx.s_hat is None) == (rec.mode in harness.BASELINE_MODES)
-            assert not rx.message.flags.writeable and not rx.candidate.data.flags.writeable
+            assert not rx.message.flags.writeable
             with pytest.raises(FrozenInstanceError):
                 rx.s_true = 0.0
         with pytest.raises(FrozenInstanceError):

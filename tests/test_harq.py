@@ -34,7 +34,7 @@ from semlink.scenegen import (
     perception_loss,
     true_similarity,
 )
-from semlink.tensors import FeatureTensor, importance_map, pack_nonzero
+from semlink.tensors import importance_map, pack_nonzero, unpack
 
 from conftest import score
 
@@ -138,8 +138,7 @@ def test_quantizer_input_validation():
 def _fake_session(n_rounds, acked, s_hats=None):
     """A session of n_rounds Receptions, unscored unless s_hats are given."""
     rounds = [
-        Reception(np.zeros(4), FeatureTensor(np.full((1, 2, 2), float(t))), 0.0, 0.0,
-                  None if s_hats is None else s_hats[t])
+        Reception(np.full(4, float(t)), 0.0, 0.0, None if s_hats is None else s_hats[t])
         for t in range(n_rounds)
     ]
     return HarqSession(rounds, acked)
@@ -160,7 +159,7 @@ def test_finalize_prefers_ack_round():
     t, final = finalize(session)
     assert t == 3
     assert final is session.rounds[2]
-    assert np.array_equal(final.candidate.data, np.full((1, 2, 2), 2.0))
+    assert np.array_equal(final.message, np.full(4, 2.0))
 
 
 def test_finalize_best_score_when_no_ack():
@@ -203,6 +202,12 @@ def _identity(t, s):
     return s
 
 
+def _candidate(src, message):
+    """The whole-grid feature a message stands for: its values on the
+    source's sent cells, zero elsewhere."""
+    return unpack(message, src.mask, (HEAD.basis.shape[0], *src.mask.cells.shape))
+
+
 def _session(src, mode, budget, threshold, transmit):
     """run_semantic_session with every round, pair 1's too, sent by `transmit`
     and received afresh."""
@@ -235,9 +240,10 @@ def test_sim1_keeps_latest_decode_as_candidate():
     src = _semantic_source()
     session = _session(src, "sim1", 2, 0.999999, _identity)
     # identity channel: both rounds decode identically
-    assert np.allclose(session.rounds[0].candidate.data, session.rounds[1].candidate.data)
+    r1, r2 = (_candidate(src, rec.message) for rec in session.rounds)
+    assert np.allclose(r1.data, r2.data)
     expect = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed))
-    got = pack_nonzero(session.rounds[1].candidate, src.mask)
+    got = pack_nonzero(r2, src.mask)
     assert np.allclose(got, expect, atol=1e-12)
 
 
@@ -246,7 +252,7 @@ def test_sim2_accumulates_decoded_messages():
     session = _session(src, "sim2", 3, 0.999999, _identity)
     d1 = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed))
     d2 = codec_mod.decode(src.second, codec_mod.encode(src.second, src.packed))
-    got = pack_nonzero(session.rounds[2].candidate, src.mask)
+    got = pack_nonzero(_candidate(src, session.rounds[2].message), src.mask)
     assert np.allclose(got, d1 + 2 * d2, atol=1e-12)
 
 
@@ -264,7 +270,8 @@ def test_sim2_round_order_invariance():
 
     a = _session(src, "sim2", 3, 0.999999, transmit_fwd)
     b = _session(src, "sim2", 3, 0.999999, transmit_swapped)
-    assert np.allclose(a.rounds[2].candidate.data, b.rounds[2].candidate.data, atol=1e-12)
+    fwd, swapped = (_candidate(src, s.rounds[2].message) for s in (a, b))
+    assert np.allclose(fwd.data, swapped.data, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["sim1", "sim2"])
@@ -298,9 +305,9 @@ def test_semantic_session_validation():
 
 
 def test_scorer_free_source_receives_what_a_session_records():
-    # the rank corpus samples sources with no scorer: their reception of a
-    # message is the candidate, pooled map, loss and similarity that a round
-    # of a scored source's session records, and they run no session
+    # the rank corpus samples sources with no scorer: from a message they
+    # receive the candidate, pooled map, loss and similarity that a round of
+    # a scored source's session records, and they run no session
     scored = _semantic_source()
     scene, f = generate_scene(1, SCENE_CFG, HEAD)
     bare = SemanticSource(scored.first, None, None, HEAD, scene, f, CELLS, 8)
@@ -308,8 +315,8 @@ def test_scorer_free_source_receives_what_a_session_records():
     assert session.rounds_used == 3
     for t, rec in enumerate(session.rounds, start=1):
         message = codec_mod.decode(bare.first, bare.sym_first + 0.1 * t)
-        candidate, pooled, loss, s_true = bare.receive(message)
-        assert np.array_equal(candidate.data, rec.candidate.data)
+        pooled, loss, s_true = bare.receive(message)
+        assert np.array_equal(_candidate(bare, message).data, _candidate(scored, rec.message).data)
         assert (loss, s_true) == (rec.task_loss, rec.s_true)
         assert rec.s_hat == score(scored.scorer, bare.ref_pooled, pooled)
     with pytest.raises(ValueError, match="needs a scorer"):
@@ -438,7 +445,8 @@ def test_baseline_clean_channel_acks_first_round():
     session = run_baseline_session(src, "base1", budget=3, transmit=_clean_transmit)
     assert session.ack_round == 1
     # candidate equals the dequantized payload exactly
-    assert np.array_equal(session.rounds[0].candidate.data, src.f_ref.data)
+    got = _candidate(src, session.rounds[0].message)
+    assert np.array_equal(got.data, _candidate(src, src.ref_message).data)
 
 
 def test_baseline_chunked_clean_channel_acks_first_round():
@@ -497,8 +505,9 @@ def test_baseline_session_validation():
 
 def test_session_similarity_is_measured_against_the_reference():
     # each round's s_true is true_similarity of its candidate's perception
-    # loss to that of src.f_ref, the reference loss computed afresh, for
-    # sessions that share a source (and its reference loss) and for a fresh one
+    # loss to that of the reference, both computed afresh on the whole grid,
+    # for sessions that share a source (and its reference loss) and for a
+    # fresh one
     def corrupting(t, symbols):  # a flipped first symbol fails every CRC
         bad = symbols + 0.05 * t
         bad[0] = -bad[0]
@@ -507,16 +516,16 @@ def test_session_similarity_is_measured_against_the_reference():
     semantic = _semantic_source()
     baseline = _baseline_source()
     sessions = [
-        (semantic, _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t)),
-        (semantic, _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t)),
-        (baseline, run_baseline_session(baseline, "base2", 3, corrupting)),
-        (baseline, run_baseline_session(baseline, "base1", 3, corrupting)),
+        (semantic, semantic.packed, _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t)),
+        (semantic, semantic.packed, _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t)),
+        (baseline, baseline.ref_message, run_baseline_session(baseline, "base2", 3, corrupting)),
+        (baseline, baseline.ref_message, run_baseline_session(baseline, "base1", 3, corrupting)),
     ]
-    for src, session in sessions:
+    for src, ref_message, session in sessions:
         assert session.rounds_used == 3
-        ref_loss = perception_loss(src.f_ref, src.scene, HEAD)
+        ref_loss = perception_loss(_candidate(src, ref_message), src.scene, HEAD)
         for rec in session.rounds:
-            hat_loss = perception_loss(rec.candidate, src.scene, HEAD)
+            hat_loss = perception_loss(_candidate(src, rec.message), src.scene, HEAD)
             assert rec.s_true == true_similarity(ref_loss, hat_loss)
 
 
@@ -529,12 +538,12 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
         _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t),
         _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t),
     ]
-    ref_map = confidence_map(semantic.f_ref, HEAD)
+    ref_map = confidence_map(_candidate(semantic, semantic.packed), HEAD)
     for session in runs:
         for rec in session.rounds:
-            hyp_map = confidence_map(rec.candidate, HEAD)
+            hyp_map = confidence_map(_candidate(semantic, rec.message), HEAD)
             assert rec.s_hat == score(semantic.scorer, ref_map, hyp_map)
-            assert rec.task_loss == perception_loss(rec.candidate, semantic.scene, HEAD)
+            assert rec.task_loss == perception_loss(_candidate(semantic, rec.message), semantic.scene, HEAD)
 
     def noisy(t, symbols):
         return symbols + 0.3 * t, np.ones(symbols.size), 0.5
@@ -542,7 +551,7 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
     baseline = _baseline_source()
     session = run_baseline_session(baseline, "base2", 3, noisy)
     for rec in session.rounds:
-        assert rec.task_loss == perception_loss(rec.candidate, baseline.scene, HEAD)
+        assert rec.task_loss == perception_loss(_candidate(baseline, rec.message), baseline.scene, HEAD)
 
 
 def test_sources_hand_out_read_only_arrays():
@@ -556,12 +565,15 @@ def test_sources_hand_out_read_only_arrays():
         "sym_second": semantic.sym_second,
         "ref_pooled": semantic.ref_pooled,
         "ref_emb": semantic.ref_emb,
-        "f_ref": semantic.f_ref.data,
         "payload_bits": baseline.payload_bits,
         "chunk": baseline.chunk,
         "codeword": baseline.codeword,
-        "baseline f_ref": baseline.f_ref.data,
+        "ref_message": baseline.ref_message,
     }
+    for src in (semantic, baseline):
+        ro = src.readout
+        for name in ("labels", "sent_active", "targets", "active_rows", "local0", "conf0"):
+            arrays[f"{type(src).__name__} readout {name}"] = getattr(ro, name)
     for name, a in arrays.items():
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):

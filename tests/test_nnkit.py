@@ -3,9 +3,12 @@
 import copy
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlink.nnkit import (
     ACTIVATIONS,
@@ -111,6 +114,43 @@ def test_backward_matches_central_differences(act):
                 flat[k] = orig
                 fd = (up - dn) / (2 * h)
                 assert garr.reshape(-1)[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+SIGNALING_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
+
+
+def _split_sigmoid(z):
+    """The logistic function split by sign, each half computed on its own
+    elements: the oracle of the one-pass sigmoid."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, np.nan, -np.nan, SIGNALING_NAN, 5e-324, -5e-324, 709.8, -745.2]),
+        ),
+        max_size=50,
+    ),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+@settings(max_examples=300, deadline=None)
+def test_sigmoid_matches_the_split_oracle_bit_for_bit(values, dtype):
+    # a float64 past float32's range casts to inf, and a signaling NaN warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.array(values, dtype=np.float64).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(z)
+    expect = _split_sigmoid(z)
+    assert got.dtype == expect.dtype == dtype
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_sigmoid_is_stable_at_extremes():

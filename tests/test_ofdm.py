@@ -1,6 +1,7 @@
 """OFDM framing tests: QAM mapping, pilot layout, CP, and transform inverses."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,46 @@ def test_demap_inverts_map(order, data):
     assert np.array_equal(qam_demap_hard(qam_map(bits, order), order), bits)
 
 
+def _per_bit_demap(symbols, order):
+    """Hard demap bit by bit: each axis's nearest level index, Gray-coded,
+    then its bits shifted out one at a time, most significant first."""
+    m = int(np.log2(order)) // 2
+    levels = 1 << m
+    scale = np.sqrt(2.0 * (levels * levels - 1) / 3.0)
+    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    out = np.empty((symbols.size, 2 * m), dtype=np.uint8)
+    for axis, vals in ((0, symbols.real), (1, symbols.imag)):
+        idx = np.clip(np.round(((levels - 1) - vals * scale) / 2.0), 0, levels - 1)
+        gray = idx.astype(np.int64) ^ (idx.astype(np.int64) >> 1)
+        for b in range(m):
+            out[:, axis * m + b] = (gray >> (m - 1 - b)) & 1
+    return out.reshape(-1)
+
+
+def _axis_values(order):
+    """One axis coordinate: anywhere, on a decision boundary or a level of
+    the order (an integer over the constellation scale), one float step off
+    one, or far outside the constellation."""
+    levels = 1 << (int(np.log2(order)) // 2)
+    scale = np.sqrt(2.0 * (levels * levels - 1) / 3.0)
+    on_grid = st.integers(-levels - 1, levels + 1).map(lambda j: j / scale)
+    nudged = st.tuples(on_grid, st.sampled_from([-np.inf, np.inf])).map(lambda t: np.nextafter(*t))
+    return st.one_of(
+        st.floats(-2.0, 2.0), on_grid, nudged, st.floats(-1e100, 1e100), st.sampled_from([-0.0, 0.0])
+    )
+
+
+@given(order=st.sampled_from(QAM_ORDERS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_demap_table_matches_the_per_bit_oracle(order, data):
+    axis = _axis_values(order)
+    points = data.draw(st.lists(st.tuples(axis, axis), min_size=1, max_size=40))
+    symbols = np.array([complex(re, im) for re, im in points])
+    got = qam_demap_hard(symbols, order)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == _per_bit_demap(symbols, order).tobytes()
+
+
 def test_qam_rejects_bad_inputs():
     with pytest.raises(ValueError):
         qam_map(np.zeros(8, dtype=int), 8)
@@ -108,6 +149,23 @@ def test_pilot_layout_default():
     assert CFG.pilot_rows_idx == (2, 11)
     assert len(CFG.data_rows_idx) == 12
     assert CFG.payload_capacity == 12 * 2048
+
+
+@given(n_symbols=st.integers(2, 20), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_tuples_are_computed_once_and_leave_the_config_a_value(n_symbols, data):
+    pilots = tuple(data.draw(st.lists(st.integers(1, n_symbols), min_size=1, max_size=n_symbols - 1,
+                                      unique=True)))
+    cfg = OfdmConfig(l_fft=16, n_symbols=n_symbols, pilot_symbols=pilots, l_cp=4)
+    twin = OfdmConfig(l_fft=16, n_symbols=n_symbols, pilot_symbols=pilots, l_cp=4)
+    assert cfg.pilot_rows_idx == tuple(p - 1 for p in pilots)
+    assert cfg.data_rows_idx == tuple(i for i in range(n_symbols) if i not in set(cfg.pilot_rows_idx))
+    assert cfg.pilot_rows_idx is cfg.pilot_rows_idx and cfg.data_rows_idx is cfg.data_rows_idx
+    # the cached tuples are not fields: a config that has computed them is
+    # equal to, hashes like and replaces like one that has not
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert replace(cfg, l_cp=2) == replace(twin, l_cp=2)
+    assert replace(cfg, pilot_symbols=(n_symbols,)).pilot_rows_idx == (n_symbols - 1,)
 
 
 def test_pilot_rows_deterministic():

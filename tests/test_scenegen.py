@@ -12,6 +12,7 @@ from semlink.scenegen import (
     ProxyHead,
     Scene,
     SceneConfig,
+    SentReadout,
     confidence_map,
     generate_scene,
     perception_loss,
@@ -135,6 +136,25 @@ def test_perception_loss_grad_matches_finite_differences():
 ROW_KINDS = ("drawn", "no active cell", "active cells all unsent", "full mask")
 
 
+def _scene_and_mask(kind, h, w, k, rng):
+    """A drawn scene and a mask of k cells, bent to the named ROW_KINDS case."""
+    n_cells = h * w
+    if kind == "full mask":
+        k = n_cells
+    cells = np.zeros(n_cells, dtype=bool)
+    cells[rng.choice(n_cells, size=k, replace=False)] = True
+    labels = rng.random(n_cells) < 0.3
+    if kind == "no active cell":
+        labels[:] = False
+    elif kind == "active cells all unsent":
+        labels &= ~cells
+        if k < n_cells:
+            labels[np.flatnonzero(~cells)[0]] = True
+    targets = rng.standard_normal((n_cells, 4)) * labels[:, None]
+    scene = Scene(targets.reshape(h, w, 4), labels.reshape(h, w).astype(np.uint8))
+    return scene, ImportanceMask(cells.reshape(h, w))
+
+
 @given(
     c=st.integers(5, 9),
     h=st.integers(1, 6),
@@ -159,20 +179,7 @@ def test_batched_perception_loss_grad_matches_whole_grid_oracle(c, h, w, k_frac,
         k = min(n_cells, 1 + int(k_frac * n_cells))
     rng = np.random.default_rng(seed)
     head = ProxyHead.from_seed(seed, c)
-    scenes, masks = [], []
-    for kind in kinds:
-        cells = np.zeros(n_cells, dtype=bool)
-        cells[rng.choice(n_cells, size=k, replace=False)] = True
-        labels = rng.random(n_cells) < 0.3
-        if kind == "no active cell":
-            labels[:] = False
-        elif kind == "active cells all unsent":
-            labels &= ~cells
-            if k < n_cells:
-                labels[np.flatnonzero(~cells)[0]] = True
-        targets = rng.standard_normal((n_cells, 4)) * labels[:, None]
-        scenes.append(Scene(targets.reshape(h, w, 4), labels.reshape(h, w).astype(np.uint8)))
-        masks.append(ImportanceMask(cells.reshape(h, w)))
+    scenes, masks = zip(*(_scene_and_mask(kind, h, w, k, rng) for kind in kinds))
     rec = scale * rng.standard_normal((len(kinds), c, k))
 
     loss, grad = perception_loss_grad(rec, sent_cells(scenes, masks), head)
@@ -182,6 +189,56 @@ def test_batched_perception_loss_grad_matches_whole_grid_oracle(c, h, w, k_frac,
         l_full, g_full = whole_grid_perception_loss_grad(f, scene, head)
         assert grad[i].tobytes() == g_full[:, mask.cells].tobytes()
         assert loss[i] == pytest.approx(l_full, rel=1e-12)
+
+
+@given(
+    c=st.integers(5, 9),
+    h=st.integers(1, 8),
+    w=st.integers(1, 8),
+    k_frac=st.floats(0.0, 1.0),
+    kind=st.sampled_from(ROW_KINDS),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+    zeros=st.sampled_from([0.0, -0.0]),
+    zero_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+@example(c=8, h=16, w=16, k_frac=0.05, kind="drawn", scale=1.0, zeros=-0.0, zero_frac=0.1, seed=3)
+@example(c=5, h=1, w=1, k_frac=0.0, kind="active cells all unsent", scale=1.0, zeros=-0.0,
+         zero_frac=1.0, seed=4)
+@example(c=5, h=3, w=4, k_frac=0.5, kind="no active cell", scale=30.0, zeros=0.0, zero_frac=0.0, seed=5)
+@example(c=6, h=4, w=3, k_frac=0.0, kind="full mask", scale=1e3, zeros=-0.0, zero_frac=0.3, seed=6)
+def test_sent_readout_equals_the_whole_grid_bit_for_bit(c, h, w, k_frac, kind, scale, zeros, zero_frac,
+                                                         seed):
+    # the loss and map a session records, from the sent cells alone, against
+    # perception_loss and confidence_map of the unpacked feature: exact
+    rng = np.random.default_rng(seed)
+    head = ProxyHead.from_seed(seed, c)
+    k = min(h * w, 1 + int(k_frac * h * w))
+    scene, mask = _scene_and_mask(kind, h, w, k, rng)
+    k = mask.n_selected
+    message = scale * rng.standard_normal(c * k)
+    message[rng.random(c * k) < zero_frac] = zeros
+    loss, cmap = SentReadout(scene, mask, head).score(message)
+    whole = unpack(message, mask, (c, h, w))
+    assert loss == perception_loss(whole, scene, head)
+    assert cmap.shape == (h, w)
+    assert cmap.tobytes() == confidence_map(whole, head).tobytes()
+
+
+def test_sent_readout_rejects_a_message_it_cannot_read():
+    scene, f = generate_scene(5, CFG, HEAD)
+    mask = importance_map(f, 7)
+    readout = SentReadout(scene, mask, HEAD)
+    message = pack_nonzero(f, mask)
+    for bad in (message[:-1], np.append(message, 0.0)):
+        with pytest.raises(ValueError):
+            readout.score(bad)
+    for value in (np.nan, np.inf):
+        broken = message.copy()
+        broken[3] = value
+        with pytest.raises(ValueError, match="finite"):
+            readout.score(broken)
 
 
 def test_confidence_map_zero_feature():
