@@ -4,8 +4,9 @@ The scorer pools the reference and reconstructed confidence maps to a fixed
 grid, embeds both through one shared dense branch, and maps the concatenated
 embeddings to a single sigmoid score. Training is pairwise rank learning on
 queries of K samplings of the same source: each pair ordered by true
-similarity contributes a logistic cost, and the per-sample lambda
-accumulation of those pair gradients drives the parameter update.
+similarity contributes a logistic cost, whose gradient in the scores,
+summed per sample (the lambdas of RankNet/LambdaRank), drives the parameter
+update; pair_objective computes both from one oriented pair matrix.
 
 The rank corpus is two arrays: per query, the pooled reference map and its
 K samplings' pooled maps, and the samplings' true similarities. It is
@@ -60,6 +61,8 @@ class DetectorConfig:
         for name in ("pool", "branch_width", "corpus_queries", "batch_queries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if len(self.corpus_snr_db) < 2:  # a query's pairs are samplings at two SNRs
+            raise ValueError(f"corpus_snr_db must list at least two SNRs, got {self.corpus_snr_db}")
         if not (math.isfinite(self.holdout) and self.holdout >= 0.0) or (
             self.corpus_queries - _holdout_count(self.holdout, self.corpus_queries) < 1
         ):
@@ -133,39 +136,31 @@ def ack_decide(s_hat: float, threshold: float) -> bool:
     return bool(s_hat > threshold)
 
 
-def pair_loss(s_m, s_n, sharpness: float = 1.0):
-    """Pairwise logistic cost of a pair whose first score should be the larger."""
-    d = sharpness * (np.asarray(s_m, dtype=np.float64) - np.asarray(s_n, dtype=np.float64))
-    return np.logaddexp(0.0, -d)
-
-
 _LAMBDA_GRID = float(2**30)
 
 
-def lambda_gradients(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float = 1.0) -> np.ndarray:
-    """Per-sample gradient of the summed pair losses with respect to the scores.
-
-    Pairs are taken once each, oriented so the first element has the larger
-    true similarity; equal-similarity pairs contribute nothing. The returned
-    vector sums to zero exactly.
+def pair_objective(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float):
+    """One query's pairwise rank objective: the summed logistic cost
+    log(1 + exp(-sharpness * (s_hat[m] - s_hat[n]))) of its pairs, their
+    count, and the cost's gradient in s_hat (the lambdas, summing to zero
+    exactly). Pairs are taken once each, oriented so that s_true[m] >
+    s_true[n]; equal-similarity pairs contribute nothing.
     """
     s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     s_true = np.asarray(s_true, dtype=np.float64).reshape(-1)
     if s_hat.shape != s_true.shape:
         raise ValueError("score and similarity vectors must match")
-    k = s_hat.size
-    if k < 2:
-        return np.zeros(k)
     d = sharpness * (s_hat[:, None] - s_hat[None, :])
-    lam_pair = -sharpness * nnkit.sigmoid(-d)
     oriented = s_true[:, None] > s_true[None, :]
-    lam_pair = np.where(oriented, lam_pair, 0.0)
+    # cumsum adds left to right from 0.0, as a running float total would
+    loss = np.cumsum(np.concatenate(([0.0], np.logaddexp(0.0, -d[oriented]))))[-1]
+    lam_pair = np.where(oriented, -sharpness * nnkit.sigmoid(-d), 0.0)
     # snap pair terms to a dyadic grid: sums of 2^-30 multiples are exact in
     # double precision, so the zero-sum identity below holds bitwise rather
     # than merely to rounding error (the 5e-10 snap is far below any
     # gradient tolerance that matters)
     lam_pair = np.round(lam_pair * _LAMBDA_GRID) / _LAMBDA_GRID
-    return lam_pair.sum(axis=1) - lam_pair.sum(axis=0)
+    return float(loss), int(np.count_nonzero(oriented)), lam_pair.sum(axis=1) - lam_pair.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -201,18 +196,19 @@ def _query_pass(scorer, maps: np.ndarray):
 
 
 def _query_step(scorer, maps: np.ndarray, s_true: np.ndarray, sharpness: float):
-    """Scores, lambdas, and parameter gradients for one query."""
+    """One query's pair_objective loss and pair count, and the branch and head
+    gradients its lambdas back-propagate (None for both if all are zero)."""
     s_hat, emb, tape_b, tape_h = _query_pass(scorer, maps)
-    lam = lambda_gradients(s_hat, s_true, sharpness)
+    loss, pairs, lam = pair_objective(s_hat, s_true, sharpness)
     if not np.any(lam):
-        return s_hat, None, None
+        return loss, pairs, None, None
     head_grads, g_head_in = nnkit.backward(scorer.head, tape_h, lam[:, None])
     width = emb.shape[1]
     g_emb = np.empty_like(emb)
     g_emb[0] = g_head_in[:, :width].sum(axis=0)
     g_emb[1:] = g_head_in[:, width:]
     branch_grads, _ = nnkit.backward(scorer.branch, tape_b, g_emb)
-    return s_hat, branch_grads, head_grads
+    return loss, pairs, branch_grads, head_grads
 
 
 def split_corpus(corpus: RankCorpus, cfg: DetectorConfig, seed: int) -> tuple[RankCorpus, RankCorpus]:
@@ -251,9 +247,9 @@ def train_ranker(
             h_grads = nnkit.zeros_like_grads(scorer.head)
             got = 0
             for qi in order[start : start + cfg.batch_queries]:
-                maps, s_true = train_c.maps[qi], train_c.s_true[qi]
-                s_hat, branch_grads, head_grads = _query_step(scorer, maps, s_true, cfg.sharpness)
-                loss, pairs = query_pair_loss(s_hat, s_true, cfg.sharpness)
+                loss, pairs, branch_grads, head_grads = _query_step(
+                    scorer, train_c.maps[qi], train_c.s_true[qi], cfg.sharpness
+                )
                 ep_loss += loss
                 ep_pairs += pairs
                 if branch_grads is None:
@@ -285,16 +281,6 @@ def _scale_grads(grads, factor: float) -> None:
     for gw, gb in grads:
         gw *= factor
         gb *= factor
-
-
-def query_pair_loss(s_hat: np.ndarray, s_true: np.ndarray, sharpness: float):
-    """Summed pair loss over the strictly ordered pairs of one query, and
-    their count; lambda_gradients is its gradient in s_hat."""
-    m, n = np.nonzero(s_true[:, None] > s_true[None, :])
-    losses = pair_loss(s_hat[m], s_hat[n], sharpness)
-    # cumsum adds left to right from 0.0, as a running float total would
-    total = np.cumsum(np.concatenate(([0.0], losses)))[-1]
-    return float(total), int(m.size)
 
 
 def query_logits(scorer: SimilarityScorer, maps: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ full retransmissions or accumulates one copy per round.
 
 A session runs from a source (SemanticSource, BaselineSource): one scene's
 mask, reference and payload, and what every session of that scene derives
-from them, computed once. What varies by session (mode, round budget,
+from them, computed once as the source is built (a semantic source's
+scorer embedding and second-pair symbols on first use: the corpus's
+sources have neither). What varies by session (mode, round budget,
 threshold, channel) is an argument of the session function. Each round of
 every mode is one Reception (the source's `reception`), judged by the scorer
 or the CRC; a session is its rounds and whether the last was acknowledged.
@@ -156,10 +158,11 @@ class SemanticSource:
 
     The feature f is masked to its `cells` strongest cells (fixed for the
     whole session) and packed; the packed values are the reference message.
-    The reference map pooled to pool x pool, its scorer embedding, the
-    reference perception loss and each pair's symbols are computed on first
-    use and kept; none depends on mode, SNR or threshold, so sessions may
-    share one source (harness.SessionCache).
+    The reference's perception loss and map pooled to pool x pool (from one
+    readout) and the first pair's symbols are computed as it is built; the
+    scorer's embedding of the reference and the second pair's symbols on
+    first use, and kept. None depends on mode, SNR or threshold, so
+    sessions may share one source (harness.SessionCache).
     Every array it hands out is read-only. The second pair and the scorer
     may be None: such a source cannot run mode sim2, or score, but still
     sends and receives.
@@ -178,24 +181,14 @@ class SemanticSource:
         self.mask = importance_map(f, cells)
         self.packed = _frozen(pack_nonzero(f, self.mask))
         self.readout = SentReadout(scene, self.mask, head)
-
-    @functools.cached_property
-    def ref_pooled(self) -> np.ndarray:
-        """The reference's confidence map pooled to the pool x pool grid."""
-        return _frozen(pool_map(self.readout.score(self.packed)[1], self.pool))
+        self.ref_loss, ref_map = self.readout.score(self.packed)
+        self.ref_pooled = _frozen(pool_map(ref_map, pool))
+        self.sym_first = _frozen(codec_mod.encode(first, self.packed))
 
     @functools.cached_property
     def ref_emb(self) -> np.ndarray:
         """The scorer branch's embedding of ref_pooled."""
         return _frozen(embed_reference(self.scorer, self.ref_pooled))
-
-    @functools.cached_property
-    def ref_loss(self) -> float:
-        return self.readout.score(self.packed)[0]
-
-    @functools.cached_property
-    def sym_first(self) -> np.ndarray:
-        return _frozen(codec_mod.encode(self.first, self.packed))
 
     @functools.cached_property
     def sym_second(self) -> np.ndarray:
@@ -282,10 +275,10 @@ class BaselineSource:
 
     The feature f is masked to `cells` cells, its packed values quantized to
     8-bit codes and payload_bits are the frame of the codes and their CRC-24;
-    ref_message is the dequantized codes. The QAM chunk, the codeword
-    (`copies` chunks: a rate-1/copies repetition code) and the reference
-    perception loss are computed on first use and kept, like
-    SemanticSource's. Every array it hands out is read-only. A round's
+    ref_message is the dequantized codes. The QAM chunk (the payload bits,
+    zero-padded to whole symbols), the codeword (`copies` chunks: a
+    rate-1/copies repetition code) and the reference perception loss are
+    computed as it is built. Every array it hands out is read-only. A round's
     Reception carries the dequantized codes as its message and no score: the
     CRC judges it. Its loss is scored on the sent cells alone, like
     SemanticSource's (scenegen.SentReadout).
@@ -296,7 +289,6 @@ class BaselineSource:
     ):
         self.scene = scene
         self.mod_order = mod_order
-        self.copies = copies
         self.mask = importance_map(f, cells)
         packed = pack_nonzero(f, self.mask)
         self.quantizer = fit_quantizer(packed)
@@ -305,24 +297,10 @@ class BaselineSource:
         self.payload_bits = _frozen(np.unpackbits(np.frombuffer(frame, dtype=np.uint8)))
         self.ref_message = _frozen(self.quantizer.dequantize(codes))
         self.readout = SentReadout(scene, self.mask, head)
-
-    @functools.cached_property
-    def chunk(self) -> np.ndarray:
-        """QAM symbols of one code chunk: the payload bits, zero-padded to whole symbols."""
-        bits = self.payload_bits
-        bps = int(math.log2(self.mod_order))
-        pad = (-bits.size) % bps
-        if pad:
-            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        return _frozen(qam_map(bits, self.mod_order))
-
-    @functools.cached_property
-    def codeword(self) -> np.ndarray:
-        return _frozen(np.tile(self.chunk, self.copies))
-
-    @functools.cached_property
-    def ref_loss(self) -> float:
-        return self.readout.score(self.ref_message)[0]
+        pad = np.zeros((-self.payload_bits.size) % int(math.log2(mod_order)), dtype=np.uint8)
+        self.chunk = _frozen(qam_map(np.concatenate([self.payload_bits, pad]), mod_order))
+        self.codeword = _frozen(np.tile(self.chunk, copies))
+        self.ref_loss = self.readout.score(self.ref_message)[0]
 
     def reception(self, combined: np.ndarray) -> tuple[bool, Reception]:
         """Whether the CRC of a combined chunk's frame passes, and the
@@ -336,9 +314,9 @@ class BaselineSource:
 def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) -> HarqSession:
     """Run up to `budget` rounds of the classical baseline.
 
-    mode "base1" retransmits the full codeword (src.copies copies of the
-    chunk) and chase-combines every copy; mode "base2" sends one copy per
-    round, accumulating copies in the same combiner. A round is acknowledged
+    mode "base1" retransmits the full codeword (every copy of the chunk) each
+    round and mode "base2" one chunk; either adds each chunk-long slice it
+    received, in order, to one chase combiner. A round is acknowledged
     when the CRC of the combination passes (BaselineSource.reception).
     `transmit(round_idx, symbols)` must return (equalized, est_h, noise_var).
     """
@@ -346,18 +324,14 @@ def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) 
         raise ValueError(f"unknown baseline mode {mode!r}")
     if budget < 1:
         raise ValueError("round budget must be at least 1")
+    sent = src.codeword if mode == "base1" else src.chunk
     n_chunk = src.chunk.size
     combiner = ChaseCombiner(n_chunk)
     rounds = []
     for t in range(1, budget + 1):
-        if mode == "base1":
-            eq, h, noise_var = transmit(t, src.codeword)
-            for i in range(src.copies):
-                sl = slice(i * n_chunk, (i + 1) * n_chunk)
-                combiner.add(eq[sl], h[sl], noise_var)
-        else:
-            eq, h, noise_var = transmit(t, src.chunk)
-            combiner.add(eq, h, noise_var)
+        eq, h, noise_var = transmit(t, sent)
+        for i in range(0, sent.size, n_chunk):
+            combiner.add(eq[i : i + n_chunk], h[i : i + n_chunk], noise_var)
         passed, rx = src.reception(combiner.combined())
         rounds.append(rx)
         if passed:

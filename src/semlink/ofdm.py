@@ -30,6 +30,8 @@ class OfdmConfig:
             raise ValueError("l_fft and n_symbols must be positive")
         if self.l_cp < 0 or self.l_cp > self.l_fft:
             raise ValueError("l_cp must lie in [0, l_fft]")
+        if not self.subcarrier_spacing > 0:
+            raise ValueError(f"subcarrier_spacing must be positive, got {self.subcarrier_spacing}")
         for p in self.pilot_symbols:
             if not 1 <= p <= self.n_symbols:
                 raise ValueError(f"pilot symbol index {p} outside 1..{self.n_symbols}")

@@ -141,12 +141,16 @@ def test_bad_value_reports_location(tmp_path):
         ("code_copies = 2", "code_copies = 0"),
         ("pilot_symbols = 3,12", "pilot_symbols = "),
         ("n_symbols = 14\npilot_symbols = 3,12", "n_symbols = 2\npilot_symbols = 1,2"),
+        ("subcarrier_spacing = 15000", "subcarrier_spacing = 0"),
+        ("corpus_snr_db = 0,3,6,9,12,15,18,21", "corpus_snr_db = "),
+        ("corpus_snr_db = 0,3,6,9,12,15,18,21", "corpus_snr_db = 9"),
     ],
     ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
          "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan",
          "pool", "branch_width", "train_samples", "hidden", "sessions", "round_budget",
          "workers", "modes", "modes-empty", "snr_db-empty", "cr", "tap_decay", "codec-lr", "detector-lr",
-         "mod_order", "code_copies", "pilot_symbols-empty", "pilot_symbols-all"],
+         "mod_order", "code_copies", "pilot_symbols-empty", "pilot_symbols-all",
+         "subcarrier_spacing", "corpus_snr_db-empty", "corpus_snr_db-one"],
 )
 def test_load_runs_the_section_type_checks(tmp_path, old, new):
     text = default_config_text()

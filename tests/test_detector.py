@@ -16,9 +16,8 @@ from semlink.detector import (
     SimilarityScorer,
     ack_decide,
     calibrate_scorer,
-    lambda_gradients,
     new_scorer,
-    pair_loss,
+    pair_objective,
     pairwise_accuracy,
     pool_map,
     roc_auc,
@@ -110,6 +109,11 @@ def test_pair_probability_sharpness():
     assert abs(pair_probability(1.0, 0.0, sharpness=3.0) - pair_probability(3.0, 0.0)) < 1e-15
 
 
+def pair_loss(s_m, s_n, sharpness: float = 1.0) -> float:
+    """pair_objective's loss of one pair whose first score should be the larger."""
+    return pair_objective(np.array([s_m, s_n]), np.array([1.0, 0.0]), sharpness)[0]
+
+
 def test_pair_loss_tie_is_log2():
     assert abs(pair_loss(0.5, 0.5) - math.log(2.0)) < 1e-12
 
@@ -131,26 +135,26 @@ def test_pair_loss_is_cross_entropy():
 
 def test_lambda_two_sample_closed_form():
     # one oriented pair; equal scores give exactly +/- sharpness/2
-    lam = lambda_gradients(np.array([0.3, 0.3]), np.array([1.0, 0.0]))
+    lam = pair_objective(np.array([0.3, 0.3]), np.array([1.0, 0.0]), 1.0)[2]
     assert lam[0] == -0.5
     assert lam[1] == 0.5
-    lam2 = lambda_gradients(np.array([0.3, 0.3]), np.array([1.0, 0.0]), sharpness=2.0)
+    lam2 = pair_objective(np.array([0.3, 0.3]), np.array([1.0, 0.0]), 2.0)[2]
     assert lam2[0] == -1.0
 
 
 def test_lambda_orientation():
     # the sample with larger true similarity is pushed up (negative gradient)
-    lam = lambda_gradients(np.array([0.2, 0.9]), np.array([5.0, 1.0]))
+    lam = pair_objective(np.array([0.2, 0.9]), np.array([5.0, 1.0]), 1.0)[2]
     assert lam[0] < 0 < lam[1]
 
 
 def test_lambda_equal_truth_is_zero():
-    lam = lambda_gradients(np.array([0.1, 0.9, 0.5]), np.array([2.0, 2.0, 2.0]))
+    lam = pair_objective(np.array([0.1, 0.9, 0.5]), np.array([2.0, 2.0, 2.0]), 1.0)[2]
     assert np.array_equal(lam, np.zeros(3))
 
 
 def test_lambda_single_sample():
-    assert np.array_equal(lambda_gradients(np.array([0.3]), np.array([1.0])), np.zeros(1))
+    assert np.array_equal(pair_objective(np.array([0.3]), np.array([1.0]), 1.0)[2], np.zeros(1))
 
 
 @given(st.data())
@@ -161,7 +165,7 @@ def test_lambda_sums_to_zero_exactly(data):
         st.floats(-5, 5, allow_nan=False), min_size=k, max_size=k)))
     s_true = np.array(data.draw(st.lists(
         st.floats(0, 6, allow_nan=False), min_size=k, max_size=k)))
-    lam = lambda_gradients(s_hat, s_true)
+    lam = pair_objective(s_hat, s_true, 1.0)[2]
     assert np.sum(lam) == 0.0
     assert math.fsum(lam.tolist()) == 0.0
 
@@ -174,14 +178,9 @@ def test_lambda_matches_finite_difference():
         s_true = rng.uniform(0.0, 6.0, size=k)
 
         def total_loss(s):
-            out = 0.0
-            for m in range(k):
-                for n in range(k):
-                    if s_true[m] > s_true[n]:
-                        out += float(pair_loss(s[m], s[n]))
-            return out
+            return pair_objective(s, s_true, 1.0)[0]
 
-        lam = lambda_gradients(s_hat, s_true)
+        lam = pair_objective(s_hat, s_true, 1.0)[2]
         h = 1e-5
         fd = np.empty(k)
         for i in range(k):
@@ -194,7 +193,7 @@ def test_lambda_matches_finite_difference():
 
 def test_lambda_shape_mismatch():
     with pytest.raises(ValueError):
-        lambda_gradients(np.zeros(3), np.zeros(4))
+        pair_objective(np.zeros(3), np.zeros(4), 1.0)
 
 
 def test_ack_tie_is_nack():
@@ -208,6 +207,10 @@ def test_detector_config_validation():
         DetectorConfig(ack_threshold=1.5)
     with pytest.raises(ValueError):
         DetectorConfig(sharpness=0.0)
+    # a query needs two samplings to hold a pair
+    for snrs in ((), (9.0,)):
+        with pytest.raises(ValueError, match="corpus_snr_db"):
+            DetectorConfig(corpus_snr_db=snrs)
 
 
 def test_zero_weight_scorer_outputs_half():
@@ -430,26 +433,45 @@ def test_train_ranker_restores_best_epoch():
     assert _net_bits(scorer) == _net_bits(short)
 
 
-def _query_pair_loss_loop(s_hat, s_true, sharpness):
+def _pair_loop(s_hat, s_true, sharpness):
+    """Oracle of pair_objective's loss and pair count: a running total of
+    each ordered pair's logistic cost, in row-major pair order."""
     total, pairs = 0.0, 0
     for m in range(s_true.size):
         for n in range(s_true.size):
             if s_true[m] > s_true[n]:
-                total += float(pair_loss(s_hat[m], s_hat[n], sharpness))
+                total += float(np.logaddexp(0.0, -sharpness * (s_hat[m] - s_hat[n])))
                 pairs += 1
     return total, pairs
 
 
-def test_query_pair_loss_matches_the_pair_loop():
-    rng = np.random.default_rng(12)
-    for trial in range(300):
-        k = int(rng.integers(1, 12))
-        s_hat = rng.uniform(0.0, 1.0, k) if trial % 3 else rng.standard_normal(k) * 30.0
-        s_true = rng.integers(0, 4, k).astype(np.float64)  # ties contribute no pair
-        sharpness = float(rng.choice([0.5, 1.0, 7.0]))
-        got = det.query_pair_loss(s_hat, s_true, sharpness)
-        want = _query_pair_loss_loop(s_hat, s_true, sharpness)
-        assert got[1] == want[1] and np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+def _pair_lambdas(s_hat, s_true, sharpness):
+    """Oracle of pair_objective's lambdas: each oriented pair's gradient
+    term, snapped to the 2^-30 grid, summed per sample."""
+    if s_hat.size < 2:
+        return np.zeros(s_hat.size)
+    d = sharpness * (s_hat[:, None] - s_hat[None, :])
+    lam_pair = -sharpness * nnkit.sigmoid(-d)
+    lam_pair = np.where(s_true[:, None] > s_true[None, :], lam_pair, 0.0)
+    lam_pair = np.round(lam_pair * 2.0**30) / 2.0**30
+    return lam_pair.sum(axis=1) - lam_pair.sum(axis=0)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pair_objective_matches_the_old_forms(data):
+    k = data.draw(st.integers(0, 12))
+    scale = data.draw(st.sampled_from([1.0, 30.0]))
+    s_hat = np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=k, max_size=k)))
+    # few distinct levels draw ties, which contribute no pair
+    levels = data.draw(st.sampled_from([st.integers(0, 3).map(float), st.floats(0, 6)]))
+    s_true = np.array(data.draw(st.lists(levels, min_size=k, max_size=k)), dtype=np.float64)
+    sharpness = data.draw(st.sampled_from([0.5, 1.0, 7.0]))
+    loss, pairs, lam = pair_objective(s_hat, s_true, sharpness)
+    want_loss, want_pairs = _pair_loop(s_hat, s_true, sharpness)
+    assert pairs == want_pairs
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert lam.tobytes() == _pair_lambdas(s_hat, s_true, sharpness).tobytes()
 
 
 def test_pairwise_accuracy_matches_the_pair_loop():

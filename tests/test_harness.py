@@ -940,6 +940,7 @@ _NON_FINITE = [
         # a decay that gives NaN tap powers, and taps past the cyclic prefix
         ("sweep", "tap_decay = 5e-07", "tap_decay = 0"),
         ("sweep", "n_taps = 6", "n_taps = 20"),
+        ("sweep", "subcarrier_spacing = 15000.0", "subcarrier_spacing = 0"),
         ("train", "ack_threshold = 0.72", "ack_threshold = 1.5"),
         ("train", "batch_queries = 4", "batch_queries = 0"),
         ("train", "holdout = 0.25", "holdout = 1.5"),
@@ -960,13 +961,16 @@ _NON_FINITE = [
         ("train", "n_cu = 32", "n_cu = 30000"),
         ("train", "pilot_symbols = 3,12", "pilot_symbols = "),
         ("train", "n_symbols = 14\npilot_symbols = 3,12", "n_symbols = 2\npilot_symbols = 1,2"),
+        # a rank query needs samplings at two SNRs to hold a pair
+        ("train", "corpus_snr_db = 0.0,6.0,12.0,18.0", "corpus_snr_db = "),
+        ("train", "corpus_snr_db = 0.0,6.0,12.0,18.0", "corpus_snr_db = 9"),
         # malformed files, which configparser itself rejects
         ("train", "[ofdm]", "[ofdm]\n\n[ofdm]"),
         ("train", "l_fft = 256", "l_fft = 256\nl_fft = 512"),
         ("train", "[experiment]", "l_fft = 256\n[experiment]"),
     ],
     ids=["sweep-ack_threshold", "sweep-sharpness", "sweep-batch_size", "sweep-object_rate",
-         "sweep-tap_decay-0", "sweep-n_taps-beyond-cp",
+         "sweep-tap_decay-0", "sweep-n_taps-beyond-cp", "sweep-subcarrier_spacing-0",
          "train-ack_threshold", "train-batch_queries", "train-holdout", "train-pool",
          "train-branch_width", "train-train_samples", "train-hidden",
          *(f"{command}-{new.split(' = ')[0]}-{new.split(' = ')[1] or 'empty'}"
@@ -974,6 +978,7 @@ _NON_FINITE = [
          "train-snr_lo-nan", "train-lr-nan", "train-task_weight-nan", "train-lr--1",
          "train-detector-lr-0", "train-lr-diverges",
          "train-n_cu-beyond-capacity", "train-pilot_symbols-empty", "train-pilot_symbols-all",
+         "train-corpus_snr_db-empty", "train-corpus_snr_db-one",
          "train-repeated-section", "train-repeated-key", "train-no-section-header"],
 )
 def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):

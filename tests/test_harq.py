@@ -29,6 +29,7 @@ from semlink.ofdm import QAM_ORDERS, qam_demap_hard, qam_map
 from semlink.scenegen import (
     ProxyHead,
     SceneConfig,
+    SentReadout,
     confidence_map,
     generate_scene,
     perception_loss,
@@ -578,3 +579,20 @@ def test_sources_hand_out_read_only_arrays():
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):
             a.reshape(-1)[0] = 0
+
+
+def test_semantic_source_scores_its_reference_once(monkeypatch):
+    # the reference's loss and pooled map come from one readout of it
+    calls = []
+    score_sent = SentReadout.score
+
+    def counted(readout, message):
+        calls.append(message)
+        return score_sent(readout, message)
+
+    monkeypatch.setattr(SentReadout, "score", counted)
+    src = _semantic_source()
+    ref_map = confidence_map(_candidate(src, src.packed), HEAD)
+    assert src.ref_loss == perception_loss(_candidate(src, src.packed), src.scene, HEAD)
+    assert src.ref_pooled.tobytes() == det.pool_map(ref_map, src.pool).tobytes()
+    assert len(calls) == 1

@@ -143,6 +143,9 @@ def test_config_validation():
         OfdmConfig(pilot_symbols=())
     with pytest.raises(ValueError, match="pilot_symbols"):
         OfdmConfig(n_symbols=2, pilot_symbols=(1, 2))
+    for spacing in (0.0, -15e3):
+        with pytest.raises(ValueError, match="subcarrier_spacing"):
+            OfdmConfig(subcarrier_spacing=spacing)
 
 
 def test_pilot_layout_default():

@@ -1,5 +1,6 @@
 """Layout guards: every top-level function and class in src/semlink, and
-every method and property of its classes, has a caller, every import of
+every method and property of its classes, has a caller, every attribute
+that a src/semlink class sets is read somewhere, every import of
 src/semlink sits at the top of its module and is named in it, every
 parameter default of src/semlink is one that some caller overrides,
 harness._write_csv is the one place that writes a text file, the bundle
@@ -101,6 +102,56 @@ def test_every_src_definition_has_a_caller_outside_tests():
     unused = _unused_definitions() | _unused_members()
     assert EXEMPT <= unused, "an exempt definition is now used; drop its exemption"
     assert unused == EXEMPT, f"defined in src/ but used only by tests or nothing: {sorted(unused - EXEMPT)}"
+
+
+def _unread_attributes(src: Path = SRC, bench: Path = BENCH) -> set[tuple[str, str]]:
+    """(module, "Class.attr") of each attribute that a `self.attr = ...` in a
+    src/ class sets and that no attribute read or string constant in src/,
+    or in a non-test file of bench/, names."""
+    paths = sorted(src.glob("*.py"))
+    paths += [p for p in sorted(bench.glob("*.py")) if not p.name.startswith("test_")]
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)  # getattr(obj, "attr")
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                targets = node.targets if isinstance(node, ast.Assign) else (
+                    [node.target] if isinstance(node, ast.AnnAssign) else [])
+                out |= {
+                    (path.stem, f"{cls.name}.{t.attr}")
+                    for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                    and t.value.id == "self" and t.attr not in read
+                }
+    return out
+
+
+def test_src_attributes_are_read():
+    # an attribute that nothing reads is what a deletion leaves behind
+    assert not _unread_attributes(), f"set but never read: {sorted(_unread_attributes())}"
+
+
+@pytest.mark.parametrize(
+    "body,unread",
+    [("self.a = 1", {"a"}), ("self.a = 1\n        print(self.a)", set()),
+     ("self.a, b = 1, 2", {"a"}), ("self.a: int = 1", {"a"}),
+     ("self.a = self.b = 1\n        print(self.b)", {"a"}),
+     ("self.a = 1\n\ndef f(c):\n    return c.a", set()),
+     ('self.a = 1\n\ndef f(c):\n    return getattr(c, "a")', set())],
+    ids=["unread", "read", "tuple", "annotated", "chained", "read-elsewhere", "getattr"],
+)
+def test_unread_attribute_guard_sees_each_form(tmp_path, body, unread):
+    (tmp_path / "mod.py").write_text(f"class C:\n    def __init__(self):\n        {body}\n")
+    assert _unread_attributes(tmp_path, tmp_path) == {("mod", f"C.{name}") for name in unread}
 
 
 # The one import made inside a function: harq imports detector at its top, so
