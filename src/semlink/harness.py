@@ -1,6 +1,12 @@
 """Experiment harness: training orchestration, seeded session sweeps and
 the tables both write.
 
+train_all runs on two processes once the first codec pair is trained: the
+detector chain (rank corpus, ranker, calibration) in a forked child, the
+second codec pair in the calling process. The two chains share only the
+stored first pair and draw from their own derived seeds, so the artifacts do
+not depend on which process runs which chain.
+
 Every table a run writes, the training curves, the detector calibration and
 the two sweep CSVs, goes through _write_csv and its one cell rule.
 
@@ -28,6 +34,7 @@ later sweep starts warm. A session runs on the cache it is given
 from __future__ import annotations
 
 import functools
+import io
 import math
 import multiprocessing
 import os
@@ -129,10 +136,21 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     Each stage continues from nnkit.stored copies, the weights as the
     checkpoint holds them: pair 2 trains against the stored pair 1, the corpus
     is built from it, the ranker trains and calibrates on that corpus, and the
-    calibration table is computed with the stored scorer. The returned
-    bundle is bitwise equal to what load_bundle gives for out_dir. Files are
-    staged beside out_dir and moved in once every stage has passed: a run that
-    fails leaves out_dir as it was, or absent.
+    calibration table is computed with the stored scorer.
+
+    Once pair 1 is stored, its two consumers run at the same time: a forked
+    child process runs the detector chain (_train_detector) while this
+    process trains pair 2. Neither reads the other's output and each stage
+    draws from its own derive_seed, so every artifact is byte-identical to
+    running them one after the other. The child sends the stored scorer back
+    as write_net bytes. An exception in the child is raised here with its
+    type and message; a child that exits without sending is a ValueError
+    naming its exit code; if pair 2 fails, the child is stopped. No child
+    outlives the call.
+
+    The returned bundle is bitwise equal to what load_bundle gives for
+    out_dir. Files are staged beside out_dir and moved in once every stage
+    has passed: a run that fails leaves out_dir as it was, or absent.
     """
     out = Path(out_dir)
     if out.exists() and not out.is_dir():
@@ -151,32 +169,32 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
         say("training first codec pair")
         c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
         c_p1 = replace(c_p1, encoder=nnkit.stored(c_p1.encoder), decoder=nnkit.stored(c_p1.decoder))
-        say("training second codec pair on the frozen residual")
-        c_p2, curve_p2 = codec_mod.train_harq2_pair(
-            c_p1, tset, cfg.codec, derive_seed(ms, "codec-pair2"), band2
-        )
-        c_p2 = replace(c_p2, encoder=nnkit.stored(c_p2.encoder), decoder=nnkit.stored(c_p2.decoder))
-        _write_csv(work / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
-            (name, phase, epoch, loss)
-            for name, curve in (("pair1", curve_p1), ("pair2", curve_p2))
-            for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
-            for epoch, loss in enumerate(series, start=1)
-        ])
 
-        say("building detector corpus over the full link")
-        corpus = det_mod.build_corpus(cfg, head, c_p1)
-        say("training similarity scorer")
-        scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
-        scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))
-        scorer = det_mod.calibrate_scorer(scorer, corpus)
-        scorer = replace(scorer, branch=nnkit.stored(scorer.branch), head=nnkit.stored(scorer.head))
-        _write_csv(work / "train_detector.csv", ("epoch", "pair_loss", "holdout_accuracy"), [
-            (epoch, pair_loss, accuracy)
-            for epoch, (pair_loss, accuracy) in enumerate(
-                zip(history["pair_loss"], history["holdout_accuracy"]), start=1
+        say("building detector corpus and training similarity scorer in a child process")
+        ctx = multiprocessing.get_context("fork")
+        reply, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_detector_child, args=(send, cfg, head, c_p1, work))
+        child.start()
+        send.close()
+        try:
+            say("training second codec pair on the frozen residual")
+            c_p2, curve_p2 = codec_mod.train_harq2_pair(
+                c_p1, tset, cfg.codec, derive_seed(ms, "codec-pair2"), band2
             )
-        ])
-        _write_calibration(work / "detector_calibration.csv", cfg, corpus, scorer)
+            c_p2 = replace(c_p2, encoder=nnkit.stored(c_p2.encoder), decoder=nnkit.stored(c_p2.decoder))
+            _write_csv(work / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
+                (name, phase, epoch, loss)
+                for name, curve in (("pair1", curve_p1), ("pair2", curve_p2))
+                for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
+                for epoch, loss in enumerate(series, start=1)
+            ])
+            scorer = _receive_scorer(reply, child, cfg)
+        except BaseException:
+            child.terminate()
+            raise
+        finally:
+            child.join()
+            reply.close()
         _write_bundle(work / BUNDLE, c_p1, c_p2, scorer)
 
         out.mkdir(exist_ok=True)
@@ -186,6 +204,58 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
         shutil.rmtree(work, ignore_errors=True)
     say("training artifacts written")
     return RuntimeBundle(cfg, head, c_p1, c_p2, scorer)
+
+
+def _train_detector(cfg: ExperimentConfig, head: ProxyHead, pair1, work: Path) -> det_mod.SimilarityScorer:
+    """The detector chain on the stored pair 1: the rank corpus, the ranker
+    and its calibration. Writes train_detector.csv and
+    detector_calibration.csv into work and returns the stored scorer."""
+    ms = cfg.experiment.master_seed
+    corpus = det_mod.build_corpus(cfg, head, pair1)
+    scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
+    scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))
+    scorer = det_mod.calibrate_scorer(scorer, corpus)
+    scorer = replace(scorer, branch=nnkit.stored(scorer.branch), head=nnkit.stored(scorer.head))
+    _write_csv(work / "train_detector.csv", ("epoch", "pair_loss", "holdout_accuracy"), [
+        (epoch, pair_loss, accuracy)
+        for epoch, (pair_loss, accuracy) in enumerate(
+            zip(history["pair_loss"], history["holdout_accuracy"]), start=1
+        )
+    ])
+    _write_calibration(work / "detector_calibration.csv", cfg, corpus, scorer)
+    return scorer
+
+
+def _detector_child(conn, cfg, head, pair1, work) -> None:
+    """train_all's child process: _train_detector, then one message on conn,
+    ("nets", the scorer's branch and head as write_net bytes) or ("error",
+    the exception it raised)."""
+    try:
+        scorer = _train_detector(cfg, head, pair1, work)
+        buf = io.BytesIO()
+        nnkit.write_net(buf, scorer.branch)
+        nnkit.write_net(buf, scorer.head)
+        message = ("nets", buf.getvalue())
+    except Exception as exc:
+        message = ("error", exc)
+    conn.send(message)
+    conn.close()
+
+
+def _receive_scorer(conn, child, cfg: ExperimentConfig) -> det_mod.SimilarityScorer:
+    """The scorer that _detector_child sends; raises its exception, or a
+    ValueError if it exits without sending."""
+    try:
+        kind, payload = conn.recv()
+    except EOFError:
+        child.join()
+        raise ValueError(
+            f"detector training process exited with code {child.exitcode} before sending the scorer"
+        ) from None
+    if kind == "error":
+        raise payload
+    buf = io.BytesIO(payload)
+    return det_mod.SimilarityScorer(nnkit.read_net(buf), nnkit.read_net(buf), cfg.detector.pool)
 
 
 def _nets(pair1, pair2, scorer) -> tuple:

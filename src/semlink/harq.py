@@ -176,7 +176,6 @@ class SemanticSource:
         self.first = first
         self.second = second
         self.scorer = scorer
-        self.scene = scene
         self.pool = pool
         self.mask = importance_map(f, cells)
         self.packed = _frozen(pack_nonzero(f, self.mask))
@@ -287,7 +286,6 @@ class BaselineSource:
     def __init__(
         self, head: ProxyHead, scene: Scene, f: FeatureTensor, cells: int, mod_order: int, copies: int
     ):
-        self.scene = scene
         self.mod_order = mod_order
         self.mask = importance_map(f, cells)
         packed = pack_nonzero(f, self.mask)

@@ -224,7 +224,16 @@ def _adam_update(p, g, m, v, coef, decay, scratch) -> None:
 
 
 def write_net(fh, net: DenseNet) -> None:
-    """Serialize one net into an open binary stream (embeddable in containers)."""
+    """Serialize one net into an open binary stream (embeddable in containers).
+
+    Every weight must round to a finite float32, or ValueError says that
+    training diverged; nothing is written then. A diverged ranker is caught
+    here only: its weights outgrow float32 while its loss stays finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        weights = [part.astype("<f4") for layer in net.layers for part in (layer.w, layer.b)]
+    if not all(np.all(np.isfinite(part)) for part in weights):
+        raise ValueError("training diverged: a weight does not round to a finite float32; lower the lr")
     fh.write(_MAGIC)
     fh.write(struct.pack("<I", len(net.layers)))
     for layer in net.layers:
@@ -237,9 +246,8 @@ def write_net(fh, net: DenseNet) -> None:
                 layer.prelu_alpha,
             )
         )
-    for layer in net.layers:
-        fh.write(layer.w.astype("<f4").tobytes())
-        fh.write(layer.b.astype("<f4").tobytes())
+    for part in weights:
+        fh.write(part.tobytes())
 
 
 def layout(net: DenseNet) -> tuple:

@@ -1,5 +1,7 @@
 """Shared fixtures (one trained artifact set reused by the whole suite) and helpers."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,20 @@ from semlink.detector import DetectorConfig
 from semlink.ofdm import OfdmConfig
 from semlink.nnkit import sigmoid
 from semlink.scenegen import FOCAL_ALPHA, FOCAL_GAMMA, SceneConfig, focal_loss, smooth_l1
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test after which a child process of this one is still alive:
+    train_all's detector process and run_sweep's pool must be gone when
+    they return or raise. A leaked child is stopped, so that the next test
+    starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

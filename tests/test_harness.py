@@ -7,10 +7,12 @@ acceptance suite.
 """
 
 import csv
+import multiprocessing
 import os
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -1106,19 +1108,95 @@ def test_cli_train_sweep_chain(tmp_path):
     assert {r["snr_db"] for r in rows} == {"0", "12"}
 
 
-def test_cli_failed_train_leaves_existing_artifacts_unchanged(tiny_dir, tmp_path):
-    # training diverges in pair 2, after pair 1 is written: the run's files
-    # are staged beside the directory, so none of them reaches it
+def _failed_cli_train(tiny_dir, tmp_path, old, new):
+    """semlink train into a copy of tiny_dir with `old` replaced by `new` in
+    the tiny config fails with one error line, which it returns, and leaves
+    the copy as it was and nothing else beside it."""
     art = _copy_artifacts(tiny_dir, tmp_path / "art")
     before = {name: (art / name).read_bytes() for name in ARTIFACTS}
     ini = tmp_path / "bad.ini"
     text = _render_ini(tiny_config(seed=4242))
-    assert text.count("lr = 0.002") == 1
-    ini.write_text(text.replace("lr = 0.002", "lr = 1e6"))
-    _assert_one_error_line(_cli("train", "--config", str(ini), "--out", str(art)))
+    assert text.count(old) == 1
+    ini.write_text(text.replace(old, new))
+    proc = _cli("train", "--config", str(ini), "--out", str(art))
+    _assert_one_error_line(proc)
     assert {p.name: p.read_bytes() for p in art.iterdir()} == before
     harness.load_bundle(tiny_config(seed=4242), art)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["art", "bad.ini"]
+    return proc.stderr
+
+
+def test_cli_failed_train_leaves_existing_artifacts_unchanged(tiny_dir, tmp_path):
+    # training diverges in pair 2, after pair 1 is written: the run's files
+    # are staged beside the directory, so none of them reaches it
+    _failed_cli_train(tiny_dir, tmp_path, "lr = 0.002", "lr = 1e6")
+
+
+def test_cli_diverged_ranker_is_one_error_line(tiny_dir, tmp_path):
+    # the ranker's pair loss stays finite while its weights outgrow float32;
+    # storing them fails in the detector process, and the CLI prints that
+    # error alone, with no overflow warning before it
+    stderr = _failed_cli_train(tiny_dir, tmp_path, "lr = 0.0002", "lr = 1e6")
+    assert "training diverged" in stderr
+
+
+def _failed_train(tiny_dir, tmp_path, match) -> BaseException:
+    """train_all into a copy of tiny_dir raises ValueError matching `match`,
+    which it returns, and leaves the copy as it was, no staging directory
+    beside it and no child process."""
+    (tmp_path / "out").mkdir()
+    art = _copy_artifacts(tiny_dir, tmp_path / "out" / "art")
+    before = {p.name: p.read_bytes() for p in art.iterdir()}
+    with pytest.raises(ValueError, match=match) as info:
+        harness.train_all(tiny_config(seed=4242), art)
+    assert {p.name: p.read_bytes() for p in art.iterdir()} == before
+    assert [p.name for p in art.parent.iterdir()] == ["art"]
+    assert multiprocessing.active_children() == []
+    return info.value
+
+
+def test_train_all_raises_the_detector_process_error(tiny_dir, tmp_path, monkeypatch):
+    # the detector chain runs in another process, and its exception is
+    # raised in this one with its type and message
+    pid = tmp_path / "corpus-pid"
+
+    def failing_corpus(*args):
+        pid.write_text(str(os.getpid()))
+        raise ValueError("boom")
+
+    monkeypatch.setattr(detector, "build_corpus", failing_corpus)
+    assert type(_failed_train(tiny_dir, tmp_path, "^boom$")) is ValueError
+    assert int(pid.read_text()) != os.getpid()
+
+
+def test_train_all_stops_the_detector_process_when_pair_2_fails(tiny_dir, tmp_path, monkeypatch):
+    # pair 2 fails while the corpus is being built beside it: the detector
+    # process is stopped, not waited for
+    started = tmp_path / "corpus-started"
+
+    def endless_corpus(*args):
+        started.touch()
+        time.sleep(60)
+
+    def failing_pair2(*args):
+        deadline = time.monotonic() + 20
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise ValueError("pair 2 failed" if started.exists() else "pair 2 failed before the corpus began")
+
+    monkeypatch.setattr(detector, "build_corpus", endless_corpus)
+    monkeypatch.setattr(codec, "train_harq2_pair", failing_pair2)
+    t0 = time.monotonic()
+    _failed_train(tiny_dir, tmp_path, "^pair 2 failed$")
+    assert time.monotonic() - t0 < 30
+
+
+def test_train_all_names_the_exit_code_of_a_detector_process_that_dies(tiny_dir, tmp_path, monkeypatch):
+    def dying_corpus(*args):
+        os._exit(3)
+
+    monkeypatch.setattr(detector, "build_corpus", dying_corpus)
+    _failed_train(tiny_dir, tmp_path, "exited with code 3")
 
 
 def test_train_into_a_file_fails_before_training(tmp_path):

@@ -203,6 +203,12 @@ def _identity(t, s):
     return s
 
 
+def _scene(seed=1):
+    """The scene that _semantic_source and _baseline_source send for `seed`:
+    what the perception-loss oracles below score against."""
+    return generate_scene(seed, SCENE_CFG, HEAD)[0]
+
+
 def _candidate(src, message):
     """The whole-grid feature a message stands for: its values on the
     source's sent cells, zero elsewhere."""
@@ -524,9 +530,9 @@ def test_session_similarity_is_measured_against_the_reference():
     ]
     for src, ref_message, session in sessions:
         assert session.rounds_used == 3
-        ref_loss = perception_loss(_candidate(src, ref_message), src.scene, HEAD)
+        ref_loss = perception_loss(_candidate(src, ref_message), _scene(), HEAD)
         for rec in session.rounds:
-            hat_loss = perception_loss(_candidate(src, rec.message), src.scene, HEAD)
+            hat_loss = perception_loss(_candidate(src, rec.message), _scene(), HEAD)
             assert rec.s_true == true_similarity(ref_loss, hat_loss)
 
 
@@ -544,7 +550,7 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
         for rec in session.rounds:
             hyp_map = confidence_map(_candidate(semantic, rec.message), HEAD)
             assert rec.s_hat == score(semantic.scorer, ref_map, hyp_map)
-            assert rec.task_loss == perception_loss(_candidate(semantic, rec.message), semantic.scene, HEAD)
+            assert rec.task_loss == perception_loss(_candidate(semantic, rec.message), _scene(), HEAD)
 
     def noisy(t, symbols):
         return symbols + 0.3 * t, np.ones(symbols.size), 0.5
@@ -552,7 +558,7 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
     baseline = _baseline_source()
     session = run_baseline_session(baseline, "base2", 3, noisy)
     for rec in session.rounds:
-        assert rec.task_loss == perception_loss(_candidate(baseline, rec.message), baseline.scene, HEAD)
+        assert rec.task_loss == perception_loss(_candidate(baseline, rec.message), _scene(), HEAD)
 
 
 def test_sources_hand_out_read_only_arrays():
@@ -593,6 +599,6 @@ def test_semantic_source_scores_its_reference_once(monkeypatch):
     monkeypatch.setattr(SentReadout, "score", counted)
     src = _semantic_source()
     ref_map = confidence_map(_candidate(src, src.packed), HEAD)
-    assert src.ref_loss == perception_loss(_candidate(src, src.packed), src.scene, HEAD)
+    assert src.ref_loss == perception_loss(_candidate(src, src.packed), _scene(), HEAD)
     assert src.ref_pooled.tobytes() == det.pool_map(ref_map, src.pool).tobytes()
     assert len(calls) == 1

@@ -265,6 +265,22 @@ def test_stored_is_the_net_a_checkpoint_holds():
     assert copy_.layers[0].prelu_alpha != net.layers[0].prelu_alpha
 
 
+@pytest.mark.parametrize("part", ["w", "b"])
+@pytest.mark.parametrize("value", [4e38, -1e300, np.inf, np.nan])
+def test_nets_are_stored_only_with_finite_float32_weights(part, value):
+    # a diverged net is refused where it is rounded, with no overflow warning
+    # and nothing written: 4e38 is finite in float64 but not in float32
+    net = init_dense((3, 4, 2), ("relu", "linear"), seed=1)
+    getattr(net.layers[1], part)[-1] = value
+    buf = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for store in (lambda n: write_net(buf, n), stored):
+            with pytest.raises(ValueError, match="training diverged.*lower the lr"):
+                store(net)
+    assert buf.getvalue() == b""
+
+
 def test_load_rejects_garbage():
     with pytest.raises(ValueError):
         read_net(io.BytesIO(b"NOPE" + b"\x00" * 32))
