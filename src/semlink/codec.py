@@ -7,8 +7,9 @@ surrogate channel in two steps: reconstruction loss first, then a weighted
 sum of reconstruction and perception loss through the frozen proxy head. The
 perception term is read out on the cells each sample sends, in one batch per
 step, plus a per-sample constant for the cells it does not send (those hold
-a zero feature; scenegen.SentCells). A second codec pair can be trained on
-the residual of a frozen first pair for incremental retransmission.
+a zero feature; scenegen.SentCells), the loss that sessions record. A second
+codec pair is trained on the residual of a frozen first pair for incremental
+retransmission.
 Both pairs are stored in harness.train_all's one bundle.ckpt, and pair 2
 trains against nnkit.stored copies of pair 1, the weights as that file holds.
 """
@@ -48,6 +49,9 @@ class CodecConfig:
         for name in ("n_cu", "hidden", "train_samples", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("recon_epochs", "task_epochs", "task_weight"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
@@ -56,12 +60,16 @@ class CodecConfig:
 class SemanticCodec:
     encoder: nnkit.DenseNet
     decoder: nnkit.DenseNet
-    n_cu: int
     signal_power: ClassVar[float] = SIGNAL_POWER  # mean power of encode's symbols
 
     @property
     def n_in(self) -> int:
         return self.encoder.n_in
+
+    @property
+    def n_cu(self) -> int:
+        """Complex channel uses per transmission: half the encoder's real outputs."""
+        return self.encoder.layers[-1].w.shape[1] // 2
 
 
 @dataclass
@@ -76,10 +84,10 @@ class TrainingSet:
     """Packed features plus the scene context needed for the perception term.
 
     Sample i is scenes[i] sent through masks[i], and every mask keeps the same
-    k = packed.shape[1] / C cells. The scenes and masks are not kept: `sent`
-    holds, per sample, the scene on those k cells and the perception loss of
-    the cells not sent, which a zero feature fixes. It is computed once here,
-    so each training step reads out only the cells the codec sends.
+    k = packed.shape[1] / C cells. `sent` holds them as sessions score them:
+    the masks, the scenes on those k cells and the perception loss of the
+    cells not sent. It is computed once here, so each training step reads
+    out only the cells the codec sends.
     """
 
     packed: np.ndarray  # (N, n_in)
@@ -115,7 +123,7 @@ def new_codec(cfg: CodecConfig, n_in: int, seed: int) -> SemanticCodec:
     dec = nnkit.init_dense(
         (2 * cfg.n_cu, cfg.hidden, n_in), ("prelu", "linear"), seed + 1, PRELU_ALPHA
     )
-    return SemanticCodec(enc, dec, cfg.n_cu)
+    return SemanticCodec(enc, dec)
 
 
 def reals_to_complex(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ The rank corpus is two arrays: per query, the pooled reference map and its
 K samplings' pooled maps, and the samplings' true similarities. It is
 sampled through harq.SemanticSource, the source every semantic session runs
 from, so a corpus sampling is the reception a session round makes: the same
-pooled map and true similarity, scored on the sent cells alone.
+pooled map and true similarity (scenegen.SentCells.score).
 The scorer is stored in harness.train_all's one bundle.ckpt, and the
 calibration table is computed with nnkit.stored copies of its nets.
 """
@@ -58,9 +58,11 @@ class DetectorConfig:
             raise ValueError("sharpness must be positive")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        for name in ("pool", "branch_width", "corpus_queries", "batch_queries"):
+        for name in ("pool", "branch_width", "corpus_queries", "epochs", "batch_queries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if len(self.corpus_snr_db) < 2:  # a query's pairs are samplings at two SNRs
             raise ValueError(f"corpus_snr_db must list at least two SNRs, got {self.corpus_snr_db}")
         if not (math.isfinite(self.holdout) and self.holdout >= 0.0) or (
@@ -81,7 +83,11 @@ def _holdout_count(holdout: float, n: int) -> int:
 class SimilarityScorer:
     branch: nnkit.DenseNet  # shared twin branch over pooled maps
     head: nnkit.DenseNet  # concatenated embeddings -> sigmoid score
-    pool: int = 16
+
+    @property
+    def pool(self) -> int:
+        """Side of the pooled maps the branch reads: the root of its input width."""
+        return math.isqrt(self.branch.n_in)
 
 
 def new_scorer(cfg: DetectorConfig, seed: int) -> SimilarityScorer:
@@ -89,7 +95,7 @@ def new_scorer(cfg: DetectorConfig, seed: int) -> SimilarityScorer:
     w = cfg.branch_width
     branch = nnkit.init_dense((n_in, w, w), ("relu", "relu"), seed)
     head = nnkit.init_dense((2 * w, w, 1), ("relu", "sigmoid"), seed + 1)
-    return SimilarityScorer(branch, head, cfg.pool)
+    return SimilarityScorer(branch, head)
 
 
 def pool_map(values: np.ndarray, pool: int) -> np.ndarray:
@@ -330,7 +336,7 @@ def calibrate_scorer(scorer: SimilarityScorer, corpus: RankCorpus) -> Similarity
     last = scorer.head.layers[-1]
     scaled = nnkit.DenseLayer(a * last.w, a * last.b + b, last.act, last.prelu_alpha)
     head = nnkit.DenseNet(scorer.head.layers[:-1] + [scaled])
-    return SimilarityScorer(scorer.branch, head, scorer.pool)
+    return SimilarityScorer(scorer.branch, head)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -34,7 +34,6 @@ later sweep starts warm. A session runs on the cache it is given
 from __future__ import annotations
 
 import functools
-import io
 import math
 import multiprocessing
 import os
@@ -143,10 +142,10 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     process trains pair 2. Neither reads the other's output and each stage
     draws from its own derive_seed, so every artifact is byte-identical to
     running them one after the other. The child sends the stored scorer back
-    as write_net bytes. An exception in the child is raised here with its
-    type and message; a child that exits without sending is a ValueError
-    naming its exit code; if pair 2 fails, the child is stopped. No child
-    outlives the call.
+    as one pickled object, its float64 weights exact. An exception in the
+    child is raised here with its type and message; a child that exits
+    without sending is a ValueError naming its exit code; if pair 2 fails,
+    the child is stopped. No child outlives the call.
 
     The returned bundle is bitwise equal to what load_bundle gives for
     out_dir. Files are staged beside out_dir and moved in once every stage
@@ -188,7 +187,7 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
                 for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
                 for epoch, loss in enumerate(series, start=1)
             ])
-            scorer = _receive_scorer(reply, child, cfg)
+            scorer = _receive_scorer(reply, child)
         except BaseException:
             child.terminate()
             raise
@@ -228,21 +227,16 @@ def _train_detector(cfg: ExperimentConfig, head: ProxyHead, pair1, work: Path) -
 
 def _detector_child(conn, cfg, head, pair1, work) -> None:
     """train_all's child process: _train_detector, then one message on conn,
-    ("nets", the scorer's branch and head as write_net bytes) or ("error",
-    the exception it raised)."""
+    ("scorer", the stored scorer) or ("error", the exception it raised)."""
     try:
-        scorer = _train_detector(cfg, head, pair1, work)
-        buf = io.BytesIO()
-        nnkit.write_net(buf, scorer.branch)
-        nnkit.write_net(buf, scorer.head)
-        message = ("nets", buf.getvalue())
+        message = ("scorer", _train_detector(cfg, head, pair1, work))
     except Exception as exc:
         message = ("error", exc)
     conn.send(message)
     conn.close()
 
 
-def _receive_scorer(conn, child, cfg: ExperimentConfig) -> det_mod.SimilarityScorer:
+def _receive_scorer(conn, child) -> det_mod.SimilarityScorer:
     """The scorer that _detector_child sends; raises its exception, or a
     ValueError if it exits without sending."""
     try:
@@ -254,8 +248,7 @@ def _receive_scorer(conn, child, cfg: ExperimentConfig) -> det_mod.SimilaritySco
         ) from None
     if kind == "error":
         raise payload
-    buf = io.BytesIO(payload)
-    return det_mod.SimilarityScorer(nnkit.read_net(buf), nnkit.read_net(buf), cfg.detector.pool)
+    return payload
 
 
 def _nets(pair1, pair2, scorer) -> tuple:
@@ -282,9 +275,10 @@ def _built_layouts(cfg: ExperimentConfig) -> list:
 def load_bundle(cfg: ExperimentConfig, art_dir) -> RuntimeBundle:
     """The trained system that train_all wrote to art_dir, checked against cfg
     by one rule: each net's nnkit.layout is that of the net the constructors
-    build from cfg, the one home of the architecture; n_cu and pool come from
-    cfg. A missing, truncated or corrupt bundle.ckpt, bytes after its last
-    net, or another layout raise ValueError naming the file."""
+    build from cfg, the one home of the architecture, and so of the codecs'
+    n_cu and the scorer's pool. A missing, truncated or corrupt bundle.ckpt,
+    bytes after its last net, or another layout raise ValueError naming the
+    file."""
     path = Path(art_dir) / BUNDLE
     if not path.is_file():
         raise ValueError(f"missing training artifact: {path}")
@@ -305,10 +299,8 @@ def load_bundle(cfg: ExperimentConfig, art_dir) -> RuntimeBundle:
                 f"the config builds {want}"
             )
     enc1, dec1, enc2, dec2, branch, head = nets
-    n_cu = cfg.codec.n_cu
-    pair1, pair2 = codec_mod.SemanticCodec(enc1, dec1, n_cu), codec_mod.SemanticCodec(enc2, dec2, n_cu)
-    scorer = det_mod.SimilarityScorer(branch, head, cfg.detector.pool)
-    return RuntimeBundle(cfg, proxy_head, pair1, pair2, scorer)
+    pair1, pair2 = codec_mod.SemanticCodec(enc1, dec1), codec_mod.SemanticCodec(enc2, dec2)
+    return RuntimeBundle(cfg, proxy_head, pair1, pair2, det_mod.SimilarityScorer(branch, head))
 
 
 def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:

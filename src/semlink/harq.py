@@ -19,10 +19,10 @@ or the CRC; a session is its rounds and whether the last was acknowledged.
 A semantic reception is SemanticSource.receive, for the sessions here and
 for the scorer's rank corpus (detector.build_corpus), whose sources have no
 scorer. A reception is known on the cells its source's mask sends, and
-both sources score it there alone (scenegen.SentReadout), summing in the
-whole-grid order, so its loss and map are those that
-scenegen.perception_loss and confidence_map, the definition, give for the
-unpacked feature.
+both sources score it there alone (scenegen.SentCells.score), with the
+arithmetic that codec training's perception term uses: its map is
+scenegen.confidence_map's of the unpacked feature, bit for bit, and its
+loss scenegen.perception_loss's up to rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import codec as codec_mod
 from .detector import SimilarityScorer, ack_decide, embed_reference, pool_map, score_pooled
 from .ofdm import qam_demap_hard, qam_map
-from .scenegen import ProxyHead, Scene, SentReadout, true_similarity
+from .scenegen import ProxyHead, Scene, sent_cells, true_similarity
 from .tensors import FeatureTensor, _frozen, importance_map, pack_nonzero
 
 CRC24_POLY = 0x864CFB
@@ -159,10 +159,10 @@ class SemanticSource:
     The feature f is masked to its `cells` strongest cells (fixed for the
     whole session) and packed; the packed values are the reference message.
     The reference's perception loss and map pooled to pool x pool (from one
-    readout) and the first pair's symbols are computed as it is built; the
-    scorer's embedding of the reference and the second pair's symbols on
-    first use, and kept. None depends on mode, SNR or threshold, so
-    sessions may share one source (harness.SessionCache).
+    SentCells.score) and the first pair's symbols are computed as it is
+    built; the scorer's embedding of the reference and the second pair's
+    symbols on first use, and kept. None depends on mode, SNR or threshold,
+    so sessions may share one source (harness.SessionCache).
     Every array it hands out is read-only. The second pair and the scorer
     may be None: such a source cannot run mode sim2, or score, but still
     sends and receives.
@@ -179,8 +179,9 @@ class SemanticSource:
         self.pool = pool
         self.mask = importance_map(f, cells)
         self.packed = _frozen(pack_nonzero(f, self.mask))
-        self.readout = SentReadout(scene, self.mask, head)
-        self.ref_loss, ref_map = self.readout.score(self.packed)
+        self.head = head
+        self.sent = sent_cells([scene], [self.mask])
+        self.ref_loss, ref_map = self.sent.score(self.packed, head)
         self.ref_pooled = _frozen(pool_map(ref_map, pool))
         self.sym_first = _frozen(codec_mod.encode(first, self.packed))
 
@@ -194,10 +195,9 @@ class SemanticSource:
         return _frozen(codec_mod.encode(self.second, self.packed))
 
     def receive(self, message: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """A decoded message's pooled confidence map, its perception loss and
-        its true similarity to the reference, scored on the sent cells alone
-        (self.readout): the values of the whole-grid candidate, bit for bit."""
-        loss, cmap = self.readout.score(message)
+        """A decoded message's pooled confidence map, perception loss and true
+        similarity to the reference, scored on the sent cells alone."""
+        loss, cmap = self.sent.score(message, self.head)
         return pool_map(cmap, self.pool), loss, true_similarity(self.ref_loss, loss)
 
     def reception(self, message: np.ndarray) -> Reception:
@@ -280,7 +280,7 @@ class BaselineSource:
     computed as it is built. Every array it hands out is read-only. A round's
     Reception carries the dequantized codes as its message and no score: the
     CRC judges it. Its loss is scored on the sent cells alone, like
-    SemanticSource's (scenegen.SentReadout).
+    SemanticSource's (scenegen.SentCells.score).
     """
 
     def __init__(
@@ -294,18 +294,19 @@ class BaselineSource:
         frame = codes.tobytes() + crc24(codes).to_bytes(CRC24_BITS // 8, "big")
         self.payload_bits = _frozen(np.unpackbits(np.frombuffer(frame, dtype=np.uint8)))
         self.ref_message = _frozen(self.quantizer.dequantize(codes))
-        self.readout = SentReadout(scene, self.mask, head)
+        self.head = head
+        self.sent = sent_cells([scene], [self.mask])
         pad = np.zeros((-self.payload_bits.size) % int(math.log2(mod_order)), dtype=np.uint8)
         self.chunk = _frozen(qam_map(np.concatenate([self.payload_bits, pad]), mod_order))
         self.codeword = _frozen(np.tile(self.chunk, copies))
-        self.ref_loss = self.readout.score(self.ref_message)[0]
+        self.ref_loss = self.sent.score(self.ref_message, head)[0]
 
     def reception(self, combined: np.ndarray) -> tuple[bool, Reception]:
         """Whether the CRC of a combined chunk's frame passes, and the
         unscored Reception of its dequantized codes."""
         frame = np.packbits(qam_demap_hard(combined, self.mod_order)[: self.payload_bits.size])
         message = _frozen(self.quantizer.dequantize(frame[: frame.size - CRC24_BITS // 8]))
-        loss = self.readout.score(message)[0]
+        loss = self.sent.score(message, self.head)[0]
         return crc24(frame) == 0, Reception(message, loss, true_similarity(self.ref_loss, loss), None)
 
 

@@ -6,24 +6,23 @@ feature tensor out to per-cell regression values and class logits; scenes are
 lifted into feature space through the head's adjoint, so a clean feature reads
 out to the scene targets exactly and corruption shows up as perception loss.
 perception_loss and confidence_map score a whole (C, H, W) feature; they are
-the definition. Sessions and the rank corpus receive only the k cells an
-importance mask sends, and score them through SentReadout, on the sent cells
-alone but summed in the whole-grid order, so its loss and map equal these
-bit for bit. Codec training takes the perception term's gradient through
-perception_loss_grad, batched over samples and also computed on the sent
-cells alone. Both rest on one fact: a cell not sent holds a zero feature, so
-its terms depend on the scene alone.
+the definition. A masked reception is scored on the k cells its mask sends
+alone (SentCells), by one arithmetic: per message for sessions and the rank
+corpus (SentCells.score), batched with its gradient for codec training
+(perception_loss_grad). A cell not sent holds a zero feature, so its terms
+depend on the scene alone and are summed once (SentCells.rest): the map is
+confidence_map's bit for bit, the loss perception_loss's up to rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .nnkit import sigmoid
-from .tensors import FeatureTensor, ImportanceMask, _frozen
+from .tensors import FeatureTensor, _frozen
 
 FOCAL_GAMMA = 2.0
 FOCAL_ALPHA = 0.25
@@ -145,11 +144,11 @@ def smooth_l1(e: np.ndarray) -> np.ndarray:
 
 def focal_loss(p: np.ndarray, label: np.ndarray) -> np.ndarray:
     """Elementwise focal loss on probabilities with the module's gamma/alpha."""
-    p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
-    label = np.asarray(label)
-    pos = -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * np.log(p)
-    neg = -(1.0 - FOCAL_ALPHA) * p**FOCAL_GAMMA * np.log(1.0 - p)
-    return np.where(label == 1, pos, neg)
+    p = np.minimum(np.maximum(np.asarray(p, dtype=np.float64), 1e-12), 1.0 - 1e-12)
+    q = 1.0 - p
+    pos = -FOCAL_ALPHA * q**FOCAL_GAMMA * np.log(p)
+    neg = -(1.0 - FOCAL_ALPHA) * p**FOCAL_GAMMA * np.log(q)
+    return np.where(np.asarray(label) == 1, pos, neg)
 
 
 def perception_loss(f: FeatureTensor, scene: Scene, head: ProxyHead) -> float:
@@ -174,23 +173,37 @@ def perception_loss(f: FeatureTensor, scene: Scene, head: ProxyHead) -> float:
 class SentCells:
     """The scenes of N masked samples, seen from the k cells each mask sends.
 
-    Row i holds scene i on the cells that mask i keeps, in row-major cell
-    order (the packed order of tensors.pack_nonzero). A cell that is not sent
-    holds a zero feature, which reads out to regression 0 and logit 0, so its
-    smooth-L1 and focal terms depend on the scene alone: `rest` is their share
-    of perception_loss.
+    Row i holds scene i on the cells that mask i keeps (cells[i]), in
+    row-major order (that of tensors.pack_nonzero). A cell not sent holds a
+    zero feature, which reads out to regression 0 and logit 0, so `rest`, its
+    terms' share of perception_loss, depends on the scene alone. The arrays
+    are read-only: the sessions that share a source share its SentCells.
     """
 
-    labels: np.ndarray  # (N, k) occupancy of the sent cells
+    cells: np.ndarray  # (N, H, W) the masks
+    active: np.ndarray  # (N, k) bool occupancy of the sent cells
     targets: np.ndarray  # (N, k, 4) regression targets of the sent cells
-    n_active: np.ndarray  # (N,) active cells of the whole scene
+    n_active: np.ndarray  # (N,) active cells of the whole scene, at least 1: the localization divisor
     rest: np.ndarray  # (N,) perception loss of the cells not sent
-    n_cells: int  # cells of the whole scene, H * W
+
+    def __post_init__(self):
+        for fld in fields(self):
+            object.__setattr__(self, fld.name, _frozen(getattr(self, fld.name)))
 
     def rows(self, idx) -> "SentCells":
-        return SentCells(
-            self.labels[idx], self.targets[idx], self.n_active[idx], self.rest[idx], self.n_cells
-        )
+        return SentCells(*(getattr(self, fld.name)[idx] for fld in fields(self)))
+
+    def score(self, message: np.ndarray, head: ProxyHead) -> tuple[float, np.ndarray]:
+        """The perception loss and (H, W) confidence map of one message: row
+        0's feature, `message` on its sent cells in packed order and zero
+        elsewhere. The loss is perception_loss_grad's for that row."""
+        f = np.asarray(message, dtype=np.float64).reshape(1, head.basis.shape[0], self.active.shape[1])
+        if not np.isfinite(f).all():
+            raise ValueError("feature tensor entries must be finite")
+        loss, _, p = _sent_terms(f, self, head)
+        cmap = np.full(self.cells.shape[1:], 0.5)
+        cmap[self.cells[0]] = p[0]
+        return float(loss[0]), cmap
 
 
 def sent_cells(scenes, masks) -> SentCells:
@@ -200,64 +213,27 @@ def sent_cells(scenes, masks) -> SentCells:
     labels = np.stack([s.labels for s in scenes])
     targets = np.stack([s.targets for s in scenes])
     n, h, w = cells.shape
-    k = masks[0].n_selected
     active = labels == 1
-    n_active = active.sum(axis=(1, 2))
+    n_active = np.maximum(active.sum(axis=(1, 2)), 1)
     unsent = ~cells
     local = np.sum(smooth_l1(targets) * (active & unsent)[..., None], axis=(1, 2, 3))
     conf = np.sum(focal_loss(np.full(labels.shape, 0.5), labels) * unsent, axis=(1, 2))
-    rest = local / np.maximum(n_active, 1) + conf / (h * w)
+    rest = local / n_active + conf / (h * w)
     return SentCells(
-        labels[cells].reshape(n, k), targets[cells].reshape(n, k, N_REGRESSION), n_active, rest, h * w
+        cells, active[cells].reshape(n, -1), targets[cells].reshape(n, -1, N_REGRESSION), n_active, rest
     )
 
 
-class SentReadout:
-    """perception_loss and confidence_map of one scene's features known on
-    the k cells one mask sends, equal bit for bit to those of the whole grid.
-
-    A feature is given as message.reshape(C, k), in the packed order of
-    tensors.pack_nonzero; every other cell holds a zero feature. The readout
-    of such a cell is zero, so its smooth-L1 terms (if active) are those at
-    a zero feature and its focal term that at p = 0.5: both are computed once.
-    score reads the sent cells out, scatters their terms into copies of these
-    arrays and sums each copy as perception_loss sums the whole grid's terms,
-    in the same order. perception_loss_grad, which codec training uses, adds
-    the terms of the cells not sent as one precomputed sum (SentCells.rest)
-    instead, so its loss agrees with perception_loss only up to rounding.
-    """
-
-    def __init__(self, scene: Scene, mask: ImportanceMask, head: ProxyHead):
-        cells = mask.cells
-        active = scene.labels == 1
-        self.head = head
-        self.cells = cells
-        self.k = mask.n_selected
-        self.labels = _frozen(scene.labels[cells])  # (k,) occupancy of the sent cells
-        self.sent_active = _frozen(self.labels == 1)
-        self.targets = _frozen(scene.targets[cells][self.sent_active])
-        self.active_rows = _frozen(np.flatnonzero(cells[active]))  # sent cells among the active
-        self.local0 = _frozen(smooth_l1(scene.targets[active]))  # (n_active, 4) at a zero feature
-        self.conf0 = _frozen(focal_loss(np.full(scene.labels.shape, 0.5), scene.labels))
-
-    def score(self, message: np.ndarray) -> tuple[float, np.ndarray]:
-        """The perception loss and the (H, W) confidence map of the feature
-        that is `message` on the sent cells and zero elsewhere."""
-        f = np.asarray(message, dtype=np.float64).reshape(self.head.basis.shape[0], self.k)
-        if not np.isfinite(f).all():
-            raise ValueError("feature tensor entries must be finite")
-        out = np.einsum("ck,cr->kr", f, self.head.basis)
-        l_local = 0.0
-        if self.local0.size:
-            local = self.local0.copy()
-            local[self.active_rows] = smooth_l1(out[self.sent_active, :N_REGRESSION] - self.targets)
-            l_local = float(local.sum()) / len(local)
-        p = sigmoid(out[:, N_REGRESSION])
-        conf = self.conf0.copy()
-        conf[self.cells] = focal_loss(p, self.labels)
-        cmap = np.full(self.cells.shape, 0.5)
-        cmap[self.cells] = p
-        return l_local + float(conf.sum()) / conf.size, cmap
+def _sent_terms(f: np.ndarray, sent: SentCells, head: ProxyHead):
+    """Read out B features (B, C, k) on the cells of the B rows of `sent`:
+    the (B,) perception losses (sent.rest plus the sent cells' terms), the
+    (B, k, 4) regression errors and the (B, k) occupancy probabilities."""
+    out = np.einsum("bck,cr->bkr", f, head.basis)
+    e = out[..., :N_REGRESSION] - sent.targets
+    l_local = np.sum(smooth_l1(e) * sent.active[..., None], axis=(1, 2)) / sent.n_active
+    p = sigmoid(out[..., N_REGRESSION])
+    l_conf = focal_loss(p, sent.active).sum(axis=1) / sent.cells[0].size
+    return sent.rest + l_local + l_conf, e, p
 
 
 def perception_loss_grad(f: np.ndarray, sent: SentCells, head: ProxyHead):
@@ -266,29 +242,19 @@ def perception_loss_grad(f: np.ndarray, sent: SentCells, head: ProxyHead):
 
     f is (B, C, k): row i's feature on the k cells that sent row i covers, with
     every other cell zero. Returns the (B,) losses, each the perception_loss of
-    the row's whole (C, H, W) feature (up to rounding), and their (B, C, k)
-    gradient. Only the sent cells are read out; the cells not sent add
-    sent.rest.
+    the row's whole (C, H, W) feature (up to rounding) and the loss that
+    SentCells.score gives for the row, and their (B, C, k) gradient.
     """
-    out = np.einsum("bck,cr->bkr", f, head.basis)
-    reg, logits = out[..., :N_REGRESSION], out[..., N_REGRESSION]
-    active = sent.labels == 1
-    n_active = np.maximum(sent.n_active, 1)
-
-    e = reg - sent.targets
-    l_local = np.sum(smooth_l1(e) * active[..., None], axis=(1, 2)) / n_active
-    d_reg = np.where(active[..., None], np.clip(e, -1.0, 1.0) / n_active[:, None, None], 0.0)
-
-    p = sigmoid(logits)
+    loss, e, p = _sent_terms(f, sent, head)
+    d_reg = np.where(sent.active[..., None], np.clip(e, -1.0, 1.0) / sent.n_active[:, None, None], 0.0)
     pc = np.clip(p, 1e-12, 1.0 - 1e-12)
-    l_conf = focal_loss(p, sent.labels).sum(axis=1) / sent.n_cells
     # d focal / d logit, derived from p = sigmoid(logit)
     pos = FOCAL_ALPHA * (1.0 - pc) ** FOCAL_GAMMA * (FOCAL_GAMMA * pc * np.log(pc) - (1.0 - pc))
     neg = (1.0 - FOCAL_ALPHA) * pc**FOCAL_GAMMA * (pc - FOCAL_GAMMA * (1.0 - pc) * np.log(1.0 - pc))
-    d_logit = np.where(active, pos, neg) / sent.n_cells
+    d_logit = np.where(sent.active, pos, neg) / sent.cells[0].size
 
     y = np.concatenate([d_reg, d_logit[..., None]], axis=2)
-    return sent.rest + l_local + l_conf, np.einsum("bkr,cr->bck", y, head.basis)
+    return loss, np.einsum("bkr,cr->bck", y, head.basis)
 
 
 def confidence_map(f: FeatureTensor, head: ProxyHead) -> np.ndarray:

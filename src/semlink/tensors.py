@@ -6,7 +6,7 @@ baseline_cells); packing gathers the selected columns into a flat vector
 and unpacking scatters them back, bit-exactly.
 harq's sources mask and pack with these for every session and for every
 sampling of the scorer's rank corpus. They score a reception on its packed
-cells (scenegen.SentReadout), so unpack and apply_mask define the whole-grid
+cells (scenegen.SentCells), so unpack and apply_mask define the whole-grid
 feature that scoring stands for; the tests check it against them.
 """
 

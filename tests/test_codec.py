@@ -165,7 +165,6 @@ def test_codec_checkpoint_roundtrip():
         nnkit.DenseNet([type(l)(l.w.astype(np.float32).astype(np.float64),
                                 l.b.astype(np.float32).astype(np.float64),
                                 l.act, l.prelu_alpha) for l in codec.decoder.layers]),
-        codec.n_cu,
     )
     assert np.array_equal(encode(back, x), encode(f32, x))
     assert not np.array_equal(encode(codec, x), encode(f32, x))  # the rounding shows

@@ -144,13 +144,19 @@ def test_bad_value_reports_location(tmp_path):
         ("subcarrier_spacing = 15000", "subcarrier_spacing = 0"),
         ("corpus_snr_db = 0,3,6,9,12,15,18,21", "corpus_snr_db = "),
         ("corpus_snr_db = 0,3,6,9,12,15,18,21", "corpus_snr_db = 9"),
+        ("recon_epochs = 80", "recon_epochs = -3"),
+        ("task_epochs = 30", "task_epochs = -1"),
+        ("\nepochs = 50", "\nepochs = 0"),
+        ("task_weight = 0.5", "task_weight = -0.5"),
+        ("weight_decay = 0.05", "weight_decay = -0.05"),
     ],
     ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
          "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan",
          "pool", "branch_width", "train_samples", "hidden", "sessions", "round_budget",
          "workers", "modes", "modes-empty", "snr_db-empty", "cr", "tap_decay", "codec-lr", "detector-lr",
          "mod_order", "code_copies", "pilot_symbols-empty", "pilot_symbols-all",
-         "subcarrier_spacing", "corpus_snr_db-empty", "corpus_snr_db-one"],
+         "subcarrier_spacing", "corpus_snr_db-empty", "corpus_snr_db-one", "recon_epochs",
+         "task_epochs", "detector-epochs", "task_weight", "weight_decay"],
 )
 def test_load_runs_the_section_type_checks(tmp_path, old, new):
     text = default_config_text()

@@ -221,8 +221,8 @@ def test_zero_weight_scorer_outputs_half():
                         for l in scorer.branch.layers]),
         nnkit.DenseNet([type(l)(np.zeros_like(l.w), np.zeros_like(l.b), l.act, l.prelu_alpha)
                         for l in scorer.head.layers]),
-        pool=4,
     )
+    assert zeroed.pool == 4
     assert score(zeroed, np.zeros((4, 4)), np.ones((4, 4))) == 0.5
 
 

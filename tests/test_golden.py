@@ -1,5 +1,5 @@
 """Golden bytes: sha256 digests of what a small train, the default train and
-three short sweeps write.
+three sweeps write, among them the full default 5-mode sweep.
 
 A refactor that is meant to keep every output must leave these digests as
 they are. A change that alters outputs on purpose updates the digests here
@@ -24,8 +24,9 @@ TINY_SWEEP = {
     "sessions.csv": "ac56fa4a5bb4a8f7bca7471a924832fda3fc9d22372e5a4dc705b06278b04da1",
     "summary.csv": "752729bda1af05127d8cd095543097112702ac8d49e2544a49618478b24bcaac",
 }
-# the default config's train (the suite's trained_dir) and a 10-session
-# 5-mode sweep on it
+# the default config's train (the suite's trained_dir) and the full default
+# sweep on it (200 sessions of all five modes at every SNR): the run that
+# the science numbers in ROADMAP.md quote
 DEFAULT_TRAIN = {
     "bundle.ckpt": "cbc85a6d4929d49941d1eed3b34102df020c87e26639514eb6a996910364808b",
     "detector_calibration.csv": "8ed519e26f7aebdb62d165b6de004cb603b20aa34b0440b53f5277e02eb197e0",
@@ -33,8 +34,8 @@ DEFAULT_TRAIN = {
     "train_detector.csv": "1179d3831542c80bb34f17a8b021051e1e11c1cff46d9e2133ec26f78db6b511",
 }
 DEFAULT_SWEEP = {
-    "sessions.csv": "e9794bb3ae4889a152cdece44b383e779cb189c69f341c5fc61aa2b7248e1e03",
-    "summary.csv": "24df41d820f3acd1245dbee0ca46ffed4de2f6aed6be0385a8e6e04ee9e40908",
+    "sessions.csv": "65fd8ea0b89f88e5da2496c798320bd0eb50f229985c2c8f2480b057e6f3b6dd",
+    "summary.csv": "4dde36de1adc2185f0af741189cb5a4d60ffe73fb80a80e88cf344348a561272",
 }
 DEFAULT_BASELINE_SWEEP = {
     "sessions.csv": "a843ca3a78edba9a123a8b4a166cc33c88cc3c225c34760e4ec663160f2eecbd",
@@ -79,5 +80,5 @@ def test_default_train_bytes(trained_dir):
 
 
 def test_default_sweep_bytes(bundle, tmp_path):
-    harness.run_sweep(bundle, config_mod.ALL_MODES, bundle.cfg.experiment.snr_db, tmp_path, sessions=10)
+    harness.run_sweep(bundle, config_mod.ALL_MODES, bundle.cfg.experiment.snr_db, tmp_path)
     assert _digests(tmp_path, DEFAULT_SWEEP) == DEFAULT_SWEEP

@@ -281,7 +281,7 @@ def test_corpus_matches_its_construction_from_parts(tiny_bundle):
 
 def test_sessions_and_the_corpus_score_only_the_sent_cells(bundle, tmp_path, monkeypatch):
     # sessions and the rank corpus score a reception on the cells its mask
-    # sends (scenegen.SentReadout); the whole-grid functions are its
+    # sends (scenegen.SentCells.score); the whole-grid functions are its
     # definition and the oracle of its tests, never a session's path. With
     # every binding of them made to raise, a default 5-mode sweep writes the
     # bytes it writes without, and a corpus is still built
@@ -966,6 +966,13 @@ _NON_FINITE = [
         # a rank query needs samplings at two SNRs to hold a pair
         ("train", "corpus_snr_db = 0.0,6.0,12.0,18.0", "corpus_snr_db = "),
         ("train", "corpus_snr_db = 0.0,6.0,12.0,18.0", "corpus_snr_db = 9"),
+        # epoch counts that would run other epochs than they say, an untrained
+        # scorer, and negative weights
+        ("train", "recon_epochs = 5", "recon_epochs = -3"),
+        ("train", "task_epochs = 2", "task_epochs = -1"),
+        ("train", "\nepochs = 6", "\nepochs = 0"),
+        ("train", "task_weight = 0.5", "task_weight = -0.5"),
+        ("train", "weight_decay = 0.05", "weight_decay = -0.05"),
         # malformed files, which configparser itself rejects
         ("train", "[ofdm]", "[ofdm]\n\n[ofdm]"),
         ("train", "l_fft = 256", "l_fft = 256\nl_fft = 512"),
@@ -980,7 +987,9 @@ _NON_FINITE = [
          "train-snr_lo-nan", "train-lr-nan", "train-task_weight-nan", "train-lr--1",
          "train-detector-lr-0", "train-lr-diverges",
          "train-n_cu-beyond-capacity", "train-pilot_symbols-empty", "train-pilot_symbols-all",
-         "train-corpus_snr_db-empty", "train-corpus_snr_db-one",
+         "train-corpus_snr_db-empty", "train-corpus_snr_db-one", "train-recon_epochs--3",
+         "train-task_epochs--1", "train-detector-epochs-0", "train-task_weight-negative",
+         "train-weight_decay-negative",
          "train-repeated-section", "train-repeated-key", "train-no-section-header"],
 )
 def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):

@@ -29,10 +29,12 @@ from semlink.ofdm import QAM_ORDERS, qam_demap_hard, qam_map
 from semlink.scenegen import (
     ProxyHead,
     SceneConfig,
-    SentReadout,
+    SentCells,
     confidence_map,
     generate_scene,
     perception_loss,
+    perception_loss_grad,
+    sent_cells,
     true_similarity,
 )
 from semlink.tensors import importance_map, pack_nonzero, unpack
@@ -213,6 +215,17 @@ def _candidate(src, message):
     """The whole-grid feature a message stands for: its values on the
     source's sent cells, zero elsewhere."""
     return unpack(message, src.mask, (HEAD.basis.shape[0], *src.mask.cells.shape))
+
+
+def _loss(src, message):
+    """The perception loss that a reception of `message` records, computed
+    afresh: codec training's term (perception_loss_grad) for the one row of
+    the source's scene and mask, which is the whole-grid perception_loss of
+    its candidate to rounding."""
+    f = np.asarray(message).reshape(1, HEAD.basis.shape[0], -1)
+    loss = perception_loss_grad(f, sent_cells([_scene()], [src.mask]), HEAD)[0][0]
+    assert loss == pytest.approx(perception_loss(_candidate(src, message), _scene(), HEAD), rel=1e-12)
+    return loss
 
 
 def _session(src, mode, budget, threshold, transmit):
@@ -512,9 +525,9 @@ def test_baseline_session_validation():
 
 def test_session_similarity_is_measured_against_the_reference():
     # each round's s_true is true_similarity of its candidate's perception
-    # loss to that of the reference, both computed afresh on the whole grid,
-    # for sessions that share a source (and its reference loss) and for a
-    # fresh one
+    # loss to that of the reference, both computed afresh (_loss), for
+    # sessions that share a source (and its reference loss) and for a fresh
+    # one
     def corrupting(t, symbols):  # a flipped first symbol fails every CRC
         bad = symbols + 0.05 * t
         bad[0] = -bad[0]
@@ -530,10 +543,9 @@ def test_session_similarity_is_measured_against_the_reference():
     ]
     for src, ref_message, session in sessions:
         assert session.rounds_used == 3
-        ref_loss = perception_loss(_candidate(src, ref_message), _scene(), HEAD)
+        ref_loss = _loss(src, ref_message)
         for rec in session.rounds:
-            hat_loss = perception_loss(_candidate(src, rec.message), _scene(), HEAD)
-            assert rec.s_true == true_similarity(ref_loss, hat_loss)
+            assert rec.s_true == true_similarity(ref_loss, _loss(src, rec.message))
 
 
 def test_session_rounds_record_score_and_task_loss_of_their_candidate():
@@ -550,7 +562,7 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
         for rec in session.rounds:
             hyp_map = confidence_map(_candidate(semantic, rec.message), HEAD)
             assert rec.s_hat == score(semantic.scorer, ref_map, hyp_map)
-            assert rec.task_loss == perception_loss(_candidate(semantic, rec.message), _scene(), HEAD)
+            assert rec.task_loss == _loss(semantic, rec.message)
 
     def noisy(t, symbols):
         return symbols + 0.3 * t, np.ones(symbols.size), 0.5
@@ -558,7 +570,7 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
     baseline = _baseline_source()
     session = run_baseline_session(baseline, "base2", 3, noisy)
     for rec in session.rounds:
-        assert rec.task_loss == perception_loss(_candidate(baseline, rec.message), _scene(), HEAD)
+        assert rec.task_loss == _loss(baseline, rec.message)
 
 
 def test_sources_hand_out_read_only_arrays():
@@ -578,9 +590,8 @@ def test_sources_hand_out_read_only_arrays():
         "ref_message": baseline.ref_message,
     }
     for src in (semantic, baseline):
-        ro = src.readout
-        for name in ("labels", "sent_active", "targets", "active_rows", "local0", "conf0"):
-            arrays[f"{type(src).__name__} readout {name}"] = getattr(ro, name)
+        for name in ("cells", "active", "targets", "n_active", "rest"):
+            arrays[f"{type(src).__name__} sent {name}"] = getattr(src.sent, name)
     for name, a in arrays.items():
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):
@@ -588,17 +599,17 @@ def test_sources_hand_out_read_only_arrays():
 
 
 def test_semantic_source_scores_its_reference_once(monkeypatch):
-    # the reference's loss and pooled map come from one readout of it
+    # the reference's loss and pooled map come from one score of it
     calls = []
-    score_sent = SentReadout.score
+    score_sent = SentCells.score
 
-    def counted(readout, message):
+    def counted(sent, message, head):
         calls.append(message)
-        return score_sent(readout, message)
+        return score_sent(sent, message, head)
 
-    monkeypatch.setattr(SentReadout, "score", counted)
+    monkeypatch.setattr(SentCells, "score", counted)
     src = _semantic_source()
     ref_map = confidence_map(_candidate(src, src.packed), HEAD)
-    assert src.ref_loss == perception_loss(_candidate(src, src.packed), _scene(), HEAD)
+    assert src.ref_loss == _loss(src, src.packed)
     assert src.ref_pooled.tobytes() == det.pool_map(ref_map, src.pool).tobytes()
     assert len(calls) == 1

@@ -12,7 +12,6 @@ from semlink.scenegen import (
     ProxyHead,
     Scene,
     SceneConfig,
-    SentReadout,
     confidence_map,
     generate_scene,
     perception_loss,
@@ -208,37 +207,42 @@ def test_batched_perception_loss_grad_matches_whole_grid_oracle(c, h, w, k_frac,
          zero_frac=1.0, seed=4)
 @example(c=5, h=3, w=4, k_frac=0.5, kind="no active cell", scale=30.0, zeros=0.0, zero_frac=0.0, seed=5)
 @example(c=6, h=4, w=3, k_frac=0.0, kind="full mask", scale=1e3, zeros=-0.0, zero_frac=0.3, seed=6)
-def test_sent_readout_equals_the_whole_grid_bit_for_bit(c, h, w, k_frac, kind, scale, zeros, zero_frac,
-                                                         seed):
-    # the loss and map a session records, from the sent cells alone, against
-    # perception_loss and confidence_map of the unpacked feature: exact
+def test_sent_score_is_the_training_term_and_the_whole_grid_map(c, h, w, k_frac, kind, scale, zeros,
+                                                                 zero_frac, seed):
+    # the loss and map a session records, from the sent cells alone: the loss
+    # is that of the batched training term for the same row, bit for bit,
+    # with the message as row 1 of three; the map is confidence_map's of the
+    # unpacked feature, bit for bit; the loss is perception_loss's to rounding
     rng = np.random.default_rng(seed)
     head = ProxyHead.from_seed(seed, c)
     k = min(h * w, 1 + int(k_frac * h * w))
-    scene, mask = _scene_and_mask(kind, h, w, k, rng)
-    k = mask.n_selected
-    message = scale * rng.standard_normal(c * k)
-    message[rng.random(c * k) < zero_frac] = zeros
-    loss, cmap = SentReadout(scene, mask, head).score(message)
-    whole = unpack(message, mask, (c, h, w))
-    assert loss == perception_loss(whole, scene, head)
+    scenes, masks = zip(*(_scene_and_mask(kind, h, w, k, rng) for _ in range(3)))
+    k = masks[1].n_selected
+    messages = scale * rng.standard_normal((3, c, k))
+    messages[rng.random(messages.shape) < zero_frac] = zeros
+    message = messages[1].reshape(-1)
+    loss, cmap = sent_cells(scenes[1:2], masks[1:2]).score(message, head)
+    batched, _ = perception_loss_grad(messages, sent_cells(scenes, masks), head)
+    assert np.float64(loss).tobytes() == batched[1].tobytes()
+    whole = unpack(message, masks[1], (c, h, w))
     assert cmap.shape == (h, w)
     assert cmap.tobytes() == confidence_map(whole, head).tobytes()
+    assert loss == pytest.approx(perception_loss(whole, scenes[1], head), rel=1e-12)
 
 
-def test_sent_readout_rejects_a_message_it_cannot_read():
+def test_sent_score_rejects_a_message_it_cannot_read():
     scene, f = generate_scene(5, CFG, HEAD)
     mask = importance_map(f, 7)
-    readout = SentReadout(scene, mask, HEAD)
+    sent = sent_cells([scene], [mask])
     message = pack_nonzero(f, mask)
     for bad in (message[:-1], np.append(message, 0.0)):
         with pytest.raises(ValueError):
-            readout.score(bad)
+            sent.score(bad, HEAD)
     for value in (np.nan, np.inf):
         broken = message.copy()
         broken[3] = value
         with pytest.raises(ValueError, match="finite"):
-            readout.score(broken)
+            sent.score(broken, HEAD)
 
 
 def test_confidence_map_zero_feature():
