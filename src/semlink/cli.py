@@ -5,15 +5,24 @@ machine-parsable "error: ..." line on stderr when anything is wrong.
 
 A run-setting flag (_FLAGS) is the INI text of the key it sets: it is parsed
 and checked as that key is in a config file, and fails with the same words.
+
+A process runs one BLAS thread, set before numpy loads, unless the caller
+sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS: more threads burn CPU on these
+small nets for no wall time, and training already runs on two processes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import harness
-from .config import ExperimentConfig, default_config_text, load_config, override, parse_field
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in os.environ for name in _THREAD_VARS):
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+
+from . import harness  # noqa: E402  numpy loads here, after the thread defaults
+from .config import ExperimentConfig, default_config_text, load_config, override, parse_field  # noqa: E402
 
 # the [section] key each run-setting flag sets; train takes only --seed
 _FLAGS = {

@@ -181,11 +181,12 @@ def encode(codec: SemanticCodec, m: np.ndarray) -> np.ndarray:
 
 
 def decode(codec: SemanticCodec, y: np.ndarray) -> np.ndarray:
-    """Received complex symbols -> reconstructed packed vector."""
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if y.size != codec.n_cu:
-        raise ValueError(f"received {y.size} symbols, decoder expects {codec.n_cu}")
-    return nnkit.forward(codec.decoder, complex_to_reals(y)[None, :])[0]
+    """Received complex symbols (..., n_cu) -> reconstructed packed vectors.
+    Each row runs as a one-row matrix, so its bits do not depend on the batch."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.complex128))
+    if y.shape[-1] != codec.n_cu:
+        raise ValueError(f"received {y.shape[-1]} symbols, decoder expects {codec.n_cu}")
+    return nnkit.forward(codec.decoder, complex_to_reals(y)[..., None, :])[..., 0, :]
 
 
 def surrogate_roundtrip(

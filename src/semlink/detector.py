@@ -99,25 +99,24 @@ def new_scorer(cfg: DetectorConfig, seed: int) -> SimilarityScorer:
 
 
 def pool_map(values: np.ndarray, pool: int) -> np.ndarray:
-    """Adaptive average pooling of an (H, W) map down to (pool, pool).
+    """Adaptive average pooling of (..., H, W) maps down to (..., pool, pool).
 
-    A map whose sides are multiples of pool (a pool-sized map among them,
-    which comes back as a new array of the same values) is averaged over
-    equal blocks by one reshape; other sizes average uneven blocks cell by
-    cell.
+    Maps whose sides are multiples of pool (pool-sized maps among them, which
+    come back as a new array of the same values) are averaged over equal
+    blocks by one reshape; other sizes average uneven blocks cell by cell.
     """
     values = np.asarray(values, dtype=np.float64)
-    h, w = values.shape
+    *lead, h, w = values.shape
     if h < pool or w < pool:
         raise ValueError(f"map shape {values.shape} smaller than pool grid {pool}")
     if h % pool == 0 and w % pool == 0:
-        return values.reshape(pool, h // pool, pool, w // pool).mean(axis=(1, 3))
-    out = np.empty((pool, pool))
+        return values.reshape(*lead, pool, h // pool, pool, w // pool).mean(axis=(-3, -1))
+    out = np.empty((*lead, pool, pool))
     hb = [(i * h) // pool for i in range(pool + 1)]
     wb = [(j * w) // pool for j in range(pool + 1)]
     for i in range(pool):
         for j in range(pool):
-            out[i, j] = values[hb[i] : hb[i + 1], wb[j] : wb[j + 1]].mean()
+            out[..., i, j] = values[..., hb[i] : hb[i + 1], wb[j] : wb[j + 1]].mean(axis=(-2, -1))
     return out
 
 
@@ -127,14 +126,15 @@ def embed_reference(scorer: SimilarityScorer, ref_pooled: np.ndarray) -> np.ndar
     return nnkit.forward(scorer.branch, np.asarray(ref_pooled, dtype=np.float64).reshape(1, width))
 
 
-def score_pooled(scorer: SimilarityScorer, ref_emb: np.ndarray, hyp_pooled: np.ndarray) -> float:
-    """Score one pre-pooled (pool, pool) map against ref_emb, the
-    embed_reference of the reference map."""
+def score_pooled(scorer: SimilarityScorer, ref_emb: np.ndarray, hyp_pooled: np.ndarray) -> np.ndarray:
+    """Scores (...) of pre-pooled (..., pool, pool) maps against ref_emb, the
+    embed_reference of the reference map, each map a one-row matrix."""
     hyp = np.asarray(hyp_pooled, dtype=np.float64)
-    if hyp.shape != (scorer.pool, scorer.pool):
+    if hyp.shape[-2:] != (scorer.pool, scorer.pool) or hyp.ndim < 2:
         raise ValueError(f"bad pooled map shape {hyp.shape} for pool {scorer.pool}")
-    emb_hyp = nnkit.forward(scorer.branch, hyp.reshape(1, -1))
-    return float(nnkit.forward(scorer.head, np.concatenate([ref_emb, emb_hyp], axis=1))[0, 0])
+    emb_hyp = nnkit.forward(scorer.branch, hyp.reshape(-1, 1, scorer.pool * scorer.pool))
+    head_in = np.concatenate([np.broadcast_to(ref_emb, emb_hyp.shape), emb_hyp], axis=-1)
+    return nnkit.forward(scorer.head, head_in).reshape(hyp.shape[:-2])
 
 
 def ack_decide(s_hat: float, threshold: float) -> bool:
@@ -360,8 +360,9 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     pair and no scorer; its reference map (maps[q, 0]) comes from the masked
     feature actually transmitted, and sampling k (maps[q, 1 + k] and
     s_true[q, k]) is the source's reception of an independent channel draw
-    at the k-th listed SNR. The arrays are rounded to float32 once (and held
-    as float64): the precision the scorer is trained and calibrated on.
+    at the k-th listed SNR; the K are decoded and scored as one batch. The
+    arrays are rounded to float32 once (and held as float64): the precision
+    the scorer is trained and calibrated on.
     """
     from .harq import SemanticSource  # harq imports this module
 
@@ -376,9 +377,10 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
         src = SemanticSource(codec, None, None, head, scene, f, cells, det.pool)
         maps[q, 0] = src.ref_pooled.reshape(-1)
-        for k, snr_db in enumerate(det.corpus_snr_db):
-            seeds = LinkSeeds.derive(ms, "corpus", q, k)
-            rx = transmit_symbols(src.sym_first, cfg.ofdm, profile, snr_db, seeds)
-            pooled, _, s_true[q, k] = src.receive(codec_mod.decode(codec, rx))
-            maps[q, 1 + k] = pooled.reshape(-1)
+        rx = np.stack([
+            transmit_symbols(src.sym_first, cfg.ofdm, profile, snr_db, LinkSeeds.derive(ms, "corpus", q, k))
+            for k, snr_db in enumerate(det.corpus_snr_db)
+        ])
+        pooled, _, s_true[q] = src.receive(codec_mod.decode(codec, rx))
+        maps[q, 1:] = pooled.reshape(n_snr, -1)
     return RankCorpus(maps.astype(np.float32), s_true.astype(np.float32))

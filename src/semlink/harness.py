@@ -23,11 +23,13 @@ computes its codewords and reference values once, for every session that
 runs from it), and per round the link's seed-determined draws (pilots,
 channel realization, and per set of simulated data rows H, the noise and
 the two parts of the pilot estimate that every SNR combines). It also holds
-the receptions: per (SNR, round) the scored harq.Reception of the first codec
-pair's symbols, which noharq, every sim1 round and sim2's first round read,
-so each is computed once per index. A cache lives for one index of one
-run_sweep call, so memory does not grow with the number of sessions and no
-later sweep starts warm. A session runs on the cache it is given
+the receptions: the first session of a pipeline (semantic or baseline) to
+read the index computes every round that the grid's modes can read, at
+every SNR of the grid as one batch of one link call, decode and scoring pass
+per round (harq.SemanticSource.rounds, BaselineSource.rounds), and each
+session walks its SNR's row to the first ACK. A cache lives for one index of
+one run_sweep call, so memory does not grow with the number of sessions and
+no later sweep starts warm. A session runs on the cache it is given
 (run_session), and every round it records is a harq.Reception.
 """
 
@@ -51,7 +53,6 @@ from .config import BASELINE_MODES, SEMANTIC_MODES, ExperimentConfig, override
 from .harq import (
     BaselineSource,
     HarqSession,
-    Reception,
     SemanticSource,
     finalize,
     run_baseline_session,
@@ -327,11 +328,13 @@ class SessionCache:
     """What every mode and SNR of session index `idx` share.
 
     Each part is made on first use: the scene, its semantic and baseline
-    sources, per round the link's RoundDraws, and per (SNR, round) the
-    reception of the first pair's symbols. A sweep of baseline modes alone
-    never builds the semantic source or a reception, so it runs on a bundle
-    without codecs or scorer. Sharing one cache changes no result: every part
-    is a function of the bundle, the index and its key only.
+    sources, per round the link's RoundDraws, and the rows. The first session
+    of a pipeline (semantic or baseline) to read the index computes the rounds
+    of the pipeline's modes in the config (and its own) at every SNR of the
+    config as one batch; a session at another SNR, at that SNR alone. A sweep
+    of baseline modes alone never builds the semantic source, so it runs on a
+    bundle without codecs or scorer. Sharing one cache changes no result:
+    each row is bitwise that of a batch of its SNR alone.
     """
 
     def __init__(self, bundle: RuntimeBundle, idx: int):
@@ -339,7 +342,7 @@ class SessionCache:
         self.idx = idx
         self.profile = bundle.cfg.channel_profile()
         self._draws: dict[int, RoundDraws] = {}
-        self._first: dict[tuple[float, int], Reception] = {}
+        self._rows: dict[tuple[str, float], list] = {}
 
     @functools.cached_property
     def scene(self):
@@ -372,25 +375,30 @@ class SessionCache:
             self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.profile, seeds)
         return self._draws[t]
 
-    def send(self, snr_db: float, t: int, symbols):
-        """transmit_symbols of symbols in round t at snr_db, on that round's draws."""
+    def send(self, snrs, t: int, symbols):
+        """transmit_symbols of symbols in round t at every SNR of snrs, on that round's draws."""
         draws = self.draws(t)
-        return transmit_symbols(symbols, self.bundle.cfg.ofdm, self.profile, snr_db, draws.seeds, draws=draws)
+        return transmit_symbols(symbols, self.bundle.cfg.ofdm, self.profile, snrs, draws.seeds, draws=draws)
 
-    def send_with_state(self, snr_db: float, t: int, symbols):
-        """transmit_with_state of symbols in round t at snr_db, on that round's draws."""
+    def send_with_state(self, snrs, t: int, symbols):
+        """transmit_with_state of symbols in round t at every SNR of snrs, on that round's draws."""
         draws = self.draws(t)
-        return transmit_with_state(symbols, self.bundle.cfg.ofdm, self.profile, snr_db, draws.seeds, draws=draws)
+        return transmit_with_state(symbols, self.bundle.cfg.ofdm, self.profile, snrs, draws.seeds, draws=draws)
 
-    def first(self, snr_db: float, t: int) -> Reception:
-        """The reception of the first pair's symbols sent in round t at
-        snr_db, the same for every semantic mode and threshold."""
-        key = (snr_db, t)
-        if key not in self._first:
-            src = self.semantic
-            message = codec_mod.decode(src.first, self.send(snr_db, t, src.sym_first))
-            self._first[key] = src.reception(message)
-        return self._first[key]
+    def rows(self, mode: str, snr_db: float) -> list:
+        """The rounds that a session of mode at snr_db reads: one row of
+        SemanticSource.rounds or BaselineSource.rounds."""
+        if (mode, snr_db) not in self._rows:
+            e = self.bundle.cfg.experiment
+            snrs = e.snr_db if snr_db in e.snr_db else (snr_db,)
+            if mode in BASELINE_MODES:
+                pipeline, src, send = BASELINE_MODES, self.baseline, self.send_with_state
+            else:
+                pipeline, src, send = SEMANTIC_MODES, self.semantic, self.send
+            modes = tuple(dict.fromkeys(m for m in (*e.modes, mode) if m in pipeline))
+            for m, per_snr in src.rounds(modes, e.round_budget, functools.partial(send, snrs)).items():
+                self._rows.update(zip([(m, s) for s in snrs], per_snr))
+        return self._rows[mode, snr_db]
 
 
 def run_session(cache: SessionCache, mode: str, snr_db: float) -> SessionRecord:
@@ -408,15 +416,10 @@ def run_session(cache: SessionCache, mode: str, snr_db: float) -> SessionRecord:
 
     if mode in SEMANTIC_MODES:
         threshold = cfg.detector.ack_threshold
-        proto, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
-        session = run_semantic_session(
-            cache.semantic, proto, rounds, threshold,
-            functools.partial(cache.first, snr_db), functools.partial(cache.send, snr_db),
-        )
+        session = run_semantic_session(cache.rows(mode, snr_db), threshold)
     elif mode in BASELINE_MODES:
-        transmit = functools.partial(cache.send_with_state, snr_db)
-        session = run_baseline_session(cache.baseline, mode, budget, transmit)
         threshold = None
+        session = run_baseline_session(cache.rows(mode, snr_db))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -480,8 +483,9 @@ def run_sweep(
 
     The grid runs one session index at a time: all (mode, SNR) sessions of
     an index share one SessionCache, which is dropped when the index is done,
-    so the scene, the codewords, the link draws and the first pair's
-    receptions of an index are computed once for the whole grid. With
+    so the scene, the codewords, the link draws and every reception of an
+    index are computed once for the whole grid, each round at all its SNRs
+    in one batch. With
     workers > 1 each worker takes whole indices. Records come back, and the
     CSVs are written, in (mode, SNR, index) order. Per-session seeds do not
     depend on how indices are distributed, so the CSV bytes are identical for

@@ -12,14 +12,19 @@ A session runs from a source (SemanticSource, BaselineSource): one scene's
 mask, reference and payload, and what every session of that scene derives
 from them, computed once as the source is built (a semantic source's
 scorer embedding and second-pair symbols on first use: the corpus's
-sources have neither). What varies by session (mode, round budget,
-threshold, channel) is an argument of the session function. Each round of
-every mode is one Reception (the source's `reception`), judged by the scorer
-or the CRC; a session is its rounds and whether the last was acknowledged.
-A semantic reception is SemanticSource.receive, for the sessions here and
-for the scorer's rank corpus (detector.build_corpus), whose sources have no
-scorer. A reception is known on the cells its source's mask sends, and
-both sources score it there alone (scenegen.SentCells.score), with the
+sources have neither). A source's `rounds` makes every round that sessions
+of some modes can read, over a batch of channels (harness.SessionCache
+sends one per SNR): each round sends its symbols once for the batch, and
+decodes, scores, combines, demaps and checks the CRC of all its rows at
+once. Each row is one Reception per round, judged by the scorer or the
+CRC, bitwise what a batch of that row alone gives: every net runs a row as
+a one-row matrix. A session (run_semantic_session, run_baseline_session)
+walks one row's rounds to the first acknowledged one, a semantic session
+at the threshold it is given. A semantic
+reception is SemanticSource.receive, for the sessions here and for the
+scorer's rank corpus (detector.build_corpus), whose sources have no scorer.
+A reception is known on the cells its source's mask sends, and both
+sources score it there alone (scenegen.SentCells.score), with the
 arithmetic that codec training's perception term uses: its map is
 scenegen.confidence_map's of the unpacked feature, bit for bit, and its
 loss scenegen.perception_loss's up to rounding.
@@ -43,29 +48,26 @@ CRC24_POLY = 0x864CFB
 CRC24_BITS = 24
 
 
-def _build_crc_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        reg = byte << 16
-        for _ in range(8):
-            if reg & 0x800000:
-                reg = ((reg << 1) ^ CRC24_POLY) & 0xFFFFFF
-            else:
-                reg = (reg << 1) & 0xFFFFFF
-        table.append(reg)
-    return tuple(table)
+@functools.lru_cache(maxsize=64)
+def _crc24_registers(n_bits: int) -> np.ndarray:
+    """CRC-24A register of each n_bits frame with one set bit, by the bit's
+    position: x^24 mod the generator for the last bit, times x per bit after."""
+    regs = np.empty(n_bits, dtype=np.int64)
+    reg = CRC24_POLY
+    for i in range(n_bits - 1, -1, -1):
+        regs[i] = reg
+        reg = ((reg << 1) ^ (CRC24_POLY if reg & 0x800000 else 0)) & 0xFFFFFF
+    return _frozen(regs)
 
 
-_CRC24_TABLE = _build_crc_table()
-
-
-def crc24(data: np.ndarray) -> int:
-    """CRC-24A (poly 0x864CFB, init 0, no reflection) of a uint8 byte vector;
-    that of the bytes followed by their CRC, most significant byte first, is 0."""
-    reg = 0
-    for byte in np.asarray(data, dtype=np.uint8).tolist():
-        reg = ((reg << 8) & 0xFFFFFF) ^ _CRC24_TABLE[(reg >> 16) ^ byte]
-    return reg
+def crc24(data: np.ndarray):
+    """CRC-24A (poly 0x864CFB, init 0, no reflection) of uint8 byte vectors
+    (..., L): an int for one vector. That of bytes followed by their CRC, most
+    significant byte first, is 0. With init 0 and no final XOR the CRC is
+    GF(2)-linear: the XOR of the registers of the frame's set bits."""
+    bits = np.unpackbits(np.asarray(data, dtype=np.uint8), axis=-1)
+    reg = np.bitwise_xor.reduce(bits * _crc24_registers(bits.shape[-1]), axis=-1)
+    return int(reg) if reg.ndim == 0 else reg
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,8 @@ class SemanticSource:
         self.packed = _frozen(pack_nonzero(f, self.mask))
         self.head = head
         self.sent = sent_cells([scene], [self.mask])
-        self.ref_loss, ref_map = self.sent.score(self.packed, head)
+        ref_loss, ref_map = self.sent.score(self.packed, head)
+        self.ref_loss = float(ref_loss)
         self.ref_pooled = _frozen(pool_map(ref_map, pool))
         self.sym_first = _frozen(codec_mod.encode(first, self.packed))
 
@@ -194,77 +197,92 @@ class SemanticSource:
     def sym_second(self) -> np.ndarray:
         return _frozen(codec_mod.encode(self.second, self.packed))
 
-    def receive(self, message: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """A decoded message's pooled confidence map, perception loss and true
-        similarity to the reference, scored on the sent cells alone."""
-        loss, cmap = self.sent.score(message, self.head)
-        return pool_map(cmap, self.pool), loss, true_similarity(self.ref_loss, loss)
+    def receive(self, messages: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decoded messages' (..., C*k) pooled confidence maps, perception
+        losses and true similarities to the reference, scored on the sent
+        cells alone."""
+        loss, cmap = self.sent.score(messages, self.head)
+        s_true = [true_similarity(self.ref_loss, x) for x in loss.reshape(-1).tolist()]
+        return pool_map(cmap, self.pool), loss, np.reshape(s_true, loss.shape)
 
-    def reception(self, message: np.ndarray) -> Reception:
-        """receive(message), with the scorer's score of the pooled map."""
-        pooled, loss, s_true = self.receive(message)
+    def receptions(self, messages: np.ndarray) -> list[Reception]:
+        """One Reception per row of decoded messages (B, C*k): receive, with
+        the scorer's score of each pooled map."""
+        messages = _frozen(messages)
+        pooled, loss, s_true = self.receive(messages)
         s_hat = score_pooled(self.scorer, self.ref_emb, pooled)
-        return Reception(_frozen(message), loss, s_true, s_hat)
+        return [Reception(*rx) for rx in zip(messages, loss.tolist(), s_true.tolist(), s_hat.tolist())]
+
+    def rounds(self, modes, budget: int, send) -> dict[str, list[list[Reception]]]:
+        """Per mode of `modes`, per row of a batch of channels, the
+        Receptions of its rounds: its budget's, noharq's one.
+
+        Mode "sim1" resends the first pair's symbols every round and keeps
+        the latest decoded message as candidate; "sim2" sends the second
+        pair from round two and its candidate is the sum of all decoded
+        messages; "noharq" is sim1's first round. Modes share the rounds
+        that send the first pair. `send(t, symbols)` returns round t's (B, n)
+        equalized symbols.
+        """
+        for mode in modes:
+            if mode not in ("noharq", "sim1", "sim2"):
+                raise ValueError(f"unknown semantic mode {mode!r}")
+        if "sim2" in modes and self.second is None:
+            raise ValueError("mode sim2 needs a second codec pair")
+        if self.scorer is None:
+            raise ValueError("a semantic session needs a scorer")
+        if budget < 1:
+            raise ValueError("round budget must be at least 1")
+
+        first = [
+            self.receptions(codec_mod.decode(self.first, send(t, self.sym_first)))
+            for t in range(1, (budget if "sim1" in modes else 1) + 1)
+        ]
+        by_round = {"noharq": first[:1], "sim1": first, "sim2": first[:1]}
+        if "sim2" in modes:
+            total = np.stack([rx.message for rx in first[0]])
+            for t in range(2, budget + 1):
+                total = total + codec_mod.decode(self.second, send(t, self.sym_second))
+                by_round["sim2"].append(self.receptions(total))
+        return {mode: [list(row) for row in zip(*by_round[mode])] for mode in modes}
 
 
-def run_semantic_session(
-    src: SemanticSource, mode: str, budget: int, threshold: float, first, transmit
-) -> HarqSession:
-    """Run up to `budget` rounds of a semantic session.
+def _first_ack(rounds) -> HarqSession:
+    """The session of (acknowledged, Reception) rounds that stops at the
+    first acknowledged one."""
+    for t, (ack, _) in enumerate(rounds, start=1):
+        if ack:
+            return HarqSession([rx for _, rx in rounds[:t]], True)
+    return HarqSession([rx for _, rx in rounds], False)
 
-    mode "sim1" resends the same first-pair symbols every round and keeps the
-    latest decoded message as candidate; mode "sim2" switches to the second
-    pair from round two and its candidate is the sum of all decoded
-    messages. A round is acknowledged when the scorer's score of its
-    candidate exceeds `threshold` (ack_decide).
 
-    `first(round_idx)` is the Reception of the first pair's symbols sent in
-    that round. Every round that sends them reads it: sim1's rounds and
-    sim2's first, which no mode, budget or threshold changes, so
-    harness.SessionCache serves them from one memo per SNR and round.
-    `transmit(round_idx, symbols)` realizes the channel round trip of sim2's
-    second-pair rounds, the only receptions a session makes itself.
-    """
-    if mode not in ("sim1", "sim2"):
-        raise ValueError(f"unknown semantic mode {mode!r}")
-    if mode == "sim2" and src.second is None:
-        raise ValueError("mode sim2 needs a second codec pair")
-    if src.scorer is None:
-        raise ValueError("a semantic session needs a scorer")
-    if budget < 1:
-        raise ValueError("round budget must be at least 1")
-
-    rounds = []
-    for t in range(1, budget + 1):
-        if mode == "sim1" or t == 1:
-            rx = first(t)
-        else:
-            rx = src.reception(rx.message + codec_mod.decode(src.second, transmit(t, src.sym_second)))
-        rounds.append(rx)
-        if ack_decide(rx.s_hat, threshold):
-            return HarqSession(rounds, True)
-    return HarqSession(rounds, False)
+def run_semantic_session(rounds: list[Reception], threshold: float) -> HarqSession:
+    """A session over one row of SemanticSource.rounds: it stops at the
+    first round whose score exceeds `threshold` (ack_decide)."""
+    return _first_ack([(ack_decide(rx.s_hat, threshold), rx) for rx in rounds])
 
 
 class ChaseCombiner:
-    """Per-symbol weighted averaging of equalized observations across copies."""
+    """Per-symbol weighted averaging of equalized observations across copies,
+    of one vector or of each row of a batch, that of the observations added."""
 
     def __init__(self, n_symbols: int):
         self.n_symbols = n_symbols
-        self.num = np.zeros(n_symbols, dtype=np.complex128)
-        self.den = np.zeros(n_symbols, dtype=np.float64)
+        self.num = 0.0
+        self.den = 0.0
 
-    def add(self, eq_symbols: np.ndarray, h: np.ndarray, noise_var: float) -> None:
-        eq_symbols = np.asarray(eq_symbols, dtype=np.complex128).reshape(-1)
-        h = np.asarray(h, dtype=np.complex128).reshape(-1)
-        if eq_symbols.size != self.n_symbols or h.size != self.n_symbols:
+    def add(self, eq_symbols: np.ndarray, h: np.ndarray, noise_var) -> None:
+        """Observations and estimates (..., n_symbols), noise_var one per row."""
+        eq_symbols = np.asarray(eq_symbols, dtype=np.complex128)
+        h = np.asarray(h, dtype=np.complex128)
+        if eq_symbols.shape[-1:] != (self.n_symbols,) or h.shape != eq_symbols.shape:
             raise ValueError("observation length does not match the combiner")
-        w = np.abs(h) ** 2 / max(float(noise_var), 1e-30)
-        self.num += w * eq_symbols
-        self.den += w
+        w = np.abs(h) ** 2 / np.maximum(np.asarray(noise_var, dtype=np.float64), 1e-30)[..., None]
+        self.num = self.num + w * eq_symbols
+        self.den = self.den + w
 
     def combined(self) -> np.ndarray:
-        if np.any(self.den == 0.0):
+        if np.any(np.asarray(self.den) == 0.0):
             raise ValueError("combiner has positions with no observations")
         return self.num / self.den
 
@@ -299,40 +317,47 @@ class BaselineSource:
         pad = np.zeros((-self.payload_bits.size) % int(math.log2(mod_order)), dtype=np.uint8)
         self.chunk = _frozen(qam_map(np.concatenate([self.payload_bits, pad]), mod_order))
         self.codeword = _frozen(np.tile(self.chunk, copies))
-        self.ref_loss = self.sent.score(self.ref_message, head)[0]
+        self.ref_loss = float(self.sent.score(self.ref_message, head)[0])
 
-    def reception(self, combined: np.ndarray) -> tuple[bool, Reception]:
-        """Whether the CRC of a combined chunk's frame passes, and the
-        unscored Reception of its dequantized codes."""
-        frame = np.packbits(qam_demap_hard(combined, self.mod_order)[: self.payload_bits.size])
-        message = _frozen(self.quantizer.dequantize(frame[: frame.size - CRC24_BITS // 8]))
-        loss = self.sent.score(message, self.head)[0]
-        return crc24(frame) == 0, Reception(message, loss, true_similarity(self.ref_loss, loss), None)
+    def reception(self, combined: np.ndarray) -> list[tuple[bool, Reception]]:
+        """Per row of combined chunks (B, chunk): whether the CRC of its
+        frame passes, and the unscored Reception of its dequantized codes."""
+        frames = np.packbits(qam_demap_hard(combined, self.mod_order)[..., : self.payload_bits.size], axis=-1)
+        messages = _frozen(self.quantizer.dequantize(frames[..., : frames.shape[-1] - CRC24_BITS // 8]))
+        losses = self.sent.score(messages, self.head)[0].tolist()
+        return [
+            (bool(ok), Reception(m, x, true_similarity(self.ref_loss, x), None))
+            for ok, m, x in zip(crc24(frames) == 0, messages, losses)
+        ]
+
+    def rounds(self, modes, budget: int, send) -> dict[str, list[list[tuple[bool, Reception]]]]:
+        """Per mode of `modes`, per row of a batch of channels, the CRC
+        verdicts and Receptions of its budget's rounds.
+
+        Mode "base1" retransmits the full codeword (every copy of the chunk)
+        each round and mode "base2" one chunk; either adds each chunk-long
+        slice it received, in order, to one chase combiner per row, whose
+        combination a round judges (reception). `send(t, symbols)` returns
+        round t's (equalized, est_h, noise_var): (B, n), (B, n) and (B,).
+        """
+        if budget < 1:
+            raise ValueError("round budget must be at least 1")
+        out = {}
+        for mode in modes:
+            if mode not in ("base1", "base2"):
+                raise ValueError(f"unknown baseline mode {mode!r}")
+            sent, n_chunk = (self.codeword if mode == "base1" else self.chunk), self.chunk.size
+            combiner, by_round = ChaseCombiner(n_chunk), []
+            for t in range(1, budget + 1):
+                eq, h, noise_var = send(t, sent)
+                for i in range(0, sent.size, n_chunk):
+                    combiner.add(eq[..., i : i + n_chunk], h[..., i : i + n_chunk], noise_var)
+                by_round.append(self.reception(combiner.combined()))
+            out[mode] = [list(row) for row in zip(*by_round)]
+        return out
 
 
-def run_baseline_session(src: BaselineSource, mode: str, budget: int, transmit) -> HarqSession:
-    """Run up to `budget` rounds of the classical baseline.
-
-    mode "base1" retransmits the full codeword (every copy of the chunk) each
-    round and mode "base2" one chunk; either adds each chunk-long slice it
-    received, in order, to one chase combiner. A round is acknowledged
-    when the CRC of the combination passes (BaselineSource.reception).
-    `transmit(round_idx, symbols)` must return (equalized, est_h, noise_var).
-    """
-    if mode not in ("base1", "base2"):
-        raise ValueError(f"unknown baseline mode {mode!r}")
-    if budget < 1:
-        raise ValueError("round budget must be at least 1")
-    sent = src.codeword if mode == "base1" else src.chunk
-    n_chunk = src.chunk.size
-    combiner = ChaseCombiner(n_chunk)
-    rounds = []
-    for t in range(1, budget + 1):
-        eq, h, noise_var = transmit(t, sent)
-        for i in range(0, sent.size, n_chunk):
-            combiner.add(eq[i : i + n_chunk], h[i : i + n_chunk], noise_var)
-        passed, rx = src.reception(combiner.combined())
-        rounds.append(rx)
-        if passed:
-            return HarqSession(rounds, True)
-    return HarqSession(rounds, False)
+def run_baseline_session(rounds: list[tuple[bool, Reception]]) -> HarqSession:
+    """A session over one row of BaselineSource.rounds: it stops at the
+    first round whose CRC passes."""
+    return _first_ack(rounds)

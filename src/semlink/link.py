@@ -21,7 +21,8 @@ noiseless pilots, which is what a noiseless call uses, and b, from the pilot
 rows' noise alone, on the first noisy call. A transmit call at noise standard
 deviation sigma then works on its n payload cells only: it receives
 H*x + sigma*z, estimates a + sigma*b, and equalizes with rxdsp.equalize_mmse.
-A noiseless call draws no noise and makes no b.
+A noiseless call draws no noise and makes no b. A call given a 1-D array of
+SNRs runs them as one batch, each row bitwise that call at its SNR alone.
 
 Its oracle (tests/test_link.py) runs the receiver on every row of the full
 grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse
@@ -34,8 +35,8 @@ pilot rows, the channel realization and, per set of simulated data rows, H
 with a, and the noise with b. None of it depends on the payload or the SNR.
 One instance passed to every transmit call with the same seeds computes each
 part once for all those calls. A sweep's harness.SessionCache keeps one per
-session index and round, beside the harq sources that keep the symbols;
-other callers pass none and make their own.
+session index and round, and sends each round's symbols once, at every SNR
+of the sweep; other callers pass none and make their own.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def _transmit(
     draws: RoundDraws | None,
 ):
     """Row-sparse link core; returns (equalized payload, estimated H at the
-    payload cells, noise_var)."""
+    payload cells, noise_var); a 1-D snr_db of B SNRs gives (B, n), (B, n)
+    and (B,), row b bitwise that of a call at snr_db[b] alone."""
     symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
     n = symbols.size
     if n > cfg.payload_capacity:
@@ -131,14 +133,16 @@ def _transmit(
     data_rows = cfg.data_rows_idx[: -(-n // cfg.l_fft)]
 
     response, a = draws.clean(data_rows)
-    rx, h, noise_var = response[:n] * symbols, a[:n], 0.0
-    if snr_db is not None:
-        noise_var = chan.noise_variance(snr_db)
-        z, b = draws.noisy(data_rows)
-        sigma = np.sqrt(noise_var)
-        rx = rx + sigma * z[:n]
-        h = h + sigma * b[:n]
-    return rxdsp.equalize_mmse(rx, h, noise_var), h, noise_var
+    rx, h = response[:n] * symbols, a[:n]
+    if snr_db is None:
+        return rxdsp.equalize_mmse(rx, h, 0.0), h, 0.0
+    # one scalar noise_variance per SNR: each row's sigma is that of a lone call
+    var = np.array([[chan.noise_variance(s)] for s in np.ravel(snr_db).tolist()])
+    z, b = draws.noisy(data_rows)
+    sigma = np.sqrt(var)
+    rx, h = rx + sigma * z[:n], h + sigma * b[:n]
+    eq = rxdsp.equalize_mmse(rx, h, var)
+    return (eq, h, var[:, 0]) if np.ndim(snr_db) else (eq[0], h[0], float(var[0, 0]))
 
 
 def transmit_symbols(
@@ -153,6 +157,7 @@ def transmit_symbols(
     """Send payload symbols through one faded OFDM frame; return equalized payload.
 
     `draws`, if given, supplies this round's seed-determined draws (RoundDraws).
+    A 1-D snr_db sends them at each of its SNRs: one (B, n) row per SNR.
     """
     return _transmit(symbols, cfg, profile, snr_db, seeds, draws)[0]
 
@@ -170,5 +175,6 @@ def transmit_with_state(
 
     Returns (equalized payload, estimated H at the payload cells, noise_var);
     the channel state is what symbol-level combining across rounds needs.
+    A 1-D snr_db gives one row of each per SNR, as transmit_symbols does.
     """
     return _transmit(symbols, cfg, profile, snr_db, seeds, draws)

@@ -126,17 +126,18 @@ _GRAY_BITS = {order: _gray_bit_table(order) for order in QAM_ORDERS}
 
 def qam_demap_hard(symbols: np.ndarray, order: int) -> np.ndarray:
     """Nearest-level hard demap; exact inverse of qam_map on clean symbols.
+    Symbols (..., n) give bits (..., n * log2(order)), a row per leading index.
     Each axis's level index is rounded and clipped, and its bits are read
     from the order's Gray-bit table. A non-finite symbol raises ValueError:
     cast to an integer level it would give fixed bits, and an all-zero frame
     passes CRC-24A."""
     m, levels, scale = _axis_params(order)
-    symbols = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
+    symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
     if not np.isfinite(symbols).all():
         raise ValueError("cannot demap a non-finite symbol")
     axes = symbols.view(np.float64).reshape(-1, 2)  # (I, Q) per symbol
     idx = np.clip(np.round(((levels - 1) - axes * scale) / 2.0), 0, levels - 1)
-    return _GRAY_BITS[order][idx.astype(np.intp)].reshape(-1)
+    return _GRAY_BITS[order][idx.astype(np.intp)].reshape(*symbols.shape[:-1], -1)
 
 
 _QPSK = qam_map(np.array([0, 0, 0, 1, 1, 0, 1, 1]), 4)  # qam_map of each bit pair, in binary order

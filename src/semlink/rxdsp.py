@@ -46,11 +46,12 @@ def estimate(rx_pilots: np.ndarray, pilots: np.ndarray, pilot_rows, rows, l_cp: 
 
 
 def equalize_mmse(rx: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray:
-    """Per-cell MMSE equalizer for unit-power symbols: conj(H) Y / (|H|^2 + noise_var)."""
+    """Per-cell MMSE equalizer for unit-power symbols: conj(H) Y / (|H|^2 + noise_var);
+    noise_var is a float or an array that broadcasts against the cells."""
     rx = np.asarray(rx, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     if rx.shape != h.shape:
         raise ValueError(f"received shape {rx.shape} does not match estimate {h.shape}")
-    if noise_var < 0:
+    if np.any(np.asarray(noise_var) < 0):
         raise ValueError("noise variance must be non-negative")
     return np.conj(h) * rx / (np.abs(h) ** 2 + noise_var)

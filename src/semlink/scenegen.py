@@ -7,9 +7,9 @@ lifted into feature space through the head's adjoint, so a clean feature reads
 out to the scene targets exactly and corruption shows up as perception loss.
 perception_loss and confidence_map score a whole (C, H, W) feature; they are
 the definition. A masked reception is scored on the k cells its mask sends
-alone (SentCells), by one arithmetic: per message for sessions and the rank
-corpus (SentCells.score), batched with its gradient for codec training
-(perception_loss_grad). A cell not sent holds a zero feature, so its terms
+alone (SentCells), by one arithmetic: per batch of messages for sessions
+and the rank corpus (SentCells.score), batched with its gradient for codec
+training (perception_loss_grad). A cell not sent holds a zero feature, so its terms
 depend on the scene alone and are summed once (SentCells.rest): the map is
 confidence_map's bit for bit, the loss perception_loss's up to rounding.
 """
@@ -151,6 +151,9 @@ def focal_loss(p: np.ndarray, label: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(label) == 1, pos, neg)
 
 
+_FOCAL_AT_HALF = focal_loss(np.full(2, 0.5), np.arange(2))  # a cell of label 0, of label 1
+
+
 def perception_loss(f: FeatureTensor, scene: Scene, head: ProxyHead) -> float:
     """Localization loss on active cells plus focal occupancy loss on all cells.
 
@@ -193,17 +196,21 @@ class SentCells:
     def rows(self, idx) -> "SentCells":
         return SentCells(*(getattr(self, fld.name)[idx] for fld in fields(self)))
 
-    def score(self, message: np.ndarray, head: ProxyHead) -> tuple[float, np.ndarray]:
-        """The perception loss and (H, W) confidence map of one message: row
-        0's feature, `message` on its sent cells in packed order and zero
-        elsewhere. The loss is perception_loss_grad's for that row."""
-        f = np.asarray(message, dtype=np.float64).reshape(1, head.basis.shape[0], self.active.shape[1])
+    def score(self, messages: np.ndarray, head: ProxyHead) -> tuple[np.ndarray, np.ndarray]:
+        """The perception losses (...) and (..., H, W) confidence maps of
+        messages (..., C*k), each row 0's feature: the message on its sent
+        cells in packed order, zero elsewhere; perception_loss_grad's loss."""
+        messages = np.asarray(messages, dtype=np.float64)
+        c, k = head.basis.shape[0], self.active.shape[1]
+        if messages.shape[-1:] != (c * k,):
+            raise ValueError(f"messages of shape {messages.shape} are not rows of {c * k} values")
+        f = messages.reshape(-1, c, k)
         if not np.isfinite(f).all():
             raise ValueError("feature tensor entries must be finite")
         loss, _, p = _sent_terms(f, self, head)
-        cmap = np.full(self.cells.shape[1:], 0.5)
-        cmap[self.cells[0]] = p[0]
-        return float(loss[0]), cmap
+        cmap = np.full((len(f), *self.cells.shape[1:]), 0.5)
+        cmap[:, self.cells[0]] = p
+        return loss.reshape(messages.shape[:-1]), cmap.reshape(messages.shape[:-1] + cmap.shape[1:])
 
 
 def sent_cells(scenes, masks) -> SentCells:
@@ -216,9 +223,12 @@ def sent_cells(scenes, masks) -> SentCells:
     active = labels == 1
     n_active = np.maximum(active.sum(axis=(1, 2)), 1)
     unsent = ~cells
-    local = np.sum(smooth_l1(targets) * (active & unsent)[..., None], axis=(1, 2, 3))
-    conf = np.sum(focal_loss(np.full(labels.shape, 0.5), labels) * unsent, axis=(1, 2))
-    rest = local / n_active + conf / (h * w)
+    # a zero feature's terms, formed only where the masks keep them: the
+    # arrays of the whole-grid products, summed alike
+    local = np.zeros(targets.shape)
+    local[active & unsent] = smooth_l1(targets[active & unsent])
+    conf = np.where(unsent, _FOCAL_AT_HALF[active.astype(np.intp)], 0.0)
+    rest = local.sum(axis=(1, 2, 3)) / n_active + conf.sum(axis=(1, 2)) / (h * w)
     return SentCells(
         cells, active[cells].reshape(n, -1), targets[cells].reshape(n, -1, N_REGRESSION), n_active, rest
     )

@@ -246,9 +246,26 @@ def test_query_scores_match_single_scores():
 def test_score_pooled_rejects_bad_shape():
     scorer = new_scorer(DetectorConfig(pool=4, branch_width=8), seed=7)
     ref_emb = det.embed_reference(scorer, np.zeros((4, 4)))
-    for shape in [(3, 3), (16,), (2, 4, 4), (2, 16)]:  # one (pool, pool) map only
+    for shape in [(3, 3), (16,), (2, 16), (2, 4, 3), ()]:  # (..., pool, pool) maps only
         with pytest.raises(ValueError):
             score_pooled(scorer, ref_emb, np.zeros(shape))
+
+
+def test_batched_maps_score_and_pool_as_they_do_alone():
+    # a batch of maps runs as a stack of one-row matrices, so each score is
+    # bitwise that of its map alone; pooling a batch pools each map alone
+    scorer = new_scorer(DetectorConfig(pool=4, branch_width=8), seed=7)
+    rng = np.random.default_rng(12)
+    ref_emb = det.embed_reference(scorer, rng.uniform(0, 1, (4, 4)))
+    maps = rng.uniform(0, 1, (2, 3, 4, 4))
+    scores = score_pooled(scorer, ref_emb, maps)
+    assert scores.shape == (2, 3)
+    alone = [float(score_pooled(scorer, ref_emb, m)) for m in maps.reshape(-1, 4, 4)]
+    assert np.float64(alone).tobytes() == scores.reshape(-1).tobytes()
+    for shape, pool in (((8, 12), 4), ((13, 11), 4)):
+        grids = rng.uniform(0, 1, (3, *shape))
+        pooled = pool_map(grids, pool)
+        assert pooled.tobytes() == np.stack([pool_map(g, pool) for g in grids]).tobytes()
 
 
 def test_pool_map_constant():

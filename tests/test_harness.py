@@ -520,46 +520,64 @@ SWEEP_SNRS = (0.0, 6.0, 18.0)
 SWEEP_BETA = 0.9505
 
 
-def _session_from_parts(bundle, mode, snr_db, idx, beta, budget):
-    """A session built from the package's parts with no SessionCache and no
-    RoundDraws: the scene, its source, link draws, pilot estimates and every
-    reception are all made afresh, round t's link call from the seeds of
-    (master seed, idx, t), each pair-1 round by its own chain of transmit,
-    decode, receive and score."""
+def _rounds_from_parts(bundle, mode, snr_db, idx):
+    """Every round of the budget of one session at snr_db alone, as
+    (Reception, acknowledged) pairs, built from the package's parts with no
+    SessionCache, no RoundDraws and no SNR batch: the scene, its source, the
+    link draws and pilot estimates are all made afresh, round t's link call
+    from the seeds of (master seed, idx, t), and each round is its own chain
+    of one transmit, decode, receive and score. A semantic round is
+    acknowledged when its score exceeds the bundle's threshold, a baseline
+    round when the CRC of its combination passes."""
     cfg = bundle.cfg
     ms = cfg.experiment.master_seed
     profile = cfg.channel_profile()
+    budget = 1 if mode == "noharq" else cfg.experiment.round_budget
     scene, f = generate_scene(derive_seed(ms, "session-scene", idx), cfg.scene, bundle.head)
+
+    def transmit(link, t, x):
+        return link(x, cfg.ofdm, profile, snr_db, LinkSeeds.derive(ms, "session", idx, t))
+
+    rounds = []
     if mode in harness.SEMANTIC_MODES:
         src = SemanticSource(
             bundle.codec_pair1, bundle.codec_pair2, bundle.scorer, bundle.head,
             scene, f, cfg.mask_cells(), cfg.detector.pool,
         )
-
-        def transmit(t, x):
-            seeds = LinkSeeds.derive(ms, "session", idx, t)
-            return transmit_symbols(x, cfg.ofdm, profile, snr_db, seeds)
-
-        def first(t):
-            message = codec.decode(src.first, transmit(t, src.sym_first))
+        for t in range(1, budget + 1):
+            if mode != "sim2" or t == 1:  # sim1 keeps its latest decode
+                message = codec.decode(src.first, transmit(transmit_symbols, t, src.sym_first))
+            else:  # sim2 sums its decodes
+                message = message + codec.decode(src.second, transmit(transmit_symbols, t, src.sym_second))
             pooled, loss, s_true = src.receive(message)
-            return Reception(message, loss, s_true, score(src.scorer, src.ref_pooled, pooled))
+            s_hat = score(src.scorer, src.ref_pooled, pooled)
+            rounds.append((Reception(message, float(loss), float(s_true), s_hat),
+                           s_hat > cfg.detector.ack_threshold))
+        return rounds
+    src = BaselineSource(
+        bundle.head, scene, f, cfg.baseline_cells(), cfg.baseline.mod_order, cfg.baseline.code_copies,
+    )
+    sent = src.codeword if mode == "base1" else src.chunk
+    n = src.chunk.size
+    combiner = harq.ChaseCombiner(n)
+    for t in range(1, budget + 1):
+        eq, h, noise_var = transmit(transmit_with_state, t, sent)
+        for i in range(0, sent.size, n):
+            combiner.add(eq[i : i + n], h[i : i + n], noise_var)
+        ((passed, rx),) = src.reception(combiner.combined()[None, :])
+        rounds.append((rx, passed))
+    return rounds
 
-        protocol, rounds = ("sim1", 1) if mode == "noharq" else (mode, budget)
-        session = run_semantic_session(src, protocol, rounds, beta, first, transmit)
-    else:
-        src = BaselineSource(
-            bundle.head, scene, f, cfg.baseline_cells(),
-            cfg.baseline.mod_order, cfg.baseline.code_copies,
-        )
 
-        def transmit(t, x):
-            seeds = LinkSeeds.derive(ms, "session", idx, t)
-            return transmit_with_state(x, cfg.ofdm, profile, snr_db, seeds)
-
-        session = run_baseline_session(src, mode, budget, transmit)
-        beta = None
-    return harness._flatten(session, idx, mode, snr_db, beta, budget)
+def _session_from_parts(bundle, mode, snr_db, idx):
+    """The record of a session whose rounds are _rounds_from_parts's, up to
+    the first acknowledged one."""
+    rounds = _rounds_from_parts(bundle, mode, snr_db, idx)
+    used = next((t for t, (_, ack) in enumerate(rounds, start=1) if ack), len(rounds))
+    session = HarqSession([rx for rx, _ in rounds[:used]], rounds[used - 1][1])
+    cfg = bundle.cfg
+    beta = cfg.detector.ack_threshold if mode in harness.SEMANTIC_MODES else None
+    return harness._flatten(session, idx, mode, snr_db, beta, cfg.experiment.round_budget)
 
 
 @pytest.fixture(scope="module")
@@ -580,7 +598,7 @@ def uncached_sweep(sweep_bundle, tmp_path_factory):
     tasks = [(m, s, i) for m in ALL_MODES for s in SWEEP_SNRS for i in range(5)]
     records = [_fresh_session(sweep_bundle, m, s, i) for m, s, i in tasks]
     assert records == [
-        _session_from_parts(sweep_bundle, m, s, i, SWEEP_BETA, 2) for m, s, i in tasks
+        _session_from_parts(sweep_bundle, m, s, i) for m, s, i in tasks
     ]
     harness.write_session_csv(out / "sessions.csv", records, 2)
     harness.write_summary_csv(out / "summary.csv", records, ALL_MODES, SWEEP_SNRS, 2)
@@ -614,13 +632,58 @@ def test_session_with_shared_cache_matches_uncached(tiny_bundle):
         assert records["base1", 0.0].rounds_used > 1
 
 
+def _same(a, b) -> bool:
+    """a and b are the same float, bit for bit, or both None."""
+    return a is b is None or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
+    # each row of an index's batched rounds is, bit for bit, the reception
+    # that the single-SNR chain of _rounds_from_parts makes at the row's SNR,
+    # whatever the SNR axis: one value, repeated values, any order. A session
+    # at any finite SNR, in the config's list or not, records what the chain
+    # does
+    snrs = data.draw(st.lists(st.sampled_from(SWEEP_SNRS) | st.floats(-5.0, 25.0), min_size=1, max_size=4))
+    modes = data.draw(st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=5, unique=True))
+    idx = data.draw(st.integers(0, 4))
+    cache = harness.SessionCache(sweep_bundle, idx)
+    for pipeline, src, send in (
+        (harness.SEMANTIC_MODES, lambda: cache.semantic, cache.send),
+        (harness.BASELINE_MODES, lambda: cache.baseline, cache.send_with_state),
+    ):
+        chosen = [m for m in modes if m in pipeline]
+        if not chosen:
+            continue
+        made = src().rounds(chosen, 2, lambda t, x: send(tuple(snrs), t, x))
+        for mode in chosen:
+            assert len(made[mode]) == len(snrs)
+            for snr_db, row in zip(snrs, made[mode]):
+                expect = _rounds_from_parts(sweep_bundle, mode, snr_db, idx)
+                assert len(row) == len(expect) == (1 if mode == "noharq" else 2)
+                for item, (rx, ack) in zip(row, expect):
+                    have = item[1] if pipeline is harness.BASELINE_MODES else item
+                    assert have.message.tobytes() == rx.message.tobytes()
+                    for name in ("task_loss", "s_true", "s_hat"):
+                        assert _same(getattr(have, name), getattr(rx, name)), name
+                    if pipeline is harness.BASELINE_MODES:
+                        assert item[0] is ack
+    for mode in modes:
+        for snr_db in snrs:
+            expect = _session_from_parts(sweep_bundle, mode, snr_db, idx)
+            assert harness.run_session(cache, mode, snr_db) == expect
+
+
 def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
-    # over one index, pair 1 is decoded once per (SNR, round) that any
-    # session reaches, and each distinct reception is scored once; sim2's
-    # pair-2 rounds are the only receptions of their own. The pilot estimate
-    # is made twice per (round, data rows), its noiseless and its noise part,
-    # whatever the number of SNRs
-    counts = {"pair1": 0, "pair2": 0, "estimate": 0, "score": 0}
+    # the first session of a pipeline to read an index computes every round
+    # that the grid's modes can read, at every SNR of the grid as one batch:
+    # one link call, decode and score per (pipeline, round), where pair 1's
+    # rounds, sim2's pair-2 rounds and each baseline mode's rounds are the
+    # rounds, and no later session of the index computes anything. The pilot
+    # estimate is made twice per (round, data rows): its noiseless and its
+    # noise part
+    counts = dict.fromkeys(("send", "send_with_state", "pair1", "pair2", "score", "crc", "estimate"), 0)
 
     def counting(module, name, key):
         fn = getattr(module, name)
@@ -630,45 +693,55 @@ def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
+    counting(harness, "transmit_symbols", lambda args: "send")
+    counting(harness, "transmit_with_state", lambda args: "send_with_state")
     counting(codec, "decode", lambda args: "pair1" if args[0] is sweep_bundle.codec_pair1 else "pair2")
-    counting(rxdsp, "estimate", lambda args: "estimate")
     counting(harq, "score_pooled", lambda args: "score")
-    cfg, idx = sweep_bundle.cfg, 6  # at this index the semantic modes stop at round 1 at 18 dB only
-    cache = harness.SessionCache(sweep_bundle, idx)
+    counting(harq, "crc24", lambda args: "crc")
+    counting(rxdsp, "estimate", lambda args: "estimate")
+    bundle = _set(sweep_bundle, "experiment", modes=ALL_MODES, snr_db=SWEEP_SNRS)  # a budget of 2
+    cfg = bundle.cfg
+    cache = harness.SessionCache(bundle, 6)
+    for _ in range(2):
+        records = [harness.run_session(cache, mode, snr_db) for mode in ALL_MODES for snr_db in SWEEP_SNRS]
+        assert {r.rounds_used for r in records} == {1, 2}
+        src = cache.baseline
+        data_rows = {-(-n // cfg.ofdm.l_fft) for n in (cfg.codec.n_cu, src.codeword.size, src.chunk.size)}
+        assert counts == {
+            "send": 3,  # pair 1 in rounds 1 and 2, pair 2 in round 2
+            "send_with_state": 4,  # base1 and base2 in rounds 1 and 2
+            "pair1": 2, "pair2": 1, "score": 3,
+            "crc": 1 + 4,  # the source's frame, then one per baseline round
+            "estimate": 2 * 2 * len(data_rows),
+        }
+    # a session at an SNR outside the grid computes the same rounds at its
+    # SNR alone, once
+    for _ in range(2):
+        harness.run_session(cache, "noharq", 7.5)
+    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (6, 4, 2, 6)
 
-    def rows(n):
-        return -(-n // cfg.ofdm.l_fft)
+    # a noharq-only grid reads round 1 alone
+    only = harness.SessionCache(_set(bundle, "experiment", modes=("noharq",)), 6)
+    for snr_db in SWEEP_SNRS:
+        harness.run_session(only, "noharq", snr_db)
+    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (7, 5, 2, 7)
+    assert set(only._draws) == {1}
 
-    def run(modes, n_symbols):
-        records = [harness.run_session(cache, mode, snr_db) for mode in modes for snr_db in (0.0, 18.0)]
-        return [(r.mode, r.snr_db, t, rows(n_symbols[r.mode]))
-                for r in records for t in range(1, r.rounds_used + 1)]
 
-    n_cu = cfg.codec.n_cu
-    rounds = run(("noharq", "sim1", "sim2"), {"noharq": n_cu, "sim1": n_cu, "sim2": n_cu})
-    pair1 = {(snr_db, t) for mode, snr_db, t, _ in rounds if mode != "sim2" or t == 1}
-    pair2 = [(snr_db, t) for mode, snr_db, t, _ in rounds if mode == "sim2" and t > 1]
-    assert pair2 and len(pair1) == 3  # (0 dB, rounds 1 and 2), (18 dB, round 1)
-    assert len(pair1) < len(rounds) - len(pair2)  # the memo was read
-    assert counts == {"pair1": len(pair1), "pair2": len(pair2),
-                      "estimate": 2 * len({(t, n) for _, _, t, n in rounds}),
-                      "score": len(pair1) + len(pair2)}
-
-    src = cache.baseline
-    rounds += run(("base1", "base2"), {"base1": src.codeword.size, "base2": src.chunk.size})
-    assert counts == {"pair1": len(pair1), "pair2": len(pair2),
-                      "estimate": 2 * len({(t, n) for _, _, t, n in rounds}),
-                      "score": len(pair1) + len(pair2)}
+def _cached_receptions(cache):
+    """Every Reception that the cache's rows hold."""
+    return [item[1] if mode in harness.BASELINE_MODES else item
+            for (mode, _), rows in cache._rows.items() for item in rows]
 
 
 def test_shared_receptions_are_read_only(sweep_bundle):
-    # sessions of every semantic mode share the memo's receptions and the
-    # round draws' kept parts (H, the noise and both estimate parts), so none
-    # of their arrays can be written
+    # sessions of every mode share the cache's receptions and the round
+    # draws' kept parts (H, the noise and both estimate parts), so none of
+    # their arrays can be written
     cache = harness.SessionCache(sweep_bundle, 1)
-    for mode in ("noharq", "sim1", "sim2"):
+    for mode in ALL_MODES:
         harness.run_session(cache, mode, 6.0)
-    receptions = list(cache._first.values())
+    receptions = _cached_receptions(cache)
     draws = [cache.draws(t) for t in range(1, 3)]
     kept = [a for d in draws for parts in (*d._clean.values(), *d._noisy.values()) for a in parts]
     assert receptions and kept
@@ -723,7 +796,7 @@ def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
         for mode in ("base1", "base2"):
             harness.run_session(cache, mode, 0.0)
         assert "semantic" not in vars(cache)
-        assert not cache._first
+        assert cache._rows and all(mode in harness.BASELINE_MODES for mode, _ in cache._rows)
 
 
 @pytest.mark.parametrize("mode", ["sim1", "base1"])
@@ -809,6 +882,39 @@ def _cli(*args, timeout=180):
         timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# prints the two thread variables as they are when numpy starts to load
+_THREADS_AT_NUMPY_LOAD = """
+import builtins, os
+seen = []
+load = builtins.__import__
+def spy(name, *args, **kwargs):
+    if name.partition(".")[0] == "numpy" and not seen:
+        seen.append([os.environ.get(v, "-") for v in {names!r}])
+    return load(name, *args, **kwargs)
+builtins.__import__ = spy
+import semlink.cli
+print(*seen[0])
+"""
+
+
+@pytest.mark.parametrize(
+    "given,expect",
+    [({}, ["1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "-"]), ({"OMP_NUM_THREADS": "2"}, ["-", "2"]),
+     ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "4"}, ["4", "4"])],
+    ids=["unset", "openblas", "omp", "both"],
+)
+def test_cli_loads_numpy_with_one_blas_thread_unless_told(given, expect):
+    # the CLI sets one BLAS thread before numpy loads; a thread count the
+    # caller sets in either variable wins, and the other stays unset
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    code = _THREADS_AT_NUMPY_LOAD.format(names=_THREAD_VARS)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**env, **given}, check=True)
+    assert proc.stdout.split() == expect
 
 
 def test_cli_print_config():

@@ -59,6 +59,43 @@ def _framed(data: np.ndarray) -> np.ndarray:
     return np.concatenate([data, _bytes(crc24(data).to_bytes(3, "big"))])
 
 
+def _crc_table():
+    """The CRC-24A register after each byte value, fed into a zero register."""
+    table = []
+    for byte in range(256):
+        reg = byte << 16
+        for _ in range(8):
+            reg = ((reg << 1) ^ 0x864CFB) & 0xFFFFFF if reg & 0x800000 else (reg << 1) & 0xFFFFFF
+        table.append(reg)
+    return table
+
+
+_CRC_TABLE = _crc_table()
+
+
+def _table_crc(data: bytes) -> int:
+    """CRC-24A by the byte-table loop: the oracle of crc24's parity matrix."""
+    reg = 0
+    for byte in data:
+        reg = ((reg << 8) & 0xFFFFFF) ^ _CRC_TABLE[(reg >> 16) ^ byte]
+    return reg
+
+
+@given(st.lists(st.binary(min_size=0, max_size=80), min_size=1, max_size=4), st.integers(0, 80))
+@settings(max_examples=150, deadline=None)
+def test_crc_is_the_byte_table_loop_row_by_row(frames, length):
+    # a frame of any length is the loop's CRC, and, with that CRC appended,
+    # checks to 0; a batch of equal-length frames is each row's CRC
+    for raw in frames:
+        assert crc24(_bytes(raw)) == _table_crc(raw)
+        assert crc24(_bytes(raw + _table_crc(raw).to_bytes(3, "big"))) == 0
+    rows = [(raw * (length + 1))[:length] for raw in frames if raw] or [bytes(length)]
+    batch = np.stack([_bytes(row) for row in rows])
+    got = crc24(batch[None])
+    assert got.shape == (1, len(batch))
+    assert got[0].tolist() == [_table_crc(row.tobytes()) for row in batch]
+
+
 def test_crc_all_zero_is_zero():
     assert crc24(np.zeros(8, dtype=np.uint8)) == 0
     assert crc24(np.zeros(0, dtype=np.uint8)) == 0
@@ -229,11 +266,10 @@ def _loss(src, message):
 
 
 def _session(src, mode, budget, threshold, transmit):
-    """run_semantic_session with every round, pair 1's too, sent by `transmit`
-    and received afresh."""
-    def first(t):
-        return src.reception(codec_mod.decode(src.first, transmit(t, src.sym_first)))
-    return run_semantic_session(src, mode, budget, threshold, first, transmit)
+    """run_semantic_session over the rounds of a one-row batch whose every
+    round, pair 1's too, `transmit(t, symbols)` sends, received afresh."""
+    rows = src.rounds((mode,), budget, lambda t, symbols: transmit(t, symbols)[None, :])
+    return run_semantic_session(rows[mode][0], threshold)
 
 
 def test_semantic_session_ack_stops_immediately():
@@ -296,22 +332,28 @@ def test_sim2_round_order_invariance():
 
 @pytest.mark.parametrize("mode", ["sim1", "sim2"])
 def test_semantic_session_reads_pair1_rounds_from_first(mode):
-    # every round that sends the first pair is first(t), recorded as it is;
-    # transmit carries only sim2's second-pair rounds
+    # every round that sends the first pair is sent once for the batch, and
+    # its reception is one Reception per row that every mode reading it
+    # shares: noharq's round, sim1's rounds and sim2's first; the second pair
+    # is sent only in sim2's later rounds. Each row is its own channel
     src = _semantic_source()
-    firsts = {t: src.reception(codec_mod.decode(src.first, src.sym_first + 0.1 * t)) for t in (1, 2, 3)}
+    offsets = np.array([[0.1], [-0.2]])
     sent = []
 
-    def transmit(t, symbols):
-        sent.append(t)
-        assert symbols is src.sym_second
-        return symbols
+    def send(t, symbols):
+        sent.append((t, "first" if symbols is src.sym_first else "second"))
+        return symbols + offsets * t
 
-    session = run_semantic_session(src, mode, 3, 0.999999, firsts.__getitem__, transmit)
+    rows = src.rounds(("noharq", mode), 3, send)
     pair1 = (1, 2, 3) if mode == "sim1" else (1,)
-    assert sent == [t for t in (1, 2, 3) if t not in pair1]
-    for t in pair1:
-        assert session.rounds[t - 1] is firsts[t]
+    assert sent == [(t, "first") for t in pair1] + [(t, "second") for t in (1, 2, 3) if t not in pair1]
+    assert len(rows["noharq"]) == len(rows[mode]) == 2
+    for b, offset in enumerate(offsets[:, 0]):
+        assert len(rows["noharq"][b]) == 1 and len(rows[mode][b]) == 3
+        assert rows["noharq"][b][0] is rows[mode][b][0]
+        for t in pair1:
+            message = codec_mod.decode(src.first, src.sym_first + offset * t)
+            assert rows[mode][b][t - 1].message.tobytes() == message.tobytes()
 
 
 def test_semantic_session_validation():
@@ -364,6 +406,23 @@ def test_chase_combiner_validation():
         comb.add(np.zeros(3), np.zeros(3), 0.1)
     with pytest.raises(ValueError):
         comb.combined()
+
+
+def test_chase_combiner_combines_each_row_alone():
+    # a batch of rows, each with its own noise variance, combines as one
+    # combiner per row does, bit for bit
+    rng = np.random.default_rng(7)
+    eq = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+    h = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+    noise_var = np.array([[0.1, 0.4, 2.0], [0.3, 0.3, 1e-40]])
+    batch = ChaseCombiner(5)
+    for k in range(2):
+        batch.add(eq[k], h[k], noise_var[k])
+    for row in range(3):
+        alone = ChaseCombiner(5)
+        for k in range(2):
+            alone.add(eq[k, row], h[k, row], float(noise_var[k, row]))
+        assert batch.combined()[row].tobytes() == alone.combined().tobytes()
 
 
 def test_chase_combining_lowers_bit_errors():
@@ -444,13 +503,23 @@ def test_repetition_code_chunks():
             sent.append(symbols)
             return np.zeros(symbols.size, dtype=complex), np.ones(symbols.size), 1.0
 
-        session = run_baseline_session(src, mode, budget=3, transmit=erased)
+        session = _baseline_session(src, mode, 3, erased)
         assert session.rounds_used == len(sent) == 3
         assert all(np.array_equal(s, np.tile(chunk, copies)) for s in sent)
 
 
 def _clean_transmit(t, symbols):
     return symbols, np.ones(symbols.size), 1e-12
+
+
+def _baseline_session(src, mode, budget, transmit):
+    """run_baseline_session over the rounds of a one-row batch that
+    `transmit(t, symbols)` sends, returning (equalized, est_h, noise_var)."""
+    def send(t, symbols):
+        eq, h, noise_var = transmit(t, symbols)
+        return eq[None, :], h[None, :], noise_var
+
+    return run_baseline_session(src.rounds((mode,), budget, send)[mode][0])
 
 
 def test_baseline_payload_verifies():
@@ -462,7 +531,7 @@ def test_baseline_payload_verifies():
 
 def test_baseline_clean_channel_acks_first_round():
     src = _baseline_source()
-    session = run_baseline_session(src, "base1", budget=3, transmit=_clean_transmit)
+    session = _baseline_session(src, "base1", 3, _clean_transmit)
     assert session.ack_round == 1
     # candidate equals the dequantized payload exactly
     got = _candidate(src, session.rounds[0].message)
@@ -471,7 +540,7 @@ def test_baseline_clean_channel_acks_first_round():
 
 def test_baseline_chunked_clean_channel_acks_first_round():
     src = _baseline_source()
-    session = run_baseline_session(src, "base2", budget=3, transmit=_clean_transmit)
+    session = _baseline_session(src, "base2", 3, _clean_transmit)
     assert session.ack_round == 1
 
 
@@ -492,7 +561,7 @@ def test_baseline_forced_errors_exhaust_budget():
         bad[0] = -bad[0]
         return bad, np.ones(bad.size), 1e-12
 
-    session = run_baseline_session(src, "base1", budget=3, transmit=corrupting)
+    session = _baseline_session(src, "base1", 3, corrupting)
     assert session.rounds_used == 3
     assert session.ack_round == 0
     assert all(r.s_hat is None for r in session.rounds)
@@ -511,16 +580,16 @@ def test_baseline_combining_recovers_from_noisy_first_round():
             return noisy, np.ones(symbols.size), 200.0
         return symbols, np.ones(symbols.size), 1e-12
 
-    session = run_baseline_session(src, "base1", budget=3, transmit=transmit)
+    session = _baseline_session(src, "base1", 3, transmit)
     assert session.rounds_used == session.ack_round == 2
 
 
 def test_baseline_session_validation():
     src = _baseline_source()
     with pytest.raises(ValueError):
-        run_baseline_session(src, "sim1", 3, _clean_transmit)
+        _baseline_session(src, "sim1", 3, _clean_transmit)
     with pytest.raises(ValueError):
-        run_baseline_session(src, "base1", 0, _clean_transmit)
+        _baseline_session(src, "base1", 0, _clean_transmit)
 
 
 def test_session_similarity_is_measured_against_the_reference():
@@ -538,8 +607,8 @@ def test_session_similarity_is_measured_against_the_reference():
     sessions = [
         (semantic, semantic.packed, _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t)),
         (semantic, semantic.packed, _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t)),
-        (baseline, baseline.ref_message, run_baseline_session(baseline, "base2", 3, corrupting)),
-        (baseline, baseline.ref_message, run_baseline_session(baseline, "base1", 3, corrupting)),
+        (baseline, baseline.ref_message, _baseline_session(baseline, "base2", 3, corrupting)),
+        (baseline, baseline.ref_message, _baseline_session(baseline, "base1", 3, corrupting)),
     ]
     for src, ref_message, session in sessions:
         assert session.rounds_used == 3
@@ -568,7 +637,7 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
         return symbols + 0.3 * t, np.ones(symbols.size), 0.5
 
     baseline = _baseline_source()
-    session = run_baseline_session(baseline, "base2", 3, noisy)
+    session = _baseline_session(baseline, "base2", 3, noisy)
     for rec in session.rounds:
         assert rec.task_loss == _loss(baseline, rec.message)
 

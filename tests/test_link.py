@@ -250,3 +250,23 @@ def test_draws_is_keyword_only(link_fn):
     # a stale positional power argument must not bind to draws
     with pytest.raises(TypeError):
         link_fn(_payload(5, 1.0, seed=5), TINY, PROFILE, 6.0, LinkSeeds(1, 2, 3), 1.0)
+
+
+@pytest.mark.parametrize(
+    "snrs", [(6.0,), (0.0, 18.0, 0.0), (21.5, -3.0, 9.0, 12.0)], ids=["one", "repeated", "unordered"]
+)
+def test_an_snr_batch_is_each_snr_alone_bit_for_bit(snrs):
+    # a 1-D snr_db sends the payload once per SNR: row b of every output is
+    # what a call at snrs[b] alone returns, and the draws serve both alike
+    cfg, seeds = TINY, LinkSeeds(pilot=5, channel=6, noise=7)
+    symbols = _payload(300, 1.0, 8)
+    draws = RoundDraws(cfg, PROFILE, seeds)
+    eq, h, noise_var = transmit_with_state(symbols, cfg, PROFILE, snrs, seeds, draws=draws)
+    assert eq.shape == h.shape == (len(snrs), symbols.size) and noise_var.shape == (len(snrs),)
+    assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, list(snrs), seeds), eq)
+    for b, snr_db in enumerate(snrs):
+        alone = transmit_with_state(symbols, cfg, PROFILE, snr_db, seeds)
+        assert _same_bits(alone[0], eq[b]) and _same_bits(alone[1], h[b])
+        assert isinstance(alone[2], float) and alone[2] == noise_var[b] == channel.noise_variance(snr_db)
+    with pytest.raises(ValueError, match="snr_db"):
+        transmit_symbols(symbols, cfg, PROFILE, (*snrs, float("nan")), seeds, draws=draws)

@@ -230,12 +230,61 @@ def test_sent_score_is_the_training_term_and_the_whole_grid_map(c, h, w, k_frac,
     assert loss == pytest.approx(perception_loss(whole, scenes[1], head), rel=1e-12)
 
 
+def _rest_of_whole_grids(scenes, masks):
+    """SentCells.rest by the whole-grid products: smooth_l1 of every target
+    and focal_loss at p = 0.5 of every cell, times the masks of the unsent
+    (active) cells, summed per sample."""
+    from semlink.scenegen import focal_loss, smooth_l1
+
+    cells = np.stack([m.cells for m in masks])
+    labels = np.stack([s.labels for s in scenes])
+    targets = np.stack([s.targets for s in scenes])
+    active, unsent = labels == 1, ~cells
+    local = np.sum(smooth_l1(targets) * (active & unsent)[..., None], axis=(1, 2, 3))
+    conf = np.sum(focal_loss(np.full(labels.shape, 0.5), labels) * unsent, axis=(1, 2))
+    return local / np.maximum(active.sum(axis=(1, 2)), 1) + conf / labels[0].size
+
+
+@given(
+    h=st.integers(1, 20),
+    w=st.integers(1, 20),
+    k_frac=st.floats(0.0, 1.0),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+@example(h=16, w=16, k_frac=0.05, kinds=["drawn", "no active cell"], seed=3)
+def test_sent_rest_is_the_whole_grid_products_bit_for_bit(h, w, k_frac, kinds, seed):
+    # rest forms the unsent cells' terms alone, and sums the arrays that the
+    # whole-grid products give, in their order
+    rng = np.random.default_rng(seed)
+    k = h * w if "full mask" in kinds else min(h * w, 1 + int(k_frac * h * w))
+    scenes, masks = zip(*(_scene_and_mask(kind, h, w, k, rng) for kind in kinds))
+    rest = sent_cells(scenes, masks).rest
+    assert rest.tobytes() == _rest_of_whole_grids(scenes, masks).tobytes()
+
+
+def test_batched_sent_score_is_each_message_alone():
+    # a batch of messages scores as each message alone, bit for bit
+    rng = np.random.default_rng(4)
+    scene, f = generate_scene(5, CFG, HEAD)
+    sent = sent_cells([scene], [importance_map(f, 7)])
+    messages = rng.standard_normal((2, 3, CFG.channels * 7))
+    loss, cmap = sent.score(messages, HEAD)
+    assert loss.shape == (2, 3) and cmap.shape == (2, 3, CFG.height, CFG.width)
+    for i, message in enumerate(messages.reshape(-1, CFG.channels * 7)):
+        one_loss, one_map = sent.score(message, HEAD)
+        assert one_loss.shape == () and one_map.shape == (CFG.height, CFG.width)
+        assert one_loss.tobytes() == loss.reshape(-1)[i].tobytes()
+        assert one_map.tobytes() == cmap.reshape(-1, CFG.height, CFG.width)[i].tobytes()
+
+
 def test_sent_score_rejects_a_message_it_cannot_read():
     scene, f = generate_scene(5, CFG, HEAD)
     mask = importance_map(f, 7)
     sent = sent_cells([scene], [mask])
     message = pack_nonzero(f, mask)
-    for bad in (message[:-1], np.append(message, 0.0)):
+    for bad in (message[:-1], np.append(message, 0.0), np.tile(message, 2), message[:, None]):
         with pytest.raises(ValueError):
             sent.score(bad, HEAD)
     for value in (np.nan, np.inf):
