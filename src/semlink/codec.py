@@ -10,6 +10,12 @@ step, plus a per-sample constant for the cells it does not send (those hold
 a zero feature; scenegen.SentCells), the loss that sessions record. A second
 codec pair is trained on the residual of a frozen first pair for incremental
 retransmission.
+Every random draw of a training run comes from step_draws, one item per
+Adam step: the batch order, the batch's SNR, the channel noise and, for the
+second pair, the frozen pair's mean reconstruction. The step itself (_step)
+draws nothing, and no draw depends on the weights being trained, so
+harness.train_all makes pair 2's draws in a producer process beside its
+Adam steps.
 Both pairs are stored in harness.train_all's one bundle.ckpt, and pair 2
 trains against nnkit.stored copies of pair 1, the weights as that file holds.
 """
@@ -219,42 +225,71 @@ def _check_finite(value: float, context: str) -> None:
         raise ValueError(f"training diverged ({context}: loss={value}); lower the lr")
 
 
+def step_draws(
+    train_set: TrainingSet,
+    cfg: CodecConfig,
+    seed: int,
+    snr_band: tuple[float, float],
+    frozen: "SemanticCodec | None",
+):
+    """Every random draw of a codec training run, one item per Adam step:
+    (idx, snr_db, noise, m_first).
+
+    Per epoch one permutation of the training samples, cut into batches;
+    per batch, from the same PCG64(seed) stream and in this order: the
+    batch's SNR, uniform in snr_band; the channel noise of its encoded
+    symbols, (batch, 2 * cfg.n_cu) Gaussians scaled to that SNR; and, with a
+    frozen pair, that pair's mean reconstruction of the batch over
+    _FROZEN_DRAWS surrogate channel draws (surrogate_roundtrip), else None.
+    None of it depends on the weights being trained, so a training run may
+    take the items from another process (harness.train_all does for pair 2).
+    This is the one place the training schedule draws from.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = train_set.packed.shape[0]
+    for _ in range(cfg.recon_epochs + cfg.task_epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            snr_db = rng.uniform(*snr_band)
+            noise = np.sqrt(noise_variance(snr_db) / 2.0) * rng.standard_normal((idx.size, 2 * cfg.n_cu))
+            m_first = None
+            if frozen is not None:
+                # average several frozen-pair draws: same conditional-mean target
+                # as a single draw, but the label noise no longer drowns the
+                # residual signal
+                m_first = surrogate_roundtrip(frozen, train_set.packed[idx], snr_db, rng, _FROZEN_DRAWS)
+            yield idx, snr_db, noise, m_first
+
+
 @np.errstate(over="ignore", invalid="ignore")  # divergence: _check_finite reports it
 def _step(
     codec: SemanticCodec,
     train_set: TrainingSet,
     idx: np.ndarray,
-    snr_db: float,
-    rng: np.random.Generator,
+    noise: np.ndarray,
+    m_first: np.ndarray | None,
     states,
     lr: float,
     task_weight: float | None,
-    frozen: "SemanticCodec | None",
 ):
     """One Adam step through encoder, surrogate channel, decoder, on the
-    training samples at idx.
+    training samples at idx, with the channel noise and frozen-pair target of
+    one step_draws item.
 
     With a task_weight the loss is task_weight * recon + perception; with
-    None, pure reconstruction. With `frozen` set, the loss compares against
-    the residual of the frozen codec's reconstruction over independent
-    channel draws from the same rng, and Adam applies _PAIR2_WEIGHT_DECAY.
+    None, pure reconstruction. With m_first, the frozen pair's
+    reconstruction, the loss compares against its residual, and Adam
+    applies _PAIR2_WEIGHT_DECAY.
     """
     batch = train_set.packed[idx]
     b = batch.shape[0]
     enc_out, enc_tape = nnkit.forward_tape(codec.encoder, batch)
-    xn = normalize_power(enc_out)
-    y = xn + np.sqrt(noise_variance(snr_db) / 2.0) * rng.standard_normal(xn.shape)
+    y = normalize_power(enc_out) + noise
     m_hat, dec_tape = nnkit.forward_tape(codec.decoder, y)
 
-    if frozen is not None:
-        # average several frozen-pair draws: same conditional-mean target as a
-        # single draw, but the label noise no longer drowns the residual signal
-        m_first = surrogate_roundtrip(frozen, batch, snr_db, rng, _FROZEN_DRAWS)
-        combined = m_first + m_hat
-        err = combined - batch
-    else:
-        err = m_hat - batch
-
+    rec = m_hat if m_first is None else m_first + m_hat
+    err = rec - batch
     recon = float(np.mean(err * err))
     g_mhat = 2.0 * err / err.size
     loss = recon
@@ -262,7 +297,6 @@ def _step(
 
     if task_weight is not None:
         g_mhat = task_weight * g_mhat
-        rec = combined if frozen is not None else m_hat
         l_p, g_f = perception_loss_grad(
             rec.reshape(b, train_set.shape[0], -1), train_set.sent.rows(idx), train_set.head
         )
@@ -276,7 +310,7 @@ def _step(
     enc_grads, _ = nnkit.backward(codec.encoder, enc_tape, g_x)
 
     enc_state, dec_state = states
-    weight_decay = _PAIR2_WEIGHT_DECAY if frozen is not None else 0.0
+    weight_decay = _PAIR2_WEIGHT_DECAY if m_first is not None else 0.0
     codec.encoder, _ = nnkit.adam_step(
         codec.encoder, enc_grads, enc_state, lr, weight_decay=weight_decay
     )
@@ -302,28 +336,23 @@ def _epoch_lr(lr0: float, epoch: int, total: int) -> float:
     return floor + (lr0 - floor) * 0.5 * (1.0 + math.cos(math.pi * epoch / (total - 1)))
 
 
-def _train(train_set, cfg: CodecConfig, seed: int, snr_band, frozen):
+def _train(train_set, cfg: CodecConfig, seed: int, draws):
     """A fresh codec trained for cfg.recon_epochs on reconstruction, then for
-    cfg.task_epochs on the combined task loss, at SNRs drawn from snr_band,
-    with one cosine learning-rate decay over all the epochs."""
+    cfg.task_epochs on the combined task loss, one Adam step per item of
+    `draws` (step_draws), with one cosine learning-rate decay over all the
+    epochs."""
     codec = new_codec(cfg, train_set.packed.shape[1], seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
     states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
     curve = TrainingCurve()
-    n = train_set.packed.shape[0]
-    n_batches = len(range(0, n, cfg.batch_size))
+    n_batches = len(range(0, train_set.packed.shape[0], cfg.batch_size))
     total = cfg.recon_epochs + cfg.task_epochs
     for epoch in range(total):
         task_weight = cfg.task_weight if epoch >= cfg.recon_epochs else None
         lr = _epoch_lr(cfg.lr, epoch, total)
-        order = rng.permutation(n)
         ep_loss = ep_recon = ep_task = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            snr_db = rng.uniform(*snr_band)
-            loss, recon, task = _step(
-                codec, train_set, idx, snr_db, rng, states, lr, task_weight, frozen
-            )
+        for _ in range(n_batches):
+            idx, _, noise, m_first = next(draws)
+            loss, recon, task = _step(codec, train_set, idx, noise, m_first, states, lr, task_weight)
             ep_loss += loss
             ep_recon += recon
             ep_task += task
@@ -339,7 +368,7 @@ def train_no_harq(
     train_set: TrainingSet, cfg: CodecConfig, seed: int, snr_band: tuple[float, float]
 ) -> tuple[SemanticCodec, TrainingCurve]:
     """Two-step training: reconstruction first, then combined task loss."""
-    return _train(train_set, cfg, seed, snr_band, None)
+    return _train(train_set, cfg, seed, step_draws(train_set, cfg, seed, snr_band, None))
 
 
 def train_harq2_pair(
@@ -348,13 +377,19 @@ def train_harq2_pair(
     cfg: CodecConfig,
     seed: int,
     snr_band: tuple[float, float],
+    draws=None,
 ) -> tuple[SemanticCodec, TrainingCurve]:
     """Train a second codec on the residual of a frozen first pair.
 
     The loss compares the sum of both reconstructions against the source, so
     the second pair learns to correct what the first pair misses at the
-    (lower) training SNR range.
+    (lower) training SNR range. `draws`, if given, are the items of
+    step_draws(train_set, cfg, seed, snr_band, first) made elsewhere
+    (harness.train_all streams them from another process); training on them
+    is bitwise training on its own.
     """
     if train_set.packed.shape[1] != first.n_in:
         raise ValueError("training set width does not match the frozen codec")
-    return _train(train_set, cfg, seed, snr_band, first)
+    if draws is None:
+        draws = step_draws(train_set, cfg, seed, snr_band, first)
+    return _train(train_set, cfg, seed, draws)

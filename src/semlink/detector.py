@@ -12,7 +12,10 @@ The rank corpus is two arrays: per query, the pooled reference map and its
 K samplings' pooled maps, and the samplings' true similarities. It is
 sampled through harq.SemanticSource, the source every semantic session runs
 from, so a corpus sampling is the reception a session round makes: the same
-pooled map and true similarity (scenegen.SentCells.score).
+pooled map and true similarity (scenegen.SentCells.score). Its channel is the
+link's own arithmetic on each sampling's payload-cell parts
+(link.receive_cells); those parts need no codec (corpus_links), so
+harness.train_all draws them while the codec trains.
 The scorer is stored in harness.train_all's one bundle.ckpt, and the
 calibration table is computed with nnkit.stored copies of its nets.
 """
@@ -27,7 +30,8 @@ import numpy as np
 
 from . import codec as codec_mod
 from . import nnkit
-from .link import LinkSeeds, transmit_symbols
+from .channel import noise_variance
+from .link import LinkSeeds, RoundDraws, receive_cells
 from .scenegen import generate_scene
 from .seeding import derive_seed
 from .tensors import _frozen
@@ -351,7 +355,22 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((below + 0.5 * (upto - below)).sum() / (pos.size * neg.size))
 
 
-def build_corpus(cfg, head, codec) -> RankCorpus:
+def corpus_links(cfg) -> np.ndarray:
+    """The link parts of every rank-corpus sampling: (Q, 4, K, n), per query
+    the (H, a, z, b) of link.RoundDraws.cells on the n = cfg.codec.n_cu
+    payload cells, at the link seeds of each of its K samplings. They depend
+    on the config alone, so harness.train_all draws them while pair 1 trains."""
+    det, n = cfg.detector, cfg.codec.n_cu
+    ms = derive_seed(cfg.experiment.master_seed, "corpus")
+    profile = cfg.channel_profile()
+    links = np.empty((det.corpus_queries, 4, len(det.corpus_snr_db), n), dtype=np.complex128)
+    for q in range(det.corpus_queries):
+        for k in range(len(det.corpus_snr_db)):
+            links[q, :, k] = RoundDraws(cfg.ofdm, profile, LinkSeeds.derive(ms, "corpus", q, k)).cells(n)
+    return links
+
+
+def build_corpus(cfg, head, codec, links: np.ndarray) -> RankCorpus:
     """Rank corpus of an experiment config from the full link:
     cfg.detector.corpus_queries sources, each sent once at every SNR of
     cfg.detector.corpus_snr_db and pooled to cfg.detector.pool.
@@ -360,26 +379,34 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     pair and no scorer; its reference map (maps[q, 0]) comes from the masked
     feature actually transmitted, and sampling k (maps[q, 1 + k] and
     s_true[q, k]) is the source's reception of an independent channel draw
-    at the k-th listed SNR; the K are decoded and scored as one batch. The
-    arrays are rounded to float32 once (and held as float64): the precision
-    the scorer is trained and calibrated on.
+    at the k-th listed SNR, through link.receive_cells on that draw's
+    payload-cell parts, links[q, :, k] (corpus_links of cfg); the K are
+    decoded and scored as one batch. The arrays are rounded to float32 once
+    (and held as float64): the precision the scorer is trained and
+    calibrated on.
     """
     from .harq import SemanticSource  # harq imports this module
 
     det = cfg.detector
     ms = derive_seed(cfg.experiment.master_seed, "corpus")
-    profile = cfg.channel_profile()
     cells = cfg.mask_cells()
     n_snr = len(det.corpus_snr_db)
+    shape = (det.corpus_queries, 4, n_snr, codec.n_cu)
+    if links.shape != shape:
+        raise ValueError(f"corpus link parts of shape {links.shape} do not fit this corpus and codec: {shape}")
+    # per SNR, noise_variance as the (1, 1) array that a lone transmit call makes
+    var = np.array([[noise_variance(snr_db)] for snr_db in det.corpus_snr_db])
     maps = np.empty((det.corpus_queries, 1 + n_snr, det.pool * det.pool))
     s_true = np.empty((det.corpus_queries, n_snr))
     for q in range(det.corpus_queries):
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
         src = SemanticSource(codec, None, None, head, scene, f, cells, det.pool)
         maps[q, 0] = src.ref_pooled.reshape(-1)
-        rx = np.stack([
-            transmit_symbols(src.sym_first, cfg.ofdm, profile, snr_db, LinkSeeds.derive(ms, "corpus", q, k))
-            for k, snr_db in enumerate(det.corpus_snr_db)
+        # one call per sampling, in the shapes of a lone transmit call: numpy
+        # multiplies a (K, 1) stack of one-symbol payloads in another loop,
+        # which rounds some rows differently
+        rx = np.concatenate([
+            receive_cells(src.sym_first, *links[q, :, k], var[k : k + 1])[0] for k in range(n_snr)
         ])
         pooled, _, s_true[q] = src.receive(codec_mod.decode(codec, rx))
         maps[q, 1:] = pooled.reshape(n_snr, -1)

@@ -1,11 +1,12 @@
 """Experiment harness: training orchestration, seeded session sweeps and
 the tables both write.
 
-train_all runs on two processes once the first codec pair is trained: the
-detector chain (rank corpus, ranker, calibration) in a forked child, the
-second codec pair in the calling process. The two chains share only the
-stored first pair and draw from their own derived seeds, so the artifacts do
-not depend on which process runs which chain.
+train_all runs on three processes: the codec pairs' Adam steps in the
+calling process, the detector chain (rank corpus, ranker, calibration) in a
+child forked once the training set is built, and pair 2's random draws in a
+producer forked once pair 1 is stored. The chains share only the stored
+first pair and draw from their own derived seeds, so the artifacts do not
+depend on which process runs which chain.
 
 Every table a run writes, the training curves, the detector calibration and
 the two sweep CSVs, goes through _write_csv and its one cell rule.
@@ -138,15 +139,23 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     is built from it, the ranker trains and calibrates on that corpus, and the
     calibration table is computed with the stored scorer.
 
-    Once pair 1 is stored, its two consumers run at the same time: a forked
-    child process runs the detector chain (_train_detector) while this
-    process trains pair 2. Neither reads the other's output and each stage
-    draws from its own derive_seed, so every artifact is byte-identical to
-    running them one after the other. The child sends the stored scorer back
-    as one pickled object, its float64 weights exact. An exception in the
-    child is raised here with its type and message; a child that exits
-    without sending is a ValueError naming its exit code; if pair 2 fails,
-    the child is stopped. No child outlives the call.
+    The work runs on three processes, each stage on its own derive_seed, so
+    every artifact is byte-identical to running the stages one after another:
+    - this process trains pair 1, then pair 2: every Adam step runs here;
+    - the detector child, forked once the training set is built, draws the
+      link parts of every corpus sampling while pair 1 trains
+      (detector.corpus_links), then receives the stored pair 1 and runs the
+      detector chain (_train_detector). It sends back the stored scorer as one
+      pickled object, its float64 weights exact;
+    - the producer, forked once pair 1 is stored, makes pair 2's random draws
+      (codec.step_draws: the batches, the noise and the frozen pair's target)
+      and streams them, one per step, to pair 2's training here.
+    Failures: between pair 2's steps this process waits on both children's
+    pipes, so a detector error is raised at the next pair-2 step, not after
+    the last. An exception in a child is raised here with its type and
+    message; a child that exits without sending is a ValueError naming its
+    exit code. If any stage fails, both children are stopped. No child
+    outlives the call.
 
     The returned bundle is bitwise equal to what load_bundle gives for
     out_dir. Files are staged beside out_dir and moved in once every stage
@@ -165,21 +174,29 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
         tset = build_training_set(cfg, head)
         band1 = (cfg.codec_pair1.snr_lo, cfg.codec_pair1.snr_hi)
         band2 = (cfg.codec_pair2.snr_lo, cfg.codec_pair2.snr_hi)
+        seed2 = derive_seed(ms, "codec-pair2")
 
-        say("training first codec pair")
-        c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
-        c_p1 = replace(c_p1, encoder=nnkit.stored(c_p1.encoder), decoder=nnkit.stored(c_p1.decoder))
-
-        say("building detector corpus and training similarity scorer in a child process")
+        say("drawing the detector corpus's links in a child process")
         ctx = multiprocessing.get_context("fork")
-        reply, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_detector_child, args=(send, cfg, head, c_p1, work))
-        child.start()
-        send.close()
+        detector = _Child(ctx, "detector training", lambda conn: _detector_chain(conn, cfg, head, work))
+        children = [detector]
         try:
-            say("training second codec pair on the frozen residual")
+            say("training first codec pair")
+            c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
+            c_p1 = replace(c_p1, encoder=nnkit.stored(c_p1.encoder), decoder=nnkit.stored(c_p1.decoder))
+            try:
+                detector.conn.send(c_p1)
+            except ConnectionError:
+                pass  # the child has exited: what it sent, or its exit code, is raised below
+
+            say("training second codec pair on the frozen residual, its draws made in a child process")
+            producer = _Child(
+                ctx, "pair 2 draws", lambda conn: codec_mod.step_draws(tset, cfg.codec, seed2, band2, c_p1)
+            )
+            children.append(producer)
+            received = []
             c_p2, curve_p2 = codec_mod.train_harq2_pair(
-                c_p1, tset, cfg.codec, derive_seed(ms, "codec-pair2"), band2
+                c_p1, tset, cfg.codec, seed2, band2, _watched(producer, detector, received)
             )
             c_p2 = replace(c_p2, encoder=nnkit.stored(c_p2.encoder), decoder=nnkit.stored(c_p2.decoder))
             _write_csv(work / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
@@ -188,13 +205,15 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
                 for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
                 for epoch, loss in enumerate(series, start=1)
             ])
-            scorer = _receive_scorer(reply, child)
+            scorer = received[0] if received else detector.receive()
         except BaseException:
-            child.terminate()
+            for child in children:
+                child.proc.terminate()
             raise
         finally:
-            child.join()
-            reply.close()
+            for child in children:
+                child.proc.join()
+                child.conn.close()
         _write_bundle(work / BUNDLE, c_p1, c_p2, scorer)
 
         out.mkdir(exist_ok=True)
@@ -206,12 +225,15 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     return RuntimeBundle(cfg, head, c_p1, c_p2, scorer)
 
 
-def _train_detector(cfg: ExperimentConfig, head: ProxyHead, pair1, work: Path) -> det_mod.SimilarityScorer:
-    """The detector chain on the stored pair 1: the rank corpus, the ranker
-    and its calibration. Writes train_detector.csv and
-    detector_calibration.csv into work and returns the stored scorer."""
+def _train_detector(
+    cfg: ExperimentConfig, head: ProxyHead, pair1, links, work: Path
+) -> det_mod.SimilarityScorer:
+    """The detector chain on the stored pair 1: the rank corpus (on `links`,
+    detector.corpus_links of cfg), the ranker and its calibration. Writes
+    train_detector.csv and detector_calibration.csv into work and returns the
+    stored scorer."""
     ms = cfg.experiment.master_seed
-    corpus = det_mod.build_corpus(cfg, head, pair1)
+    corpus = det_mod.build_corpus(cfg, head, pair1, links)
     scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
     scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))
     scorer = det_mod.calibrate_scorer(scorer, corpus)
@@ -226,30 +248,69 @@ def _train_detector(cfg: ExperimentConfig, head: ProxyHead, pair1, work: Path) -
     return scorer
 
 
-def _detector_child(conn, cfg, head, pair1, work) -> None:
-    """train_all's child process: _train_detector, then one message on conn,
-    ("scorer", the stored scorer) or ("error", the exception it raised)."""
+def _detector_chain(conn, cfg, head, work):
+    """The detector child's one item: the corpus's link parts are drawn
+    first, needing no codec, then the stored pair 1 is read from conn and
+    _train_detector runs on it."""
+    links = det_mod.corpus_links(cfg)
+    yield _train_detector(cfg, head, conn.recv(), links, work)
+
+
+class _Child:
+    """A forked process of train_all, and this end of its duplex pipe.
+
+    The child runs items(its end of the pipe) and sends ("item", x) for each
+    x it yields, or ("error", exc) for the exception that stopped it; then it
+    exits."""
+
+    def __init__(self, ctx, what: str, items):
+        self.what = what
+        self.conn, end = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(end, self.conn, items))
+        self.proc.start()
+        end.close()
+
+    def receive(self):
+        """The child's next item; raises the exception it sent, or a
+        ValueError naming its exit code if it exits without sending."""
+        try:
+            kind, payload = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise ValueError(
+                f"{self.what} process exited with code {self.proc.exitcode} before sending its result"
+            ) from None
+        if kind == "error":
+            raise payload
+        return payload
+
+
+def _serve(conn, parent_end, items) -> None:
+    """A _Child's process: send what items(conn) yields, then close. It
+    closes its copy of the parent's end first, so that it reads EOF, not a
+    hang, if the parent goes."""
+    parent_end.close()
     try:
-        message = ("scorer", _train_detector(cfg, head, pair1, work))
+        for item in items(conn):
+            conn.send(("item", item))
     except Exception as exc:
-        message = ("error", exc)
-    conn.send(message)
+        conn.send(("error", exc))
     conn.close()
 
 
-def _receive_scorer(conn, child) -> det_mod.SimilarityScorer:
-    """The scorer that _detector_child sends; raises its exception, or a
-    ValueError if it exits without sending."""
-    try:
-        kind, payload = conn.recv()
-    except EOFError:
-        child.join()
-        raise ValueError(
-            f"detector training process exited with code {child.exitcode} before sending the scorer"
-        ) from None
-    if kind == "error":
-        raise payload
-    return payload
+def _watched(producer: _Child, detector: _Child, received: list):
+    """The producer's items, one per next(), waiting on the detector's pipe
+    too until the detector has sent its item: that item is appended to
+    `received`, and the exception it sends, or its exit, is raised at once."""
+    while True:
+        # _Child's Pipe has loaded multiprocessing.connection; a sweep-only
+        # process never loads it
+        waiting = [producer.conn] if received else [producer.conn, detector.conn]
+        ready = multiprocessing.connection.wait(waiting)
+        if detector.conn in ready:
+            received.append(detector.receive())
+        if producer.conn in ready:
+            yield producer.receive()
 
 
 def _nets(pair1, pair2, scorer) -> tuple:

@@ -298,7 +298,8 @@ class BaselineSource:
     computed as it is built. Every array it hands out is read-only. A round's
     Reception carries the dequantized codes as its message and no score: the
     CRC judges it. Its loss is scored on the sent cells alone, like
-    SemanticSource's (scenegen.SentCells.score).
+    SemanticSource's, and no confidence map is made of it
+    (scenegen.SentCells.loss).
     """
 
     def __init__(
@@ -317,14 +318,14 @@ class BaselineSource:
         pad = np.zeros((-self.payload_bits.size) % int(math.log2(mod_order)), dtype=np.uint8)
         self.chunk = _frozen(qam_map(np.concatenate([self.payload_bits, pad]), mod_order))
         self.codeword = _frozen(np.tile(self.chunk, copies))
-        self.ref_loss = float(self.sent.score(self.ref_message, head)[0])
+        self.ref_loss = float(self.sent.loss(self.ref_message, head))
 
     def reception(self, combined: np.ndarray) -> list[tuple[bool, Reception]]:
         """Per row of combined chunks (B, chunk): whether the CRC of its
         frame passes, and the unscored Reception of its dequantized codes."""
         frames = np.packbits(qam_demap_hard(combined, self.mod_order)[..., : self.payload_bits.size], axis=-1)
         messages = _frozen(self.quantizer.dequantize(frames[..., : frames.shape[-1] - CRC24_BITS // 8]))
-        losses = self.sent.score(messages, self.head)[0].tolist()
+        losses = self.sent.loss(messages, self.head).tolist()
         return [
             (bool(ok), Reception(m, x, true_similarity(self.ref_loss, x), None))
             for ok, m, x in zip(crc24(frames) == 0, messages, losses)

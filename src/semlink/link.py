@@ -19,10 +19,14 @@ it equals estimate(H_p*p) + sigma*estimate(z_p) up to rounding. So a round
 makes two estimates per set of data rows, not one per SNR: a, from the
 noiseless pilots, which is what a noiseless call uses, and b, from the pilot
 rows' noise alone, on the first noisy call. A transmit call at noise standard
-deviation sigma then works on its n payload cells only: it receives
-H*x + sigma*z, estimates a + sigma*b, and equalizes with rxdsp.equalize_mmse.
-A noiseless call draws no noise and makes no b. A call given a 1-D array of
-SNRs runs them as one batch, each row bitwise that call at its SNR alone.
+deviation sigma then works on its n payload cells only, through
+receive_cells, the one function of (symbols, H, a, z, b, sigma^2): it
+receives H*x + sigma*z, estimates a + sigma*b, and equalizes with
+rxdsp.equalize_mmse. A noiseless call draws no noise and makes no b. A call
+given a 1-D array of SNRs runs them as one batch, each row bitwise that call
+at its SNR alone. The rank corpus keeps only the payload-cell parts of its
+samplings (RoundDraws.cells) and receives them through receive_cells too
+(detector.build_corpus), so it cannot drift from the link.
 
 Its oracle (tests/test_link.py) runs the receiver on every row of the full
 grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse
@@ -110,6 +114,28 @@ class RoundDraws:
             self._noisy[data_rows] = (_frozen(z[n_p:].reshape(-1)), b)
         return self._noisy[data_rows]
 
+    def cells(self, n: int, noisy: bool = True) -> tuple[np.ndarray, ...]:
+        """(H, a, z, b) on the first n payload cells, what receive_cells reads
+        of this round for an n-symbol payload at any SNR; (H, a) if not
+        noisy, which draws no noise."""
+        data_rows = self.cfg.data_rows_idx[: -(-n // self.cfg.l_fft)]
+        parts = self.clean(data_rows) + (self.noisy(data_rows) if noisy else ())
+        return tuple(part[:n] for part in parts)
+
+
+def receive_cells(symbols, h, a, z=None, b=None, noise_var=None):
+    """The link on n payload cells: symbols sent through the channel h with
+    noise sigma*z, sigma = sqrt(noise_var), estimated as a + sigma*b and
+    MMSE-equalized; returns (equalized, estimate). Without z and b the call
+    is noiseless. Parts of shape (n,) with a (B, 1) noise_var give (B, n)
+    rows, one per noise variance, each bitwise that of a (1, 1) call."""
+    rx = h * symbols
+    if z is None:
+        return rxdsp.equalize_mmse(rx, a, 0.0), a
+    sigma = np.sqrt(noise_var)
+    rx, est = rx + sigma * z, a + sigma * b
+    return rxdsp.equalize_mmse(rx, est, noise_var), est
+
 
 def _transmit(
     symbols: np.ndarray,
@@ -130,18 +156,11 @@ def _transmit(
         draws = RoundDraws(cfg, profile, seeds)
     elif (draws.seeds, draws.cfg, draws.profile) != (seeds, cfg, profile):
         raise ValueError("round draws were made for other seeds, config or channel profile")
-    data_rows = cfg.data_rows_idx[: -(-n // cfg.l_fft)]
-
-    response, a = draws.clean(data_rows)
-    rx, h = response[:n] * symbols, a[:n]
     if snr_db is None:
-        return rxdsp.equalize_mmse(rx, h, 0.0), h, 0.0
+        return (*receive_cells(symbols, *draws.cells(n, noisy=False)), 0.0)
     # one scalar noise_variance per SNR: each row's sigma is that of a lone call
     var = np.array([[chan.noise_variance(s)] for s in np.ravel(snr_db).tolist()])
-    z, b = draws.noisy(data_rows)
-    sigma = np.sqrt(var)
-    rx, h = rx + sigma * z[:n], h + sigma * b[:n]
-    eq = rxdsp.equalize_mmse(rx, h, var)
+    eq, h = receive_cells(symbols, *draws.cells(n), var)
     return (eq, h, var[:, 0]) if np.ndim(snr_db) else (eq[0], h[0], float(var[0, 0]))
 
 

@@ -8,8 +8,9 @@ out to the scene targets exactly and corruption shows up as perception loss.
 perception_loss and confidence_map score a whole (C, H, W) feature; they are
 the definition. A masked reception is scored on the k cells its mask sends
 alone (SentCells), by one arithmetic: per batch of messages for sessions
-and the rank corpus (SentCells.score), batched with its gradient for codec
-training (perception_loss_grad). A cell not sent holds a zero feature, so its terms
+and the rank corpus (SentCells.score, or SentCells.loss where no map is
+read), batched with its gradient for codec training
+(perception_loss_grad). A cell not sent holds a zero feature, so its terms
 depend on the scene alone and are summed once (SentCells.rest): the map is
 confidence_map's bit for bit, the loss perception_loss's up to rounding.
 """
@@ -196,10 +197,23 @@ class SentCells:
     def rows(self, idx) -> "SentCells":
         return SentCells(*(getattr(self, fld.name)[idx] for fld in fields(self)))
 
+    def loss(self, messages: np.ndarray, head: ProxyHead) -> np.ndarray:
+        """The perception losses (...) of messages (..., C*k), each row 0's
+        feature: the message on its sent cells in packed order, zero
+        elsewhere; perception_loss_grad's loss."""
+        return self._read(messages, head)[0]
+
     def score(self, messages: np.ndarray, head: ProxyHead) -> tuple[np.ndarray, np.ndarray]:
-        """The perception losses (...) and (..., H, W) confidence maps of
-        messages (..., C*k), each row 0's feature: the message on its sent
-        cells in packed order, zero elsewhere; perception_loss_grad's loss."""
+        """The losses (loss) and the (..., H, W) confidence maps of messages
+        (..., C*k)."""
+        loss, p = self._read(messages, head)
+        cmap = np.full((len(p), *self.cells.shape[1:]), 0.5)
+        cmap[:, self.cells[0]] = p
+        return loss, cmap.reshape(loss.shape + cmap.shape[1:])
+
+    def _read(self, messages, head: ProxyHead) -> tuple[np.ndarray, np.ndarray]:
+        """The losses (...) of messages (..., C*k) and the (B, k) occupancy
+        probabilities of their B rows on the sent cells."""
         messages = np.asarray(messages, dtype=np.float64)
         c, k = head.basis.shape[0], self.active.shape[1]
         if messages.shape[-1:] != (c * k,):
@@ -208,9 +222,7 @@ class SentCells:
         if not np.isfinite(f).all():
             raise ValueError("feature tensor entries must be finite")
         loss, _, p = _sent_terms(f, self, head)
-        cmap = np.full((len(f), *self.cells.shape[1:]), 0.5)
-        cmap[:, self.cells[0]] = p
-        return loss.reshape(messages.shape[:-1]), cmap.reshape(messages.shape[:-1] + cmap.shape[1:])
+        return loss.reshape(messages.shape[:-1]), p
 
 
 def sent_cells(scenes, masks) -> SentCells:

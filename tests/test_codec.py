@@ -275,9 +275,19 @@ def _state_bits(codec, states):
     return [a.tobytes() for a in arrays]
 
 
+def _step_draw(rng, ts, idx, n_cu, frozen, roundtrip=surrogate_roundtrip, snr_db=2.5):
+    """One step's (noise, m_first) from rng in step_draws' order: the noise
+    of the batch's symbols, then the frozen pair's mean reconstruction over
+    _FROZEN_DRAWS round trips (None without a frozen pair)."""
+    noise = np.sqrt(noise_variance(snr_db) / 2.0) * rng.standard_normal((len(idx), 2 * n_cu))
+    if frozen is None:
+        return noise, None
+    return noise, roundtrip(frozen, ts.packed[idx], snr_db, rng, codec_mod._FROZEN_DRAWS)
+
+
 @pytest.mark.parametrize("rows", [64, 32])  # a full batch and the bench config's last one
 @pytest.mark.parametrize("with_task", [False, True])
-def test_fused_pair2_step_matches_sequential_draws(rows, with_task, monkeypatch):
+def test_fused_pair2_step_matches_sequential_draws(rows, with_task):
     # oracle: the frozen pair's reconstruction as the mean of _FROZEN_DRAWS
     # sequential single-draw round trips, each re-running the frozen encoder
     cfg, ts = _tiny_train_set()
@@ -285,23 +295,60 @@ def test_fused_pair2_step_matches_sequential_draws(rows, with_task, monkeypatch)
     n_in = ts.packed.shape[1]
     frozen = new_codec(ccfg, n_in, seed=1)
     idx = np.random.default_rng(3).integers(0, ts.packed.shape[0], size=rows)
-    single = codec_mod.surrogate_roundtrip
 
     def sequential(codec, packed, snr_db, rng, draws=1):
-        return np.mean([single(codec, packed, snr_db, rng) for _ in range(draws)], axis=0)
+        return np.mean([surrogate_roundtrip(codec, packed, snr_db, rng) for _ in range(draws)], axis=0)
 
     results = []
-    for roundtrip in (single, sequential):
-        monkeypatch.setattr(codec_mod, "surrogate_roundtrip", roundtrip)
+    for roundtrip in (surrogate_roundtrip, sequential):
         codec = new_codec(ccfg, n_in, seed=2)
         states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
         rng = np.random.default_rng(4)
         for _ in range(2):  # the second step runs on moved weights and moments
+            noise, m_first = _step_draw(rng, ts, idx, ccfg.n_cu, frozen, roundtrip)
             losses = codec_mod._step(
-                codec, ts, idx, 2.5, rng, states, 2e-3, 0.5 if with_task else None, frozen
+                codec, ts, idx, noise, m_first, states, 2e-3, 0.5 if with_task else None
             )
         results.append((losses, _state_bits(codec, states), rng.bit_generator.state))
     assert results[0] == results[1]
+
+
+def _inline_draws(ts, cfg, seed, snr_band, frozen):
+    """The training draws as the epoch loop once took them inline, from one
+    PCG64(seed) stream: per epoch a permutation; per batch a uniform SNR, the
+    noise of the encoded symbols and, with a frozen pair, _FROZEN_DRAWS
+    single-draw round trips averaged."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = ts.packed.shape[0]
+    for _ in range(cfg.recon_epochs + cfg.task_epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            snr_db = rng.uniform(*snr_band)
+            noise, m_first = _step_draw(rng, ts, idx, cfg.n_cu, None, snr_db=snr_db)
+            if frozen is not None:
+                batch = ts.packed[idx]
+                m_first = np.mean([surrogate_roundtrip(frozen, batch, snr_db, rng)
+                                   for _ in range(codec_mod._FROZEN_DRAWS)], axis=0)
+            yield idx, snr_db, noise, m_first
+
+
+@pytest.mark.parametrize("pair", [1, 2])
+def test_step_draws_are_the_inline_draw_order(pair):
+    cfg, ts = _tiny_train_set()
+    ccfg = replace(cfg.codec, batch_size=20, recon_epochs=2, task_epochs=1)
+    frozen = new_codec(ccfg, ts.packed.shape[1], seed=1) if pair == 2 else None
+    got = list(codec_mod.step_draws(ts, ccfg, 17, (0.0, 6.0), frozen))
+    want = list(_inline_draws(ts, ccfg, 17, (0.0, 6.0), frozen))
+    assert len(got) == len(want) == 3 * len(range(0, ts.packed.shape[0], ccfg.batch_size))
+    assert len(got[-1][0]) < ccfg.batch_size  # a short last batch is drawn too
+    for (idx, snr, noise, m_first), (w_idx, w_snr, w_noise, w_first) in zip(got, want):
+        assert idx.tobytes() == w_idx.tobytes() and snr == w_snr
+        assert noise.shape == (len(idx), 2 * ccfg.n_cu) and noise.tobytes() == w_noise.tobytes()
+        if pair == 1:
+            assert m_first is None and w_first is None
+        else:
+            assert m_first.tobytes() == w_first.tobytes()
 
 
 def _tiny_scenes_and_masks(cfg, ts):
@@ -342,8 +389,10 @@ def test_task_step_matches_whole_grid_oracle(pair, monkeypatch):
         codec = new_codec(ccfg, n_in, seed=2)
         states = (nnkit.AdamState.init(codec.encoder), nnkit.AdamState.init(codec.decoder))
         rng = np.random.default_rng(4)
-        # the second step runs on moved weights and moments
-        losses = [codec_mod._step(codec, ts, idx, 2.5, rng, states, 2e-3, 0.5, frozen) for _ in range(2)]
+        losses = []
+        for _ in range(2):  # the second step runs on moved weights and moments
+            noise, m_first = _step_draw(rng, ts, idx, ccfg.n_cu, frozen)
+            losses.append(codec_mod._step(codec, ts, idx, noise, m_first, states, 2e-3, 0.5))
         results.append((losses, _state_bits(codec, states)))
     (losses, bits), (oracle_losses, oracle_bits) = results
     assert bits == oracle_bits

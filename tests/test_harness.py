@@ -26,7 +26,7 @@ from conftest import score, tiny_config
 from semlink import codec
 from semlink import config as config_mod
 from semlink import detector
-from semlink import harness, harq, rxdsp
+from semlink import harness, harq, nnkit, rxdsp
 from semlink.config import default_config_text
 from semlink.harq import (
     BaselineSource,
@@ -224,7 +224,8 @@ def test_corpus_rebuild_matches_training(tiny_dir, tiny_bundle, tmp_path):
     # as the calibration table the stored scorer makes of it shows, only if
     # training built it from the same stored weights
     cfg = tiny_config(seed=4242)
-    corpus = detector.build_corpus(cfg, harness.make_head(cfg), tiny_bundle.codec_pair1)
+    links = detector.corpus_links(cfg)
+    corpus = detector.build_corpus(cfg, harness.make_head(cfg), tiny_bundle.codec_pair1, links)
     harness._write_calibration(tmp_path / "calibration.csv", cfg, corpus, tiny_bundle.scorer)
     name = "detector_calibration.csv"
     assert (tmp_path / "calibration.csv").read_bytes() == (tiny_dir / name).read_bytes()
@@ -265,7 +266,10 @@ def _corpus_from_parts(cfg, head, codec_obj):
 
 def test_corpus_matches_its_construction_from_parts(tiny_bundle):
     cfg = tiny_bundle.cfg
-    corpus = detector.build_corpus(cfg, tiny_bundle.head, tiny_bundle.codec_pair1)
+    links = detector.corpus_links(cfg)
+    assert links.shape == (cfg.detector.corpus_queries, 4, len(cfg.detector.corpus_snr_db), cfg.codec.n_cu)
+    assert links.dtype == np.complex128
+    corpus = detector.build_corpus(cfg, tiny_bundle.head, tiny_bundle.codec_pair1, links)
     expect = _corpus_from_parts(cfg, tiny_bundle.head, tiny_bundle.codec_pair1)
     n_snr, cells = len(cfg.detector.corpus_snr_db), cfg.detector.pool**2
     assert corpus.maps.shape == (len(expect), 1 + n_snr, cells) and corpus.maps.dtype == np.float64
@@ -277,6 +281,10 @@ def test_corpus_matches_its_construction_from_parts(tiny_bundle):
         assert s_true.tobytes() == s_expect.tobytes()
     # the corpus spans more than one similarity, or the check above is weak
     assert len(set(corpus.s_true.reshape(-1).tolist())) > 1
+    # link parts for another corpus or codec are refused
+    for bad in (links[1:], links[..., 1:]):
+        with pytest.raises(ValueError, match="do not fit"):
+            detector.build_corpus(cfg, tiny_bundle.head, tiny_bundle.codec_pair1, bad)
 
 
 def test_sessions_and_the_corpus_score_only_the_sent_cells(bundle, tmp_path, monkeypatch):
@@ -303,7 +311,7 @@ def test_sessions_and_the_corpus_score_only_the_sent_cells(bundle, tmp_path, mon
     for name in ("sessions.csv", "summary.csv"):
         assert (tmp_path / "guarded" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
     small = config_mod.override(bundle.cfg, "detector", corpus_queries=2)
-    corpus = detector.build_corpus(small, bundle.head, bundle.codec_pair1)
+    corpus = detector.build_corpus(small, bundle.head, bundle.codec_pair1, detector.corpus_links(small))
     assert corpus.s_true.shape == (2, len(small.detector.corpus_snr_db))
 
 
@@ -1312,6 +1320,130 @@ def test_train_all_names_the_exit_code_of_a_detector_process_that_dies(tiny_dir,
 
     monkeypatch.setattr(detector, "build_corpus", dying_corpus)
     _failed_train(tiny_dir, tmp_path, "exited with code 3")
+
+
+def test_train_all_raises_a_detector_error_before_pair_2_ends(tiny_dir, tmp_path, monkeypatch):
+    # between pair 2's steps train_all waits on the detector's pipe too, so
+    # the detector's error stops training at once, not after pair 2's last
+    # step: a pair-2 step waits for the corpus to fail, and each step then
+    # takes 100 ms, time enough for the error to arrive
+    failed = tmp_path / "corpus-failed"
+    steps = []
+    step = codec._step
+
+    def failing_corpus(*args):
+        failed.touch()
+        raise ValueError("boom")
+
+    def slow_step(c, ts, idx, noise, m_first, *args):
+        if m_first is not None:
+            deadline = time.monotonic() + 20
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            steps.append(len(idx))
+            time.sleep(0.1)
+        return step(c, ts, idx, noise, m_first, *args)
+
+    monkeypatch.setattr(detector, "build_corpus", failing_corpus)
+    monkeypatch.setattr(codec, "_step", slow_step)
+    assert type(_failed_train(tiny_dir, tmp_path, "^boom$")) is ValueError
+    ccfg = tiny_config(seed=4242).codec
+    total = (ccfg.recon_epochs + ccfg.task_epochs) * len(range(0, ccfg.train_samples, ccfg.batch_size))
+    assert len(steps) < total  # none, if the error came before pair 2's first draw
+
+
+class DrawError(ValueError):
+    pass
+
+
+def test_train_all_raises_the_producer_error(tiny_dir, tmp_path, monkeypatch):
+    # pair 2's draws are made in a producer process (only pair 2 has a frozen
+    # pair to round-trip); its exception is raised here with its type and
+    # message, and the detector process is stopped
+    pid = tmp_path / "producer-pid"
+
+    def failing_roundtrip(*args):
+        pid.write_text(str(os.getpid()))
+        raise DrawError("no draw")
+
+    monkeypatch.setattr(codec, "surrogate_roundtrip", failing_roundtrip)
+    assert type(_failed_train(tiny_dir, tmp_path, "^no draw$")) is DrawError
+    assert int(pid.read_text()) != os.getpid()
+
+
+def test_train_all_names_the_exit_code_of_a_producer_that_dies(tiny_dir, tmp_path, monkeypatch):
+    def dying_roundtrip(*args):
+        os._exit(5)
+
+    monkeypatch.setattr(codec, "surrogate_roundtrip", dying_roundtrip)
+    _failed_train(tiny_dir, tmp_path, "pair 2 draws process exited with code 5")
+
+
+def test_train_all_stops_the_detector_process_when_pair_1_fails(tiny_dir, tmp_path, monkeypatch):
+    # the detector process starts before pair 1, drawing the corpus's links
+    def failing_pair1(*args):
+        raise ValueError("pair 1 failed")
+
+    monkeypatch.setattr(codec, "train_no_harq", failing_pair1)
+    _failed_train(tiny_dir, tmp_path, "^pair 1 failed$")
+
+
+def _trained_bits(train, monkeypatch):
+    """The bytes of the nets, the Adam moments and the curve that train()
+    trains, the moments caught as codec._train makes its AdamStates."""
+    made, init = [], nnkit.AdamState.init
+    monkeypatch.setattr(nnkit.AdamState, "init", lambda net: made.append(init(net)) or made[-1])
+    trained, curve = train()
+    monkeypatch.undo()
+    nets = [a.tobytes() for net in (trained.encoder, trained.decoder) for l in net.layers for a in (l.w, l.b)]
+    moments = [a.tobytes() for state in made for pair in state.m + state.v for a in pair]
+    assert len(made) == 2 and all(state.step > 0 for state in made)
+    return trained, (nets, moments, [a.step for a in made], curve)
+
+
+def test_streamed_draws_train_as_in_process_draws_bit_for_bit(monkeypatch):
+    # train_all trains pair 2 on draws that a producer process streams while
+    # the detector's pipe is watched beside it (_watched); either pair
+    # trained that way equals training on step_draws in this process: nets,
+    # Adam moments and curves
+    cfg = tiny_config(seed=4242)
+    ts = harness.build_training_set(cfg, harness.make_head(cfg))
+    ctx = multiprocessing.get_context("fork")
+    frozen = None
+    for seed, band in ((11, (9.0, 18.0)), (12, (0.0, 6.0))):
+
+        def streamed():
+            producer = harness._Child(
+                ctx, "draws", lambda conn: codec.step_draws(ts, cfg.codec, seed, band, frozen)
+            )
+            other = harness._Child(ctx, "detector", lambda conn: iter(["scorer"]))
+            received = []
+            draws = harness._watched(producer, other, received)
+            try:
+                if frozen is None:
+                    trained = codec._train(ts, cfg.codec, seed, draws)
+                else:
+                    trained = codec.train_harq2_pair(frozen, ts, cfg.codec, seed, band, draws)
+                assert (received or [other.receive()]) == ["scorer"]
+            except BaseException:
+                for child in (producer, other):
+                    child.proc.terminate()
+                raise
+            finally:
+                for child in (producer, other):
+                    child.proc.join()
+                    child.conn.close()
+            assert producer.proc.exitcode == other.proc.exitcode == 0
+            return trained
+
+        def in_process():
+            if frozen is None:
+                return codec.train_no_harq(ts, cfg.codec, seed, band)
+            return codec.train_harq2_pair(frozen, ts, cfg.codec, seed, band)
+
+        trained, want = _trained_bits(in_process, monkeypatch)
+        assert _trained_bits(streamed, monkeypatch)[1] == want
+        frozen = trained  # pair 2 trains on the residual of this pair 1
 
 
 def test_train_into_a_file_fails_before_training(tmp_path):

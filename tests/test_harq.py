@@ -584,6 +584,29 @@ def test_baseline_combining_recovers_from_noisy_first_round():
     assert session.rounds_used == session.ack_round == 2
 
 
+def test_baseline_source_builds_no_confidence_map(monkeypatch):
+    # nothing reads a map of a baseline reception, which the CRC judges: its
+    # reference and its rounds are scored by SentCells.loss alone, whose
+    # losses are SentCells.score's bit for bit
+    score = SentCells.score
+
+    def refuse(*args):
+        raise AssertionError("a baseline source built a confidence map")
+
+    def transmit(t, symbols):  # round 1 fails its CRC, round 2 passes
+        noisy = symbols + (0.5 if t == 1 else 0.0)
+        return noisy, np.ones(symbols.size), 1e-12
+
+    monkeypatch.setattr(SentCells, "score", refuse)
+    src = _baseline_source()
+    session = _baseline_session(src, "base1", 3, transmit)
+    monkeypatch.undo()
+    assert session.rounds_used == session.ack_round == 2
+    assert src.ref_loss == float(score(src.sent, src.ref_message, HEAD)[0])
+    for rx in session.rounds:
+        assert rx.task_loss == float(score(src.sent, rx.message, HEAD)[0])
+
+
 def test_baseline_session_validation():
     src = _baseline_source()
     with pytest.raises(ValueError):

@@ -9,10 +9,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_config
 from semlink import channel, ofdm, rxdsp
-from semlink.link import LinkSeeds, RoundDraws, transmit_symbols, transmit_with_state
+from semlink.link import LinkSeeds, RoundDraws, receive_cells, transmit_symbols, transmit_with_state
 from semlink.ofdm import OfdmConfig
 
 TINY = tiny_config().ofdm_config()
@@ -270,3 +272,44 @@ def test_an_snr_batch_is_each_snr_alone_bit_for_bit(snrs):
         assert isinstance(alone[2], float) and alone[2] == noise_var[b] == channel.noise_variance(snr_db)
     with pytest.raises(ValueError, match="snr_db"):
         transmit_symbols(symbols, cfg, PROFILE, (*snrs, float("nan")), seeds, draws=draws)
+
+
+@given(
+    name=st.sampled_from(sorted(CONFIGS)),
+    n=st.integers(0, TINY.payload_capacity),
+    snrs=st.none() | st.lists(st.floats(-10.0, 30.0, allow_nan=False), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_payload_cell_link_is_transmit_with_state_bit_for_bit(name, n, snrs, seed):
+    # receive_cells on a round's payload-cell parts (RoundDraws.cells) is the
+    # link, noiseless and at a 1-D batch of SNRs, and so is a lone SNR as the
+    # rank corpus passes it: parts (n,) and a (1, 1) noise variance
+    cfg = CONFIGS[name]
+    n = min(n, cfg.payload_capacity)
+    symbols = _payload(n, 1.0, seed)
+    seeds = LinkSeeds(pilot=seed, channel=seed + 1, noise=seed + 2)
+    if snrs is None:
+        eq, h, noise_var = transmit_with_state(symbols, cfg, PROFILE, None, seeds)
+        got_eq, got_h = receive_cells(symbols, *RoundDraws(cfg, PROFILE, seeds).cells(n, noisy=False))
+        assert _same_bits(got_eq, eq) and _same_bits(got_h, h) and noise_var == 0.0
+        return
+    parts = RoundDraws(cfg, PROFILE, seeds).cells(n)
+    var = np.array([[channel.noise_variance(x)] for x in snrs])
+    eq, h, noise_var = transmit_with_state(symbols, cfg, PROFILE, snrs, seeds)
+    got_eq, got_h = receive_cells(symbols, *parts, var)
+    assert _same_bits(got_eq, eq) and _same_bits(got_h, h) and _same_bits(var[:, 0], noise_var)
+    eq, h, _ = transmit_with_state(symbols, cfg, PROFILE, snrs[0], seeds)
+    got_eq, got_h = receive_cells(symbols, *parts, var[:1])
+    assert _same_bits(got_eq[0], eq) and _same_bits(got_h[0], h)
+
+
+def test_round_draws_cells_are_its_kept_parts_on_the_payload_cells():
+    seeds = LinkSeeds(pilot=71, channel=72, noise=73)
+    draws = RoundDraws(TINY, PROFILE, seeds)
+    for n, rows in ((5, TINY.data_rows_idx[:1]), (TINY.l_fft + 2, TINY.data_rows_idx[:2])):
+        kept = draws.clean(rows) + draws.noisy(rows)
+        cells = draws.cells(n)
+        assert len(cells) == 4 and all(c.size == n for c in cells)
+        assert all(_same_bits(c, k[:n]) for c, k in zip(cells, kept))
+        assert all(_same_bits(c, k[:n]) for c, k in zip(draws.cells(n, noisy=False), kept[:2]))

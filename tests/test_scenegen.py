@@ -272,6 +272,7 @@ def test_batched_sent_score_is_each_message_alone():
     messages = rng.standard_normal((2, 3, CFG.channels * 7))
     loss, cmap = sent.score(messages, HEAD)
     assert loss.shape == (2, 3) and cmap.shape == (2, 3, CFG.height, CFG.width)
+    assert sent.loss(messages, HEAD).tobytes() == loss.tobytes()  # the same losses, with no map
     for i, message in enumerate(messages.reshape(-1, CFG.channels * 7)):
         one_loss, one_map = sent.score(message, HEAD)
         assert one_loss.shape == () and one_map.shape == (CFG.height, CFG.width)
@@ -284,14 +285,15 @@ def test_sent_score_rejects_a_message_it_cannot_read():
     mask = importance_map(f, 7)
     sent = sent_cells([scene], [mask])
     message = pack_nonzero(f, mask)
-    for bad in (message[:-1], np.append(message, 0.0), np.tile(message, 2), message[:, None]):
-        with pytest.raises(ValueError):
-            sent.score(bad, HEAD)
-    for value in (np.nan, np.inf):
-        broken = message.copy()
-        broken[3] = value
-        with pytest.raises(ValueError, match="finite"):
-            sent.score(broken, HEAD)
+    for read in (sent.score, sent.loss):
+        for bad in (message[:-1], np.append(message, 0.0), np.tile(message, 2), message[:, None]):
+            with pytest.raises(ValueError):
+                read(bad, HEAD)
+        for value in (np.nan, np.inf):
+            broken = message.copy()
+            broken[3] = value
+            with pytest.raises(ValueError, match="finite"):
+                read(broken, HEAD)
 
 
 def test_confidence_map_zero_feature():

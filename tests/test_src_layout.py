@@ -4,8 +4,9 @@ that a src/semlink class sets is read somewhere, every import of
 src/semlink sits at the top of its module and is named in it, every
 parameter default of src/semlink is one that some caller overrides,
 harness._write_csv is the one place that writes a text file, the bundle
-writer the only one that writes a binary file, and importing
-the CLI loads no package but numpy outside the standard library.
+writer the only one that writes a binary file, codec training draws random
+numbers in codec.step_draws alone, and importing the CLI loads no package
+but numpy outside the standard library.
 
 A definition counts as used when its name appears somewhere in src/semlink
 outside its own definition, or in a non-test file of bench/ (the benchmark
@@ -21,6 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semlink
@@ -356,6 +358,58 @@ def test_text_writer_guard_sees_each_form(tmp_path, code, writes):
 def test_binary_writer_guard_sees_each_form(tmp_path, code, writes):
     (tmp_path / "mod.py").write_text(f"def f(p, m):\n    return {code}\n")
     assert _writers("binary", tmp_path) == ({("mod", "f")} if writes else set())
+
+
+# Training's random draws have one home, codec.step_draws, which also calls
+# the surrogate channel's draws for pair 2's frozen-pair target: no other
+# codec function draws, so the draw schedule cannot fork again.
+CODEC_DRAWERS = {"step_draws", "surrogate_roundtrip"}
+_GENERATOR_METHODS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+
+
+def _drawing_functions(path: Path) -> set[str]:
+    """Top-level functions and class methods ("Class.method") of a module
+    that draw random numbers: call a numpy Generator method on anything but
+    the numpy module itself (np.power is no draw), or name np.random."""
+
+    def draws(node: ast.AST) -> bool:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                on_numpy = isinstance(sub.func.value, ast.Name) and sub.func.value.id in ("np", "numpy")
+                if sub.func.attr in _GENERATOR_METHODS and not on_numpy:
+                    return True
+            if isinstance(sub, ast.Attribute) and sub.attr == "random" and isinstance(sub.value, ast.Name):
+                return True
+        return False
+
+    out = set()
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and draws(stmt):
+            out.add(stmt.name)
+        elif isinstance(stmt, ast.ClassDef):
+            out |= {f"{stmt.name}.{m.name}" for m in stmt.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and draws(m)}
+    return out
+
+
+def test_codec_draws_random_numbers_in_step_draws_alone():
+    drawing = _drawing_functions(SRC / "codec.py")
+    assert drawing == CODEC_DRAWERS, f"codec functions that draw: {sorted(drawing)}"
+
+
+@pytest.mark.parametrize(
+    "code,drawing",
+    [("def f(rng):\n    return rng.standard_normal(3)", {"f"}),
+     ("def f(n):\n    return np.random.default_rng(n)", {"f"}),
+     ("def f(r, n):\n    return r.permutation(n)", {"f"}),
+     ("def f(x):\n    def g():\n        return x.uniform()\n    return g", {"f"}),
+     ("class C:\n    def m(self):\n        return self.rng.integers(4)", {"C.m"}),
+     ("def f(x):\n    return x.sum()", set()), ("def f(x):\n    return np.power(x, 2)", set())],
+    ids=["method", "np.random", "permutation", "nested", "class", "none", "np.power"],
+)
+def test_drawing_guard_sees_each_form(tmp_path, code, drawing):
+    (tmp_path / "mod.py").write_text(code + "\n")
+    assert _drawing_functions(tmp_path / "mod.py") == drawing
 
 
 def test_importing_the_cli_loads_numpy_alone():
