@@ -8,10 +8,13 @@ SNR is defined per unit mean symbol power (SIGNAL_POWER): noise_variance is
 the one SNR rule of the link, its MMSE equalizer and the codec's surrogate
 channel.
 
-The link (link.RoundDraws) and its full-grid oracle share realize,
-freq_response and _noise_rows, the one noise rule: each symbol row's noise
-comes from its own stream, so the link draws only the rows it simulates and
-apply draws every row.
+The link (link.RoundDraws) and its full-grid oracle share realize and
+freq_response. The one noise rule: each symbol row's noise comes from its own
+"noise-row" stream, so a row's draws do not depend on which other rows a
+caller simulates. The link draws from it only what its receiver reads
+(noise_cells): on a payload row its payload cells, and on a pilot row the
+l_cp delay taps that the estimator keeps of that row's noise. apply, the
+oracle's channel, draws whole rows (_noise_rows).
 """
 
 from __future__ import annotations
@@ -153,6 +156,22 @@ def freq_response(real: ChannelRealization, cfg: OfdmConfig, rows=None) -> np.nd
     return real.taps[list(rows)] @ phases.T
 
 
+@functools.lru_cache(maxsize=16)
+def _lags(l_fft: int, subcarrier_spacing: float, delays: tuple[float, ...], l_cp: int) -> np.ndarray:
+    """Read-only (n_taps, l_cp) map from tap amplitudes to the first l_cp
+    samples of the inverse DFT of the frequency response: ifft of _phases' columns, cut."""
+    lags = np.fft.ifft(_phases(l_fft, subcarrier_spacing, delays).T, axis=1)[:, :l_cp].copy()
+    lags.setflags(write=False)
+    return lags
+
+
+def delay_response(real: ChannelRealization, cfg: OfdmConfig, rows) -> np.ndarray:
+    """ifft(H[j])[:l_cp] for j in `rows`, shaped (len(rows), l_cp): the delay
+    taps that the LS estimator (rxdsp.estimate) keeps of a noiseless pilot row."""
+    lags = _lags(cfg.l_fft, cfg.subcarrier_spacing, tuple(real.delays.tolist()), cfg.l_cp)
+    return real.taps[list(rows)] @ lags
+
+
 def noise_variance(snr_db: float) -> float:
     """Per-complex-symbol noise variance at snr_db over SIGNAL_POWER; ValueError
     unless snr_db is finite."""
@@ -185,6 +204,22 @@ def apply(
     return rx
 
 
+def noise_cells(noise_seed: int, row: int, n: int, spread: int = 1) -> np.ndarray:
+    """Circular complex Gaussian noise of variance 1/spread on n cells, from
+    symbol row `row`'s stream: a PCG64 generator seeded with
+    derive_seed(noise_seed, "noise-row", row) draws x = standard_normal((n, 2)),
+    and cell k gets (x[k, 0] + 1j * x[k, 1]) / sqrt(2 * spread). A draw of
+    fewer cells is a prefix of a longer one.
+
+    The link draws a payload row's payload cells with spread 1, and a pilot
+    row's l_cp delay taps with spread l_fft: that is the law of the taps the
+    LS estimator keeps of a row of unit-variance white noise over QPSK pilots.
+    """
+    rng = np.random.Generator(np.random.PCG64(derive_seed(noise_seed, "noise-row", row)))
+    x = rng.standard_normal((n, 2))
+    return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0 * spread)
+
+
 def _noise_rows(noise_seed: int, rows, l_fft: int) -> np.ndarray:
     """Unit-variance circular complex Gaussian noise on the symbol rows `rows`,
     shaped (len(rows), l_fft).
@@ -192,7 +227,9 @@ def _noise_rows(noise_seed: int, rows, l_fft: int) -> np.ndarray:
     Noise-stream contract: row j's noise depends only on (noise_seed, j). A
     PCG64 generator seeded with derive_seed(noise_seed, "noise-row", j) draws
     the row's l_fft real parts, then its l_fft imaginary parts; cell k gets
-    (re[k] + 1j * im[k]) / sqrt(2).
+    (re[k] + 1j * im[k]) / sqrt(2). This is the full-grid oracle's noise
+    (apply). The link reads the same streams in noise_cells' order, so its
+    cells have this law, not these values.
     """
     parts = np.empty((len(rows), 2, l_fft))
     for part, j in zip(parts, rows):

@@ -358,7 +358,9 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 def corpus_links(cfg) -> np.ndarray:
     """The link parts of every rank-corpus sampling: (Q, 4, K, n), per query
     the (H, a, z, b) of link.RoundDraws.cells on the n = cfg.codec.n_cu
-    payload cells, at the link seeds of each of its K samplings. They depend
+    payload cells, at the link seeds of each of its K samplings. A sampling
+    draws what its receiver reads alone: the channel, l_cp noise taps per
+    pilot row the estimator reads, and the noise of its n cells. They depend
     on the config alone, so harness.train_all draws them while pair 1 trains."""
     det, n = cfg.detector, cfg.codec.n_cu
     ms = derive_seed(cfg.experiment.master_seed, "corpus")

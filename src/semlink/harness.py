@@ -392,7 +392,9 @@ class SessionCache:
     sources, per round the link's RoundDraws, and the rows. The first session
     of a pipeline (semantic or baseline) to read the index computes the rounds
     of the pipeline's modes in the config (and its own) at every SNR of the
-    config as one batch; a session at another SNR, at that SNR alone. A sweep
+    config as one batch; a session at another SNR, at that SNR alone. A
+    round goes only to the SNRs where some mode's session has not been
+    acknowledged by then, at the config's threshold or by the CRC. A sweep
     of baseline modes alone never builds the semantic source, so it runs on a
     bundle without codecs or scorer. Sharing one cache changes no result:
     each row is bitwise that of a batch of its SNR alone.
@@ -447,17 +449,24 @@ class SessionCache:
         return transmit_with_state(symbols, self.bundle.cfg.ofdm, self.profile, snrs, draws.seeds, draws=draws)
 
     def rows(self, mode: str, snr_db: float) -> list:
-        """The rounds that a session of mode at snr_db reads: one row of
-        SemanticSource.rounds or BaselineSource.rounds."""
+        """The rounds that a session of mode at snr_db reads, up to its
+        first acknowledged one: one row of SemanticSource.rounds, at the
+        config's threshold, or of BaselineSource.rounds."""
         if (mode, snr_db) not in self._rows:
-            e = self.bundle.cfg.experiment
+            cfg = self.bundle.cfg
+            e = cfg.experiment
             snrs = e.snr_db if snr_db in e.snr_db else (snr_db,)
             if mode in BASELINE_MODES:
-                pipeline, src, send = BASELINE_MODES, self.baseline, self.send_with_state
+                pipeline, rounds, send = BASELINE_MODES, self.baseline.rounds, self.send_with_state
             else:
-                pipeline, src, send = SEMANTIC_MODES, self.semantic, self.send
+                pipeline, send = SEMANTIC_MODES, self.send
+                rounds = functools.partial(self.semantic.rounds, threshold=cfg.detector.ack_threshold)
             modes = tuple(dict.fromkeys(m for m in (*e.modes, mode) if m in pipeline))
-            for m, per_snr in src.rounds(modes, e.round_budget, functools.partial(send, snrs)).items():
+
+            def send_rows(t, symbols, rows):
+                return send([snrs[b] for b in rows], t, symbols)
+
+            for m, per_snr in rounds(modes, e.round_budget, len(snrs), send_rows).items():
                 self._rows.update(zip([(m, s) for s in snrs], per_snr))
         return self._rows[mode, snr_db]
 

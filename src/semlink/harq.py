@@ -13,16 +13,18 @@ mask, reference and payload, and what every session of that scene derives
 from them, computed once as the source is built (a semantic source's
 scorer embedding and second-pair symbols on first use: the corpus's
 sources have neither). A source's `rounds` makes every round that sessions
-of some modes can read, over a batch of channels (harness.SessionCache
-sends one per SNR): each round sends its symbols once for the batch, and
-decodes, scores, combines, demaps and checks the CRC of all its rows at
-once. Each row is one Reception per round, judged by the scorer or the
-CRC, bitwise what a batch of that row alone gives: every net runs a row as
-a one-row matrix. A session (run_semantic_session, run_baseline_session)
-walks one row's rounds to the first acknowledged one, a semantic session
-at the threshold it is given. A semantic
-reception is SemanticSource.receive, for the sessions here and for the
-scorer's rank corpus (detector.build_corpus), whose sources have no scorer.
+of some modes read, over a batch of channels (harness.SessionCache sends
+one per SNR): each round sends its symbols once to the rows of the batch
+that some session still reads, those not yet acknowledged, and decodes,
+scores, combines, demaps and checks the CRC of all of them at once. Each
+row is one Reception per round up to its first acknowledged one, judged by
+the scorer at the threshold `rounds` is given or by the CRC, bitwise what a
+batch of that row alone gives: every net runs a row as a one-row matrix. A
+session (run_semantic_session, run_baseline_session) walks one row's rounds
+to the first acknowledged one, a semantic session at the threshold it is
+given. A semantic reception is SemanticSource.receive, for the sessions
+here and for the scorer's rank corpus (detector.build_corpus), whose
+sources have no scorer.
 A reception is known on the cells its source's mask sends, and both
 sources score it there alone (scenegen.SentCells.score), with the
 arithmetic that codec training's perception term uses: its map is
@@ -213,16 +215,20 @@ class SemanticSource:
         s_hat = score_pooled(self.scorer, self.ref_emb, pooled)
         return [Reception(*rx) for rx in zip(messages, loss.tolist(), s_true.tolist(), s_hat.tolist())]
 
-    def rounds(self, modes, budget: int, send) -> dict[str, list[list[Reception]]]:
-        """Per mode of `modes`, per row of a batch of channels, the
-        Receptions of its rounds: its budget's, noharq's one.
+    def rounds(
+        self, modes, budget: int, batch: int, send, threshold: float
+    ) -> dict[str, list[list[Reception]]]:
+        """Per mode of `modes`, per row of a batch of `batch` channels, the
+        Receptions of its rounds up to the first whose score exceeds
+        `threshold` (ack_decide): its budget's at most, noharq's one.
 
         Mode "sim1" resends the first pair's symbols every round and keeps
         the latest decoded message as candidate; "sim2" sends the second
         pair from round two and its candidate is the sum of all decoded
         messages; "noharq" is sim1's first round. Modes share the rounds
-        that send the first pair. `send(t, symbols)` returns round t's (B, n)
-        equalized symbols.
+        that send the first pair. `send(t, symbols, rows)` returns round t's
+        (len(rows), n) equalized symbols on those rows of the batch; a round
+        goes to the rows whose previous round was not acknowledged.
         """
         for mode in modes:
             if mode not in ("noharq", "sim1", "sim2"):
@@ -234,17 +240,33 @@ class SemanticSource:
         if budget < 1:
             raise ValueError("round budget must be at least 1")
 
-        first = [
-            self.receptions(codec_mod.decode(self.first, send(t, self.sym_first)))
-            for t in range(1, (budget if "sim1" in modes else 1) + 1)
-        ]
-        by_round = {"noharq": first[:1], "sim1": first, "sim2": first[:1]}
+        def nacked(chains, t):
+            """The rows whose chain holds t - 1 rounds, the last not acknowledged."""
+            return [b for b, c in enumerate(chains)
+                    if len(c) == t - 1 and not ack_decide(c[-1].s_hat, threshold)]
+
+        def first_pair(t, rows):
+            return self.receptions(codec_mod.decode(self.first, send(t, self.sym_first, rows)))
+
+        first = [[rx] for rx in first_pair(1, range(batch))]
+        for t in range(2, (budget if "sim1" in modes else 1) + 1):
+            rows = nacked(first, t)
+            if not rows:
+                break
+            for b, rx in zip(rows, first_pair(t, rows)):
+                first[b].append(rx)
+        by_mode = {"noharq": [c[:1] for c in first], "sim1": first}
         if "sim2" in modes:
-            total = np.stack([rx.message for rx in first[0]])
+            by_mode["sim2"] = second = [c[:1] for c in first]
             for t in range(2, budget + 1):
-                total = total + codec_mod.decode(self.second, send(t, self.sym_second))
-                by_round["sim2"].append(self.receptions(total))
-        return {mode: [list(row) for row in zip(*by_round[mode])] for mode in modes}
+                rows = nacked(second, t)
+                if not rows:
+                    break
+                total = np.stack([second[b][-1].message for b in rows])  # the sum so far
+                total = total + codec_mod.decode(self.second, send(t, self.sym_second, rows))
+                for b, rx in zip(rows, self.receptions(total)):
+                    second[b].append(rx)
+        return {mode: by_mode[mode] for mode in modes}
 
 
 def _first_ack(rounds) -> HarqSession:
@@ -280,6 +302,10 @@ class ChaseCombiner:
         w = np.abs(h) ** 2 / np.maximum(np.asarray(noise_var, dtype=np.float64), 1e-30)[..., None]
         self.num = self.num + w * eq_symbols
         self.den = self.den + w
+
+    def keep(self, rows) -> None:
+        """Keep the observations of these rows of the batch alone, in this order."""
+        self.num, self.den = self.num[rows], self.den[rows]
 
     def combined(self) -> np.ndarray:
         if np.any(np.asarray(self.den) == 0.0):
@@ -331,15 +357,18 @@ class BaselineSource:
             for ok, m, x in zip(crc24(frames) == 0, messages, losses)
         ]
 
-    def rounds(self, modes, budget: int, send) -> dict[str, list[list[tuple[bool, Reception]]]]:
-        """Per mode of `modes`, per row of a batch of channels, the CRC
-        verdicts and Receptions of its budget's rounds.
+    def rounds(self, modes, budget: int, batch: int, send) -> dict[str, list[list[tuple[bool, Reception]]]]:
+        """Per mode of `modes`, per row of a batch of `batch` channels, the
+        CRC verdicts and Receptions of its budget's rounds, up to the first
+        whose CRC passes.
 
         Mode "base1" retransmits the full codeword (every copy of the chunk)
         each round and mode "base2" one chunk; either adds each chunk-long
         slice it received, in order, to one chase combiner per row, whose
-        combination a round judges (reception). `send(t, symbols)` returns
-        round t's (equalized, est_h, noise_var): (B, n), (B, n) and (B,).
+        combination a round judges (reception). `send(t, symbols, rows)`
+        returns round t's (equalized, est_h, noise_var) on those rows of the
+        batch: (len(rows), n), (len(rows), n) and (len(rows),); a round goes
+        to the rows whose CRC has not passed.
         """
         if budget < 1:
             raise ValueError("round budget must be at least 1")
@@ -348,13 +377,19 @@ class BaselineSource:
             if mode not in ("base1", "base2"):
                 raise ValueError(f"unknown baseline mode {mode!r}")
             sent, n_chunk = (self.codeword if mode == "base1" else self.chunk), self.chunk.size
-            combiner, by_round = ChaseCombiner(n_chunk), []
+            combiner, rows = ChaseCombiner(n_chunk), list(range(batch))
+            out[mode] = chains = [[] for _ in rows]
             for t in range(1, budget + 1):
-                eq, h, noise_var = send(t, sent)
+                eq, h, noise_var = send(t, sent, rows)
                 for i in range(0, sent.size, n_chunk):
                     combiner.add(eq[..., i : i + n_chunk], h[..., i : i + n_chunk], noise_var)
-                by_round.append(self.reception(combiner.combined()))
-            out[mode] = [list(row) for row in zip(*by_round)]
+                for b, verdict in zip(rows, self.reception(combiner.combined())):
+                    chains[b].append(verdict)
+                failed = [k for k, b in enumerate(rows) if not chains[b][-1][0]]
+                if not failed:
+                    break
+                combiner.keep(failed)
+                rows = [rows[k] for k in failed]
         return out
 
 

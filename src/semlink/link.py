@@ -6,38 +6,48 @@ seeds so sessions are reproducible and SNR sweeps can share common draws.
 SNR is defined per unit mean symbol power (channel.SIGNAL_POWER), which every
 payload has: codec symbols are normalized to it, QAM constellations have it.
 
-The link is row-sparse: per round it simulates only the symbol rows whose
-received values reach the output. Those are the pilot rows the estimator
-interpolates through (the first two, or the only one), at full width because
-the estimate is denoised in the delay domain, and the data rows the payload
-occupies. Every other cell of the frame carries zero padding or an unused
-pilot. Each row's noise comes from its own stream (channel._noise_rows), so
-the rows the link draws carry the noise the full grid has on them.
+The link draws only what its receiver reads. That is the channel H on the
+payload cells, the noise on those cells, and the pilot estimate there.
+rxdsp.estimate is the DFT-based LS estimator: divide the received pilot rows
+by their pilots, keep the first l_cp delay taps, transform back, and carry
+the result across symbols on a line through the first two pilot rows (or
+hold the only one). It is linear in the received pilots, so with
+y = H_p*p + sigma*z_p it is a + sigma*b:
+- a, from the noiseless pilots. H*p/p = H, so a pilot row's kept taps are
+  those of H alone, channel.delay_response.
+- b, from the pilot rows' noise alone. The QPSK pilots have |p| = 1, so z/p
+  has the law of z, and the l_cp kept taps of a row of unit-variance white
+  noise are i.i.d. CN(0, 1/l_fft). Each pilot row draws those l_cp taps from
+  its own noise stream (channel.noise_cells).
+Both sets of per-pilot-row taps take the estimator's line across symbols
+(rxdsp.interpolate) and one transform back to the l_fft subcarriers, and are
+cut to the payload cells. No pilot, pilot row or full-width noise row is
+drawn, so LinkSeeds.pilot moves nothing. Each payload row draws its payload
+cells' noise from its own stream, interleaved (re, im) per cell, so a shorter
+payload reads a prefix of a longer one's noise. H is channel.freq_response on
+the pilot rows and the payload's rows together, which gives the full grid's
+bits: one row alone takes another matrix product, which rounds differently.
 
-rxdsp.estimate is linear in the received pilots: with y = H_p*p + sigma*z_p
-it equals estimate(H_p*p) + sigma*estimate(z_p) up to rounding. So a round
-makes two estimates per set of data rows, not one per SNR: a, from the
-noiseless pilots, which is what a noiseless call uses, and b, from the pilot
-rows' noise alone, on the first noisy call. A transmit call at noise standard
-deviation sigma then works on its n payload cells only, through
-receive_cells, the one function of (symbols, H, a, z, b, sigma^2): it
-receives H*x + sigma*z, estimates a + sigma*b, and equalizes with
-rxdsp.equalize_mmse. A noiseless call draws no noise and makes no b. A call
-given a 1-D array of SNRs runs them as one batch, each row bitwise that call
-at its SNR alone. The rank corpus keeps only the payload-cell parts of its
-samplings (RoundDraws.cells) and receives them through receive_cells too
+A transmit call at noise standard deviation sigma works on its n payload
+cells only, through receive_cells, the one function of (symbols, H, a, z, b,
+sigma^2): it receives H*x + sigma*z, estimates a + sigma*b, and equalizes
+with rxdsp.equalize_mmse. A noiseless call draws no noise and makes no b. A
+call given a 1-D array of SNRs runs them as one batch, each row bitwise that
+call at its SNR alone. The rank corpus keeps only the payload-cell parts of
+its samplings (RoundDraws.cells) and receives them through receive_cells too
 (detector.build_corpus), so it cannot drift from the link.
 
 Its oracle (tests/test_link.py) runs the receiver on every row of the full
 grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse
--> ofdm.frame_extract, with its own payload placement. Noiseless calls are
-bitwise equal to it. With noise the received cells are bitwise equal, and
-the estimate is within rounding of the oracle's; the test states the bound.
+-> ofdm.frame_extract, with the link's own draws as its noise: each pilot
+row's noise is the row whose kept taps are the link's draw. H and the
+received cells are bitwise equal to it; a, b and the equalized cells are
+within rounding of it, and the test states the bound.
 
 A RoundDraws holds what a round's link computes from its seeds alone: the
-pilot rows, the channel realization and, per set of simulated data rows, H
-with a, and the noise with b. None of it depends on the payload or the SNR.
-One instance passed to every transmit call with the same seeds computes each
+channel realization and, per set of simulated data rows, H with a and b,
+and the payload noise. None of it depends on the payload or the SNR. One
+instance passed to every transmit call with the same seeds computes each
 part once for all those calls. A sweep's harness.SessionCache keeps one per
 session index and round, and sends each round's symbols once, at every SNR
 of the sweep; other callers pass none and make their own.
@@ -71,11 +81,12 @@ class LinkSeeds:
 class RoundDraws:
     """The seed-determined parts of one link round, each made on first use.
 
-    Holds the pilot rows rxdsp.estimate reads and the channel realization.
-    Per set of simulated data rows it holds, flattened row-major over those
-    rows: H and a, the estimate from the noiseless pilots (clean); and, once
-    a call is noisy, the unit-variance noise and b, the estimate from the
-    pilot rows' noise alone (noisy). Every array is read-only.
+    Holds the channel realization. Per set of simulated data rows it holds,
+    flattened row-major over those rows, H and a, the estimate from the
+    noiseless pilots (clean), and, once a call is noisy, b, the estimate from
+    the pilot rows' noise alone (estimate_noise). It also holds the
+    unit-variance noise of the most payload cells asked for so far
+    (payload_noise). Every array is read-only.
     A transmit call given draws made for other seeds, another config or
     another channel profile raises ValueError.
     """
@@ -85,42 +96,54 @@ class RoundDraws:
         self.profile = profile
         self.seeds = seeds
         self.pilot_rows = cfg.pilot_rows_idx[:2]  # the rows rxdsp.estimate reads
-        self.pilots = _frozen(ofdm.pilot_rows(cfg, seeds.pilot)[: len(self.pilot_rows)])
         self.real = chan.realize(profile, cfg, cfg.n_symbols, seeds.channel)
         self._clean = {}
-        self._noisy = {}
+        self._b = {}
+        self._z = _frozen(np.empty(0, dtype=np.complex128))
 
-    def _estimate(self, rx_pilots: np.ndarray, data_rows: tuple[int, ...]) -> np.ndarray:
-        est = rxdsp.estimate(rx_pilots, self.pilots, self.pilot_rows, data_rows, self.cfg.l_cp)
-        return _frozen(est.reshape(-1))
+    def _estimate(self, taps: np.ndarray, data_rows: tuple[int, ...]) -> np.ndarray:
+        """The estimate on data_rows, flattened, from each pilot row's kept
+        delay taps (n_p, l_cp): their line across symbols, transformed back."""
+        lines = rxdsp.interpolate(taps, self.pilot_rows, data_rows)
+        return _frozen(np.fft.fft(lines, n=self.cfg.l_fft).reshape(-1))
 
     def clean(self, data_rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(H, a) on `data_rows`: the channel, and the estimate from the pilots
         received without noise."""
         if data_rows not in self._clean:
-            n_p = len(self.pilot_rows)
             h = chan.freq_response(self.real, self.cfg, self.pilot_rows + data_rows)
-            a = self._estimate(h[:n_p] * self.pilots, data_rows)
-            self._clean[data_rows] = (_frozen(h[n_p:].reshape(-1)), a)
+            a = self._estimate(chan.delay_response(self.real, self.cfg, self.pilot_rows), data_rows)
+            self._clean[data_rows] = (_frozen(h[len(self.pilot_rows) :].reshape(-1)), a)
         return self._clean[data_rows]
 
-    def noisy(self, data_rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(z, b) on `data_rows`: the unit-variance noise, and the estimate from
-        the pilot rows' noise alone."""
-        if data_rows not in self._noisy:
-            n_p = len(self.pilot_rows)
-            z = chan._noise_rows(self.seeds.noise, self.pilot_rows + data_rows, self.cfg.l_fft)
-            b = self._estimate(z[:n_p], data_rows)
-            self._noisy[data_rows] = (_frozen(z[n_p:].reshape(-1)), b)
-        return self._noisy[data_rows]
+    def estimate_noise(self, data_rows: tuple[int, ...]) -> np.ndarray:
+        """b on `data_rows`: the estimate from the pilot rows' unit-variance
+        noise alone, whose kept taps each pilot row draws."""
+        if data_rows not in self._b:
+            l_cp, l_fft = self.cfg.l_cp, self.cfg.l_fft
+            taps = [chan.noise_cells(self.seeds.noise, j, l_cp, l_fft) for j in self.pilot_rows]
+            self._b[data_rows] = self._estimate(np.stack(taps), data_rows)
+        return self._b[data_rows]
+
+    def payload_noise(self, n: int) -> np.ndarray:
+        """The unit-variance noise on the first n payload cells: each data
+        row's cells from its own stream, a prefix of any longer draw's."""
+        if self._z.size < n:
+            l_fft, seed = self.cfg.l_fft, self.seeds.noise
+            rows = self.cfg.data_rows_idx[: -(-n // l_fft)]
+            parts = [chan.noise_cells(seed, j, min(l_fft, n - i * l_fft)) for i, j in enumerate(rows)]
+            self._z = _frozen(np.concatenate(parts))
+        return self._z[:n]
 
     def cells(self, n: int, noisy: bool = True) -> tuple[np.ndarray, ...]:
         """(H, a, z, b) on the first n payload cells, what receive_cells reads
         of this round for an n-symbol payload at any SNR; (H, a) if not
         noisy, which draws no noise."""
         data_rows = self.cfg.data_rows_idx[: -(-n // self.cfg.l_fft)]
-        parts = self.clean(data_rows) + (self.noisy(data_rows) if noisy else ())
-        return tuple(part[:n] for part in parts)
+        h, a = self.clean(data_rows)
+        if not noisy:
+            return h[:n], a[:n]
+        return h[:n], a[:n], self.payload_noise(n), self.estimate_noise(data_rows)[:n]
 
 
 def receive_cells(symbols, h, a, z=None, b=None, noise_var=None):

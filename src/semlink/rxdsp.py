@@ -1,16 +1,21 @@
 """Receiver DSP: pilot-based channel estimation and MMSE equalization.
 
 Estimation is least-squares on the pilot rows, denoised in the delay domain by
-zeroing taps beyond the cyclic prefix, then linearly interpolated (and
+zeroing taps beyond the cyclic prefix (van de Beek et al., "On channel
+estimation in OFDM systems", VTC 1995), then linearly interpolated (and
 extrapolated) across OFDM symbols. The noise variance is taken as known, and
 SNR is defined per unit mean symbol power (channel.SIGNAL_POWER).
 
 Both steps take any set of symbol rows and return plain arrays. The estimate
-is linear in the received pilots, which the link relies on: it estimates
-from the noiseless pilots and from the pilot rows' noise apart, and adds the
-two at each SNR (link.RoundDraws). The equalizer works cell by cell, so the
-link runs it on its payload cells only. Its full-grid oracle runs both on
-every row, so tests/test_rxdsp.py, not that oracle, checks this arithmetic.
+is linear in the received pilots, and its line across symbols (interpolate)
+commutes with the transform back to the subcarriers. The link relies on both:
+it never forms a pilot row, but draws the l_cp delay taps that the
+truncation keeps of each pilot row, from the channel (channel.delay_response)
+and from the noise (channel.noise_cells), takes their line across symbols and
+transforms that back once (link.RoundDraws). The equalizer works cell by
+cell, so the link runs it on its payload cells only. Its full-grid oracle
+(tests/test_link.py) runs estimate and equalize_mmse on every row, so
+tests/test_rxdsp.py, not that oracle, checks this arithmetic.
 """
 
 from __future__ import annotations
@@ -37,12 +42,19 @@ def estimate(rx_pilots: np.ndarray, pilots: np.ndarray, pilot_rows, rows, l_cp: 
 
     g = np.fft.ifft(rx_pilots[:2] / pilots[:2], axis=1)
     g[:, l_cp:] = 0.0  # delay-domain content at or beyond the CP, incl. negative bins
-    h_pilot = np.fft.fft(g, axis=1)
+    return interpolate(np.fft.fft(g, axis=1), pilot_rows, rows)
+
+
+def interpolate(per_pilot: np.ndarray, pilot_rows, rows) -> np.ndarray:
+    """Per-pilot-row vectors (n, K) carried to each symbol row in `rows`,
+    shaped (len(rows), K): one pilot row's vector holds for every symbol;
+    with more, the line through the first two in the symbol index,
+    extrapolated beyond them. Further rows are not read."""
     offset = np.asarray(list(rows), dtype=np.int64) - pilot_rows[0]
-    if len(h_pilot) == 1:
-        return np.repeat(h_pilot[:1], len(offset), axis=0)
-    slope = (h_pilot[1] - h_pilot[0]) / (pilot_rows[1] - pilot_rows[0])
-    return h_pilot[0] + offset[:, None] * slope
+    if len(per_pilot) == 1:
+        return np.repeat(per_pilot[:1], len(offset), axis=0)
+    slope = (per_pilot[1] - per_pilot[0]) / (pilot_rows[1] - pilot_rows[0])
+    return per_pilot[0] + offset[:, None] * slope
 
 
 def equalize_mmse(rx: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray:

@@ -15,31 +15,31 @@ from semlink import config as config_mod
 from semlink import harness
 
 TRAIN = {
-    "bundle.ckpt": "582496c82d899c405e75afeed9f7d166d9d3a5910a4fc6c1ccb620fee2097c95",
-    "detector_calibration.csv": "9975efa5ecb2483afaf3c6594c5103b3f1961544759f41d661a7f65a6700494a",
+    "bundle.ckpt": "478a8b990523de031171ad669c7731ac8d13328555f9499cf4790849870ce20d",
+    "detector_calibration.csv": "d94c84fc5cf71a0574dfc84971ecd4c50e764c89f0e0fc7b0fc0b95e66483f68",
     "train_codecs.csv": "5a4a4f39721b250edd3d6847edc70609bd0d1dcfe5ab2492de33f6eea6148983",
-    "train_detector.csv": "04da39bf1515c48aaf456edaed974987e866ba7d43e5156e43c730e053753c02",
+    "train_detector.csv": "5cc7d61cc47c093e619f75bc469a858a915e238dfafece47ee3b231a28f8a871",
 }
 TINY_SWEEP = {
-    "sessions.csv": "ac56fa4a5bb4a8f7bca7471a924832fda3fc9d22372e5a4dc705b06278b04da1",
-    "summary.csv": "752729bda1af05127d8cd095543097112702ac8d49e2544a49618478b24bcaac",
+    "sessions.csv": "ca7982247f231e9697a1b26eca5e141aeb1213fe63415509efbbff6c457c7ab1",
+    "summary.csv": "443aa0314871fff483db021231fda9c95faf9b7813fbea179161cfa9af8be038",
 }
 # the default config's train (the suite's trained_dir) and the full default
 # sweep on it (200 sessions of all five modes at every SNR): the run that
 # the science numbers in ROADMAP.md quote
 DEFAULT_TRAIN = {
-    "bundle.ckpt": "cbc85a6d4929d49941d1eed3b34102df020c87e26639514eb6a996910364808b",
-    "detector_calibration.csv": "8ed519e26f7aebdb62d165b6de004cb603b20aa34b0440b53f5277e02eb197e0",
+    "bundle.ckpt": "57009b653dfb944e534e2056e5e37edd9a0fdbccab18d39ddf1b1b92f9100bd2",
+    "detector_calibration.csv": "7adf0e7d9603d93bedbd8434e10119ce0e9982c0f3a250d244a226805e30ca89",
     "train_codecs.csv": "f9409ecf1a7d9568deeebcc5fb31184af730232ea2d625e79887774dc825b485",
-    "train_detector.csv": "1179d3831542c80bb34f17a8b021051e1e11c1cff46d9e2133ec26f78db6b511",
+    "train_detector.csv": "4017a6f796b64a9008fafbceedb318aa53658fd3388ad0950cdd8b6e1ce3ae59",
 }
 DEFAULT_SWEEP = {
-    "sessions.csv": "65fd8ea0b89f88e5da2496c798320bd0eb50f229985c2c8f2480b057e6f3b6dd",
-    "summary.csv": "4dde36de1adc2185f0af741189cb5a4d60ffe73fb80a80e88cf344348a561272",
+    "sessions.csv": "ddba3cc5957c7511cfcd27dd2161305c9366fe4d6aa13cacd513716086806949",
+    "summary.csv": "cc12046cbd2f088275c9eba57af6dcac1530d0d78ffa2edf847d99a9b09e62ea",
 }
 DEFAULT_BASELINE_SWEEP = {
-    "sessions.csv": "a843ca3a78edba9a123a8b4a166cc33c88cc3c225c34760e4ec663160f2eecbd",
-    "summary.csv": "1f2a00dbfbb47f4a8f377c7e000337b64e5943c46ea2afcc955a7c7c44f41d97",
+    "sessions.csv": "b31ad04020e91117b7475d8d844d0146062b22ca5bd890cd1ede50509d3e6249",
+    "summary.csv": "cd67a372527ca29f8b585c7d97208af63adcffac8a92b7dfee51479cd0f46b48",
 }
 
 

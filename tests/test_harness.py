@@ -523,8 +523,8 @@ def test_summary_aggregates_match_sessions(tiny_bundle, tmp_path):
 
 ALL_MODES = ("noharq", "sim1", "sim2", "base1", "base2")
 SWEEP_SNRS = (0.0, 6.0, 18.0)
-# the tiny scorer scores every session near 0.95, so this threshold splits
-# them: some sessions stop at round 1, others go on to round 2
+# this threshold splits the tiny scorer's sessions: at index 4 the semantic
+# sessions stop at round 1 at 18 dB and go on to round 2 at 0 and 6 dB
 SWEEP_BETA = 0.9505
 
 
@@ -650,26 +650,32 @@ def _same(a, b) -> bool:
 def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
     # each row of an index's batched rounds is, bit for bit, the reception
     # that the single-SNR chain of _rounds_from_parts makes at the row's SNR,
-    # whatever the SNR axis: one value, repeated values, any order. A session
-    # at any finite SNR, in the config's list or not, records what the chain
-    # does
+    # up to the chain's first acknowledged round, whatever the SNR axis: one
+    # value, repeated values, any order. A session at any finite SNR, in the
+    # config's list or not, records what the chain does
     snrs = data.draw(st.lists(st.sampled_from(SWEEP_SNRS) | st.floats(-5.0, 25.0), min_size=1, max_size=4))
     modes = data.draw(st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=5, unique=True))
     idx = data.draw(st.integers(0, 4))
     cache = harness.SessionCache(sweep_bundle, idx)
-    for pipeline, src, send in (
-        (harness.SEMANTIC_MODES, lambda: cache.semantic, cache.send),
-        (harness.BASELINE_MODES, lambda: cache.baseline, cache.send_with_state),
+
+    def send(link):
+        return lambda t, x, rows: link([snrs[b] for b in rows], t, x)
+
+    for pipeline, rounds in (
+        (harness.SEMANTIC_MODES, lambda *a: cache.semantic.rounds(*a, send(cache.send), SWEEP_BETA)),
+        (harness.BASELINE_MODES, lambda *a: cache.baseline.rounds(*a, send(cache.send_with_state))),
     ):
         chosen = [m for m in modes if m in pipeline]
         if not chosen:
             continue
-        made = src().rounds(chosen, 2, lambda t, x: send(tuple(snrs), t, x))
+        made = rounds(chosen, 2, len(snrs))
         for mode in chosen:
             assert len(made[mode]) == len(snrs)
             for snr_db, row in zip(snrs, made[mode]):
                 expect = _rounds_from_parts(sweep_bundle, mode, snr_db, idx)
-                assert len(row) == len(expect) == (1 if mode == "noharq" else 2)
+                assert len(expect) == (1 if mode == "noharq" else 2)
+                used = next((t for t, (_, ack) in enumerate(expect, start=1) if ack), len(expect))
+                assert len(row) == used
                 for item, (rx, ack) in zip(row, expect):
                     have = item[1] if pipeline is harness.BASELINE_MODES else item
                     assert have.message.tobytes() == rx.message.tobytes()
@@ -685,19 +691,24 @@ def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
 
 def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
     # the first session of a pipeline to read an index computes every round
-    # that the grid's modes can read, at every SNR of the grid as one batch:
-    # one link call, decode and score per (pipeline, round), where pair 1's
-    # rounds, sim2's pair-2 rounds and each baseline mode's rounds are the
-    # rounds, and no later session of the index computes anything. The pilot
-    # estimate is made twice per (round, data rows): its noiseless and its
-    # noise part
-    counts = dict.fromkeys(("send", "send_with_state", "pair1", "pair2", "score", "crc", "estimate"), 0)
+    # that the grid's sessions read, at every SNR of the grid whose session
+    # of some mode still reads it, as one batch: one link call, decode and
+    # score per (pipeline, round), where pair 1's rounds, sim2's pair-2
+    # rounds and each baseline mode's rounds are the rounds, and no later
+    # session of the index computes anything. Each round's link is sent only
+    # at the SNRs whose session reads that round, and its estimate takes
+    # the estimator's line twice per (round, data rows): its noiseless and
+    # its noise part
+    counts = dict.fromkeys(("send", "send_with_state", "pair1", "pair2", "score", "crc", "line"), 0)
+    sent = {"send": 0, "send_with_state": 0}  # SNR rows sent
 
     def counting(module, name, key):
         fn = getattr(module, name)
 
         def counted(*args, **kwargs):
             counts[key(args)] += 1
+            if key(args) in sent:
+                sent[key(args)] += len(args[3])
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
@@ -706,13 +717,15 @@ def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
     counting(codec, "decode", lambda args: "pair1" if args[0] is sweep_bundle.codec_pair1 else "pair2")
     counting(harq, "score_pooled", lambda args: "score")
     counting(harq, "crc24", lambda args: "crc")
-    counting(rxdsp, "estimate", lambda args: "estimate")
+    counting(rxdsp, "interpolate", lambda args: "line")
     bundle = _set(sweep_bundle, "experiment", modes=ALL_MODES, snr_db=SWEEP_SNRS)  # a budget of 2
     cfg = bundle.cfg
-    cache = harness.SessionCache(bundle, 6)
+    cache = harness.SessionCache(bundle, 4)  # sim1 and sim2 acknowledge at 18 dB alone in round 1
     for _ in range(2):
         records = [harness.run_session(cache, mode, snr_db) for mode in ALL_MODES for snr_db in SWEEP_SNRS]
-        assert {r.rounds_used for r in records} == {1, 2}
+        used = {(r.mode, r.snr_db): r.rounds_used for r in records}
+        assert [used[m, s] for m in ("sim1", "sim2") for s in SWEEP_SNRS] == [2, 2, 1] * 2
+        assert all(used[m, s] == 2 for m in ("base1", "base2") for s in SWEEP_SNRS)
         src = cache.baseline
         data_rows = {-(-n // cfg.ofdm.l_fft) for n in (cfg.codec.n_cu, src.codeword.size, src.chunk.size)}
         assert counts == {
@@ -720,19 +733,22 @@ def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
             "send_with_state": 4,  # base1 and base2 in rounds 1 and 2
             "pair1": 2, "pair2": 1, "score": 3,
             "crc": 1 + 4,  # the source's frame, then one per baseline round
-            "estimate": 2 * 2 * len(data_rows),
+            "line": 2 * 2 * len(data_rows),
         }
-    # a session at an SNR outside the grid computes the same rounds at its
-    # SNR alone, once
+        # pair 1 at all 3 SNRs, then pair 1 and pair 2 at the 2 unacknowledged
+        assert sent == {"send": 3 + 2 + 2, "send_with_state": 4 * 3}
+    # a session at an SNR outside the grid computes the rounds read there at
+    # its SNR alone, once: at 7.5 dB every semantic mode acknowledges round 1
     for _ in range(2):
+        assert harness.run_session(cache, "sim2", 7.5).ack_round == 1
         harness.run_session(cache, "noharq", 7.5)
-    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (6, 4, 2, 6)
+    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (4, 3, 1, 4)
 
     # a noharq-only grid reads round 1 alone
     only = harness.SessionCache(_set(bundle, "experiment", modes=("noharq",)), 6)
     for snr_db in SWEEP_SNRS:
         harness.run_session(only, "noharq", snr_db)
-    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (7, 5, 2, 7)
+    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (5, 4, 1, 5)
     assert set(only._draws) == {1}
 
 
@@ -751,7 +767,7 @@ def test_shared_receptions_are_read_only(sweep_bundle):
         harness.run_session(cache, mode, 6.0)
     receptions = _cached_receptions(cache)
     draws = [cache.draws(t) for t in range(1, 3)]
-    kept = [a for d in draws for parts in (*d._clean.values(), *d._noisy.values()) for a in parts]
+    kept = [a for d in draws for a in (*(x for hz in d._clean.values() for x in hz), *d._b.values(), d._z)]
     assert receptions and kept
     for rx in receptions:
         assert not rx.message.flags.writeable
@@ -1258,8 +1274,13 @@ def test_cli_failed_train_leaves_existing_artifacts_unchanged(tiny_dir, tmp_path
 def test_cli_diverged_ranker_is_one_error_line(tiny_dir, tmp_path):
     # the ranker's pair loss stays finite while its weights outgrow float32;
     # storing them fails in the detector process, and the CLI prints that
-    # error alone, with no overflow warning before it
-    stderr = _failed_cli_train(tiny_dir, tmp_path, "lr = 0.0002", "lr = 1e6")
+    # error alone, with no overflow warning before it. Adam's first step
+    # moves a weight by about lr, so at lr = 1e39 every epoch's weights, the
+    # restored best epoch's too, are beyond float32 whatever the corpus;
+    # without weight decay they grow by about lr per step, not by a factor
+    # of lr * weight_decay, so the float64 nets stay finite
+    old, new = "lr = 0.0002\nholdout = 0.25\nweight_decay = 0.05", "lr = 1e39\nholdout = 0.25\nweight_decay = 0.0"
+    stderr = _failed_cli_train(tiny_dir, tmp_path, old, new)
     assert "training diverged" in stderr
 
 

@@ -268,7 +268,7 @@ def _loss(src, message):
 def _session(src, mode, budget, threshold, transmit):
     """run_semantic_session over the rounds of a one-row batch whose every
     round, pair 1's too, `transmit(t, symbols)` sends, received afresh."""
-    rows = src.rounds((mode,), budget, lambda t, symbols: transmit(t, symbols)[None, :])
+    rows = src.rounds((mode,), budget, 1, lambda t, symbols, rows: transmit(t, symbols)[None, :], threshold)
     return run_semantic_session(rows[mode][0], threshold)
 
 
@@ -340,11 +340,11 @@ def test_semantic_session_reads_pair1_rounds_from_first(mode):
     offsets = np.array([[0.1], [-0.2]])
     sent = []
 
-    def send(t, symbols):
+    def send(t, symbols, rows):
         sent.append((t, "first" if symbols is src.sym_first else "second"))
-        return symbols + offsets * t
+        return symbols + offsets[list(rows)] * t
 
-    rows = src.rounds(("noharq", mode), 3, send)
+    rows = src.rounds(("noharq", mode), 3, 2, send, 1.0)  # a score never exceeds 1
     pair1 = (1, 2, 3) if mode == "sim1" else (1,)
     assert sent == [(t, "first") for t in pair1] + [(t, "second") for t in (1, 2, 3) if t not in pair1]
     assert len(rows["noharq"]) == len(rows[mode]) == 2
@@ -354,6 +354,65 @@ def test_semantic_session_reads_pair1_rounds_from_first(mode):
         for t in pair1:
             message = codec_mod.decode(src.first, src.sym_first + offset * t)
             assert rows[mode][b][t - 1].message.tobytes() == message.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sim1", "sim2"])
+def test_semantic_rounds_stop_at_each_rows_ack(mode):
+    # a row's rounds end at its first score above the threshold, and each
+    # later round is sent to the rows still unacknowledged alone; every row
+    # is the start, bit for bit, of the rows that a threshold no score
+    # exceeds gives
+    src = _semantic_source()
+    offsets = np.array([[0.0], [0.3], [-0.6]])
+    sent = []
+
+    def send(t, symbols, rows):
+        sent.append((t, list(rows)))
+        return symbols + offsets[list(rows)] * t
+
+    whole = src.rounds((mode,), 3, 3, send, 1.0)[mode]
+    scores = sorted(rx.s_hat for row in whole for rx in row)
+    for threshold in (scores[0] - 1.0, *(0.5 * (a + b) for a, b in zip(scores, scores[1:])), 1.0):
+        sent.clear()
+        rows = src.rounds((mode,), 3, 3, send, threshold)[mode]
+        live = [0, 1, 2]
+        for t in (1, 2, 3):
+            if live:
+                assert sent.pop(0) == (t, live)
+            live = [b for b in live if len(rows[b]) > t]
+        assert not sent
+        for row, full in zip(rows, whole):
+            used = next((t for t, rx in enumerate(full, start=1) if rx.s_hat > threshold), 3)
+            assert len(row) == used
+            assert all(a.message.tobytes() == b.message.tobytes() and a.s_hat == b.s_hat
+                       for a, b in zip(row, full))
+
+
+def test_baseline_rounds_stop_at_each_rows_crc_pass():
+    # a row's rounds end at its first CRC pass, later rounds go to the failing
+    # rows alone, and each row combines as a batch of that row alone does
+    src = _baseline_source()
+    fails = {0: (), 1: (1,), 2: (1, 2, 3)}  # the rounds each row's first symbol is flipped in
+    sent = []
+
+    def send(t, symbols, rows):
+        sent.append((t, list(rows)))
+        eq, noise_var = np.tile(symbols, (len(rows), 1)), np.full(len(rows), 1e-12)
+        for k, b in enumerate(rows):
+            if t in fails[b]:  # a flipped round weighs little beside a clean one
+                eq[k, 0], noise_var[k] = -eq[k, 0], 1e3
+            eq[k] += 0.01 * b
+        return eq, np.ones(eq.shape), noise_var
+
+    for mode in ("base1", "base2"):
+        sent.clear()
+        rows = src.rounds((mode,), 3, 3, send)[mode]
+        assert sent == [(1, [0, 1, 2]), (2, [1, 2]), (3, [2])]
+        assert [[ok for ok, _ in row] for row in rows] == [[True], [False, True], [False, False, False]]
+        for b, row in enumerate(rows):
+            alone = src.rounds((mode,), 3, 1, lambda t, x, _, b=b: tuple(a[:1] for a in send(t, x, [b])))
+            assert all(x[0] == y[0] and x[1].message.tobytes() == y[1].message.tobytes()
+                       for x, y in zip(row, alone[mode][0], strict=True))
 
 
 def test_semantic_session_validation():
@@ -515,11 +574,11 @@ def _clean_transmit(t, symbols):
 def _baseline_session(src, mode, budget, transmit):
     """run_baseline_session over the rounds of a one-row batch that
     `transmit(t, symbols)` sends, returning (equalized, est_h, noise_var)."""
-    def send(t, symbols):
+    def send(t, symbols, rows):
         eq, h, noise_var = transmit(t, symbols)
         return eq[None, :], h[None, :], noise_var
 
-    return run_baseline_session(src.rounds((mode,), budget, send)[mode][0])
+    return run_baseline_session(src.rounds((mode,), budget, 1, send)[mode][0])
 
 
 def test_baseline_payload_verifies():

@@ -1,8 +1,10 @@
-"""Row-sparse link tests against the full-grid chain it replaces.
+"""Row-sparse link tests against the full-grid chain it replaces, and the
+law of the draws that stand in for that chain's noise.
 
-Noiseless calls are bitwise equal to that chain. With noise, the received
-payload cells are bitwise equal, and the pilot estimate, which the link splits
-into a noiseless and a noise-only part, is within rounding of it.
+The oracle runs the whole frame with the link's own draws as its noise. H
+and the received payload cells are bitwise equal to it; the pilot estimate,
+which the link builds in the delay domain from the noiseless taps and the
+noise taps apart, and the equalized cells are within the bound stated below.
 """
 
 from collections import Counter
@@ -26,22 +28,51 @@ CONFIGS = {
     "pilots2_7_12": OfdmConfig(l_fft=TINY.l_fft, l_cp=TINY.l_cp, pilot_symbols=(2, 7, 12)),
 }
 PROFILE = channel.default_profile()
+# the link's delay-domain estimate and the oracle's ifft/fft round trip
+# round differently: both estimate parts, and the cells equalized with them,
+# agree to this share of the largest magnitude on the payload cells
+BOUND = 1e-12
+
+
+def _grid_noise(cfg, seeds, n):
+    """The oracle's unit-variance noise grid, from the link's own draws: the
+    first n payload cells carry RoundDraws.payload_noise, and pilot row j,
+    which carried p_j, carries p_j * fft(g_j padded to l_fft), where g_j is
+    the row's l_cp noise taps (channel.noise_cells), so the truncated LS
+    estimate of the row is g_j. Every other cell is zero: no output reads it."""
+    z = np.zeros((cfg.n_symbols, cfg.l_fft), dtype=np.complex128)
+    data = np.zeros(cfg.payload_capacity, dtype=np.complex128)
+    data[:n] = RoundDraws(cfg, PROFILE, seeds).payload_noise(n)
+    z[list(cfg.data_rows_idx)] = data.reshape(len(cfg.data_rows_idx), cfg.l_fft)
+    for p, j in zip(ofdm.pilot_rows(cfg, seeds.pilot), cfg.pilot_rows_idx[:2]):
+        z[j] = p * np.fft.fft(channel.noise_cells(seeds.noise, j, cfg.l_cp, cfg.l_fft), n=cfg.l_fft)
+    return z
 
 
 def _full_grid(symbols, cfg, profile, snr_db, seeds):
     """The oracle: build, fade and equalize the whole frame, then extract.
-    Returns (equalized, estimated H, received) on the payload cells, and the
-    noise variance."""
+    Returns (equalized, estimated H, received, H) on the payload cells, and
+    the noise variance."""
+    n = symbols.size
     grid = ofdm.frame_build(symbols, cfg, seeds.pilot)
     real = channel.realize(profile, cfg, cfg.n_symbols, seeds.channel)
-    rx = channel.apply(grid, real, cfg, snr_db, seeds.noise)
-    noise_var = 0.0 if snr_db is None else channel.noise_variance(snr_db)
+    rx = channel.apply(grid, real, cfg, None)
+    noise_var = 0.0
+    if snr_db is not None:
+        noise_var = channel.noise_variance(snr_db)
+        rx = rx + np.sqrt(noise_var) * _grid_noise(cfg, seeds, n)
     pilot_rows = cfg.pilot_rows_idx
     h = rxdsp.estimate(rx[list(pilot_rows)], ofdm.pilot_rows(cfg, seeds.pilot), pilot_rows,
                        range(cfg.n_symbols), cfg.l_cp)
     eq = rxdsp.equalize_mmse(rx, h, noise_var)
-    n = symbols.size
-    return tuple(ofdm.frame_extract(a, cfg, n) for a in (eq, h, rx)) + (noise_var,)
+    parts = (eq, h, rx, channel.freq_response(real, cfg))
+    return tuple(ofdm.frame_extract(a, cfg, n) for a in parts) + (noise_var,)
+
+
+def _close(got, want):
+    """got is want within BOUND of want's largest magnitude."""
+    scale = np.max(np.abs(want), initial=0.0)
+    return got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= BOUND * scale
 
 
 def _payload(n, amplitude, seed):
@@ -76,63 +107,88 @@ def test_row_sparse_link_matches_full_grid(name, size, snr_db, amplitude):
          "capacity": cfg.payload_capacity}[size]
     symbols = _payload(n, amplitude, seed=n)
     seeds = LinkSeeds(pilot=11 + n, channel=12 + n, noise=13 + n)
-    eq, h, rx, noise_var = _full_grid(symbols, cfg, PROFILE, snr_db, seeds)
+    eq, h, rx, true_h, noise_var = _full_grid(symbols, cfg, PROFILE, snr_db, seeds)
 
     got_eq, got_h, got_var = transmit_with_state(symbols, cfg, PROFILE, snr_db, seeds)
     assert got_var == noise_var
     assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, snr_db, seeds), got_eq)
-    if snr_db is None:
-        assert _same_bits(got_eq, eq)
-        assert _same_bits(got_h, h)
-        return
-    # a noisy estimate is a + sigma * b, the oracle's estimate of the summed
-    # pilots up to rounding; the received cells are the oracle's bits, so
-    # the equalizer applied to them with the link's estimate is the link's output
-    assert got_h.shape == h.shape
-    assert np.max(np.abs(got_h - h), initial=0.0) <= 1e-14 * np.max(np.abs(got_h), initial=0.0)
+    assert _same_bits(RoundDraws(cfg, PROFILE, seeds).cells(n)[0], true_h)
+    assert _close(got_h, h) and _close(got_eq, eq)
+    # the received cells are the oracle's bits: the equalizer applied to them
+    # with the link's estimate is the link's output
     assert _same_bits(got_eq, rxdsp.equalize_mmse(rx, got_h, noise_var))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_link_noise_rows_are_channel_apply_noise(name):
-    # at 0 dB the noise scale is exactly 1, so a zero grid through
-    # channel.apply returns its unit-variance noise; the rows a RoundDraws
-    # keeps are those rows, and b is the estimate of its pilot rows
+def test_estimate_parts_are_the_oracles_estimates(name):
+    # a is rxdsp.estimate of the noiseless pilot rows, b that of the grid
+    # noise's pilot rows alone, on every data row, within BOUND
     cfg = CONFIGS[name]
     seeds = LinkSeeds(pilot=51, channel=52, noise=53)
     draws = RoundDraws(cfg, PROFILE, seeds)
-    z = channel.apply(np.zeros((cfg.n_symbols, cfg.l_fft)), draws.real, cfg, 0.0, seeds.noise)
+    rows = cfg.pilot_rows_idx
+    pilots = ofdm.pilot_rows(cfg, seeds.pilot)
+    h = channel.freq_response(draws.real, cfg)
+    z = _grid_noise(cfg, seeds, 0)
     for k in (1, 2, len(cfg.data_rows_idx)):
         data_rows = cfg.data_rows_idx[:k]
-        got_z, got_b = draws.noisy(data_rows)
-        assert _same_bits(got_z, z[list(data_rows)].reshape(-1))
-        b = rxdsp.estimate(z[list(draws.pilot_rows)], draws.pilots, draws.pilot_rows, data_rows, cfg.l_cp)
-        assert _same_bits(got_b, b.reshape(-1))
+        got_h, a = draws.clean(data_rows)
+        want_a = rxdsp.estimate(h[list(rows)] * pilots, pilots, rows, data_rows, cfg.l_cp)
+        want_b = rxdsp.estimate(z[list(rows)], pilots, rows, data_rows, cfg.l_cp)
+        assert _same_bits(got_h, h[list(data_rows)].reshape(-1))
+        assert _close(a, want_a.reshape(-1)) and _close(draws.estimate_noise(data_rows), want_b.reshape(-1))
+
+
+def test_payload_noise_reads_each_rows_stream_as_a_prefix(monkeypatch):
+    # data row i's cells are the first cells of its own stream, whatever
+    # payload sizes came before; a payload no longer than one drawn before
+    # draws nothing
+    seeds = LinkSeeds(pilot=1, channel=2, noise=3)
+    l_fft, rows = TINY.l_fft, TINY.data_rows_idx
+    whole = np.concatenate([channel.noise_cells(seeds.noise, j, l_fft) for j in rows])
+    calls = Counter()
+    noise_cells = channel.noise_cells
+
+    def counted(*args):
+        calls["noise_cells"] += 1
+        return noise_cells(*args)
+    monkeypatch.setattr(channel, "noise_cells", counted)
+    for sizes in ((5, l_fft + 3, 7, TINY.payload_capacity), (TINY.payload_capacity, 1, l_fft)):
+        draws = RoundDraws(TINY, PROFILE, seeds)
+        for n in sizes:
+            before = calls["noise_cells"]
+            z = draws.payload_noise(n)
+            assert _same_bits(z, whole[:n]) and not z.flags.writeable
+            assert calls["noise_cells"] - before == (0 if n <= max(sizes[: sizes.index(n)], default=0)
+                                                     else -(-n // l_fft))
 
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
 def test_noiseless_transmit_draws_no_noise(monkeypatch, link_fn):
     def refuse(*args, **kwargs):
         raise AssertionError("a noiseless transmit drew noise")
+    monkeypatch.setattr(channel, "noise_cells", refuse)
     monkeypatch.setattr(channel, "_noise_rows", refuse)
     seeds = LinkSeeds(pilot=61, channel=62, noise=63)
     draws = RoundDraws(TINY, PROFILE, seeds)
     for n in (0, 7, TINY.l_fft + 1):
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, None, seeds)
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, None, seeds, draws=draws)
-    assert not draws._noisy
+    assert not draws._b and draws._z.size == 0
 
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
 def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
     # each transmit runs the public equalizer once; a RoundDraws asks
-    # channel.freq_response for H and runs the public estimator for a once
-    # per new set of simulated data rows, and draws noise and estimates b once
-    # per set that a noisy call reaches: rxdsp.estimate runs at most twice per
-    # set of data rows, whatever the number of SNRs
+    # channel.freq_response for H and takes the estimator's line across
+    # symbols for a once per new set of simulated data rows, and draws the
+    # pilot rows' noise taps and takes the line for b once per set that a
+    # noisy call reaches: the line runs at most twice per set of data rows,
+    # whatever the number of SNRs. Payload noise is drawn per data row when
+    # a payload outgrows what was drawn; channel.apply's whole rows never
     counts = Counter()
-    for module, name in ((rxdsp, "estimate"), (rxdsp, "equalize_mmse"), (channel, "freq_response"),
-                         (channel, "_noise_rows")):
+    for module, name in ((rxdsp, "interpolate"), (rxdsp, "equalize_mmse"), (channel, "freq_response"),
+                         (channel, "noise_cells"), (channel, "_noise_rows"), (rxdsp, "estimate")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
@@ -140,20 +196,21 @@ def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
     seeds = LinkSeeds(pilot=31, channel=32, noise=33)
     draws = RoundDraws(TINY, PROFILE, seeds)
     # one data row with no noise, then at 6 dB; two rows at 0 dB; both row
-    # sets again at other SNRs and with no noise: (payload size, SNR,
-    # estimates, H responses and noise draws so far)
+    # sets again at other SNRs and with no noise: (payload size, SNR, lines,
+    # H responses and noise draws so far), two pilot rows' taps per b
     steps = [
-        (5, None, 1, 1, 0), (7, 6.0, 2, 1, 1), (TINY.l_fft + 1, 0.0, 4, 2, 2), (9, 0.0, 4, 2, 2),
-        (TINY.l_fft + 2, 18.0, 4, 2, 2), (11, 18.0, 4, 2, 2), (13, None, 4, 2, 2),
-        (TINY.l_fft + 3, None, 4, 2, 2),
+        (5, None, 1, 1, 0), (7, 6.0, 2, 1, 2 + 1), (TINY.l_fft + 1, 0.0, 4, 2, 5 + 2), (9, 0.0, 4, 2, 7),
+        (TINY.l_fft + 2, 18.0, 4, 2, 7 + 2), (11, 18.0, 4, 2, 9), (13, None, 4, 2, 9),
+        (TINY.l_fft + 3, None, 4, 2, 9),
     ]
-    for calls, (n, snr_db, estimates, responses, noises) in enumerate(steps, start=1):
+    for calls, (n, snr_db, lines, responses, noises) in enumerate(steps, start=1):
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, snr_db, seeds, draws=draws)
-        assert (counts["estimate"], counts["equalize_mmse"], counts["freq_response"],
-                counts["_noise_rows"]) == (estimates, calls, responses, noises)
+        assert (counts["interpolate"], counts["equalize_mmse"], counts["freq_response"],
+                counts["noise_cells"]) == (lines, calls, responses, noises)
     link_fn(_payload(5, 1.0, seed=5), TINY, PROFILE, 6.0, seeds)  # draws of its own
-    assert (counts["estimate"], counts["equalize_mmse"], counts["freq_response"],
-            counts["_noise_rows"]) == (6, 9, 3, 3)
+    assert (counts["interpolate"], counts["equalize_mmse"], counts["freq_response"],
+            counts["noise_cells"]) == (6, 9, 3, 12)
+    assert counts["_noise_rows"] == counts["estimate"] == 0
 
 
 def test_round_draws_estimate_is_read_only_and_payload_free():
@@ -165,7 +222,7 @@ def test_round_draws_estimate_is_read_only_and_payload_free():
     rows = TINY.data_rows_idx[:1]
 
     def kept():
-        return draws.clean(rows) + draws.noisy(rows)
+        return draws.clean(rows) + (draws.payload_noise(TINY.l_fft), draws.estimate_noise(rows))
 
     parts = kept()
     assert not any(part.flags.writeable for part in parts)
@@ -178,7 +235,7 @@ def test_round_draws_estimate_is_read_only_and_payload_free():
             assert _same_bits(got_h, a[:n] + sigma * b[:n])
         _, got_h, _ = transmit_with_state(symbols, TINY, PROFILE, None, seeds, draws=draws)
         assert _same_bits(got_h, a[:n])
-    assert all(x is y for x, y in zip(kept(), parts))
+    assert all(np.shares_memory(x, y) for x, y in zip(kept(), parts))  # none made again
 
 
 def _realize_loop(profile, cfg, n_symbols, seed):
@@ -308,8 +365,41 @@ def test_round_draws_cells_are_its_kept_parts_on_the_payload_cells():
     seeds = LinkSeeds(pilot=71, channel=72, noise=73)
     draws = RoundDraws(TINY, PROFILE, seeds)
     for n, rows in ((5, TINY.data_rows_idx[:1]), (TINY.l_fft + 2, TINY.data_rows_idx[:2])):
-        kept = draws.clean(rows) + draws.noisy(rows)
+        kept = draws.clean(rows) + (draws.payload_noise(n), draws.estimate_noise(rows))
         cells = draws.cells(n)
         assert len(cells) == 4 and all(c.size == n for c in cells)
         assert all(_same_bits(c, k[:n]) for c, k in zip(cells, kept))
         assert all(_same_bits(c, k[:n]) for c, k in zip(draws.cells(n, noisy=False), kept[:2]))
+
+
+@pytest.mark.parametrize("name", ["default", "pilot3"])
+def test_link_draws_have_the_full_grid_noise_law(name):
+    # over 2,000 seeded rounds the link's draws and the old full-width law
+    # (white unit-variance noise on whole pilot and payload rows, through the
+    # full-grid estimator) give the same statistics: b's per-cell variance is
+    # (l_cp / l_fft) * sum_j c_j^2, with c_j the line weights of the payload's
+    # row, and z is circular with unit variance
+    cfg, rounds, n = CONFIGS[name], 2000, 256
+    rows = cfg.data_rows_idx[:1]
+    pilot_rows = cfg.pilot_rows_idx[:2]
+    weights = rxdsp.interpolate(np.eye(len(pilot_rows)), pilot_rows, rows)[0]
+    want_b = cfg.l_cp / cfg.l_fft * float(np.sum(weights**2))
+    new_b, new_z, old_b, old_z = [], [], [], []
+    for r in range(rounds):
+        seeds = LinkSeeds(pilot=3 * r, channel=3 * r + 1, noise=3 * r + 2)
+        _, _, z, b = RoundDraws(cfg, PROFILE, seeds).cells(n)
+        new_b.append(b)
+        new_z.append(z)
+        full = channel._noise_rows(seeds.noise, pilot_rows + rows, cfg.l_fft)
+        pilots = ofdm.pilot_rows(cfg, seeds.pilot)[: len(pilot_rows)]
+        old_b.append(rxdsp.estimate(full[: len(pilot_rows)], pilots, pilot_rows, rows, cfg.l_cp)[0, :n])
+        old_z.append(full[len(pilot_rows)][:n])
+        assert np.max(np.abs(np.abs(pilots) - 1.0)) <= 1e-15  # so z/p has the law of z
+    for b, z in ((np.array(new_b), np.array(new_z)), (np.array(old_b), np.array(old_z))):
+        # a round's cells are correlated, so the error is that of the per-round means
+        per_round = np.mean(np.abs(b) ** 2, axis=1)
+        assert abs(per_round.mean() - want_b) <= 4.0 * per_round.std() / np.sqrt(rounds)
+        assert abs(np.mean(b**2)) <= 4.0 * np.sqrt(2.0 / rounds) * want_b
+        cells = z.size
+        assert abs(np.mean(np.abs(z) ** 2) - 1.0) <= 4.0 / np.sqrt(cells)
+        assert abs(np.mean(z**2)) <= 4.0 * np.sqrt(2.0 / cells)

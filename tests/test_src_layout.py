@@ -412,6 +412,51 @@ def test_drawing_guard_sees_each_form(tmp_path, code, drawing):
     assert _drawing_functions(tmp_path / "mod.py") == drawing
 
 
+# The full-grid oracle's whole-row noise has one caller, channel.apply: the
+# link draws only the cells its receiver reads (channel.noise_cells), so it
+# cannot fall back to full-width noise.
+WHOLE_ROW_NOISE_USERS = {("channel", "apply")}
+
+
+def _users(name: str, src: Path = SRC) -> set[tuple[str, str]]:
+    """(module, user) of each place in src/ that names `name`: a top-level
+    function, a class method ("Class.method") or, for any other top-level
+    statement, "<module>". A definition does not use its own name."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                parts = [(stmt.name, stmt)]
+            elif isinstance(stmt, ast.ClassDef):
+                methods = [m for m in stmt.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                parts = [(f"{stmt.name}.{m.name}", m) for m in methods]
+                parts += [("<module>", m) for m in stmt.body if m not in methods]
+            else:
+                parts = [("<module>", stmt)]
+            out |= {(path.stem, user) for user, node in parts if user != name and name in _names(node)}
+    return out
+
+
+def test_whole_row_noise_is_drawn_by_the_oracle_channel_alone():
+    assert _users("_noise_rows") == WHOLE_ROW_NOISE_USERS
+
+
+@pytest.mark.parametrize(
+    "code,users",
+    [("def f(s):\n    return _noise_rows(s, [0], 8)", {("mod", "f")}),
+     ("def f(s):\n    return chan._noise_rows(s, [0], 8)", {("mod", "f")}),
+     ("class C:\n    def m(self):\n        return chan._noise_rows(1, [0], 8)", {("mod", "C.m")}),
+     ("draw = chan._noise_rows", {("mod", "<module>")}),
+     ("class C:\n    draw = chan._noise_rows", {("mod", "<module>")}),
+     ("def _noise_rows(s, rows, n):\n    return rows", set()),
+     ("def f(s):\n    return chan.noise_cells(s, 0, 8)", set())],
+    ids=["call", "attribute", "method", "alias", "class-attribute", "definition", "other"],
+)
+def test_noise_guard_sees_each_form(tmp_path, code, users):
+    (tmp_path / "mod.py").write_text(code + "\n")
+    assert _users("_noise_rows", tmp_path) == users
+
+
 def test_importing_the_cli_loads_numpy_alone():
     # numpy is the one runtime dependency; any other package would add its
     # import time to every semlink process
