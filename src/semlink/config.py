@@ -36,12 +36,15 @@ ALL_MODES = SEMANTIC_MODES + BASELINE_MODES
 
 
 def check_modes(modes) -> None:
-    """ValueError if the mode list is empty or names an unknown mode."""
+    """ValueError if the mode list is empty, names an unknown mode or names
+    one twice."""
     if not modes:
         raise ValueError("empty mode list")
     for mode in modes:
         if mode not in ALL_MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(ALL_MODES)}")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"repeated mode in {', '.join(modes)}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,8 @@ class ExperimentSection:
             raise ValueError("empty SNR list")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if len(set(self.snr_db)) < len(self.snr_db):
+            raise ValueError(f"repeated SNR in snr_db {self.snr_db}")
 
 
 @dataclass(frozen=True)

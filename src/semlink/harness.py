@@ -21,17 +21,18 @@ it: it runs the grid one session index at a time, and every (mode, SNR) of
 that index shares one SessionCache. The cache holds what depends on the index
 alone: the scene, its harq.SemanticSource and harq.BaselineSource (each
 computes its codewords and reference values once, for every session that
-runs from it), and per round the link's seed-determined draws (pilots,
-channel realization, and per set of simulated data rows H, the noise and
-the two parts of the pilot estimate that every SNR combines). It also holds
-the receptions: the first session of a pipeline (semantic or baseline) to
-read the index computes every round that the grid's modes can read, at
-every SNR of the grid as one batch of one link call, decode and scoring pass
-per round (harq.SemanticSource.rounds, BaselineSource.rounds), and each
-session walks its SNR's row to the first ACK. A cache lives for one index of
-one run_sweep call, so memory does not grow with the number of sessions and
-no later sweep starts warm. A session runs on the cache it is given
-(run_session), and every round it records is a harq.Reception.
+runs from it), and per round the link's seed-determined draws (the channel
+realization, and per set of simulated data rows H, the noise and the two
+parts of the pilot estimate that every SNR combines). It also holds the
+receptions: the first session of a pipeline (semantic or baseline) to read
+the index computes every round that the grid's modes read, at every SNR of
+the grid whose row is not yet acknowledged, as one batch of one link call,
+decode and scoring pass per round (harq.SemanticSource.rounds,
+BaselineSource.rounds), and each session is its SNR's row. A cache lives
+for one index of one run_sweep call, so memory does not grow with the
+number of sessions and no later sweep starts warm. A session runs on the
+cache it is given (run_session), and every round it records is a
+harq.Reception, with its ACK verdict.
 """
 
 from __future__ import annotations
@@ -392,8 +393,8 @@ class SessionCache:
     sources, per round the link's RoundDraws, and the rows. The first session
     of a pipeline (semantic or baseline) to read the index computes the rounds
     of the pipeline's modes in the config (and its own) at every SNR of the
-    config as one batch; a session at another SNR, at that SNR alone. A
-    round goes only to the SNRs where some mode's session has not been
+    config as one batch; a session at another SNR, at that SNR alone. Each
+    mode's round goes only to the SNRs where its session has not been
     acknowledged by then, at the config's threshold or by the CRC. A sweep
     of baseline modes alone never builds the semantic source, so it runs on a
     bundle without codecs or scorer. Sharing one cache changes no result:
@@ -438,35 +439,30 @@ class SessionCache:
             self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.profile, seeds)
         return self._draws[t]
 
-    def send(self, snrs, t: int, symbols):
-        """transmit_symbols of symbols in round t at every SNR of snrs, on that round's draws."""
-        draws = self.draws(t)
-        return transmit_symbols(symbols, self.bundle.cfg.ofdm, self.profile, snrs, draws.seeds, draws=draws)
-
-    def send_with_state(self, snrs, t: int, symbols):
-        """transmit_with_state of symbols in round t at every SNR of snrs, on that round's draws."""
-        draws = self.draws(t)
-        return transmit_with_state(symbols, self.bundle.cfg.ofdm, self.profile, snrs, draws.seeds, draws=draws)
-
     def rows(self, mode: str, snr_db: float) -> list:
         """The rounds that a session of mode at snr_db reads, up to its
         first acknowledged one: one row of SemanticSource.rounds, at the
-        config's threshold, or of BaselineSource.rounds."""
+        config's threshold, or of BaselineSource.rounds. Each round is one
+        link call on its RoundDraws, at the SNRs of the rows it goes to."""
         if (mode, snr_db) not in self._rows:
             cfg = self.bundle.cfg
             e = cfg.experiment
             snrs = e.snr_db if snr_db in e.snr_db else (snr_db,)
             if mode in BASELINE_MODES:
-                pipeline, rounds, send = BASELINE_MODES, self.baseline.rounds, self.send_with_state
+                pipeline, rounds = BASELINE_MODES, self.baseline.rounds
             else:
-                pipeline, send = SEMANTIC_MODES, self.send
+                pipeline = SEMANTIC_MODES
                 rounds = functools.partial(self.semantic.rounds, threshold=cfg.detector.ack_threshold)
             modes = tuple(dict.fromkeys(m for m in (*e.modes, mode) if m in pipeline))
 
-            def send_rows(t, symbols, rows):
-                return send([snrs[b] for b in rows], t, symbols)
+            def send(t, symbols, rows):
+                draws = self.draws(t)
+                args = (symbols, cfg.ofdm, self.profile, [snrs[b] for b in rows], draws.seeds)
+                if pipeline is BASELINE_MODES:
+                    return transmit_with_state(*args, draws=draws)
+                return transmit_symbols(*args, draws=draws)
 
-            for m, per_snr in rounds(modes, e.round_budget, len(snrs), send_rows).items():
+            for m, per_snr in rounds(modes, e.round_budget, len(snrs), send).items():
                 self._rows.update(zip([(m, s) for s in snrs], per_snr))
         return self._rows[mode, snr_db]
 
@@ -482,18 +478,13 @@ def run_session(cache: SessionCache, mode: str, snr_db: float) -> SessionRecord:
     the same.
     """
     cfg = cache.bundle.cfg
-    budget = cfg.experiment.round_budget
-
     if mode in SEMANTIC_MODES:
-        threshold = cfg.detector.ack_threshold
-        session = run_semantic_session(cache.rows(mode, snr_db), threshold)
+        beta, run = cfg.detector.ack_threshold, run_semantic_session
     elif mode in BASELINE_MODES:
-        threshold = None
-        session = run_baseline_session(cache.rows(mode, snr_db))
+        beta, run = None, run_baseline_session
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    return _flatten(session, cache.idx, mode, snr_db, threshold, budget)
+    return _flatten(run(cache.rows(mode, snr_db)), cache.idx, mode, snr_db, beta, cfg.experiment.round_budget)
 
 
 def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRecord:

@@ -12,19 +12,17 @@ A session runs from a source (SemanticSource, BaselineSource): one scene's
 mask, reference and payload, and what every session of that scene derives
 from them, computed once as the source is built (a semantic source's
 scorer embedding and second-pair symbols on first use: the corpus's
-sources have neither). A source's `rounds` makes every round that sessions
-of some modes read, over a batch of channels (harness.SessionCache sends
-one per SNR): each round sends its symbols once to the rows of the batch
-that some session still reads, those not yet acknowledged, and decodes,
-scores, combines, demaps and checks the CRC of all of them at once. Each
-row is one Reception per round up to its first acknowledged one, judged by
-the scorer at the threshold `rounds` is given or by the CRC, bitwise what a
-batch of that row alone gives: every net runs a row as a one-row matrix. A
-session (run_semantic_session, run_baseline_session) walks one row's rounds
-to the first acknowledged one, a semantic session at the threshold it is
-given. A semantic reception is SemanticSource.receive, for the sessions
-here and for the scorer's rank corpus (detector.build_corpus), whose
-sources have no scorer.
+sources have neither). Every protocol runs one HARQ loop (_chains) over a
+batch of channels (harness.SessionCache sends one per SNR) and supplies
+only its round, which sends once to the rows not yet acknowledged and
+decodes, combines and judges them at once. Each row is its Receptions up to
+its first acknowledged one, bitwise what a batch of that row alone gives
+(every net runs a row as a one-row matrix), and is one session
+(run_semantic_session, run_baseline_session). Each Reception carries its
+ACK verdict, made where it is scored: by the scorer at the threshold given
+to SemanticSource.rounds, or by the CRC. A semantic reception is
+SemanticSource.receive, for the sessions here and for the scorer's rank
+corpus (detector.build_corpus), whose sources have no scorer.
 A reception is known on the cells its source's mask sends, and both
 sources score it there alone (scenegen.SentCells.score), with the
 arithmetic that codec training's perception term uses: its map is
@@ -105,23 +103,32 @@ def fit_quantizer(values: np.ndarray) -> Quantizer8:
 class Reception:
     """One round's decoded message and what the round records of it: the
     perception loss of its candidate (the message on the mask's cells, zero
-    elsewhere), its true similarity to the reference, and the scorer's score,
-    None in a CRC round. Its message is read-only, so the sessions that share
-    one reception cannot alter it."""
+    elsewhere), its true similarity to the reference, the scorer's score,
+    None in a CRC round, and whether the receiver acknowledged it. Its
+    message is read-only, so the sessions that share one reception cannot
+    alter it."""
 
     message: np.ndarray
     task_loss: float
     s_true: float
     s_hat: float | None
+    acked: bool
 
 
 @dataclass(frozen=True)
 class HarqSession:
-    """A session's Receptions, one per round used, and whether its last round
-    was acknowledged: a session stops at its ACK, so no other round can be."""
+    """A session's Receptions, one per round used: a session stops at its
+    ACK, so only its last round can be acknowledged."""
 
     rounds: list[Reception]
-    acked: bool
+
+    def __post_init__(self):
+        if not self.rounds:
+            raise ValueError("a session has at least one round")
+
+    @property
+    def acked(self) -> bool:
+        return self.rounds[-1].acked
 
     @property
     def rounds_used(self) -> int:
@@ -140,8 +147,6 @@ def finalize(session: HarqSession) -> tuple[int, Reception]:
     (ties to the earliest); unscored (CRC) sessions fall back to the last
     combined estimate.
     """
-    if not session.rounds:
-        raise ValueError("cannot finalize a session with no rounds")
     t = session.ack_round
     if t == 0:
         scored = [r.s_hat for r in session.rounds]  # a session's rounds are all scored or none
@@ -155,6 +160,21 @@ def throughput(sessions) -> float:
     if total_rounds == 0:
         return float("nan")
     return sum(1 for s in sessions if s.ack_round > 0) / total_rounds
+
+
+def _chains(batch: int, budget: int, step) -> list[list[Reception]]:
+    """Per row of a batch of `batch` channels, the Receptions of its rounds up
+    to its first acknowledged one, its budget's at most: the one HARQ loop.
+    `step(t, rows)` makes round t's Receptions of those rows of the batch,
+    the ones not acknowledged by round t - 1, in their order."""
+    chains, rows = [[] for _ in range(batch)], list(range(batch))
+    for t in range(1, budget + 1):
+        for b, rx in zip(rows, step(t, rows), strict=True):
+            chains[b].append(rx)
+        rows = [b for b in rows if not chains[b][-1].acked]
+        if not rows:
+            break
+    return chains
 
 
 class SemanticSource:
@@ -207,28 +227,29 @@ class SemanticSource:
         s_true = [true_similarity(self.ref_loss, x) for x in loss.reshape(-1).tolist()]
         return pool_map(cmap, self.pool), loss, np.reshape(s_true, loss.shape)
 
-    def receptions(self, messages: np.ndarray) -> list[Reception]:
+    def receptions(self, messages: np.ndarray, threshold: float) -> list[Reception]:
         """One Reception per row of decoded messages (B, C*k): receive, with
-        the scorer's score of each pooled map."""
+        the scorer's score of each pooled map and its verdict at `threshold`
+        (ack_decide)."""
         messages = _frozen(messages)
         pooled, loss, s_true = self.receive(messages)
-        s_hat = score_pooled(self.scorer, self.ref_emb, pooled)
-        return [Reception(*rx) for rx in zip(messages, loss.tolist(), s_true.tolist(), s_hat.tolist())]
+        s_hat = score_pooled(self.scorer, self.ref_emb, pooled).tolist()
+        return [Reception(m, x, s, h, ack_decide(h, threshold))
+                for m, x, s, h in zip(messages, loss.tolist(), s_true.tolist(), s_hat)]
 
     def rounds(
         self, modes, budget: int, batch: int, send, threshold: float
     ) -> dict[str, list[list[Reception]]]:
         """Per mode of `modes`, per row of a batch of `batch` channels, the
         Receptions of its rounds up to the first whose score exceeds
-        `threshold` (ack_decide): its budget's at most, noharq's one.
+        `threshold`: its budget's at most, noharq's one (_chains).
 
         Mode "sim1" resends the first pair's symbols every round and keeps
         the latest decoded message as candidate; "sim2" sends the second
         pair from round two and its candidate is the sum of all decoded
         messages; "noharq" is sim1's first round. Modes share the rounds
         that send the first pair. `send(t, symbols, rows)` returns round t's
-        (len(rows), n) equalized symbols on those rows of the batch; a round
-        goes to the rows whose previous round was not acknowledged.
+        (len(rows), n) equalized symbols on those rows of the batch.
         """
         for mode in modes:
             if mode not in ("noharq", "sim1", "sim2"):
@@ -240,77 +261,57 @@ class SemanticSource:
         if budget < 1:
             raise ValueError("round budget must be at least 1")
 
-        def nacked(chains, t):
-            """The rows whose chain holds t - 1 rounds, the last not acknowledged."""
-            return [b for b, c in enumerate(chains)
-                    if len(c) == t - 1 and not ack_decide(c[-1].s_hat, threshold)]
-
         def first_pair(t, rows):
-            return self.receptions(codec_mod.decode(self.first, send(t, self.sym_first, rows)))
+            return self.receptions(codec_mod.decode(self.first, send(t, self.sym_first, rows)), threshold)
 
-        first = [[rx] for rx in first_pair(1, range(batch))]
-        for t in range(2, (budget if "sim1" in modes else 1) + 1):
-            rows = nacked(first, t)
-            if not rows:
-                break
-            for b, rx in zip(rows, first_pair(t, rows)):
-                first[b].append(rx)
+        first = _chains(batch, budget if "sim1" in modes else 1, first_pair)
         by_mode = {"noharq": [c[:1] for c in first], "sim1": first}
         if "sim2" in modes:
-            by_mode["sim2"] = second = [c[:1] for c in first]
-            for t in range(2, budget + 1):
-                rows = nacked(second, t)
-                if not rows:
-                    break
-                total = np.stack([second[b][-1].message for b in rows])  # the sum so far
-                total = total + codec_mod.decode(self.second, send(t, self.sym_second, rows))
-                for b, rx in zip(rows, self.receptions(total)):
-                    second[b].append(rx)
+            total = np.stack([c[0].message for c in first])  # each row's sum so far
+
+            def second_pair(t, rows):
+                if t == 1:
+                    return [first[b][0] for b in rows]
+                summed = total[rows] + codec_mod.decode(self.second, send(t, self.sym_second, rows))
+                total[rows] = summed
+                return self.receptions(summed, threshold)
+
+            by_mode["sim2"] = _chains(batch, budget, second_pair)
         return {mode: by_mode[mode] for mode in modes}
 
 
-def _first_ack(rounds) -> HarqSession:
-    """The session of (acknowledged, Reception) rounds that stops at the
-    first acknowledged one."""
-    for t, (ack, _) in enumerate(rounds, start=1):
-        if ack:
-            return HarqSession([rx for _, rx in rounds[:t]], True)
-    return HarqSession([rx for _, rx in rounds], False)
-
-
-def run_semantic_session(rounds: list[Reception], threshold: float) -> HarqSession:
-    """A session over one row of SemanticSource.rounds: it stops at the
-    first round whose score exceeds `threshold` (ack_decide)."""
-    return _first_ack([(ack_decide(rx.s_hat, threshold), rx) for rx in rounds])
+def run_semantic_session(rounds: list[Reception]) -> HarqSession:
+    """The session of one row of SemanticSource.rounds."""
+    return HarqSession(rounds)
 
 
 class ChaseCombiner:
     """Per-symbol weighted averaging of equalized observations across copies,
-    of one vector or of each row of a batch, that of the observations added."""
+    for each row of a batch of `batch` channels, of what was added to it."""
 
-    def __init__(self, n_symbols: int):
-        self.n_symbols = n_symbols
-        self.num = 0.0
-        self.den = 0.0
+    def __init__(self, batch: int, n_symbols: int):
+        self.num = np.zeros((batch, n_symbols), dtype=np.complex128)
+        self.den = np.zeros((batch, n_symbols))
 
-    def add(self, eq_symbols: np.ndarray, h: np.ndarray, noise_var) -> None:
-        """Observations and estimates (..., n_symbols), noise_var one per row."""
-        eq_symbols = np.asarray(eq_symbols, dtype=np.complex128)
-        h = np.asarray(h, dtype=np.complex128)
-        if eq_symbols.shape[-1:] != (self.n_symbols,) or h.shape != eq_symbols.shape:
+    def add(self, rows, eq_symbols: np.ndarray, h: np.ndarray, noise_var) -> np.ndarray:
+        """Add observations and estimates (len(rows), copies * n_symbols) to
+        these rows of the batch, noise_var one per row, each n_symbols-long
+        slice one copy in order; return the rows' combination (len(rows),
+        n_symbols)."""
+        eq_symbols, h = np.asarray(eq_symbols, dtype=np.complex128), np.asarray(h, dtype=np.complex128)
+        n = self.num.shape[-1]
+        if eq_symbols.shape[-1] % n or h.shape != eq_symbols.shape:
             raise ValueError("observation length does not match the combiner")
         w = np.abs(h) ** 2 / np.maximum(np.asarray(noise_var, dtype=np.float64), 1e-30)[..., None]
-        self.num = self.num + w * eq_symbols
-        self.den = self.den + w
-
-    def keep(self, rows) -> None:
-        """Keep the observations of these rows of the batch alone, in this order."""
-        self.num, self.den = self.num[rows], self.den[rows]
-
-    def combined(self) -> np.ndarray:
-        if np.any(np.asarray(self.den) == 0.0):
+        rows = np.asarray(rows)
+        num, den = self.num[rows], self.den[rows]
+        for i in range(0, eq_symbols.shape[-1], n):
+            num = num + w[..., i : i + n] * eq_symbols[..., i : i + n]
+            den = den + w[..., i : i + n]
+        if np.any(den == 0.0):
             raise ValueError("combiner has positions with no observations")
-        return self.num / self.den
+        self.num[rows], self.den[rows] = num, den
+        return num / den
 
 
 class BaselineSource:
@@ -346,54 +347,49 @@ class BaselineSource:
         self.codeword = _frozen(np.tile(self.chunk, copies))
         self.ref_loss = float(self.sent.loss(self.ref_message, head))
 
-    def reception(self, combined: np.ndarray) -> list[tuple[bool, Reception]]:
-        """Per row of combined chunks (B, chunk): whether the CRC of its
-        frame passes, and the unscored Reception of its dequantized codes."""
+    def reception(self, combined: np.ndarray) -> list[Reception]:
+        """Per row of combined chunks (B, chunk): the unscored Reception of
+        its dequantized codes, acknowledged when the CRC of its frame passes."""
         frames = np.packbits(qam_demap_hard(combined, self.mod_order)[..., : self.payload_bits.size], axis=-1)
         messages = _frozen(self.quantizer.dequantize(frames[..., : frames.shape[-1] - CRC24_BITS // 8]))
         losses = self.sent.loss(messages, self.head).tolist()
         return [
-            (bool(ok), Reception(m, x, true_similarity(self.ref_loss, x), None))
-            for ok, m, x in zip(crc24(frames) == 0, messages, losses)
+            Reception(m, x, true_similarity(self.ref_loss, x), None, bool(ok))
+            for m, x, ok in zip(messages, losses, crc24(frames) == 0)
         ]
 
-    def rounds(self, modes, budget: int, batch: int, send) -> dict[str, list[list[tuple[bool, Reception]]]]:
+    def rounds(self, modes, budget: int, batch: int, send) -> dict[str, list[list[Reception]]]:
         """Per mode of `modes`, per row of a batch of `batch` channels, the
-        CRC verdicts and Receptions of its budget's rounds, up to the first
-        whose CRC passes.
+        Receptions of its rounds up to the first whose CRC passes: its
+        budget's at most (_chains).
 
         Mode "base1" retransmits the full codeword (every copy of the chunk)
         each round and mode "base2" one chunk; either adds each chunk-long
-        slice it received, in order, to one chase combiner per row, whose
-        combination a round judges (reception). `send(t, symbols, rows)`
-        returns round t's (equalized, est_h, noise_var) on those rows of the
-        batch: (len(rows), n), (len(rows), n) and (len(rows),); a round goes
-        to the rows whose CRC has not passed.
+        slice it received, in order, to its row of one chase combiner per
+        mode, whose combination a round judges (reception). `send(t,
+        symbols, rows)` returns round t's (equalized, est_h, noise_var) on
+        those rows of the batch: (len(rows), n), (len(rows), n) and
+        (len(rows),).
         """
+        sent = {"base1": self.codeword, "base2": self.chunk}
+        for mode in modes:
+            if mode not in sent:
+                raise ValueError(f"unknown baseline mode {mode!r}")
         if budget < 1:
             raise ValueError("round budget must be at least 1")
-        out = {}
-        for mode in modes:
-            if mode not in ("base1", "base2"):
-                raise ValueError(f"unknown baseline mode {mode!r}")
-            sent, n_chunk = (self.codeword if mode == "base1" else self.chunk), self.chunk.size
-            combiner, rows = ChaseCombiner(n_chunk), list(range(batch))
-            out[mode] = chains = [[] for _ in rows]
-            for t in range(1, budget + 1):
-                eq, h, noise_var = send(t, sent, rows)
-                for i in range(0, sent.size, n_chunk):
-                    combiner.add(eq[..., i : i + n_chunk], h[..., i : i + n_chunk], noise_var)
-                for b, verdict in zip(rows, self.reception(combiner.combined())):
-                    chains[b].append(verdict)
-                failed = [k for k, b in enumerate(rows) if not chains[b][-1][0]]
-                if not failed:
-                    break
-                combiner.keep(failed)
-                rows = [rows[k] for k in failed]
-        return out
+        return {mode: _chains(batch, budget, self._combining(sent[mode], batch, send)) for mode in modes}
+
+    def _combining(self, sent: np.ndarray, batch: int, send):
+        """The round of a mode that sends `sent` every round and chase-combines
+        it, per row, in a combiner of its own."""
+        combiner = ChaseCombiner(batch, self.chunk.size)
+
+        def step(t, rows):
+            return self.reception(combiner.add(rows, *send(t, sent, rows)))
+
+        return step
 
 
-def run_baseline_session(rounds: list[tuple[bool, Reception]]) -> HarqSession:
-    """A session over one row of BaselineSource.rounds: it stops at the
-    first round whose CRC passes."""
-    return _first_ack(rounds)
+def run_baseline_session(rounds: list[Reception]) -> HarqSession:
+    """The session of one row of BaselineSource.rounds."""
+    return HarqSession(rounds)

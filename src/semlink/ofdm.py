@@ -1,6 +1,7 @@
 """OFDM framing: Gray-mapped QAM and the pilot layout.
 
-A frame is a (n_symbols, l_fft) grid. Two symbol rows carry known QPSK pilots
+A frame is a (n_symbols, l_fft) grid. The pilot_symbols rows, at least one
+and at most n_symbols - 1 of them (two by default), carry known QPSK pilots
 for channel estimation; the rest carry payload in row-major order with zero
 padding.
 """

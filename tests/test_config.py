@@ -132,7 +132,9 @@ def test_bad_value_reports_location(tmp_path):
         ("workers = 1", "workers = 0"),
         ("modes = noharq,sim1,sim2,base1", "modes = sim1,warp"),
         ("modes = noharq,sim1,sim2,base1", "modes = ,"),
+        ("modes = noharq,sim1,sim2,base1", "modes = sim1,base1,sim1"),
         ("\nsnr_db = 0,3,6,9,12,15,18\n", "\nsnr_db = \n"),
+        ("\nsnr_db = 0,3,6,9,12,15,18\n", "\nsnr_db = 0,3,0.0\n"),
         ("cr = 0.05", "cr = 0"),
         ("tap_decay = 5e-07", "tap_decay = 0"),
         ("lr = 0.002\n", "lr = -1\n"),
@@ -153,7 +155,7 @@ def test_bad_value_reports_location(tmp_path):
     ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
          "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan",
          "pool", "branch_width", "train_samples", "hidden", "sessions", "round_budget",
-         "workers", "modes", "modes-empty", "snr_db-empty", "cr", "tap_decay", "codec-lr", "detector-lr",
+         "workers", "modes", "modes-empty", "modes-repeated", "snr_db-empty", "snr_db-repeated", "cr", "tap_decay", "codec-lr", "detector-lr",
          "mod_order", "code_copies", "pilot_symbols-empty", "pilot_symbols-all",
          "subcarrier_spacing", "corpus_snr_db-empty", "corpus_snr_db-one", "recon_epochs",
          "task_epochs", "detector-epochs", "task_weight", "weight_decay"],
@@ -179,6 +181,17 @@ def test_validate_rejects_bad_mode():
         replace(cfg, experiment=replace(cfg.experiment, modes=("warp",)))
     with pytest.raises(ValueError, match="empty mode list"):
         replace(cfg, experiment=replace(cfg.experiment, modes=()))
+    with pytest.raises(ValueError, match="repeated mode"):
+        replace(cfg, experiment=replace(cfg.experiment, modes=("base1", "base1")))
+
+
+def test_validate_rejects_a_repeated_snr():
+    # a repeated SNR would run its sessions twice and count them twice in
+    # summary.csv; 0.0 and -0.0 are one SNR
+    cfg = ExperimentConfig()
+    for snrs in ((0.0, 0.0), (3.0, 0.0, 3.0), (0.0, -0.0)):
+        with pytest.raises(ValueError, match="repeated SNR"):
+            replace(cfg, experiment=replace(cfg.experiment, snr_db=snrs))
 
 
 def test_validate_rejects_bad_cr():

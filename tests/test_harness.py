@@ -460,11 +460,11 @@ def test_noharq_is_single_round(tiny_bundle):
 )
 def test_flatten_reports_the_final_rounds_task_loss(s_hats, acks, final):
     rounds = [
-        Reception(np.full(4, float(t)), 10.0 * t, 0.1 * t, s_hat)
-        for t, s_hat in enumerate(s_hats, start=1)
+        Reception(np.full(4, float(t)), 10.0 * t, 0.1 * t, s_hat, ack)
+        for t, (s_hat, ack) in enumerate(zip(s_hats, acks), start=1)
     ]
     assert not any(acks[:-1])  # only a session's last round can be acknowledged
-    rec = harness._flatten(HarqSession(rounds, acks[-1]), 0, "sim1", 6.0, 0.5, 3)
+    rec = harness._flatten(HarqSession(rounds), 0, "sim1", 6.0, 0.5, 3)
     assert rec.final_round == final
     assert rec.final_task_loss == 10.0 * final
     assert rec.final_s_true == 0.1 * final
@@ -530,7 +530,7 @@ SWEEP_BETA = 0.9505
 
 def _rounds_from_parts(bundle, mode, snr_db, idx):
     """Every round of the budget of one session at snr_db alone, as
-    (Reception, acknowledged) pairs, built from the package's parts with no
+    Receptions with their verdicts, built from the package's parts with no
     SessionCache, no RoundDraws and no SNR batch: the scene, its source, the
     link draws and pilot estimates are all made afresh, round t's link call
     from the seeds of (master seed, idx, t), and each round is its own chain
@@ -559,21 +559,20 @@ def _rounds_from_parts(bundle, mode, snr_db, idx):
                 message = message + codec.decode(src.second, transmit(transmit_symbols, t, src.sym_second))
             pooled, loss, s_true = src.receive(message)
             s_hat = score(src.scorer, src.ref_pooled, pooled)
-            rounds.append((Reception(message, float(loss), float(s_true), s_hat),
-                           s_hat > cfg.detector.ack_threshold))
+            rounds.append(Reception(message, float(loss), float(s_true), s_hat,
+                                    s_hat > cfg.detector.ack_threshold))
         return rounds
     src = BaselineSource(
         bundle.head, scene, f, cfg.baseline_cells(), cfg.baseline.mod_order, cfg.baseline.code_copies,
     )
     sent = src.codeword if mode == "base1" else src.chunk
     n = src.chunk.size
-    combiner = harq.ChaseCombiner(n)
+    combiner = harq.ChaseCombiner(1, n)
     for t in range(1, budget + 1):
         eq, h, noise_var = transmit(transmit_with_state, t, sent)
         for i in range(0, sent.size, n):
-            combiner.add(eq[i : i + n], h[i : i + n], noise_var)
-        ((passed, rx),) = src.reception(combiner.combined()[None, :])
-        rounds.append((rx, passed))
+            combined = combiner.add([0], eq[None, i : i + n], h[None, i : i + n], noise_var)
+        rounds += src.reception(combined)
     return rounds
 
 
@@ -581,8 +580,8 @@ def _session_from_parts(bundle, mode, snr_db, idx):
     """The record of a session whose rounds are _rounds_from_parts's, up to
     the first acknowledged one."""
     rounds = _rounds_from_parts(bundle, mode, snr_db, idx)
-    used = next((t for t, (_, ack) in enumerate(rounds, start=1) if ack), len(rounds))
-    session = HarqSession([rx for rx, _ in rounds[:used]], rounds[used - 1][1])
+    used = next((t for t, rx in enumerate(rounds, start=1) if rx.acked), len(rounds))
+    session = HarqSession(rounds[:used])
     cfg = bundle.cfg
     beta = cfg.detector.ack_threshold if mode in harness.SEMANTIC_MODES else None
     return harness._flatten(session, idx, mode, snr_db, beta, cfg.experiment.round_budget)
@@ -657,13 +656,17 @@ def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
     modes = data.draw(st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=5, unique=True))
     idx = data.draw(st.integers(0, 4))
     cache = harness.SessionCache(sweep_bundle, idx)
+    cfg = sweep_bundle.cfg
 
     def send(link):
-        return lambda t, x, rows: link([snrs[b] for b in rows], t, x)
+        def sent(t, x, rows):
+            draws = cache.draws(t)
+            return link(x, cfg.ofdm, cache.profile, [snrs[b] for b in rows], draws.seeds, draws=draws)
+        return sent
 
     for pipeline, rounds in (
-        (harness.SEMANTIC_MODES, lambda *a: cache.semantic.rounds(*a, send(cache.send), SWEEP_BETA)),
-        (harness.BASELINE_MODES, lambda *a: cache.baseline.rounds(*a, send(cache.send_with_state))),
+        (harness.SEMANTIC_MODES, lambda *a: cache.semantic.rounds(*a, send(transmit_symbols), SWEEP_BETA)),
+        (harness.BASELINE_MODES, lambda *a: cache.baseline.rounds(*a, send(transmit_with_state))),
     ):
         chosen = [m for m in modes if m in pipeline]
         if not chosen:
@@ -674,15 +677,13 @@ def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
             for snr_db, row in zip(snrs, made[mode]):
                 expect = _rounds_from_parts(sweep_bundle, mode, snr_db, idx)
                 assert len(expect) == (1 if mode == "noharq" else 2)
-                used = next((t for t, (_, ack) in enumerate(expect, start=1) if ack), len(expect))
+                used = next((t for t, rx in enumerate(expect, start=1) if rx.acked), len(expect))
                 assert len(row) == used
-                for item, (rx, ack) in zip(row, expect):
-                    have = item[1] if pipeline is harness.BASELINE_MODES else item
+                for have, rx in zip(row, expect):
                     assert have.message.tobytes() == rx.message.tobytes()
                     for name in ("task_loss", "s_true", "s_hat"):
                         assert _same(getattr(have, name), getattr(rx, name)), name
-                    if pipeline is harness.BASELINE_MODES:
-                        assert item[0] is ack
+                    assert have.acked is rx.acked
     for mode in modes:
         for snr_db in snrs:
             expect = _session_from_parts(sweep_bundle, mode, snr_db, idx)
@@ -754,8 +755,7 @@ def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
 
 def _cached_receptions(cache):
     """Every Reception that the cache's rows hold."""
-    return [item[1] if mode in harness.BASELINE_MODES else item
-            for (mode, _), rows in cache._rows.items() for item in rows]
+    return [rx for rows in cache._rows.values() for rx in rows]
 
 
 def test_shared_receptions_are_read_only(sweep_bundle):
@@ -801,7 +801,7 @@ def test_every_round_of_every_mode_is_a_read_only_reception(sweep_bundle, monkey
             with pytest.raises(FrozenInstanceError):
                 rx.s_true = 0.0
         with pytest.raises(FrozenInstanceError):
-            session.acked = not session.acked
+            session.rounds = session.rounds[:1]
 
 
 def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
@@ -844,7 +844,7 @@ def test_sessions_reject_non_finite_snr(tiny_bundle, tmp_path, mode, snr):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("modes", [(), ("sim1", "warp")])
+@pytest.mark.parametrize("modes", [(), ("sim1", "warp"), ("base1", "base1")])
 def test_run_sweep_rejects_bad_mode_lists(tiny_bundle, tmp_path, modes):
     with pytest.raises(ValueError, match="mode"):
         harness.run_sweep(tiny_bundle, modes, (6.0,), tmp_path / "out", sessions=1)
@@ -855,6 +855,15 @@ def test_run_sweep_rejects_bad_mode_lists(tiny_bundle, tmp_path, modes):
 def test_run_sweep_rejects_an_empty_snr_list(tiny_bundle, tmp_path, mode):
     with pytest.raises(ValueError, match="empty SNR list"):
         harness.run_sweep(tiny_bundle, (mode,), (), tmp_path / "out", sessions=1)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["sim1", "base1"])
+def test_run_sweep_rejects_a_repeated_snr(tiny_bundle, tmp_path, mode):
+    # a repeated SNR would run its sessions twice, and summary.csv would
+    # count each of them twice in each of its repeated rows
+    with pytest.raises(ValueError, match="repeated SNR"):
+        harness.run_sweep(tiny_bundle, (mode,), (0.0, 6.0, 0.0), tmp_path / "out", sessions=1)
     assert not (tmp_path / "out").exists()
 
 
@@ -1143,8 +1152,11 @@ def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
         (("--beta", "1.5"), "ack_threshold = 0.72", "ack_threshold = 1.5"),
         (("--snr", "nan"), _TINY_SNR_DB, "snr_db = nan"),
         (("--mode", "warp"), "modes = noharq,sim1,sim2,base1", "modes = warp"),
+        (("--mode", "sim1,sim1"), "modes = noharq,sim1,sim2,base1", "modes = sim1,sim1"),
+        (("--snr", "0,0"), _TINY_SNR_DB, "snr_db = 0,0"),
     ],
-    ids=["sessions", "round_budget", "workers", "ack_threshold", "snr_db", "modes"],
+    ids=["sessions", "round_budget", "workers", "ack_threshold", "snr_db", "modes", "modes-repeated",
+         "snr_db-repeated"],
 )
 def test_cli_flag_and_its_ini_key_fail_alike(tiny_dir, tmp_path, flag, old, new):
     # a flag is its INI key's text, parsed and checked in the same place

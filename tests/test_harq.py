@@ -176,12 +176,14 @@ def test_quantizer_input_validation():
 
 
 def _fake_session(n_rounds, acked, s_hats=None):
-    """A session of n_rounds Receptions, unscored unless s_hats are given."""
+    """A session of n_rounds Receptions, unscored unless s_hats are given,
+    whose last is acknowledged if `acked`."""
     rounds = [
-        Reception(np.full(4, float(t)), 0.0, 0.0, None if s_hats is None else s_hats[t])
+        Reception(np.full(4, float(t)), 0.0, 0.0, None if s_hats is None else s_hats[t],
+                  acked and t == n_rounds - 1)
         for t in range(n_rounds)
     ]
-    return HarqSession(rounds, acked)
+    return HarqSession(rounds)
 
 
 def test_throughput_values():
@@ -216,7 +218,17 @@ def test_finalize_unscored_falls_back_to_last():
 
 def test_finalize_empty_session():
     with pytest.raises(ValueError):
-        finalize(HarqSession([], False))
+        finalize(HarqSession([]))
+
+
+@given(st.integers(1, 5), st.booleans())
+def test_ack_round_is_the_last_round_when_it_is_acknowledged(n_rounds, acked):
+    # a session's verdict is its last reception's: ack_round is that
+    # reception's 1-indexed round when it is acknowledged, else 0
+    session = _fake_session(n_rounds, acked)
+    assert session.acked is session.rounds[-1].acked is acked
+    assert session.rounds_used == n_rounds
+    assert session.ack_round == (n_rounds if acked else 0)
 
 
 # -- semantic sessions over an injected channel --
@@ -269,7 +281,7 @@ def _session(src, mode, budget, threshold, transmit):
     """run_semantic_session over the rounds of a one-row batch whose every
     round, pair 1's too, `transmit(t, symbols)` sends, received afresh."""
     rows = src.rounds((mode,), budget, 1, lambda t, symbols, rows: transmit(t, symbols)[None, :], threshold)
-    return run_semantic_session(rows[mode][0], threshold)
+    return run_semantic_session(rows[mode][0])
 
 
 def test_semantic_session_ack_stops_immediately():
@@ -384,6 +396,7 @@ def test_semantic_rounds_stop_at_each_rows_ack(mode):
         for row, full in zip(rows, whole):
             used = next((t for t, rx in enumerate(full, start=1) if rx.s_hat > threshold), 3)
             assert len(row) == used
+            assert [rx.acked for rx in row] == [rx.s_hat > threshold for rx in row]
             assert all(a.message.tobytes() == b.message.tobytes() and a.s_hat == b.s_hat
                        for a, b in zip(row, full))
 
@@ -408,11 +421,28 @@ def test_baseline_rounds_stop_at_each_rows_crc_pass():
         sent.clear()
         rows = src.rounds((mode,), 3, 3, send)[mode]
         assert sent == [(1, [0, 1, 2]), (2, [1, 2]), (3, [2])]
-        assert [[ok for ok, _ in row] for row in rows] == [[True], [False, True], [False, False, False]]
+        assert [[rx.acked for rx in row] for row in rows] == [[True], [False, True], [False, False, False]]
         for b, row in enumerate(rows):
             alone = src.rounds((mode,), 3, 1, lambda t, x, _, b=b: tuple(a[:1] for a in send(t, x, [b])))
-            assert all(x[0] == y[0] and x[1].message.tobytes() == y[1].message.tobytes()
+            assert all(x.acked == y.acked and x.message.tobytes() == y.message.tobytes()
                        for x, y in zip(row, alone[mode][0], strict=True))
+
+
+def test_semantic_reception_is_acknowledged_when_its_score_exceeds_the_threshold():
+    # the verdict is made where a reception is scored: its score strictly
+    # above the threshold that the rounds are given; a tie is a NACK
+    src = _semantic_source()
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((6, src.sym_first.size)) + 1j * rng.standard_normal((6, src.sym_first.size))
+    messages = codec_mod.decode(src.first, src.sym_first + 0.3 * noise)
+    scores = [rx.s_hat for rx in src.receptions(messages, 0.5)]
+    verdicts = set()
+    for threshold in (min(scores) - 0.1, *scores, max(scores) + 0.1):
+        for rx, s_hat in zip(src.receptions(messages, threshold), scores, strict=True):
+            assert rx.s_hat == s_hat
+            assert rx.acked is (s_hat > threshold)
+            verdicts.add(rx.acked)
+    assert verdicts == {True, False}
 
 
 def test_semantic_session_validation():
@@ -447,41 +477,49 @@ def test_scorer_free_source_receives_what_a_session_records():
 # -- chase combining --
 
 def test_chase_combiner_weighted_average():
-    comb = ChaseCombiner(2)
-    comb.add(np.array([1 + 1j, 2.0]), np.array([1.0, 0.5]), noise_var=0.1)
-    comb.add(np.array([3.0, 0.0]), np.array([2.0, 1.0]), noise_var=0.4)
+    comb = ChaseCombiner(1, 2)
+    comb.add([0], np.array([[1 + 1j, 2.0]]), np.array([[1.0, 0.5]]), noise_var=0.1)
+    combined = comb.add([0], np.array([[3.0, 0.0]]), np.array([[2.0, 1.0]]), noise_var=0.4)
     w1a, w1b = 1.0 / 0.1, 4.0 / 0.4
     w2a, w2b = 0.25 / 0.1, 1.0 / 0.4
     expected = np.array([
         (w1a * (1 + 1j) + w1b * 3.0) / (w1a + w1b),
         (w2a * 2.0 + w2b * 0.0) / (w2a + w2b),
     ])
-    assert np.allclose(comb.combined(), expected, atol=1e-14)
+    assert np.allclose(combined[0], expected, atol=1e-14)
 
 
 def test_chase_combiner_validation():
-    comb = ChaseCombiner(4)
+    comb = ChaseCombiner(2, 4)
     with pytest.raises(ValueError):
-        comb.add(np.zeros(3), np.zeros(3), 0.1)
+        comb.add([0], np.zeros((1, 3)), np.zeros((1, 3)), 0.1)
     with pytest.raises(ValueError):
-        comb.combined()
+        comb.add([0], np.zeros((1, 8)), np.zeros((1, 4)), 0.1)
+    with pytest.raises(ValueError, match="no observations"):  # a zero estimate weighs nothing
+        comb.add([0], np.ones((1, 4)), np.zeros((1, 4)), 0.1)
+    # a refused add leaves its rows as they were
+    assert np.array_equal(comb.add([0], np.full((1, 4), 2.0), np.ones((1, 4)), 0.1), np.full((1, 4), 2.0))
 
 
 def test_chase_combiner_combines_each_row_alone():
-    # a batch of rows, each with its own noise variance, combines as one
-    # combiner per row does, bit for bit
+    # rows of a batch, each with its own noise variance, that receive
+    # different rounds in any order and copies per round, combine as one
+    # one-row combiner per row does, bit for bit, after every add
     rng = np.random.default_rng(7)
-    eq = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
-    h = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
-    noise_var = np.array([[0.1, 0.4, 2.0], [0.3, 0.3, 1e-40]])
-    batch = ChaseCombiner(5)
-    for k in range(2):
-        batch.add(eq[k], h[k], noise_var[k])
-    for row in range(3):
-        alone = ChaseCombiner(5)
-        for k in range(2):
-            alone.add(eq[k, row], h[k, row], float(noise_var[k, row]))
-        assert batch.combined()[row].tobytes() == alone.combined().tobytes()
+    adds = [(0, 1, 2), (2, 0), (1,), (2,)]  # the rows of each add
+    copies = (1, 1, 2, 3)
+    batch, alone = ChaseCombiner(3, 5), [ChaseCombiner(1, 5) for _ in range(3)]
+    for rows, c in zip(adds, copies):
+        eq = rng.standard_normal((len(rows), 5 * c)) + 1j * rng.standard_normal((len(rows), 5 * c))
+        h = rng.standard_normal(eq.shape) + 1j * rng.standard_normal(eq.shape)
+        noise_var = rng.choice([0.1, 0.4, 2.0, 1e-40], size=len(rows))
+        got = batch.add(list(rows), eq, h, noise_var)
+        assert got.shape == (len(rows), 5)
+        for k, row in enumerate(rows):
+            for i in range(0, 5 * c, 5):  # each copy, in order
+                part = np.s_[k : k + 1, i : i + 5]
+                want = alone[row].add([0], eq[part], h[part], noise_var[k : k + 1])
+            assert got[k].tobytes() == want[0].tobytes()
 
 
 def test_chase_combining_lowers_bit_errors():
@@ -497,10 +535,10 @@ def test_chase_combining_lowers_bit_errors():
     for _ in range(10):
         y1, y2 = noisy(), noisy()
         single_errors += int(np.sum(qam_demap_hard(y1, 4) != bits))
-        comb = ChaseCombiner(sym.size)
-        comb.add(y1, np.ones(sym.size), 0.5)
-        comb.add(y2, np.ones(sym.size), 0.5)
-        combined_errors += int(np.sum(qam_demap_hard(comb.combined(), 4) != bits))
+        comb = ChaseCombiner(1, sym.size)
+        comb.add([0], y1[None], np.ones((1, sym.size)), 0.5)
+        combined = comb.add([0], y2[None], np.ones((1, sym.size)), 0.5)[0]
+        combined_errors += int(np.sum(qam_demap_hard(combined, 4) != bits))
     assert combined_errors < single_errors
 
 
@@ -641,6 +679,23 @@ def test_baseline_combining_recovers_from_noisy_first_round():
 
     session = _baseline_session(src, "base1", 3, transmit)
     assert session.rounds_used == session.ack_round == 2
+
+
+def test_baseline_reception_is_acknowledged_when_its_crc_passes():
+    # the verdict of a combined chunk is the CRC of the frame it demaps to,
+    # computed afresh here; noise too small to move a decision passes
+    src = _baseline_source()
+    rng = np.random.default_rng(9)
+    combined = np.tile(src.chunk, (4, 1))
+    combined[1, 0] = -combined[1, 0]
+    combined[2] += rng.standard_normal(src.chunk.size)
+    combined[3] += 0.01 * rng.standard_normal(src.chunk.size)
+    receptions = src.reception(combined)
+    for row, rx in zip(combined, receptions, strict=True):
+        frame = np.packbits(qam_demap_hard(row, src.mod_order)[: src.payload_bits.size])
+        assert rx.acked is (crc24(frame) == 0)
+        assert rx.s_hat is None
+    assert [rx.acked for rx in receptions] == [True, False, False, True]
 
 
 def test_baseline_source_builds_no_confidence_map(monkeypatch):

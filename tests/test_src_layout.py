@@ -421,10 +421,13 @@ WHOLE_ROW_NOISE_USERS = {("channel", "apply")}
 def _users(name: str, src: Path = SRC) -> set[tuple[str, str]]:
     """(module, user) of each place in src/ that names `name`: a top-level
     function, a class method ("Class.method") or, for any other top-level
-    statement, "<module>". A definition does not use its own name."""
+    statement, "<module>". A definition does not use its own name, and an
+    import only binds it."""
     out = set()
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 parts = [(stmt.name, stmt)]
             elif isinstance(stmt, ast.ClassDef):
@@ -455,6 +458,33 @@ def test_whole_row_noise_is_drawn_by_the_oracle_channel_alone():
 def test_noise_guard_sees_each_form(tmp_path, code, users):
     (tmp_path / "mod.py").write_text(code + "\n")
     assert _users("_noise_rows", tmp_path) == users
+
+
+# The ACK decision has one home: a semantic reception's verdict is made where
+# it is scored, and every session, cache and sweep reads Reception.acked. No
+# second caller can judge a row at another threshold than its rounds were
+# cut at.
+ACK_DECIDERS = {("harq", "SemanticSource.receptions")}
+
+
+def test_the_ack_decision_is_made_by_the_semantic_reception_scorer_alone():
+    assert _users("ack_decide") == ACK_DECIDERS
+
+
+@pytest.mark.parametrize(
+    "code,users",
+    [("def f(s, b):\n    return ack_decide(s, b)", {("mod", "f")}),
+     ("def f(s, b):\n    return det.ack_decide(s, b)", {("mod", "f")}),
+     ("class C:\n    def m(self, s):\n        return ack_decide(s, 0.5)", {("mod", "C.m")}),
+     ("decide = det.ack_decide", {("mod", "<module>")}),
+     ("from .detector import ack_decide", set()),
+     ("import ack_decide", set()),
+     ("def ack_decide(s, b):\n    return s > b", set())],
+    ids=["call", "attribute", "method", "alias", "from-import", "import", "definition"],
+)
+def test_ack_guard_sees_each_form(tmp_path, code, users):
+    (tmp_path / "mod.py").write_text(code + "\n")
+    assert _users("ack_decide", tmp_path) == users
 
 
 def test_importing_the_cli_loads_numpy_alone():
