@@ -377,17 +377,15 @@ class BaselineSource:
                 raise ValueError(f"unknown baseline mode {mode!r}")
         if budget < 1:
             raise ValueError("round budget must be at least 1")
-        return {mode: _chains(batch, budget, self._combining(sent[mode], batch, send)) for mode in modes}
+        out = {}
+        for mode in modes:
+            combiner = ChaseCombiner(batch, self.chunk.size)
 
-    def _combining(self, sent: np.ndarray, batch: int, send):
-        """The round of a mode that sends `sent` every round and chase-combines
-        it, per row, in a combiner of its own."""
-        combiner = ChaseCombiner(batch, self.chunk.size)
+            def step(t, rows):
+                return self.reception(combiner.add(rows, *send(t, sent[mode], rows)))
 
-        def step(t, rows):
-            return self.reception(combiner.add(rows, *send(t, sent, rows)))
-
-        return step
+            out[mode] = _chains(batch, budget, step)
+        return out
 
 
 def run_baseline_session(rounds: list[Reception]) -> HarqSession:

@@ -422,11 +422,11 @@ def _users(name: str, src: Path = SRC) -> set[tuple[str, str]]:
     """(module, user) of each place in src/ that names `name`: a top-level
     function, a class method ("Class.method") or, for any other top-level
     statement, "<module>". A definition does not use its own name, and an
-    import only binds it."""
+    import that keeps the name only binds it; one that renames it is a use."""
     out = set()
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and all(a.asname is None for a in stmt.names):
                 continue
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 parts = [(stmt.name, stmt)]
@@ -451,9 +451,10 @@ def test_whole_row_noise_is_drawn_by_the_oracle_channel_alone():
      ("class C:\n    def m(self):\n        return chan._noise_rows(1, [0], 8)", {("mod", "C.m")}),
      ("draw = chan._noise_rows", {("mod", "<module>")}),
      ("class C:\n    draw = chan._noise_rows", {("mod", "<module>")}),
+     ("from .channel import _noise_rows as draw", {("mod", "<module>")}),
      ("def _noise_rows(s, rows, n):\n    return rows", set()),
      ("def f(s):\n    return chan.noise_cells(s, 0, 8)", set())],
-    ids=["call", "attribute", "method", "alias", "class-attribute", "definition", "other"],
+    ids=["call", "attribute", "method", "alias", "class-attribute", "import-as", "definition", "other"],
 )
 def test_noise_guard_sees_each_form(tmp_path, code, users):
     (tmp_path / "mod.py").write_text(code + "\n")
@@ -479,8 +480,9 @@ def test_the_ack_decision_is_made_by_the_semantic_reception_scorer_alone():
      ("decide = det.ack_decide", {("mod", "<module>")}),
      ("from .detector import ack_decide", set()),
      ("import ack_decide", set()),
+     ("from .detector import ack_decide as decide", {("mod", "<module>")}),
      ("def ack_decide(s, b):\n    return s > b", set())],
-    ids=["call", "attribute", "method", "alias", "from-import", "import", "definition"],
+    ids=["call", "attribute", "method", "alias", "from-import", "import", "import-as", "definition"],
 )
 def test_ack_guard_sees_each_form(tmp_path, code, users):
     (tmp_path / "mod.py").write_text(code + "\n")
