@@ -13,9 +13,8 @@ K samplings' pooled maps, and the samplings' true similarities. It is
 sampled through harq.SemanticSource, the source every semantic session runs
 from, so a corpus sampling is the reception a session round makes: the same
 pooled map and true similarity (scenegen.SentCells.score). Its channel is the
-link's own arithmetic on each sampling's payload-cell parts
-(link.receive_cells); those parts need no codec (corpus_links), so
-harness.train_all draws them while the codec trains.
+link's own arithmetic (link.receive_cells) on each sampling's payload-cell
+parts, drawn from the sampling's own link seeds (link.RoundDraws.cells).
 The scorer is stored in harness.train_all's one bundle.ckpt, and the
 calibration table is computed with nnkit.stored copies of its nets.
 """
@@ -355,24 +354,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((below + 0.5 * (upto - below)).sum() / (pos.size * neg.size))
 
 
-def corpus_links(cfg) -> np.ndarray:
-    """The link parts of every rank-corpus sampling: (Q, 4, K, n), per query
-    the (H, a, z, b) of link.RoundDraws.cells on the n = cfg.codec.n_cu
-    payload cells, at the link seeds of each of its K samplings. A sampling
-    draws what its receiver reads alone: the channel, l_cp noise taps per
-    pilot row the estimator reads, and the noise of its n cells. They depend
-    on the config alone, so harness.train_all draws them while pair 1 trains."""
-    det, n = cfg.detector, cfg.codec.n_cu
-    ms = derive_seed(cfg.experiment.master_seed, "corpus")
-    profile = cfg.channel_profile()
-    links = np.empty((det.corpus_queries, 4, len(det.corpus_snr_db), n), dtype=np.complex128)
-    for q in range(det.corpus_queries):
-        for k in range(len(det.corpus_snr_db)):
-            links[q, :, k] = RoundDraws(cfg.ofdm, profile, LinkSeeds.derive(ms, "corpus", q, k)).cells(n)
-    return links
-
-
-def build_corpus(cfg, head, codec, links: np.ndarray) -> RankCorpus:
+def build_corpus(cfg, head, codec) -> RankCorpus:
     """Rank corpus of an experiment config from the full link:
     cfg.detector.corpus_queries sources, each sent once at every SNR of
     cfg.detector.corpus_snr_db and pooled to cfg.detector.pool.
@@ -381,10 +363,10 @@ def build_corpus(cfg, head, codec, links: np.ndarray) -> RankCorpus:
     pair and no scorer; its reference map (maps[q, 0]) comes from the masked
     feature actually transmitted, and sampling k (maps[q, 1 + k] and
     s_true[q, k]) is the source's reception of an independent channel draw
-    at the k-th listed SNR, through link.receive_cells on that draw's
-    payload-cell parts, links[q, :, k] (corpus_links of cfg); the K are
-    decoded and scored as one batch. The arrays are rounded to float32 once
-    (and held as float64): the precision the scorer is trained and
+    at the k-th listed SNR, through link.receive_cells on the payload-cell
+    parts (link.RoundDraws.cells) drawn at the link seeds of (q, k); the K
+    are decoded and scored as one batch. The arrays are rounded to float32
+    once (and held as float64): the precision the scorer is trained and
     calibrated on.
     """
     from .harq import SemanticSource  # harq imports this module
@@ -392,10 +374,8 @@ def build_corpus(cfg, head, codec, links: np.ndarray) -> RankCorpus:
     det = cfg.detector
     ms = derive_seed(cfg.experiment.master_seed, "corpus")
     cells = cfg.mask_cells()
+    profile = cfg.channel_profile()
     n_snr = len(det.corpus_snr_db)
-    shape = (det.corpus_queries, 4, n_snr, codec.n_cu)
-    if links.shape != shape:
-        raise ValueError(f"corpus link parts of shape {links.shape} do not fit this corpus and codec: {shape}")
     # per SNR, noise_variance as the (1, 1) array that a lone transmit call makes
     var = np.array([[noise_variance(snr_db)] for snr_db in det.corpus_snr_db])
     maps = np.empty((det.corpus_queries, 1 + n_snr, det.pool * det.pool))
@@ -408,7 +388,12 @@ def build_corpus(cfg, head, codec, links: np.ndarray) -> RankCorpus:
         # multiplies a (K, 1) stack of one-symbol payloads in another loop,
         # which rounds some rows differently
         rx = np.concatenate([
-            receive_cells(src.sym_first, *links[q, :, k], var[k : k + 1])[0] for k in range(n_snr)
+            receive_cells(
+                src.sym_first,
+                *RoundDraws(cfg.ofdm, profile, LinkSeeds.derive(ms, "corpus", q, k)).cells(codec.n_cu),
+                var[k : k + 1],
+            )[0]
+            for k in range(n_snr)
         ])
         pooled, _, s_true[q] = src.receive(codec_mod.decode(codec, rx))
         maps[q, 1:] = pooled.reshape(n_snr, -1)

@@ -1,12 +1,11 @@
 """Experiment harness: training orchestration, seeded session sweeps and
 the tables both write.
 
-train_all runs on three processes: the codec pairs' Adam steps in the
-calling process, the detector chain (rank corpus, ranker, calibration) in a
-child forked once the training set is built, and pair 2's random draws in a
-producer forked once pair 1 is stored. The chains share only the stored
-first pair and draw from their own derived seeds, so the artifacts do not
-depend on which process runs which chain.
+train_all runs on two processes: every Adam step and the detector chain
+(rank corpus, ranker, calibration) in the calling process, and pair 2's
+random draws in a producer forked once pair 1 is stored, which runs ahead
+while the detector trains. Each stage draws from its own derived seed, so
+the artifacts depend neither on the stage order nor on which process draws.
 
 Every table a run writes, the training curves, the detector calibration and
 the two sweep CSVs, goes through _write_csv and its one cell rule.
@@ -41,10 +40,13 @@ import functools
 import math
 import multiprocessing
 import os
+import pickle
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -140,23 +142,18 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     is built from it, the ranker trains and calibrates on that corpus, and the
     calibration table is computed with the stored scorer.
 
-    The work runs on three processes, each stage on its own derive_seed, so
+    The work runs on two processes, each stage on its own derive_seed, so
     every artifact is byte-identical to running the stages one after another:
-    - this process trains pair 1, then pair 2: every Adam step runs here;
-    - the detector child, forked once the training set is built, draws the
-      link parts of every corpus sampling while pair 1 trains
-      (detector.corpus_links), then receives the stored pair 1 and runs the
-      detector chain (_train_detector). It sends back the stored scorer as one
-      pickled object, its float64 weights exact;
+    - this process trains pair 1, then the detector chain (_train_detector),
+      then pair 2: every Adam step runs here;
     - the producer, forked once pair 1 is stored, makes pair 2's random draws
       (codec.step_draws: the batches, the noise and the frozen pair's target)
-      and streams them, one per step, to pair 2's training here.
-    Failures: between pair 2's steps this process waits on both children's
-    pipes, so a detector error is raised at the next pair-2 step, not after
-    the last. An exception in a child is raised here with its type and
-    message; a child that exits without sending is a ValueError naming its
-    exit code. If any stage fails, both children are stopped. No child
-    outlives the call.
+      and streams them, one per step, to pair 2's training here. It runs
+      ahead while the detector chain trains, its items queued in the child.
+    Failures: an exception in the producer is raised here, at the pair-2 step
+    that reads past it, with its type and message; a producer that exits
+    without sending is a ValueError naming its exit code. If any stage fails,
+    the producer is stopped, so no child outlives the call.
 
     The returned bundle is bitwise equal to what load_bundle gives for
     out_dir. Files are staged beside out_dir and moved in once every stage
@@ -177,44 +174,30 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
         band2 = (cfg.codec_pair2.snr_lo, cfg.codec_pair2.snr_hi)
         seed2 = derive_seed(ms, "codec-pair2")
 
-        say("drawing the detector corpus's links in a child process")
-        ctx = multiprocessing.get_context("fork")
-        detector = _Child(ctx, "detector training", lambda conn: _detector_chain(conn, cfg, head, work))
-        children = [detector]
-        try:
-            say("training first codec pair")
-            c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
-            c_p1 = replace(c_p1, encoder=nnkit.stored(c_p1.encoder), decoder=nnkit.stored(c_p1.decoder))
-            try:
-                detector.conn.send(c_p1)
-            except ConnectionError:
-                pass  # the child has exited: what it sent, or its exit code, is raised below
+        say("training first codec pair")
+        c_p1, curve_p1 = codec_mod.train_no_harq(tset, cfg.codec, derive_seed(ms, "codec-pair1"), band1)
+        c_p1 = replace(c_p1, encoder=nnkit.stored(c_p1.encoder), decoder=nnkit.stored(c_p1.decoder))
 
-            say("training second codec pair on the frozen residual, its draws made in a child process")
-            producer = _Child(
-                ctx, "pair 2 draws", lambda conn: codec_mod.step_draws(tset, cfg.codec, seed2, band2, c_p1)
-            )
-            children.append(producer)
-            received = []
-            c_p2, curve_p2 = codec_mod.train_harq2_pair(
-                c_p1, tset, cfg.codec, seed2, band2, _watched(producer, detector, received)
-            )
-            c_p2 = replace(c_p2, encoder=nnkit.stored(c_p2.encoder), decoder=nnkit.stored(c_p2.decoder))
-            _write_csv(work / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
-                (name, phase, epoch, loss)
-                for name, curve in (("pair1", curve_p1), ("pair2", curve_p2))
-                for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
-                for epoch, loss in enumerate(series, start=1)
-            ])
-            scorer = received[0] if received else detector.receive()
+        say("making the second pair's draws in a child process")
+        producer = _Child("pair 2 draws", lambda: codec_mod.step_draws(tset, cfg.codec, seed2, band2, c_p1))
+        try:
+            say("training the detector")
+            scorer = _train_detector(cfg, head, c_p1, work)
+            say("training second codec pair on the frozen residual")
+            c_p2, curve_p2 = codec_mod.train_harq2_pair(c_p1, tset, cfg.codec, seed2, band2, producer.items())
         except BaseException:
-            for child in children:
-                child.proc.terminate()
+            producer.proc.terminate()
             raise
         finally:
-            for child in children:
-                child.proc.join()
-                child.conn.close()
+            producer.proc.join()
+            producer.conn.close()
+        c_p2 = replace(c_p2, encoder=nnkit.stored(c_p2.encoder), decoder=nnkit.stored(c_p2.decoder))
+        _write_csv(work / "train_codecs.csv", ("codec", "phase", "epoch", "loss"), [
+            (name, phase, epoch, loss)
+            for name, curve in (("pair1", curve_p1), ("pair2", curve_p2))
+            for phase, series in (("recon", curve.recon), ("total", curve.total), ("task", curve.task))
+            for epoch, loss in enumerate(series, start=1)
+        ])
         _write_bundle(work / BUNDLE, c_p1, c_p2, scorer)
 
         out.mkdir(exist_ok=True)
@@ -226,15 +209,12 @@ def train_all(cfg: ExperimentConfig, out_dir, log=None) -> RuntimeBundle:
     return RuntimeBundle(cfg, head, c_p1, c_p2, scorer)
 
 
-def _train_detector(
-    cfg: ExperimentConfig, head: ProxyHead, pair1, links, work: Path
-) -> det_mod.SimilarityScorer:
-    """The detector chain on the stored pair 1: the rank corpus (on `links`,
-    detector.corpus_links of cfg), the ranker and its calibration. Writes
-    train_detector.csv and detector_calibration.csv into work and returns the
-    stored scorer."""
+def _train_detector(cfg: ExperimentConfig, head: ProxyHead, pair1, work: Path) -> det_mod.SimilarityScorer:
+    """The detector chain on the stored pair 1: the rank corpus, the ranker
+    and its calibration. Writes train_detector.csv and
+    detector_calibration.csv into work and returns the stored scorer."""
     ms = cfg.experiment.master_seed
-    corpus = det_mod.build_corpus(cfg, head, pair1, links)
+    corpus = det_mod.build_corpus(cfg, head, pair1)
     scorer = det_mod.new_scorer(cfg.detector, derive_seed(ms, "scorer"))
     scorer, history = det_mod.train_ranker(corpus, scorer, cfg.detector, derive_seed(ms, "ranker"))
     scorer = det_mod.calibrate_scorer(scorer, corpus)
@@ -249,24 +229,16 @@ def _train_detector(
     return scorer
 
 
-def _detector_chain(conn, cfg, head, work):
-    """The detector child's one item: the corpus's link parts are drawn
-    first, needing no codec, then the stored pair 1 is read from conn and
-    _train_detector runs on it."""
-    links = det_mod.corpus_links(cfg)
-    yield _train_detector(cfg, head, conn.recv(), links, work)
-
-
 class _Child:
-    """A forked process of train_all, and this end of its duplex pipe.
+    """A forked producer process of train_all, and the reading end of its pipe.
 
-    The child runs items(its end of the pipe) and sends ("item", x) for each
-    x it yields, or ("error", exc) for the exception that stopped it; then it
-    exits."""
+    The child runs items() and sends ("item", x) for each x it yields, or
+    ("error", exc) for the exception that stopped it; then it exits."""
 
-    def __init__(self, ctx, what: str, items):
+    def __init__(self, what: str, items):
+        ctx = multiprocessing.get_context("fork")
         self.what = what
-        self.conn, end = ctx.Pipe()
+        self.conn, end = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(target=_serve, args=(end, self.conn, items))
         self.proc.start()
         end.close()
@@ -285,33 +257,45 @@ class _Child:
             raise payload
         return payload
 
+    def items(self):
+        """The child's items, one receive() per next()."""
+        while True:
+            yield self.receive()
+
 
 def _serve(conn, parent_end, items) -> None:
-    """A _Child's process: send what items(conn) yields, then close. It
-    closes its copy of the parent's end first, so that it reads EOF, not a
-    hang, if the parent goes."""
+    """A _Child's process: send what items() yields, then close. It closes
+    its copy of the parent's end first, so that a send fails, not hangs, if
+    the parent goes. Each message is pickled here: an item that does not
+    pickle is the error sent. A sender thread writes the messages, so the
+    items run ahead while the pipe is full; once it has stopped, no more are
+    made."""
     parent_end.close()
+    queue = SimpleQueue()
+    # a daemon, so that an interrupt that skips the join below does not keep
+    # the child waiting on it
+    sender = threading.Thread(target=_send_all, args=(conn, queue), daemon=True)
+    sender.start()
     try:
-        for item in items(conn):
-            conn.send(("item", item))
+        for item in items():
+            if not sender.is_alive():
+                break
+            queue.put(pickle.dumps(("item", item)))
     except Exception as exc:
-        conn.send(("error", exc))
+        queue.put(pickle.dumps(("error", exc)))
+    queue.put(None)
+    sender.join()
     conn.close()
 
 
-def _watched(producer: _Child, detector: _Child, received: list):
-    """The producer's items, one per next(), waiting on the detector's pipe
-    too until the detector has sent its item: that item is appended to
-    `received`, and the exception it sends, or its exit, is raised at once."""
-    while True:
-        # _Child's Pipe has loaded multiprocessing.connection; a sweep-only
-        # process never loads it
-        waiting = [producer.conn] if received else [producer.conn, detector.conn]
-        ready = multiprocessing.connection.wait(waiting)
-        if detector.conn in ready:
-            received.append(detector.receive())
-        if producer.conn in ready:
-            yield producer.receive()
+def _send_all(conn, queue) -> None:
+    """Write the queue's pickled messages up to None, and stop at the first
+    write that fails: the reader has gone."""
+    while (message := queue.get()) is not None:
+        try:
+            conn.send_bytes(message)
+        except OSError:
+            return
 
 
 def _nets(pair1, pair2, scorer) -> tuple:

@@ -17,7 +17,7 @@ from semlink.scenegen import FOCAL_ALPHA, FOCAL_GAMMA, SceneConfig, focal_loss, 
 @pytest.fixture(autouse=True)
 def no_child_left_running():
     """Fail a test after which a child process of this one is still alive:
-    train_all's detector process and run_sweep's pool must be gone when
+    train_all's draw producer and run_sweep's pool must be gone when
     they return or raise. A leaked child is stopped, so that the next test
     starts clean."""
     yield

@@ -7,8 +7,11 @@ acceptance suite.
 """
 
 import csv
+import fcntl
+import itertools
 import multiprocessing
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -224,8 +227,7 @@ def test_corpus_rebuild_matches_training(tiny_dir, tiny_bundle, tmp_path):
     # as the calibration table the stored scorer makes of it shows, only if
     # training built it from the same stored weights
     cfg = tiny_config(seed=4242)
-    links = detector.corpus_links(cfg)
-    corpus = detector.build_corpus(cfg, harness.make_head(cfg), tiny_bundle.codec_pair1, links)
+    corpus = detector.build_corpus(cfg, harness.make_head(cfg), tiny_bundle.codec_pair1)
     harness._write_calibration(tmp_path / "calibration.csv", cfg, corpus, tiny_bundle.scorer)
     name = "detector_calibration.csv"
     assert (tmp_path / "calibration.csv").read_bytes() == (tiny_dir / name).read_bytes()
@@ -266,10 +268,7 @@ def _corpus_from_parts(cfg, head, codec_obj):
 
 def test_corpus_matches_its_construction_from_parts(tiny_bundle):
     cfg = tiny_bundle.cfg
-    links = detector.corpus_links(cfg)
-    assert links.shape == (cfg.detector.corpus_queries, 4, len(cfg.detector.corpus_snr_db), cfg.codec.n_cu)
-    assert links.dtype == np.complex128
-    corpus = detector.build_corpus(cfg, tiny_bundle.head, tiny_bundle.codec_pair1, links)
+    corpus = detector.build_corpus(cfg, tiny_bundle.head, tiny_bundle.codec_pair1)
     expect = _corpus_from_parts(cfg, tiny_bundle.head, tiny_bundle.codec_pair1)
     n_snr, cells = len(cfg.detector.corpus_snr_db), cfg.detector.pool**2
     assert corpus.maps.shape == (len(expect), 1 + n_snr, cells) and corpus.maps.dtype == np.float64
@@ -281,10 +280,6 @@ def test_corpus_matches_its_construction_from_parts(tiny_bundle):
         assert s_true.tobytes() == s_expect.tobytes()
     # the corpus spans more than one similarity, or the check above is weak
     assert len(set(corpus.s_true.reshape(-1).tolist())) > 1
-    # link parts for another corpus or codec are refused
-    for bad in (links[1:], links[..., 1:]):
-        with pytest.raises(ValueError, match="do not fit"):
-            detector.build_corpus(cfg, tiny_bundle.head, tiny_bundle.codec_pair1, bad)
 
 
 def test_sessions_and_the_corpus_score_only_the_sent_cells(bundle, tmp_path, monkeypatch):
@@ -311,7 +306,7 @@ def test_sessions_and_the_corpus_score_only_the_sent_cells(bundle, tmp_path, mon
     for name in ("sessions.csv", "summary.csv"):
         assert (tmp_path / "guarded" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
     small = config_mod.override(bundle.cfg, "detector", corpus_queries=2)
-    corpus = detector.build_corpus(small, bundle.head, bundle.codec_pair1, detector.corpus_links(small))
+    corpus = detector.build_corpus(small, bundle.head, bundle.codec_pair1)
     assert corpus.s_true.shape == (2, len(small.detector.corpus_snr_db))
 
 
@@ -1285,7 +1280,7 @@ def test_cli_failed_train_leaves_existing_artifacts_unchanged(tiny_dir, tmp_path
 
 def test_cli_diverged_ranker_is_one_error_line(tiny_dir, tmp_path):
     # the ranker's pair loss stays finite while its weights outgrow float32;
-    # storing them fails in the detector process, and the CLI prints that
+    # storing them fails in the detector chain, and the CLI prints that
     # error alone, with no overflow warning before it. Adam's first step
     # moves a weight by about lr, so at lr = 1e39 every epoch's weights, the
     # restored best epoch's too, are beyond float32 whatever the corpus;
@@ -1311,78 +1306,79 @@ def _failed_train(tiny_dir, tmp_path, match) -> BaseException:
     return info.value
 
 
-def test_train_all_raises_the_detector_process_error(tiny_dir, tmp_path, monkeypatch):
-    # the detector chain runs in another process, and its exception is
-    # raised in this one with its type and message
-    pid = tmp_path / "corpus-pid"
-
-    def failing_corpus(*args):
-        pid.write_text(str(os.getpid()))
-        raise ValueError("boom")
-
-    monkeypatch.setattr(detector, "build_corpus", failing_corpus)
-    assert type(_failed_train(tiny_dir, tmp_path, "^boom$")) is ValueError
-    assert int(pid.read_text()) != os.getpid()
+def _wait_for(path, seconds: float = 20.0) -> bool:
+    """Whether path exists within `seconds`, polled every 10 ms."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return path.exists()
 
 
-def test_train_all_stops_the_detector_process_when_pair_2_fails(tiny_dir, tmp_path, monkeypatch):
-    # pair 2 fails while the corpus is being built beside it: the detector
-    # process is stopped, not waited for
-    started = tmp_path / "corpus-started"
+def _endless_roundtrip(started):
+    """A codec.surrogate_roundtrip that touches `started`, sleeps for a minute
+    and fails: pair 2's producer, the one caller, is held mid-stream until it
+    is stopped."""
 
-    def endless_corpus(*args):
+    def roundtrip(*args):
         started.touch()
         time.sleep(60)
+        raise AssertionError("the producer was not stopped")
+
+    return roundtrip
+
+
+def test_train_all_raises_the_detector_error_here(tiny_dir, tmp_path, monkeypatch):
+    # the detector chain runs in this process while pair 2's producer makes
+    # its draws: the chain's exception is raised as it was, and the producer,
+    # held mid-stream, is stopped, not waited for
+    started, pid = tmp_path / "draws-started", tmp_path / "corpus-pid"
+
+    def failing_corpus(*args):
+        _wait_for(started)
+        pid.write_text(str(os.getpid()))
+        raise ValueError("boom" if started.exists() else "the corpus failed before the draws began")
+
+    monkeypatch.setattr(codec, "surrogate_roundtrip", _endless_roundtrip(started))
+    monkeypatch.setattr(detector, "build_corpus", failing_corpus)
+    t0 = time.monotonic()
+    assert type(_failed_train(tiny_dir, tmp_path, "^boom$")) is ValueError
+    assert time.monotonic() - t0 < 30
+    assert int(pid.read_text()) == os.getpid()
+
+
+def test_train_all_stops_the_producer_when_pair_2_fails(tiny_dir, tmp_path, monkeypatch):
+    # pair 2 fails while its producer is mid-stream: the producer is stopped,
+    # not waited for
+    started = tmp_path / "draws-started"
 
     def failing_pair2(*args):
-        deadline = time.monotonic() + 20
-        while not started.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        raise ValueError("pair 2 failed" if started.exists() else "pair 2 failed before the corpus began")
+        raise ValueError("pair 2 failed" if _wait_for(started) else "pair 2 failed before its draws began")
 
-    monkeypatch.setattr(detector, "build_corpus", endless_corpus)
+    monkeypatch.setattr(codec, "surrogate_roundtrip", _endless_roundtrip(started))
     monkeypatch.setattr(codec, "train_harq2_pair", failing_pair2)
     t0 = time.monotonic()
     _failed_train(tiny_dir, tmp_path, "^pair 2 failed$")
     assert time.monotonic() - t0 < 30
 
 
-def test_train_all_names_the_exit_code_of_a_detector_process_that_dies(tiny_dir, tmp_path, monkeypatch):
-    def dying_corpus(*args):
-        os._exit(3)
-
-    monkeypatch.setattr(detector, "build_corpus", dying_corpus)
-    _failed_train(tiny_dir, tmp_path, "exited with code 3")
-
-
 def test_train_all_raises_a_detector_error_before_pair_2_ends(tiny_dir, tmp_path, monkeypatch):
-    # between pair 2's steps train_all waits on the detector's pipe too, so
-    # the detector's error stops training at once, not after pair 2's last
-    # step: a pair-2 step waits for the corpus to fail, and each step then
-    # takes 100 ms, time enough for the error to arrive
-    failed = tmp_path / "corpus-failed"
+    # the detector chain runs before pair 2, so its error ends the run before
+    # pair 2's first step
     steps = []
     step = codec._step
 
     def failing_corpus(*args):
-        failed.touch()
         raise ValueError("boom")
 
-    def slow_step(c, ts, idx, noise, m_first, *args):
+    def counted_step(c, ts, idx, noise, m_first, *args):
         if m_first is not None:
-            deadline = time.monotonic() + 20
-            while not failed.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
             steps.append(len(idx))
-            time.sleep(0.1)
         return step(c, ts, idx, noise, m_first, *args)
 
     monkeypatch.setattr(detector, "build_corpus", failing_corpus)
-    monkeypatch.setattr(codec, "_step", slow_step)
+    monkeypatch.setattr(codec, "_step", counted_step)
     assert type(_failed_train(tiny_dir, tmp_path, "^boom$")) is ValueError
-    ccfg = tiny_config(seed=4242).codec
-    total = (ccfg.recon_epochs + ccfg.task_epochs) * len(range(0, ccfg.train_samples, ccfg.batch_size))
-    assert len(steps) < total  # none, if the error came before pair 2's first draw
+    assert steps == []
 
 
 class DrawError(ValueError):
@@ -1392,7 +1388,7 @@ class DrawError(ValueError):
 def test_train_all_raises_the_producer_error(tiny_dir, tmp_path, monkeypatch):
     # pair 2's draws are made in a producer process (only pair 2 has a frozen
     # pair to round-trip); its exception is raised here with its type and
-    # message, and the detector process is stopped
+    # message
     pid = tmp_path / "producer-pid"
 
     def failing_roundtrip(*args):
@@ -1412,13 +1408,50 @@ def test_train_all_names_the_exit_code_of_a_producer_that_dies(tiny_dir, tmp_pat
     _failed_train(tiny_dir, tmp_path, "pair 2 draws process exited with code 5")
 
 
-def test_train_all_stops_the_detector_process_when_pair_1_fails(tiny_dir, tmp_path, monkeypatch):
-    # the detector process starts before pair 1, drawing the corpus's links
+def test_train_all_starts_no_child_when_pair_1_fails(tiny_dir, tmp_path, monkeypatch):
+    # the producer is forked once pair 1 is stored, and nothing before it
     def failing_pair1(*args):
         raise ValueError("pair 1 failed")
 
+    def refuse(*args):
+        raise AssertionError("a child process was started")
+
     monkeypatch.setattr(codec, "train_no_harq", failing_pair1)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     _failed_train(tiny_dir, tmp_path, "^pair 1 failed$")
+
+
+def test_train_all_runs_one_child_beside_the_detector_and_pair_2(tiny_dir, tmp_path, monkeypatch):
+    # no child runs while pair 1 trains; the producer of pair 2's draws is
+    # the one child while the detector chain and pair 2 train
+    live = {}
+    train_no_harq, build_corpus, step = codec.train_no_harq, detector.build_corpus, codec._step
+
+    def count(stage):
+        live.setdefault(stage, len(multiprocessing.active_children()))
+
+    def pair1(*args):
+        count("pair 1 starts")
+        trained = train_no_harq(*args)
+        count("pair 1 ends")
+        return trained
+
+    def corpus(*args):
+        count("detector chain")
+        return build_corpus(*args)
+
+    def counted_step(c, ts, idx, noise, m_first, *args):
+        if m_first is not None:
+            count("pair 2")
+        return step(c, ts, idx, noise, m_first, *args)
+
+    monkeypatch.setattr(codec, "train_no_harq", pair1)
+    monkeypatch.setattr(detector, "build_corpus", corpus)
+    monkeypatch.setattr(codec, "_step", counted_step)
+    harness.train_all(tiny_config(seed=4242), tmp_path)
+    assert live == {"pair 1 starts": 0, "pair 1 ends": 0, "detector chain": 1, "pair 2": 1}
+    for name in ARTIFACTS:
+        assert (tmp_path / name).read_bytes() == (tiny_dir / name).read_bytes(), name
 
 
 def _trained_bits(train, monkeypatch):
@@ -1434,39 +1467,42 @@ def _trained_bits(train, monkeypatch):
     return trained, (nets, moments, [a.step for a in made], curve)
 
 
-def test_streamed_draws_train_as_in_process_draws_bit_for_bit(monkeypatch):
-    # train_all trains pair 2 on draws that a producer process streams while
-    # the detector's pipe is watched beside it (_watched); either pair
-    # trained that way equals training on step_draws in this process: nets,
-    # Adam moments and curves
+def test_streamed_draws_train_as_in_process_draws_bit_for_bit(tmp_path, monkeypatch):
+    # train_all trains pair 2 on draws that a producer process streams, and
+    # reads none until the detector chain is done. Here this process reads
+    # none until the producer has made every item, more bytes than its pipe
+    # holds, so the producer runs ahead of a full pipe; either pair trained
+    # on the items equals training on step_draws in this process: nets, Adam
+    # moments and curves
     cfg = tiny_config(seed=4242)
     ts = harness.build_training_set(cfg, harness.make_head(cfg))
-    ctx = multiprocessing.get_context("fork")
     frozen = None
     for seed, band in ((11, (9.0, 18.0)), (12, (0.0, 6.0))):
+        made = tmp_path / f"made-{seed}"
+
+        def made_all():
+            yield from codec.step_draws(ts, cfg.codec, seed, band, frozen)
+            made.touch()
 
         def streamed():
-            producer = harness._Child(
-                ctx, "draws", lambda conn: codec.step_draws(ts, cfg.codec, seed, band, frozen)
-            )
-            other = harness._Child(ctx, "detector", lambda conn: iter(["scorer"]))
-            received = []
-            draws = harness._watched(producer, other, received)
+            producer = harness._Child("draws", made_all)
             try:
+                assert _wait_for(made), "the producer waits for its reader"
+                sent = sum(len(pickle.dumps(("item", item))) for item in codec.step_draws(
+                    ts, cfg.codec, seed, band, frozen
+                ))
+                assert sent > fcntl.fcntl(producer.conn.fileno(), fcntl.F_GETPIPE_SZ)
                 if frozen is None:
-                    trained = codec._train(ts, cfg.codec, seed, draws)
+                    trained = codec._train(ts, cfg.codec, seed, producer.items())
                 else:
-                    trained = codec.train_harq2_pair(frozen, ts, cfg.codec, seed, band, draws)
-                assert (received or [other.receive()]) == ["scorer"]
+                    trained = codec.train_harq2_pair(frozen, ts, cfg.codec, seed, band, producer.items())
             except BaseException:
-                for child in (producer, other):
-                    child.proc.terminate()
+                producer.proc.terminate()
                 raise
             finally:
-                for child in (producer, other):
-                    child.proc.join()
-                    child.conn.close()
-            assert producer.proc.exitcode == other.proc.exitcode == 0
+                producer.proc.join()
+                producer.conn.close()
+            assert producer.proc.exitcode == 0
             return trained
 
         def in_process():
@@ -1477,6 +1513,40 @@ def test_streamed_draws_train_as_in_process_draws_bit_for_bit(monkeypatch):
         trained, want = _trained_bits(in_process, monkeypatch)
         assert _trained_bits(streamed, monkeypatch)[1] == want
         frozen = trained  # pair 2 trains on the residual of this pair 1
+
+
+def test_a_producer_whose_reader_has_gone_exits():
+    # if train_all's process goes mid-stream, the producer's next send fails;
+    # it then makes no more items and exits, where it would otherwise queue
+    # items without end
+    def endless():
+        for i in itertools.count():
+            time.sleep(0.001)
+            yield i
+
+    producer = harness._Child("endless", endless)
+    try:
+        assert producer.receive() == 0
+        producer.conn.close()
+        producer.proc.join(20)
+        assert producer.proc.exitcode == 0
+    finally:
+        producer.proc.terminate()
+        producer.proc.join()
+
+
+def test_a_producer_item_that_does_not_pickle_is_raised_here():
+    # the producer pickles each item before its sender thread writes it, so
+    # an item that does not pickle is its error, raised here with its type
+    producer = harness._Child("draws", lambda: iter([lambda: 0]))
+    try:
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+            producer.receive()
+        producer.proc.join(20)
+        assert producer.proc.exitcode == 0
+    finally:
+        producer.proc.terminate()
+        producer.proc.join()
 
 
 def test_train_into_a_file_fails_before_training(tmp_path):
