@@ -9,8 +9,8 @@ power, channel.SIGNAL_POWER), detector the learned acknowledgement
 scorer (its rank corpus is sampled through harq.SemanticSource, imported
 where the corpus is built, as harq imports detector), harq the retransmission
 protocols, config the INI file, whose sections load straight into the config
-dataclasses of ofdm, scenegen, codec and detector, and harness the experiment
-orchestration.
+dataclasses of ofdm, channel, scenegen, codec and detector, and harness the
+experiment orchestration.
 """
 
 __version__ = "0.1.0"

@@ -4,6 +4,11 @@ Each tap is a circular complex Gaussian whose symbol-to-symbol correlation is
 the Clarke/Jakes J0(2 pi f_D T_sym), from its power series (Abramowitz & Stegun
 9.1.10). The channel is applied multiplicatively on the resource grid.
 
+ChannelProfile is the INI file's [channel] section (config): its four keys
+are checked where it is made, and set the exponential power-delay profile
+and the speed that every function here reads. default_profile is another
+name for it.
+
 SNR is defined per unit mean symbol power (SIGNAL_POWER): noise_variance is
 the one SNR rule of the link, its MMSE equalizer and the codec's surrogate
 channel.
@@ -34,36 +39,34 @@ SIGNAL_POWER = 1.0  # mean per-symbol power every SNR is defined on
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    delays: tuple[float, ...]  # seconds, ascending, first tap at 0
-    powers: tuple[float, ...]  # mean tap powers, sum to 1
-    speed: float  # m/s
+    """The [channel] section: an exponential power-delay profile on n_taps
+    taps tap_spacing apart, decaying with time constant tap_decay, at
+    speed_kmh. delays (seconds, the first tap at 0), powers (summing to 1)
+    and speed (m/s) are derived from the keys when the profile is made."""
+
+    speed_kmh: float = 50.0
+    n_taps: int = 6
+    tap_spacing: float = 0.5e-6
+    tap_decay: float = 0.5e-6
 
     def __post_init__(self):
-        if len(self.delays) != len(self.powers) or not self.delays:
-            raise ValueError("delays and powers must be equal-length and non-empty")
-        d = np.asarray(self.delays, dtype=np.float64)
-        p = np.asarray(self.powers, dtype=np.float64)
-        if np.any(d < 0) or np.any(np.diff(d) <= 0) and len(d) > 1:
-            raise ValueError("delays must be non-negative and strictly ascending")
-        if np.any(p <= 0):
-            raise ValueError("tap powers must be positive")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"tap powers must sum to 1, got {p.sum()}")
-        if self.speed < 0:
-            raise ValueError("speed must be non-negative")
-
-    @property
-    def n_taps(self) -> int:
-        return len(self.delays)
+        if not self.speed_kmh >= 0.0:
+            raise ValueError(f"speed_kmh must be >= 0, got {self.speed_kmh}")
+        if self.n_taps < 1:
+            raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
+        for name in ("tap_spacing", "tap_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        delays = np.arange(self.n_taps) * self.tap_spacing
+        powers = np.exp(-delays / self.tap_decay)
+        powers /= powers.sum()
+        object.__setattr__(self, "delays", tuple(delays.tolist()))
+        object.__setattr__(self, "powers", tuple(powers.tolist()))
+        object.__setattr__(self, "speed", self.speed_kmh / 3.6)
 
 
-def default_profile(speed_kmh: float = 50.0, n_taps: int = 6, spacing: float = 0.5e-6,
-                    decay: float = 0.5e-6) -> ChannelProfile:
-    """Exponential power-delay profile on uniformly spaced taps."""
-    delays = np.arange(n_taps) * spacing
-    powers = np.exp(-delays / decay)
-    powers /= powers.sum()
-    return ChannelProfile(tuple(delays.tolist()), tuple(powers.tolist()), speed_kmh / 3.6)
+default_profile = ChannelProfile
 
 
 @dataclass(frozen=True)

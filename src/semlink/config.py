@@ -1,14 +1,16 @@
 """Experiment configuration: one INI file drives training and sweeps.
 
-The [ofdm], [scene], [codec] and [detector] sections load straight into the
-dataclass their module consumes (ofdm.OfdmConfig, scenegen.SceneConfig,
-codec.CodecConfig, detector.DetectorConfig). The experiment, channel,
-codec-pair SNR band and baseline sections are defined here.
+The [ofdm], [channel], [scene], [codec] and [detector] sections load straight
+into the dataclass their module consumes (ofdm.OfdmConfig,
+channel.ChannelProfile, scenegen.SceneConfig, codec.CodecConfig,
+detector.DetectorConfig). The experiment, codec-pair SNR band and baseline
+sections are defined here.
 
 Each setting has one home and one check: _parse_value parses its text (no
 non-finite floats), its section type's __post_init__ checks its value, and
 validate_config, run whenever an ExperimentConfig is made, the rules that
-span sections. A config file, a flag and a sweep's arguments fail alike.
+span sections. Every error of a section's values names the section. A config
+file, a flag and a sweep's arguments fail alike.
 
 The file format is deliberately flat.  Every section that appears must be
 complete; a missing key is a config error that names the field, so stale
@@ -22,7 +24,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .channel import ChannelProfile, check_delays, default_profile, symbol_correlation
+from .channel import ChannelProfile, check_delays, symbol_correlation
 from .codec import CodecConfig
 from .detector import DetectorConfig
 from .harq import CRC24_BITS
@@ -70,18 +72,6 @@ class ExperimentSection:
 
 
 @dataclass(frozen=True)
-class ChannelSection:
-    speed_kmh: float = 50.0
-    n_taps: int = 6
-    tap_spacing: float = 0.5e-6
-    tap_decay: float = 0.5e-6
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tap_decay) and self.tap_decay > 0.0):
-            raise ValueError(f"tap_decay must be finite and positive, got {self.tap_decay}")
-
-
-@dataclass(frozen=True)
 class PairSection:
     """SNR band one retransmission stage codec trains over."""
 
@@ -109,7 +99,7 @@ class BaselineSection:
 class ExperimentConfig:
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
     ofdm: OfdmConfig = field(default_factory=OfdmConfig)
-    channel: ChannelSection = field(default_factory=ChannelSection)
+    channel: ChannelProfile = field(default_factory=ChannelProfile)
     scene: SceneConfig = field(default_factory=SceneConfig)
     codec: CodecConfig = field(default_factory=CodecConfig)
     codec_pair1: PairSection = field(default_factory=lambda: PairSection(9.0, 18.0))
@@ -122,10 +112,6 @@ class ExperimentConfig:
 
     def ofdm_config(self) -> OfdmConfig:
         return self.ofdm
-
-    def channel_profile(self) -> ChannelProfile:
-        c = self.channel
-        return default_profile(c.speed_kmh, c.n_taps, spacing=c.tap_spacing, decay=c.tap_decay)
 
     def mask_cells(self) -> int:
         """Cells the semantic pipeline keeps: codec.cr of the scene grid, rounded up."""
@@ -155,7 +141,7 @@ class ExperimentConfig:
 _SECTION_TYPES = {
     "experiment": ExperimentSection,
     "ofdm": OfdmConfig,
-    "channel": ChannelSection,
+    "channel": ChannelProfile,
     "scene": SceneConfig,
     "codec": CodecConfig,
     "codec_pair1": PairSection,
@@ -200,8 +186,9 @@ def parse_field(section: str, key: str, raw: str):
     return _parse_value(section, key, raw, ann)
 
 
-def _make_section(name: str, make, *args, **values):
-    """make(*args, **values), naming the section in the ValueError of its type's checks."""
+def _in_section(name: str, make, *args, **values):
+    """make(*args, **values), naming the section in the ValueError of its
+    type's checks, or of a cross-section rule on its values."""
     try:
         return make(*args, **values)
     except ValueError as exc:
@@ -211,7 +198,7 @@ def _make_section(name: str, make, *args, **values):
 def override(cfg: ExperimentConfig, section: str, **values) -> ExperimentConfig:
     """cfg with `values` set in `section`; the section and the whole config
     are checked as a loaded file's are."""
-    return replace(cfg, **{section: _make_section(section, replace, getattr(cfg, section), **values)})
+    return replace(cfg, **{section: _in_section(section, replace, getattr(cfg, section), **values)})
 
 
 def _load_section(parser: configparser.ConfigParser, name: str, cls):
@@ -220,7 +207,7 @@ def _load_section(parser: configparser.ConfigParser, name: str, cls):
     missing = sorted({f.name for f in fields(cls)} - set(values))
     if missing:
         raise ValueError(f"missing field: {name}.{missing[0]}")
-    return _make_section(name, cls, **values)
+    return _in_section(name, cls, **values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -248,9 +235,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("bad value for detector.pool: exceeds scene grid")
     if cfg.codec.n_cu > cfg.ofdm.payload_capacity:
         raise ValueError(f"bad value for codec.n_cu: a frame holds {cfg.ofdm.payload_capacity} payload symbols")
-    profile = cfg.channel_profile()
-    check_delays(profile, cfg.ofdm)
-    symbol_correlation(profile, cfg.ofdm)
+    _in_section("channel", check_delays, cfg.channel, cfg.ofdm)
+    _in_section("channel", symbol_correlation, cfg.channel, cfg.ofdm)
     cfg.baseline_cells()
 
 

@@ -12,9 +12,9 @@ The rank corpus is two arrays: per query, the pooled reference map and its
 K samplings' pooled maps, and the samplings' true similarities. It is
 sampled through harq.SemanticSource, the source every semantic session runs
 from, so a corpus sampling is the reception a session round makes: the same
-pooled map and true similarity (scenegen.SentCells.score). Its channel is the
-link's own arithmetic (link.receive_cells) on each sampling's payload-cell
-parts, drawn from the sampling's own link seeds (link.RoundDraws.cells).
+pooled map and true similarity (scenegen.SentCells.score). Each sampling
+is sent through the link's entry, link.transmit_symbols, at its own link
+seeds, as a session round is.
 The scorer is stored in harness.train_all's one bundle.ckpt, and the
 calibration table is computed with nnkit.stored copies of its nets.
 """
@@ -29,8 +29,7 @@ import numpy as np
 
 from . import codec as codec_mod
 from . import nnkit
-from .channel import noise_variance
-from .link import LinkSeeds, RoundDraws, receive_cells
+from .link import LinkSeeds, transmit_symbols
 from .scenegen import generate_scene
 from .seeding import derive_seed
 from .tensors import _frozen
@@ -363,37 +362,26 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     pair and no scorer; its reference map (maps[q, 0]) comes from the masked
     feature actually transmitted, and sampling k (maps[q, 1 + k] and
     s_true[q, k]) is the source's reception of an independent channel draw
-    at the k-th listed SNR, through link.receive_cells on the payload-cell
-    parts (link.RoundDraws.cells) drawn at the link seeds of (q, k); the K
-    are decoded and scored as one batch. The arrays are rounded to float32
-    once (and held as float64): the precision the scorer is trained and
-    calibrated on.
+    at the k-th listed SNR: one link.transmit_symbols call at the link seeds
+    of (q, k) and the config's [ofdm] and [channel]. The K are decoded and
+    scored as one batch. The arrays are rounded to float32 once (and held as
+    float64): the precision the scorer is trained and calibrated on.
     """
     from .harq import SemanticSource  # harq imports this module
 
     det = cfg.detector
     ms = derive_seed(cfg.experiment.master_seed, "corpus")
     cells = cfg.mask_cells()
-    profile = cfg.channel_profile()
     n_snr = len(det.corpus_snr_db)
-    # per SNR, noise_variance as the (1, 1) array that a lone transmit call makes
-    var = np.array([[noise_variance(snr_db)] for snr_db in det.corpus_snr_db])
     maps = np.empty((det.corpus_queries, 1 + n_snr, det.pool * det.pool))
     s_true = np.empty((det.corpus_queries, n_snr))
     for q in range(det.corpus_queries):
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
         src = SemanticSource(codec, None, None, head, scene, f, cells, det.pool)
         maps[q, 0] = src.ref_pooled.reshape(-1)
-        # one call per sampling, in the shapes of a lone transmit call: numpy
-        # multiplies a (K, 1) stack of one-symbol payloads in another loop,
-        # which rounds some rows differently
-        rx = np.concatenate([
-            receive_cells(
-                src.sym_first,
-                *RoundDraws(cfg.ofdm, profile, LinkSeeds.derive(ms, "corpus", q, k)).cells(codec.n_cu),
-                var[k : k + 1],
-            )[0]
-            for k in range(n_snr)
+        rx = np.stack([
+            transmit_symbols(src.sym_first, cfg.ofdm, cfg.channel, snr_db, LinkSeeds.derive(ms, "corpus", q, k))
+            for k, snr_db in enumerate(det.corpus_snr_db)
         ])
         pooled, _, s_true[q] = src.receive(codec_mod.decode(codec, rx))
         maps[q, 1:] = pooled.reshape(n_snr, -1)

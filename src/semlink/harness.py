@@ -388,7 +388,6 @@ class SessionCache:
     def __init__(self, bundle: RuntimeBundle, idx: int):
         self.bundle = bundle
         self.idx = idx
-        self.profile = bundle.cfg.channel_profile()
         self._draws: dict[int, RoundDraws] = {}
         self._rows: dict[tuple[str, float], list] = {}
 
@@ -420,7 +419,7 @@ class SessionCache:
         """The link draws of round t, the same for every mode, SNR and threshold."""
         if t not in self._draws:
             seeds = LinkSeeds.derive(self.bundle.cfg.experiment.master_seed, "session", self.idx, t)
-            self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.profile, seeds)
+            self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.bundle.cfg.channel, seeds)
         return self._draws[t]
 
     def rows(self, mode: str, snr_db: float) -> list:
@@ -441,7 +440,7 @@ class SessionCache:
 
             def send(t, symbols, rows):
                 draws = self.draws(t)
-                args = (symbols, cfg.ofdm, self.profile, [snrs[b] for b in rows], draws.seeds)
+                args = (symbols, cfg.ofdm, cfg.channel, [snrs[b] for b in rows], draws.seeds)
                 if pipeline is BASELINE_MODES:
                     return transmit_with_state(*args, draws=draws)
                 return transmit_symbols(*args, draws=draws)

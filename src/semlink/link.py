@@ -31,11 +31,12 @@ bits: one row alone takes another matrix product, which rounds differently.
 A transmit call at noise standard deviation sigma works on its n payload
 cells only, through receive_cells, the one function of (symbols, H, a, z, b,
 sigma^2): it receives H*x + sigma*z, estimates a + sigma*b, and equalizes
-with rxdsp.equalize_mmse. A noiseless call draws no noise and makes no b. A
-call given a 1-D array of SNRs runs them as one batch, each row bitwise that
-call at its SNR alone. The rank corpus keeps only the payload-cell parts of
-its samplings (RoundDraws.cells) and receives them through receive_cells too
-(detector.build_corpus), so it cannot drift from the link.
+with rxdsp.equalize_mmse. _transmit, the core of both transmit functions, is
+its one caller. A noiseless call draws no noise and makes no b. A call given
+a 1-D array of SNRs runs them as one batch, each row bitwise that call at
+its SNR alone. Sessions send through transmit_symbols and
+transmit_with_state, and so does the rank corpus (detector.build_corpus):
+one transmit_symbols call per sampling, at the sampling's own link seeds.
 
 Its oracle (tests/test_link.py) runs the receiver on every row of the full
 grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse

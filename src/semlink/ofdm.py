@@ -33,6 +33,8 @@ class OfdmConfig:
             raise ValueError("l_cp must lie in [0, l_fft]")
         if not self.subcarrier_spacing > 0:
             raise ValueError(f"subcarrier_spacing must be positive, got {self.subcarrier_spacing}")
+        if not self.carrier_freq > 0:
+            raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
         for p in self.pilot_symbols:
             if not 1 <= p <= self.n_symbols:
                 raise ValueError(f"pilot symbol index {p} outside 1..{self.n_symbols}")

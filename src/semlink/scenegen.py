@@ -47,6 +47,9 @@ class SceneConfig:
     def __post_init__(self):
         if self.channels < N_REGRESSION + 1:
             raise ValueError("need at least 5 channels to carry the readout")
+        for name in ("height", "width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.object_rate <= 1.0:
             raise ValueError(f"object_rate must be in (0, 1], got {self.object_rate}")
 

@@ -2,6 +2,11 @@
 
 import multiprocessing
 
+# first, before numpy loads: semlink.cli pins one BLAS thread unless the
+# caller sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, so the tests run the
+# CLI's threads (no byte depends on the count, only the wall time)
+import semlink.cli  # noqa: F401, I001
+
 import numpy as np
 import pytest
 

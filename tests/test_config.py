@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from semlink.channel import ChannelProfile
 from semlink.codec import CodecConfig
 from semlink.config import (
     _SECTION_TYPES,
-    ChannelSection,
     ExperimentConfig,
     default_config_text,
     load_config,
@@ -151,6 +151,15 @@ def test_bad_value_reports_location(tmp_path):
         ("\nepochs = 50", "\nepochs = 0"),
         ("task_weight = 0.5", "task_weight = -0.5"),
         ("weight_decay = 0.05", "weight_decay = -0.05"),
+        ("n_taps = 6", "n_taps = 0"),
+        ("tap_spacing = 5e-07", "tap_spacing = 0"),
+        ("speed_kmh = 50", "speed_kmh = -5"),
+        # cross-section rules on [channel] values name the section too
+        ("n_taps = 6", "n_taps = 11"),
+        ("speed_kmh = 50", "speed_kmh = 7500"),
+        ("height = 16", "height = 0"),
+        ("\nwidth = 16", "\nwidth = 0"),
+        ("carrier_freq = 2800000000", "carrier_freq = -2.8e9"),
     ],
     ids=["ack_threshold", "sharpness", "batch_size", "object_rate", "l_cp",
          "corpus_queries", "batch_queries", "holdout", "holdout-all", "holdout-nan",
@@ -158,7 +167,9 @@ def test_bad_value_reports_location(tmp_path):
          "workers", "modes", "modes-empty", "modes-repeated", "snr_db-empty", "snr_db-repeated", "cr", "tap_decay", "codec-lr", "detector-lr",
          "mod_order", "code_copies", "pilot_symbols-empty", "pilot_symbols-all",
          "subcarrier_spacing", "corpus_snr_db-empty", "corpus_snr_db-one", "recon_epochs",
-         "task_epochs", "detector-epochs", "task_weight", "weight_decay"],
+         "task_epochs", "detector-epochs", "task_weight", "weight_decay", "n_taps",
+         "tap_spacing", "speed_kmh", "n_taps-beyond-cp", "speed_kmh-beyond-j0", "height",
+         "width", "carrier_freq"],
 )
 def test_load_runs_the_section_type_checks(tmp_path, old, new):
     text = default_config_text()
@@ -166,7 +177,7 @@ def test_load_runs_the_section_type_checks(tmp_path, old, new):
     path = tmp_path / "c.ini"
     path.write_text(text.replace(old, new))
     # a non-finite float fails one step sooner, where its text is parsed
-    where = r"bad value for detector\.holdout: must be finite" if new.endswith("nan") else r"bad value in \["
+    where = r"bad value for detector\.holdout: must be finite" if new.endswith("nan") else r"^bad value in \["
     with pytest.raises(ValueError, match=where):
         load_config(path)
 
@@ -204,7 +215,7 @@ def test_channel_section_rejects_a_decay_that_is_not_finite_and_positive():
     # a zero decay gives NaN tap powers, which no later check sees
     for decay in (0.0, -0.5e-6, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tap_decay must be finite and positive"):
-            ChannelSection(tap_decay=decay)
+            ChannelProfile(tap_decay=decay)
 
 
 def test_validate_rejects_bad_mod_order():
@@ -231,16 +242,16 @@ def test_validate_rejects_n_cu_beyond_payload_capacity():
 
 def test_validate_rejects_a_channel_beyond_the_j0_series():
     # a cross-section rule: speed, carrier and symbol time set the Bessel argument
-    assert ExperimentConfig(channel=ChannelSection(speed_kmh=6500.0)).channel.speed_kmh == 6500.0
-    with pytest.raises(ValueError, match="channel too fast"):
-        ExperimentConfig(channel=ChannelSection(speed_kmh=7500.0))
+    assert ExperimentConfig(channel=ChannelProfile(speed_kmh=6500.0)).channel.speed_kmh == 6500.0
+    with pytest.raises(ValueError, match=r"^bad value in \[channel\]: channel too fast"):
+        ExperimentConfig(channel=ChannelProfile(speed_kmh=7500.0))
 
 
 def test_validate_rejects_taps_beyond_the_cyclic_prefix():
     # a cross-section rule: [channel] sets the tap delays, [ofdm] the CP they must stay inside
-    assert ExperimentConfig(channel=ChannelSection(n_taps=10)).channel.n_taps == 10
-    with pytest.raises(ValueError, match="must stay below the CP"):
-        ExperimentConfig(channel=ChannelSection(n_taps=11))
+    assert ExperimentConfig(channel=ChannelProfile(n_taps=10)).channel.n_taps == 10
+    with pytest.raises(ValueError, match=r"^bad value in \[channel\]: max tap delay .* must stay below the CP"):
+        ExperimentConfig(channel=ChannelProfile(n_taps=11))
 
 
 def _float_fields():
@@ -297,9 +308,9 @@ def test_derived_views_match_sections():
     assert isinstance(cfg.codec, CodecConfig)
     assert isinstance(cfg.detector, DetectorConfig)
     assert cfg.scene.logit_amp == 2.0
-    prof = cfg.channel_profile()
-    assert prof.n_taps == cfg.channel.n_taps
-    assert abs(prof.speed - cfg.channel.speed_kmh / 3.6) < 1e-12
+    assert isinstance(cfg.channel, ChannelProfile)
+    assert cfg.channel.n_taps == len(cfg.channel.delays) == len(cfg.channel.powers)
+    assert abs(cfg.channel.speed - cfg.channel.speed_kmh / 3.6) < 1e-12
 
 
 def test_train_config_band_override(tmp_path):

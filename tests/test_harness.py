@@ -30,6 +30,7 @@ from semlink import codec
 from semlink import config as config_mod
 from semlink import detector
 from semlink import harness, harq, nnkit, rxdsp
+from semlink.channel import ChannelProfile
 from semlink.config import default_config_text
 from semlink.harq import (
     BaselineSource,
@@ -241,7 +242,6 @@ def _corpus_from_parts(cfg, head, codec_obj):
     to float32 once, as float64."""
     ms = derive_seed(cfg.experiment.master_seed, "corpus")
     pool = cfg.detector.pool
-    profile = cfg.channel_profile()
     queries = []
     for q in range(cfg.detector.corpus_queries):
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
@@ -256,7 +256,7 @@ def _corpus_from_parts(cfg, head, codec_obj):
                 channel=derive_seed(ms, "corpus-chan", q, k),
                 noise=derive_seed(ms, "corpus-noise", q, k),
             )
-            rx = transmit_symbols(symbols, cfg.ofdm, profile, snr_db, seeds)
+            rx = transmit_symbols(symbols, cfg.ofdm, cfg.channel, snr_db, seeds)
             f_hat = unpack(codec.decode(codec_obj, rx), mask, f.shape)
             samp.append(pool_map(confidence_map(f_hat, head), pool))
             s_true.append(true_similarity(ref_loss, perception_loss(f_hat, scene, head)))
@@ -534,12 +534,11 @@ def _rounds_from_parts(bundle, mode, snr_db, idx):
     round when the CRC of its combination passes."""
     cfg = bundle.cfg
     ms = cfg.experiment.master_seed
-    profile = cfg.channel_profile()
     budget = 1 if mode == "noharq" else cfg.experiment.round_budget
     scene, f = generate_scene(derive_seed(ms, "session-scene", idx), cfg.scene, bundle.head)
 
     def transmit(link, t, x):
-        return link(x, cfg.ofdm, profile, snr_db, LinkSeeds.derive(ms, "session", idx, t))
+        return link(x, cfg.ofdm, cfg.channel, snr_db, LinkSeeds.derive(ms, "session", idx, t))
 
     rounds = []
     if mode in harness.SEMANTIC_MODES:
@@ -656,7 +655,7 @@ def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
     def send(link):
         def sent(t, x, rows):
             draws = cache.draws(t)
-            return link(x, cfg.ofdm, cache.profile, [snrs[b] for b in rows], draws.seeds, draws=draws)
+            return link(x, cfg.ofdm, cfg.channel, [snrs[b] for b in rows], draws.seeds, draws=draws)
         return sent
 
     for pipeline, rounds in (
@@ -1111,6 +1110,16 @@ _NON_FINITE = [
         ("train", "[ofdm]", "[ofdm]\n\n[ofdm]"),
         ("train", "l_fft = 256", "l_fft = 256\nl_fft = 512"),
         ("train", "[experiment]", "l_fft = 256\n[experiment]"),
+        # [channel] values that its own section refuses, and one that the
+        # J0 series cannot take; each error names [channel]
+        ("sweep", "n_taps = 6", "n_taps = 0"),
+        ("sweep", "tap_spacing = 5e-07", "tap_spacing = 0"),
+        ("sweep", "speed_kmh = 50.0", "speed_kmh = -5"),
+        ("sweep", "speed_kmh = 50.0", "speed_kmh = 7500"),
+        # a scene grid with no cells, and a carrier that J0's evenness would hide
+        ("train", "height = 8", "height = 0"),
+        ("train", "\nwidth = 8", "\nwidth = 0"),
+        ("train", "carrier_freq = 2800000000.0", "carrier_freq = -2.8e9"),
     ],
     ids=["sweep-ack_threshold", "sweep-sharpness", "sweep-batch_size", "sweep-object_rate",
          "sweep-tap_decay-0", "sweep-n_taps-beyond-cp", "sweep-subcarrier_spacing-0",
@@ -1124,7 +1133,9 @@ _NON_FINITE = [
          "train-corpus_snr_db-empty", "train-corpus_snr_db-one", "train-recon_epochs--3",
          "train-task_epochs--1", "train-detector-epochs-0", "train-task_weight-negative",
          "train-weight_decay-negative",
-         "train-repeated-section", "train-repeated-key", "train-no-section-header"],
+         "train-repeated-section", "train-repeated-key", "train-no-section-header",
+         "sweep-n_taps-0", "sweep-tap_spacing-0", "sweep-speed_kmh-negative",
+         "sweep-speed_kmh-beyond-j0", "train-height-0", "train-width-0", "train-carrier_freq-negative"],
 )
 def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
     text = _render_ini(tiny_config(seed=4242))
@@ -1135,6 +1146,9 @@ def test_cli_rejects_bad_section_values(tiny_dir, tmp_path, command, old, new):
     extra = ("--artifacts", str(tiny_dir), "--mode", "sim1", "--snr", "0") if command == "sweep" else ()
     proc = _cli(command, "--config", str(ini), "--out", str(out), *extra)
     _assert_one_error_line(proc)
+    if new.split(" = ")[0] in {f.name for f in fields(ChannelProfile)}:
+        # parsed as channel.<key>, or checked in [channel], alone or against [ofdm]
+        assert proc.stderr.startswith(("error: bad value for channel.", "error: bad value in [channel]: ")), proc.stderr
     assert not out.exists()
 
 

@@ -27,7 +27,7 @@ CONFIGS = {
     "pilots1_14": OfdmConfig(l_fft=TINY.l_fft, l_cp=TINY.l_cp, pilot_symbols=(1, 14)),
     "pilots2_7_12": OfdmConfig(l_fft=TINY.l_fft, l_cp=TINY.l_cp, pilot_symbols=(2, 7, 12)),
 }
-PROFILE = channel.default_profile()
+PROFILE = channel.ChannelProfile()
 # the link's delay-domain estimate and the oracle's ifft/fft round trip
 # round differently: both estimate parts, and the cells equalized with them,
 # agree to this share of the largest magnitude on the payload cells
@@ -258,7 +258,7 @@ def _realize_loop(profile, cfg, n_symbols, seed):
 @pytest.mark.parametrize("speed_kmh,n_taps", [(50.0, 6), (0.0, 1), (120.0, 3)])
 @pytest.mark.parametrize("n_symbols", [1, 14])
 def test_realize_matches_per_symbol_draws(speed_kmh, n_taps, n_symbols):
-    profile = channel.default_profile(speed_kmh=speed_kmh, n_taps=n_taps)
+    profile = channel.ChannelProfile(speed_kmh=speed_kmh, n_taps=n_taps)
     for seed in range(20):
         real = channel.realize(profile, OfdmConfig(), n_symbols, seed)
         assert _same_bits(real.taps, _realize_loop(profile, OfdmConfig(), n_symbols, seed))
@@ -298,7 +298,7 @@ def test_round_draws_for_other_seeds_are_rejected():
     for seeds, cfg, profile in (
         (LinkSeeds(1, 2, 4), TINY, PROFILE),
         (LinkSeeds(1, 2, 3), OfdmConfig(), PROFILE),
-        (LinkSeeds(1, 2, 3), TINY, channel.default_profile(speed_kmh=0.0)),
+        (LinkSeeds(1, 2, 3), TINY, channel.ChannelProfile(speed_kmh=0.0)),
     ):
         with pytest.raises(ValueError, match="round draws"):
             transmit_symbols(_payload(8, 1.0, 0), cfg, profile, 6.0, seeds, draws=draws)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semlink import channel, ofdm
-from semlink.channel import ChannelProfile, ChannelRealization, apply, default_profile, noise_variance, realize
+from semlink.channel import ChannelProfile, ChannelRealization, apply, noise_variance, realize
 from semlink.ofdm import OfdmConfig, frame_build, pilot_rows
 from semlink.rxdsp import equalize_mmse, estimate
 
@@ -44,7 +44,7 @@ def test_noiseless_linear_drift_exact():
 
 def test_noiseless_multipath_static_exact():
     sr = CFG.sample_rate
-    prof = ChannelProfile((0.0, 3.0 / sr), (0.7, 0.3), 0.0)
+    prof = ChannelProfile(speed_kmh=0.0, n_taps=2, tap_spacing=3.0 / sr, tap_decay=3.0 / sr)
     real = realize(prof, CFG, 14, seed=2)
     grid, rx = _received(CFG, real, snr_db=None)
     h = _estimate(rx)
@@ -55,7 +55,7 @@ def test_noiseless_multipath_static_exact():
 def test_delay_denoising_beats_raw_ls():
     # the delay-domain truncation must not lose channel content and should
     # strip most out-of-support noise
-    prof = default_profile(speed_kmh=0.0, spacing=1.0 / CFG.sample_rate, decay=1.0 / CFG.sample_rate)
+    prof = ChannelProfile(speed_kmh=0.0, tap_spacing=1.0 / CFG.sample_rate, tap_decay=1.0 / CFG.sample_rate)
     wins = 0
     for seed in range(100):
         real = realize(prof, CFG, 14, seed=seed)
@@ -117,7 +117,7 @@ def test_estimate_is_linear_in_the_received_pilots(pilots_at):
 
 
 def test_estimate_mse_decreases_with_snr():
-    prof = default_profile(spacing=1.0 / CFG.sample_rate, decay=1.0 / CFG.sample_rate)
+    prof = ChannelProfile(tap_spacing=1.0 / CFG.sample_rate, tap_decay=1.0 / CFG.sample_rate)
     mses = []
     for snr in (0.0, 6.0, 12.0, 18.0):
         acc = 0.0
@@ -132,7 +132,7 @@ def test_estimate_mse_decreases_with_snr():
 
 def test_mmse_beats_zero_forcing_at_low_snr():
     # paired comparison on the same noisy frames, symbol-error MSE
-    prof = default_profile(spacing=1.0 / CFG.sample_rate, decay=1.0 / CFG.sample_rate)
+    prof = ChannelProfile(tap_spacing=1.0 / CFG.sample_rate, tap_decay=1.0 / CFG.sample_rate)
     snr = 6.0
     err_mmse = 0.0
     err_zf = 0.0
