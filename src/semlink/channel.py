@@ -14,9 +14,14 @@ the one SNR rule of the link, its MMSE equalizer and the codec's surrogate
 channel.
 
 The link (link.RoundDraws) and its full-grid oracle share realize and
-freq_response. The one noise rule: each symbol row's noise comes from its own
-"noise-row" stream, so a row's draws do not depend on which other rows a
-caller simulates. The link draws from it only what its receiver reads
+freq_response. Both also take a stack, of seeds and of realizations, so the
+link makes the draws of several session indices together, each bitwise as
+alone. realize's constants are computed, and the profile checked against
+the OFDM config, once per (profile, config).
+
+The one noise rule: each symbol row's noise comes from its own "noise-row"
+stream, so a row's draws do not depend on which other rows a caller
+simulates. The link draws from it only what its receiver reads
 (noise_cells): on a payload row its payload cells, and on a pilot row the
 l_cp delay taps that the estimator keeps of that row's noise. apply, the
 oracle's channel, draws whole rows (_noise_rows).
@@ -32,6 +37,7 @@ import numpy as np
 
 from .ofdm import OfdmConfig
 from .seeding import derive_seed
+from .tensors import _frozen
 
 SPEED_OF_LIGHT = 2.99792458e8
 SIGNAL_POWER = 1.0  # mean per-symbol power every SNR is defined on
@@ -71,13 +77,16 @@ default_profile = ChannelProfile
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    taps: np.ndarray  # (n_symbols, n_taps) complex tap amplitudes
+    """Tap amplitudes per OFDM symbol, (n_symbols, n_taps), or a stack of
+    such realizations, (..., n_symbols, n_taps), on one set of delays."""
+
+    taps: np.ndarray  # (..., n_symbols, n_taps) complex tap amplitudes
     delays: np.ndarray  # (n_taps,) seconds
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.complex128)
         delays = np.asarray(self.delays, dtype=np.float64)
-        if taps.ndim != 2 or delays.shape != (taps.shape[1],):
+        if taps.ndim < 2 or delays.shape != (taps.shape[-1],):
             raise ValueError("taps must be (n_symbols, n_taps) matching delays")
         taps.setflags(write=False)
         delays.setflags(write=False)
@@ -86,7 +95,7 @@ class ChannelRealization:
 
     @property
     def n_symbols(self) -> int:
-        return self.taps.shape[0]
+        return self.taps.shape[-2]
 
 
 def doppler_frequency(profile: ChannelProfile, cfg: OfdmConfig) -> float:
@@ -118,29 +127,45 @@ def check_delays(profile: ChannelProfile, cfg: OfdmConfig) -> None:
         )
 
 
-def realize(profile: ChannelProfile, cfg: OfdmConfig, n_symbols: int, seed: int) -> ChannelRealization:
+@functools.lru_cache(maxsize=16)
+def _gauss_markov(profile: ChannelProfile, cfg: OfdmConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """(rho, sqrt(powers), innovation amplitudes) of realize's recursion, once
+    per (profile, config): check_delays and symbol_correlation run on the
+    first call, and a profile they refuse raises on every call."""
+    check_delays(profile, cfg)
+    p = np.asarray(profile.powers)
+    rho = symbol_correlation(profile, cfg)
+    innov_scale = np.sqrt(max(0.0, 1.0 - rho * rho))
+    return rho, _frozen(np.sqrt(p)), _frozen(innov_scale * np.sqrt(p))
+
+
+def realize(profile: ChannelProfile, cfg: OfdmConfig, n_symbols: int, seed) -> ChannelRealization:
     """Draw tap trajectories for n_symbols OFDM symbols.
 
     Taps start in the stationary distribution and evolve as a first-order
     Gauss-Markov process, so per-symbol variance stays at the profile power and
-    the lag-1 correlation equals symbol_correlation.
+    the lag-1 correlation equals symbol_correlation. A sequence of seeds
+    gives the stack of their realizations, (len(seed), n_symbols, n_taps):
+    each seed draws from its own generator, and the recursion runs once over
+    (seeds, taps), elementwise, so each is bitwise the realization of its
+    seed alone.
     """
-    check_delays(profile, cfg)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rho, amp, innov_amp = _gauss_markov(profile, cfg)
     m = profile.n_taps
-    p = np.asarray(profile.powers)
-    rho = symbol_correlation(profile, cfg)
-    innov_scale = np.sqrt(max(0.0, 1.0 - rho * rho))
-
+    one = isinstance(seed, (int, np.integer))
+    seeds = [seed] if one else list(seed)
     # symbol j draws the real then the imaginary parts of its m innovations
-    g = rng.standard_normal((n_symbols, 2, m))
-    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
-    innov_amp = innov_scale * np.sqrt(p)
-    taps = np.empty((n_symbols, m), dtype=np.complex128)
-    taps[0] = np.sqrt(p) * z[0]
-    for j in range(1, n_symbols):
-        taps[j] = rho * taps[j - 1] + innov_amp * z[j]
-    return ChannelRealization(taps, np.asarray(profile.delays))
+    g = [np.random.Generator(np.random.PCG64(s)).standard_normal((n_symbols, 2, m)) for s in seeds]
+    g = g[0][:, None] if len(g) == 1 else np.stack(g, 1)
+    z = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)  # (n_symbols, seeds, m)
+    taps = np.empty(z.shape, dtype=np.complex128)
+    np.multiply(amp, z[0], out=taps[0])
+    rows, steps = list(taps), list(innov_amp * z)
+    for j in range(1, n_symbols):  # rho * taps[j - 1] + innov_amp * z[j]
+        np.multiply(rows[j - 1], rho, out=rows[j])
+        np.add(rows[j], steps[j], out=rows[j])
+    taps = taps.transpose(1, 0, 2)
+    return ChannelRealization(taps[0] if one else taps, np.asarray(profile.delays))
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,10 +178,12 @@ def _phases(l_fft: int, subcarrier_spacing: float, delays: tuple[float, ...]) ->
 
 
 def freq_response(real: ChannelRealization, cfg: OfdmConfig, rows=None) -> np.ndarray:
-    """H[j, k] = sum_m a_m(j) exp(-2i pi k df tau_m) for j in `rows` (every symbol if None)."""
+    """H[j, k] = sum_m a_m(j) exp(-2i pi k df tau_m) for j in `rows` (every symbol if None),
+    shaped (..., len(rows), l_fft): a stack of realizations gives one stacked
+    matrix product, each realization's bitwise its own."""
     rows = range(real.n_symbols) if rows is None else rows
     phases = _phases(cfg.l_fft, cfg.subcarrier_spacing, tuple(real.delays.tolist()))
-    return real.taps[list(rows)] @ phases.T
+    return real.taps[..., list(rows), :] @ phases.T
 
 
 @functools.lru_cache(maxsize=16)
@@ -169,10 +196,11 @@ def _lags(l_fft: int, subcarrier_spacing: float, delays: tuple[float, ...], l_cp
 
 
 def delay_response(real: ChannelRealization, cfg: OfdmConfig, rows) -> np.ndarray:
-    """ifft(H[j])[:l_cp] for j in `rows`, shaped (len(rows), l_cp): the delay
-    taps that the LS estimator (rxdsp.estimate) keeps of a noiseless pilot row."""
+    """ifft(H[j])[:l_cp] for j in `rows`, shaped (..., len(rows), l_cp): the
+    delay taps that the LS estimator (rxdsp.estimate) keeps of a noiseless
+    pilot row."""
     lags = _lags(cfg.l_fft, cfg.subcarrier_spacing, tuple(real.delays.tolist()), cfg.l_cp)
-    return real.taps[list(rows)] @ lags
+    return real.taps[..., list(rows), :] @ lags
 
 
 def noise_variance(snr_db: float) -> float:

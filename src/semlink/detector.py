@@ -130,7 +130,8 @@ def embed_reference(scorer: SimilarityScorer, ref_pooled: np.ndarray) -> np.ndar
 
 def score_pooled(scorer: SimilarityScorer, ref_emb: np.ndarray, hyp_pooled: np.ndarray) -> np.ndarray:
     """Scores (...) of pre-pooled (..., pool, pool) maps against ref_emb, the
-    embed_reference of the reference map, each map a one-row matrix."""
+    embed_reference of the reference map, each map a one-row matrix. A
+    (B, 1, width) ref_emb gives each of B maps its own reference."""
     hyp = np.asarray(hyp_pooled, dtype=np.float64)
     if hyp.shape[-2:] != (scorer.pool, scorer.pool) or hyp.ndim < 2:
         raise ValueError(f"bad pooled map shape {hyp.shape} for pool {scorer.pool}")
@@ -377,12 +378,12 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     s_true = np.empty((det.corpus_queries, n_snr))
     for q in range(det.corpus_queries):
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
-        src = SemanticSource(codec, None, None, head, scene, f, cells, det.pool)
+        src = SemanticSource(codec, None, None, head, [scene], [f], cells, det.pool)
         maps[q, 0] = src.ref_pooled.reshape(-1)
         rx = np.stack([
             transmit_symbols(src.sym_first, cfg.ofdm, cfg.channel, snr_db, LinkSeeds.derive(ms, "corpus", q, k))
             for k, snr_db in enumerate(det.corpus_snr_db)
         ])
-        pooled, _, s_true[q] = src.receive(codec_mod.decode(codec, rx))
+        pooled, _, s_true[q] = src.receive(codec_mod.decode(codec, rx), [0] * n_snr)
         maps[q, 1:] = pooled.reshape(n_snr, -1)
     return RankCorpus(maps.astype(np.float32), s_true.astype(np.float32))

@@ -16,22 +16,23 @@ so protocol variants see identical channel and noise draws and sweep CSVs
 are byte-identical regardless of the worker count.
 
 A sweep is therefore a common-random-number design, and run_sweep exploits
-it: it runs the grid one session index at a time, and every (mode, SNR) of
-that index shares one SessionCache. The cache holds what depends on the index
-alone: the scene, its harq.SemanticSource and harq.BaselineSource (each
-computes its codewords and reference values once, for every session that
-runs from it), and per round the link's seed-determined draws (the channel
-realization, and per set of simulated data rows H, the noise and the two
-parts of the pilot estimate that every SNR combines). It also holds the
+it: it runs the grid one block of session indices at a time (at most
+BLOCK_INDICES of them), and every (index, mode, SNR) of the block shares one
+SessionCache. The cache holds what depends on the block's indices alone:
+their harq.SemanticSource and harq.BaselineSource (each holds a row per
+index and computes its codewords and reference values once, for every
+session that runs from it), and per round each index's link draws (the
+channel realization, and H, the noise and the two parts of the pilot
+estimate on the payload cells, which every SNR combines). It also holds the
 receptions: the first session of a pipeline (semantic or baseline) to read
-the index computes every round that the grid's modes read, at every SNR of
-the grid whose row is not yet acknowledged, as one batch of one link call,
-decode and scoring pass per round (harq.SemanticSource.rounds,
-BaselineSource.rounds), and each session is its SNR's row. A cache lives
-for one index of one run_sweep call, so memory does not grow with the
-number of sessions and no later sweep starts warm. A session runs on the
-cache it is given (run_session), and every round it records is a
-harq.Reception, with its ACK verdict.
+the block computes every round that the grid's modes read, at every (index,
+SNR) row of the block whose session is not yet acknowledged, as one batch
+of one link call, decode and scoring pass per round
+(harq.SemanticSource.rounds, BaselineSource.rounds), and each session is
+its (index, SNR) row. A cache lives for one block of one run_sweep call, so
+memory does not grow with the number of sessions and no later sweep starts
+warm. A session runs on the cache it is given (run_session), and every
+round it records is a harq.Reception, with its ACK verdict.
 """
 
 from __future__ import annotations
@@ -371,94 +372,111 @@ def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:
 
 
 class SessionCache:
-    """What every mode and SNR of session index `idx` share.
+    """What every mode and SNR of a block of session indices share.
 
-    Each part is made on first use: the scene, its semantic and baseline
-    sources, per round the link's RoundDraws, and the rows. The first session
-    of a pipeline (semantic or baseline) to read the index computes the rounds
-    of the pipeline's modes in the config (and its own) at every SNR of the
-    config as one batch; a session at another SNR, at that SNR alone. Each
-    mode's round goes only to the SNRs where its session has not been
-    acknowledged by then, at the config's threshold or by the CRC. A sweep
-    of baseline modes alone never builds the semantic source, so it runs on a
-    bundle without codecs or scorer. Sharing one cache changes no result:
-    each row is bitwise that of a batch of its SNR alone.
+    Each part is made on first use: the semantic and baseline sources of the
+    block's scenes (one of each for the block, a row per index; the scenes
+    are drawn once, and dropped once every source that the grid reads is
+    made), per round the link's RoundDraws of every index, and the rows. The first session
+    of a pipeline (semantic or baseline) to read the block computes the
+    rounds of the pipeline's modes in the config (and its own) at every
+    (index, SNR) of the block and the config as one batch: one link call,
+    combining or decode, and scoring per round. A session at another SNR
+    computes those of its index at that SNR alone. Each mode's round goes
+    only to the rows where its session has not been acknowledged by then,
+    at the config's threshold or by the CRC. A sweep of baseline modes alone
+    never builds the semantic source, so it runs on a bundle without codecs
+    or scorer. Sharing one cache changes no result: each row is bitwise that
+    of a batch of its index and SNR alone.
     """
 
-    def __init__(self, bundle: RuntimeBundle, idx: int):
+    def __init__(self, bundle: RuntimeBundle, indices):
         self.bundle = bundle
-        self.idx = idx
-        self._draws: dict[int, RoundDraws] = {}
-        self._rows: dict[tuple[str, float], list] = {}
+        self.indices = tuple(indices)
+        self._draws: dict[int, list[RoundDraws]] = {}
+        self._rows: dict[tuple[int, str, float], list] = {}
 
     @functools.cached_property
-    def scene(self):
+    def scenes(self) -> list:
+        """(scene, feature) of each index of the block."""
         cfg = self.bundle.cfg
-        seed = derive_seed(cfg.experiment.master_seed, "session-scene", self.idx)
-        return generate_scene(seed, cfg.scene, self.bundle.head)
+        seeds = [derive_seed(cfg.experiment.master_seed, "session-scene", idx) for idx in self.indices]
+        return [generate_scene(seed, cfg.scene, self.bundle.head) for seed in seeds]
 
     @functools.cached_property
     def semantic(self) -> SemanticSource:
         b = self.bundle
-        scene, f = self.scene
+        scenes, features = zip(*self.scenes)
         return SemanticSource(
-            b.codec_pair1, b.codec_pair2, b.scorer, b.head, scene, f, b.cfg.mask_cells(),
+            b.codec_pair1, b.codec_pair2, b.scorer, b.head, scenes, features, b.cfg.mask_cells(),
             b.cfg.detector.pool,
         )
 
     @functools.cached_property
     def baseline(self) -> BaselineSource:
         cfg = self.bundle.cfg
-        scene, f = self.scene
+        scenes, features = zip(*self.scenes)
         return BaselineSource(
-            self.bundle.head, scene, f, cfg.baseline_cells(),
+            self.bundle.head, scenes, features, cfg.baseline_cells(),
             cfg.baseline.mod_order, cfg.baseline.code_copies,
         )
 
-    def draws(self, t: int) -> RoundDraws:
-        """The link draws of round t, the same for every mode, SNR and threshold."""
+    def draws(self, t: int) -> list[RoundDraws]:
+        """The link draws of round t of each index, the same for every mode,
+        SNR and threshold."""
         if t not in self._draws:
-            seeds = LinkSeeds.derive(self.bundle.cfg.experiment.master_seed, "session", self.idx, t)
-            self._draws[t] = RoundDraws(self.bundle.cfg.ofdm, self.bundle.cfg.channel, seeds)
+            cfg = self.bundle.cfg
+            seeds = [LinkSeeds.derive(cfg.experiment.master_seed, "session", idx, t) for idx in self.indices]
+            self._draws[t] = [RoundDraws(cfg.ofdm, cfg.channel, s) for s in seeds]
         return self._draws[t]
 
-    def rows(self, mode: str, snr_db: float) -> list:
-        """The rounds that a session of mode at snr_db reads, up to its
-        first acknowledged one: one row of SemanticSource.rounds, at the
-        config's threshold, or of BaselineSource.rounds. Each round is one
-        link call on its RoundDraws, at the SNRs of the rows it goes to."""
-        if (mode, snr_db) not in self._rows:
+    def rows(self, idx: int, mode: str, snr_db: float) -> list:
+        """The rounds that the session of index idx and mode at snr_db reads,
+        up to its first acknowledged one: one row of SemanticSource.rounds,
+        at the config's threshold, or of BaselineSource.rounds. Each round
+        is one link call, each row on its index's RoundDraws at its SNR."""
+        if (idx, mode, snr_db) not in self._rows:
+            if idx not in self.indices:
+                raise ValueError(f"session index {idx} is not in this cache's block {self.indices}")
             cfg = self.bundle.cfg
             e = cfg.experiment
-            snrs = e.snr_db if snr_db in e.snr_db else (snr_db,)
+            if snr_db in e.snr_db:
+                at, snrs = range(len(self.indices)), e.snr_db
+            else:
+                at, snrs = (self.indices.index(idx),), (snr_db,)
+            scenes = [i for i in at for _ in snrs]
+            row_snrs = [s for _ in at for s in snrs]
             if mode in BASELINE_MODES:
                 pipeline, rounds = BASELINE_MODES, self.baseline.rounds
             else:
                 pipeline = SEMANTIC_MODES
                 rounds = functools.partial(self.semantic.rounds, threshold=cfg.detector.ack_threshold)
+            if all(("baseline" if m in BASELINE_MODES else "semantic") in vars(self) for m in e.modes):
+                vars(self).pop("scenes", None)  # each source the grid reads keeps what it needs of them
             modes = tuple(dict.fromkeys(m for m in (*e.modes, mode) if m in pipeline))
 
             def send(t, symbols, rows):
-                draws = self.draws(t)
-                args = (symbols, cfg.ofdm, cfg.channel, [snrs[b] for b in rows], draws.seeds)
+                draws = [self.draws(t)[scenes[b]] for b in rows]
+                args = (symbols, cfg.ofdm, cfg.channel, [row_snrs[b] for b in rows], [d.seeds for d in draws])
                 if pipeline is BASELINE_MODES:
                     return transmit_with_state(*args, draws=draws)
                 return transmit_symbols(*args, draws=draws)
 
-            for m, per_snr in rounds(modes, e.round_budget, len(snrs), send).items():
-                self._rows.update(zip([(m, s) for s in snrs], per_snr))
-        return self._rows[mode, snr_db]
+            for m, per_row in rounds(modes, e.round_budget, scenes, send).items():
+                keys = [(self.indices[i], m, s) for i, s in zip(scenes, row_snrs)]
+                self._rows.update(zip(keys, per_row))
+        return self._rows[idx, mode, snr_db]
 
 
-def run_session(cache: SessionCache, mode: str, snr_db: float) -> SessionRecord:
-    """Run one seeded protocol session of the cache's bundle and index, and
-    flatten it into a record.
+def run_session(cache: SessionCache, idx: int, mode: str, snr_db: float) -> SessionRecord:
+    """Run one seeded protocol session of the cache's bundle at session index
+    idx, one of the cache's block, and flatten it into a record.
 
     The threshold and round budget are the bundle config's, where they are
     checked; a non-finite snr_db fails in channel.noise_variance. The other
-    sessions of the index may share the cache; run_sweep makes one per index
-    and drops it when the index is done. A session on a fresh cache records
-    the same.
+    sessions of the block may share the cache; run_sweep makes one per block
+    and drops it when the block is done. A session on a cache of its index
+    alone records the same.
     """
     cfg = cache.bundle.cfg
     if mode in SEMANTIC_MODES:
@@ -467,7 +485,7 @@ def run_session(cache: SessionCache, mode: str, snr_db: float) -> SessionRecord:
         beta, run = None, run_baseline_session
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _flatten(run(cache.rows(mode, snr_db)), cache.idx, mode, snr_db, beta, cfg.experiment.round_budget)
+    return _flatten(run(cache.rows(idx, mode, snr_db)), idx, mode, snr_db, beta, cfg.experiment.round_budget)
 
 
 def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRecord:
@@ -495,19 +513,29 @@ def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRe
 
 _WORKER_STATE: dict = {}
 
+# The most session indices that a SessionCache holds at once. A block's
+# memory grows with its indices: per index it keeps the payload cells of each
+# round's link draws and its receptions (tests/test_harness.py pins that
+# part, about 0.12 MiB at the default geometry), and each round's batch works
+# on the index's (SNR, payload cell) arrays: about 0.2 MiB per index at the
+# peak of a round. Blocks of 2 stay within the 0.4-0.5 MiB that a sweep of
+# one index at a time held when it kept its draws l_fft wide.
+BLOCK_INDICES = 2
+
 
 def _pool_init(bundle, grid):
     _WORKER_STATE["args"] = (bundle, grid)
 
 
-def _pool_task(idx):
-    return _run_index(*_WORKER_STATE["args"], idx)
+def _pool_task(indices):
+    return _run_block(*_WORKER_STATE["args"], indices)
 
 
-def _run_index(bundle, grid, idx) -> list[SessionRecord]:
-    """Every (mode, snr_db) of `grid` at session index idx, on one SessionCache."""
-    cache = SessionCache(bundle, idx)
-    return [run_session(cache, mode, snr_db) for mode, snr_db in grid]
+def _run_block(bundle, grid, indices) -> list[list[SessionRecord]]:
+    """Per index of the block, every (mode, snr_db) of `grid`, all on one
+    SessionCache."""
+    cache = SessionCache(bundle, indices)
+    return [[run_session(cache, idx, mode, snr_db) for mode, snr_db in grid] for idx in indices]
 
 
 def run_sweep(
@@ -525,16 +553,17 @@ def run_sweep(
     bundle config's [experiment] section by config.override, and so checked
     as a config file is, before the output directory is made.
 
-    The grid runs one session index at a time: all (mode, SNR) sessions of
-    an index share one SessionCache, which is dropped when the index is done,
-    so the scene, the codewords, the link draws and every reception of an
-    index are computed once for the whole grid, each round at all its SNRs
-    in one batch. With
-    workers > 1 each worker takes whole indices. Records come back, and the
-    CSVs are written, in (mode, SNR, index) order. Per-session seeds do not
-    depend on how indices are distributed, so the CSV bytes are identical for
-    any worker count, and equal to those of running each session on a cache
-    of its own.
+    The grid runs one block of consecutive session indices at a time, of
+    min(BLOCK_INDICES, ceil(sessions / workers)) indices: all (index, mode,
+    SNR) sessions of a block share one SessionCache, which is dropped when
+    the block is done, so the scenes, the codewords, the link draws and
+    every reception of a block are computed once for the whole grid, each
+    round at all its (index, SNR) rows in one batch. With workers > 1 each
+    worker takes whole blocks. Records come back, and the CSVs are written,
+    in (mode, SNR, index) order. Per-session seeds do not depend on how
+    indices are grouped or distributed, so the CSV bytes are identical for
+    any block size and worker count, and equal to those of running each
+    session on a cache of its own.
     """
     counts = {k: v for k, v in (("sessions", sessions), ("workers", workers)) if v is not None}
     cfg = override(bundle.cfg, "experiment", modes=tuple(modes), snr_db=tuple(map(float, snr_list)), **counts)
@@ -544,13 +573,16 @@ def run_sweep(
     out.mkdir(parents=True, exist_ok=True)
 
     grid = [(mode, snr_db) for mode in e.modes for snr_db in e.snr_db]
+    size = min(BLOCK_INDICES, -(-e.sessions // e.workers))
+    blocks = [range(k, min(k + size, e.sessions)) for k in range(0, e.sessions, size)]
     say(f"running {len(grid) * e.sessions} sessions on {e.workers} worker(s)")
     if e.workers > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(e.workers, initializer=_pool_init, initargs=(bundle, grid)) as pool:
-            by_index = pool.map(_pool_task, range(e.sessions), chunksize=1)
+            by_block = pool.map(_pool_task, blocks, chunksize=1)
     else:
-        by_index = [_run_index(bundle, grid, idx) for idx in range(e.sessions)]
+        by_block = [_run_block(bundle, grid, block) for block in blocks]
+    by_index = [rows for block in by_block for rows in block]
     records = [rows[k] for k in range(len(grid)) for rows in by_index]
 
     write_session_csv(out / "sessions.csv", records, e.round_budget)
@@ -576,10 +608,13 @@ def write_summary_csv(path, records, modes, snr_list, budget: int) -> None:
     head = ["mode", "snr_db", "beta", "sessions", "ack_rate", "throughput",
             "mean_rounds", "mean_final_s", "mean_task_loss"]
     head += [f"rounds_{t}" for t in range(1, budget + 1)]
+    groups = {}  # each (mode, SNR) group's records, in record order
+    for r in records:
+        groups.setdefault((r.mode, r.snr_db), []).append(r)
     rows = []
     for mode in modes:
         for snr_db in snr_list:
-            group = [r for r in records if r.mode == mode and r.snr_db == snr_db]
+            group = groups.get((mode, snr_db))
             if not group:
                 continue
             n = len(group)

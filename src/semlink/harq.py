@@ -8,17 +8,20 @@ with their CRC-24A (3GPP TS 38.212 §5.1) in whole bytes, maps the frame's bits
 to Gray QAM with a rate-1/copies repetition code, and either chase-combines
 full retransmissions or accumulates one copy per round.
 
-A session runs from a source (SemanticSource, BaselineSource): one scene's
-mask, reference and payload, and what every session of that scene derives
-from them, computed once as the source is built (a semantic source's
-scorer embedding and second-pair symbols on first use: the corpus's
-sources have neither). Every protocol runs one HARQ loop (_chains) over a
-batch of channels (harness.SessionCache sends one per SNR) and supplies
-only its round, which sends once to the rows not yet acknowledged and
-decodes, combines and judges them at once. Each row is its Receptions up to
-its first acknowledged one, bitwise what a batch of that row alone gives
-(every net runs a row as a one-row matrix), and is one session
-(run_semantic_session, run_baseline_session). Each Reception carries its
+A session runs from a source (SemanticSource, BaselineSource): a block of
+scenes' masks, references and payloads, one row per scene, and what every
+session of those scenes derives from them, computed once as the source is
+built (a semantic source's scorer embeddings and second-pair symbols on
+first use: the corpus's one-scene sources have neither). Every protocol
+runs one HARQ loop (_chains) over a batch of channels, each a row of one
+of the source's scenes (harness.SessionCache sends one per index and SNR
+of its block), and supplies only its round, which sends once to the rows
+not yet acknowledged, each its scene's symbols, and decodes, combines and
+judges them at once, each on its scene's cells and reference. Each row is
+its Receptions up to its first acknowledged one, bitwise what a batch of
+that row alone on a source of its scene alone gives (every net runs a row
+as a one-row matrix), and is one session (run_semantic_session,
+run_baseline_session). Each Reception carries its
 ACK verdict, made where it is scored: by the scorer at the threshold given
 to SemanticSource.rounds, or by the CRC. A semantic reception is
 SemanticSource.receive, for the sessions here and for the scorer's rank
@@ -41,8 +44,8 @@ import numpy as np
 from . import codec as codec_mod
 from .detector import SimilarityScorer, ack_decide, embed_reference, pool_map, score_pooled
 from .ofdm import qam_demap_hard, qam_map
-from .scenegen import ProxyHead, Scene, sent_cells, true_similarity
-from .tensors import FeatureTensor, _frozen, importance_map, pack_nonzero
+from .scenegen import ProxyHead, sent_cells, true_similarity
+from .tensors import _frozen, importance_map, pack_nonzero
 
 CRC24_POLY = 0x864CFB
 CRC24_BITS = 24
@@ -72,7 +75,9 @@ def crc24(data: np.ndarray):
 
 @dataclass(frozen=True)
 class Quantizer8:
-    """Affine 8-bit quantizer: value ~ zero_point + code * scale."""
+    """Affine 8-bit quantizer: value ~ zero_point + code * scale. Made with
+    (N, 1) columns of scales and zero points, it dequantizes row i of (N, k)
+    codes with the quantizer of row i."""
 
     scale: float
     zero_point: float
@@ -178,78 +183,85 @@ def _chains(batch: int, budget: int, step) -> list[list[Reception]]:
 
 
 class SemanticSource:
-    """One scene's semantic transmission, and what every session of it derives.
+    """A block of scenes' semantic transmissions, and what every session of
+    them derives.
 
-    The feature f is masked to its `cells` strongest cells (fixed for the
-    whole session) and packed; the packed values are the reference message.
-    The reference's perception loss and map pooled to pool x pool (from one
-    SentCells.score) and the first pair's symbols are computed as it is
-    built; the scorer's embedding of the reference and the second pair's
-    symbols on first use, and kept. None depends on mode, SNR or threshold,
-    so sessions may share one source (harness.SessionCache).
-    Every array it hands out is read-only. The second pair and the scorer
-    may be None: such a source cannot run mode sim2, or score, but still
-    sends and receives.
+    Scene i's feature features[i] is masked to its `cells` strongest cells
+    (fixed for the whole session) and packed; packed[i] is its reference
+    message. The references' perception losses and maps pooled to pool x
+    pool (from one SentCells.score of them all) and the first pair's symbols
+    are computed as it is built; the scorer's embeddings of the references
+    and the second pair's symbols on first use, and kept. Each array holds
+    one row per scene. None depends on mode, SNR or threshold, so sessions
+    may share one source (harness.SessionCache). Every array it hands out
+    is read-only. The second pair and the scorer may be None: such a source
+    cannot run mode sim2, or score, but still sends and receives.
     """
 
     def __init__(
         self, first: codec_mod.SemanticCodec, second: codec_mod.SemanticCodec | None,
-        scorer: SimilarityScorer | None, head: ProxyHead, scene: Scene, f: FeatureTensor,
-        cells: int, pool: int,
+        scorer: SimilarityScorer | None, head: ProxyHead, scenes, features, cells: int, pool: int,
     ):
         self.first = first
         self.second = second
         self.scorer = scorer
         self.pool = pool
-        self.mask = importance_map(f, cells)
-        self.packed = _frozen(pack_nonzero(f, self.mask))
+        self.masks = tuple(importance_map(f, cells) for f in features)
+        self.packed = _frozen(np.stack([pack_nonzero(f, m) for f, m in zip(features, self.masks)]))
         self.head = head
-        self.sent = sent_cells([scene], [self.mask])
+        self.sent = sent_cells(scenes, self.masks)
         ref_loss, ref_map = self.sent.score(self.packed, head)
-        self.ref_loss = float(ref_loss)
+        self.ref_loss = _frozen(ref_loss)
         self.ref_pooled = _frozen(pool_map(ref_map, pool))
-        self.sym_first = _frozen(codec_mod.encode(first, self.packed))
+        self.sym_first = self._encode(first)
+
+    def _encode(self, codec: codec_mod.SemanticCodec) -> np.ndarray:
+        return _frozen(np.stack([codec_mod.encode(codec, m) for m in self.packed]))
 
     @functools.cached_property
     def ref_emb(self) -> np.ndarray:
-        """The scorer branch's embedding of ref_pooled."""
-        return _frozen(embed_reference(self.scorer, self.ref_pooled))
+        """The scorer branch's embedding of each ref_pooled, (scenes, 1, width)."""
+        return _frozen(np.stack([embed_reference(self.scorer, ref) for ref in self.ref_pooled]))
 
     @functools.cached_property
     def sym_second(self) -> np.ndarray:
-        return _frozen(codec_mod.encode(self.second, self.packed))
+        return self._encode(self.second)
 
-    def receive(self, messages: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decoded messages' (..., C*k) pooled confidence maps, perception
-        losses and true similarities to the reference, scored on the sent
-        cells alone."""
-        loss, cmap = self.sent.score(messages, self.head)
-        s_true = [true_similarity(self.ref_loss, x) for x in loss.reshape(-1).tolist()]
-        return pool_map(cmap, self.pool), loss, np.reshape(s_true, loss.shape)
+    def receive(self, messages: np.ndarray, scenes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decoded messages' (B, C*k) pooled confidence maps, perception losses
+        and true similarities to the reference, row b a message of scene
+        scenes[b], scored on that scene's sent cells alone."""
+        scenes = np.asarray(scenes, dtype=np.intp)
+        loss, cmap = self.sent.rows(scenes).score(messages, self.head)
+        s_true = [true_similarity(r, x) for r, x in zip(self.ref_loss[scenes].tolist(), loss.tolist())]
+        return pool_map(cmap, self.pool), loss, np.array(s_true)
 
-    def receptions(self, messages: np.ndarray, threshold: float) -> list[Reception]:
-        """One Reception per row of decoded messages (B, C*k): receive, with
-        the scorer's score of each pooled map and its verdict at `threshold`
+    def receptions(self, messages: np.ndarray, scenes, threshold: float) -> list[Reception]:
+        """One Reception per row of decoded messages (B, C*k), row b of scene
+        scenes[b]: receive, with the scorer's score of each pooled map
+        against its scene's reference and its verdict at `threshold`
         (ack_decide)."""
-        messages = _frozen(messages)
-        pooled, loss, s_true = self.receive(messages)
-        s_hat = score_pooled(self.scorer, self.ref_emb, pooled).tolist()
+        messages, scenes = _frozen(messages), np.asarray(scenes, dtype=np.intp)
+        pooled, loss, s_true = self.receive(messages, scenes)
+        s_hat = score_pooled(self.scorer, self.ref_emb[scenes], pooled).tolist()
         return [Reception(m, x, s, h, ack_decide(h, threshold))
                 for m, x, s, h in zip(messages, loss.tolist(), s_true.tolist(), s_hat)]
 
     def rounds(
-        self, modes, budget: int, batch: int, send, threshold: float
+        self, modes, budget: int, scenes, send, threshold: float
     ) -> dict[str, list[list[Reception]]]:
-        """Per mode of `modes`, per row of a batch of `batch` channels, the
-        Receptions of its rounds up to the first whose score exceeds
-        `threshold`: its budget's at most, noharq's one (_chains).
+        """Per mode of `modes`, per row of a batch of channels, row b a
+        channel of scene scenes[b], the Receptions of its rounds up to the
+        first whose score exceeds `threshold`: its budget's at most,
+        noharq's one (_chains).
 
         Mode "sim1" resends the first pair's symbols every round and keeps
         the latest decoded message as candidate; "sim2" sends the second
         pair from round two and its candidate is the sum of all decoded
         messages; "noharq" is sim1's first round. Modes share the rounds
         that send the first pair. `send(t, symbols, rows)` returns round t's
-        (len(rows), n) equalized symbols on those rows of the batch.
+        (len(rows), n) equalized symbols on those rows of the batch, given
+        each row's symbols (len(rows), n).
         """
         for mode in modes:
             if mode not in ("noharq", "sim1", "sim2"):
@@ -260,11 +272,13 @@ class SemanticSource:
             raise ValueError("a semantic session needs a scorer")
         if budget < 1:
             raise ValueError("round budget must be at least 1")
+        scenes = np.asarray(scenes, dtype=np.intp)
 
         def first_pair(t, rows):
-            return self.receptions(codec_mod.decode(self.first, send(t, self.sym_first, rows)), threshold)
+            rx = send(t, self.sym_first[scenes[rows]], rows)
+            return self.receptions(codec_mod.decode(self.first, rx), scenes[rows], threshold)
 
-        first = _chains(batch, budget if "sim1" in modes else 1, first_pair)
+        first = _chains(len(scenes), budget if "sim1" in modes else 1, first_pair)
         by_mode = {"noharq": [c[:1] for c in first], "sim1": first}
         if "sim2" in modes:
             total = np.stack([c[0].message for c in first])  # each row's sum so far
@@ -272,11 +286,12 @@ class SemanticSource:
             def second_pair(t, rows):
                 if t == 1:
                     return [first[b][0] for b in rows]
-                summed = total[rows] + codec_mod.decode(self.second, send(t, self.sym_second, rows))
+                rx = send(t, self.sym_second[scenes[rows]], rows)
+                summed = total[rows] + codec_mod.decode(self.second, rx)
                 total[rows] = summed
-                return self.receptions(summed, threshold)
+                return self.receptions(summed, scenes[rows], threshold)
 
-            by_mode["sim2"] = _chains(batch, budget, second_pair)
+            by_mode["sim2"] = _chains(len(scenes), budget, second_pair)
         return {mode: by_mode[mode] for mode in modes}
 
 
@@ -315,61 +330,76 @@ class ChaseCombiner:
 
 
 class BaselineSource:
-    """One scene's quantize+CRC+QAM transmission, and what every session of it derives.
+    """A block of scenes' quantize+CRC+QAM transmissions, and what every
+    session of them derives.
 
-    The feature f is masked to `cells` cells, its packed values quantized to
-    8-bit codes and payload_bits are the frame of the codes and their CRC-24;
-    ref_message is the dequantized codes. The QAM chunk (the payload bits,
-    zero-padded to whole symbols), the codeword (`copies` chunks: a
-    rate-1/copies repetition code) and the reference perception loss are
-    computed as it is built. Every array it hands out is read-only. A round's
-    Reception carries the dequantized codes as its message and no score: the
-    CRC judges it. Its loss is scored on the sent cells alone, like
-    SemanticSource's, and no confidence map is made of it
-    (scenegen.SentCells.loss).
+    Scene i's feature features[i] is masked to `cells` cells, its packed
+    values quantized to 8-bit codes, and payload_bits[i] is the frame of the
+    codes and their CRC-24; ref_message[i] is the dequantized codes. The QAM
+    chunk (the payload bits, zero-padded to whole symbols), the codeword
+    (`copies` chunks: a rate-1/copies repetition code) and the reference
+    perception loss are computed as it is built, one row per scene. Every
+    array it hands out is read-only. A round's Reception carries the
+    dequantized codes as its message and no score: the CRC judges it. Its
+    loss is scored on the sent cells alone, like SemanticSource's, and no
+    confidence map is made of it (scenegen.SentCells.loss).
     """
 
-    def __init__(
-        self, head: ProxyHead, scene: Scene, f: FeatureTensor, cells: int, mod_order: int, copies: int
-    ):
+    def __init__(self, head: ProxyHead, scenes, features, cells: int, mod_order: int, copies: int):
         self.mod_order = mod_order
-        self.mask = importance_map(f, cells)
-        packed = pack_nonzero(f, self.mask)
-        self.quantizer = fit_quantizer(packed)
-        codes = self.quantizer.quantize(packed)
-        frame = codes.tobytes() + crc24(codes).to_bytes(CRC24_BITS // 8, "big")
-        self.payload_bits = _frozen(np.unpackbits(np.frombuffer(frame, dtype=np.uint8)))
-        self.ref_message = _frozen(self.quantizer.dequantize(codes))
+        self.masks = tuple(importance_map(f, cells) for f in features)
+        quantizers, bits, refs = [], [], []
+        for f, mask in zip(features, self.masks):
+            packed = pack_nonzero(f, mask)
+            q = fit_quantizer(packed)
+            codes = q.quantize(packed)
+            frame = codes.tobytes() + crc24(codes).to_bytes(CRC24_BITS // 8, "big")
+            quantizers.append(q)
+            bits.append(np.unpackbits(np.frombuffer(frame, dtype=np.uint8)))
+            refs.append(q.dequantize(codes))
+        self.quantizer = Quantizer8(  # a column per scene
+            _frozen(np.array([[q.scale] for q in quantizers])),
+            _frozen(np.array([[q.zero_point] for q in quantizers])),
+        )
+        self.payload_bits = _frozen(np.stack(bits))
+        self.ref_message = _frozen(np.stack(refs))
         self.head = head
-        self.sent = sent_cells([scene], [self.mask])
-        pad = np.zeros((-self.payload_bits.size) % int(math.log2(mod_order)), dtype=np.uint8)
-        self.chunk = _frozen(qam_map(np.concatenate([self.payload_bits, pad]), mod_order))
+        self.sent = sent_cells(scenes, self.masks)
+        n_bits = self.payload_bits.shape[-1]
+        pad = np.zeros((len(bits), (-n_bits) % int(math.log2(mod_order))), dtype=np.uint8)
+        chunk = qam_map(np.concatenate([self.payload_bits, pad], axis=-1), mod_order)
+        self.chunk = _frozen(chunk.reshape(len(bits), -1))
         self.codeword = _frozen(np.tile(self.chunk, copies))
-        self.ref_loss = float(self.sent.loss(self.ref_message, head))
+        self.ref_loss = _frozen(self.sent.loss(self.ref_message, head))
 
-    def reception(self, combined: np.ndarray) -> list[Reception]:
-        """Per row of combined chunks (B, chunk): the unscored Reception of
-        its dequantized codes, acknowledged when the CRC of its frame passes."""
-        frames = np.packbits(qam_demap_hard(combined, self.mod_order)[..., : self.payload_bits.size], axis=-1)
-        messages = _frozen(self.quantizer.dequantize(frames[..., : frames.shape[-1] - CRC24_BITS // 8]))
-        losses = self.sent.loss(messages, self.head).tolist()
+    def reception(self, combined: np.ndarray, scenes) -> list[Reception]:
+        """Per row of combined chunks (B, chunk), row b of scene scenes[b]: the
+        unscored Reception of its dequantized codes, acknowledged when the
+        CRC of its frame passes."""
+        scenes = np.asarray(scenes, dtype=np.intp)
+        n_bits = self.payload_bits.shape[-1]
+        frames = np.packbits(qam_demap_hard(combined, self.mod_order)[..., :n_bits], axis=-1)
+        codes = frames[..., : frames.shape[-1] - CRC24_BITS // 8]
+        q = Quantizer8(self.quantizer.scale[scenes], self.quantizer.zero_point[scenes])
+        messages = _frozen(q.dequantize(codes))
+        losses = self.sent.rows(scenes).loss(messages, self.head).tolist()
         return [
-            Reception(m, x, true_similarity(self.ref_loss, x), None, bool(ok))
-            for m, x, ok in zip(messages, losses, crc24(frames) == 0)
+            Reception(m, x, true_similarity(r, x), None, bool(ok))
+            for m, x, r, ok in zip(messages, losses, self.ref_loss[scenes].tolist(), crc24(frames) == 0)
         ]
 
-    def rounds(self, modes, budget: int, batch: int, send) -> dict[str, list[list[Reception]]]:
-        """Per mode of `modes`, per row of a batch of `batch` channels, the
-        Receptions of its rounds up to the first whose CRC passes: its
-        budget's at most (_chains).
+    def rounds(self, modes, budget: int, scenes, send) -> dict[str, list[list[Reception]]]:
+        """Per mode of `modes`, per row of a batch of channels, row b a
+        channel of scene scenes[b], the Receptions of its rounds up to the
+        first whose CRC passes: its budget's at most (_chains).
 
         Mode "base1" retransmits the full codeword (every copy of the chunk)
         each round and mode "base2" one chunk; either adds each chunk-long
         slice it received, in order, to its row of one chase combiner per
         mode, whose combination a round judges (reception). `send(t,
         symbols, rows)` returns round t's (equalized, est_h, noise_var) on
-        those rows of the batch: (len(rows), n), (len(rows), n) and
-        (len(rows),).
+        those rows of the batch, given each row's symbols (len(rows), n):
+        (len(rows), n), (len(rows), n) and (len(rows),).
         """
         sent = {"base1": self.codeword, "base2": self.chunk}
         for mode in modes:
@@ -377,14 +407,16 @@ class BaselineSource:
                 raise ValueError(f"unknown baseline mode {mode!r}")
         if budget < 1:
             raise ValueError("round budget must be at least 1")
+        scenes = np.asarray(scenes, dtype=np.intp)
         out = {}
         for mode in modes:
-            combiner = ChaseCombiner(batch, self.chunk.size)
+            combiner = ChaseCombiner(len(scenes), self.chunk.shape[-1])
 
             def step(t, rows):
-                return self.reception(combiner.add(rows, *send(t, sent[mode], rows)))
+                combined = combiner.add(rows, *send(t, sent[mode][scenes[rows]], rows))
+                return self.reception(combined, scenes[rows])
 
-            out[mode] = _chains(batch, budget, step)
+            out[mode] = _chains(len(scenes), budget, step)
         return out
 
 

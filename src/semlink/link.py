@@ -34,9 +34,13 @@ sigma^2): it receives H*x + sigma*z, estimates a + sigma*b, and equalizes
 with rxdsp.equalize_mmse. _transmit, the core of both transmit functions, is
 its one caller. A noiseless call draws no noise and makes no b. A call given
 a 1-D array of SNRs runs them as one batch, each row bitwise that call at
-its SNR alone. Sessions send through transmit_symbols and
-transmit_with_state, and so does the rank corpus (detector.build_corpus):
-one transmit_symbols call per sampling, at the sampling's own link seeds.
+its SNR alone. A call given one LinkSeeds per row (and one RoundDraws per
+row, if any) sends row b of its symbols at its own SNR on its own draws:
+the rows, of different seeds, stack into the one elementwise receive_cells,
+each bitwise a lone call of its own. Sessions send through transmit_symbols
+and transmit_with_state, a block of (session index, SNR) rows per call, and
+so does the rank corpus (detector.build_corpus): one transmit_symbols call
+per sampling, at the sampling's own link seeds.
 
 Its oracle (tests/test_link.py) runs the receiver on every row of the full
 grid, ofdm.frame_build -> channel.apply -> rxdsp.estimate -> equalize_mmse
@@ -46,16 +50,22 @@ received cells are bitwise equal to it; a, b and the equalized cells are
 within rounding of it, and the test states the bound.
 
 A RoundDraws holds what a round's link computes from its seeds alone: the
-channel realization and, per set of simulated data rows, H with a and b,
-and the payload noise. None of it depends on the payload or the SNR. One
-instance passed to every transmit call with the same seeds computes each
-part once for all those calls. A sweep's harness.SessionCache keeps one per
-session index and round, and sends each round's symbols once, at every SNR
-of the sweep; other callers pass none and make their own.
+channel realization, and H, a, z and b on the payload cells of the longest
+payload sent so far, none of them an OFDM symbol wide. None of it depends
+on the payload or the SNR. One instance passed to every transmit call with
+the same seeds computes each part once for all those calls, and a call
+with the RoundDraws of many seeds computes their missing parts together: one
+stacked realization, matrix product and FFT per few of them, each seed on
+its own random streams, so every part is bitwise that of its seeds alone. A
+sweep's harness.SessionCache keeps one per session index and round, and
+sends each round's symbols once, at every (index, SNR) row of its block;
+other callers pass none and make their own.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +90,14 @@ class LinkSeeds:
 
 
 class RoundDraws:
-    """The seed-determined parts of one link round, each made on first use.
+    """The seed-determined parts of one link round.
 
-    Holds the channel realization. Per set of simulated data rows it holds,
-    flattened row-major over those rows, H and a, the estimate from the
-    noiseless pilots (clean), and, once a call is noisy, b, the estimate from
-    the pilot rows' noise alone (estimate_noise). It also holds the
-    unit-variance noise of the most payload cells asked for so far
-    (payload_noise). Every array is read-only.
+    Holds the channel realization, made on first use, and the parts that
+    receive_cells reads of the first n payload cells, n the largest payload
+    asked for so far: H and a, the estimate from the noiseless pilots, and,
+    once a call is noisy, z, the payload noise, and b, the estimate from the
+    pilot rows' noise alone. No part it keeps is wider than those n cells,
+    and a longer payload makes them again. Every array is read-only.
     A transmit call given draws made for other seeds, another config or
     another channel profile raises ValueError.
     """
@@ -97,67 +107,116 @@ class RoundDraws:
         self.profile = profile
         self.seeds = seeds
         self.pilot_rows = cfg.pilot_rows_idx[:2]  # the rows rxdsp.estimate reads
-        self.real = chan.realize(profile, cfg, cfg.n_symbols, seeds.channel)
-        self._clean = {}
-        self._b = {}
-        self._z = _frozen(np.empty(0, dtype=np.complex128))
+        empty = _frozen(np.empty(0, dtype=np.complex128))
+        self._clean = (empty, empty)  # H, a
+        self._noise = (empty, empty)  # z, b
 
-    def _estimate(self, taps: np.ndarray, data_rows: tuple[int, ...]) -> np.ndarray:
-        """The estimate on data_rows, flattened, from each pilot row's kept
-        delay taps (n_p, l_cp): their line across symbols, transformed back."""
-        lines = rxdsp.interpolate(taps, self.pilot_rows, data_rows)
-        return _frozen(np.fft.fft(lines, n=self.cfg.l_fft).reshape(-1))
-
-    def clean(self, data_rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(H, a) on `data_rows`: the channel, and the estimate from the pilots
-        received without noise."""
-        if data_rows not in self._clean:
-            h = chan.freq_response(self.real, self.cfg, self.pilot_rows + data_rows)
-            a = self._estimate(chan.delay_response(self.real, self.cfg, self.pilot_rows), data_rows)
-            self._clean[data_rows] = (_frozen(h[len(self.pilot_rows) :].reshape(-1)), a)
-        return self._clean[data_rows]
-
-    def estimate_noise(self, data_rows: tuple[int, ...]) -> np.ndarray:
-        """b on `data_rows`: the estimate from the pilot rows' unit-variance
-        noise alone, whose kept taps each pilot row draws."""
-        if data_rows not in self._b:
-            l_cp, l_fft = self.cfg.l_cp, self.cfg.l_fft
-            taps = [chan.noise_cells(self.seeds.noise, j, l_cp, l_fft) for j in self.pilot_rows]
-            self._b[data_rows] = self._estimate(np.stack(taps), data_rows)
-        return self._b[data_rows]
-
-    def payload_noise(self, n: int) -> np.ndarray:
-        """The unit-variance noise on the first n payload cells: each data
-        row's cells from its own stream, a prefix of any longer draw's."""
-        if self._z.size < n:
-            l_fft, seed = self.cfg.l_fft, self.seeds.noise
-            rows = self.cfg.data_rows_idx[: -(-n // l_fft)]
-            parts = [chan.noise_cells(seed, j, min(l_fft, n - i * l_fft)) for i, j in enumerate(rows)]
-            self._z = _frozen(np.concatenate(parts))
-        return self._z[:n]
+    @functools.cached_property
+    def real(self) -> chan.ChannelRealization:
+        """The channel realization of the round's channel seed (_fill realizes
+        those of several draws together)."""
+        return chan.realize(self.profile, self.cfg, self.cfg.n_symbols, self.seeds.channel)
 
     def cells(self, n: int, noisy: bool = True) -> tuple[np.ndarray, ...]:
         """(H, a, z, b) on the first n payload cells, what receive_cells reads
         of this round for an n-symbol payload at any SNR; (H, a) if not
         noisy, which draws no noise."""
-        data_rows = self.cfg.data_rows_idx[: -(-n // self.cfg.l_fft)]
-        h, a = self.clean(data_rows)
+        if self._clean[0].size < n or noisy and self._noise[0].size < n:
+            _fill_chunk([self], n, noisy)
+        h, a = self._clean
         if not noisy:
             return h[:n], a[:n]
-        return h[:n], a[:n], self.payload_noise(n), self.estimate_noise(data_rows)[:n]
+        z, b = self._noise
+        return h[:n], a[:n], z[:n], b[:n]
 
 
-def receive_cells(symbols, h, a, z=None, b=None, noise_var=None):
+def _estimate(cfg: ofdm.OfdmConfig, taps: np.ndarray, pilot_rows, data_rows) -> np.ndarray:
+    """The estimate on data_rows, (..., len(data_rows), l_fft), from each
+    pilot row's kept delay taps (..., n_p, l_cp): their line across symbols,
+    transformed back by one FFT over every stacked row."""
+    return np.fft.fft(rxdsp.interpolate(taps, pilot_rows, data_rows), n=cfg.l_fft)
+
+
+def _clean_rows(real: chan.ChannelRealization, cfg: ofdm.OfdmConfig, pilot_rows, data_rows):
+    """H and a on data_rows, (..., len(data_rows), l_fft) each, of one
+    realization or a stack of them."""
+    h = chan.freq_response(real, cfg, pilot_rows + data_rows)[..., len(pilot_rows) :, :]
+    return h, _estimate(cfg, chan.delay_response(real, cfg, pilot_rows), pilot_rows, data_rows)
+
+
+def _pilot_noise_taps(draws: RoundDraws) -> np.ndarray:
+    """(n_p, l_cp): the delay taps that the estimator keeps of each pilot
+    row's unit-variance noise, from the row's own stream."""
+    l_cp, l_fft = draws.cfg.l_cp, draws.cfg.l_fft
+    return np.stack([chan.noise_cells(draws.seeds.noise, j, l_cp, l_fft) for j in draws.pilot_rows])
+
+
+# RoundDraws that _fill computes at once: the product H of each takes its
+# pilot and data rows l_fft wide, 96 KiB at the default geometry, so a chunk
+# of 2 bounds what one pass holds however many draws a call reaches
+_FILL_CHUNK = 2
+
+
+def _fill(draws, n: int, noisy: bool = True) -> None:
+    """Make each RoundDraws of `draws` (one config, profile and pilot
+    layout) keep its parts on at least the first n payload cells, noise too
+    if noisy. The arithmetic of those that need it runs over _FILL_CHUNK of
+    them at a time: their channels realized together, H by one stacked
+    matrix product, a and b by one line and one FFT over the stacked rows.
+    Each seed draws from its own streams, so every part is bitwise what its
+    RoundDraws makes alone."""
+    for k in range(0, len(draws), _FILL_CHUNK):
+        _fill_chunk(draws[k : k + _FILL_CHUNK], n, noisy)
+
+
+def _fill_chunk(draws, n: int, noisy: bool) -> None:
+    d0 = draws[0]
+    cfg, pilot_rows = d0.cfg, d0.pilot_rows
+    data_rows = cfg.data_rows_idx[: -(-n // cfg.l_fft)]  # the rows that n payload cells fill
+    short = [d for d in draws if d._clean[0].size < n]
+    if short:
+        fresh = [d for d in short if "real" not in vars(d)]
+        if fresh:
+            stack = chan.realize(d0.profile, cfg, cfg.n_symbols, [d.seeds.channel for d in fresh])
+            for d, taps in zip(fresh, stack.taps):
+                d.real = chan.ChannelRealization(taps, stack.delays)
+        if len(short) == 1:  # its own 2-D product, as bitwise as a stack's
+            stack = short[0].real
+        elif len(fresh) < len(short):
+            stack = chan.ChannelRealization(np.stack([d.real.taps for d in short]), d0.real.delays)
+        h, a = (x.reshape(len(short), -1)[:, :n] for x in _clean_rows(stack, cfg, pilot_rows, data_rows))
+        for d, hd, ad in zip(short, h, a):
+            d._clean = (_frozen(hd.copy()), _frozen(ad.copy()))
+    short = [d for d in draws if d._noise[0].size < n] if noisy else []
+    if short:
+        taps = [_pilot_noise_taps(d) for d in short]
+        b = _estimate(cfg, taps[0] if len(short) == 1 else np.stack(taps), pilot_rows, data_rows)
+        for d, bd in zip(short, b.reshape(len(short), -1)[:, :n]):
+            seed, l_fft = d.seeds.noise, cfg.l_fft
+            z = [chan.noise_cells(seed, j, min(l_fft, n - i * l_fft)) for i, j in enumerate(data_rows)]
+            d._noise = (_frozen(np.concatenate(z)), _frozen(bd.copy()))
+
+
+def receive_cells(symbols, h, a, z=None, b=None, noise_var=None, at=None):
     """The link on n payload cells: symbols sent through the channel h with
     noise sigma*z, sigma = sqrt(noise_var), estimated as a + sigma*b and
     MMSE-equalized; returns (equalized, estimate). Without z and b the call
     is noiseless. Parts of shape (n,) with a (B, 1) noise_var give (B, n)
-    rows, one per noise variance, each bitwise that of a (1, 1) call."""
-    rx = h * symbols
+    rows, one per noise variance, each bitwise that of a (1, 1) call. With
+    `at`, the parts are stacks (U, n) and row i reads part at[i]: each is
+    gathered as it is read, and the rows' arithmetic is the same."""
+
+    def part(x):
+        return x if at is None else x[at]
+
+    rx = part(h) * symbols
     if z is None:
-        return rxdsp.equalize_mmse(rx, a, 0.0), a
+        est = part(a)
+        return rxdsp.equalize_mmse(rx, est, 0.0), est
     sigma = np.sqrt(noise_var)
-    rx, est = rx + sigma * z, a + sigma * b
+    rx = rx + sigma * part(z)
+    est = sigma * part(b)
+    est += part(a)  # a + sigma * b: the sum is the same either way round
     return rxdsp.equalize_mmse(rx, est, noise_var), est
 
 
@@ -165,26 +224,57 @@ def _transmit(
     symbols: np.ndarray,
     cfg: ofdm.OfdmConfig,
     profile: chan.ChannelProfile,
-    snr_db: float | None,
-    seeds: LinkSeeds,
-    draws: RoundDraws | None,
+    snr_db: float | Sequence[float] | None,
+    seeds: LinkSeeds | Sequence[LinkSeeds],
+    draws: RoundDraws | Sequence[RoundDraws] | None,
 ):
     """Row-sparse link core; returns (equalized payload, estimated H at the
-    payload cells, noise_var); a 1-D snr_db of B SNRs gives (B, n), (B, n)
-    and (B,), row b bitwise that of a call at snr_db[b] alone."""
-    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    n = symbols.size
+    payload cells, noise_var).
+
+    With one LinkSeeds, the symbols are one payload: a 1-D snr_db of B SNRs
+    gives (B, n), (B, n) and (B,), row b bitwise that of a call at
+    snr_db[b] alone. With a sequence of B LinkSeeds, one per row of (B, n)
+    symbols, row b is sent at snr_db[b] (a 1-D array of B, or None) on the
+    draws of seeds[b] (draws[b] if given): the rows' parts stack into one
+    elementwise receive_cells, and each row is bitwise a lone call of its
+    own payload, SNR and seeds.
+    """
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    noisy = snr_db is not None
+    single = isinstance(seeds, LinkSeeds)
+    if single:
+        symbols = symbols.reshape(-1)
+    elif symbols.ndim != 2 or len(symbols) != len(seeds) or draws is not None and len(draws) != len(seeds):
+        raise ValueError("per-row seeds and draws need one row of symbols each")
+    elif noisy and np.shape(snr_db) != (len(seeds),):
+        raise ValueError("per-row seeds need one snr_db per row")
+    n = symbols.shape[-1]
     if n > cfg.payload_capacity:
         raise ValueError(f"payload of {n} symbols exceeds capacity {cfg.payload_capacity}")
-    if draws is None:
-        draws = RoundDraws(cfg, profile, seeds)
-    elif (draws.seeds, draws.cfg, draws.profile) != (seeds, cfg, profile):
-        raise ValueError("round draws were made for other seeds, config or channel profile")
-    if snr_db is None:
-        return (*receive_cells(symbols, *draws.cells(n, noisy=False)), 0.0)
+    if single:
+        draws = RoundDraws(cfg, profile, seeds) if draws is None else draws
+        if (draws.seeds, draws.cfg, draws.profile) != (seeds, cfg, profile):
+            raise ValueError("round draws were made for other seeds, config or channel profile")
+        parts, at = draws.cells(n, noisy), None
+    else:
+        if draws is None:
+            made = {s: RoundDraws(cfg, profile, s) for s in seeds}
+            draws = [made[s] for s in seeds]
+        unique = list({id(d): d for d in draws}.values())
+        if any((d.cfg, d.profile) != (cfg, profile) for d in unique) or any(
+            d.seeds != s for d, s in zip(draws, seeds)
+        ):
+            raise ValueError("round draws were made for other seeds, config or channel profile")
+        # each RoundDraws' parts once, (U, n), and which of them each row reads
+        _fill(unique, n, noisy)
+        parts = tuple(np.stack(p) for p in zip(*(d.cells(n, noisy) for d in unique)))
+        index = {id(d): k for k, d in enumerate(unique)}
+        at = np.array([index[id(d)] for d in draws], dtype=np.intp)
+    if not noisy:
+        return (*receive_cells(symbols, *parts, at=at), 0.0)
     # one scalar noise_variance per SNR: each row's sigma is that of a lone call
     var = np.array([[chan.noise_variance(s)] for s in np.ravel(snr_db).tolist()])
-    eq, h = receive_cells(symbols, *draws.cells(n), var)
+    eq, h = receive_cells(symbols, *parts, var, at=at)
     return (eq, h, var[:, 0]) if np.ndim(snr_db) else (eq[0], h[0], float(var[0, 0]))
 
 
@@ -192,15 +282,17 @@ def transmit_symbols(
     symbols: np.ndarray,
     cfg: ofdm.OfdmConfig,
     profile: chan.ChannelProfile,
-    snr_db: float | None,
-    seeds: LinkSeeds,
+    snr_db: float | Sequence[float] | None,
+    seeds: LinkSeeds | Sequence[LinkSeeds],
     *,
-    draws: RoundDraws | None = None,
+    draws: RoundDraws | Sequence[RoundDraws] | None = None,
 ) -> np.ndarray:
     """Send payload symbols through one faded OFDM frame; return equalized payload.
 
     `draws`, if given, supplies this round's seed-determined draws (RoundDraws).
     A 1-D snr_db sends them at each of its SNRs: one (B, n) row per SNR.
+    Given one LinkSeeds per row of (B, n) symbols (and one RoundDraws per
+    row, if any), row b is its own payload at snr_db[b] on its own seeds.
     """
     return _transmit(symbols, cfg, profile, snr_db, seeds, draws)[0]
 
@@ -209,15 +301,16 @@ def transmit_with_state(
     symbols: np.ndarray,
     cfg: ofdm.OfdmConfig,
     profile: chan.ChannelProfile,
-    snr_db: float | None,
-    seeds: LinkSeeds,
+    snr_db: float | Sequence[float] | None,
+    seeds: LinkSeeds | Sequence[LinkSeeds],
     *,
-    draws: RoundDraws | None = None,
+    draws: RoundDraws | Sequence[RoundDraws] | None = None,
 ):
     """transmit_symbols variant that also returns per-symbol channel state.
 
     Returns (equalized payload, estimated H at the payload cells, noise_var);
     the channel state is what symbol-level combining across rounds needs.
-    A 1-D snr_db gives one row of each per SNR, as transmit_symbols does.
+    A 1-D snr_db, or per-row seeds, give one row of each per SNR or row, as
+    transmit_symbols does.
     """
     return _transmit(symbols, cfg, profile, snr_db, seeds, draws)

@@ -46,15 +46,16 @@ def estimate(rx_pilots: np.ndarray, pilots: np.ndarray, pilot_rows, rows, l_cp: 
 
 
 def interpolate(per_pilot: np.ndarray, pilot_rows, rows) -> np.ndarray:
-    """Per-pilot-row vectors (n, K) carried to each symbol row in `rows`,
-    shaped (len(rows), K): one pilot row's vector holds for every symbol;
-    with more, the line through the first two in the symbol index,
-    extrapolated beyond them. Further rows are not read."""
+    """Per-pilot-row vectors (..., n, K) carried to each symbol row in `rows`,
+    shaped (..., len(rows), K): one pilot row's vector holds for every
+    symbol; with more, the line through the first two in the symbol index,
+    extrapolated beyond them. Further rows are not read. The arithmetic is
+    elementwise, so each of a stack's leading indices is bitwise its own."""
     offset = np.asarray(list(rows), dtype=np.int64) - pilot_rows[0]
-    if len(per_pilot) == 1:
-        return np.repeat(per_pilot[:1], len(offset), axis=0)
-    slope = (per_pilot[1] - per_pilot[0]) / (pilot_rows[1] - pilot_rows[0])
-    return per_pilot[0] + offset[:, None] * slope
+    if per_pilot.shape[-2] == 1:
+        return np.repeat(per_pilot[..., :1, :], len(offset), axis=-2)
+    slope = (per_pilot[..., 1, :] - per_pilot[..., 0, :]) / (pilot_rows[1] - pilot_rows[0])
+    return per_pilot[..., :1, :] + offset[:, None] * slope[..., None, :]
 
 
 def equalize_mmse(rx: np.ndarray, h: np.ndarray, noise_var: float) -> np.ndarray:

@@ -208,10 +208,12 @@ class SentCells:
 
     def score(self, messages: np.ndarray, head: ProxyHead) -> tuple[np.ndarray, np.ndarray]:
         """The losses (loss) and the (..., H, W) confidence maps of messages
-        (..., C*k)."""
+        (..., C*k): row b's probabilities go to the cells of mask b, or of
+        the one mask of a one-row SentCells."""
         loss, p = self._read(messages, head)
-        cmap = np.full((len(p), *self.cells.shape[1:]), 0.5)
-        cmap[:, self.cells[0]] = p
+        cells = np.broadcast_to(self.cells, (len(p), *self.cells.shape[1:]))
+        cmap = np.full(cells.shape, 0.5)
+        cmap[cells] = p.reshape(-1)
         return loss, cmap.reshape(loss.shape + cmap.shape[1:])
 
     def _read(self, messages, head: ProxyHead) -> tuple[np.ndarray, np.ndarray]:

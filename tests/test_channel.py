@@ -290,3 +290,41 @@ def test_realize_deterministic():
     c = realize(prof, CFG, 14, seed=6)
     assert np.array_equal(a.taps, b.taps)
     assert not np.array_equal(a.taps, c.taps)
+
+
+def test_realize_of_many_seeds_is_realize_at_each_seed_bit_for_bit():
+    # the recursion runs once over the stacked seeds, each from its own
+    # generator, and a stacked realization's responses are each its own
+    prof = ChannelProfile(speed_kmh=120.0, n_taps=4)
+    seeds = [3, 17, 3, 2**63 + 1]
+    stack = realize(prof, FULL, 14, seeds)
+    assert stack.taps.shape == (len(seeds), 14, 4) and stack.n_symbols == 14
+    rows = (2, 11, 0, 5)
+    for taps, h, g, seed in zip(stack.taps, freq_response(stack, FULL, rows),
+                                channel.delay_response(stack, FULL, rows[:2]), seeds):
+        alone = realize(prof, FULL, 14, seed)
+        assert taps.tobytes() == alone.taps.tobytes()
+        assert h.tobytes() == freq_response(alone, FULL, rows).tobytes()
+        assert g.tobytes() == channel.delay_response(alone, FULL, rows[:2]).tobytes()
+
+
+def test_realize_checks_its_profile_without_a_config_check(monkeypatch):
+    # the recursion's constants are computed once per (profile, config):
+    # the delay and Doppler checks run on the first call, and a profile they
+    # refuse is refused on every call
+    calls = []
+    check = channel.check_delays
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+    monkeypatch.setattr(channel, "check_delays", counted)
+    channel._gauss_markov.cache_clear()
+    prof = ChannelProfile(speed_kmh=90.0, n_taps=3)
+    for seed in range(3):
+        realize(prof, CFG, 14, seed)
+    assert len(calls) == 1
+    for bad in (ChannelProfile(n_taps=2, tap_spacing=9e-6), ChannelProfile(speed_kmh=7500.0)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                realize(bad, FULL, 14, 0)

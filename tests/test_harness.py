@@ -29,7 +29,7 @@ from conftest import score, tiny_config
 from semlink import codec
 from semlink import config as config_mod
 from semlink import detector
-from semlink import harness, harq, nnkit, rxdsp
+from semlink import harness, harq, link, nnkit, rxdsp
 from semlink.channel import ChannelProfile
 from semlink.config import default_config_text
 from semlink.harq import (
@@ -423,8 +423,8 @@ def test_write_csv_cell_rule(tmp_path, value, cell):
 
 
 def _fresh_session(bundle, mode, snr_db, idx):
-    """run_session on a SessionCache of its own."""
-    return harness.run_session(harness.SessionCache(bundle, idx), mode, snr_db)
+    """run_session on a SessionCache of its index alone."""
+    return harness.run_session(harness.SessionCache(bundle, (idx,)), idx, mode, snr_db)
 
 
 def test_session_record_pairing(tiny_bundle):
@@ -468,6 +468,14 @@ def test_flatten_reports_the_final_rounds_task_loss(s_hats, acks, final):
 def test_run_session_rejects_unknown_mode(tiny_bundle):
     with pytest.raises(ValueError, match="unknown mode"):
         _fresh_session(tiny_bundle, "qpsk", 6.0, 0)
+
+
+@pytest.mark.parametrize("snr_db", [6.0, 7.5], ids=["grid", "off-grid"])
+def test_run_session_rejects_an_index_outside_the_block(tiny_bundle, snr_db):
+    cache = harness.SessionCache(tiny_bundle, (0, 1))
+    with pytest.raises(ValueError, match="not in this cache's block"):
+        harness.run_session(cache, 2, "sim1", snr_db)
+    assert not cache._rows
 
 
 def test_sweep_csv_schemas(tiny_bundle, tmp_path):
@@ -516,6 +524,46 @@ def test_summary_aggregates_match_sessions(tiny_bundle, tmp_path):
     assert float(row["mean_final_s"]) == pytest.approx(mean_s, rel=1e-9)
 
 
+def _summary_by_scan(path, records, modes, snr_list, budget):
+    """summary.csv as each (mode, SNR) group's scan of every record makes
+    it: the oracle of write_summary_csv, which groups the records once."""
+    head = ["mode", "snr_db", "beta", "sessions", "ack_rate", "throughput",
+            "mean_rounds", "mean_final_s", "mean_task_loss"]
+    head += [f"rounds_{t}" for t in range(1, budget + 1)]
+    rows = []
+    for mode in modes:
+        for snr_db in snr_list:
+            group = [r for r in records if r.mode == mode and r.snr_db == snr_db]
+            if not group:
+                continue
+            n = len(group)
+            betas = {r.beta for r in group}
+            rows.append((
+                mode, snr_db, betas.pop() if len(betas) == 1 else None, n,
+                sum(r.ack_round > 0 for r in group) / n,
+                harq.throughput(group),
+                sum(r.rounds_used for r in group) / n,
+                sum(r.final_s_true for r in group) / n,
+                sum(r.final_task_loss for r in group) / n,
+                *(sum(r.rounds_used == t for r in group) for t in range(1, budget + 1)),
+            ))
+    harness._write_csv(path, head, rows)
+
+
+def test_summary_groups_as_a_scan_of_every_record(tiny_bundle, tmp_path):
+    # the summary sums each group's records in record order, whatever that
+    # order is, as a scan of every record per group does; a mode or SNR with
+    # no record gives no row
+    records = harness.run_sweep(tiny_bundle, ("sim1", "base2"), (0.0, 9.0), tmp_path / "sweep", sessions=5)
+    rng = np.random.default_rng(3)
+    for order in (records, [records[k] for k in rng.permutation(len(records))]):
+        for modes, snrs in ((("sim1", "base2"), (0.0, 9.0)), (("base2", "noharq", "sim1"), (9.0, 3.0, 0.0))):
+            harness.write_summary_csv(tmp_path / "got.csv", order, modes, snrs, 3)
+            _summary_by_scan(tmp_path / "want.csv", order, modes, snrs, 3)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "sweep" / "summary.csv").read_bytes() != b""
+
+
 ALL_MODES = ("noharq", "sim1", "sim2", "base1", "base2")
 SWEEP_SNRS = (0.0, 6.0, 18.0)
 # this threshold splits the tiny scorer's sessions: at index 4 the semantic
@@ -544,29 +592,29 @@ def _rounds_from_parts(bundle, mode, snr_db, idx):
     if mode in harness.SEMANTIC_MODES:
         src = SemanticSource(
             bundle.codec_pair1, bundle.codec_pair2, bundle.scorer, bundle.head,
-            scene, f, cfg.mask_cells(), cfg.detector.pool,
+            [scene], [f], cfg.mask_cells(), cfg.detector.pool,
         )
         for t in range(1, budget + 1):
             if mode != "sim2" or t == 1:  # sim1 keeps its latest decode
-                message = codec.decode(src.first, transmit(transmit_symbols, t, src.sym_first))
+                message = codec.decode(src.first, transmit(transmit_symbols, t, src.sym_first[0]))
             else:  # sim2 sums its decodes
-                message = message + codec.decode(src.second, transmit(transmit_symbols, t, src.sym_second))
-            pooled, loss, s_true = src.receive(message)
-            s_hat = score(src.scorer, src.ref_pooled, pooled)
-            rounds.append(Reception(message, float(loss), float(s_true), s_hat,
+                message = message + codec.decode(src.second, transmit(transmit_symbols, t, src.sym_second[0]))
+            pooled, loss, s_true = src.receive(message[None], [0])
+            s_hat = score(src.scorer, src.ref_pooled[0], pooled[0])
+            rounds.append(Reception(message, float(loss[0]), float(s_true[0]), s_hat,
                                     s_hat > cfg.detector.ack_threshold))
         return rounds
     src = BaselineSource(
-        bundle.head, scene, f, cfg.baseline_cells(), cfg.baseline.mod_order, cfg.baseline.code_copies,
+        bundle.head, [scene], [f], cfg.baseline_cells(), cfg.baseline.mod_order, cfg.baseline.code_copies,
     )
-    sent = src.codeword if mode == "base1" else src.chunk
-    n = src.chunk.size
+    sent = (src.codeword if mode == "base1" else src.chunk)[0]
+    n = src.chunk.shape[-1]
     combiner = harq.ChaseCombiner(1, n)
     for t in range(1, budget + 1):
         eq, h, noise_var = transmit(transmit_with_state, t, sent)
         for i in range(0, sent.size, n):
             combined = combiner.add([0], eq[None, i : i + n], h[None, i : i + n], noise_var)
-        rounds += src.reception(combined)
+        rounds += src.reception(combined, [0])
     return rounds
 
 
@@ -588,49 +636,61 @@ def sweep_bundle(tiny_bundle):
 
 
 @pytest.fixture(scope="module")
-def uncached_sweep(sweep_bundle, tmp_path_factory):
-    """CSVs of the grid below with every session run on a cache of its own.
+def uncached_records(sweep_bundle):
+    """Records of the grid below with every session run on a cache of its
+    index alone, in (mode, SNR, index) order.
 
     The records also equal those of sessions built from parts, so the
     SessionCache of a lone session is checked too, not only the sharing of
     one.
     """
-    out = tmp_path_factory.mktemp("uncached")
     tasks = [(m, s, i) for m in ALL_MODES for s in SWEEP_SNRS for i in range(5)]
     records = [_fresh_session(sweep_bundle, m, s, i) for m, s, i in tasks]
     assert records == [
         _session_from_parts(sweep_bundle, m, s, i) for m, s, i in tasks
     ]
-    harness.write_session_csv(out / "sessions.csv", records, 2)
-    harness.write_summary_csv(out / "summary.csv", records, ALL_MODES, SWEEP_SNRS, 2)
-    return out
-
+    return records
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_cached_sweep_matches_uncached_sessions(sweep_bundle, uncached_sweep, tmp_path, workers):
-    harness.run_sweep(sweep_bundle, ALL_MODES, SWEEP_SNRS, tmp_path, sessions=5, workers=workers)
-    for name in ("sessions.csv", "summary.csv"):
-        assert (tmp_path / name).read_bytes() == (uncached_sweep / name).read_bytes(), name
+def test_cached_sweep_matches_uncached_sessions(
+    sweep_bundle, uncached_records, tmp_path, monkeypatch, workers
+):
+    # a sweep in blocks of any size writes the bytes of its sessions each
+    # run on a cache of its index alone: one block of every index, one
+    # session, and blocks of a cap (harness.BLOCK_INDICES) that the session
+    # count is not a multiple of, so the last block is short
+    for sessions, cap in ((5, harness.BLOCK_INDICES), (1, harness.BLOCK_INDICES), (5, 2), (4, 3)):
+        monkeypatch.setattr(harness, "BLOCK_INDICES", cap)
+        out = tmp_path / f"{sessions}-{cap}"
+        harness.run_sweep(
+            sweep_bundle, ALL_MODES, SWEEP_SNRS, out / "sweep", sessions=sessions, workers=workers
+        )
+        records = [r for r in uncached_records if r.session_id < sessions]
+        harness.write_session_csv(out / "sessions.csv", records, 2)
+        harness.write_summary_csv(out / "summary.csv", records, ALL_MODES, SWEEP_SNRS, 2)
+        for name in ("sessions.csv", "summary.csv"):
+            assert (out / "sweep" / name).read_bytes() == (out / name).read_bytes(), (sessions, cap, name)
 
 
 def test_session_with_shared_cache_matches_uncached(tiny_bundle):
-    # sessions on a cache that other modes and SNRs filled give the records
-    # they give on a fresh one, whether sim2 runs last or first and so fills
-    # the reception memo that noharq and sim1 then read; each order starts
-    # from a fresh cache
-    idx = 2
+    # sessions on a block's cache that other indices, modes and SNRs filled
+    # give the records they give on a cache of their own, whether sim2 runs
+    # last or first and so fills the reception memo that noharq and sim1
+    # then read; each order starts from a fresh cache
+    block = (5, 2, 0)
     bundle = _set(tiny_bundle, "detector", ack_threshold=0.999)
     grid = [(mode, snr_db) for mode in ("noharq", "sim1", "base2", "sim2", "base1") for snr_db in (0.0, 9.0)]
     sim2_last, sim2_first = grid, grid[6:8] + grid[:6] + grid[8:]
     for order in (sim2_last, sim2_first):
-        cache = harness.SessionCache(bundle, idx)
+        cache = harness.SessionCache(bundle, block)
         records = {}
-        for mode, snr_db in order:
-            records[mode, snr_db] = harness.run_session(cache, mode, snr_db)
-            assert records[mode, snr_db] == _fresh_session(bundle, mode, snr_db, idx)
-        assert records["sim2", 0.0].rounds_used == 3  # beta 0.999 acknowledges nothing
-        assert records["base1", 0.0].rounds_used > 1
+        for idx in (2, 0, 5):
+            for mode, snr_db in order:
+                records[idx, mode, snr_db] = harness.run_session(cache, idx, mode, snr_db)
+                assert records[idx, mode, snr_db] == _fresh_session(bundle, mode, snr_db, idx)
+        assert records[2, "sim2", 0.0].rounds_used == 3  # beta 0.999 acknowledges nothing
+        assert records[2, "base1", 0.0].rounds_used > 1
 
 
 def _same(a, b) -> bool:
@@ -639,63 +699,55 @@ def _same(a, b) -> bool:
 
 
 @given(st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
-    # each row of an index's batched rounds is, bit for bit, the reception
-    # that the single-SNR chain of _rounds_from_parts makes at the row's SNR,
-    # up to the chain's first acknowledged round, whatever the SNR axis: one
-    # value, repeated values, any order. A session at any finite SNR, in the
-    # config's list or not, records what the chain does
-    snrs = data.draw(st.lists(st.sampled_from(SWEEP_SNRS) | st.floats(-5.0, 25.0), min_size=1, max_size=4))
+    # a set of session indices, in any order and split into blocks at any
+    # point, each block on one cache: every (index, mode, SNR) row of a
+    # block is, bit for bit, the reception that the single-SNR chain of its
+    # index (_rounds_from_parts) makes, up to the chain's first acknowledged
+    # round, and its session records what the chain does. The SNRs may be
+    # the config's grid or any finite SNR outside it, one value or repeated
+    indices = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+    cut = data.draw(st.integers(0, len(indices)))
+    snrs = data.draw(st.lists(st.sampled_from(SWEEP_SNRS) | st.floats(-5.0, 25.0), min_size=1, max_size=3))
     modes = data.draw(st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=5, unique=True))
-    idx = data.draw(st.integers(0, 4))
-    cache = harness.SessionCache(sweep_bundle, idx)
-    cfg = sweep_bundle.cfg
-
-    def send(link):
-        def sent(t, x, rows):
-            draws = cache.draws(t)
-            return link(x, cfg.ofdm, cfg.channel, [snrs[b] for b in rows], draws.seeds, draws=draws)
-        return sent
-
-    for pipeline, rounds in (
-        (harness.SEMANTIC_MODES, lambda *a: cache.semantic.rounds(*a, send(transmit_symbols), SWEEP_BETA)),
-        (harness.BASELINE_MODES, lambda *a: cache.baseline.rounds(*a, send(transmit_with_state))),
-    ):
-        chosen = [m for m in modes if m in pipeline]
-        if not chosen:
+    assert set(SWEEP_SNRS) <= set(sweep_bundle.cfg.experiment.snr_db)
+    for block in (indices[:cut], indices[cut:]):
+        if not block:
             continue
-        made = rounds(chosen, 2, len(snrs))
-        for mode in chosen:
-            assert len(made[mode]) == len(snrs)
-            for snr_db, row in zip(snrs, made[mode]):
-                expect = _rounds_from_parts(sweep_bundle, mode, snr_db, idx)
-                assert len(expect) == (1 if mode == "noharq" else 2)
-                used = next((t for t, rx in enumerate(expect, start=1) if rx.acked), len(expect))
-                assert len(row) == used
-                for have, rx in zip(row, expect):
-                    assert have.message.tobytes() == rx.message.tobytes()
-                    for name in ("task_loss", "s_true", "s_hat"):
-                        assert _same(getattr(have, name), getattr(rx, name)), name
-                    assert have.acked is rx.acked
-    for mode in modes:
-        for snr_db in snrs:
-            expect = _session_from_parts(sweep_bundle, mode, snr_db, idx)
-            assert harness.run_session(cache, mode, snr_db) == expect
+        cache = harness.SessionCache(sweep_bundle, block)
+        for idx in data.draw(st.permutations(block)):
+            for mode in modes:
+                for snr_db in snrs:
+                    expect = _rounds_from_parts(sweep_bundle, mode, snr_db, idx)
+                    assert len(expect) == (1 if mode == "noharq" else 2)
+                    used = next((t for t, rx in enumerate(expect, start=1) if rx.acked), len(expect))
+                    row = cache.rows(idx, mode, snr_db)
+                    assert len(row) == used
+                    for have, rx in zip(row, expect):
+                        assert have.message.tobytes() == rx.message.tobytes()
+                        for name in ("task_loss", "s_true", "s_hat"):
+                            assert _same(getattr(have, name), getattr(rx, name)), name
+                        assert have.acked is rx.acked
+                    record = harness.run_session(cache, idx, mode, snr_db)
+                    assert record == _session_from_parts(sweep_bundle, mode, snr_db, idx)
 
 
-def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
-    # the first session of a pipeline to read an index computes every round
-    # that the grid's sessions read, at every SNR of the grid whose session
-    # of some mode still reads it, as one batch: one link call, decode and
-    # score per (pipeline, round), where pair 1's rounds, sim2's pair-2
-    # rounds and each baseline mode's rounds are the rounds, and no later
-    # session of the index computes anything. Each round's link is sent only
-    # at the SNRs whose session reads that round, and its estimate takes
-    # the estimator's line twice per (round, data rows): its noiseless and
-    # its noise part
+def test_each_reception_is_computed_once_per_block(sweep_bundle, monkeypatch):
+    # the first session of a pipeline to read a block computes every round
+    # that the grid's sessions read, at every (index, SNR) row of the block
+    # and the grid whose session of some mode still reads it, as one batch:
+    # one link call, decode and score per (pipeline, round), where pair 1's
+    # rounds, sim2's pair-2 rounds and each baseline mode's rounds are the
+    # rounds, and no later session of the block computes anything. Each
+    # round's link is sent only at the rows whose session reads that round.
+    # A link call makes the draws of the indices it reaches that lack them
+    # a few at a time (link._FILL_CHUNK), and each pass takes the
+    # estimator's line twice: once for the noiseless parts and once for the
+    # noise parts. A pipeline that reaches indices that no earlier pipeline
+    # sent to in that round makes theirs
     counts = dict.fromkeys(("send", "send_with_state", "pair1", "pair2", "score", "crc", "line"), 0)
-    sent = {"send": 0, "send_with_state": 0}  # SNR rows sent
+    sent = {"send": 0, "send_with_state": 0}  # rows sent
 
     def counting(module, name, key):
         fn = getattr(module, name)
@@ -715,36 +767,95 @@ def test_each_reception_is_computed_once_per_index(sweep_bundle, monkeypatch):
     counting(rxdsp, "interpolate", lambda args: "line")
     bundle = _set(sweep_bundle, "experiment", modes=ALL_MODES, snr_db=SWEEP_SNRS)  # a budget of 2
     cfg = bundle.cfg
-    cache = harness.SessionCache(bundle, 4)  # sim1 and sim2 acknowledge at 18 dB alone in round 1
+    block = (4, 0, 3)  # at index 4, sim1 and sim2 acknowledge at 18 dB alone in round 1
+    cache = harness.SessionCache(bundle, block)
+    src = cache.baseline
+    assert counts["crc"] == len(block)  # each scene's frame
+    assert max(src.codeword.shape[-1], src.chunk.shape[-1]) <= cfg.codec.n_cu  # one set of kept cells
+    lines = None
     for _ in range(2):
-        records = [harness.run_session(cache, mode, snr_db) for mode in ALL_MODES for snr_db in SWEEP_SNRS]
-        used = {(r.mode, r.snr_db): r.rounds_used for r in records}
-        assert [used[m, s] for m in ("sim1", "sim2") for s in SWEEP_SNRS] == [2, 2, 1] * 2
-        assert all(used[m, s] == 2 for m in ("base1", "base2") for s in SWEEP_SNRS)
-        src = cache.baseline
-        data_rows = {-(-n // cfg.ofdm.l_fft) for n in (cfg.codec.n_cu, src.codeword.size, src.chunk.size)}
+        records = [harness.run_session(cache, idx, mode, snr_db)
+                   for idx in block for mode in ALL_MODES for snr_db in SWEEP_SNRS]
+        used = {(r.session_id, r.mode, r.snr_db): r.rounds_used for r in records}
+        assert [used[4, m, s] for m in ("sim1", "sim2") for s in SWEEP_SNRS] == [2, 2, 1] * 2
+        lines = lines or counts["line"]  # those of the first pass
+        passes = -(-len(block) // link._FILL_CHUNK)  # of the draws of one link call
+        assert 2 * 2 <= lines <= 2 * 2 * 2 * passes  # (noiseless, noise) x rounds x pipelines
         assert counts == {
             "send": 3,  # pair 1 in rounds 1 and 2, pair 2 in round 2
             "send_with_state": 4,  # base1 and base2 in rounds 1 and 2
             "pair1": 2, "pair2": 1, "score": 3,
-            "crc": 1 + 4,  # the source's frame, then one per baseline round
-            "line": 2 * 2 * len(data_rows),
+            "crc": len(block) + 4,  # then one per baseline round
+            "line": lines,
         }
-        # pair 1 at all 3 SNRs, then pair 1 and pair 2 at the 2 unacknowledged
-        assert sent == {"send": 3 + 2 + 2, "send_with_state": 4 * 3}
+        # round 1 at every row; round 2 of each mode at the rows that read it
+        rows = len(block) * len(SWEEP_SNRS)
+        second = {m: sum(used[i, m, s] == 2 for i in block for s in SWEEP_SNRS) for m in ALL_MODES}
+        assert sent == {"send": rows + second["sim1"] + second["sim2"],
+                        "send_with_state": 2 * rows + second["base1"] + second["base2"]}
     # a session at an SNR outside the grid computes the rounds read there at
-    # its SNR alone, once: at 7.5 dB every semantic mode acknowledges round 1
+    # its index and SNR alone, once: at 7.5 dB every semantic mode of index 4
+    # acknowledges round 1
     for _ in range(2):
-        assert harness.run_session(cache, "sim2", 7.5).ack_round == 1
-        harness.run_session(cache, "noharq", 7.5)
+        assert harness.run_session(cache, 4, "sim2", 7.5).ack_round == 1
+        harness.run_session(cache, 4, "noharq", 7.5)
     assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (4, 3, 1, 4)
+    assert sent["send"] == rows + second["sim1"] + second["sim2"] + 1
 
     # a noharq-only grid reads round 1 alone
-    only = harness.SessionCache(_set(bundle, "experiment", modes=("noharq",)), 6)
-    for snr_db in SWEEP_SNRS:
-        harness.run_session(only, "noharq", snr_db)
+    only = harness.SessionCache(_set(bundle, "experiment", modes=("noharq",)), (6, 7))
+    for idx in (6, 7):
+        for snr_db in SWEEP_SNRS:
+            harness.run_session(only, idx, "noharq", snr_db)
     assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (5, 4, 1, 5)
     assert set(only._draws) == {1}
+
+
+def _arrays(obj, skip, seen) -> list:
+    """Every numpy array that obj holds through its attributes, dataclass
+    fields, lists, tuples and dict values, each once, apart from those
+    reachable from `skip`."""
+    if id(obj) in seen or obj is skip:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        parts = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        parts = list(obj)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        parts = list(vars(obj).values())
+    else:
+        return []
+    return [a for part in parts for a in _arrays(part, skip, seen)]
+
+
+# the bytes of the arrays that a block's cache holds once every session of
+# a 5-mode default-geometry grid has run, per index of the block
+HELD_PER_INDEX = 128 * 1024
+
+
+def test_a_block_holds_little_per_index_and_nothing_l_fft_wide():
+    # once a block has run, its cache holds per index the payload cells of
+    # each round's link draws, its sources' rows and its receptions: a few
+    # payloads' worth, and no array as wide as an OFDM symbol. Untrained
+    # nets, whose sessions seldom acknowledge, run every round
+    cfg = config_mod.override(config_mod.ExperimentConfig(), "experiment", modes=config_mod.ALL_MODES)
+    pair1, pair2 = (codec.new_codec(cfg.codec, cfg.packed_length(), seed) for seed in (1, 2))
+    scorer = detector.new_scorer(cfg.detector, 3)
+    bundle = harness.RuntimeBundle(cfg, harness.make_head(cfg), pair1, pair2, scorer)
+    block = range(4)
+    cache = harness.SessionCache(bundle, block)
+    records = [harness.run_session(cache, idx, mode, snr_db)
+               for idx in block for mode in config_mod.ALL_MODES for snr_db in cfg.experiment.snr_db]
+    assert max(r.rounds_used for r in records) == cfg.experiment.round_budget
+    arrays = _arrays(cache, bundle, {id(a) for a in _arrays(bundle, None, set())})
+    assert {"semantic", "baseline", "_draws", "_rows"} <= vars(cache).keys() and "scenes" not in vars(cache)
+    widest = max(a.shape[-1] for a in arrays if a.ndim)
+    assert widest < cfg.ofdm.l_fft, widest
+    held = sum(a.nbytes for a in arrays) / len(block)
+    assert held <= HELD_PER_INDEX, held
 
 
 def _cached_receptions(cache):
@@ -753,15 +864,15 @@ def _cached_receptions(cache):
 
 
 def test_shared_receptions_are_read_only(sweep_bundle):
-    # sessions of every mode share the cache's receptions and the round
-    # draws' kept parts (H, the noise and both estimate parts), so none of
-    # their arrays can be written
-    cache = harness.SessionCache(sweep_bundle, 1)
-    for mode in ALL_MODES:
-        harness.run_session(cache, mode, 6.0)
+    # sessions of every index and mode share the cache's receptions and the
+    # round draws' kept parts (H, the noise and both estimate parts), so
+    # none of their arrays can be written
+    cache = harness.SessionCache(sweep_bundle, (1, 3))
+    for idx in (1, 3):
+        for mode in ALL_MODES:
+            harness.run_session(cache, idx, mode, 6.0)
     receptions = _cached_receptions(cache)
-    draws = [cache.draws(t) for t in range(1, 3)]
-    kept = [a for d in draws for a in (*(x for hz in d._clean.values() for x in hz), *d._b.values(), d._z)]
+    kept = [a for t in range(1, 3) for d in cache.draws(t) for a in (*d._clean, *d._noise)]
     assert receptions and kept
     for rx in receptions:
         assert not rx.message.flags.writeable
@@ -780,7 +891,8 @@ def test_every_round_of_every_mode_is_a_read_only_reception(sweep_bundle, monkey
             sessions.append(_run(*args))
             return sessions[-1]
         monkeypatch.setattr(harness, name, kept)
-    records = [harness.run_session(harness.SessionCache(sweep_bundle, idx), mode, snr_db)
+    cache = harness.SessionCache(sweep_bundle, range(3))
+    records = [harness.run_session(cache, idx, mode, snr_db)
                for idx in range(3) for mode in ALL_MODES for snr_db in SWEEP_SNRS]
     assert len(sessions) == len(records)
     assert {s.acked for s in sessions} == {True, False}
@@ -810,11 +922,11 @@ def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
     for name in ("sessions.csv", "summary.csv"):
         assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "trained" / name).read_bytes()
     for bundle in (bare, trained):
-        cache = harness.SessionCache(bundle, 0)
+        cache = harness.SessionCache(bundle, (0, 1))
         for mode in ("base1", "base2"):
-            harness.run_session(cache, mode, 0.0)
+            harness.run_session(cache, 0, mode, 0.0)
         assert "semantic" not in vars(cache)
-        assert cache._rows and all(mode in harness.BASELINE_MODES for mode, _ in cache._rows)
+        assert cache._rows and all(mode in harness.BASELINE_MODES for _, mode, _ in cache._rows)
 
 
 @pytest.mark.parametrize("mode", ["sim1", "base1"])
@@ -861,17 +973,22 @@ def test_run_sweep_rejects_a_repeated_snr(tiny_bundle, tmp_path, mode):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_worker_count_invariance(tiny_bundle, tmp_path):
-    one = tmp_path / "w1"
-    two = tmp_path / "w2"
-    harness.run_sweep(
-        tiny_bundle, ("sim1", "base2"), (0.0, 9.0), one, sessions=4, workers=1
-    )
-    harness.run_sweep(
-        tiny_bundle, ("sim1", "base2"), (0.0, 9.0), two, sessions=4, workers=2
-    )
-    assert (one / "sessions.csv").read_bytes() == (two / "sessions.csv").read_bytes()
-    assert (one / "summary.csv").read_bytes() == (two / "summary.csv").read_bytes()
+def test_sweep_worker_count_invariance(tiny_bundle, tmp_path, monkeypatch):
+    # the CSV bytes do not depend on the worker count or on how the indices
+    # are cut into blocks: one block, blocks of the cap (3 here, so 7
+    # sessions end in a block of one) or one index per block; one session
+    # and counts that are not a multiple of the cap included
+    for sessions in (1, 4, 7):
+        outs = []
+        for workers, cap in ((1, harness.BLOCK_INDICES), (2, harness.BLOCK_INDICES), (1, 3), (2, 3), (1, 1)):
+            monkeypatch.setattr(harness, "BLOCK_INDICES", cap)
+            outs.append(tmp_path / f"s{sessions}-w{workers}-b{cap}")
+            harness.run_sweep(
+                tiny_bundle, ("sim1", "base2"), (0.0, 9.0), outs[-1], sessions=sessions, workers=workers
+            )
+        for out in outs[1:]:
+            for name in ("sessions.csv", "summary.csv"):
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out.name, name)
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ def _semantic_source(with_second=True, seed=1):
     first = codec_mod.new_codec(ccfg, n_in, seed=2)
     second = codec_mod.new_codec(ccfg, n_in, seed=3) if with_second else None
     scorer = det.new_scorer(det.DetectorConfig(pool=8, branch_width=8), seed=4)
-    return SemanticSource(first, second, scorer, HEAD, scene, f, CELLS, 8)
+    return SemanticSource(first, second, scorer, HEAD, [scene], [f], CELLS, 8)
 
 
 def _identity(t, s):
@@ -262,8 +262,9 @@ def _scene(seed=1):
 
 def _candidate(src, message):
     """The whole-grid feature a message stands for: its values on the
-    source's sent cells, zero elsewhere."""
-    return unpack(message, src.mask, (HEAD.basis.shape[0], *src.mask.cells.shape))
+    sent cells of the source's one scene, zero elsewhere."""
+    mask = src.masks[0]
+    return unpack(message, mask, (HEAD.basis.shape[0], *mask.cells.shape))
 
 
 def _loss(src, message):
@@ -272,15 +273,19 @@ def _loss(src, message):
     the source's scene and mask, which is the whole-grid perception_loss of
     its candidate to rounding."""
     f = np.asarray(message).reshape(1, HEAD.basis.shape[0], -1)
-    loss = perception_loss_grad(f, sent_cells([_scene()], [src.mask]), HEAD)[0][0]
+    loss = perception_loss_grad(f, sent_cells([_scene()], [src.masks[0]]), HEAD)[0][0]
     assert loss == pytest.approx(perception_loss(_candidate(src, message), _scene(), HEAD), rel=1e-12)
     return loss
 
 
 def _session(src, mode, budget, threshold, transmit):
-    """run_semantic_session over the rounds of a one-row batch whose every
-    round, pair 1's too, `transmit(t, symbols)` sends, received afresh."""
-    rows = src.rounds((mode,), budget, 1, lambda t, symbols, rows: transmit(t, symbols)[None, :], threshold)
+    """run_semantic_session over the rounds of a one-row batch of the
+    source's one scene whose every round, pair 1's too, `transmit(t,
+    symbols)` sends, received afresh."""
+    def send(t, symbols, rows):
+        return transmit(t, symbols[0])[None, :]
+
+    rows = src.rounds((mode,), budget, [0], send, threshold)
     return run_semantic_session(rows[mode][0])
 
 
@@ -310,17 +315,17 @@ def test_sim1_keeps_latest_decode_as_candidate():
     # identity channel: both rounds decode identically
     r1, r2 = (_candidate(src, rec.message) for rec in session.rounds)
     assert np.allclose(r1.data, r2.data)
-    expect = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed))
-    got = pack_nonzero(r2, src.mask)
+    expect = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed[0]))
+    got = pack_nonzero(r2, src.masks[0])
     assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_sim2_accumulates_decoded_messages():
     src = _semantic_source()
     session = _session(src, "sim2", 3, 0.999999, _identity)
-    d1 = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed))
-    d2 = codec_mod.decode(src.second, codec_mod.encode(src.second, src.packed))
-    got = pack_nonzero(_candidate(src, session.rounds[2].message), src.mask)
+    d1 = codec_mod.decode(src.first, codec_mod.encode(src.first, src.packed[0]))
+    d2 = codec_mod.decode(src.second, codec_mod.encode(src.second, src.packed[0]))
+    got = pack_nonzero(_candidate(src, session.rounds[2].message), src.masks[0])
     assert np.allclose(got, d1 + 2 * d2, atol=1e-12)
 
 
@@ -353,10 +358,11 @@ def test_semantic_session_reads_pair1_rounds_from_first(mode):
     sent = []
 
     def send(t, symbols, rows):
-        sent.append((t, "first" if symbols is src.sym_first else "second"))
+        assert all(np.array_equal(x, symbols[0]) for x in symbols)  # every row sends the one scene
+        sent.append((t, "first" if np.array_equal(symbols[0], src.sym_first[0]) else "second"))
         return symbols + offsets[list(rows)] * t
 
-    rows = src.rounds(("noharq", mode), 3, 2, send, 1.0)  # a score never exceeds 1
+    rows = src.rounds(("noharq", mode), 3, [0, 0], send, 1.0)  # a score never exceeds 1
     pair1 = (1, 2, 3) if mode == "sim1" else (1,)
     assert sent == [(t, "first") for t in pair1] + [(t, "second") for t in (1, 2, 3) if t not in pair1]
     assert len(rows["noharq"]) == len(rows[mode]) == 2
@@ -364,7 +370,7 @@ def test_semantic_session_reads_pair1_rounds_from_first(mode):
         assert len(rows["noharq"][b]) == 1 and len(rows[mode][b]) == 3
         assert rows["noharq"][b][0] is rows[mode][b][0]
         for t in pair1:
-            message = codec_mod.decode(src.first, src.sym_first + offset * t)
+            message = codec_mod.decode(src.first, src.sym_first[0] + offset * t)
             assert rows[mode][b][t - 1].message.tobytes() == message.tobytes()
 
 
@@ -382,11 +388,11 @@ def test_semantic_rounds_stop_at_each_rows_ack(mode):
         sent.append((t, list(rows)))
         return symbols + offsets[list(rows)] * t
 
-    whole = src.rounds((mode,), 3, 3, send, 1.0)[mode]
+    whole = src.rounds((mode,), 3, [0, 0, 0], send, 1.0)[mode]
     scores = sorted(rx.s_hat for row in whole for rx in row)
     for threshold in (scores[0] - 1.0, *(0.5 * (a + b) for a, b in zip(scores, scores[1:])), 1.0):
         sent.clear()
-        rows = src.rounds((mode,), 3, 3, send, threshold)[mode]
+        rows = src.rounds((mode,), 3, [0, 0, 0], send, threshold)[mode]
         live = [0, 1, 2]
         for t in (1, 2, 3):
             if live:
@@ -410,7 +416,7 @@ def test_baseline_rounds_stop_at_each_rows_crc_pass():
 
     def send(t, symbols, rows):
         sent.append((t, list(rows)))
-        eq, noise_var = np.tile(symbols, (len(rows), 1)), np.full(len(rows), 1e-12)
+        eq, noise_var = np.array(symbols), np.full(len(rows), 1e-12)
         for k, b in enumerate(rows):
             if t in fails[b]:  # a flipped round weighs little beside a clean one
                 eq[k, 0], noise_var[k] = -eq[k, 0], 1e3
@@ -419,11 +425,11 @@ def test_baseline_rounds_stop_at_each_rows_crc_pass():
 
     for mode in ("base1", "base2"):
         sent.clear()
-        rows = src.rounds((mode,), 3, 3, send)[mode]
+        rows = src.rounds((mode,), 3, [0, 0, 0], send)[mode]
         assert sent == [(1, [0, 1, 2]), (2, [1, 2]), (3, [2])]
         assert [[rx.acked for rx in row] for row in rows] == [[True], [False, True], [False, False, False]]
         for b, row in enumerate(rows):
-            alone = src.rounds((mode,), 3, 1, lambda t, x, _, b=b: tuple(a[:1] for a in send(t, x, [b])))
+            alone = src.rounds((mode,), 3, [0], lambda t, x, _, b=b: tuple(a[:1] for a in send(t, x, [b])))
             assert all(x.acked == y.acked and x.message.tobytes() == y.message.tobytes()
                        for x, y in zip(row, alone[mode][0], strict=True))
 
@@ -433,12 +439,13 @@ def test_semantic_reception_is_acknowledged_when_its_score_exceeds_the_threshold
     # above the threshold that the rounds are given; a tie is a NACK
     src = _semantic_source()
     rng = np.random.default_rng(5)
-    noise = rng.standard_normal((6, src.sym_first.size)) + 1j * rng.standard_normal((6, src.sym_first.size))
+    n = src.sym_first.shape[-1]
+    noise = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
     messages = codec_mod.decode(src.first, src.sym_first + 0.3 * noise)
-    scores = [rx.s_hat for rx in src.receptions(messages, 0.5)]
+    scores = [rx.s_hat for rx in src.receptions(messages, [0] * 6, 0.5)]
     verdicts = set()
     for threshold in (min(scores) - 0.1, *scores, max(scores) + 0.1):
-        for rx, s_hat in zip(src.receptions(messages, threshold), scores, strict=True):
+        for rx, s_hat in zip(src.receptions(messages, [0] * 6, threshold), scores, strict=True):
             assert rx.s_hat == s_hat
             assert rx.acked is (s_hat > threshold)
             verdicts.add(rx.acked)
@@ -461,17 +468,61 @@ def test_scorer_free_source_receives_what_a_session_records():
     # a scored source's session records, and they run no session
     scored = _semantic_source()
     scene, f = generate_scene(1, SCENE_CFG, HEAD)
-    bare = SemanticSource(scored.first, None, None, HEAD, scene, f, CELLS, 8)
+    bare = SemanticSource(scored.first, None, None, HEAD, [scene], [f], CELLS, 8)
     session = _session(scored, "sim1", 3, 0.999999, lambda t, s: s + 0.1 * t)
     assert session.rounds_used == 3
     for t, rec in enumerate(session.rounds, start=1):
-        message = codec_mod.decode(bare.first, bare.sym_first + 0.1 * t)
-        pooled, loss, s_true = bare.receive(message)
+        message = codec_mod.decode(bare.first, bare.sym_first[0] + 0.1 * t)
+        pooled, loss, s_true = bare.receive(message[None], [0])
         assert np.array_equal(_candidate(bare, message).data, _candidate(scored, rec.message).data)
-        assert (loss, s_true) == (rec.task_loss, rec.s_true)
-        assert rec.s_hat == score(scored.scorer, bare.ref_pooled, pooled)
+        assert (loss[0], s_true[0]) == (rec.task_loss, rec.s_true)
+        assert rec.s_hat == score(scored.scorer, bare.ref_pooled[0], pooled[0])
     with pytest.raises(ValueError, match="needs a scorer"):
         _session(bare, "sim1", 1, 0.5, _identity)
+
+
+def test_a_source_of_several_scenes_gives_each_row_its_scenes_receptions():
+    # a source of a block of scenes, whose rows send several scenes at once
+    # (in any order, a scene on several rows), gives each row, bit for bit,
+    # the receptions that a source of the row's scene alone gives it, for
+    # both pipelines and every mode; each row is sent its own scene's symbols
+    seeds = (1, 4, 7)
+    block = [generate_scene(seed, SCENE_CFG, HEAD) for seed in seeds]
+    order = [2, 0, 2, 1]
+    offsets = np.array([[0.05], [-0.3], [0.2], [0.0]])
+    first = _semantic_source()
+    semantic = SemanticSource(first.first, first.second, first.scorer, HEAD,
+                              [sc for sc, _ in block], [f for _, f in block], CELLS, 8)
+    baseline = BaselineSource(HEAD, [sc for sc, _ in block], [f for _, f in block], CELLS, 16, 2)
+    alone = [(SemanticSource(first.first, first.second, first.scorer, HEAD, [sc], [f], CELLS, 8),
+              BaselineSource(HEAD, [sc], [f], CELLS, 16, 2)) for sc, f in block]
+    threshold = 0.5
+
+    def semantic_send(rows_of):
+        def send(t, symbols, rows):
+            return symbols + offsets[rows_of(rows)] * t
+        return send
+
+    def baseline_send(rows_of):
+        def send(t, symbols, rows):
+            eq = symbols + offsets[rows_of(rows)] * (1.0 + 1j) * t
+            return eq, np.ones(eq.shape), np.full(len(rows), 0.1 * t)
+        return send
+
+    modes = ("noharq", "sim1", "sim2")
+    got = semantic.rounds(modes, 3, order, semantic_send(lambda rows: rows), threshold)
+    got_base = baseline.rounds(("base1", "base2"), 3, order, baseline_send(lambda rows: rows))
+    for b, scene in enumerate(order):
+        want = alone[scene][0].rounds(modes, 3, [0], semantic_send(lambda rows, b=b: [b]), threshold)
+        want_base = alone[scene][1].rounds(("base1", "base2"), 3, [0], baseline_send(lambda rows, b=b: [b]))
+        for have, expect in [(got[m][b], want[m][0]) for m in modes] + [
+            (got_base[m][b], want_base[m][0]) for m in ("base1", "base2")
+        ]:
+            assert len(have) == len(expect)
+            for x, y in zip(have, expect):
+                assert x.message.tobytes() == y.message.tobytes()
+                assert (x.task_loss, x.s_true, x.s_hat, x.acked) == (y.task_loss, y.s_true, y.s_hat, y.acked)
+    assert {len(row) for row in got["sim1"]} != {1}  # some rows go on past round 1
 
 
 # -- chase combining --
@@ -546,7 +597,7 @@ def test_chase_combining_lowers_bit_errors():
 
 def _baseline_source(seed=1, mod_order=16, copies=2):
     scene, f = generate_scene(seed, SCENE_CFG, HEAD)
-    return BaselineSource(HEAD, scene, f, CELLS, mod_order, copies)
+    return BaselineSource(HEAD, [scene], [f], CELLS, mod_order, copies)
 
 
 def _budget_config(channels, height, width, n_cu, mod_order, copies):
@@ -578,7 +629,7 @@ def test_baseline_cells_is_the_largest_count_within_the_symbol_budget(
     scene, f = generate_scene(seed, cfg.scene, head)
 
     def codeword_size(cells):
-        return BaselineSource(head, scene, f, cells, mod_order, copies).codeword.size
+        return BaselineSource(head, [scene], [f], cells, mod_order, copies).codeword.size
 
     k = cfg.baseline_cells()
     assert codeword_size(k) <= n_cu
@@ -592,7 +643,7 @@ def test_repetition_code_chunks():
     src = _baseline_source(copies=3)
     bps = int(math.log2(src.mod_order))
     pad = np.zeros((-src.payload_bits.size) % bps, dtype=np.uint8)
-    chunk = qam_map(np.concatenate([src.payload_bits, pad]), src.mod_order)
+    chunk = qam_map(np.concatenate([src.payload_bits[0], pad]), src.mod_order)
     for mode, copies in (("base1", 3), ("base2", 1)):
         sent = []
 
@@ -610,20 +661,21 @@ def _clean_transmit(t, symbols):
 
 
 def _baseline_session(src, mode, budget, transmit):
-    """run_baseline_session over the rounds of a one-row batch that
-    `transmit(t, symbols)` sends, returning (equalized, est_h, noise_var)."""
+    """run_baseline_session over the rounds of a one-row batch of the
+    source's one scene that `transmit(t, symbols)` sends, returning
+    (equalized, est_h, noise_var)."""
     def send(t, symbols, rows):
-        eq, h, noise_var = transmit(t, symbols)
+        eq, h, noise_var = transmit(t, symbols[0])
         return eq[None, :], h[None, :], noise_var
 
-    return run_baseline_session(src.rounds((mode,), budget, 1, send)[mode][0])
+    return run_baseline_session(src.rounds((mode,), budget, [0], send)[mode][0])
 
 
 def test_baseline_payload_verifies():
     # 8 bits per packed value (5 channels per kept cell), then the CRC
     src = _baseline_source()
-    assert src.payload_bits.size == 5 * src.mask.n_selected * 8 + CRC24_BITS
-    assert crc24(np.packbits(src.payload_bits)) == 0
+    assert src.payload_bits.size == 5 * src.masks[0].n_selected * 8 + CRC24_BITS
+    assert crc24(np.packbits(src.payload_bits[0])) == 0
 
 
 def test_baseline_clean_channel_acks_first_round():
@@ -632,7 +684,7 @@ def test_baseline_clean_channel_acks_first_round():
     assert session.ack_round == 1
     # candidate equals the dequantized payload exactly
     got = _candidate(src, session.rounds[0].message)
-    assert np.array_equal(got.data, _candidate(src, src.ref_message).data)
+    assert np.array_equal(got.data, _candidate(src, src.ref_message[0]).data)
 
 
 def test_baseline_chunked_clean_channel_acks_first_round():
@@ -647,7 +699,7 @@ def test_baseline_decode_of_a_nan_reception_raises():
     src = _baseline_source()
     assert crc24(np.zeros(src.payload_bits.size // 8, dtype=np.uint8)) == 0
     with pytest.raises(ValueError, match="non-finite"):
-        src.reception(np.full(src.chunk.size, complex(np.nan, np.nan)))
+        src.reception(np.full(src.chunk.shape, complex(np.nan, np.nan)), [0])
 
 
 def test_baseline_forced_errors_exhaust_budget():
@@ -690,7 +742,7 @@ def test_baseline_reception_is_acknowledged_when_its_crc_passes():
     combined[1, 0] = -combined[1, 0]
     combined[2] += rng.standard_normal(src.chunk.size)
     combined[3] += 0.01 * rng.standard_normal(src.chunk.size)
-    receptions = src.reception(combined)
+    receptions = src.reception(combined, [0] * 4)
     for row, rx in zip(combined, receptions, strict=True):
         frame = np.packbits(qam_demap_hard(row, src.mod_order)[: src.payload_bits.size])
         assert rx.acked is (crc24(frame) == 0)
@@ -716,7 +768,7 @@ def test_baseline_source_builds_no_confidence_map(monkeypatch):
     session = _baseline_session(src, "base1", 3, transmit)
     monkeypatch.undo()
     assert session.rounds_used == session.ack_round == 2
-    assert src.ref_loss == float(score(src.sent, src.ref_message, HEAD)[0])
+    assert src.ref_loss[0] == score(src.sent, src.ref_message, HEAD)[0][0]
     for rx in session.rounds:
         assert rx.task_loss == float(score(src.sent, rx.message, HEAD)[0])
 
@@ -742,10 +794,10 @@ def test_session_similarity_is_measured_against_the_reference():
     semantic = _semantic_source()
     baseline = _baseline_source()
     sessions = [
-        (semantic, semantic.packed, _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t)),
-        (semantic, semantic.packed, _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t)),
-        (baseline, baseline.ref_message, _baseline_session(baseline, "base2", 3, corrupting)),
-        (baseline, baseline.ref_message, _baseline_session(baseline, "base1", 3, corrupting)),
+        (semantic, semantic.packed[0], _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t)),
+        (semantic, semantic.packed[0], _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t)),
+        (baseline, baseline.ref_message[0], _baseline_session(baseline, "base2", 3, corrupting)),
+        (baseline, baseline.ref_message[0], _baseline_session(baseline, "base1", 3, corrupting)),
     ]
     for src, ref_message, session in sessions:
         assert session.rounds_used == 3
@@ -763,7 +815,7 @@ def test_session_rounds_record_score_and_task_loss_of_their_candidate():
         _session(semantic, "sim2", 3, 0.999999, lambda t, s: s + 0.1 * t),
         _session(semantic, "sim1", 3, 0.999999, lambda t, s: s - 0.1 * t),
     ]
-    ref_map = confidence_map(_candidate(semantic, semantic.packed), HEAD)
+    ref_map = confidence_map(_candidate(semantic, semantic.packed[0]), HEAD)
     for session in runs:
         for rec in session.rounds:
             hyp_map = confidence_map(_candidate(semantic, rec.message), HEAD)
@@ -815,7 +867,7 @@ def test_semantic_source_scores_its_reference_once(monkeypatch):
 
     monkeypatch.setattr(SentCells, "score", counted)
     src = _semantic_source()
-    ref_map = confidence_map(_candidate(src, src.packed), HEAD)
-    assert src.ref_loss == _loss(src, src.packed)
+    ref_map = confidence_map(_candidate(src, src.packed[0]), HEAD)
+    assert src.ref_loss[0] == _loss(src, src.packed[0])
     assert src.ref_pooled.tobytes() == det.pool_map(ref_map, src.pool).tobytes()
     assert len(calls) == 1

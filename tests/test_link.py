@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from semlink import channel, ofdm, rxdsp
+from semlink import channel, link, ofdm, rxdsp
 from semlink.link import LinkSeeds, RoundDraws, receive_cells, transmit_symbols, transmit_with_state
 from semlink.ofdm import OfdmConfig
 
@@ -34,15 +34,29 @@ PROFILE = channel.ChannelProfile()
 BOUND = 1e-12
 
 
+def _clean(draws, data_rows):
+    """(H, a) of a round's draws on every cell of data_rows, flattened, made
+    afresh by the link's own arithmetic."""
+    h, a = link._clean_rows(draws.real, draws.cfg, draws.pilot_rows, data_rows)
+    return h.reshape(-1), a.reshape(-1)
+
+
+def _estimate_noise(draws, data_rows):
+    """b of a round's draws on every cell of data_rows, flattened, made
+    afresh by the link's own arithmetic."""
+    taps = link._pilot_noise_taps(draws)
+    return link._estimate(draws.cfg, taps, draws.pilot_rows, data_rows).reshape(-1)
+
+
 def _grid_noise(cfg, seeds, n):
     """The oracle's unit-variance noise grid, from the link's own draws: the
-    first n payload cells carry RoundDraws.payload_noise, and pilot row j,
+    first n payload cells carry the payload noise z of RoundDraws.cells, and pilot row j,
     which carried p_j, carries p_j * fft(g_j padded to l_fft), where g_j is
     the row's l_cp noise taps (channel.noise_cells), so the truncated LS
     estimate of the row is g_j. Every other cell is zero: no output reads it."""
     z = np.zeros((cfg.n_symbols, cfg.l_fft), dtype=np.complex128)
     data = np.zeros(cfg.payload_capacity, dtype=np.complex128)
-    data[:n] = RoundDraws(cfg, PROFILE, seeds).payload_noise(n)
+    data[:n] = RoundDraws(cfg, PROFILE, seeds).cells(n)[2]
     z[list(cfg.data_rows_idx)] = data.reshape(len(cfg.data_rows_idx), cfg.l_fft)
     for p, j in zip(ofdm.pilot_rows(cfg, seeds.pilot), cfg.pilot_rows_idx[:2]):
         z[j] = p * np.fft.fft(channel.noise_cells(seeds.noise, j, cfg.l_cp, cfg.l_fft), n=cfg.l_fft)
@@ -132,17 +146,18 @@ def test_estimate_parts_are_the_oracles_estimates(name):
     z = _grid_noise(cfg, seeds, 0)
     for k in (1, 2, len(cfg.data_rows_idx)):
         data_rows = cfg.data_rows_idx[:k]
-        got_h, a = draws.clean(data_rows)
+        got_h, a = _clean(draws, data_rows)
         want_a = rxdsp.estimate(h[list(rows)] * pilots, pilots, rows, data_rows, cfg.l_cp)
         want_b = rxdsp.estimate(z[list(rows)], pilots, rows, data_rows, cfg.l_cp)
         assert _same_bits(got_h, h[list(data_rows)].reshape(-1))
-        assert _close(a, want_a.reshape(-1)) and _close(draws.estimate_noise(data_rows), want_b.reshape(-1))
+        assert _close(a, want_a.reshape(-1)) and _close(_estimate_noise(draws, data_rows), want_b.reshape(-1))
 
 
 def test_payload_noise_reads_each_rows_stream_as_a_prefix(monkeypatch):
     # data row i's cells are the first cells of its own stream, whatever
     # payload sizes came before; a payload no longer than one drawn before
-    # draws nothing
+    # draws nothing, and a longer one draws each data row it covers again,
+    # with the two pilot rows' taps of b
     seeds = LinkSeeds(pilot=1, channel=2, noise=3)
     l_fft, rows = TINY.l_fft, TINY.data_rows_idx
     whole = np.concatenate([channel.noise_cells(seeds.noise, j, l_fft) for j in rows])
@@ -157,10 +172,10 @@ def test_payload_noise_reads_each_rows_stream_as_a_prefix(monkeypatch):
         draws = RoundDraws(TINY, PROFILE, seeds)
         for n in sizes:
             before = calls["noise_cells"]
-            z = draws.payload_noise(n)
+            z = draws.cells(n)[2]
             assert _same_bits(z, whole[:n]) and not z.flags.writeable
             assert calls["noise_cells"] - before == (0 if n <= max(sizes[: sizes.index(n)], default=0)
-                                                     else -(-n // l_fft))
+                                                     else -(-n // l_fft) + 2)
 
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
@@ -174,18 +189,18 @@ def test_noiseless_transmit_draws_no_noise(monkeypatch, link_fn):
     for n in (0, 7, TINY.l_fft + 1):
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, None, seeds)
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, None, seeds, draws=draws)
-    assert not draws._b and draws._z.size == 0
+    assert all(part.size == 0 for part in draws._noise)
 
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
 def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
-    # each transmit runs the public equalizer once; a RoundDraws asks
-    # channel.freq_response for H and takes the estimator's line across
-    # symbols for a once per new set of simulated data rows, and draws the
-    # pilot rows' noise taps and takes the line for b once per set that a
-    # noisy call reaches: the line runs at most twice per set of data rows,
-    # whatever the number of SNRs. Payload noise is drawn per data row when
-    # a payload outgrows what was drawn; channel.apply's whole rows never
+    # each transmit runs the public equalizer once. A RoundDraws makes its
+    # parts only when a payload outgrows the cells it keeps: then it asks
+    # channel.freq_response for H and takes the estimator's line for a once,
+    # and, if the call is noisy and the noise parts are short too, draws the
+    # two pilot rows' noise taps and the payload's data rows and takes the
+    # line for b once, whatever the number of SNRs. channel.apply's whole
+    # rows are never drawn
     counts = Counter()
     for module, name in ((rxdsp, "interpolate"), (rxdsp, "equalize_mmse"), (channel, "freq_response"),
                          (channel, "noise_cells"), (channel, "_noise_rows"), (rxdsp, "estimate")):
@@ -195,13 +210,13 @@ def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
         monkeypatch.setattr(module, name, counted)
     seeds = LinkSeeds(pilot=31, channel=32, noise=33)
     draws = RoundDraws(TINY, PROFILE, seeds)
-    # one data row with no noise, then at 6 dB; two rows at 0 dB; both row
-    # sets again at other SNRs and with no noise: (payload size, SNR, lines,
-    # H responses and noise draws so far), two pilot rows' taps per b
+    # (payload size, SNR, lines, H responses and noise draws so far): one
+    # data row with no noise, then a longer one at 6 dB; two rows at 0 dB;
+    # shorter payloads, which make nothing; longer ones, noisy and not
     steps = [
-        (5, None, 1, 1, 0), (7, 6.0, 2, 1, 2 + 1), (TINY.l_fft + 1, 0.0, 4, 2, 5 + 2), (9, 0.0, 4, 2, 7),
-        (TINY.l_fft + 2, 18.0, 4, 2, 7 + 2), (11, 18.0, 4, 2, 9), (13, None, 4, 2, 9),
-        (TINY.l_fft + 3, None, 4, 2, 9),
+        (5, None, 1, 1, 0), (7, 6.0, 3, 2, 2 + 1), (TINY.l_fft + 1, 0.0, 5, 3, 3 + 2 + 2), (9, 0.0, 5, 3, 7),
+        (TINY.l_fft + 2, 18.0, 7, 4, 7 + 2 + 2), (11, 18.0, 7, 4, 11), (13, None, 7, 4, 11),
+        (TINY.l_fft + 3, None, 8, 5, 11),
     ]
     for calls, (n, snr_db, lines, responses, noises) in enumerate(steps, start=1):
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, snr_db, seeds, draws=draws)
@@ -209,25 +224,20 @@ def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
                 counts["noise_cells"]) == (lines, calls, responses, noises)
     link_fn(_payload(5, 1.0, seed=5), TINY, PROFILE, 6.0, seeds)  # draws of its own
     assert (counts["interpolate"], counts["equalize_mmse"], counts["freq_response"],
-            counts["noise_cells"]) == (6, 9, 3, 12)
+            counts["noise_cells"]) == (10, 9, 6, 14)
     assert counts["_noise_rows"] == counts["estimate"] == 0
 
 
 def test_round_draws_estimate_is_read_only_and_payload_free():
-    # the kept parts are read-only, made once, and serve every payload at
-    # every SNR: a noisy call's estimate is a + sigma * b on its cells, a
-    # noiseless call's is a
+    # the kept parts are read-only, made once, cut to the payload cells, and
+    # serve every shorter payload at every SNR: a noisy call's estimate is
+    # a + sigma * b on its cells, a noiseless call's is a
     seeds = LinkSeeds(pilot=41, channel=42, noise=43)
     draws = RoundDraws(TINY, PROFILE, seeds)
-    rows = TINY.data_rows_idx[:1]
-
-    def kept():
-        return draws.clean(rows) + (draws.payload_noise(TINY.l_fft), draws.estimate_noise(rows))
-
-    parts = kept()
-    assert not any(part.flags.writeable for part in parts)
+    parts = draws.cells(TINY.l_fft - 1)
+    assert all(part.size == TINY.l_fft - 1 and not part.flags.writeable for part in parts)
     _, a, _, b = parts
-    for n in (3, TINY.l_fft):
+    for n in (3, TINY.l_fft - 1):
         symbols = _payload(n, 1.0, seed=n)
         for snr_db in (0.0, 6.0):
             sigma = np.sqrt(channel.noise_variance(snr_db))
@@ -235,7 +245,7 @@ def test_round_draws_estimate_is_read_only_and_payload_free():
             assert _same_bits(got_h, a[:n] + sigma * b[:n])
         _, got_h, _ = transmit_with_state(symbols, TINY, PROFILE, None, seeds, draws=draws)
         assert _same_bits(got_h, a[:n])
-    assert all(np.shares_memory(x, y) for x, y in zip(kept(), parts))  # none made again
+    assert all(np.shares_memory(x, y) for x, y in zip(draws.cells(TINY.l_fft - 1), parts))  # none made again
 
 
 def _realize_loop(profile, cfg, n_symbols, seed):
@@ -365,7 +375,8 @@ def test_round_draws_cells_are_its_kept_parts_on_the_payload_cells():
     seeds = LinkSeeds(pilot=71, channel=72, noise=73)
     draws = RoundDraws(TINY, PROFILE, seeds)
     for n, rows in ((5, TINY.data_rows_idx[:1]), (TINY.l_fft + 2, TINY.data_rows_idx[:2])):
-        kept = draws.clean(rows) + (draws.payload_noise(n), draws.estimate_noise(rows))
+        z = np.concatenate([channel.noise_cells(seeds.noise, j, TINY.l_fft) for j in rows])  # row streams
+        kept = _clean(draws, rows) + (z, _estimate_noise(draws, rows))
         cells = draws.cells(n)
         assert len(cells) == 4 and all(c.size == n for c in cells)
         assert all(_same_bits(c, k[:n]) for c, k in zip(cells, kept))
@@ -403,3 +414,56 @@ def test_link_draws_have_the_full_grid_noise_law(name):
         cells = z.size
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) <= 4.0 / np.sqrt(cells)
         assert abs(np.mean(z**2)) <= 4.0 * np.sqrt(2.0 / cells)
+
+
+@given(
+    name=st.sampled_from(sorted(CONFIGS)),
+    n=st.integers(0, 300),
+    rows=st.lists(st.tuples(st.integers(0, 3), st.floats(-10.0, 30.0)), min_size=1, max_size=6),
+    noisy=st.booleans(),
+    shared=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_per_row_seeds_are_each_row_alone_bit_for_bit(name, n, rows, noisy, shared):
+    # rows of different payloads, SNRs and link seeds (a seed may repeat)
+    # stack into one call: row b of every output is what a lone call of its
+    # payload at its SNR on its seeds returns, whether the rows bring their
+    # RoundDraws (shared by the rows of one seed) or the call makes them
+    cfg = CONFIGS[name]
+    seeds = [LinkSeeds(pilot=k, channel=100 + k, noise=200 + k) for k, _ in rows]
+    symbols = np.stack([_payload(n, 1.0, seed=10 * b + k) for b, (k, _) in enumerate(rows)])
+    snrs = [snr for _, snr in rows] if noisy else None
+    draws = None
+    if shared:
+        made = {s: RoundDraws(cfg, PROFILE, s) for s in seeds}
+        draws = [made[s] for s in seeds]
+    eq, h, noise_var = transmit_with_state(symbols, cfg, PROFILE, snrs, seeds, draws=draws)
+    assert eq.shape == h.shape == (len(rows), n)
+    assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, snrs, seeds, draws=draws), eq)
+    for b, s in enumerate(seeds):
+        alone = transmit_with_state(symbols[b], cfg, PROFILE, None if snrs is None else snrs[b], s)
+        assert _same_bits(alone[0], eq[b]) and _same_bits(alone[1], h[b])
+        assert alone[2] == (0.0 if snrs is None else noise_var[b])
+    if shared:  # each RoundDraws keeps its parts on the payload cells alone
+        for d in draws:
+            assert all(part.size in (0, n) for part in (*d._clean, *d._noise))
+
+
+def test_per_row_calls_are_checked():
+    seeds = [LinkSeeds(1, 2, 3), LinkSeeds(4, 5, 6)]
+    symbols = np.stack([_payload(8, 1.0, 0), _payload(8, 1.0, 1)])
+    draws = [RoundDraws(TINY, PROFILE, s) for s in seeds]
+    for bad in (
+        dict(symbols=symbols[0]),  # a row per seed
+        dict(symbols=symbols[:1]),
+        dict(snr_db=[6.0]),  # an SNR per row
+        dict(snr_db=6.0),
+        dict(draws=draws[:1]),  # draws per row
+    ):
+        args = {"symbols": symbols, "snr_db": [6.0, 0.0], "draws": draws} | bad
+        with pytest.raises(ValueError, match="per-row"):
+            transmit_symbols(args["symbols"], TINY, PROFILE, args["snr_db"], seeds, draws=args["draws"])
+    with pytest.raises(ValueError, match="round draws"):  # rows' draws swapped
+        transmit_symbols(symbols, TINY, PROFILE, [6.0, 0.0], seeds, draws=draws[::-1])
+    with pytest.raises(ValueError, match="snr_db"):
+        transmit_symbols(symbols, TINY, PROFILE, [6.0, float("nan")], seeds)

@@ -280,6 +280,24 @@ def test_batched_sent_score_is_each_message_alone():
         assert one_map.tobytes() == cmap.reshape(-1, CFG.height, CFG.width)[i].tobytes()
 
 
+def test_sent_score_of_many_masks_is_each_row_alone():
+    # SentCells of several scenes scores row i of a batch on scene i's mask:
+    # its loss and map are those of a SentCells of that scene alone
+    rng = np.random.default_rng(6)
+    pairs = [generate_scene(seed, CFG, HEAD) for seed in (5, 6, 7)]
+    masks = [importance_map(f, 7) for _, f in pairs]
+    sent = sent_cells([scene for scene, _ in pairs], masks)
+    order = [2, 0, 2, 1]
+    messages = rng.standard_normal((len(order), CFG.channels * 7))
+    loss, cmap = sent.rows(order).score(messages, HEAD)
+    assert sent.rows(order).loss(messages, HEAD).tobytes() == loss.tobytes()
+    for i, row in enumerate(order):
+        one_loss, one_map = sent_cells([pairs[row][0]], [masks[row]]).score(messages[i], HEAD)
+        assert one_loss.tobytes() == loss[i].tobytes()
+        assert one_map.tobytes() == cmap[i].tobytes()
+        assert np.all(cmap[i][~masks[row].cells] == 0.5)
+
+
 def test_sent_score_rejects_a_message_it_cannot_read():
     scene, f = generate_scene(5, CFG, HEAD)
     mask = importance_map(f, 7)

@@ -489,6 +489,50 @@ def test_ack_guard_sees_each_form(tmp_path, code, users):
     assert _users("ack_decide", tmp_path) == users
 
 
+# harness sends every session round through the link's two entries, so the
+# benchmark's pin on them (bench/test_bench.py checks that
+# harness.transmit_symbols is link.transmit_symbols) holds, and a traced link
+# span times what sessions run. No harness code names the link's core, its
+# cell function or how it fills its draws, or imports any of them.
+LINK_ENTRIES = {"transmit_symbols", "transmit_with_state"}
+LINK_INNARDS = ("receive_cells", "_transmit", "_fill", "_fill_chunk", "_clean_rows", "_estimate")
+
+
+def _link_reach(module: str, src: Path = SRC) -> set[str]:
+    """The link innards that `module` names, and the link functions other
+    than its two entries that it imports from .link."""
+    named = {name for name in LINK_INNARDS if any(m == module for m, _ in _users(name, src))}
+    tree = ast.parse((src / f"{module}.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "link"
+        for alias in node.names
+        if alias.name[:1].islower() or alias.name.startswith("_")
+    }
+    return named | (imported - LINK_ENTRIES)
+
+
+def test_harness_reaches_the_link_through_its_two_entries_alone():
+    assert _link_reach("harness") == set()
+
+
+@pytest.mark.parametrize(
+    "code,reach",
+    [("from .link import LinkSeeds, RoundDraws, transmit_symbols, transmit_with_state", set()),
+     ("from .link import receive_cells", {"receive_cells"}),
+     ("from .link import _transmit as send", {"_transmit"}),
+     ("def f(x):\n    return link.receive_cells(x, 1, 2)", {"receive_cells"}),
+     ("class C:\n    def m(self, x):\n        return link._transmit(x)", {"_transmit"}),
+     ("send = link._fill", {"_fill"}),
+     ("def f(x):\n    return link.transmit_symbols(x)", set())],
+    ids=["entries", "import", "import-as", "call", "method", "alias", "entry-call"],
+)
+def test_link_reach_guard_sees_each_form(tmp_path, code, reach):
+    (tmp_path / "mod.py").write_text(code + "\n")
+    assert _link_reach("mod", tmp_path) == reach
+
+
 def test_importing_the_cli_loads_numpy_alone():
     # numpy is the one runtime dependency; any other package would add its
     # import time to every semlink process
