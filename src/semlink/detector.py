@@ -12,9 +12,10 @@ The rank corpus is two arrays: per query, the pooled reference map and its
 K samplings' pooled maps, and the samplings' true similarities. It is
 sampled through harq.SemanticSource, the source every semantic session runs
 from, so a corpus sampling is the reception a session round makes: the same
-pooled map and true similarity (scenegen.SentCells.score). Each sampling
-is sent through the link's entry, link.transmit_symbols, at its own link
-seeds, as a session round is.
+pooled map and true similarity (scenegen.SentCells.score). A query's
+samplings are sent through the link's entry, link.transmit_symbols, as one
+call of a row per sampling, each at its own link seeds and SNR, as a
+session round's rows are.
 The scorer is stored in harness.train_all's one bundle.ckpt, and the
 calibration table is computed with nnkit.stored copies of its nets.
 """
@@ -363,10 +364,11 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
     pair and no scorer; its reference map (maps[q, 0]) comes from the masked
     feature actually transmitted, and sampling k (maps[q, 1 + k] and
     s_true[q, k]) is the source's reception of an independent channel draw
-    at the k-th listed SNR: one link.transmit_symbols call at the link seeds
-    of (q, k) and the config's [ofdm] and [channel]. The K are decoded and
-    scored as one batch. The arrays are rounded to float32 once (and held as
-    float64): the precision the scorer is trained and calibrated on.
+    at the k-th listed SNR, at the link seeds of (q, k) and the config's
+    [ofdm] and [channel]. The K are sent as one link.transmit_symbols call,
+    each row bitwise a lone call of its own, and decoded and scored as one
+    batch. The arrays are rounded to float32 once (and held as float64):
+    the precision the scorer is trained and calibrated on.
     """
     from .harq import SemanticSource  # harq imports this module
 
@@ -380,10 +382,8 @@ def build_corpus(cfg, head, codec) -> RankCorpus:
         scene, f = generate_scene(derive_seed(ms, "corpus-scene", q), cfg.scene, head)
         src = SemanticSource(codec, None, None, head, [scene], [f], cells, det.pool)
         maps[q, 0] = src.ref_pooled.reshape(-1)
-        rx = np.stack([
-            transmit_symbols(src.sym_first, cfg.ofdm, cfg.channel, snr_db, LinkSeeds.derive(ms, "corpus", q, k))
-            for k, snr_db in enumerate(det.corpus_snr_db)
-        ])
+        seeds = [LinkSeeds.derive(ms, "corpus", q, k) for k in range(n_snr)]
+        rx = transmit_symbols(src.sym_first[[0] * n_snr], cfg.ofdm, cfg.channel, det.corpus_snr_db, seeds)
         pooled, _, s_true[q] = src.receive(codec_mod.decode(codec, rx), [0] * n_snr)
         maps[q, 1:] = pooled.reshape(n_snr, -1)
     return RankCorpus(maps.astype(np.float32), s_true.astype(np.float32))

@@ -21,18 +21,20 @@ BLOCK_INDICES of them), and every (index, mode, SNR) of the block shares one
 SessionCache. The cache holds what depends on the block's indices alone:
 their harq.SemanticSource and harq.BaselineSource (each holds a row per
 index and computes its codewords and reference values once, for every
-session that runs from it), and per round each index's link draws (the
-channel realization, and H, the noise and the two parts of the pilot
-estimate on the payload cells, which every SNR combines). It also holds the
-receptions: the first session of a pipeline (semantic or baseline) to read
-the block computes every round that the grid's modes read, at every (index,
-SNR) row of the block whose session is not yet acknowledged, as one batch
-of one link call, decode and scoring pass per round
-(harq.SemanticSource.rounds, BaselineSource.rounds), and each session is
-its (index, SNR) row. A cache lives for one block of one run_sweep call, so
-memory does not grow with the number of sessions and no later sweep starts
-warm. A session runs on the cache it is given (run_session), and every
-round it records is a harq.Reception, with its ACK verdict.
+session that runs from it), and per round one link.RoundDraws of the
+block's indices (H, the noise and the two parts of the pilot estimate on
+the n_cu payload cells that every pipeline's symbols fit, which every SNR
+combines). It also holds the receptions: the first session of a pipeline
+(semantic or baseline) to read the block computes every round that the
+grid's modes read, at every (index, SNR) row of the block and the grid
+whose session is not yet acknowledged, as one batch of one link call,
+decode and scoring pass per round (harq.SemanticSource.rounds,
+BaselineSource.rounds), and each session is its (index, SNR) row. A cache
+serves its config's grid and nothing else. It lives for one block of one
+run_sweep call, so memory does not grow with the number of sessions and no
+later sweep starts warm. A session runs on the cache it is given
+(run_session), and every round it records is a harq.Reception, with its ACK
+verdict.
 """
 
 from __future__ import annotations
@@ -377,23 +379,23 @@ class SessionCache:
     Each part is made on first use: the semantic and baseline sources of the
     block's scenes (one of each for the block, a row per index; the scenes
     are drawn once, and dropped once every source that the grid reads is
-    made), per round the link's RoundDraws of every index, and the rows. The first session
-    of a pipeline (semantic or baseline) to read the block computes the
-    rounds of the pipeline's modes in the config (and its own) at every
-    (index, SNR) of the block and the config as one batch: one link call,
-    combining or decode, and scoring per round. A session at another SNR
-    computes those of its index at that SNR alone. Each mode's round goes
-    only to the rows where its session has not been acknowledged by then,
-    at the config's threshold or by the CRC. A sweep of baseline modes alone
-    never builds the semantic source, so it runs on a bundle without codecs
-    or scorer. Sharing one cache changes no result: each row is bitwise that
-    of a batch of its index and SNR alone.
+    made), per round one RoundDraws of the block's indices, and the rows.
+    The first session of a pipeline (semantic or baseline) to read the
+    block computes the rounds of the pipeline's modes in the config at
+    every (index, SNR) of the block and the config as one batch: one link
+    call, combining or decode, and scoring per round. It serves the
+    config's grid alone: a session of another mode or SNR is refused. Each
+    mode's round goes only to the rows where its session has not been
+    acknowledged by then, at the config's threshold or by the CRC. A sweep
+    of baseline modes alone never builds the semantic source, so it runs on
+    a bundle without codecs or scorer. Sharing one cache changes no result:
+    each row is bitwise that of a batch of its index and SNR alone.
     """
 
     def __init__(self, bundle: RuntimeBundle, indices):
         self.bundle = bundle
         self.indices = tuple(indices)
-        self._draws: dict[int, list[RoundDraws]] = {}
+        self._draws: dict[int, RoundDraws] = {}
         self._rows: dict[tuple[int, str, float], list] = {}
 
     @functools.cached_property
@@ -421,31 +423,35 @@ class SessionCache:
             cfg.baseline.mod_order, cfg.baseline.code_copies,
         )
 
-    def draws(self, t: int) -> list[RoundDraws]:
-        """The link draws of round t of each index, the same for every mode,
-        SNR and threshold."""
+    def draws(self, t: int) -> RoundDraws:
+        """The link draws of round t, a row per index of the block in block
+        order, on the n_cu payload cells that every pipeline's symbols fit
+        (config.baseline_cells keeps the codeword within them): the same
+        for every mode, SNR and threshold."""
         if t not in self._draws:
             cfg = self.bundle.cfg
             seeds = [LinkSeeds.derive(cfg.experiment.master_seed, "session", idx, t) for idx in self.indices]
-            self._draws[t] = [RoundDraws(cfg.ofdm, cfg.channel, s) for s in seeds]
+            self._draws[t] = RoundDraws(cfg.ofdm, cfg.channel, seeds, cfg.codec.n_cu, True)
         return self._draws[t]
 
     def rows(self, idx: int, mode: str, snr_db: float) -> list:
         """The rounds that the session of index idx and mode at snr_db reads,
         up to its first acknowledged one: one row of SemanticSource.rounds,
         at the config's threshold, or of BaselineSource.rounds. Each round
-        is one link call, each row on its index's RoundDraws at its SNR."""
+        is one link call on the round's draws, a row per (index, SNR) of the
+        block and the config's grid. ValueError for an index outside the
+        block, and for a mode or SNR outside the grid."""
         if (idx, mode, snr_db) not in self._rows:
             if idx not in self.indices:
                 raise ValueError(f"session index {idx} is not in this cache's block {self.indices}")
             cfg = self.bundle.cfg
             e = cfg.experiment
-            if snr_db in e.snr_db:
-                at, snrs = range(len(self.indices)), e.snr_db
-            else:
-                at, snrs = (self.indices.index(idx),), (snr_db,)
-            scenes = [i for i in at for _ in snrs]
-            row_snrs = [s for _ in at for s in snrs]
+            if mode not in e.modes:
+                raise ValueError(f"mode {mode!r} is not in the config's modes {e.modes}")
+            if snr_db not in e.snr_db:
+                raise ValueError(f"snr_db {snr_db} is not in the config's snr_db {e.snr_db}")
+            scenes = [i for i in range(len(self.indices)) for _ in e.snr_db]
+            row_snrs = [s for _ in self.indices for s in e.snr_db]
             if mode in BASELINE_MODES:
                 pipeline, rounds = BASELINE_MODES, self.baseline.rounds
             else:
@@ -453,11 +459,12 @@ class SessionCache:
                 rounds = functools.partial(self.semantic.rounds, threshold=cfg.detector.ack_threshold)
             if all(("baseline" if m in BASELINE_MODES else "semantic") in vars(self) for m in e.modes):
                 vars(self).pop("scenes", None)  # each source the grid reads keeps what it needs of them
-            modes = tuple(dict.fromkeys(m for m in (*e.modes, mode) if m in pipeline))
+            modes = tuple(m for m in e.modes if m in pipeline)
 
             def send(t, symbols, rows):
-                draws = [self.draws(t)[scenes[b]] for b in rows]
-                args = (symbols, cfg.ofdm, cfg.channel, [row_snrs[b] for b in rows], [d.seeds for d in draws])
+                draws = self.draws(t)
+                seeds = [draws.seeds[scenes[b]] for b in rows]
+                args = (symbols, cfg.ofdm, cfg.channel, [row_snrs[b] for b in rows], seeds)
                 if pipeline is BASELINE_MODES:
                     return transmit_with_state(*args, draws=draws)
                 return transmit_symbols(*args, draws=draws)
@@ -472,11 +479,12 @@ def run_session(cache: SessionCache, idx: int, mode: str, snr_db: float) -> Sess
     """Run one seeded protocol session of the cache's bundle at session index
     idx, one of the cache's block, and flatten it into a record.
 
-    The threshold and round budget are the bundle config's, where they are
-    checked; a non-finite snr_db fails in channel.noise_variance. The other
-    sessions of the block may share the cache; run_sweep makes one per block
-    and drops it when the block is done. A session on a cache of its index
-    alone records the same.
+    The mode and snr_db must be in the bundle config's grid (ValueError
+    otherwise, SessionCache.rows), and the threshold and round budget are
+    the config's, where they are checked, as a non-finite SNR is. The other
+    sessions of the block may share the cache; run_sweep makes one per
+    block and drops it when the block is done. A session on a cache of its
+    index alone records the same.
     """
     cfg = cache.bundle.cfg
     if mode in SEMANTIC_MODES:

@@ -29,7 +29,7 @@ from conftest import score, tiny_config
 from semlink import codec
 from semlink import config as config_mod
 from semlink import detector
-from semlink import harness, harq, link, nnkit, rxdsp
+from semlink import channel, harness, harq, link, nnkit, rxdsp
 from semlink.channel import ChannelProfile
 from semlink.config import default_config_text
 from semlink.harq import (
@@ -472,10 +472,24 @@ def test_run_session_rejects_unknown_mode(tiny_bundle):
 
 @pytest.mark.parametrize("snr_db", [6.0, 7.5], ids=["grid", "off-grid"])
 def test_run_session_rejects_an_index_outside_the_block(tiny_bundle, snr_db):
-    cache = harness.SessionCache(tiny_bundle, (0, 1))
+    # at an SNR of the default grid, and at one that a config sets outside it
+    cache = harness.SessionCache(_set(tiny_bundle, "experiment", snr_db=(0.0, snr_db)), (0, 1))
     with pytest.raises(ValueError, match="not in this cache's block"):
         harness.run_session(cache, 2, "sim1", snr_db)
     assert not cache._rows
+
+
+def test_run_session_rejects_a_mode_or_snr_outside_the_grid(tiny_bundle):
+    # a cache serves its config's grid alone: a mode or an SNR that the
+    # config does not list has no row, and computes nothing
+    assert "base2" not in tiny_bundle.cfg.experiment.modes
+    assert 7.5 not in tiny_bundle.cfg.experiment.snr_db
+    cache = harness.SessionCache(tiny_bundle, (0, 1))
+    with pytest.raises(ValueError, match="mode 'base2' is not in the config's modes"):
+        harness.run_session(cache, 0, "base2", 6.0)
+    with pytest.raises(ValueError, match="snr_db 7.5 is not in the config's snr_db"):
+        harness.run_session(cache, 1, "sim1", 7.5)
+    assert not cache._rows and not cache._draws and "semantic" not in vars(cache)
 
 
 def test_sweep_csv_schemas(tiny_bundle, tmp_path):
@@ -631,8 +645,10 @@ def _session_from_parts(bundle, mode, snr_db, idx):
 
 @pytest.fixture(scope="module")
 def sweep_bundle(tiny_bundle):
-    """tiny_bundle with the threshold SWEEP_BETA and a round budget of 2."""
-    return _set(_set(tiny_bundle, "detector", ack_threshold=SWEEP_BETA), "experiment", round_budget=2)
+    """tiny_bundle with the threshold SWEEP_BETA, a round budget of 2 and
+    every mode in its grid."""
+    return _set(_set(tiny_bundle, "detector", ack_threshold=SWEEP_BETA), "experiment", round_budget=2,
+                modes=ALL_MODES)
 
 
 @pytest.fixture(scope="module")
@@ -679,7 +695,7 @@ def test_session_with_shared_cache_matches_uncached(tiny_bundle):
     # last or first and so fills the reception memo that noharq and sim1
     # then read; each order starts from a fresh cache
     block = (5, 2, 0)
-    bundle = _set(tiny_bundle, "detector", ack_threshold=0.999)
+    bundle = _set(_set(tiny_bundle, "detector", ack_threshold=0.999), "experiment", modes=ALL_MODES)
     grid = [(mode, snr_db) for mode in ("noharq", "sim1", "base2", "sim2", "base1") for snr_db in (0.0, 9.0)]
     sim2_last, sim2_first = grid, grid[6:8] + grid[:6] + grid[8:]
     for order in (sim2_last, sim2_first):
@@ -705,17 +721,18 @@ def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
     # point, each block on one cache: every (index, mode, SNR) row of a
     # block is, bit for bit, the reception that the single-SNR chain of its
     # index (_rounds_from_parts) makes, up to the chain's first acknowledged
-    # round, and its session records what the chain does. The SNRs may be
-    # the config's grid or any finite SNR outside it, one value or repeated
+    # round, and its session records what the chain does. The grid's SNRs
+    # may be those of the default grid or any finite ones, and its modes any
     indices = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
     cut = data.draw(st.integers(0, len(indices)))
-    snrs = data.draw(st.lists(st.sampled_from(SWEEP_SNRS) | st.floats(-5.0, 25.0), min_size=1, max_size=3))
+    snrs = data.draw(st.lists(st.sampled_from(SWEEP_SNRS) | st.floats(-5.0, 25.0), min_size=1, max_size=3,
+                              unique=True))
     modes = data.draw(st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=5, unique=True))
-    assert set(SWEEP_SNRS) <= set(sweep_bundle.cfg.experiment.snr_db)
+    bundle = _set(sweep_bundle, "experiment", modes=tuple(modes), snr_db=tuple(snrs))
     for block in (indices[:cut], indices[cut:]):
         if not block:
             continue
-        cache = harness.SessionCache(sweep_bundle, block)
+        cache = harness.SessionCache(bundle, block)
         for idx in data.draw(st.permutations(block)):
             for mode in modes:
                 for snr_db in snrs:
@@ -741,12 +758,11 @@ def test_each_reception_is_computed_once_per_block(sweep_bundle, monkeypatch):
     # rounds, sim2's pair-2 rounds and each baseline mode's rounds are the
     # rounds, and no later session of the block computes anything. Each
     # round's link is sent only at the rows whose session reads that round.
-    # A link call makes the draws of the indices it reaches that lack them
-    # a few at a time (link._FILL_CHUNK), and each pass takes the
-    # estimator's line twice: once for the noiseless parts and once for the
-    # noise parts. A pipeline that reaches indices that no earlier pipeline
-    # sent to in that round makes theirs
-    counts = dict.fromkeys(("send", "send_with_state", "pair1", "pair2", "score", "crc", "line"), 0)
+    # The first pipeline to read a round makes its draws for every index of
+    # the block, a few at a time (link._FILL_CHUNK): per pass one
+    # realization and two of the estimator's lines, one for the noiseless
+    # parts and one for the noise parts, and the other pipeline reuses them
+    counts = dict.fromkeys(("send", "send_with_state", "pair1", "pair2", "score", "crc", "line", "realize"), 0)
     sent = {"send": 0, "send_with_state": 0}  # rows sent
 
     def counting(module, name, key):
@@ -765,50 +781,70 @@ def test_each_reception_is_computed_once_per_block(sweep_bundle, monkeypatch):
     counting(harq, "score_pooled", lambda args: "score")
     counting(harq, "crc24", lambda args: "crc")
     counting(rxdsp, "interpolate", lambda args: "line")
-    bundle = _set(sweep_bundle, "experiment", modes=ALL_MODES, snr_db=SWEEP_SNRS)  # a budget of 2
+    counting(channel, "realize", lambda args: "realize")
+    bundle = _set(sweep_bundle, "experiment", snr_db=SWEEP_SNRS)  # every mode, a budget of 2
     cfg = bundle.cfg
     block = (4, 0, 3)  # at index 4, sim1 and sim2 acknowledge at 18 dB alone in round 1
-    cache = harness.SessionCache(bundle, block)
-    src = cache.baseline
-    assert counts["crc"] == len(block)  # each scene's frame
-    assert max(src.codeword.shape[-1], src.chunk.shape[-1]) <= cfg.codec.n_cu  # one set of kept cells
-    lines = None
-    for _ in range(2):
-        records = [harness.run_session(cache, idx, mode, snr_db)
-                   for idx in block for mode in ALL_MODES for snr_db in SWEEP_SNRS]
-        used = {(r.session_id, r.mode, r.snr_db): r.rounds_used for r in records}
-        assert [used[4, m, s] for m in ("sim1", "sim2") for s in SWEEP_SNRS] == [2, 2, 1] * 2
-        lines = lines or counts["line"]  # those of the first pass
-        passes = -(-len(block) // link._FILL_CHUNK)  # of the draws of one link call
-        assert 2 * 2 <= lines <= 2 * 2 * 2 * passes  # (noiseless, noise) x rounds x pipelines
-        assert counts == {
-            "send": 3,  # pair 1 in rounds 1 and 2, pair 2 in round 2
-            "send_with_state": 4,  # base1 and base2 in rounds 1 and 2
-            "pair1": 2, "pair2": 1, "score": 3,
-            "crc": len(block) + 4,  # then one per baseline round
-            "line": lines,
-        }
-        # round 1 at every row; round 2 of each mode at the rows that read it
-        rows = len(block) * len(SWEEP_SNRS)
-        second = {m: sum(used[i, m, s] == 2 for i in block for s in SWEEP_SNRS) for m in ALL_MODES}
-        assert sent == {"send": rows + second["sim1"] + second["sim2"],
-                        "send_with_state": 2 * rows + second["base1"] + second["base2"]}
-    # a session at an SNR outside the grid computes the rounds read there at
-    # its index and SNR alone, once: at 7.5 dB every semantic mode of index 4
-    # acknowledges round 1
-    for _ in range(2):
-        assert harness.run_session(cache, 4, "sim2", 7.5).ack_round == 1
-        harness.run_session(cache, 4, "noharq", 7.5)
-    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (4, 3, 1, 4)
-    assert sent["send"] == rows + second["sim1"] + second["sim2"] + 1
+    passes = -(-len(block) // link._FILL_CHUNK)  # of the draws of one round
+    for order in (ALL_MODES, ALL_MODES[::-1]):  # either pipeline first
+        for key in counts:
+            counts[key] = 0
+        sent.update(send=0, send_with_state=0)
+        cache = harness.SessionCache(bundle, block)
+        src = cache.baseline
+        assert counts["crc"] == len(block)  # each scene's frame
+        assert max(src.codeword.shape[-1], src.chunk.shape[-1]) <= cfg.codec.n_cu  # one set of kept cells
+        for _ in range(2):
+            records = [harness.run_session(cache, idx, mode, snr_db)
+                       for idx in block for mode in order for snr_db in SWEEP_SNRS]
+            used = {(r.session_id, r.mode, r.snr_db): r.rounds_used for r in records}
+            assert [used[4, m, s] for m in ("sim1", "sim2") for s in SWEEP_SNRS] == [2, 2, 1] * 2
+            assert counts == {
+                "send": 3,  # pair 1 in rounds 1 and 2, pair 2 in round 2
+                "send_with_state": 4,  # base1 and base2 in rounds 1 and 2
+                "pair1": 2, "pair2": 1, "score": 3,
+                "crc": len(block) + 4,  # then one per baseline round
+                "realize": 2 * passes,  # rounds 1 and 2
+                "line": 2 * 2 * passes,  # (noiseless, noise) x rounds
+            }
+            # round 1 at every row; round 2 of each mode at the rows that read it
+            rows = len(block) * len(SWEEP_SNRS)
+            second = {m: sum(used[i, m, s] == 2 for i in block for s in SWEEP_SNRS) for m in ALL_MODES}
+            assert sent == {"send": rows + second["sim1"] + second["sim2"],
+                            "send_with_state": 2 * rows + second["base1"] + second["base2"]}
 
     # a noharq-only grid reads round 1 alone
     only = harness.SessionCache(_set(bundle, "experiment", modes=("noharq",)), (6, 7))
     for idx in (6, 7):
         for snr_db in SWEEP_SNRS:
             harness.run_session(only, idx, "noharq", snr_db)
-    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"]) == (5, 4, 1, 5)
+    assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"], counts["realize"]) == (4, 3, 1, 4, 5)
     assert set(only._draws) == {1}
+
+
+def test_a_blocks_draws_are_those_of_its_indices_for_any_grid(sweep_bundle):
+    # each round's draws are one RoundDraws of the block's seeds on n_cu
+    # cells, made by whichever pipeline reads the round first: a grid of
+    # baseline modes alone and one of every mode make them bitwise alike
+    block = (2, 5, 1)
+    caches = []
+    for modes in (("base1", "base2"), ALL_MODES):
+        cache = harness.SessionCache(_set(sweep_bundle, "experiment", modes=modes), block)
+        for idx in block:
+            for snr_db in SWEEP_SNRS:
+                harness.run_session(cache, idx, "base1", snr_db)
+        caches.append(cache)
+    base, every = caches
+    assert set(base._draws) == set(every._draws) == {1, 2}
+    cfg = sweep_bundle.cfg
+    for t in (1, 2):
+        a, b = base.draws(t), every.draws(t)
+        assert a.seeds == b.seeds == tuple(
+            LinkSeeds.derive(cfg.experiment.master_seed, "session", idx, t) for idx in block
+        )
+        for part in ("h", "a", "z", "b"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert x.shape == (len(block), cfg.codec.n_cu) and x.tobytes() == y.tobytes()
 
 
 def _arrays(obj, skip, seen) -> list:
@@ -865,14 +901,14 @@ def _cached_receptions(cache):
 
 def test_shared_receptions_are_read_only(sweep_bundle):
     # sessions of every index and mode share the cache's receptions and the
-    # round draws' kept parts (H, the noise and both estimate parts), so
-    # none of their arrays can be written
+    # round draws (H, the noise and both estimate parts), so none of their
+    # arrays can be written
     cache = harness.SessionCache(sweep_bundle, (1, 3))
     for idx in (1, 3):
         for mode in ALL_MODES:
             harness.run_session(cache, idx, mode, 6.0)
     receptions = _cached_receptions(cache)
-    kept = [a for t in range(1, 3) for d in cache.draws(t) for a in (*d._clean, *d._noise)]
+    kept = [getattr(cache.draws(t), part) for t in range(1, 3) for part in ("h", "a", "z", "b")]
     assert receptions and kept
     for rx in receptions:
         assert not rx.message.flags.writeable
@@ -914,7 +950,7 @@ def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
     # the baseline modes read only the proxy head, so they run on a bundle
     # without codecs or scorer and write the bytes of the trained bundle;
     # their sessions never build a semantic source or fill the reception memo
-    trained = _set(tiny_bundle, "experiment", round_budget=2)
+    trained = _set(tiny_bundle, "experiment", round_budget=2, modes=("base1", "base2"))
     cfg = trained.cfg
     bare = harness.RuntimeBundle(cfg, harness.make_head(cfg), None, None, None)
     for name, bundle in (("trained", trained), ("bare", bare)):

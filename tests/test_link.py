@@ -34,29 +34,52 @@ PROFILE = channel.ChannelProfile()
 BOUND = 1e-12
 
 
-def _clean(draws, data_rows):
-    """(H, a) of a round's draws on every cell of data_rows, flattened, made
-    afresh by the link's own arithmetic."""
-    h, a = link._clean_rows(draws.real, draws.cfg, draws.pilot_rows, data_rows)
-    return h.reshape(-1), a.reshape(-1)
+# The link's draws, made here from the channel's and the estimator's own
+# functions and not from semlink.link: the rows rxdsp.estimate reads, the
+# pilot rows' kept delay taps and their line across symbols, and each row's
+# noise stream.
 
 
-def _estimate_noise(draws, data_rows):
-    """b of a round's draws on every cell of data_rows, flattened, made
-    afresh by the link's own arithmetic."""
-    taps = link._pilot_noise_taps(draws)
-    return link._estimate(draws.cfg, taps, draws.pilot_rows, data_rows).reshape(-1)
+def _line(cfg, taps, data_rows):
+    """Per-pilot-row delay taps (n_p, l_cp) carried to data_rows on the
+    estimator's line and transformed back, flattened."""
+    pilot_rows = cfg.pilot_rows_idx[:2]
+    return np.fft.fft(rxdsp.interpolate(taps, pilot_rows, data_rows), n=cfg.l_fft).reshape(-1)
+
+
+def _clean(cfg, seeds, data_rows):
+    """(H, a) of a round on every cell of data_rows, flattened: H of the
+    pilot rows and data_rows together, and a from the noiseless pilot rows'
+    kept taps (channel.delay_response)."""
+    pilot_rows = cfg.pilot_rows_idx[:2]
+    real = channel.realize(PROFILE, cfg, cfg.n_symbols, seeds.channel)
+    h = channel.freq_response(real, cfg, pilot_rows + data_rows)[len(pilot_rows) :]
+    return h.reshape(-1), _line(cfg, channel.delay_response(real, cfg, pilot_rows), data_rows)
+
+
+def _estimate_noise(cfg, seeds, data_rows):
+    """b of a round on every cell of data_rows, flattened: from each pilot
+    row's l_cp noise taps, drawn from the row's own stream."""
+    taps = np.array([channel.noise_cells(seeds.noise, j, cfg.l_cp, cfg.l_fft) for j in cfg.pilot_rows_idx[:2]])
+    return _line(cfg, taps, data_rows)
+
+
+def _payload_noise(cfg, seeds, n):
+    """z of a round on the first n payload cells: each data row's cells from
+    the row's own stream."""
+    z = [channel.noise_cells(seeds.noise, j, cfg.l_fft) for j in cfg.data_rows_idx]
+    return np.concatenate(z)[:n]
 
 
 def _grid_noise(cfg, seeds, n):
-    """The oracle's unit-variance noise grid, from the link's own draws: the
-    first n payload cells carry the payload noise z of RoundDraws.cells, and pilot row j,
-    which carried p_j, carries p_j * fft(g_j padded to l_fft), where g_j is
-    the row's l_cp noise taps (channel.noise_cells), so the truncated LS
+    """The oracle's unit-variance noise grid, from the link's draws: the
+    first n payload cells carry the payload noise z, and pilot row j, which
+    carried p_j, carries p_j * fft(g_j padded to l_fft), where g_j is the
+    row's l_cp noise taps (channel.noise_cells), so the truncated LS
     estimate of the row is g_j. Every other cell is zero: no output reads it."""
     z = np.zeros((cfg.n_symbols, cfg.l_fft), dtype=np.complex128)
     data = np.zeros(cfg.payload_capacity, dtype=np.complex128)
-    data[:n] = RoundDraws(cfg, PROFILE, seeds).cells(n)[2]
+    data[:n] = _payload_noise(cfg, seeds, n)
     z[list(cfg.data_rows_idx)] = data.reshape(len(cfg.data_rows_idx), cfg.l_fft)
     for p, j in zip(ofdm.pilot_rows(cfg, seeds.pilot), cfg.pilot_rows_idx[:2]):
         z[j] = p * np.fft.fft(channel.noise_cells(seeds.noise, j, cfg.l_cp, cfg.l_fft), n=cfg.l_fft)
@@ -126,7 +149,7 @@ def test_row_sparse_link_matches_full_grid(name, size, snr_db, amplitude):
     got_eq, got_h, got_var = transmit_with_state(symbols, cfg, PROFILE, snr_db, seeds)
     assert got_var == noise_var
     assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, snr_db, seeds), got_eq)
-    assert _same_bits(RoundDraws(cfg, PROFILE, seeds).cells(n)[0], true_h)
+    assert _same_bits(RoundDraws(cfg, PROFILE, [seeds], n, False).h[0], true_h)
     assert _close(got_h, h) and _close(got_eq, eq)
     # the received cells are the oracle's bits: the equalizer applied to them
     # with the link's estimate is the link's output
@@ -136,46 +159,22 @@ def test_row_sparse_link_matches_full_grid(name, size, snr_db, amplitude):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_estimate_parts_are_the_oracles_estimates(name):
     # a is rxdsp.estimate of the noiseless pilot rows, b that of the grid
-    # noise's pilot rows alone, on every data row, within BOUND
+    # noise's pilot rows alone, on every data row, within BOUND; a and b are
+    # this file's own, which the link's are bitwise
+    # (test_round_draws_rows_are_each_seed_alone)
     cfg = CONFIGS[name]
     seeds = LinkSeeds(pilot=51, channel=52, noise=53)
-    draws = RoundDraws(cfg, PROFILE, seeds)
     rows = cfg.pilot_rows_idx
     pilots = ofdm.pilot_rows(cfg, seeds.pilot)
-    h = channel.freq_response(draws.real, cfg)
+    h = channel.freq_response(channel.realize(PROFILE, cfg, cfg.n_symbols, seeds.channel), cfg)
     z = _grid_noise(cfg, seeds, 0)
     for k in (1, 2, len(cfg.data_rows_idx)):
         data_rows = cfg.data_rows_idx[:k]
-        got_h, a = _clean(draws, data_rows)
+        got_h, a = _clean(cfg, seeds, data_rows)
         want_a = rxdsp.estimate(h[list(rows)] * pilots, pilots, rows, data_rows, cfg.l_cp)
         want_b = rxdsp.estimate(z[list(rows)], pilots, rows, data_rows, cfg.l_cp)
         assert _same_bits(got_h, h[list(data_rows)].reshape(-1))
-        assert _close(a, want_a.reshape(-1)) and _close(_estimate_noise(draws, data_rows), want_b.reshape(-1))
-
-
-def test_payload_noise_reads_each_rows_stream_as_a_prefix(monkeypatch):
-    # data row i's cells are the first cells of its own stream, whatever
-    # payload sizes came before; a payload no longer than one drawn before
-    # draws nothing, and a longer one draws each data row it covers again,
-    # with the two pilot rows' taps of b
-    seeds = LinkSeeds(pilot=1, channel=2, noise=3)
-    l_fft, rows = TINY.l_fft, TINY.data_rows_idx
-    whole = np.concatenate([channel.noise_cells(seeds.noise, j, l_fft) for j in rows])
-    calls = Counter()
-    noise_cells = channel.noise_cells
-
-    def counted(*args):
-        calls["noise_cells"] += 1
-        return noise_cells(*args)
-    monkeypatch.setattr(channel, "noise_cells", counted)
-    for sizes in ((5, l_fft + 3, 7, TINY.payload_capacity), (TINY.payload_capacity, 1, l_fft)):
-        draws = RoundDraws(TINY, PROFILE, seeds)
-        for n in sizes:
-            before = calls["noise_cells"]
-            z = draws.cells(n)[2]
-            assert _same_bits(z, whole[:n]) and not z.flags.writeable
-            assert calls["noise_cells"] - before == (0 if n <= max(sizes[: sizes.index(n)], default=0)
-                                                     else -(-n // l_fft) + 2)
+        assert _close(a, want_a.reshape(-1)) and _close(_estimate_noise(cfg, seeds, data_rows), want_b.reshape(-1))
 
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
@@ -185,22 +184,21 @@ def test_noiseless_transmit_draws_no_noise(monkeypatch, link_fn):
     monkeypatch.setattr(channel, "noise_cells", refuse)
     monkeypatch.setattr(channel, "_noise_rows", refuse)
     seeds = LinkSeeds(pilot=61, channel=62, noise=63)
-    draws = RoundDraws(TINY, PROFILE, seeds)
+    draws = RoundDraws(TINY, PROFILE, [seeds], TINY.l_fft + 1, False)
     for n in (0, 7, TINY.l_fft + 1):
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, None, seeds)
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, None, seeds, draws=draws)
-    assert all(part.size == 0 for part in draws._noise)
+    assert draws.z is None and draws.b is None
 
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
 def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
-    # each transmit runs the public equalizer once. A RoundDraws makes its
-    # parts only when a payload outgrows the cells it keeps: then it asks
-    # channel.freq_response for H and takes the estimator's line for a once,
-    # and, if the call is noisy and the noise parts are short too, draws the
-    # two pilot rows' noise taps and the payload's data rows and takes the
-    # line for b once, whatever the number of SNRs. channel.apply's whole
-    # rows are never drawn
+    # each transmit runs the public equalizer once. A call given a
+    # RoundDraws makes nothing of the round; one without makes its own:
+    # channel.freq_response once for H and the estimator's line once for a
+    # and, if noisy, the two pilot rows' noise taps and the payload's data
+    # rows, and the line once more for b. channel.apply's whole rows are
+    # never drawn
     counts = Counter()
     for module, name in ((rxdsp, "interpolate"), (rxdsp, "equalize_mmse"), (channel, "freq_response"),
                          (channel, "noise_cells"), (channel, "_noise_rows"), (rxdsp, "estimate")):
@@ -209,43 +207,17 @@ def test_link_runs_the_one_receiver_chain(monkeypatch, link_fn):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     seeds = LinkSeeds(pilot=31, channel=32, noise=33)
-    draws = RoundDraws(TINY, PROFILE, seeds)
-    # (payload size, SNR, lines, H responses and noise draws so far): one
-    # data row with no noise, then a longer one at 6 dB; two rows at 0 dB;
-    # shorter payloads, which make nothing; longer ones, noisy and not
-    steps = [
-        (5, None, 1, 1, 0), (7, 6.0, 3, 2, 2 + 1), (TINY.l_fft + 1, 0.0, 5, 3, 3 + 2 + 2), (9, 0.0, 5, 3, 7),
-        (TINY.l_fft + 2, 18.0, 7, 4, 7 + 2 + 2), (11, 18.0, 7, 4, 11), (13, None, 7, 4, 11),
-        (TINY.l_fft + 3, None, 8, 5, 11),
-    ]
-    for calls, (n, snr_db, lines, responses, noises) in enumerate(steps, start=1):
+    draws = RoundDraws(TINY, PROFILE, [seeds], TINY.l_fft + 3, True)
+    assert (counts["interpolate"], counts["freq_response"], counts["noise_cells"]) == (2, 1, 2 + 2)
+    made = counts.copy()
+    for calls, (n, snr_db) in enumerate(((5, None), (TINY.l_fft + 1, 0.0), (TINY.l_fft + 3, 18.0)), start=1):
         link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, snr_db, seeds, draws=draws)
-        assert (counts["interpolate"], counts["equalize_mmse"], counts["freq_response"],
-                counts["noise_cells"]) == (lines, calls, responses, noises)
-    link_fn(_payload(5, 1.0, seed=5), TINY, PROFILE, 6.0, seeds)  # draws of its own
-    assert (counts["interpolate"], counts["equalize_mmse"], counts["freq_response"],
-            counts["noise_cells"]) == (10, 9, 6, 14)
+        assert counts - made == Counter(equalize_mmse=calls)
+    for n, snr_db, lines, noises in ((5, None, 1, 0), (7, 6.0, 2, 2 + 1), (TINY.l_fft + 1, 0.0, 2, 2 + 2)):
+        before = counts.copy()
+        link_fn(_payload(n, 1.0, seed=n), TINY, PROFILE, snr_db, seeds)  # draws of its own
+        assert counts - before == Counter(interpolate=lines, equalize_mmse=1, freq_response=1, noise_cells=noises)
     assert counts["_noise_rows"] == counts["estimate"] == 0
-
-
-def test_round_draws_estimate_is_read_only_and_payload_free():
-    # the kept parts are read-only, made once, cut to the payload cells, and
-    # serve every shorter payload at every SNR: a noisy call's estimate is
-    # a + sigma * b on its cells, a noiseless call's is a
-    seeds = LinkSeeds(pilot=41, channel=42, noise=43)
-    draws = RoundDraws(TINY, PROFILE, seeds)
-    parts = draws.cells(TINY.l_fft - 1)
-    assert all(part.size == TINY.l_fft - 1 and not part.flags.writeable for part in parts)
-    _, a, _, b = parts
-    for n in (3, TINY.l_fft - 1):
-        symbols = _payload(n, 1.0, seed=n)
-        for snr_db in (0.0, 6.0):
-            sigma = np.sqrt(channel.noise_variance(snr_db))
-            _, got_h, _ = transmit_with_state(symbols, TINY, PROFILE, snr_db, seeds, draws=draws)
-            assert _same_bits(got_h, a[:n] + sigma * b[:n])
-        _, got_h, _ = transmit_with_state(symbols, TINY, PROFILE, None, seeds, draws=draws)
-        assert _same_bits(got_h, a[:n])
-    assert all(np.shares_memory(x, y) for x, y in zip(draws.cells(TINY.l_fft - 1), parts))  # none made again
 
 
 def _realize_loop(profile, cfg, n_symbols, seed):
@@ -291,9 +263,10 @@ def test_link_rejects_payload_beyond_capacity():
 @pytest.mark.parametrize("snr_db", [None, 6.0])
 def test_shared_round_draws_change_no_bit(snr_db):
     # one RoundDraws serves payloads of different sizes (one and two data
-    # rows) and both link functions, bit for bit as calls that draw afresh
+    # rows, up to its own) and both link functions, bit for bit as calls
+    # that draw afresh
     seeds = LinkSeeds(pilot=21, channel=22, noise=23)
-    draws = RoundDraws(TINY, PROFILE, seeds)
+    draws = RoundDraws(TINY, PROFILE, [seeds], TINY.l_fft + 1, snr_db is not None)
     for n in (TINY.l_fft, TINY.l_fft + 1, 5):
         symbols = _payload(n, 1.0, seed=n)
         alone = transmit_with_state(symbols, TINY, PROFILE, snr_db, seeds)
@@ -304,14 +277,18 @@ def test_shared_round_draws_change_no_bit(snr_db):
 
 
 def test_round_draws_for_other_seeds_are_rejected():
-    draws = RoundDraws(TINY, PROFILE, LinkSeeds(1, 2, 3))
-    for seeds, cfg, profile in (
-        (LinkSeeds(1, 2, 4), TINY, PROFILE),
-        (LinkSeeds(1, 2, 3), OfdmConfig(), PROFILE),
-        (LinkSeeds(1, 2, 3), TINY, channel.ChannelProfile(speed_kmh=0.0)),
+    # draws of other seeds, config or profile, too short for the payload or
+    # noiseless for a noisy call carry no call
+    draws = RoundDraws(TINY, PROFILE, [LinkSeeds(1, 2, 3)], 8, False)
+    for seeds, cfg, profile, n, snr_db in (
+        (LinkSeeds(1, 2, 4), TINY, PROFILE, 8, None),
+        (LinkSeeds(1, 2, 3), OfdmConfig(), PROFILE, 8, None),
+        (LinkSeeds(1, 2, 3), TINY, channel.ChannelProfile(speed_kmh=0.0), 8, None),
+        (LinkSeeds(1, 2, 3), TINY, PROFILE, 9, None),
+        (LinkSeeds(1, 2, 3), TINY, PROFILE, 8, 6.0),
     ):
         with pytest.raises(ValueError, match="round draws"):
-            transmit_symbols(_payload(8, 1.0, 0), cfg, profile, 6.0, seeds, draws=draws)
+            transmit_symbols(_payload(n, 1.0, 0), cfg, profile, snr_db, seeds, draws=draws)
 
 
 @pytest.mark.parametrize("link_fn", [transmit_symbols, transmit_with_state])
@@ -325,20 +302,24 @@ def test_draws_is_keyword_only(link_fn):
     "snrs", [(6.0,), (0.0, 18.0, 0.0), (21.5, -3.0, 9.0, 12.0)], ids=["one", "repeated", "unordered"]
 )
 def test_an_snr_batch_is_each_snr_alone_bit_for_bit(snrs):
-    # a 1-D snr_db sends the payload once per SNR: row b of every output is
-    # what a call at snrs[b] alone returns, and the draws serve both alike
+    # one payload on one seed, a row per SNR, as a sweep sends an index's
+    # SNRs: row b of every output is what a lone call at snrs[b] returns,
+    # and the draws serve both alike. A lone LinkSeeds takes one SNR
     cfg, seeds = TINY, LinkSeeds(pilot=5, channel=6, noise=7)
     symbols = _payload(300, 1.0, 8)
-    draws = RoundDraws(cfg, PROFILE, seeds)
-    eq, h, noise_var = transmit_with_state(symbols, cfg, PROFILE, snrs, seeds, draws=draws)
+    rows = np.stack([symbols] * len(snrs))
+    draws = RoundDraws(cfg, PROFILE, [seeds], symbols.size, True)
+    eq, h, noise_var = transmit_with_state(rows, cfg, PROFILE, snrs, [seeds] * len(snrs), draws=draws)
     assert eq.shape == h.shape == (len(snrs), symbols.size) and noise_var.shape == (len(snrs),)
-    assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, list(snrs), seeds), eq)
+    assert _same_bits(transmit_symbols(rows, cfg, PROFILE, list(snrs), [seeds] * len(snrs)), eq)
     for b, snr_db in enumerate(snrs):
         alone = transmit_with_state(symbols, cfg, PROFILE, snr_db, seeds)
         assert _same_bits(alone[0], eq[b]) and _same_bits(alone[1], h[b])
         assert isinstance(alone[2], float) and alone[2] == noise_var[b] == channel.noise_variance(snr_db)
     with pytest.raises(ValueError, match="snr_db"):
-        transmit_symbols(symbols, cfg, PROFILE, (*snrs, float("nan")), seeds, draws=draws)
+        transmit_symbols(rows, cfg, PROFILE, [*snrs[1:], float("nan")], [seeds] * len(snrs), draws=draws)
+    with pytest.raises(ValueError, match="snr_db"):
+        transmit_symbols(symbols, cfg, PROFILE, snrs, seeds, draws=draws)
 
 
 @given(
@@ -349,38 +330,67 @@ def test_an_snr_batch_is_each_snr_alone_bit_for_bit(snrs):
 )
 @settings(max_examples=60, deadline=None)
 def test_payload_cell_link_is_transmit_with_state_bit_for_bit(name, n, snrs, seed):
-    # receive_cells on a round's payload-cell parts (RoundDraws.cells) is the
-    # link, noiseless and at a 1-D batch of SNRs, and so is a lone SNR as the
-    # rank corpus passes it: parts (n,) and a (1, 1) noise variance
+    # receive_cells on a round's payload-cell parts is the link, noiseless
+    # and at a batch of SNRs, each row reading the one seed's parts
     cfg = CONFIGS[name]
     n = min(n, cfg.payload_capacity)
     symbols = _payload(n, 1.0, seed)
     seeds = LinkSeeds(pilot=seed, channel=seed + 1, noise=seed + 2)
+    draws = RoundDraws(cfg, PROFILE, [seeds], n, snrs is not None)
     if snrs is None:
         eq, h, noise_var = transmit_with_state(symbols, cfg, PROFILE, None, seeds)
-        got_eq, got_h = receive_cells(symbols, *RoundDraws(cfg, PROFILE, seeds).cells(n, noisy=False))
-        assert _same_bits(got_eq, eq) and _same_bits(got_h, h) and noise_var == 0.0
+        got_eq, got_h = receive_cells(symbols[None], np.zeros(1, np.intp), draws.h, draws.a)
+        assert _same_bits(got_eq[0], eq) and _same_bits(got_h[0], h) and noise_var == 0.0
         return
-    parts = RoundDraws(cfg, PROFILE, seeds).cells(n)
     var = np.array([[channel.noise_variance(x)] for x in snrs])
-    eq, h, noise_var = transmit_with_state(symbols, cfg, PROFILE, snrs, seeds)
-    got_eq, got_h = receive_cells(symbols, *parts, var)
+    rows = np.stack([symbols] * len(snrs))
+    eq, h, noise_var = transmit_with_state(rows, cfg, PROFILE, snrs, [seeds] * len(snrs))
+    got_eq, got_h = receive_cells(rows, np.zeros(len(snrs), np.intp), draws.h, draws.a, draws.z, draws.b, var)
     assert _same_bits(got_eq, eq) and _same_bits(got_h, h) and _same_bits(var[:, 0], noise_var)
-    eq, h, _ = transmit_with_state(symbols, cfg, PROFILE, snrs[0], seeds)
-    got_eq, got_h = receive_cells(symbols, *parts, var[:1])
-    assert _same_bits(got_eq[0], eq) and _same_bits(got_h[0], h)
 
 
-def test_round_draws_cells_are_its_kept_parts_on_the_payload_cells():
-    seeds = LinkSeeds(pilot=71, channel=72, noise=73)
-    draws = RoundDraws(TINY, PROFILE, seeds)
-    for n, rows in ((5, TINY.data_rows_idx[:1]), (TINY.l_fft + 2, TINY.data_rows_idx[:2])):
-        z = np.concatenate([channel.noise_cells(seeds.noise, j, TINY.l_fft) for j in rows])  # row streams
-        kept = _clean(draws, rows) + (z, _estimate_noise(draws, rows))
-        cells = draws.cells(n)
-        assert len(cells) == 4 and all(c.size == n for c in cells)
-        assert all(_same_bits(c, k[:n]) for c, k in zip(cells, kept))
-        assert all(_same_bits(c, k[:n]) for c, k in zip(draws.cells(n, noisy=False), kept[:2]))
+@given(
+    name=st.sampled_from(sorted(CONFIGS)),
+    keys=st.lists(st.integers(0, 4), min_size=1, max_size=2 * link._FILL_CHUNK + 1),
+    cells=st.lists(st.integers(0, 2**16), min_size=2, max_size=2),
+    noisy=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_round_draws_rows_are_each_seed_alone(name, keys, cells, noisy):
+    # a RoundDraws of any seeds (repeats allowed, more than one chunk) on n
+    # cells holds row k bitwise as seeds[k]'s alone on m >= n cells, cut to
+    # n, across one and two data rows; those are this file's own parts.
+    # Noiseless draws draw no noise, every array is read-only, and a call
+    # that the draws do not fit is refused
+    cfg = CONFIGS[name]
+    n, m = sorted(c % (2 * cfg.l_fft + 1) for c in cells)
+    seeds = [LinkSeeds(pilot=k, channel=100 + k, noise=200 + k) for k in keys]
+    with pytest.MonkeyPatch.context() as patch:
+        if not noisy:
+            patch.setattr(channel, "noise_cells", lambda *args: pytest.fail("noiseless draws drew noise"))
+        draws = RoundDraws(cfg, PROFILE, seeds, n, noisy)
+    parts = (draws.h, draws.a, draws.z, draws.b)
+    assert (draws.z is None and draws.b is None) is not noisy
+    assert all(p.shape == (len(seeds), n) and not p.flags.writeable for p in parts if p is not None)
+    rows = cfg.data_rows_idx[: -(-m // cfg.l_fft)]
+    for k, s in enumerate(seeds):
+        alone = RoundDraws(cfg, PROFILE, [s], m, True)
+        own = _clean(cfg, s, rows) + (_payload_noise(cfg, s, m), _estimate_noise(cfg, s, rows))
+        for part, whole, mine in zip(parts, (alone.h, alone.a, alone.z, alone.b), own):
+            assert _same_bits(whole[0], mine[:m])
+            assert part is None or _same_bits(part[k], whole[0, :n])
+    other_cfg = CONFIGS["fft256" if name == "default" else "default"]
+    refused = [(seeds[0], cfg, channel.ChannelProfile(speed_kmh=0.0), n, None),
+               (LinkSeeds(pilot=-1, channel=-1, noise=-1), cfg, PROFILE, n, None)]
+    if n <= other_cfg.payload_capacity:
+        refused.append((seeds[0], other_cfg, PROFILE, n, None))
+    if n < cfg.payload_capacity:
+        refused.append((seeds[0], cfg, PROFILE, n + 1, None))
+    if not noisy:
+        refused.append((seeds[0], cfg, PROFILE, n, 6.0))
+    for s, c, profile, size, snr_db in refused:
+        with pytest.raises(ValueError, match="round draws"):
+            transmit_symbols(_payload(size, 1.0, 0), c, profile, snr_db, s, draws=draws)
 
 
 @pytest.mark.parametrize("name", ["default", "pilot3"])
@@ -395,18 +405,16 @@ def test_link_draws_have_the_full_grid_noise_law(name):
     pilot_rows = cfg.pilot_rows_idx[:2]
     weights = rxdsp.interpolate(np.eye(len(pilot_rows)), pilot_rows, rows)[0]
     want_b = cfg.l_cp / cfg.l_fft * float(np.sum(weights**2))
-    new_b, new_z, old_b, old_z = [], [], [], []
-    for r in range(rounds):
-        seeds = LinkSeeds(pilot=3 * r, channel=3 * r + 1, noise=3 * r + 2)
-        _, _, z, b = RoundDraws(cfg, PROFILE, seeds).cells(n)
-        new_b.append(b)
-        new_z.append(z)
-        full = channel._noise_rows(seeds.noise, pilot_rows + rows, cfg.l_fft)
-        pilots = ofdm.pilot_rows(cfg, seeds.pilot)[: len(pilot_rows)]
+    seeds = [LinkSeeds(pilot=3 * r, channel=3 * r + 1, noise=3 * r + 2) for r in range(rounds)]
+    draws = RoundDraws(cfg, PROFILE, seeds, n, True)  # a row per round
+    old_b, old_z = [], []
+    for s in seeds:
+        full = channel._noise_rows(s.noise, pilot_rows + rows, cfg.l_fft)
+        pilots = ofdm.pilot_rows(cfg, s.pilot)[: len(pilot_rows)]
         old_b.append(rxdsp.estimate(full[: len(pilot_rows)], pilots, pilot_rows, rows, cfg.l_cp)[0, :n])
         old_z.append(full[len(pilot_rows)][:n])
         assert np.max(np.abs(np.abs(pilots) - 1.0)) <= 1e-15  # so z/p has the law of z
-    for b, z in ((np.array(new_b), np.array(new_z)), (np.array(old_b), np.array(old_z))):
+    for b, z in ((draws.b, draws.z), (np.array(old_b), np.array(old_z))):
         # a round's cells are correlated, so the error is that of the per-round means
         per_round = np.mean(np.abs(b) ** 2, axis=1)
         assert abs(per_round.mean() - want_b) <= 4.0 * per_round.std() / np.sqrt(rounds)
@@ -427,16 +435,17 @@ def test_link_draws_have_the_full_grid_noise_law(name):
 def test_per_row_seeds_are_each_row_alone_bit_for_bit(name, n, rows, noisy, shared):
     # rows of different payloads, SNRs and link seeds (a seed may repeat)
     # stack into one call: row b of every output is what a lone call of its
-    # payload at its SNR on its seeds returns, whether the rows bring their
-    # RoundDraws (shared by the rows of one seed) or the call makes them
+    # payload at its SNR on its seeds returns, whether the rows find their
+    # draws in a RoundDraws of more seeds and cells than they read, or the
+    # call makes them
     cfg = CONFIGS[name]
     seeds = [LinkSeeds(pilot=k, channel=100 + k, noise=200 + k) for k, _ in rows]
     symbols = np.stack([_payload(n, 1.0, seed=10 * b + k) for b, (k, _) in enumerate(rows)])
     snrs = [snr for _, snr in rows] if noisy else None
     draws = None
     if shared:
-        made = {s: RoundDraws(cfg, PROFILE, s) for s in seeds}
-        draws = [made[s] for s in seeds]
+        every = [LinkSeeds(pilot=k, channel=100 + k, noise=200 + k) for k in range(3, -1, -1)]
+        draws = RoundDraws(cfg, PROFILE, every, min(n + 7, cfg.payload_capacity), noisy)
     eq, h, noise_var = transmit_with_state(symbols, cfg, PROFILE, snrs, seeds, draws=draws)
     assert eq.shape == h.shape == (len(rows), n)
     assert _same_bits(transmit_symbols(symbols, cfg, PROFILE, snrs, seeds, draws=draws), eq)
@@ -444,26 +453,22 @@ def test_per_row_seeds_are_each_row_alone_bit_for_bit(name, n, rows, noisy, shar
         alone = transmit_with_state(symbols[b], cfg, PROFILE, None if snrs is None else snrs[b], s)
         assert _same_bits(alone[0], eq[b]) and _same_bits(alone[1], h[b])
         assert alone[2] == (0.0 if snrs is None else noise_var[b])
-    if shared:  # each RoundDraws keeps its parts on the payload cells alone
-        for d in draws:
-            assert all(part.size in (0, n) for part in (*d._clean, *d._noise))
 
 
 def test_per_row_calls_are_checked():
     seeds = [LinkSeeds(1, 2, 3), LinkSeeds(4, 5, 6)]
     symbols = np.stack([_payload(8, 1.0, 0), _payload(8, 1.0, 1)])
-    draws = [RoundDraws(TINY, PROFILE, s) for s in seeds]
+    draws = RoundDraws(TINY, PROFILE, seeds, 8, True)
     for bad in (
         dict(symbols=symbols[0]),  # a row per seed
         dict(symbols=symbols[:1]),
         dict(snr_db=[6.0]),  # an SNR per row
         dict(snr_db=6.0),
-        dict(draws=draws[:1]),  # draws per row
     ):
-        args = {"symbols": symbols, "snr_db": [6.0, 0.0], "draws": draws} | bad
+        args = {"symbols": symbols, "snr_db": [6.0, 0.0]} | bad
         with pytest.raises(ValueError, match="per-row"):
-            transmit_symbols(args["symbols"], TINY, PROFILE, args["snr_db"], seeds, draws=args["draws"])
-    with pytest.raises(ValueError, match="round draws"):  # rows' draws swapped
-        transmit_symbols(symbols, TINY, PROFILE, [6.0, 0.0], seeds, draws=draws[::-1])
+            transmit_symbols(args["symbols"], TINY, PROFILE, args["snr_db"], seeds, draws=draws)
+    with pytest.raises(ValueError, match="round draws"):  # a row's seeds not in the draws
+        transmit_symbols(symbols, TINY, PROFILE, [6.0, 0.0], [seeds[0], LinkSeeds(7, 8, 9)], draws=draws)
     with pytest.raises(ValueError, match="snr_db"):
         transmit_symbols(symbols, TINY, PROFILE, [6.0, float("nan")], seeds)

@@ -489,13 +489,31 @@ def test_ack_guard_sees_each_form(tmp_path, code, users):
     assert _users("ack_decide", tmp_path) == users
 
 
-# harness sends every session round through the link's two entries, so the
-# benchmark's pin on them (bench/test_bench.py checks that
-# harness.transmit_symbols is link.transmit_symbols) holds, and a traced link
-# span times what sessions run. No harness code names the link's core, its
-# cell function or how it fills its draws, or imports any of them.
+# harness sends every session round, and detector every corpus query,
+# through the link's two entries, so the benchmark's pin on them
+# (bench/test_bench.py checks that harness.transmit_symbols is
+# link.transmit_symbols) holds, and a traced link span times what sessions
+# and the corpus run. Neither names any other name that the link defines
+# (its core, its cell function, how it draws, its constants) but the two
+# types its callers make, LinkSeeds and RoundDraws, or imports any of them.
+# The innards are read from the link itself, so a new one is guarded too.
 LINK_ENTRIES = {"transmit_symbols", "transmit_with_state"}
-LINK_INNARDS = ("receive_cells", "_transmit", "_fill", "_fill_chunk", "_clean_rows", "_estimate")
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The names that a module's top-level statements define."""
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
+
+
+LINK_INNARDS = tuple(sorted(_defined(ast.parse((SRC / "link.py").read_text())) - LINK_ENTRIES
+                            - {"LinkSeeds", "RoundDraws"}))
 
 
 def _link_reach(module: str, src: Path = SRC) -> set[str]:
@@ -517,6 +535,17 @@ def test_harness_reaches_the_link_through_its_two_entries_alone():
     assert _link_reach("harness") == set()
 
 
+def test_the_corpus_reaches_the_link_through_its_two_entries_alone():
+    assert _link_reach("detector") == set()
+
+
+def test_the_link_innards_are_read_from_the_link():
+    # every function and constant that the link defines, but its entries
+    # and the types its callers make
+    assert {"receive_cells", "_transmit", "_FILL_CHUNK"} <= set(LINK_INNARDS)
+    assert not set(LINK_INNARDS) & (LINK_ENTRIES | {"LinkSeeds", "RoundDraws"})
+
+
 @pytest.mark.parametrize(
     "code,reach",
     [("from .link import LinkSeeds, RoundDraws, transmit_symbols, transmit_with_state", set()),
@@ -524,7 +553,7 @@ def test_harness_reaches_the_link_through_its_two_entries_alone():
      ("from .link import _transmit as send", {"_transmit"}),
      ("def f(x):\n    return link.receive_cells(x, 1, 2)", {"receive_cells"}),
      ("class C:\n    def m(self, x):\n        return link._transmit(x)", {"_transmit"}),
-     ("send = link._fill", {"_fill"}),
+     ("send = link._draw", {"_draw"}),
      ("def f(x):\n    return link.transmit_symbols(x)", set())],
     ids=["entries", "import", "import-as", "call", "method", "alias", "entry-call"],
 )
