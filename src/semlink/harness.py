@@ -18,28 +18,21 @@ are byte-identical regardless of the worker count.
 A sweep is therefore a common-random-number design, and run_sweep exploits
 it: it runs the grid one block of session indices at a time (at most
 BLOCK_INDICES of them), and every (index, mode, SNR) of the block shares one
-SessionCache. The cache holds what depends on the block's indices alone:
-their harq.SemanticSource and harq.BaselineSource (each holds a row per
-index and computes its codewords and reference values once, for every
-session that runs from it), and per round one link.RoundDraws of the
-block's indices (H, the noise and the two parts of the pilot estimate on
-the n_cu payload cells that every pipeline's symbols fit, which every SNR
-combines). It also holds the receptions: the first session of a pipeline
-(semantic or baseline) to read the block computes every round that the
-grid's modes read, at every (index, SNR) row of the block and the grid
-whose session is not yet acknowledged, as one batch of one link call,
-decode and scoring pass per round (harq.SemanticSource.rounds,
-BaselineSource.rounds), and each session is its (index, SNR) row. A cache
+SessionCache, a memo of the block's rows. The first session to read it
+computes every row in one pass (_block_rows): the block's scenes, one
+harq.SemanticSource and one harq.BaselineSource of them for the pipelines
+that the grid names, each run once, a batch of every (index, SNR) row per
+round (SemanticSource.rounds, BaselineSource.rounds), and per round one
+link.RoundDraws of the block's indices, which both pipelines send on. All
+of these are freed once the rows are made, and the cache keeps only the
+rows, each session's harq.Receptions with their ACK verdicts. A cache
 serves its config's grid and nothing else. It lives for one block of one
 run_sweep call, so memory does not grow with the number of sessions and no
-later sweep starts warm. A session runs on the cache it is given
-(run_session), and every round it records is a harq.Reception, with its ACK
-verdict.
+later sweep starts warm.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import multiprocessing
 import os
@@ -374,105 +367,103 @@ def _write_calibration(path, cfg: ExperimentConfig, corpus, scorer) -> None:
 
 
 class SessionCache:
-    """What every mode and SNR of a block of session indices share.
+    """The rows of a block of session indices, for every mode and SNR of the
+    config's grid.
 
-    Each part is made on first use: the semantic and baseline sources of the
-    block's scenes (one of each for the block, a row per index; the scenes
-    are drawn once, and dropped once every source that the grid reads is
-    made), per round one RoundDraws of the block's indices, and the rows.
-    The first session of a pipeline (semantic or baseline) to read the
-    block computes the rounds of the pipeline's modes in the config at
-    every (index, SNR) of the block and the config as one batch: one link
-    call, combining or decode, and scoring per round. It serves the
-    config's grid alone: a session of another mode or SNR is refused. Each
-    mode's round goes only to the rows where its session has not been
-    acknowledged by then, at the config's threshold or by the CRC. A sweep
-    of baseline modes alone never builds the semantic source, so it runs on
-    a bundle without codecs or scorer. Sharing one cache changes no result:
-    each row is bitwise that of a batch of its index and SNR alone.
+    rows(idx, mode, snr_db) refuses a read outside the block or the grid;
+    the first read it accepts computes every row of the block
+    (_block_rows), and the cache then holds only its bundle, its indices
+    and the rows. Sharing one cache changes no result: each row is bitwise
+    that of a batch of its index and SNR alone.
     """
 
     def __init__(self, bundle: RuntimeBundle, indices):
         self.bundle = bundle
         self.indices = tuple(indices)
-        self._draws: dict[int, RoundDraws] = {}
-        self._rows: dict[tuple[int, str, float], list] = {}
-
-    @functools.cached_property
-    def scenes(self) -> list:
-        """(scene, feature) of each index of the block."""
-        cfg = self.bundle.cfg
-        seeds = [derive_seed(cfg.experiment.master_seed, "session-scene", idx) for idx in self.indices]
-        return [generate_scene(seed, cfg.scene, self.bundle.head) for seed in seeds]
-
-    @functools.cached_property
-    def semantic(self) -> SemanticSource:
-        b = self.bundle
-        scenes, features = zip(*self.scenes)
-        return SemanticSource(
-            b.codec_pair1, b.codec_pair2, b.scorer, b.head, scenes, features, b.cfg.mask_cells(),
-            b.cfg.detector.pool,
-        )
-
-    @functools.cached_property
-    def baseline(self) -> BaselineSource:
-        cfg = self.bundle.cfg
-        scenes, features = zip(*self.scenes)
-        return BaselineSource(
-            self.bundle.head, scenes, features, cfg.baseline_cells(),
-            cfg.baseline.mod_order, cfg.baseline.code_copies,
-        )
-
-    def draws(self, t: int) -> RoundDraws:
-        """The link draws of round t, a row per index of the block in block
-        order, on the n_cu payload cells that every pipeline's symbols fit
-        (config.baseline_cells keeps the codeword within them): the same
-        for every mode, SNR and threshold."""
-        if t not in self._draws:
-            cfg = self.bundle.cfg
-            seeds = [LinkSeeds.derive(cfg.experiment.master_seed, "session", idx, t) for idx in self.indices]
-            self._draws[t] = RoundDraws(cfg.ofdm, cfg.channel, seeds, cfg.codec.n_cu, True)
-        return self._draws[t]
+        self._rows: dict[tuple[int, str, float], list] | None = None
 
     def rows(self, idx: int, mode: str, snr_db: float) -> list:
         """The rounds that the session of index idx and mode at snr_db reads,
-        up to its first acknowledged one: one row of SemanticSource.rounds,
-        at the config's threshold, or of BaselineSource.rounds. Each round
-        is one link call on the round's draws, a row per (index, SNR) of the
-        block and the config's grid. ValueError for an index outside the
-        block, and for a mode or SNR outside the grid."""
-        if (idx, mode, snr_db) not in self._rows:
-            if idx not in self.indices:
-                raise ValueError(f"session index {idx} is not in this cache's block {self.indices}")
-            cfg = self.bundle.cfg
-            e = cfg.experiment
-            if mode not in e.modes:
-                raise ValueError(f"mode {mode!r} is not in the config's modes {e.modes}")
-            if snr_db not in e.snr_db:
-                raise ValueError(f"snr_db {snr_db} is not in the config's snr_db {e.snr_db}")
-            scenes = [i for i in range(len(self.indices)) for _ in e.snr_db]
-            row_snrs = [s for _ in self.indices for s in e.snr_db]
-            if mode in BASELINE_MODES:
-                pipeline, rounds = BASELINE_MODES, self.baseline.rounds
-            else:
-                pipeline = SEMANTIC_MODES
-                rounds = functools.partial(self.semantic.rounds, threshold=cfg.detector.ack_threshold)
-            if all(("baseline" if m in BASELINE_MODES else "semantic") in vars(self) for m in e.modes):
-                vars(self).pop("scenes", None)  # each source the grid reads keeps what it needs of them
-            modes = tuple(m for m in e.modes if m in pipeline)
-
-            def send(t, symbols, rows):
-                draws = self.draws(t)
-                seeds = [draws.seeds[scenes[b]] for b in rows]
-                args = (symbols, cfg.ofdm, cfg.channel, [row_snrs[b] for b in rows], seeds)
-                if pipeline is BASELINE_MODES:
-                    return transmit_with_state(*args, draws=draws)
-                return transmit_symbols(*args, draws=draws)
-
-            for m, per_row in rounds(modes, e.round_budget, scenes, send).items():
-                keys = [(self.indices[i], m, s) for i, s in zip(scenes, row_snrs)]
-                self._rows.update(zip(keys, per_row))
+        up to its first acknowledged one. ValueError for an index outside
+        the block, and for a mode or SNR outside the config's grid."""
+        if idx not in self.indices:
+            raise ValueError(f"session index {idx} is not in this cache's block {self.indices}")
+        e = self.bundle.cfg.experiment
+        if mode not in e.modes:
+            raise ValueError(f"mode {mode!r} is not in the config's modes {e.modes}")
+        if snr_db not in e.snr_db:
+            raise ValueError(f"snr_db {snr_db} is not in the config's snr_db {e.snr_db}")
+        if self._rows is None:
+            self._rows = _block_rows(self.bundle, self.indices)
         return self._rows[idx, mode, snr_db]
+
+
+def _block_rows(bundle: RuntimeBundle, indices) -> dict:
+    """Every (index, mode, SNR) row of a block of session indices and the
+    config's grid: the rounds that the session reads, up to its first
+    acknowledged one.
+
+    The block's scenes are drawn once, and each pipeline that the grid's
+    modes name gets one source of them, a row per index: the semantic
+    source's rows are SemanticSource.rounds at the config's threshold, the
+    baseline source's BaselineSource.rounds. Each source runs its rounds
+    once, every (index, SNR) of the block and the grid a row of one batch:
+    one link call, combining or decode, and scoring per round, sent only to
+    the rows not yet acknowledged. Round t's link draws are one RoundDraws
+    of the block's indices, made on first use and shared by both
+    pipelines, on the n_cu payload cells that every pipeline's symbols fit
+    (config.baseline_cells keeps the codeword within them): the same for
+    every mode, SNR and threshold. A grid of baseline modes alone builds no
+    semantic source, so it runs on a bundle without codecs or scorer.
+    Scenes, sources and draws are all freed on return.
+    """
+    cfg, e = bundle.cfg, bundle.cfg.experiment
+    ms = e.master_seed
+    scenes, features = zip(*(
+        generate_scene(derive_seed(ms, "session-scene", idx), cfg.scene, bundle.head) for idx in indices
+    ))
+    row_scenes = [i for i in range(len(indices)) for _ in e.snr_db]
+    row_snrs = [s for _ in indices for s in e.snr_db]
+    draws = {}
+
+    def link_args(t, symbols, rows):
+        """The arguments of round t's link call at these rows of the batch,
+        and the round's draws."""
+        if t not in draws:
+            seeds = [LinkSeeds.derive(ms, "session", idx, t) for idx in indices]
+            draws[t] = RoundDraws(cfg.ofdm, cfg.channel, seeds, cfg.codec.n_cu, True)
+        seeds = [draws[t].seeds[row_scenes[b]] for b in rows]
+        return (symbols, cfg.ofdm, cfg.channel, [row_snrs[b] for b in rows], seeds), draws[t]
+
+    def send_semantic(t, symbols, rows):
+        args, round_draws = link_args(t, symbols, rows)
+        return transmit_symbols(*args, draws=round_draws)
+
+    def send_baseline(t, symbols, rows):
+        args, round_draws = link_args(t, symbols, rows)
+        return transmit_with_state(*args, draws=round_draws)
+
+    by_mode = {}
+    semantic = tuple(m for m in e.modes if m in SEMANTIC_MODES)
+    if semantic:
+        source = SemanticSource(
+            bundle.codec_pair1, bundle.codec_pair2, bundle.scorer, bundle.head, scenes, features,
+            cfg.mask_cells(), cfg.detector.pool,
+        )
+        by_mode.update(source.rounds(semantic, e.round_budget, row_scenes, send_semantic,
+                                     cfg.detector.ack_threshold))
+    baseline = tuple(m for m in e.modes if m in BASELINE_MODES)
+    if baseline:
+        source = BaselineSource(
+            bundle.head, scenes, features, cfg.baseline_cells(), cfg.baseline.mod_order,
+            cfg.baseline.code_copies,
+        )
+        by_mode.update(source.rounds(baseline, e.round_budget, row_scenes, send_baseline))
+    return {
+        (indices[i], mode, snr_db): row
+        for mode, per_row in by_mode.items()
+        for i, snr_db, row in zip(row_scenes, row_snrs, per_row)
+    }
 
 
 def run_session(cache: SessionCache, idx: int, mode: str, snr_db: float) -> SessionRecord:
@@ -482,18 +473,18 @@ def run_session(cache: SessionCache, idx: int, mode: str, snr_db: float) -> Sess
     The mode and snr_db must be in the bundle config's grid (ValueError
     otherwise, SessionCache.rows), and the threshold and round budget are
     the config's, where they are checked, as a non-finite SNR is. The other
-    sessions of the block may share the cache; run_sweep makes one per
-    block and drops it when the block is done. A session on a cache of its
-    index alone records the same.
+    sessions of the block may share the cache, and the block's first
+    session computes every row of it; run_sweep makes one cache per block
+    and drops it when the block is done. A session on a cache of its index
+    alone records the same.
     """
+    rounds = cache.rows(idx, mode, snr_db)
     cfg = cache.bundle.cfg
     if mode in SEMANTIC_MODES:
         beta, run = cfg.detector.ack_threshold, run_semantic_session
-    elif mode in BASELINE_MODES:
-        beta, run = None, run_baseline_session
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _flatten(run(cache.rows(idx, mode, snr_db)), idx, mode, snr_db, beta, cfg.experiment.round_budget)
+        beta, run = None, run_baseline_session
+    return _flatten(run(rounds), idx, mode, snr_db, beta, cfg.experiment.round_budget)
 
 
 def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRecord:
@@ -522,12 +513,13 @@ def _flatten(session: HarqSession, idx, mode, snr_db, beta, budget) -> SessionRe
 _WORKER_STATE: dict = {}
 
 # The most session indices that a SessionCache holds at once. A block's
-# memory grows with its indices: per index it keeps the payload cells of each
-# round's link draws and its receptions (tests/test_harness.py pins that
-# part, about 0.12 MiB at the default geometry), and each round's batch works
-# on the index's (SNR, payload cell) arrays: about 0.2 MiB per index at the
-# peak of a round. Blocks of 2 stay within the 0.4-0.5 MiB that a sweep of
-# one index at a time held when it kept its draws l_fft wide.
+# memory grows with its indices: per index the cache keeps its receptions
+# (tests/test_harness.py pins them, about 45 KiB at the default geometry),
+# and while its rows are made, the payload cells of each round's link draws
+# and each round's batch on the index's (SNR, payload cell) arrays: about
+# 0.2 MiB per index at the peak of a round. Blocks of 2 stay within the
+# 0.4-0.5 MiB that a sweep of one index at a time held when it kept its
+# draws l_fft wide.
 BLOCK_INDICES = 2
 
 

@@ -3,10 +3,11 @@
 Semantic sessions resend learned symbols and let the similarity scorer decide
 acknowledgement; the single-pair variant keeps the latest decoded message as
 its candidate, while the two-pair variant sends the second codec from round
-two on and sums the decoded messages. The baseline frames its 8-bit codes
-with their CRC-24A (3GPP TS 38.212 §5.1) in whole bytes, maps the frame's bits
-to Gray QAM with a rate-1/copies repetition code, and either chase-combines
-full retransmissions or accumulates one copy per round.
+two on and sums the decoded messages. The baseline quantizes each scene's
+values to 8-bit codes on their own min/max, frames the codes with their
+CRC-24A (3GPP TS 38.212 §5.1) in whole bytes, maps the frame's bits to Gray
+QAM with a rate-1/copies repetition code, and either chase-combines full
+retransmissions or accumulates one copy per round.
 
 A session runs from a source (SemanticSource, BaselineSource): a block of
 scenes' masks, references and payloads, one row per scene, and what every
@@ -14,7 +15,7 @@ session of those scenes derives from them, computed once as the source is
 built (a semantic source's scorer embeddings and second-pair symbols on
 first use: the corpus's one-scene sources have neither). Every protocol
 runs one HARQ loop (_chains) over a batch of channels, each a row of one
-of the source's scenes (harness.SessionCache sends one per index and SNR
+of the source's scenes (harness._block_rows sends one per index and SNR
 of its block), and supplies only its round, which sends once to the rows
 not yet acknowledged, each its scene's symbols, and decodes, combines and
 judges them at once, each on its scene's cells and reference. Each row is
@@ -76,32 +77,33 @@ def crc24(data: np.ndarray):
 @dataclass(frozen=True)
 class Quantizer8:
     """Affine 8-bit quantizer: value ~ zero_point + code * scale. Made with
-    (N, 1) columns of scales and zero points, it dequantizes row i of (N, k)
-    codes with the quantizer of row i."""
+    (N, 1) columns of scales and zero points, it quantizes and dequantizes
+    row i of (N, k) values with the quantizer of row i. A scale of 0 (a
+    constant row) quantizes every value to code 0."""
 
-    scale: float
-    zero_point: float
+    scale: float | np.ndarray
+    zero_point: float | np.ndarray
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
-        if self.scale == 0.0:
-            return np.zeros(values.shape, dtype=np.uint8)
-        codes = np.round((values - self.zero_point) / self.scale)
-        return np.clip(codes, 0, 255).astype(np.uint8)
+        flat = self.scale == 0.0
+        codes = np.round((values - self.zero_point) / np.where(flat, 1.0, self.scale))
+        return np.where(flat, 0, np.clip(codes, 0, 255)).astype(np.uint8)
 
     def dequantize(self, codes: np.ndarray) -> np.ndarray:
         return self.zero_point + np.asarray(codes, dtype=np.float64) * self.scale
 
 
 def fit_quantizer(values: np.ndarray) -> Quantizer8:
-    """Min/max-fitted quantizer; in-range round trip error is at most scale/2."""
+    """Min/max-fitted quantizer of each row of values (..., k), as read-only
+    (..., 1) columns; in-range round trip error is at most scale/2."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot fit a quantizer to an empty array")
     if not np.all(np.isfinite(values)):
         raise ValueError("quantizer inputs must be finite")
-    lo, hi = float(values.min()), float(values.max())
-    return Quantizer8(scale=(hi - lo) / 255.0, zero_point=lo)
+    lo, hi = values.min(axis=-1, keepdims=True), values.max(axis=-1, keepdims=True)
+    return Quantizer8(scale=_frozen((hi - lo) / 255.0), zero_point=_frozen(lo))
 
 
 @dataclass(frozen=True)
@@ -192,10 +194,11 @@ class SemanticSource:
     pool (from one SentCells.score of them all) and the first pair's symbols
     are computed as it is built; the scorer's embeddings of the references
     and the second pair's symbols on first use, and kept. Each array holds
-    one row per scene. None depends on mode, SNR or threshold, so sessions
-    may share one source (harness.SessionCache). Every array it hands out
-    is read-only. The second pair and the scorer may be None: such a source
-    cannot run mode sim2, or score, but still sends and receives.
+    one row per scene. None depends on mode, SNR or threshold, so every
+    session of a block runs from one source (harness._block_rows). Every
+    array it hands out is read-only. The second pair and the scorer may be
+    None: such a source cannot run mode sim2, or score, but still sends and
+    receives.
     """
 
     def __init__(
@@ -334,12 +337,13 @@ class BaselineSource:
     session of them derives.
 
     Scene i's feature features[i] is masked to `cells` cells, its packed
-    values quantized to 8-bit codes, and payload_bits[i] is the frame of the
-    codes and their CRC-24; ref_message[i] is the dequantized codes. The QAM
-    chunk (the payload bits, zero-padded to whole symbols), the codeword
-    (`copies` chunks: a rate-1/copies repetition code) and the reference
-    perception loss are computed as it is built, one row per scene. Every
-    array it hands out is read-only. A round's Reception carries the
+    values quantized to 8-bit codes on their own min/max, and
+    payload_bits[i] is the frame of the codes and their CRC-24;
+    ref_message[i] is the dequantized codes. The QAM chunk (the payload
+    bits, zero-padded to whole symbols), the codeword (`copies` chunks: a
+    rate-1/copies repetition code) and the reference perception loss are
+    computed as it is built, every scene's row in one pass. Every array it
+    hands out is read-only. A round's Reception carries the
     dequantized codes as its message and no score: the CRC judges it. Its
     loss is scored on the sent cells alone, like SemanticSource's, and no
     confidence map is made of it (scenegen.SentCells.loss).
@@ -348,27 +352,20 @@ class BaselineSource:
     def __init__(self, head: ProxyHead, scenes, features, cells: int, mod_order: int, copies: int):
         self.mod_order = mod_order
         self.masks = tuple(importance_map(f, cells) for f in features)
-        quantizers, bits, refs = [], [], []
-        for f, mask in zip(features, self.masks):
-            packed = pack_nonzero(f, mask)
-            q = fit_quantizer(packed)
-            codes = q.quantize(packed)
-            frame = codes.tobytes() + crc24(codes).to_bytes(CRC24_BITS // 8, "big")
-            quantizers.append(q)
-            bits.append(np.unpackbits(np.frombuffer(frame, dtype=np.uint8)))
-            refs.append(q.dequantize(codes))
-        self.quantizer = Quantizer8(  # a column per scene
-            _frozen(np.array([[q.scale] for q in quantizers])),
-            _frozen(np.array([[q.zero_point] for q in quantizers])),
-        )
-        self.payload_bits = _frozen(np.stack(bits))
-        self.ref_message = _frozen(np.stack(refs))
+        packed = np.stack([pack_nonzero(f, m) for f, m in zip(features, self.masks)])
+        self.quantizer = fit_quantizer(packed)  # a column per scene
+        codes = self.quantizer.quantize(packed)
+        crc = crc24(codes)[:, None] >> np.arange(CRC24_BITS - 8, -1, -8)  # its bytes, most significant first
+        frames = np.concatenate([codes, crc.astype(np.uint8)], axis=-1)
+        self.payload_bits = _frozen(np.unpackbits(frames, axis=-1))
+        self.ref_message = _frozen(self.quantizer.dequantize(codes))
         self.head = head
         self.sent = sent_cells(scenes, self.masks)
+        n = len(codes)
         n_bits = self.payload_bits.shape[-1]
-        pad = np.zeros((len(bits), (-n_bits) % int(math.log2(mod_order))), dtype=np.uint8)
+        pad = np.zeros((n, (-n_bits) % int(math.log2(mod_order))), dtype=np.uint8)
         chunk = qam_map(np.concatenate([self.payload_bits, pad], axis=-1), mod_order)
-        self.chunk = _frozen(chunk.reshape(len(bits), -1))
+        self.chunk = _frozen(chunk.reshape(n, -1))
         self.codeword = _frozen(np.tile(self.chunk, copies))
         self.ref_loss = _frozen(self.sent.loss(self.ref_message, head))
 

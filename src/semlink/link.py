@@ -45,7 +45,7 @@ row is bitwise a lone call of its own. _transmit, the core of both transmit
 functions, is its one caller. A noiseless call draws no noise and makes no
 b. Sessions send through transmit_symbols and transmit_with_state, a block
 of (session index, SNR) rows per call on the round's RoundDraws of the
-block (harness.SessionCache), and the rank corpus sends each query's
+block (harness._block_rows), and the rank corpus sends each query's
 samplings as one transmit_symbols call, a row per sampling at its own seeds
 (detector.build_corpus).
 

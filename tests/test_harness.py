@@ -466,7 +466,7 @@ def test_flatten_reports_the_final_rounds_task_loss(s_hats, acks, final):
 
 
 def test_run_session_rejects_unknown_mode(tiny_bundle):
-    with pytest.raises(ValueError, match="unknown mode"):
+    with pytest.raises(ValueError, match="mode 'qpsk' is not in the config's modes"):
         _fresh_session(tiny_bundle, "qpsk", 6.0, 0)
 
 
@@ -476,20 +476,26 @@ def test_run_session_rejects_an_index_outside_the_block(tiny_bundle, snr_db):
     cache = harness.SessionCache(_set(tiny_bundle, "experiment", snr_db=(0.0, snr_db)), (0, 1))
     with pytest.raises(ValueError, match="not in this cache's block"):
         harness.run_session(cache, 2, "sim1", snr_db)
-    assert not cache._rows
+    assert cache._rows is None
 
 
-def test_run_session_rejects_a_mode_or_snr_outside_the_grid(tiny_bundle):
+def test_run_session_rejects_a_mode_or_snr_outside_the_grid(tiny_bundle, monkeypatch):
     # a cache serves its config's grid alone: a mode or an SNR that the
-    # config does not list has no row, and computes nothing
+    # config does not list has no row, and computes nothing: no scene is
+    # drawn and no link entry is called
     assert "base2" not in tiny_bundle.cfg.experiment.modes
     assert 7.5 not in tiny_bundle.cfg.experiment.snr_db
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a refused read computes nothing")
+    for name in ("generate_scene", "transmit_symbols", "transmit_with_state"):
+        monkeypatch.setattr(harness, name, refused)
     cache = harness.SessionCache(tiny_bundle, (0, 1))
     with pytest.raises(ValueError, match="mode 'base2' is not in the config's modes"):
         harness.run_session(cache, 0, "base2", 6.0)
     with pytest.raises(ValueError, match="snr_db 7.5 is not in the config's snr_db"):
         harness.run_session(cache, 1, "sim1", 7.5)
-    assert not cache._rows and not cache._draws and "semantic" not in vars(cache)
+    assert cache._rows is None
 
 
 def test_sweep_csv_schemas(tiny_bundle, tmp_path):
@@ -750,20 +756,33 @@ def test_every_batched_row_is_the_single_snr_reception(sweep_bundle, data):
                     assert record == _session_from_parts(sweep_bundle, mode, snr_db, idx)
 
 
+def _link_draws(monkeypatch) -> list:
+    """(entry, draws) of every call of harness's two link entries, in call
+    order, each entry's name and the draws= it received."""
+    calls = []
+    for name in ("transmit_symbols", "transmit_with_state"):
+        def entry(*args, _name=name, _entry=getattr(harness, name), **kwargs):
+            calls.append((_name, kwargs["draws"]))
+            return _entry(*args, **kwargs)
+        monkeypatch.setattr(harness, name, entry)
+    return calls
+
+
 def test_each_reception_is_computed_once_per_block(sweep_bundle, monkeypatch):
-    # the first session of a pipeline to read a block computes every round
-    # that the grid's sessions read, at every (index, SNR) row of the block
-    # and the grid whose session of some mode still reads it, as one batch:
-    # one link call, decode and score per (pipeline, round), where pair 1's
-    # rounds, sim2's pair-2 rounds and each baseline mode's rounds are the
-    # rounds, and no later session of the block computes anything. Each
-    # round's link is sent only at the rows whose session reads that round.
-    # The first pipeline to read a round makes its draws for every index of
-    # the block, a few at a time (link._FILL_CHUNK): per pass one
-    # realization and two of the estimator's lines, one for the noiseless
-    # parts and one for the noise parts, and the other pipeline reuses them
+    # the first session to read a block, of either pipeline, computes every
+    # round that the grid's sessions read, at every (index, SNR) row of the
+    # block and the grid whose session of some mode still reads it, as one
+    # batch: one link call, decode and score per (pipeline, round), where
+    # pair 1's rounds, sim2's pair-2 rounds and each baseline mode's rounds
+    # are the rounds, and no later session of the block computes anything.
+    # Each round's link is sent only at the rows whose session reads that
+    # round. Each round's draws are made once for every index of the block,
+    # a few at a time (link._FILL_CHUNK): per pass one realization and two
+    # of the estimator's lines, one for the noiseless parts and one for the
+    # noise parts, and both pipelines send on them
     counts = dict.fromkeys(("send", "send_with_state", "pair1", "pair2", "score", "crc", "line", "realize"), 0)
     sent = {"send": 0, "send_with_state": 0}  # rows sent
+    widths = set()  # of the symbols sent
 
     def counting(module, name, key):
         fn = getattr(module, name)
@@ -772,6 +791,7 @@ def test_each_reception_is_computed_once_per_block(sweep_bundle, monkeypatch):
             counts[key(args)] += 1
             if key(args) in sent:
                 sent[key(args)] += len(args[3])
+                widths.add(args[0].shape[-1])
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
@@ -786,62 +806,68 @@ def test_each_reception_is_computed_once_per_block(sweep_bundle, monkeypatch):
     cfg = bundle.cfg
     block = (4, 0, 3)  # at index 4, sim1 and sim2 acknowledge at 18 dB alone in round 1
     passes = -(-len(block) // link._FILL_CHUNK)  # of the draws of one round
-    for order in (ALL_MODES, ALL_MODES[::-1]):  # either pipeline first
+    for order in (ALL_MODES, ALL_MODES[::-1]):  # either pipeline's session first
         for key in counts:
             counts[key] = 0
         sent.update(send=0, send_with_state=0)
         cache = harness.SessionCache(bundle, block)
-        src = cache.baseline
-        assert counts["crc"] == len(block)  # each scene's frame
-        assert max(src.codeword.shape[-1], src.chunk.shape[-1]) <= cfg.codec.n_cu  # one set of kept cells
-        for _ in range(2):
-            records = [harness.run_session(cache, idx, mode, snr_db)
-                       for idx in block for mode in order for snr_db in SWEEP_SNRS]
-            used = {(r.session_id, r.mode, r.snr_db): r.rounds_used for r in records}
-            assert [used[4, m, s] for m in ("sim1", "sim2") for s in SWEEP_SNRS] == [2, 2, 1] * 2
-            assert counts == {
-                "send": 3,  # pair 1 in rounds 1 and 2, pair 2 in round 2
-                "send_with_state": 4,  # base1 and base2 in rounds 1 and 2
-                "pair1": 2, "pair2": 1, "score": 3,
-                "crc": len(block) + 4,  # then one per baseline round
-                "realize": 2 * passes,  # rounds 1 and 2
-                "line": 2 * 2 * passes,  # (noiseless, noise) x rounds
-            }
-            # round 1 at every row; round 2 of each mode at the rows that read it
-            rows = len(block) * len(SWEEP_SNRS)
-            second = {m: sum(used[i, m, s] == 2 for i in block for s in SWEEP_SNRS) for m in ALL_MODES}
-            assert sent == {"send": rows + second["sim1"] + second["sim2"],
-                            "send_with_state": 2 * rows + second["base1"] + second["base2"]}
+        harness.run_session(cache, block[0], order[0], SWEEP_SNRS[0])
+        assert counts == {
+            "send": 3,  # pair 1 in rounds 1 and 2, pair 2 in round 2
+            "send_with_state": 4,  # base1 and base2 in rounds 1 and 2
+            "pair1": 2, "pair2": 1, "score": 3,
+            "crc": 1 + 4,  # the block's frames, then one per baseline round
+            "realize": 2 * passes,  # rounds 1 and 2
+            "line": 2 * 2 * passes,  # (noiseless, noise) x rounds
+        }
+        first = dict(counts), dict(sent)
+        records = [harness.run_session(cache, idx, mode, snr_db)
+                   for idx in block for mode in order for snr_db in SWEEP_SNRS]
+        assert (counts, sent) == first  # later sessions compute nothing
+        assert max(widths) <= cfg.codec.n_cu  # one set of kept cells
+        used = {(r.session_id, r.mode, r.snr_db): r.rounds_used for r in records}
+        assert [used[4, m, s] for m in ("sim1", "sim2") for s in SWEEP_SNRS] == [2, 2, 1] * 2
+        # round 1 at every row; round 2 of each mode at the rows that read it
+        rows = len(block) * len(SWEEP_SNRS)
+        second = {m: sum(used[i, m, s] == 2 for i in block for s in SWEEP_SNRS) for m in ALL_MODES}
+        assert sent == {"send": rows + second["sim1"] + second["sim2"],
+                        "send_with_state": 2 * rows + second["base1"] + second["base2"]}
 
     # a noharq-only grid reads round 1 alone
+    draws = _link_draws(monkeypatch)
     only = harness.SessionCache(_set(bundle, "experiment", modes=("noharq",)), (6, 7))
     for idx in (6, 7):
         for snr_db in SWEEP_SNRS:
             harness.run_session(only, idx, "noharq", snr_db)
     assert (counts["send"], counts["pair1"], counts["pair2"], counts["score"], counts["realize"]) == (4, 3, 1, 4, 5)
-    assert set(only._draws) == {1}
+    assert [d.seeds for _, d in draws] == [tuple(LinkSeeds.derive(cfg.experiment.master_seed, "session", idx, 1)
+                                                 for idx in (6, 7))]
 
 
-def test_a_blocks_draws_are_those_of_its_indices_for_any_grid(sweep_bundle):
+def test_a_blocks_draws_are_those_of_its_indices_for_any_grid(sweep_bundle, monkeypatch):
     # each round's draws are one RoundDraws of the block's seeds on n_cu
-    # cells, made by whichever pipeline reads the round first: a grid of
-    # baseline modes alone and one of every mode make them bitwise alike
+    # cells, made once and sent on by both pipelines: a grid of baseline
+    # modes alone and one of every mode make them bitwise alike
     block = (2, 5, 1)
-    caches = []
+    cfg = sweep_bundle.cfg
+    by_round = []
     for modes in (("base1", "base2"), ALL_MODES):
+        calls = _link_draws(monkeypatch)
         cache = harness.SessionCache(_set(sweep_bundle, "experiment", modes=modes), block)
         for idx in block:
             for snr_db in SWEEP_SNRS:
                 harness.run_session(cache, idx, "base1", snr_db)
-        caches.append(cache)
-    base, every = caches
-    assert set(base._draws) == set(every._draws) == {1, 2}
-    cfg = sweep_bundle.cfg
-    for t in (1, 2):
-        a, b = base.draws(t), every.draws(t)
-        assert a.seeds == b.seeds == tuple(
-            LinkSeeds.derive(cfg.experiment.master_seed, "session", idx, t) for idx in block
+        rounds = {}
+        for t in (1, 2):
+            seeds = tuple(LinkSeeds.derive(cfg.experiment.master_seed, "session", idx, t) for idx in block)
+            rounds[t] = {id(d): d for _, d in calls if d.seeds == seeds}
+            assert len(rounds[t]) == 1  # one RoundDraws per round, for every entry
+        assert sum(map(len, rounds.values())) == len({id(d) for _, d in calls})  # and no other
+        assert {entry for entry, _ in calls} == (
+            {"transmit_with_state"} if len(modes) == 2 else {"transmit_symbols", "transmit_with_state"}
         )
+        by_round.append([d for t in (1, 2) for d in rounds[t].values()])
+    for a, b in zip(*by_round):
         for part in ("h", "a", "z", "b"):
             x, y = getattr(a, part), getattr(b, part)
             assert x.shape == (len(block), cfg.codec.n_cu) and x.tobytes() == y.tobytes()
@@ -869,14 +895,14 @@ def _arrays(obj, skip, seen) -> list:
 
 # the bytes of the arrays that a block's cache holds once every session of
 # a 5-mode default-geometry grid has run, per index of the block
-HELD_PER_INDEX = 128 * 1024
+HELD_PER_INDEX = 64 * 1024
 
 
 def test_a_block_holds_little_per_index_and_nothing_l_fft_wide():
-    # once a block has run, its cache holds per index the payload cells of
-    # each round's link draws, its sources' rows and its receptions: a few
-    # payloads' worth, and no array as wide as an OFDM symbol. Untrained
-    # nets, whose sessions seldom acknowledge, run every round
+    # once a block has run, its cache holds its bundle, its indices and
+    # its rows: per index a few payloads' worth of receptions, and no array
+    # as wide as an OFDM symbol. Untrained nets, whose sessions seldom
+    # acknowledge, run every round
     cfg = config_mod.override(config_mod.ExperimentConfig(), "experiment", modes=config_mod.ALL_MODES)
     pair1, pair2 = (codec.new_codec(cfg.codec, cfg.packed_length(), seed) for seed in (1, 2))
     scorer = detector.new_scorer(cfg.detector, 3)
@@ -887,7 +913,7 @@ def test_a_block_holds_little_per_index_and_nothing_l_fft_wide():
                for idx in block for mode in config_mod.ALL_MODES for snr_db in cfg.experiment.snr_db]
     assert max(r.rounds_used for r in records) == cfg.experiment.round_budget
     arrays = _arrays(cache, bundle, {id(a) for a in _arrays(bundle, None, set())})
-    assert {"semantic", "baseline", "_draws", "_rows"} <= vars(cache).keys() and "scenes" not in vars(cache)
+    assert vars(cache).keys() == {"bundle", "indices", "_rows"}
     widest = max(a.shape[-1] for a in arrays if a.ndim)
     assert widest < cfg.ofdm.l_fft, widest
     held = sum(a.nbytes for a in arrays) / len(block)
@@ -899,16 +925,17 @@ def _cached_receptions(cache):
     return [rx for rows in cache._rows.values() for rx in rows]
 
 
-def test_shared_receptions_are_read_only(sweep_bundle):
-    # sessions of every index and mode share the cache's receptions and the
-    # round draws (H, the noise and both estimate parts), so none of their
-    # arrays can be written
+def test_shared_receptions_are_read_only(sweep_bundle, monkeypatch):
+    # sessions of every index and mode share the cache's receptions, and
+    # both pipelines the round draws (H, the noise and both estimate parts),
+    # so none of their arrays can be written
+    calls = _link_draws(monkeypatch)
     cache = harness.SessionCache(sweep_bundle, (1, 3))
     for idx in (1, 3):
         for mode in ALL_MODES:
             harness.run_session(cache, idx, mode, 6.0)
     receptions = _cached_receptions(cache)
-    kept = [getattr(cache.draws(t), part) for t in range(1, 3) for part in ("h", "a", "z", "b")]
+    kept = [getattr(d, part) for _, d in calls for part in ("h", "a", "z", "b")]
     assert receptions and kept
     for rx in receptions:
         assert not rx.message.flags.writeable
@@ -946,10 +973,14 @@ def test_every_round_of_every_mode_is_a_read_only_reception(sweep_bundle, monkey
             session.rounds = session.rounds[:1]
 
 
-def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
+def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path, monkeypatch):
     # the baseline modes read only the proxy head, so they run on a bundle
     # without codecs or scorer and write the bytes of the trained bundle;
-    # their sessions never build a semantic source or fill the reception memo
+    # their sessions never build a semantic source
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a baseline grid builds no semantic source")
+    monkeypatch.setattr(harness, "SemanticSource", unbuilt)
     trained = _set(tiny_bundle, "experiment", round_budget=2, modes=("base1", "base2"))
     cfg = trained.cfg
     bare = harness.RuntimeBundle(cfg, harness.make_head(cfg), None, None, None)
@@ -961,7 +992,6 @@ def test_baseline_sweep_needs_no_codecs_or_scorer(tiny_bundle, tmp_path):
         cache = harness.SessionCache(bundle, (0, 1))
         for mode in ("base1", "base2"):
             harness.run_session(cache, 0, mode, 0.0)
-        assert "semantic" not in vars(cache)
         assert cache._rows and all(mode in harness.BASELINE_MODES for _, mode, _ in cache._rows)
 
 

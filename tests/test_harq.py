@@ -146,12 +146,28 @@ def test_crc_detects_short_bursts():
         assert crc24(np.packbits(bad)) != 0
 
 
-def test_quantizer_roundtrip_error_bound():
+@pytest.mark.parametrize("shape", [(500,), (4, 500)], ids=["vector", "rows"])
+def test_quantizer_roundtrip_error_bound(shape):
+    # a stack of rows, one of them constant, is fitted, quantized and
+    # dequantized row by row: each row bitwise as it is alone
     rng = np.random.default_rng(3)
-    values = rng.uniform(-4.0, 9.0, size=500)
+    values = rng.uniform(-4.0, 9.0, size=shape)
+    if values.ndim == 2:
+        values[2] = 2.5
     quant = fit_quantizer(values)
-    back = quant.dequantize(quant.quantize(values))
-    assert np.max(np.abs(back - values)) <= quant.scale / 2 + 1e-12
+    assert quant.scale.shape == quant.zero_point.shape == shape[:-1] + (1,)
+    assert not quant.scale.flags.writeable and not quant.zero_point.flags.writeable
+    codes = quant.quantize(values)
+    back = quant.dequantize(codes)
+    assert np.all(np.abs(back - values) <= quant.scale / 2 + 1e-12)
+    for row, scale, zero_point, row_codes, row_back in zip(
+        np.atleast_2d(values), quant.scale.reshape(-1), quant.zero_point.reshape(-1),
+        np.atleast_2d(codes), np.atleast_2d(back),
+    ):
+        alone = fit_quantizer(row)
+        assert (scale.tobytes(), zero_point.tobytes()) == (alone.scale.tobytes(), alone.zero_point.tobytes())
+        assert row_codes.tobytes() == alone.quantize(row).tobytes()
+        assert row_back.tobytes() == alone.dequantize(alone.quantize(row)).tobytes()
 
 
 def test_quantizer_clamps_out_of_range():
@@ -160,12 +176,17 @@ def test_quantizer_clamps_out_of_range():
     assert codes.tolist() == [0, 255]
 
 
-def test_quantizer_constant_input():
-    quant = fit_quantizer(np.full(10, 2.5))
-    assert quant.scale == 0.0
-    codes = quant.quantize(np.full(10, 2.5))
-    assert np.array_equal(codes, np.zeros(10, dtype=np.uint8))
-    assert np.allclose(quant.dequantize(codes), 2.5)
+@pytest.mark.parametrize(
+    "values", [np.full(10, 2.5), np.stack([np.linspace(-1.0, 1.0, 10), np.full(10, 2.5)])],
+    ids=["vector", "rows"],
+)
+def test_quantizer_constant_input(values):
+    # a constant row, the last, has scale 0 and codes 0, beside a row that is not
+    quant = fit_quantizer(values)
+    codes = quant.quantize(values)
+    assert quant.scale.reshape(-1)[-1] == 0.0
+    assert not np.atleast_2d(codes)[-1].any()
+    assert np.allclose(np.atleast_2d(quant.dequantize(codes))[-1], 2.5)
 
 
 def test_quantizer_input_validation():
